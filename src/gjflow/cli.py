@@ -19,10 +19,8 @@ import numpy as np
 from . import __version__
 from .errors import (
     ConfigError,
-    DivergentTransform,
     EndpointCollision,
     GJFlowError,
-    LostOrthogonality,
     StepCollapse,
 )
 from .evolution import evolve, verify_against_direct
@@ -393,7 +391,7 @@ def run_command(cmd: str, cfg: RunConfig, out) -> int:
         print(f"numerical failure: {type(exc).__name__}: {exc} "
               f"(last good t = {exc.t})", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (LostOrthogonality, DivergentTransform, GJFlowError) as exc:
+    except GJFlowError as exc:
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

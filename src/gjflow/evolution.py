@@ -85,11 +85,7 @@ def evolution_rhs(state: EvolutionState, nd: NodeData) -> np.ndarray:
     gdot_over_g = -0.5 * float(np.dot(xd, th))
     gdot_prev_over_g = adot_over_a + gdot_over_g  # gamma_{n-1} = a_n gamma_n
 
-    # antisymmetric velocity kernel K[j,k] = (xd_j - xd_k)/(x_j - x_k)
-    dx = x[:, None] - x[None, :]
-    np.fill_diagonal(dx, 1.0)
-    K = (xd[:, None] - xd[None, :]) / dx
-    np.fill_diagonal(K, 0.0)
+    K = nd.velocity_kernel()
 
     # sum_k K[j,k] * (u_k v_j - u_j v_k) = v_j (K @ u)_j - u_j (K @ v)_j
     def cross(u, v):
@@ -145,16 +141,9 @@ def evolve(w: GeneralizedJacobiWeight, n: int, t_span, tol=(1e-9, 1e-12),
             raise EndpointCollision(str(exc), t=t) from exc
         return evolution_rhs(EvolutionState.unpack(t, n, m, y), nd)
 
-    def on_accept(t, y):
-        try:
-            node_data(w, t)
-        except NonDistinctEndpoints as exc:
-            raise EndpointCollision(str(exc), t=t) from exc
-
     try:
         ys, stats = integrate_rk45(rhs, t0, t1, state0.pack(), rtol=rtol,
-                                   atol=atol, sample_times=times,
-                                   on_accept=on_accept)
+                                   atol=atol, sample_times=times)
     except StepCollapse as exc:
         # a vanishing step right before two endpoints meet is the collision
         # announcing itself; report it as such when the gap has degenerated
@@ -170,10 +159,6 @@ def evolve(w: GeneralizedJacobiWeight, n: int, t_span, tol=(1e-9, 1e-12),
     ])
     return EvolutionReport(n=n, times=times, states=states, drifts=drifts,
                            stats=stats)
-
-
-#: column labels of the deviation table, theta/omega entries expand per node
-STATE_COMPONENTS = ("a", "b", "gamma", "theta", "theta_prev", "omega")
 
 
 @dataclass

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ZeroCoefficient
 from .orthopoly import RecurrenceTable, eval_polynomial
-from .quadrature import DEFAULT_NPTS, stieltjes_at_node
+from .quadrature import DEFAULT_NPTS, cauchy_node_matrix
 from .weights import (
     GeneralizedJacobiWeight,
     NodeData,
@@ -57,6 +57,20 @@ def _a_at(table: RecurrenceTable, n: int) -> float:
     return float(table.a[n]) if n >= 1 else 0.0
 
 
+def _node_transforms(w: GeneralizedJacobiWeight, table: RecurrenceTable,
+                     t: float, n: int, npts: int):
+    """p_n, p_{n-1} and their Cauchy transforms q_n, q_{n-1} at every node.
+
+    One forward recurrence over the points of ``cauchy_node_matrix`` and the
+    nodes, then one product with its matrix. Returns (nd, pn, pnm1, qn, qm).
+    """
+    points, nd, Q = cauchy_node_matrix(w, t, npts)
+    pn, _, pnm1 = eval_polynomial(table, n, np.concatenate((points, nd.x)))
+    k = len(points)
+    qn, qm = (Q @ np.column_stack((pn[:k], pnm1[:k]))).T
+    return nd, pn[k:], pnm1[k:], qn, qm
+
+
 def ladder_init(w: GeneralizedJacobiWeight, table: RecurrenceTable, t: float,
                 n: int, npts: int = DEFAULT_NPTS) -> LadderValues:
     """Node values from the Cauchy-transform representation.
@@ -64,27 +78,14 @@ def ladder_init(w: GeneralizedJacobiWeight, table: RecurrenceTable, t: float,
     Theta_n(x_j) = alpha_j W'(x_j) p_n(x_j) q_n(x_j),
     Omega_n(x_j) = V(x_j) + a_n alpha_j W'(x_j) q_n(x_j) p_{n-1}(x_j),
     with q_n the Cauchy transform of w p_n; requires all alpha_k > 0.
+    The transforms at all nodes, of p_n and p_{n-1} alike, come from one
+    ``cauchy_node_matrix`` applied to one evaluation of the recurrence.
     """
-    nd = node_data(w, t)
-    m = w.m
-    a_n = _a_at(table, n)
-    theta = np.empty(m)
-    omega = np.empty(m)
-    theta_prev = np.empty(m) if n >= 1 else None
-
-    def p_of(k):
-        return lambda u: eval_polynomial(table, k, u)[0]
-
-    for j in range(m):
-        pn, _, pnm1 = eval_polynomial(table, n, nd.x[j])
-        qn = stieltjes_at_node(w, p_of(n), j, t, npts)
-        aw = w.alpha[j] * nd.wprime[j]
-        theta[j] = aw * pn * qn
-        omega[j] = 0.5 * aw + a_n * aw * qn * pnm1  # V(x_j) = alpha_j W'(x_j)/2
-        if n >= 1:
-            pm, _, _ = eval_polynomial(table, n - 1, nd.x[j])
-            qm = stieltjes_at_node(w, p_of(n - 1), j, t, npts)
-            theta_prev[j] = aw * pm * qm
+    nd, pn, pnm1, qn, qm = _node_transforms(w, table, t, n, npts)
+    aw = w.alpha * nd.wprime
+    theta = aw * pn * qn
+    omega = 0.5 * aw + _a_at(table, n) * aw * qn * pnm1  # V(x_j) = alpha_j W'(x_j)/2
+    theta_prev = aw * pnm1 * qm if n >= 1 else None
     return LadderValues(n=n, theta=theta, omega=omega, theta_prev=theta_prev)
 
 
@@ -168,13 +169,8 @@ def ladder_checks(w: GeneralizedJacobiWeight, table: RecurrenceTable,
 
     wron = 0.0
     if n >= 1:
-        for j in range(w.m):
-            pn, _, pnm1 = eval_polynomial(table, n, nd.x[j])
-            qn = stieltjes_at_node(w, lambda u: eval_polynomial(table, n, u)[0],
-                                   j, t, npts)
-            qm = stieltjes_at_node(w, lambda u: eval_polynomial(table, n - 1, u)[0],
-                                   j, t, npts)
-            wron = max(wron, abs(a_n * (pn * qm - pnm1 * qn) - 1.0))
+        _, pn, pnm1, qn, qm = _node_transforms(w, table, t, n, npts)
+        wron = float(np.max(np.abs(a_n * (pn * qm - pnm1 * qn) - 1.0)))
     return LadderReport(residue_theta=r_theta, residue_x_theta=r_x_theta,
                         residue_omega=r_omega, diffrel_residual=diffrel,
                         wronskian_residual=wron)

@@ -67,11 +67,7 @@ def nu_by_quadrature(w: GeneralizedJacobiWeight, n: int, t: float,
 def moment_rhs(nu: np.ndarray, nd: NodeData, alpha: np.ndarray,
                beta: np.ndarray) -> np.ndarray:
     """nu_dot_j = sum_{k != j} (xd_j - xd_k)(alpha_k + beta_k)(nu_j - nu_k)/(x_j - x_k)."""
-    x, xd = nd.x, nd.xdot
-    dx = x[:, None] - x[None, :]
-    np.fill_diagonal(dx, 1.0)
-    K = (xd[:, None] - xd[None, :]) / dx
-    np.fill_diagonal(K, 0.0)
+    K = nd.velocity_kernel()
     ab = alpha + beta
     # sum_k K[j,k] ab_k (nu_j - nu_k)
     return nu * (K @ ab) - K @ (ab * nu)

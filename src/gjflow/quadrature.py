@@ -138,45 +138,62 @@ def integrate_against_weight(w: GeneralizedJacobiWeight, f, t: float,
     return float(np.dot(ws, _eval_on(f, xs)))
 
 
+def cauchy_node_matrix(w: GeneralizedJacobiWeight, t: float,
+                       npts: int = DEFAULT_NPTS, nodes=None):
+    """Cauchy transforms at endpoints as one linear map of sample values.
+
+    Returns (points, nd, Q): the stacked points of the absorbed rules, the
+    node data at t, and a matrix with one row per requested node (all m
+    endpoints when ``nodes`` is None) such that
+    q(x_j) = int w(u) f(u) / (x_j - u) du = Q[i] @ f(points), j = nodes[i].
+
+    Each piece contributes its plain absorbed rule, which carries the smooth
+    factor 1/(x_j - u) for every requested node off that piece. On the one
+    or two pieces adjacent to x_j the Cauchy factor combines with the
+    endpoint singularity into |u - x_j|^(alpha_j - 1), still an admissible
+    Gauss-Jacobi exponent exactly when alpha_j > 0 (sign: + on the piece
+    left of x_j, - on the right). These singular rules are built for the
+    requested nodes only, so with all nodes there are 3(m-1) rules.
+    """
+    nodes = np.arange(w.m) if nodes is None else np.asarray(nodes, dtype=int)
+    a = w.alpha
+    for j in nodes:
+        if a[j] <= 0.0:
+            raise DivergentTransform(
+                f"q(x_{j + 1}) diverges: alpha_{j + 1} = {a[j]} <= 0"
+            )
+    nd = node_data(w, t)
+    points, blocks = [], []
+    for p in range(w.m - 1):
+        xs, eff = _piece_points(w, nd, p, npts, a[p], a[p + 1], skip=(p, p + 1))
+        block = eff / (nd.x[nodes, None] - xs)
+        block[(nodes == p) | (nodes == p + 1)] = 0.0  # singular rules below
+        points.append(xs)
+        blocks.append(block)
+    for i, j in enumerate(nodes):
+        singular = []
+        if j > 0:  # node at right end of piece j-1: x_j - u > 0
+            singular.append((j - 1, 1.0, a[j - 1], a[j] - 1.0))
+        if j < w.m - 1:  # node at left end of piece j: x_j - u < 0
+            singular.append((j, -1.0, a[j] - 1.0, a[j + 1]))
+        for p, sign, beta_left, beta_right in singular:
+            xs, eff = _piece_points(w, nd, p, npts, beta_left, beta_right,
+                                    skip=(p, p + 1))
+            block = np.zeros((len(nodes), len(xs)))
+            block[i] = sign * eff
+            points.append(xs)
+            blocks.append(block)
+    return np.concatenate(points), nd, np.hstack(blocks)
+
+
 def stieltjes_at_node(w: GeneralizedJacobiWeight, pvals, j: int, t: float,
                       npts: int = DEFAULT_NPTS) -> float:
     """Cauchy transform q(x_j) = int w(u) p(u) / (x_j - u) du at endpoint j.
 
-    On the one or two pieces adjacent to x_j the Cauchy factor combines with
-    the endpoint singularity into |u - x_j|^(alpha_j - 1), still an
-    admissible Gauss-Jacobi exponent exactly when alpha_j > 0 (sign: + on
-    the piece left of x_j, - on the right). Remaining pieces use the plain
-    absorbed rule with the smooth factor 1/(x_j - u).
+    The row of ``cauchy_node_matrix`` for node j applied to pvals at the
+    shared points; only the singular rules next to x_j are built, so other
+    endpoints may have any admissible exponent. Raises DivergentTransform
+    when alpha_j <= 0.
     """
-    if w.alpha[j] <= 0.0:
-        raise DivergentTransform(
-            f"q(x_{j + 1}) diverges: alpha_{j + 1} = {w.alpha[j]} <= 0"
-        )
-    nd = node_data(w, t)
-    xj = nd.x[j]
-    total = 0.0
-    for p in range(w.m - 1):
-        if p + 1 == j:
-            # node at right end of piece: x_j - u > 0
-            xs, eff = _piece_points(
-                w, nd, p, npts,
-                beta_left=w.alpha[p], beta_right=w.alpha[j] - 1.0,
-                skip=(p, p + 1),
-            )
-            total += np.dot(eff, _eval_on(pvals, xs))
-        elif p == j:
-            # node at left end of piece: x_j - u < 0
-            xs, eff = _piece_points(
-                w, nd, p, npts,
-                beta_left=w.alpha[j] - 1.0, beta_right=w.alpha[p + 1],
-                skip=(p, p + 1),
-            )
-            total -= np.dot(eff, _eval_on(pvals, xs))
-        else:
-            xs, eff = _piece_points(
-                w, nd, p, npts,
-                beta_left=w.alpha[p], beta_right=w.alpha[p + 1],
-                skip=(p, p + 1),
-            )
-            total += np.dot(eff, _eval_on(pvals, xs) / (xj - xs))
-    return float(total)
+    points, _, Q = cauchy_node_matrix(w, t, npts, nodes=[j])
+    return float(Q[0] @ _eval_on(pvals, points))

@@ -1,8 +1,8 @@
 """Embedded Dormand-Prince 5(4) integrator with PI step control.
 
 Small and explicit on purpose: the deformation systems are low-dimensional
-and non-stiff, and the caller needs rejection counts, a hard step-size
-floor (pole-candidate diagnostic), and a per-step validity callback.
+and non-stiff, and the caller needs rejection counts and a hard step-size
+floor (pole-candidate diagnostic).
 """
 
 from __future__ import annotations
@@ -47,8 +47,7 @@ def integrate_rk45(rhs: Callable[[float, np.ndarray], np.ndarray],
                    t0: float, t1: float, y0: np.ndarray,
                    rtol: float = 1e-9, atol: float = 1e-12,
                    sample_times: Optional[np.ndarray] = None,
-                   min_step_frac: float = 1e-12,
-                   on_accept: Optional[Callable[[float, np.ndarray], None]] = None):
+                   min_step_frac: float = 1e-12):
     """Integrate y' = rhs(t, y) from t0 to t1, landing exactly on sample_times.
 
     Returns (samples, stats) where samples[i] is the state at sample_times[i].
@@ -99,8 +98,6 @@ def integrate_rk45(rhs: Callable[[float, np.ndarray], np.ndarray],
         if err <= 1.0:
             t_new = target if hit else t + h_try
             stats.accepted += 1
-            if on_accept is not None:
-                on_accept(t_new, y_new)
             t, y, k1 = t_new, y_new, ks[6].copy()
             if hit:
                 while isample < len(sample_times) and sample_times[isample] == t:

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .errors import (
     BadConstant,
@@ -23,20 +22,41 @@ from .errors import (
 )
 
 
+def _horner(c: np.ndarray, t: float) -> np.ndarray:
+    """Row-wise polynomial values at t, constant term in column 0."""
+    out = c[:, -1].copy()
+    for k in range(c.shape[1] - 2, -1, -1):
+        out = out * t + c[:, k]
+    return out
+
+
 @dataclass(frozen=True)
 class EndpointTrajectory:
     """Polynomial-in-t endpoint paths x_k(t).
 
     ``coeffs[k]`` holds the coefficients of x_k(t), constant term first.
+    The rows are also kept zero-padded to one matrix, with the matrix of
+    their t-derivatives, so that positions and velocities are one Horner
+    pass each.
     """
 
     coeffs: tuple
+    _c: np.ndarray = field(init=False, repr=False, compare=False)
+    _dc: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         norm = tuple(tuple(float(c) for c in row) for row in self.coeffs)
         if any(len(row) == 0 for row in norm):
             raise ValueError("each endpoint needs at least a constant term")
         object.__setattr__(self, "coeffs", norm)
+        c = np.zeros((len(norm), max([2, *map(len, norm)])))
+        for k, row in enumerate(norm):
+            c[k, :len(row)] = row
+        dc = c[:, 1:] * np.arange(1, c.shape[1])
+        c.setflags(write=False)
+        dc.setflags(write=False)
+        object.__setattr__(self, "_c", c)
+        object.__setattr__(self, "_dc", dc)
 
     @property
     def m(self) -> int:
@@ -55,10 +75,10 @@ class EndpointTrajectory:
         )
 
     def positions(self, t: float) -> np.ndarray:
-        return np.array([npoly.polyval(t, c) for c in self.coeffs])
+        return _horner(self._c, t)
 
     def velocities(self, t: float) -> np.ndarray:
-        return np.array([npoly.polyval(t, npoly.polyder(c)) for c in self.coeffs])
+        return _horner(self._dc, t)
 
 
 @dataclass(frozen=True)
@@ -69,6 +89,14 @@ class NodeData:
     x: np.ndarray
     xdot: np.ndarray
     wprime: np.ndarray
+
+    def velocity_kernel(self) -> np.ndarray:
+        """Antisymmetric kernel K[j,k] = (xd_j - xd_k)/(x_j - x_k), K[j,j] = 0."""
+        dx = self.x[:, None] - self.x[None, :]
+        np.fill_diagonal(dx, 1.0)
+        K = (self.xdot[:, None] - self.xdot[None, :]) / dx
+        np.fill_diagonal(K, 0.0)
+        return K
 
 
 @dataclass(frozen=True)

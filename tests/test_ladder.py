@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+import gjflow.ladder
 from gjflow import (
     EndpointTrajectory,
     ZeroCoefficient,
+    eval_polynomial,
     ladder_checks,
     ladder_from_table,
     ladder_init,
@@ -11,8 +13,18 @@ from gjflow import (
     make_weight,
     node_data,
     residue_sums,
+    stieltjes_at_node,
     stieltjes_procedure,
 )
+
+
+@pytest.fixture
+def moving6():
+    """m=6 with non-uniform exponents and piece constants, inner nodes moving."""
+    return make_weight(
+        [0.3, 1.2, 0.7, 0.45, 1.4, 0.9], [1.0, 0.7, 1.5, 1.1, 0.8],
+        EndpointTrajectory(((-2.0,), (-1.1, 0.4), (-0.3, -0.2, 0.1),
+                            (0.4, 0.3), (1.2, -0.5), (2.0,))))
 
 
 class TestLadderInit:
@@ -51,6 +63,46 @@ class TestLadderInit:
             assert abs(s0) < 1e-8 * max(1.0, np.max(np.abs(lv.theta)))
             assert s1 == pytest.approx(2 * n + 1 + sa, rel=1e-8)
             assert s2 == pytest.approx(n + sa / 2.0, rel=1e-8)
+
+
+    def test_m6_high_degree_matches_per_node_reference(self, moving6):
+        t, n = 0.1, 30
+        table = stieltjes_procedure(moving6, t, n + 1)
+        lv = ladder_init(moving6, table, t, n)
+        nd = node_data(moving6, t)
+        a_n = table.a[n]
+        for j in range(moving6.m):
+            pn, _, pnm1 = eval_polynomial(table, n, nd.x[j])
+            qn = stieltjes_at_node(
+                moving6, lambda u: eval_polynomial(table, n, u)[0], j, t)
+            qm = stieltjes_at_node(
+                moving6, lambda u: eval_polynomial(table, n - 1, u)[0], j, t)
+            aw = moving6.alpha[j] * nd.wprime[j]
+            ref = np.array([aw * pn * qn, 0.5 * aw + a_n * aw * qn * pnm1,
+                            aw * pnm1 * qm])
+            got = np.array([lv.theta[j], lv.omega[j], lv.theta_prev[j]])
+            np.testing.assert_allclose(got, ref, rtol=1e-13, atol=1e-13)
+        rep = ladder_checks(moving6, table, lv, t)
+        assert rep.wronskian_residual < 1e-8
+
+    def test_one_recurrence_evaluation_for_all_nodes(self, ref3, moving6,
+                                                     monkeypatch):
+        # the transforms at every node share one pass of the recurrence;
+        # a per-node, per-piece evaluation would grow like m^2
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return eval_polynomial(*args, **kwargs)
+
+        monkeypatch.setattr(gjflow.ladder, "eval_polynomial", counting)
+        counts = []
+        for w in (ref3, moving6):
+            table = stieltjes_procedure(w, 0.0, 9)
+            calls.clear()
+            ladder_init(w, table, 0.0, 8)
+            counts.append(len(calls))
+        assert counts == [1, 1]
 
 
 class TestLadderStep:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npoly
 
 from gjflow import (
     BadConstant,
@@ -44,6 +45,23 @@ class TestMakeWeight:
         with pytest.raises(NonDistinctEndpoints):
             make_weight([0.5, 0.5], [1.0],
                         EndpointTrajectory.fixed([-1.0, 0.0, 1.0]))
+
+
+class TestEndpointTrajectory:
+    def test_matches_polyval_on_ragged_rows(self):
+        coeffs = ((-2.0,), (0.2, 4.0), (0.5, -1.5, 0.75, 2.0),
+                  (3.0, 0.0, -0.25), (7.5,))
+        traj = EndpointTrajectory(coeffs)
+        for t in (-1.3, -0.2, 0.0, 0.45, 2.0):
+            pos_ref = [npoly.polyval(t, c) for c in coeffs]
+            vel_ref = [npoly.polyval(t, npoly.polyder(c)) for c in coeffs]
+            np.testing.assert_allclose(traj.positions(t), pos_ref,
+                                       rtol=1e-15, atol=1e-15)
+            np.testing.assert_allclose(traj.velocities(t), vel_ref,
+                                       rtol=1e-15, atol=1e-15)
+            # constant-only rows do not move
+            assert traj.velocities(t)[0] == 0.0
+            assert traj.velocities(t)[4] == 0.0
 
 
 class TestNodeData:
