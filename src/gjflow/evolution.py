@@ -3,8 +3,12 @@
 The state for a fixed degree n is (a_n, b_n, gamma_n) together with the
 node ratios theta_j = Theta_n(x_j)/W'(x_j),
 theta_prev_j = Theta_{n-1}(x_j)/W'(x_j), omega_j = Omega_n(x_j)/W'(x_j).
-The closed system of ODEs in t is integrated with an embedded RK 4(5)
-pair and cross-validated against full recomputation from quadrature.
+The integrator carries it packed, as the vector
+(a, b, gamma, theta, theta_prev, omega) of length 3 + 3m that
+``EvolutionState.pack`` returns; ``EvolutionState`` itself is built only at
+the sample times. The closed system of ODEs in t is integrated with an
+embedded RK 4(5) pair and cross-validated against full recomputation from
+quadrature.
 """
 
 from __future__ import annotations
@@ -14,13 +18,13 @@ from typing import List, Optional
 
 import numpy as np
 
-from .errors import (EndpointCollision, InitFailure, NonDistinctEndpoints,
-                     StepCollapse)
+from .errors import EndpointCollision, InitFailure, StepCollapse
 from .ladder import LadderValues, ladder_init
 from .orthopoly import eval_polynomial, stieltjes_procedure
 from .quadrature import DEFAULT_NPTS
 from .rk45 import IntegrationStats, integrate_rk45
-from .weights import GeneralizedJacobiWeight, NodeData, node_data
+from .weights import (GeneralizedJacobiWeight, NodeData, _node_data_in_flow,
+                      node_data)
 
 
 @dataclass(frozen=True)
@@ -73,32 +77,36 @@ class EvolutionReport:
     stats: IntegrationStats
 
 
-def evolution_rhs(state: EvolutionState, nd: NodeData) -> np.ndarray:
-    """Time derivative of the packed state at the given node data."""
-    th = state.theta
-    tp = state.theta_prev
-    om = state.omega
-    x, xd = nd.x, nd.xdot
+def evolution_rhs(y: np.ndarray, nd: NodeData) -> np.ndarray:
+    """Time derivative of the packed state y at the given node data.
 
-    adot_over_a = 0.5 * float(np.dot(th - tp, xd))
-    bdot = float(np.dot((x - state.b) * th - 2.0 * om, xd))
-    gdot_over_g = -0.5 * float(np.dot(xd, th))
-    gdot_prev_over_g = adot_over_a + gdot_over_g  # gamma_{n-1} = a_n gamma_n
+    ``y`` is ``EvolutionState.pack()``: (a, b, gamma), then theta,
+    theta_prev and omega as the rows of ``U = y[3:].reshape(3, m)``. One
+    ``U @ xd`` gives their dot products with the velocities, one
+    ``U @ K.T`` their products with the velocity kernel, and the result is
+    written into one array.
+    """
+    m = len(nd.x)
+    a, b, gamma = y[:3].tolist()
+    U = y[3:].reshape(3, m)
+    xd = nd.xdot
+    s_th, s_tp, s_om = (U @ xd).tolist()
+    # C[i, l] = cross(U_i, U_l) = sum_k K[j,k] (U_ik U_lj - U_ij U_lk)
+    #         = U_l (K U_i) - U_i (K U_l)
+    P = U[:, None] * (U @ nd.velocity_kernel().T)  # P[i, l] = U_i (K U_l)
+    C = P.transpose(1, 0, 2) - P
 
-    K = nd.velocity_kernel()
-
-    # sum_k K[j,k] * (u_k v_j - u_j v_k) = v_j (K @ u)_j - u_j (K @ v)_j
-    def cross(u, v):
-        return v * (K @ u) - u * (K @ v)
-
-    theta_dot = 2.0 * gdot_over_g * th - 2.0 * cross(th, om)
-    theta_prev_dot = -2.0 * gdot_prev_over_g * tp + 2.0 * cross(tp, om)
-    omega_dot = state.a ** 2 * cross(tp, th)  # Theta_n(x_j)Theta_{n-1}(x_k) antisym
-
-    return np.concatenate((
-        [state.a * adot_over_a, bdot, state.gamma * gdot_over_g],
-        theta_dot, theta_prev_dot, omega_dot,
-    ))
+    # gamma_dot/gamma = -s_th/2; gamma_{n-1} = a_n gamma_n gives
+    # gamma_dot_{n-1}/gamma_{n-1} = a_dot/a + gamma_dot/gamma = -s_tp/2
+    out = np.empty_like(y)
+    out[0] = a * 0.5 * (s_th - s_tp)
+    out[1] = float((nd.x * U[0]) @ xd) - b * s_th - 2.0 * s_om
+    out[2] = gamma * -0.5 * s_th
+    dU = out[3:].reshape(3, m)
+    dU[0] = -s_th * U[0] - 2.0 * C[0, 2]
+    dU[1] = s_tp * U[1] + 2.0 * C[1, 2]
+    dU[2] = a * a * C[1, 0]  # Theta_n(x_j)Theta_{n-1}(x_k) antisym
+    return out
 
 
 def init_state(w: GeneralizedJacobiWeight, n: int, t: float,
@@ -135,11 +143,7 @@ def evolve(w: GeneralizedJacobiWeight, n: int, t_span, tol=(1e-9, 1e-12),
     times = np.linspace(t0, t1, sample_count)
 
     def rhs(t, y):
-        try:
-            nd = node_data(w, t)
-        except NonDistinctEndpoints as exc:
-            raise EndpointCollision(str(exc), t=t) from exc
-        return evolution_rhs(EvolutionState.unpack(t, n, m, y), nd)
+        return evolution_rhs(y, _node_data_in_flow(w, t))
 
     try:
         ys, stats = integrate_rk45(rhs, t0, t1, state0.pack(), rtol=rtol,
@@ -209,18 +213,26 @@ class TimeDerivativeCheck:
     formula_node: float
 
 
-def _dp_dt_formula(w, table, lv: LadderValues, nd: NodeData, n: int, x: float):
-    """Right side of the dp_n/dt expansion at a fixed off-node point x."""
+def _dp_dt_formula(w, table, lv: LadderValues, nd: NodeData, n: int, x: float,
+                   frame_velocity: float = 0.0):
+    """Right side of the dp_n/dt expansion at x, seen from a frame moving at
+    frame_velocity.
+
+    With frame_velocity 0 this is dp_n/dt at a fixed off-node x. At x = x_j
+    with frame_velocity xdot_j it is d/dt p_n(x_j(t), t): each xdot_k
+    becomes xdot_k - xdot_j, and the k = j term, 0 * L_j(x_j)/0 with
+    L_j(x_j) = W p_n'(x_j) = 0, is dropped. Terms whose velocity vanishes
+    are dropped in general; they contribute 0 wherever they are finite.
+    """
     gdot_over_g = -0.5 * float(np.sum(nd.xdot * lv.theta / nd.wprime))
     pn, _, pnm1 = eval_polynomial(table, n, x)
     a_n = float(table.a[n]) if n >= 1 else 0.0
     V_nodes = 0.5 * w.alpha * nd.wprime
-    total = gdot_over_g * pn
-    for k in range(w.m):
-        total -= nd.xdot[k] * ((lv.omega[k] - V_nodes[k]) * pn
-                               - a_n * lv.theta[k] * pnm1) \
-            / (nd.wprime[k] * (x - nd.x[k]))
-    return total
+    v = nd.xdot - frame_velocity
+    k = v != 0.0
+    terms = v[k] * ((lv.omega[k] - V_nodes[k]) * pn - a_n * lv.theta[k] * pnm1) \
+        / (nd.wprime[k] * (x - nd.x[k]))
+    return gdot_over_g * pn - float(np.sum(terms))
 
 
 def pn_time_derivative_check(w: GeneralizedJacobiWeight, n: int, x: float,
@@ -247,17 +259,7 @@ def pn_time_derivative_check(w: GeneralizedJacobiWeight, n: int, x: float,
     res_off = abs(fd - formula) / scale
 
     # along the node trajectory x_j(t)
-    gdot_over_g = -0.5 * float(np.sum(nd.xdot * lv.theta / nd.wprime))
-    pnj, _, pm1j = eval_polynomial(table, n, nd.x[j])
-    a_n = float(table.a[n]) if n >= 1 else 0.0
-    V_nodes = 0.5 * w.alpha * nd.wprime
-    formula_j = gdot_over_g * pnj
-    for k in range(w.m):
-        if k == j:
-            continue
-        formula_j += (nd.xdot[j] - nd.xdot[k]) \
-            * ((lv.omega[k] - V_nodes[k]) * pnj - a_n * lv.theta[k] * pm1j) \
-            / (nd.wprime[k] * (nd.x[j] - nd.x[k]))
+    formula_j = _dp_dt_formula(w, table, lv, nd, n, nd.x[j], nd.xdot[j])
     xp = w.trajectory.positions(t + h)[j]
     xm = w.trajectory.positions(t - h)[j]
     fd_j = (eval_polynomial(table_p, n, xp)[0]

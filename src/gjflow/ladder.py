@@ -21,8 +21,6 @@ from .weights import (
     GeneralizedJacobiWeight,
     NodeData,
     barycentric_interpolate,
-    eval_V,
-    eval_W,
     node_data,
 )
 
@@ -150,22 +148,20 @@ def ladder_checks(w: GeneralizedJacobiWeight, table: RecurrenceTable,
     r_omega = abs(s2 - lead_o) / max(abs(lead_o), 1.0)
 
     # differential relation at interior sample points, ladder polynomials
-    # reconstructed from node values by barycentric interpolation
+    # and V reconstructed from their node values (V(x_j) = alpha_j W'(x_j)/2)
+    # by barycentric interpolation
     rng = np.random.default_rng(seed)
     xs = rng.uniform(nd.x[0] + 0.05, nd.x[-1] - 0.05, size=nsamples)
     a_n = _a_at(table, n)
-    resid = 0.0
-    denom = 0.0
-    for x in xs:
-        pn, dpn, pnm1 = eval_polynomial(table, n, x)
-        Wx = float(eval_W(w, x, t))
-        Vx = eval_V(w, x, t)
-        Th = barycentric_interpolate(nd, values.theta, x)
-        Om = barycentric_interpolate(nd, values.omega, x)
-        resid = max(resid, abs(Wx * dpn - (Om - Vx) * pn + a_n * Th * pnm1))
-        # |W p_n| joins the scale so the degree-0 case (0 = 0) stays clean
-        denom = max(denom, abs(Wx * dpn), abs((Om - Vx) * pn), abs(Wx * pn))
-    diffrel = resid / max(denom, 1e-300)
+    pn, dpn, pnm1 = eval_polynomial(table, n, xs)
+    Wx = np.prod(xs[:, None] - nd.x, axis=1)
+    Th, Om, Vx = barycentric_interpolate(
+        nd, [values.theta, values.omega, 0.5 * w.alpha * nd.wprime], xs)
+    resid = np.max(np.abs(Wx * dpn - (Om - Vx) * pn + a_n * Th * pnm1),
+                   initial=0.0)
+    # |W p_n| joins the scale so the degree-0 case (0 = 0) stays clean
+    denom = np.max(np.abs([Wx * dpn, (Om - Vx) * pn, Wx * pn]), initial=0.0)
+    diffrel = float(resid / max(denom, 1e-300))
 
     wron = 0.0
     if n >= 1:

@@ -14,11 +14,11 @@ from typing import List
 
 import numpy as np
 
-from .errors import EndpointCollision, NonDistinctEndpoints
 from .orthopoly import moments
 from .quadrature import DEFAULT_NPTS, discretized_measure
 from .rk45 import IntegrationStats, integrate_rk45
-from .weights import GeneralizedJacobiWeight, NodeData, node_data
+from .weights import (GeneralizedJacobiWeight, NodeData, _node_data_in_flow,
+                      node_data)
 
 
 @dataclass(frozen=True)
@@ -90,11 +90,7 @@ def evolve_moments(w: GeneralizedJacobiWeight, n: int, t_span,
     times = np.linspace(t0, t1, sample_count)
 
     def rhs(t, y):
-        try:
-            nd = node_data(w, t)
-        except NonDistinctEndpoints as exc:
-            raise EndpointCollision(str(exc), t=t) from exc
-        return moment_rhs(y, nd, w.alpha, beta)
+        return moment_rhs(y, _node_data_in_flow(w, t), w.alpha, beta)
 
     ys, stats = integrate_rk45(rhs, t0, t1, nu0, rtol=rtol, atol=atol,
                                sample_times=times)

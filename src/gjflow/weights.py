@@ -10,24 +10,34 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .errors import (
     BadConstant,
     BadExponent,
+    EndpointCollision,
     NodeCollision,
     NonDistinctEndpoints,
     NonFinite,
 )
 
 
-def _horner(c: np.ndarray, t: float) -> np.ndarray:
-    """Row-wise polynomial values at t, constant term in column 0."""
-    out = c[:, -1].copy()
-    for k in range(c.shape[1] - 2, -1, -1):
-        out = out * t + c[:, k]
+def _horner(cols, t: float) -> np.ndarray:
+    """Polynomial values at t from coefficient columns, highest degree first
+    (at least two columns)."""
+    out = cols[0] * t + cols[1]
+    for c in cols[2:]:
+        out = out * t + c
     return out
+
+
+def _gaps(x: np.ndarray) -> np.ndarray:
+    """x_j - x_k, with 1 on the diagonal."""
+    gaps = x[:, None] - x
+    gaps.flat[::len(x) + 1] = 1.0
+    return gaps
 
 
 @dataclass(frozen=True)
@@ -35,28 +45,28 @@ class EndpointTrajectory:
     """Polynomial-in-t endpoint paths x_k(t).
 
     ``coeffs[k]`` holds the coefficients of x_k(t), constant term first.
-    The rows are also kept zero-padded to one matrix, with the matrix of
-    their t-derivatives, so that positions and velocities are one Horner
-    pass each.
+    The zero-padded coefficient matrix, with the matrix of t-derivatives
+    stacked below it, is also kept column by column (highest degree
+    first), so that positions and velocities together are one Horner pass.
     """
 
     coeffs: tuple
-    _c: np.ndarray = field(init=False, repr=False, compare=False)
-    _dc: np.ndarray = field(init=False, repr=False, compare=False)
+    _cols: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         norm = tuple(tuple(float(c) for c in row) for row in self.coeffs)
         if any(len(row) == 0 for row in norm):
             raise ValueError("each endpoint needs at least a constant term")
         object.__setattr__(self, "coeffs", norm)
-        c = np.zeros((len(norm), max([2, *map(len, norm)])))
+        m = len(norm)
+        cd = np.zeros((2 * m, max([2, *map(len, norm)])))
         for k, row in enumerate(norm):
-            c[k, :len(row)] = row
-        dc = c[:, 1:] * np.arange(1, c.shape[1])
-        c.setflags(write=False)
-        dc.setflags(write=False)
-        object.__setattr__(self, "_c", c)
-        object.__setattr__(self, "_dc", dc)
+            cd[k, :len(row)] = row
+        cd[m:, :-1] = cd[:m, 1:] * np.arange(1, cd.shape[1])
+        cols = tuple(np.ascontiguousarray(c) for c in cd.T[::-1])
+        for c in cols:
+            c.setflags(write=False)
+        object.__setattr__(self, "_cols", cols)
 
     @property
     def m(self) -> int:
@@ -75,28 +85,40 @@ class EndpointTrajectory:
         )
 
     def positions(self, t: float) -> np.ndarray:
-        return _horner(self._c, t)
+        return self.positions_and_velocities(t)[:self.m]
 
     def velocities(self, t: float) -> np.ndarray:
-        return _horner(self._dc, t)
+        return self.positions_and_velocities(t)[self.m:]
+
+    def positions_and_velocities(self, t: float) -> np.ndarray:
+        """x_1..x_m followed by their t-derivatives, one Horner pass."""
+        return _horner(self._cols, t)
 
 
 @dataclass(frozen=True)
 class NodeData:
-    """Endpoint positions, velocities, and W'(x_j) values at one time."""
+    """Endpoint positions and velocities at one time.
+
+    ``wprime``, the values W'(x_j), is computed when first read and then
+    kept; ``velocity_kernel()`` builds K on each call. A flow right-hand
+    side, which needs K but not W', never pays for W'.
+    """
 
     t: float
     x: np.ndarray
     xdot: np.ndarray
-    wprime: np.ndarray
+
+    @cached_property
+    def wprime(self) -> np.ndarray:
+        """W'(x_j) = prod_{k != j}(x_j - x_k)."""
+        return np.prod(_gaps(self.x), axis=1)
 
     def velocity_kernel(self) -> np.ndarray:
-        """Antisymmetric kernel K[j,k] = (xd_j - xd_k)/(x_j - x_k), K[j,j] = 0."""
-        dx = self.x[:, None] - self.x[None, :]
-        np.fill_diagonal(dx, 1.0)
-        K = (self.xdot[:, None] - self.xdot[None, :]) / dx
-        np.fill_diagonal(K, 0.0)
-        return K
+        """Symmetric kernel K[j,k] = (xd_j - xd_k)/(x_j - x_k), K[j,j] = 0.
+
+        The numerator is exactly 0 on the diagonal, where the gaps hold 1.
+        """
+        return (self.xdot[:, None] - self.xdot) / _gaps(self.x)
 
 
 @dataclass(frozen=True)
@@ -146,17 +168,28 @@ def make_weight(alpha, pieces, trajectory, t_ref: float = 0.0) -> GeneralizedJac
 
 
 def node_data(w: GeneralizedJacobiWeight, t: float) -> NodeData:
-    """Positions, velocities, and W'(x_j) = prod_{k != j}(x_j - x_k) at time t."""
-    x = w.trajectory.positions(t)
-    if np.any(np.diff(x) <= 0.0):
+    """Positions and velocities at time t, from one Horner pass.
+
+    Raises NonDistinctEndpoints unless the positions are strictly
+    increasing. ``NodeData.wprime`` is computed when first read.
+    """
+    xv = w.trajectory.positions_and_velocities(t)
+    m = w.m
+    xs = xv[:m].tolist()
+    if any(left >= right for left, right in zip(xs, xs[1:])):
         raise NonDistinctEndpoints(
-            f"endpoints not strictly increasing at t={t}: {x.tolist()}"
+            f"endpoints not strictly increasing at t={t}: {xs}"
         )
-    xdot = w.trajectory.velocities(t)
-    diff = x[:, None] - x[None, :]
-    np.fill_diagonal(diff, 1.0)
-    wprime = np.prod(diff, axis=1)
-    return NodeData(t=float(t), x=x, xdot=xdot, wprime=wprime)
+    return NodeData(t=float(t), x=xv[:m], xdot=xv[m:])
+
+
+def _node_data_in_flow(w: GeneralizedJacobiWeight, t: float) -> NodeData:
+    """node_data for a flow right-hand side: endpoints that lose their
+    order during integration are an EndpointCollision at t."""
+    try:
+        return node_data(w, t)
+    except NonDistinctEndpoints as exc:
+        raise EndpointCollision(str(exc), t=t) from exc
 
 
 def eval_W(w: GeneralizedJacobiWeight, x, t: float):
@@ -233,19 +266,19 @@ def eval_V_and_logderivs(w: GeneralizedJacobiWeight, x: float, t: float):
 def barycentric_interpolate(nd: NodeData, values, x):
     """Degree <= m-1 interpolant through (x_j, values_j), first barycentric form.
 
-    p(x) = W(x) * sum_j values_j / (W'(x_j) (x - x_j)); exact node values are
-    returned when x hits a node.
+    p(x) = W(x) * sum_j values_j / (W'(x_j) (x - x_j)) at a point or a 1-D
+    array of points; exact node values are returned where x hits a node.
+    ``values`` may stack several value vectors along leading axes (last
+    axis m); the result then has those axes in front of the points.
     """
     values = np.asarray(values, dtype=float)
     x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    xv = np.atleast_1d(x)
-    out = np.empty_like(xv)
-    for i, xi in enumerate(xv):
-        diffs = xi - nd.x
-        hit = np.nonzero(diffs == 0.0)[0]
-        if hit.size:
-            out[i] = values[int(hit[0])]
-        else:
-            out[i] = np.prod(diffs) * np.sum(values / (nd.wprime * diffs))
-    return float(out[0]) if scalar else out
+    diffs = np.atleast_1d(x)[:, None] - nd.x
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.prod(diffs, axis=1) \
+            * np.sum(values[..., None, :] / (nd.wprime * diffs), axis=-1)
+    at, hit = np.nonzero(diffs == 0.0)
+    out[..., at] = values[..., hit]
+    if x.ndim == 0:
+        out = out[..., 0]
+    return float(out) if out.ndim == 0 else out

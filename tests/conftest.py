@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from gjflow import EndpointTrajectory, make_weight
@@ -22,22 +21,3 @@ def moving3():
     """m=3 reference with the middle endpoint moving: x(t) = (-1, t, 1)."""
     return make_weight([0.5, 0.5, 0.5], [1.0, 1.0],
                        EndpointTrajectory(((-1.0,), (0.0, 1.0), (1.0,))))
-
-
-def jacobi_orthonormal_coeffs(a: float, b: float, N: int):
-    """Closed-form recurrence coefficients for the weight (1-x)^a (1+x)^b.
-
-    Returns (a_1..a_N, b_0..b_{N-1}) for the orthonormal three-term
-    recurrence; independent oracle for the quadrature-based construction.
-    """
-    ab = a + b
-    bs = np.empty(N)
-    bs[0] = (b - a) / (ab + 2.0)
-    for n in range(1, N):
-        bs[n] = (b * b - a * a) / ((2 * n + ab) * (2 * n + ab + 2.0))
-    asq = np.empty(N)
-    asq[0] = 4.0 * (a + 1.0) * (b + 1.0) / ((ab + 2.0) ** 2 * (ab + 3.0))
-    for n in range(2, N + 1):
-        s = 2.0 * n + ab
-        asq[n - 1] = 4.0 * n * (n + a) * (n + b) * (n + ab) / (s * s * (s * s - 1.0))
-    return np.sqrt(asq), bs

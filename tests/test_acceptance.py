@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import jacobi_orthonormal_coeffs
+from jacobi_ref import jacobi_orthonormal_coeffs
 from gjflow import (
     EndpointTrajectory,
     evolution_rhs,
@@ -141,7 +141,7 @@ def test_criterion_5_rhs_order():
     started = time.perf_counter()
     w = moving_weight()
     s = init_state(w, 5, 0.1)
-    rhs = evolution_rhs(s, node_data(w, 0.1))
+    rhs = evolution_rhs(s.pack(), node_data(w, 0.1))
     errs = []
     for h in (1e-3, 5e-4):
         fd = (init_state(w, 5, 0.1 + h).pack()

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+import gjflow.evolution
 from gjflow import (
     EndpointCollision,
     EndpointTrajectory,
+    EvolutionState,
     InitFailure,
     evolution_rhs,
     evolve,
@@ -18,7 +20,7 @@ from gjflow import (
 class TestEvolutionRhs:
     def test_fixed_endpoints_zero_rhs(self, ref3):
         s = init_state(ref3, 4, 0.0)
-        d = evolution_rhs(s, node_data(ref3, 0.0))
+        d = evolution_rhs(s.pack(), node_data(ref3, 0.0))
         assert np.max(np.abs(d)) < 1e-12
 
     def test_translation(self):
@@ -26,7 +28,7 @@ class TestEvolutionRhs:
                         EndpointTrajectory.affine([-1.0, 0.2, 1.0],
                                                   [1.0, 1.0, 1.0]))
         s = init_state(w, 4, 0.0)
-        d = evolution_rhs(s, node_data(w, 0.0))
+        d = evolution_rhs(s.pack(), node_data(w, 0.0))
         assert abs(d[0]) < 1e-10          # a_dot
         assert d[1] == pytest.approx(1.0, abs=1e-10)   # b_dot
         assert np.max(np.abs(d[3:])) < 1e-10           # node ratios frozen
@@ -36,9 +38,72 @@ class TestEvolutionRhs:
         w = make_weight([0.5, 0.5, 0.5], [1.0, 1.0],
                         EndpointTrajectory.affine(pts, pts))
         s = init_state(w, 4, 0.0)
-        d = evolution_rhs(s, node_data(w, 0.0))
+        d = evolution_rhs(s.pack(), node_data(w, 0.0))
         assert d[0] / s.a == pytest.approx(1.0, abs=1e-10)
         assert d[1] == pytest.approx(s.b, abs=1e-10)
+
+
+def _rhs_reference(s, nd):
+    """The right-hand side written out per component, kernel products
+    through the antisymmetric cross(u, v)."""
+    th, tp, om = s.theta, s.theta_prev, s.omega
+    x, xd = nd.x, nd.xdot
+    m = len(x)
+    K = np.zeros((m, m))
+    for j in range(m):
+        for k in range(m):
+            if k != j:
+                K[j, k] = (xd[j] - xd[k]) / (x[j] - x[k])
+
+    def cross(u, v):
+        return v * (K @ u) - u * (K @ v)
+
+    adot_over_a = 0.5 * float(np.dot(th - tp, xd))
+    gdot_over_g = -0.5 * float(np.dot(xd, th))
+    gdot_prev_over_g = adot_over_a + gdot_over_g
+    return np.concatenate((
+        [s.a * adot_over_a,
+         float(np.dot((x - s.b) * th - 2.0 * om, xd)),
+         s.gamma * gdot_over_g],
+        2.0 * gdot_over_g * th - 2.0 * cross(th, om),
+        -2.0 * gdot_prev_over_g * tp + 2.0 * cross(tp, om),
+        s.a ** 2 * cross(tp, th),
+    ))
+
+
+class TestPackedRhs:
+    @pytest.mark.parametrize("m", [3, 6])
+    def test_matches_per_component_reference(self, m):
+        rng = np.random.default_rng(m)
+        x0 = np.linspace(-2.0, 2.0, m)
+        traj = EndpointTrajectory(tuple(
+            (float(p), float(v), float(q))
+            for p, v, q in zip(x0, rng.uniform(-1, 1, m), rng.uniform(-0.3, 0.3, m))))
+        w = make_weight(rng.uniform(0.2, 1.5, m), np.ones(m - 1), traj)
+        nd = node_data(w, 0.05)
+        assert len(set(np.round(nd.xdot, 12))) == m   # non-uniform velocities
+        for _ in range(5):
+            y = rng.standard_normal(3 + 3 * m)
+            s = EvolutionState.unpack(0.05, 4, m, y)
+            ref = _rhs_reference(s, nd)
+            got = evolution_rhs(y, nd)
+            assert np.max(np.abs(got - ref) / np.maximum(np.abs(ref), 1.0)) < 1e-14
+            assert np.array_equal(y, s.pack())      # y is not written
+
+
+def test_unpack_only_at_samples(moving3, monkeypatch):
+    calls = []
+    unpack = EvolutionState.unpack
+
+    def counting(*args):
+        calls.append(args[0])
+        return unpack(*args)
+
+    monkeypatch.setattr(gjflow.evolution.EvolutionState, "unpack",
+                        staticmethod(counting))
+    rep = evolve(moving3, 5, (0.0, 0.3), sample_count=7)
+    assert rep.stats.fevals > 7
+    assert calls == list(rep.times)
 
 
 class TestEvolve:
@@ -99,7 +164,7 @@ class TestEvolve:
 class TestRhsFiniteDifference:
     def test_observed_order(self, moving3):
         s = init_state(moving3, 5, 0.1)
-        rhs = evolution_rhs(s, node_data(moving3, 0.1))
+        rhs = evolution_rhs(s.pack(), node_data(moving3, 0.1))
         errs = []
         for h in (1e-3, 5e-4):
             sp = init_state(moving3, 5, 0.1 + h).pack()

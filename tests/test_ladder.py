@@ -154,3 +154,38 @@ class TestLadderChecks:
             assert rep.wronskian_residual < 1e-8
             assert rep.residue_x_theta < 1e-8
             assert rep.residue_omega < 1e-8
+
+
+def _diffrel_per_point(w, table, values, t, nsamples=20, seed=0):
+    """The differential-relation residual of ladder_checks, one point at a
+    time through the scalar evaluators."""
+    from gjflow import barycentric_interpolate, eval_V, eval_W
+    nd = node_data(w, t)
+    n = values.n
+    a_n = float(table.a[n]) if n >= 1 else 0.0
+    xs = np.random.default_rng(seed).uniform(nd.x[0] + 0.05, nd.x[-1] - 0.05,
+                                             size=nsamples)
+    resid = denom = 0.0
+    for x in xs:
+        pn, dpn, pnm1 = eval_polynomial(table, n, float(x))
+        Wx = float(eval_W(w, x, t))
+        Vx = eval_V(w, x, t)
+        Th = barycentric_interpolate(nd, values.theta, float(x))
+        Om = barycentric_interpolate(nd, values.omega, float(x))
+        resid = max(resid, abs(Wx * dpn - (Om - Vx) * pn + a_n * Th * pnm1))
+        denom = max(denom, abs(Wx * dpn), abs((Om - Vx) * pn), abs(Wx * pn))
+    return resid / max(denom, 1e-300)
+
+
+@pytest.mark.parametrize("which", ["ref3", "moving6"])
+def test_diffrel_matches_per_point_reference(which, request):
+    w = request.getfixturevalue(which)
+    t = 0.2
+    table = stieltjes_procedure(w, t, 21)
+    for n in (0, 1, 7, 20):
+        lv = ladder_init(w, table, t, n)
+        rep = ladder_checks(w, table, lv, t, seed=n)
+        ref = _diffrel_per_point(w, table, lv, t, seed=n)
+        assert abs(rep.diffrel_residual - ref) < 1e-12
+        assert rep.diffrel_residual < 1e-7
+

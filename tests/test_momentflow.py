@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from gjflow import (
+    EndpointCollision,
     EndpointTrajectory,
+    NonDistinctEndpoints,
     check_mu_identity,
     evolve_moments,
     hankel_det,
@@ -79,6 +81,20 @@ class TestEvolveMoments:
                                nu0=c1 * nu_a + c2 * nu_b)
         combo = c1 * sa[-1].nu + c2 * sb[-1].nu
         assert sc[-1].nu == pytest.approx(combo, rel=1e-10, abs=1e-10)
+
+
+def test_collision_during_integration():
+    # the moments stay smooth through the crossing at t = 0.2, so a stage
+    # lands past it and node_data's ordering failure is the collision
+    w = make_weight([0.5, 0.5, 0.5], [1.0, 1.0],
+                    EndpointTrajectory(((-1.0,), (0.2, 4.0), (1.0,))))
+    with pytest.raises(EndpointCollision) as info:
+        evolve_moments(w, 2, (0.0, 0.5), sample_count=4)
+    exc = info.value
+    assert isinstance(exc.__cause__, NonDistinctEndpoints)
+    assert str(exc) == str(exc.__cause__)
+    assert str(exc).startswith(f"endpoints not strictly increasing at t={exc.t}: ")
+    assert abs(exc.t - 0.2) < 1e-3
 
 
 class TestMuIdentity:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import jacobi_orthonormal_coeffs
+from jacobi_ref import jacobi_orthonormal_coeffs
 from gjflow import (
     EndpointTrajectory,
     IndexOutOfRange,

@@ -85,6 +85,22 @@ class TestNodeData:
         nd = node_data(ref3, 0.7)
         assert np.all(nd.xdot == 0.0)
 
+    @pytest.mark.parametrize("kernel_first", [False, True])
+    def test_lazy_wprime_is_node_polynomial_derivative(self, kernel_first):
+        w = make_weight([0.3, 1.2, 0.7, 0.45, 1.4, 0.9], np.ones(5),
+                        EndpointTrajectory(((-2.0,), (-1.1, 0.4), (-0.3, -0.2, 0.1),
+                                            (0.4, 0.3), (1.2, -0.5), (2.0,))))
+        nd = node_data(w, 0.3)
+        assert "wprime" not in vars(nd)               # not computed yet
+        if kernel_first:
+            K = nd.velocity_kernel()
+            assert np.all(np.diag(K) == 0.0)
+            assert np.array_equal(K, K.T)
+        ref = [np.prod([nd.x[j] - nd.x[k] for k in range(6) if k != j])
+               for j in range(6)]
+        np.testing.assert_allclose(nd.wprime, ref, rtol=1e-15, atol=0)
+        assert nd.wprime is nd.wprime                # computed once
+
     def test_collision_at_query_time(self):
         w = make_weight([0.5, 0.5], [1.0],
                         EndpointTrajectory.affine([-1.0, 1.0], [2.0, 0.0]))
