@@ -18,7 +18,12 @@ class BadConstant(GJFlowError):
 
 
 class NonFinite(GJFlowError):
-    """Weight evaluation diverges (negative exponent at its own endpoint)."""
+    """A computed value is not a finite float.
+
+    Raised when the weight diverges (negative exponent at its own endpoint)
+    and when a leading coefficient gamma_n of the recurrence overflows; the
+    message names the endpoint or the first overflowing degree.
+    """
 
 
 class NodeCollision(GJFlowError):

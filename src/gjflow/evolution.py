@@ -8,20 +8,22 @@ The integrator carries it packed, as the vector
 ``EvolutionState.pack`` returns; ``EvolutionState`` itself is built only at
 the sample times. The closed system of ODEs in t is integrated with an
 embedded RK 4(5) pair and cross-validated against full recomputation from
-quadrature.
+quadrature: ``init_state`` rebuilds a state from the stacked absorbed
+rules at t with one Stieltjes recurrence, which yields the coefficients
+and p_n, p_{n-1} at the rule points and nodes alike.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
 from .errors import EndpointCollision, InitFailure, StepCollapse
-from .ladder import LadderValues, ladder_init
-from .orthopoly import eval_polynomial, stieltjes_procedure
-from .quadrature import DEFAULT_NPTS
+from .ladder import LadderValues, _ladder_values, ladder_init
+from .orthopoly import eval_polynomial, stieltjes_procedure, stieltjes_recurrence
+from .quadrature import DEFAULT_NPTS, cauchy_node_matrix
 from .rk45 import IntegrationStats, integrate_rk45
 from .weights import (GeneralizedJacobiWeight, NodeData, _node_data_in_flow,
                       node_data)
@@ -111,17 +113,25 @@ def evolution_rhs(y: np.ndarray, nd: NodeData) -> np.ndarray:
 
 def init_state(w: GeneralizedJacobiWeight, n: int, t: float,
                npts: int = DEFAULT_NPTS) -> EvolutionState:
-    """Build the flow state at time t from the direct quadrature oracles."""
+    """Build the flow state at time t from the direct quadrature oracles.
+
+    One ``cauchy_node_matrix`` gives the stacked rule points, the
+    discretized measure and the Cauchy matrix at t. One
+    ``stieltjes_recurrence`` to degree n + 1 over those points and the
+    nodes gives a_n, b_n, gamma_n together with p_n and p_{n-1} everywhere,
+    and the ladder node formula turns them into the node ratios.
+    """
     if n < 1:
         raise InitFailure("flow state needs n >= 1 (carries Theta_{n-1})")
     if np.any(w.alpha <= 0.0):
         raise InitFailure("evolution requires all exponents alpha_k > 0")
     try:
-        table = stieltjes_procedure(w, t, n + 1, npts)
-        lv = ladder_init(w, table, t, n, npts)
+        points, ws, nd, Q = cauchy_node_matrix(w, t, npts)
+        table, p, p_prev = stieltjes_recurrence(
+            np.concatenate((points, nd.x)), ws, n + 1)
+        lv = _ladder_values(w, nd, table, n, Q, p, p_prev)
     except Exception as exc:  # noqa: BLE001 - surfaced as one condition
         raise InitFailure(f"state initialization failed at t={t}: {exc}") from exc
-    nd = node_data(w, t)
     return EvolutionState(
         t=float(t), n=n,
         a=float(table.a[n]), b=float(table.b[n]), gamma=float(table.gamma[n]),

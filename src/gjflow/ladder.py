@@ -55,18 +55,35 @@ def _a_at(table: RecurrenceTable, n: int) -> float:
     return float(table.a[n]) if n >= 1 else 0.0
 
 
-def _node_transforms(w: GeneralizedJacobiWeight, table: RecurrenceTable,
-                     t: float, n: int, npts: int):
-    """p_n, p_{n-1} and their Cauchy transforms q_n, q_{n-1} at every node.
+def _recurrence_on_rules(w: GeneralizedJacobiWeight, table: RecurrenceTable,
+                         t: float, n: int, npts: int):
+    """The ``cauchy_node_matrix`` at t and p_n, p_{n-1} from one forward
+    recurrence over its points followed by the nodes: (nd, Q, p, p_prev)."""
+    points, _, nd, Q = cauchy_node_matrix(w, t, npts)
+    p, _, p_prev = eval_polynomial(table, n, np.concatenate((points, nd.x)))
+    return nd, Q, p, p_prev
 
-    One forward recurrence over the points of ``cauchy_node_matrix`` and the
-    nodes, then one product with its matrix. Returns (nd, pn, pnm1, qn, qm).
-    """
-    points, nd, Q = cauchy_node_matrix(w, t, npts)
-    pn, _, pnm1 = eval_polynomial(table, n, np.concatenate((points, nd.x)))
-    k = len(points)
-    qn, qm = (Q @ np.column_stack((pn[:k], pnm1[:k]))).T
-    return nd, pn[k:], pnm1[k:], qn, qm
+
+def _node_transforms(Q: np.ndarray, p: np.ndarray, p_prev: np.ndarray):
+    """p_n, p_{n-1} and their Cauchy transforms q_n, q_{n-1} at every node,
+    from p_n, p_{n-1} on the points of Q followed by the nodes."""
+    k = Q.shape[1]
+    qn, qm = (Q @ np.column_stack((p[:k], p_prev[:k]))).T
+    return p[k:], p_prev[k:], qn, qm
+
+
+def _ladder_values(w: GeneralizedJacobiWeight, nd: NodeData,
+                   table: RecurrenceTable, n: int, Q: np.ndarray,
+                   p: np.ndarray, p_prev: np.ndarray) -> LadderValues:
+    """The node formula of ``ladder_init`` (also used by
+    ``evolution.init_state``), from p_n, p_{n-1} on the points of Q
+    followed by the nodes."""
+    pn, pnm1, qn, qm = _node_transforms(Q, p, p_prev)
+    aw = w.alpha * nd.wprime
+    theta = aw * pn * qn
+    omega = 0.5 * aw + _a_at(table, n) * aw * qn * pnm1  # V(x_j) = alpha_j W'(x_j)/2
+    theta_prev = aw * pnm1 * qm if n >= 1 else None
+    return LadderValues(n=n, theta=theta, omega=omega, theta_prev=theta_prev)
 
 
 def ladder_init(w: GeneralizedJacobiWeight, table: RecurrenceTable, t: float,
@@ -79,12 +96,8 @@ def ladder_init(w: GeneralizedJacobiWeight, table: RecurrenceTable, t: float,
     The transforms at all nodes, of p_n and p_{n-1} alike, come from one
     ``cauchy_node_matrix`` applied to one evaluation of the recurrence.
     """
-    nd, pn, pnm1, qn, qm = _node_transforms(w, table, t, n, npts)
-    aw = w.alpha * nd.wprime
-    theta = aw * pn * qn
-    omega = 0.5 * aw + _a_at(table, n) * aw * qn * pnm1  # V(x_j) = alpha_j W'(x_j)/2
-    theta_prev = aw * pnm1 * qm if n >= 1 else None
-    return LadderValues(n=n, theta=theta, omega=omega, theta_prev=theta_prev)
+    nd, Q, p, p_prev = _recurrence_on_rules(w, table, t, n, npts)
+    return _ladder_values(w, nd, table, n, Q, p, p_prev)
 
 
 def ladder_step(values: LadderValues, x_nodes, a_n: float, a_next: float,
@@ -165,7 +178,8 @@ def ladder_checks(w: GeneralizedJacobiWeight, table: RecurrenceTable,
 
     wron = 0.0
     if n >= 1:
-        _, pn, pnm1, qn, qm = _node_transforms(w, table, t, n, npts)
+        _, Q, p, p_prev = _recurrence_on_rules(w, table, t, n, npts)
+        pn, pnm1, qn, qm = _node_transforms(Q, p, p_prev)
         wron = float(np.max(np.abs(a_n * (pn * qm - pnm1 * qn) - 1.0)))
     return LadderReport(residue_theta=r_theta, residue_x_theta=r_x_theta,
                         residue_omega=r_omega, diffrel_residual=diffrel,

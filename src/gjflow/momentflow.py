@@ -16,7 +16,7 @@ import numpy as np
 
 from .orthopoly import moments
 from .quadrature import DEFAULT_NPTS, discretized_measure
-from .rk45 import IntegrationStats, integrate_rk45
+from .rk45 import integrate_rk45
 from .weights import (GeneralizedJacobiWeight, NodeData, _node_data_in_flow,
                       node_data)
 

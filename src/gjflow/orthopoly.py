@@ -3,7 +3,8 @@
 The three-term recurrence is
 ``a_{n+1} p_{n+1}(x) = (x - b_n) p_n(x) - a_n p_{n-1}(x)`` with
 ``p_n(x) = gamma_n x^n + ...`` orthonormal against the weight. The
-quadrature-backed discretized Stieltjes procedure is the primary path;
+quadrature-backed discretized Stieltjes procedure is the primary path
+(``stieltjes_recurrence`` can carry p_n over points beyond the measure's);
 moment determinants are retained as a small-n diagnostic.
 """
 
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IndexOutOfRange, LostOrthogonality
+from .errors import IndexOutOfRange, LostOrthogonality, NonFinite
 from .quadrature import DEFAULT_NPTS, discretized_measure
 from .weights import GeneralizedJacobiWeight, node_data
 
@@ -37,37 +38,61 @@ class RecurrenceTable:
 
 def stieltjes_procedure(w: GeneralizedJacobiWeight, t: float, N: int,
                         npts: int = DEFAULT_NPTS) -> RecurrenceTable:
-    """Build a_1..a_N, b_0..b_{N-1}, gamma_0..gamma_N by discretized Stieltjes.
-
-    b_n = int w x p_n^2; a_{n+1} is the norm of (x - b_n) p_n - a_n p_{n-1};
-    gamma_0 = mu_0^{-1/2}, gamma_{n+1} = gamma_n / a_{n+1}.
-    """
+    """Build a_1..a_N, b_0..b_{N-1}, gamma_0..gamma_N by discretized Stieltjes
+    on ``discretized_measure``."""
     if N < 0:
         raise IndexOutOfRange(f"N must be >= 0, got {N}")
     xs, ws = discretized_measure(w, t, npts)
-    width = xs.max() - xs.min()
+    return stieltjes_recurrence(xs, ws, N)[0]
+
+
+def stieltjes_recurrence(xs: np.ndarray, ws: np.ndarray, N: int):
+    """Discretized Stieltjes procedure that also carries p over extra points.
+
+    The measure is sum_i ws[i] delta(x - xs[i]) over the first len(ws)
+    points; the rest of ``xs`` only rides along. b_n = int w x p_n^2;
+    a_{n+1} is the norm of (x - b_n) p_n - a_n p_{n-1};
+    gamma_0 = mu_0^{-1/2}, gamma_{n+1} = gamma_n / a_{n+1}.
+
+    Returns (table, p, p_prev) with p = p_{N-1} and p_prev = p_{N-2} (0 when
+    N = 1) at every entry of ``xs``: the arithmetic of ``eval_polynomial``
+    at degree N-1, so a caller that needs b_n and p_n, p_{n-1} on more
+    points than the measure's runs one recurrence with N = n + 1. Raises
+    LostOrthogonality when a norm falls below the roundoff floor and
+    NonFinite when some gamma_n overflows.
+    """
+    k = len(ws)
+    x = xs[:k]
+    width = x.max() - x.min()
     floor = 1e-14 * width * width
     mu0 = float(np.sum(ws))
     if mu0 <= 0.0:
         raise LostOrthogonality(f"nonpositive total mass {mu0}")
     a = np.zeros(N + 1)
     b = np.zeros(N)
-    gamma = np.zeros(N + 1)
-    gamma[0] = mu0 ** -0.5
+    gamma0 = mu0 ** -0.5
     p_prev = np.zeros_like(xs)
-    p_cur = np.full_like(xs, gamma[0])
+    p = np.full_like(xs, gamma0)
     for n in range(N):
-        b[n] = float(np.dot(ws, xs * p_cur * p_cur))
-        ptil = (xs - b[n]) * p_cur - a[n] * p_prev
-        s2 = float(np.dot(ws, ptil * ptil))
+        if n:
+            p_prev, p = p, ptil / a[n]
+        pk = p[:k]
+        b[n] = float(np.dot(ws, x * pk * pk))
+        ptil = (xs - b[n]) * p - a[n] * p_prev
+        s2 = float(np.dot(ws, ptil[:k] * ptil[:k]))
         if s2 <= floor:
             raise LostOrthogonality(
                 f"norm^2 = {s2} at degree {n + 1} below floor {floor}"
             )
         a[n + 1] = np.sqrt(s2)
-        gamma[n + 1] = gamma[n] / a[n + 1]
-        p_prev, p_cur = p_cur, ptil / a[n + 1]
-    return RecurrenceTable(a=a, b=b, gamma=gamma)
+    with np.errstate(over="ignore"):
+        gamma = np.divide.accumulate(np.concatenate(([gamma0], a[1:])))
+    if not np.isfinite(gamma[-1]):
+        bad = int(np.argmin(np.isfinite(gamma)))
+        raise NonFinite(
+            f"gamma_{bad} overflows the float range at degree {bad}"
+        )
+    return RecurrenceTable(a=a, b=b, gamma=gamma), p, p_prev
 
 
 def eval_polynomial(table: RecurrenceTable, n: int, x):

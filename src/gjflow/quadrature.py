@@ -4,6 +4,13 @@ Every integral over a piece [x_j, x_{j+1}] absorbs the two adjacent
 endpoint factors |x - x_j|^a |x - x_{j+1}|^b into a Gauss-Jacobi rule, so
 the remaining factor is smooth on the closed piece and the composite rule
 converges spectrally.
+
+The rules of one weight do not depend on t: for given exponents and npts
+they are stacked once into a small cached table (the plain piece rules,
+then, where Cauchy transforms are wanted, the singular rules beside the
+nodes), and
+``discretized_measure``, ``cauchy_node_matrix`` and ``stieltjes_at_node``
+all map that one table to the endpoints at t with array operations.
 """
 
 from __future__ import annotations
@@ -100,35 +107,94 @@ def _eval_on(f, xs: np.ndarray) -> np.ndarray:
     return np.array([float(f(x)) for x in xs])
 
 
-def _piece_points(w, nd, j, npts, beta_left, beta_right, skip):
-    """Mapped nodes and effective weights for piece j with given absorbed
-    exponents; node factors in `skip` are absorbed by the rule already."""
-    xl, xr = nd.x[j], nd.x[j + 1]
-    half = 0.5 * (xr - xl)
-    mid = 0.5 * (xr + xl)
-    rule = gauss_jacobi_rule(npts, beta_left, beta_right)
-    xs = mid + half * rule.nodes
-    eff = w.pieces[j] * rule.weights * half ** (1.0 + beta_left + beta_right)
-    for k in range(w.m):
-        if k in skip:
+@dataclass(frozen=True)
+class _RuleTable:
+    """The absorbed rules of one (alpha, npts), stacked point by point.
+
+    The m-1 plain piece rules come first (``nplain`` points, the discretized
+    measure). A table built with ``singular`` then holds the singular rules
+    beside each node x_j with alpha_j > 0: the rule left of x_j, then the
+    one right of it. Every rule on piece p
+    absorbs the two endpoint factors of p; ``scale`` is its Jacobian
+    exponent 1 + beta_left + beta_right. ``node`` and ``sign`` hold, for
+    the singular points only, the node whose Cauchy factor the rule absorbs
+    and the sign of x_node - u. Nothing here depends on t.
+    """
+
+    s: np.ndarray
+    wts: np.ndarray
+    piece: np.ndarray
+    scale: np.ndarray
+    node: np.ndarray
+    sign: np.ndarray
+    nplain: int
+
+
+@lru_cache(maxsize=4)
+def _rule_table(alpha: tuple, npts: int, singular: bool) -> _RuleTable:
+    m = len(alpha)
+    rules = [(p, alpha[p], alpha[p + 1]) for p in range(m - 1)]
+    node, sign = [], []
+    for j in range(m) if singular else ():
+        if alpha[j] <= 0.0:  # q(x_j) diverges; cauchy_node_matrix refuses it
             continue
-        eff = eff * np.abs(xs - nd.x[k]) ** w.alpha[k]
-    return xs, eff
+        if j > 0:  # node at the right end of piece j-1: x_j - u > 0
+            rules.append((j - 1, alpha[j - 1], alpha[j] - 1.0))
+            node.append(j)
+            sign.append(1.0)
+        if j < m - 1:  # node at the left end of piece j: x_j - u < 0
+            rules.append((j, alpha[j] - 1.0, alpha[j + 1]))
+            node.append(j)
+            sign.append(-1.0)
+    built = [gauss_jacobi_rule(npts, bl, br) for _, bl, br in rules]
+    arrays = (
+        np.concatenate([r.nodes for r in built]),
+        np.concatenate([r.weights for r in built]),
+        np.repeat([p for p, _, _ in rules], npts),
+        np.repeat([1.0 + bl + br for _, bl, br in rules], npts),
+        np.repeat(np.array(node, dtype=int), npts),
+        np.repeat(sign, npts),
+    )
+    for arr in arrays:
+        arr.setflags(write=False)
+    return _RuleTable(*arrays, nplain=(m - 1) * npts)
+
+
+def _table(w: GeneralizedJacobiWeight, npts: int, singular: bool) -> _RuleTable:
+    # callers of the measure alone do not pay for the 2(m-1) singular rules
+    return _rule_table(tuple(w.alpha.tolist()), int(npts), singular)
+
+
+def _stacked_points(w: GeneralizedJacobiWeight, nd, table: _RuleTable,
+                    stop: int):
+    """Mapped points and effective weights of the first ``stop`` table points.
+
+    Each weight is C_p times the rule weight times half^scale of its piece,
+    times |u - x_k|^alpha_k for every endpoint k its rule does not absorb.
+    """
+    piece = table.piece[:stop]
+    xl, xr = nd.x[piece], nd.x[piece + 1]
+    half = 0.5 * (xr - xl)
+    xs = 0.5 * (xr + xl) + half * table.s[:stop]
+    # row 0 the rule part, row k + 1 the factor of endpoint k (1 if absorbed);
+    # the product down the rows multiplies them in that order
+    f = np.empty((w.m + 1, stop))
+    f[0] = w.pieces[piece] * table.wts[:stop] * half ** table.scale[:stop]
+    np.power(np.abs(xs - nd.x[:, None]), w.alpha[:, None], out=f[1:])
+    cols = np.arange(stop)
+    f[piece + 1, cols] = 1.0
+    f[piece + 2, cols] = 1.0
+    return xs, np.prod(f, axis=0)
 
 
 def discretized_measure(w: GeneralizedJacobiWeight, t: float, npts: int = DEFAULT_NPTS):
-    """Composite absorbed rule: (points, weights) with sum w_i f(x_i) ~ int w f."""
-    nd = node_data(w, t)
-    xs_all, ws_all = [], []
-    for j in range(w.m - 1):
-        xs, eff = _piece_points(
-            w, nd, j, npts,
-            beta_left=w.alpha[j], beta_right=w.alpha[j + 1],
-            skip=(j, j + 1),
-        )
-        xs_all.append(xs)
-        ws_all.append(eff)
-    return np.concatenate(xs_all), np.concatenate(ws_all)
+    """Composite absorbed rule: (points, weights) with sum w_i f(x_i) ~ int w f.
+
+    The plain piece rules of the stacked rule table, mapped to the endpoints
+    at t; any exponents > -1 are allowed.
+    """
+    table = _table(w, npts, singular=False)
+    return _stacked_points(w, node_data(w, t), table, table.nplain)
 
 
 def integrate_against_weight(w: GeneralizedJacobiWeight, f, t: float,
@@ -142,58 +208,52 @@ def cauchy_node_matrix(w: GeneralizedJacobiWeight, t: float,
                        npts: int = DEFAULT_NPTS, nodes=None):
     """Cauchy transforms at endpoints as one linear map of sample values.
 
-    Returns (points, nd, Q): the stacked points of the absorbed rules, the
-    node data at t, and a matrix with one row per requested node (all m
-    endpoints when ``nodes`` is None) such that
+    Returns (points, weights, nd, Q): the points of every rule in the
+    stacked rule table, the effective weights of its plain slice (the
+    first ``len(weights)`` points and these weights are
+    ``discretized_measure``), the node data at t, and a matrix with one row
+    per requested node (all m endpoints when ``nodes`` is None) such that
     q(x_j) = int w(u) f(u) / (x_j - u) du = Q[i] @ f(points), j = nodes[i].
 
     Each piece contributes its plain absorbed rule, which carries the smooth
-    factor 1/(x_j - u) for every requested node off that piece. On the one
-    or two pieces adjacent to x_j the Cauchy factor combines with the
-    endpoint singularity into |u - x_j|^(alpha_j - 1), still an admissible
+    factor 1/(x_j - u) for every node off that piece. On the one or two
+    pieces adjacent to x_j the Cauchy factor combines with the endpoint
+    singularity into |u - x_j|^(alpha_j - 1), still an admissible
     Gauss-Jacobi exponent exactly when alpha_j > 0 (sign: + on the piece
-    left of x_j, - on the right). These singular rules are built for the
-    requested nodes only, so with all nodes there are 3(m-1) rules.
+    left of x_j, - on the right). The table holds these singular rules for
+    every node with alpha_j > 0, so with all nodes admissible there are
+    3(m-1) rules. Points, weights and Q come from a fixed number of array
+    operations on the table, with no loop over pieces or nodes.
     """
-    nodes = np.arange(w.m) if nodes is None else np.asarray(nodes, dtype=int)
     a = w.alpha
-    for j in nodes:
+    for j in range(w.m) if nodes is None else nodes:
         if a[j] <= 0.0:
             raise DivergentTransform(
                 f"q(x_{j + 1}) diverges: alpha_{j + 1} = {a[j]} <= 0"
             )
     nd = node_data(w, t)
-    points, blocks = [], []
-    for p in range(w.m - 1):
-        xs, eff = _piece_points(w, nd, p, npts, a[p], a[p + 1], skip=(p, p + 1))
-        block = eff / (nd.x[nodes, None] - xs)
-        block[(nodes == p) | (nodes == p + 1)] = 0.0  # singular rules below
-        points.append(xs)
-        blocks.append(block)
-    for i, j in enumerate(nodes):
-        singular = []
-        if j > 0:  # node at right end of piece j-1: x_j - u > 0
-            singular.append((j - 1, 1.0, a[j - 1], a[j] - 1.0))
-        if j < w.m - 1:  # node at left end of piece j: x_j - u < 0
-            singular.append((j, -1.0, a[j] - 1.0, a[j + 1]))
-        for p, sign, beta_left, beta_right in singular:
-            xs, eff = _piece_points(w, nd, p, npts, beta_left, beta_right,
-                                    skip=(p, p + 1))
-            block = np.zeros((len(nodes), len(xs)))
-            block[i] = sign * eff
-            points.append(xs)
-            blocks.append(block)
-    return np.concatenate(points), nd, np.hstack(blocks)
+    table = _table(w, npts, singular=True)
+    k = table.nplain
+    points, eff = _stacked_points(w, nd, table, len(table.s))
+    Q = np.zeros((w.m, len(points)))
+    Q[:, :k] = eff[:k] / (nd.x[:, None] - points[:k])
+    cols = np.arange(k)
+    Q[table.piece[:k], cols] = 0.0  # the singular rules carry these
+    Q[table.piece[:k] + 1, cols] = 0.0
+    Q[table.node, np.arange(k, len(points))] = table.sign * eff[k:]
+    if nodes is not None:
+        Q = Q[np.asarray(nodes, dtype=int)]
+    return points, eff[:k], nd, Q
 
 
 def stieltjes_at_node(w: GeneralizedJacobiWeight, pvals, j: int, t: float,
                       npts: int = DEFAULT_NPTS) -> float:
     """Cauchy transform q(x_j) = int w(u) p(u) / (x_j - u) du at endpoint j.
 
-    The row of ``cauchy_node_matrix`` for node j applied to pvals at the
-    shared points; only the singular rules next to x_j are built, so other
-    endpoints may have any admissible exponent. Raises DivergentTransform
-    when alpha_j <= 0.
+    The row of ``cauchy_node_matrix`` for node j applied to pvals at its
+    points; other endpoints may have any admissible exponent (the table
+    has no singular rules for those with alpha <= 0). Raises
+    DivergentTransform when alpha_j <= 0.
     """
-    points, _, Q = cauchy_node_matrix(w, t, npts, nodes=[j])
+    points, _, _, Q = cauchy_node_matrix(w, t, npts, nodes=[j])
     return float(Q[0] @ _eval_on(pvals, points))

@@ -7,7 +7,7 @@ floor (pole-candidate diagnostic).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np

@@ -8,7 +8,6 @@ and piece constants do not depend on t, only the endpoints move.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 

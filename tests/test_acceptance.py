@@ -10,7 +10,6 @@ and finite differences.
 import time
 
 import numpy as np
-import pytest
 
 from jacobi_ref import jacobi_orthonormal_coeffs
 from gjflow import (

@@ -130,6 +130,16 @@ class TestCoeffs:
         assert header[0] == "n"
         assert len(rows) == 7
 
+    def test_gamma_overflow_is_numerical_failure(self, tmp_path, capsys):
+        # gamma_n ~ 2^n on [-1, 1] leaves the float range at n = 1025
+        code = main(["coeffs", "--config", write_config(tmp_path, CHEB),
+                     "--n", "1200", "--npts", "1300"])
+        captured = capsys.readouterr()
+        assert code == EXIT_NUMERICAL
+        assert "NonFinite" in captured.err
+        assert "gamma_1025" in captured.err
+        assert "inf" not in captured.out
+
     def test_n_override(self, tmp_path, capsys):
         code = main(["coeffs", "--config", write_config(tmp_path, CHEB),
                      "--n", "3"])

@@ -161,6 +161,28 @@ class TestEvolve:
             init_state(ref3, 0, 0.0)
 
 
+    def test_init_runs_one_recurrence(self, ref3, monkeypatch):
+        # p_n and p_{n-1} on the rule points and the nodes come from the
+        # Stieltjes pass itself, not from a second polynomial evaluation
+        import gjflow.ladder
+        import gjflow.orthopoly
+
+        calls = []
+        original = gjflow.orthopoly.eval_polynomial
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return original(*args, **kwargs)
+
+        for mod in (gjflow.evolution, gjflow.ladder, gjflow.orthopoly):
+            monkeypatch.setattr(mod, "eval_polynomial", counting)
+        w6 = make_weight([0.3, 1.2, 0.7, 0.45, 1.4, 0.9],
+                         [1.0, 0.7, 1.5, 1.1, 0.8],
+                         EndpointTrajectory.fixed([-2.0, -1.1, -0.3, 0.4, 1.2, 2.0]))
+        for w in (ref3, w6):
+            init_state(w, 8, 0.0)
+        assert calls == []
+
 class TestRhsFiniteDifference:
     def test_observed_order(self, moving3):
         s = init_state(moving3, 5, 0.1)

@@ -1,0 +1,152 @@
+"""The stacked rule table against per-piece rules (``quad_ref``).
+
+``discretized_measure``, ``cauchy_node_matrix``, ``stieltjes_at_node`` and
+``init_state`` all read one cached table of absorbed rules; these tests
+compare each with the piece-by-piece reference, computed in extended
+precision, to 1e-12 in the relative metric of ``verify`` (absolute
+floor 1); random configs to 1e-11 (see ``PROPERTY_TOL``).
+"""
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+import quad_ref
+from gjflow import (
+    DivergentTransform,
+    EndpointTrajectory,
+    discretized_measure,
+    init_state,
+    make_weight,
+    stieltjes_at_node,
+)
+from gjflow.quadrature import _rule_cached, _rule_table, cauchy_node_matrix
+
+TOL = 1e-12
+# Random configs reach the float64 noise floor of init_state in this metric:
+# on m = 5, alpha (1, 1, 1, 2, 2), x (-2, 1, 1.25, 1.875, 2), n = 11 (a
+# shrunk hypothesis example) 1-ulp noise on the rule weights alone spreads
+# the deviation over 1.6e-13 .. 1.3e-12, and the code before the rule table
+# reads 4.6e-13 there. The property test allows ten times that noise.
+PROPERTY_TOL = 1e-11
+
+# m in {2, 3, 4, 6}; exponents below and above 1; inner endpoints moving
+WEIGHTS = {
+    "m2": ([0.3, 1.7], [1.3], ((-1.0, 0.2), (1.5,))),
+    "m3": ([1.4, 0.25, 0.8], [0.6, 1.9], ((-2.0,), (0.1, -0.7, 0.4), (1.0,))),
+    "m4": ([0.6, 1.9, 0.15, 1.1], [1.0, 0.5, 1.7],
+           ((-1.5,), (-0.4, 0.5), (0.6, -0.3), (2.0, 0.1))),
+    "m6": ([0.3, 1.2, 0.7, 0.45, 1.4, 0.9], [1.0, 0.7, 1.5, 1.1, 0.8],
+           ((-2.0,), (-1.1, 0.4), (-0.3, -0.2, 0.1), (0.4, 0.3), (1.2, -0.5),
+            (2.0,))),
+}
+
+
+def weight(name):
+    alpha, pieces, traj = WEIGHTS[name]
+    return make_weight(alpha, pieces, EndpointTrajectory(traj))
+
+
+@pytest.fixture(params=sorted(WEIGHTS))
+def w(request):
+    return weight(request.param)
+
+
+class TestAgainstPerPieceRules:
+    @pytest.mark.parametrize("npts", [7, 64])
+    def test_discretized_measure(self, w, npts):
+        xs, ws = discretized_measure(w, 0.13, npts)
+        rx, rw = quad_ref.measure(w, 0.13, npts)
+        assert quad_ref.relative(xs, rx) <= TOL
+        np.testing.assert_allclose(ws, rw, rtol=TOL, atol=0.0)
+
+    def test_cauchy_node_matrix(self, w):
+        t = 0.07
+        points, ws, nd, Q = cauchy_node_matrix(w, t, 64)
+        assert Q.shape == (w.m, 3 * (w.m - 1) * 64)
+        k = len(ws)
+        assert np.array_equal(points[:k], discretized_measure(w, t, 64)[0])
+        for f in (np.cos, lambda u: u ** 5 - 2.0 * u, np.ones_like):
+            got = Q @ f(points)
+            ref = [quad_ref.cauchy_transform(w, t, f, j, 64) for j in range(w.m)]
+            assert quad_ref.relative(got, ref) <= TOL
+
+    @pytest.mark.parametrize("n", [1, 2, 9, 30])
+    def test_init_state(self, w, n):
+        for t in (0.0, 0.11):
+            got = init_state(w, n, t).pack()
+            assert quad_ref.relative(got, quad_ref.init_state(w, n, t)) <= TOL
+
+
+@st.composite
+def configs(draw):
+    """A random admissible weight, a time t and a degree n.
+
+    At t the endpoints sit as the benchmark workloads place them: the outer
+    two at -2 and 2, the inner ones uniform with gaps >= 0.05. The floor-1
+    metric is not scale-free, and roundoff grows as the support narrows:
+    on [-1, -0.8] (m = 2, alpha (2, 0.05), n = 30) ``init_state`` reads
+    1.9e-12 against this reference, the same before the rule table.
+    """
+    m = draw(st.integers(2, 6))
+    alpha = draw(st.lists(st.floats(0.05, 2.0), min_size=m, max_size=m))
+    pieces = draw(st.lists(st.floats(0.5, 2.0), min_size=m - 1, max_size=m - 1))
+    inner = draw(st.lists(st.floats(-1.95, 1.95), min_size=m - 2, max_size=m - 2))
+    x = np.array([-2.0, *sorted(inner), 2.0])
+    assume(np.all(np.diff(x) >= 0.05))
+    v = draw(st.lists(st.floats(-1.0, 1.0), min_size=m, max_size=m))
+    t = draw(st.floats(-0.05, 0.05))
+    traj = tuple((float(xk - vk * t), float(vk)) for xk, vk in zip(x, v))
+    w = make_weight(alpha, pieces, EndpointTrajectory(traj), t_ref=t)
+    return w, draw(st.integers(1, 30)), t
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(configs())
+def test_init_state_property(cfg):
+    w, n, t = cfg
+    got = init_state(w, n, t).pack()
+    assert quad_ref.relative(got, quad_ref.init_state(w, n, t)) <= PROPERTY_TOL
+
+
+class TestEdges:
+    def test_measure_with_nonpositive_exponents(self):
+        # moment-flow weights may have alpha in (-1, 0]; no singular rule
+        # is built for those nodes and the plain rules stand alone
+        w = make_weight([-0.5, 0.0, 0.7, -0.9], [1.0, 2.0, 0.5],
+                        EndpointTrajectory(((-1.0,), (0.0, 0.3), (0.6,), (1.4,))))
+        xs, ws = discretized_measure(w, 0.2, 32)
+        rx, rw = quad_ref.measure(w, 0.2, 32)
+        assert quad_ref.relative(xs, rx) <= TOL
+        np.testing.assert_allclose(ws, rw, rtol=TOL, atol=0.0)
+
+    def test_stieltjes_at_node_with_nonpositive_exponents_elsewhere(self):
+        w = make_weight([-0.5, 0.8, 0.0], [1.0, 1.5],
+                        EndpointTrajectory.fixed([-1.0, 0.3, 1.0]))
+        f = lambda u: u ** 3 - u + 0.5
+        got = stieltjes_at_node(w, f, 1, 0.0)
+        assert quad_ref.relative(got, quad_ref.cauchy_transform(w, 0.0, f, 1, 64)) <= TOL
+
+    @pytest.mark.parametrize("alpha", [0.0, -0.4])
+    def test_divergent_transform_message(self, alpha):
+        w = make_weight([0.5, alpha, 0.5], [1.0, 1.0],
+                        EndpointTrajectory.fixed([-1.0, 0.0, 1.0]))
+        msg = rf"^q\(x_2\) diverges: alpha_2 = {alpha} <= 0$"
+        with pytest.raises(DivergentTransform, match=msg):
+            stieltjes_at_node(w, np.ones_like, 1, 0.0)
+        with pytest.raises(DivergentTransform, match=msg):
+            cauchy_node_matrix(w, 0.0)
+
+    def test_measure_builds_only_the_plain_rules(self):
+        # exponents and npts no other test uses, so every rule is a new build
+        w = make_weight([0.31, 0.77, 1.23], [1.0, 1.0],
+                        EndpointTrajectory.fixed([-1.0, 0.2, 1.0]))
+        before = _rule_cached.cache_info().misses
+        discretized_measure(w, 0.0, 17)
+        assert _rule_cached.cache_info().misses - before == w.m - 1
+        cauchy_node_matrix(w, 0.0, 17)
+        assert _rule_cached.cache_info().misses - before == 3 * (w.m - 1)
+
+    def test_table_cache_is_small(self):
+        assert _rule_table.cache_info().maxsize <= 4
