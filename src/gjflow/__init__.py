@@ -75,6 +75,7 @@ from .weights import (
     eval_weight,
     make_weight,
     node_data,
+    stage_node_data,
 )
 
 __version__ = "0.1.0"

@@ -6,7 +6,14 @@ class GJFlowError(Exception):
 
 
 class NonDistinctEndpoints(GJFlowError):
-    """Weight endpoints are not strictly increasing at the queried time."""
+    """Weight endpoints are not strictly increasing at the queried time.
+
+    Carries ``t``, the time queried, when there is one.
+    """
+
+    def __init__(self, message, t=None):
+        super().__init__(message)
+        self.t = t
 
 
 class BadExponent(GJFlowError):

@@ -16,6 +16,7 @@ and p_n, p_{n-1} at the rule points and nodes alike.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import List
 
 import numpy as np
@@ -25,8 +26,8 @@ from .ladder import LadderValues, _ladder_values, ladder_init
 from .orthopoly import eval_polynomial, stieltjes_procedure, stieltjes_recurrence
 from .quadrature import DEFAULT_NPTS, cauchy_node_matrix
 from .rk45 import IntegrationStats, integrate_rk45
-from .weights import (GeneralizedJacobiWeight, NodeData, _node_data_in_flow,
-                      node_data)
+from .weights import (GeneralizedJacobiWeight, NodeData, _flow_frames,
+                      node_data, stage_node_data)
 
 
 @dataclass(frozen=True)
@@ -79,36 +80,65 @@ class EvolutionReport:
     stats: IntegrationStats
 
 
+@lru_cache(maxsize=8)
+def _term_table(m: int):
+    """The deformation system at m endpoints as a table of monomials.
+
+    Each right-hand side component is a sum of terms coef * z[f1] * z[f2]
+    * z[f3] over the factor vector z = [y, U @ B, 1, a^2], where U holds
+    the node ratio rows theta, theta_prev, omega of the packed state y and
+    B = [xdot | x * xdot | K] is ``NodeData.basis``; so (U @ B)[i] holds
+    U_i . xdot, U_i . (x * xdot) and K U_i (K is symmetric). Returns the
+    three factor index arrays and the (3 + 3m) x terms coefficient matrix.
+    """
+    j = np.arange(m)
+    th, tp, om = 3 + j, 3 + m + j, 3 + 2 * m + j
+    ub = 3 + 3 * m
+    s_th, s_tp, s_om = ub, ub + m + 2, ub + 2 * (m + 2)
+    k_th, k_tp, k_om = s_th + 2 + j, s_tp + 2 + j, s_om + 2 + j
+    one = ub + 3 * (m + 2)
+    a, b, gamma, asq = 0, 1, 2, one + 1
+    # the derivative has the layout of y, so theta_j's row is th[j], etc.
+    # gamma_dot/gamma = -s_th/2; gamma_{n-1} = a_n gamma_n gives
+    # gamma_dot_{n-1}/gamma_{n-1} = a_dot/a + gamma_dot/gamma = -s_tp/2.
+    # The kernel sums enter through cross(u, v) = v (K u) - u (K v).
+    terms = [  # (output, coefficient, factor, factor, factor)
+        (a, 0.5, a, s_th, one), (a, -0.5, a, s_tp, one),
+        (b, 1.0, s_th + 1, one, one), (b, -1.0, b, s_th, one),
+        (b, -2.0, s_om, one, one),
+        (gamma, -0.5, gamma, s_th, one),
+        (th, -1.0, s_th, th, one), (th, -2.0, om, k_th, one),
+        (th, 2.0, th, k_om, one),
+        (tp, 1.0, s_tp, tp, one), (tp, 2.0, om, k_tp, one),
+        (tp, -2.0, tp, k_om, one),
+        (om, 1.0, asq, th, k_tp), (om, -1.0, asq, tp, k_th),
+    ]
+    rows = [np.broadcast_arrays(*term) for term in terms]
+    out, coef, f1, f2, f3 = (np.concatenate([r[col].ravel() for r in rows])
+                             for col in range(5))
+    coefs = np.zeros((3 + 3 * m, len(coef)))
+    coefs[out, np.arange(len(coef))] = coef
+    table = tuple(f.astype(np.intp) for f in (f1, f2, f3)) + (coefs,)
+    for arr in table:
+        arr.setflags(write=False)
+    return table
+
+
 def evolution_rhs(y: np.ndarray, nd: NodeData) -> np.ndarray:
     """Time derivative of the packed state y at the given node data.
 
     ``y`` is ``EvolutionState.pack()``: (a, b, gamma), then theta,
-    theta_prev and omega as the rows of ``U = y[3:].reshape(3, m)``. One
-    ``U @ xd`` gives their dot products with the velocities, one
-    ``U @ K.T`` their products with the velocity kernel, and the result is
-    written into one array.
+    theta_prev and omega as the rows of ``U = y[3:].reshape(3, m)``. The
+    system is a polynomial of degree at most 3 in y whose coefficients
+    depend on t only through ``nd.basis``: one ``U @ basis`` gives every
+    dot and kernel product, and the terms of ``_term_table`` turn them into
+    the derivative with three gathers, one product and one matmul.
     """
     m = len(nd.x)
-    a, b, gamma = y[:3].tolist()
-    U = y[3:].reshape(3, m)
-    xd = nd.xdot
-    s_th, s_tp, s_om = (U @ xd).tolist()
-    # C[i, l] = cross(U_i, U_l) = sum_k K[j,k] (U_ik U_lj - U_ij U_lk)
-    #         = U_l (K U_i) - U_i (K U_l)
-    P = U[:, None] * (U @ nd.velocity_kernel().T)  # P[i, l] = U_i (K U_l)
-    C = P.transpose(1, 0, 2) - P
-
-    # gamma_dot/gamma = -s_th/2; gamma_{n-1} = a_n gamma_n gives
-    # gamma_dot_{n-1}/gamma_{n-1} = a_dot/a + gamma_dot/gamma = -s_tp/2
-    out = np.empty_like(y)
-    out[0] = a * 0.5 * (s_th - s_tp)
-    out[1] = float((nd.x * U[0]) @ xd) - b * s_th - 2.0 * s_om
-    out[2] = gamma * -0.5 * s_th
-    dU = out[3:].reshape(3, m)
-    dU[0] = -s_th * U[0] - 2.0 * C[0, 2]
-    dU[1] = s_tp * U[1] + 2.0 * C[1, 2]
-    dU[2] = a * a * C[1, 0]  # Theta_n(x_j)Theta_{n-1}(x_k) antisym
-    return out
+    f1, f2, f3, coefs = _term_table(m)
+    ub = y[3:].reshape(3, m) @ nd.basis
+    z = np.concatenate((y, ub.ravel(), (1.0, y[0] * y[0])))
+    return coefs @ (z[f1] * z[f2] * z[f3])
 
 
 def init_state(w: GeneralizedJacobiWeight, n: int, t: float,
@@ -148,16 +178,14 @@ def evolve(w: GeneralizedJacobiWeight, n: int, t_span, tol=(1e-9, 1e-12),
     rtol, atol = tol
     state0 = init_state(w, n, t0, npts)
     m = w.m
-    nd0 = node_data(w, t0)
-    sums0 = state0.conserved_sums(nd0.x)
     times = np.linspace(t0, t1, sample_count)
 
-    def rhs(t, y):
-        return evolution_rhs(y, _node_data_in_flow(w, t))
+    def rhs(nd, y):
+        return evolution_rhs(y, nd)
 
     try:
-        ys, stats = integrate_rk45(rhs, t0, t1, state0.pack(), rtol=rtol,
-                                   atol=atol, sample_times=times)
+        ys, stats = integrate_rk45(rhs, _flow_frames(w), t0, t1, state0.pack(),
+                                   rtol=rtol, atol=atol, sample_times=times)
     except StepCollapse as exc:
         # a vanishing step right before two endpoints meet is the collision
         # announcing itself; report it as such when the gap has degenerated
@@ -168,9 +196,10 @@ def evolve(w: GeneralizedJacobiWeight, n: int, t_span, tol=(1e-9, 1e-12),
                 f"endpoints nearly coincide at t = {exc.t}", t=exc.t) from exc
         raise
     states = [EvolutionState.unpack(t, n, m, y) for t, y in zip(times, ys)]
-    drifts = np.array([
-        s.conserved_sums(node_data(w, s.t).x) - sums0 for s in states
-    ])
+    # times[0] is t0 and states[0] is state0, so row 0 holds the sums at t0
+    sums = np.array([s.conserved_sums(nd.x)
+                     for s, nd in zip(states, stage_node_data(w, times))])
+    drifts = sums - sums[0]
     return EvolutionReport(n=n, times=times, states=states, drifts=drifts,
                            stats=stats)
 

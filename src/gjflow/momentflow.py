@@ -17,8 +17,7 @@ import numpy as np
 from .orthopoly import moments
 from .quadrature import DEFAULT_NPTS, discretized_measure
 from .rk45 import integrate_rk45
-from .weights import (GeneralizedJacobiWeight, NodeData, _node_data_in_flow,
-                      node_data)
+from .weights import GeneralizedJacobiWeight, NodeData, _flow_frames, node_data
 
 
 @dataclass(frozen=True)
@@ -89,11 +88,11 @@ def evolve_moments(w: GeneralizedJacobiWeight, n: int, t_span,
     nu0 = np.asarray(nu0, dtype=float)
     times = np.linspace(t0, t1, sample_count)
 
-    def rhs(t, y):
-        return moment_rhs(y, _node_data_in_flow(w, t), w.alpha, beta)
+    def rhs(nd, y):
+        return moment_rhs(y, nd, w.alpha, beta)
 
-    ys, stats = integrate_rk45(rhs, t0, t1, nu0, rtol=rtol, atol=atol,
-                               sample_times=times)
+    ys, stats = integrate_rk45(rhs, _flow_frames(w), t0, t1, nu0, rtol=rtol,
+                               atol=atol, sample_times=times)
     states: List[MomentState] = [
         MomentState(n=n, t=float(t), nu=y.copy()) for t, y in zip(times, ys)
     ]

@@ -3,12 +3,26 @@
 Small and explicit on purpose: the deformation systems are low-dimensional
 and non-stiff, and the caller needs rejection counts and a hard step-size
 floor (pole-candidate diagnostic).
+
+The right-hand side comes in two parts, so that what depends on t alone is
+built once per step instead of once per stage:
+
+- ``frames(ts)`` takes a 1-D array of times and returns a sequence of one
+  frame per time: whatever the state part needs at that time (for the
+  gjflow flows, a ``NodeData``). It is called once with ``[t0]`` and then
+  once per attempted step, accepted or rejected, with the 5 distinct stage
+  times ``t + c_i h`` of the tableau in stage order; the last two stages
+  both sit at ``t + h`` and share one frame. An exception it raises
+  propagates unchanged, so a frame builder may reject a time.
+- ``rhs(frame, y)`` returns y' at the frame's time. It is called once per
+  function evaluation: 1 + 6 per attempted step.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
 
@@ -29,6 +43,10 @@ _B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0
 _B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
                 -92097 / 339200, 187 / 2100, 1 / 40])
 _E = _B5 - _B4
+# stage times of one step after the first (FSAL) stage, and the frame each
+# stage 1..6 reads from them
+_C_STAGES = _C[1:6]
+_STAGE_FRAME = (0, 1, 2, 3, 4, 4)
 
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
@@ -43,12 +61,14 @@ class IntegrationStats:
     fevals: int = 0
 
 
-def integrate_rk45(rhs: Callable[[float, np.ndarray], np.ndarray],
+def integrate_rk45(rhs: Callable[[Any, np.ndarray], np.ndarray],
+                   frames: Callable[[np.ndarray], Sequence[Any]],
                    t0: float, t1: float, y0: np.ndarray,
                    rtol: float = 1e-9, atol: float = 1e-12,
                    sample_times: Optional[np.ndarray] = None,
                    min_step_frac: float = 1e-12):
-    """Integrate y' = rhs(t, y) from t0 to t1, landing exactly on sample_times.
+    """Integrate y' = rhs(frame(t), y) from t0 to t1, landing exactly on
+    sample_times (see the module docstring for ``frames`` and ``rhs``).
 
     Returns (samples, stats) where samples[i] is the state at sample_times[i].
     Raises StepCollapse when the accepted step would fall below
@@ -69,7 +89,8 @@ def integrate_rk45(rhs: Callable[[float, np.ndarray], np.ndarray],
     stats = IntegrationStats()
     out = np.empty((len(sample_times), len(y)))
     t = t0
-    k1 = rhs(t, y)
+    ks = np.empty((7, len(y)))
+    ks[0] = rhs(frames(np.array([t0]))[0], y)  # FSAL: row 0 is y' at t
     stats.fevals += 1
     # conservative initial step; the controller adapts within a few steps
     h = direction * min(abs(span) * 1e-3, 1e-2)
@@ -79,26 +100,27 @@ def integrate_rk45(rhs: Callable[[float, np.ndarray], np.ndarray],
         out[isample] = y
         isample += 1
 
-    ks = np.empty((7, len(y)))
     while isample < len(sample_times):
         target = sample_times[isample]
         # clip the trial step to land on the next sample; the controller's
         # natural step h is only updated from unclipped attempts
         hit = direction * (t + h) >= direction * target
         h_try = target - t if hit else h
-        ks[0] = k1
-        for i in range(1, 7):
+        stage_frames = frames(t + _C_STAGES * h_try)
+        for i, f in enumerate(_STAGE_FRAME, start=1):
             yi = y + h_try * (_A[i] @ ks[:i])
-            ks[i] = rhs(t + _C[i] * h_try, yi)
+            ks[i] = rhs(stage_frames[f], yi)
         stats.fevals += 6
         y_new = y + h_try * (_B5 @ ks)  # FSAL: stage 7 was evaluated at y_new
         err_vec = h_try * (_E @ ks)
         tol = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
-        err = float(np.sqrt(np.mean((err_vec / tol) ** 2)))
+        scaled = err_vec / tol
+        err = math.sqrt(float(scaled @ scaled) / len(scaled))
         if err <= 1.0:
             t_new = target if hit else t + h_try
             stats.accepted += 1
-            t, y, k1 = t_new, y_new, ks[6].copy()
+            t, y = t_new, y_new
+            ks[0] = ks[6]
             if hit:
                 while isample < len(sample_times) and sample_times[isample] == t:
                     out[isample] = y

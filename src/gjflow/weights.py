@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import List
 
 import numpy as np
 
@@ -23,9 +24,10 @@ from .errors import (
 )
 
 
-def _horner(cols, t: float) -> np.ndarray:
+def _horner(cols, t) -> np.ndarray:
     """Polynomial values at t from coefficient columns, highest degree first
-    (at least two columns)."""
+    (at least two columns); t is a float or an array that broadcasts
+    against a column."""
     out = cols[0] * t + cols[1]
     for c in cols[2:]:
         out = out * t + c
@@ -98,14 +100,17 @@ class EndpointTrajectory:
 class NodeData:
     """Endpoint positions and velocities at one time.
 
-    ``wprime``, the values W'(x_j), is computed when first read and then
-    kept; ``velocity_kernel()`` builds K on each call. A flow right-hand
-    side, which needs K but not W', never pays for W'.
+    ``basis`` is the m x (m + 2) matrix ``[xdot | x * xdot | K]`` that a
+    flow right-hand side multiplies its node ratios by, K being the
+    velocity kernel; it is filled in when the node data is built and is
+    read-only. ``wprime``, the values W'(x_j), is computed when first read
+    and then kept: a flow right-hand side never pays for it.
     """
 
     t: float
     x: np.ndarray
     xdot: np.ndarray
+    basis: np.ndarray = field(repr=False)
 
     @cached_property
     def wprime(self) -> np.ndarray:
@@ -113,11 +118,9 @@ class NodeData:
         return np.prod(_gaps(self.x), axis=1)
 
     def velocity_kernel(self) -> np.ndarray:
-        """Symmetric kernel K[j,k] = (xd_j - xd_k)/(x_j - x_k), K[j,j] = 0.
-
-        The numerator is exactly 0 on the diagonal, where the gaps hold 1.
-        """
-        return (self.xdot[:, None] - self.xdot) / _gaps(self.x)
+        """Symmetric kernel K[j,k] = (xd_j - xd_k)/(x_j - x_k), K[j,j] = 0,
+        as a read-only view of ``basis``."""
+        return self.basis[:, 2:]
 
 
 @dataclass(frozen=True)
@@ -166,29 +169,58 @@ def make_weight(alpha, pieces, trajectory, t_ref: float = 0.0) -> GeneralizedJac
     return GeneralizedJacobiWeight(alpha=alpha, pieces=pieces, trajectory=trajectory)
 
 
+def stage_node_data(w: GeneralizedJacobiWeight, ts) -> List[NodeData]:
+    """Node data at each of the times ``ts``, built together.
+
+    One Horner pass over the stacked coefficient columns gives positions
+    and velocities at all times, one comparison checks their order, and one
+    (s, m, m) gap tensor gives the velocity kernels; each ``NodeData``
+    comes with its ``basis`` filled in. Per time, the arithmetic is that of
+    a scalar Horner pass and of the scalar kernel formula.
+
+    Raises NonDistinctEndpoints, carrying its ``t``, at the first time
+    whose positions are not strictly increasing.
+    """
+    ts = np.asarray(ts, dtype=float)
+    m = w.m
+    xv = _horner(w.trajectory._cols, ts[:, None])
+    x, xd = xv[:, :m], xv[:, m:]
+    bad = x[:, :-1] >= x[:, 1:]
+    if bad.any():
+        i = int(np.argmax(bad.any(axis=1)))
+        t = float(ts[i])
+        raise NonDistinctEndpoints(
+            f"endpoints not strictly increasing at t={t}: {x[i].tolist()}", t=t)
+    basis = np.empty((len(ts), m, m + 2))
+    basis[:, :, 0] = xd
+    np.multiply(x, xd, out=basis[:, :, 1])
+    gaps = x[:, :, None] - x[:, None, :]
+    gaps.reshape(len(ts), m * m)[:, ::m + 1] = 1.0
+    np.divide(xd[:, :, None] - xd[:, None, :], gaps, out=basis[:, :, 2:])
+    basis.setflags(write=False)
+    return [NodeData(t=t, x=xi, xdot=xdi, basis=bi)
+            for t, xi, xdi, bi in zip(ts.tolist(), x, xd, basis)]
+
+
 def node_data(w: GeneralizedJacobiWeight, t: float) -> NodeData:
-    """Positions and velocities at time t, from one Horner pass.
+    """Node data at time t: ``stage_node_data`` at one time.
 
     Raises NonDistinctEndpoints unless the positions are strictly
     increasing. ``NodeData.wprime`` is computed when first read.
     """
-    xv = w.trajectory.positions_and_velocities(t)
-    m = w.m
-    xs = xv[:m].tolist()
-    if any(left >= right for left, right in zip(xs, xs[1:])):
-        raise NonDistinctEndpoints(
-            f"endpoints not strictly increasing at t={t}: {xs}"
-        )
-    return NodeData(t=float(t), x=xv[:m], xdot=xv[m:])
+    return stage_node_data(w, (t,))[0]
 
 
-def _node_data_in_flow(w: GeneralizedJacobiWeight, t: float) -> NodeData:
-    """node_data for a flow right-hand side: endpoints that lose their
-    order during integration are an EndpointCollision at t."""
-    try:
-        return node_data(w, t)
-    except NonDistinctEndpoints as exc:
-        raise EndpointCollision(str(exc), t=t) from exc
+def _flow_frames(w: GeneralizedJacobiWeight):
+    """The ``frames`` callable of a flow integrator: ``stage_node_data``,
+    where endpoints that lose their order during integration are an
+    EndpointCollision at the first such stage time."""
+    def frames(ts):
+        try:
+            return stage_node_data(w, ts)
+        except NonDistinctEndpoints as exc:
+            raise EndpointCollision(str(exc), t=exc.t) from exc
+    return frames
 
 
 def eval_W(w: GeneralizedJacobiWeight, x, t: float):

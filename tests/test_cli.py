@@ -196,6 +196,44 @@ class TestEvolve:
         assert "numerical failure" in capsys.readouterr().err
 
 
+README_CONFIG = {
+    "weight": {"alpha": [0.5, 0.5, 0.5], "pieces": [1.0, 1.0],
+               "trajectory": [[-1.0], [0.0, 1.0], [1.0]]},
+    "n": 5,
+    "evolve": {"t0": 0.0, "t1": 0.3, "rtol": 1e-9},
+}
+
+M4_CONFIG = {
+    "weight": {"alpha": [0.5, 1.0, 1.5, 0.5], "pieces": [1.0, 0.7, 1.3],
+               "trajectory": [[-2.0], [-0.6, 0.8, 0.3], [0.5, -0.4], [2.0]]},
+    "n": 6,
+    "evolve": {"t0": 0.0, "t1": 0.5, "samples": 10},
+}
+
+M6_CONFIG = {
+    "weight": {"alpha": [0.3, 1.2, 0.7, 0.45, 1.4, 0.9],
+               "pieces": [1.0, 0.7, 1.5, 1.1, 0.8],
+               "trajectory": [[-2.0], [-1.1, 0.5], [-0.3, -0.4, 0.5],
+                              [0.4, 0.6], [1.2, -0.3, -0.2], [2.0]]},
+    "n": 10,
+    "evolve": {"t0": 0.0, "t1": 0.4, "samples": 10},
+}
+
+
+# The integrator's step history is part of the output: a change that
+# alters it must update these lines on purpose.
+@pytest.mark.parametrize("doc, steps", [
+    (README_CONFIG, "# steps: accepted=94 rejected=0 fevals=565"),
+    (M4_CONFIG, "# steps: accepted=75 rejected=0 fevals=451"),
+    (M6_CONFIG, "# steps: accepted=83 rejected=0 fevals=499"),
+], ids=["readme", "m4", "m6"])
+def test_evolve_step_counts_pinned(tmp_path, capsys, doc, steps):
+    code = main(["evolve", "--config", write_config(tmp_path, doc)])
+    assert code == EXIT_OK
+    comments, _, _ = read_csv(capsys.readouterr().out)
+    assert steps in comments
+
+
 class TestMoments:
     def test_runs_and_reports_gap(self, tmp_path, capsys):
         code = main(["moments", "--config", write_config(tmp_path, MOVING3),

@@ -7,6 +7,7 @@ from gjflow import (
     EndpointTrajectory,
     EvolutionState,
     InitFailure,
+    NonDistinctEndpoints,
     evolution_rhs,
     evolve,
     init_state,
@@ -72,7 +73,7 @@ def _rhs_reference(s, nd):
 
 
 class TestPackedRhs:
-    @pytest.mark.parametrize("m", [3, 6])
+    @pytest.mark.parametrize("m", range(2, 9))
     def test_matches_per_component_reference(self, m):
         rng = np.random.default_rng(m)
         x0 = np.linspace(-2.0, 2.0, m)
@@ -104,6 +105,15 @@ def test_unpack_only_at_samples(moving3, monkeypatch):
     rep = evolve(moving3, 5, (0.0, 0.3), sample_count=7)
     assert rep.stats.fevals > 7
     assert calls == list(rep.times)
+
+
+def test_drifts_match_per_sample_node_data(moving3):
+    rep = evolve(moving3, 5, (0.0, 0.3), sample_count=7)
+    sums0 = init_state(moving3, 5, 0.0).conserved_sums(node_data(moving3, 0.0).x)
+    ref = np.array([s.conserved_sums(node_data(moving3, s.t).x) - sums0
+                    for s in rep.states])
+    assert np.array_equal(rep.drifts, ref)
+    assert np.all(rep.drifts[0] == 0.0) and np.any(rep.drifts[-1] != 0.0)
 
 
 class TestEvolve:
@@ -149,6 +159,35 @@ class TestEvolve:
                         EndpointTrajectory(((-1.0,), (0.2, 4.0), (1.0,))))
         with pytest.raises(EndpointCollision):
             evolve(w, 3, (0.0, 0.5), sample_count=4)
+
+    def test_collision_inside_a_step_names_first_bad_stage(self, monkeypatch):
+        # x_2 = 0.2 + 0.8 (t / 0.3)^40 stays far from x_3 = 1 until just
+        # before t = 0.3, so at a loose tolerance one step straddles the
+        # crossing and several of its stages lie past it
+        import gjflow.weights
+
+        calls = []
+        build = gjflow.weights.stage_node_data
+
+        def recording(w, ts):
+            calls.append(np.array(ts, dtype=float))
+            return build(w, ts)
+
+        monkeypatch.setattr(gjflow.weights, "stage_node_data", recording)
+        traj = EndpointTrajectory(
+            ((-1.0,), (0.2,) + (0.0,) * 39 + (0.8 / 0.3 ** 40,), (1.0,)))
+        w = make_weight([0.5, 0.5, 0.5], [1.0, 1.0], traj)
+        with pytest.raises(EndpointCollision) as info:
+            evolve(w, 3, (0.0, 0.5), tol=(1e-3, 1e-6), sample_count=3)
+        exc = info.value
+        assert isinstance(exc.__cause__, NonDistinctEndpoints)
+        assert str(exc) == str(exc.__cause__)
+        assert str(exc).startswith(f"endpoints not strictly increasing at t={exc.t}: ")
+        ts = calls[-1]
+        bad = [bool(np.any(np.diff(traj.positions(t)) <= 0.0)) for t in ts]
+        first = bad.index(True)
+        assert exc.t == ts[first]
+        assert not any(bad[:first]) and sum(bad) > 1     # a later stage is bad too
 
     def test_init_requires_positive_exponents(self):
         w = make_weight([-0.5, 0.5], [1.0],

@@ -16,6 +16,7 @@ from gjflow import (
     eval_weight,
     make_weight,
     node_data,
+    stage_node_data,
 )
 
 
@@ -104,8 +105,53 @@ class TestNodeData:
     def test_collision_at_query_time(self):
         w = make_weight([0.5, 0.5], [1.0],
                         EndpointTrajectory.affine([-1.0, 1.0], [2.0, 0.0]))
-        with pytest.raises(NonDistinctEndpoints):
+        with pytest.raises(NonDistinctEndpoints) as info:
             node_data(w, 1.0)
+        assert info.value.t == 1.0
+        assert str(info.value) == "endpoints not strictly increasing at t=1.0: [1.0, 1.0]"
+
+
+class TestStageNodeData:
+    @pytest.mark.parametrize("m", range(2, 9))
+    @pytest.mark.parametrize("degree", range(4))
+    def test_matches_per_time_reference_bit_for_bit(self, m, degree):
+        rng = np.random.default_rng(10 * m + degree)
+        # ragged rows, row k of degree k mod (degree + 1); they stay well
+        # separated for |t| <= 0.8
+        coeffs = tuple(
+            (float(p),) + tuple(rng.uniform(-0.05, 0.05, k % (degree + 1)))
+            for k, p in enumerate(np.linspace(-2.0, 2.0, m)))
+        w = make_weight(np.full(m, 0.5), np.ones(m - 1), EndpointTrajectory(coeffs))
+        ts = np.array([-0.8, -0.3, -1e-3, 0.0, 0.25, 0.6])
+        nds = stage_node_data(w, ts)
+        assert len(nds) == len(ts)
+        for t, nd in zip(ts, nds):
+            x = np.array([npoly.polyval(t, c) for c in coeffs])
+            xd = np.array([npoly.polyval(t, npoly.polyder(c)) for c in coeffs])
+            K = np.zeros((m, m))
+            for j in range(m):
+                for k in range(m):
+                    if k != j:
+                        K[j, k] = (xd[j] - xd[k]) / (x[j] - x[k])
+            assert nd.t == t
+            assert np.array_equal(nd.x, x)
+            assert np.array_equal(nd.xdot, xd)
+            assert np.array_equal(nd.velocity_kernel(), K)
+            assert np.array_equal(nd.basis[:, 0], xd)
+            assert np.array_equal(nd.basis[:, 1], x * xd)
+            one = node_data(w, t)
+            assert np.array_equal(one.x, x) and np.array_equal(one.basis, nd.basis)
+        assert not nds[0].basis.flags.writeable
+
+    def test_first_bad_time_is_reported(self):
+        # x_2 = 0.2 + 4t meets x_3 = 1 at t = 0.2
+        w = make_weight([0.5, 0.5, 0.5], [1.0, 1.0],
+                        EndpointTrajectory(((-1.0,), (0.2, 4.0), (1.0,))))
+        with pytest.raises(NonDistinctEndpoints) as info:
+            stage_node_data(w, [0.1, 0.15, 0.2, 0.25, 0.3])
+        assert info.value.t == 0.2
+        assert str(info.value) == (
+            "endpoints not strictly increasing at t=0.2: [-1.0, 1.0, 1.0]")
 
 
 class TestEvalWeight:
