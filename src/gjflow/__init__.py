@@ -22,6 +22,7 @@ from .errors import (
     NonDistinctEndpoints,
     NonFinite,
     StepCollapse,
+    UnderResolved,
     ZeroCoefficient,
 )
 from .evolution import (
@@ -31,6 +32,7 @@ from .evolution import (
     evolution_rhs,
     evolve,
     init_state,
+    init_states,
     pn_time_derivative_check,
     verify_against_direct,
 )

@@ -2,8 +2,9 @@
 
 Commands: coeffs, ladder, evolve, moments, verify, selftest.
 Exit codes: 0 success, 2 config error, 3 numerical failure
-(endpoint collision, step collapse, lost orthogonality), 4 verification
-tolerance exceeded / selfcheck failure.
+(endpoint collision, step collapse, lost orthogonality, too few quadrature
+points for the degree), 4 verification tolerance exceeded / selfcheck
+failure.
 """
 
 from __future__ import annotations
@@ -22,12 +23,13 @@ from .errors import (
     EndpointCollision,
     GJFlowError,
     StepCollapse,
+    UnderResolved,
 )
 from .evolution import evolve, verify_against_direct
 from .ladder import ladder_checks, ladder_init
 from .momentflow import check_mu_identity, evolve_moments, nu_by_quadrature
 from .orthopoly import stieltjes_procedure
-from .quadrature import gauss_jacobi_rule, integrate_against_weight
+from .quadrature import DEFAULT_NPTS, gauss_jacobi_rule, integrate_against_weight
 from .weights import EndpointTrajectory, make_weight, node_data
 
 EXIT_OK = 0
@@ -92,8 +94,20 @@ def _check_keys(doc: dict, allowed, path: str, strict: bool):
                   file=sys.stderr)
 
 
-def parse_config(text: str, strict: bool = False) -> RunConfig:
-    """Parse and validate a JSON config document."""
+def default_npts(n: int) -> int:
+    """Quadrature points per piece when none are given: exactness of
+    x p_n^2 on each piece needs n + 1, and one more is margin."""
+    return max(DEFAULT_NPTS, n + 2)
+
+
+def parse_config(text: str, strict: bool = False,
+                 overrides: Optional[dict] = None) -> RunConfig:
+    """Parse and validate a JSON config document.
+
+    ``overrides`` maps RunConfig fields to values that replace the
+    document's (None leaves a field alone). ``npts``, when neither gives
+    it, is ``default_npts`` of the resolved ``n``.
+    """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -123,6 +137,7 @@ def parse_config(text: str, strict: bool = False) -> RunConfig:
     ]
 
     cfg = RunConfig(alpha=alpha, pieces=pieces, trajectory=trajectory)
+    npts = None
     if "n" in doc:
         _require(isinstance(doc["n"], int) and doc["n"] >= 0, "n",
                  "must be a non-negative integer")
@@ -134,7 +149,7 @@ def parse_config(text: str, strict: bool = False) -> RunConfig:
         if "npts" in qsec:
             _require(isinstance(qsec["npts"], int) and qsec["npts"] >= 1,
                      "quad.npts", "must be a positive integer")
-            cfg.npts = qsec["npts"]
+            npts = qsec["npts"]
     if "evolve" in doc:
         esec = doc["evolve"]
         _require(isinstance(esec, dict), "evolve", "must be an object")
@@ -161,6 +176,11 @@ def parse_config(text: str, strict: bool = False) -> RunConfig:
         if "rtol" in vsec:
             cfg.verify_rtol = _finite_number(vsec["rtol"], "verify.rtol")
             _require(cfg.verify_rtol > 0, "verify.rtol", "must be positive")
+    overrides = {k: v for k, v in (overrides or {}).items() if v is not None}
+    npts = overrides.pop("npts", npts)
+    for key, value in overrides.items():
+        setattr(cfg, key, value)
+    cfg.npts = default_npts(cfg.n) if npts is None else npts
     return cfg
 
 
@@ -384,6 +404,10 @@ _DEFAULT_SELFTEST_CONFIG = """{
 def run_command(cmd: str, cfg: RunConfig, out) -> int:
     """Dispatch one command; returns the process exit code."""
     try:
+        if cfg.npts < cfg.n + 2:
+            raise UnderResolved(
+                f"npts = {cfg.npts} is below n + 2 = {cfg.n + 2}: the "
+                f"quadrature cannot resolve degree {cfg.n}")
         return _COMMANDS[cmd](cfg, out)
     except ConfigError:
         raise
@@ -409,7 +433,9 @@ def main(argv=None) -> int:
     parser.add_argument("--t0", type=float, help="override start time")
     parser.add_argument("--t1", type=float, help="override end time")
     parser.add_argument("--rtol", type=float, help="override ODE rtol")
-    parser.add_argument("--npts", type=int, help="override quadrature points")
+    parser.add_argument("--npts", type=int,
+                        help="override quadrature points per piece "
+                             "(default max(64, n + 2))")
     parser.add_argument("--selfcheck", action="store_true",
                         help="assert npts-doubling convergence")
     parser.add_argument("--strict", action="store_true",
@@ -424,17 +450,9 @@ def main(argv=None) -> int:
             text = _DEFAULT_SELFTEST_CONFIG
         else:
             raise ConfigError("config: --config is required")
-        cfg = parse_config(text, strict=args.strict)
-        if args.n is not None:
-            cfg.n = args.n
-        if args.t0 is not None:
-            cfg.t0 = args.t0
-        if args.t1 is not None:
-            cfg.t1 = args.t1
-        if args.rtol is not None:
-            cfg.rtol = args.rtol
-        if args.npts is not None:
-            cfg.npts = args.npts
+        overrides = {key: getattr(args, key)
+                     for key in ("n", "t0", "t1", "rtol", "npts")}
+        cfg = parse_config(text, strict=args.strict, overrides=overrides)
         if args.selfcheck:
             cfg.selfcheck = True
 

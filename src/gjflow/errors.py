@@ -45,6 +45,11 @@ class LostOrthogonality(GJFlowError):
     """Recurrence construction broke down (norm below roundoff floor)."""
 
 
+class UnderResolved(GJFlowError):
+    """The quadrature has too few points per piece for the requested degree
+    (npts < n + 2), so the recurrence coefficients would come out wrong."""
+
+
 class IndexOutOfRange(GJFlowError):
     """Requested degree/index exceeds what was computed."""
 

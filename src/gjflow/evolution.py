@@ -8,9 +8,10 @@ The integrator carries it packed, as the vector
 ``EvolutionState.pack`` returns; ``EvolutionState`` itself is built only at
 the sample times. The closed system of ODEs in t is integrated with an
 embedded RK 4(5) pair and cross-validated against full recomputation from
-quadrature: ``init_state`` rebuilds a state from the stacked absorbed
-rules at t with one Stieltjes recurrence, which yields the coefficients
-and p_n, p_{n-1} at the rule points and nodes alike.
+quadrature: ``init_states`` rebuilds the states at any number of times
+from the stacked absorbed rules with one Stieltjes recurrence over all of
+them, which yields the coefficients and p_n, p_{n-1} at the rule points
+and nodes alike.
 """
 
 from __future__ import annotations
@@ -21,10 +22,11 @@ from typing import List
 
 import numpy as np
 
-from .errors import EndpointCollision, InitFailure, StepCollapse
+from .errors import (EndpointCollision, InitFailure, NonDistinctEndpoints,
+                     StepCollapse)
 from .ladder import LadderValues, _ladder_values, ladder_init
 from .orthopoly import eval_polynomial, stieltjes_procedure, stieltjes_recurrence
-from .quadrature import DEFAULT_NPTS, cauchy_node_matrix
+from .quadrature import DEFAULT_NPTS, cauchy_node_matrices
 from .rk45 import IntegrationStats, integrate_rk45
 from .weights import (GeneralizedJacobiWeight, NodeData, _flow_frames,
                       node_data, stage_node_data)
@@ -141,34 +143,50 @@ def evolution_rhs(y: np.ndarray, nd: NodeData) -> np.ndarray:
     return coefs @ (z[f1] * z[f2] * z[f3])
 
 
-def init_state(w: GeneralizedJacobiWeight, n: int, t: float,
-               npts: int = DEFAULT_NPTS) -> EvolutionState:
-    """Build the flow state at time t from the direct quadrature oracles.
+def init_states(w: GeneralizedJacobiWeight, n: int, ts,
+                npts: int = DEFAULT_NPTS) -> np.ndarray:
+    """Build the packed flow states at the times ts from the direct
+    quadrature oracles: one row of ``EvolutionState.pack()`` per time.
 
-    One ``cauchy_node_matrix`` gives the stacked rule points, the
-    discretized measure and the Cauchy matrix at t. One
+    One ``cauchy_node_matrices`` gives the stacked rule points, the
+    discretized measure and the Cauchy matrix at every time. One
     ``stieltjes_recurrence`` to degree n + 1 over those points and the
-    nodes gives a_n, b_n, gamma_n together with p_n and p_{n-1} everywhere,
-    and the ladder node formula turns them into the node ratios.
+    nodes, all times at once, gives a_n, b_n, gamma_n together with p_n and
+    p_{n-1} everywhere, and the ladder node formula turns them into the
+    node ratios. Each time is checked on its own; InitFailure names the
+    first time whose state cannot be built, with the underlying message.
     """
     if n < 1:
         raise InitFailure("flow state needs n >= 1 (carries Theta_{n-1})")
     if np.any(w.alpha <= 0.0):
         raise InitFailure("evolution requires all exponents alpha_k > 0")
+    ts = np.asarray(ts, dtype=float)
     try:
-        points, ws, nd, Q = cauchy_node_matrix(w, t, npts)
+        points, ws, nds, Q = cauchy_node_matrices(w, ts, npts)
+        X = np.array([nd.x for nd in nds])
+        wprime = np.array([nd.wprime for nd in nds])
         table, p, p_prev = stieltjes_recurrence(
-            np.concatenate((points, nd.x)), ws, n + 1)
-        lv = _ladder_values(w, nd, table, n, Q, p, p_prev)
+            np.concatenate((points, X), axis=1), ws, n + 1)
+        lv = _ladder_values(w, wprime, table, n, Q, p, p_prev)
     except Exception as exc:  # noqa: BLE001 - surfaced as one condition
-        raise InitFailure(f"state initialization failed at t={t}: {exc}") from exc
-    return EvolutionState(
-        t=float(t), n=n,
-        a=float(table.a[n]), b=float(table.b[n]), gamma=float(table.gamma[n]),
-        theta=lv.theta / nd.wprime,
-        theta_prev=lv.theta_prev / nd.wprime,
-        omega=lv.omega / nd.wprime,
-    )
+        # the first failing time of the step that failed (ordering check or
+        # recurrence); the times before it passed that step, not all steps
+        i = (int(np.argmax(ts == exc.t)) if isinstance(exc, NonDistinctEndpoints)
+             else getattr(exc, "row", 0))
+        if i:
+            init_states(w, n, ts[:i], npts)
+        raise InitFailure(
+            f"state initialization failed at t={ts[i]}: {exc}") from exc
+    return np.column_stack((table.a[:, n], table.b[:, n], table.gamma[:, n],
+                            lv.theta / wprime, lv.theta_prev / wprime,
+                            lv.omega / wprime))
+
+
+def init_state(w: GeneralizedJacobiWeight, n: int, t: float,
+               npts: int = DEFAULT_NPTS) -> EvolutionState:
+    """The flow state at time t: ``init_states`` at one time."""
+    y = init_states(w, n, (t,), npts)[0]
+    return EvolutionState(float(t), n, *y[:3].tolist(), *y[3:].reshape(3, -1))
 
 
 def evolve(w: GeneralizedJacobiWeight, n: int, t_span, tol=(1e-9, 1e-12),
@@ -226,18 +244,17 @@ def _relative(dev: np.ndarray, ref: np.ndarray) -> np.ndarray:
 def verify_against_direct(w: GeneralizedJacobiWeight, n: int,
                           report: EvolutionReport,
                           npts: int = DEFAULT_NPTS) -> VerificationTable:
-    """Recompute each sampled state from scratch and tabulate the deviations."""
+    """Recompute the sampled states from scratch, all in one
+    ``init_states``, and tabulate the deviations."""
     m = w.m
     labels = ["a", "b", "gamma"]
     labels += [f"theta_{j + 1}" for j in range(m)]
     labels += [f"theta_prev_{j + 1}" for j in range(m)]
     labels += [f"omega_{j + 1}" for j in range(m)]
-    devs = np.empty((len(report.times), 3 + 3 * m))
-    for i, s in enumerate(report.states):
-        direct = init_state(w, n, s.t, npts)
-        devs[i] = _relative(s.pack() - direct.pack(), direct.pack())
+    direct = init_states(w, n, report.times, npts)
+    flow = np.array([s.pack() for s in report.states])
     return VerificationTable(times=report.times.copy(), labels=labels,
-                             deviations=devs)
+                             deviations=_relative(flow - direct, direct))
 
 
 @dataclass(frozen=True)

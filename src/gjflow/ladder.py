@@ -50,9 +50,9 @@ class LadderReport:
     wronskian_residual: float   # a_n (p_n q_{n-1} - p_{n-1} q_n) - 1 at nodes
 
 
-def _a_at(table: RecurrenceTable, n: int) -> float:
+def _a_at(table: RecurrenceTable, n: int):
     # a_0 = 0 by convention (p_{-1} = 0); makes the step recurrence exact at n = 0
-    return float(table.a[n]) if n >= 1 else 0.0
+    return table.a[..., n] if n >= 1 else 0.0
 
 
 def _recurrence_on_rules(w: GeneralizedJacobiWeight, table: RecurrenceTable,
@@ -66,22 +66,25 @@ def _recurrence_on_rules(w: GeneralizedJacobiWeight, table: RecurrenceTable,
 
 def _node_transforms(Q: np.ndarray, p: np.ndarray, p_prev: np.ndarray):
     """p_n, p_{n-1} and their Cauchy transforms q_n, q_{n-1} at every node,
-    from p_n, p_{n-1} on the points of Q followed by the nodes."""
-    k = Q.shape[1]
-    qn, qm = (Q @ np.column_stack((p[:k], p_prev[:k]))).T
-    return p[k:], p_prev[k:], qn, qm
+    from p_n, p_{n-1} on the points of Q followed by the nodes. Q, p and
+    p_prev may carry one leading batch axis."""
+    k = Q.shape[-1]
+    q = Q @ np.stack((p[..., :k], p_prev[..., :k]), axis=-1)
+    return p[..., k:], p_prev[..., k:], q[..., 0], q[..., 1]
 
 
-def _ladder_values(w: GeneralizedJacobiWeight, nd: NodeData,
+def _ladder_values(w: GeneralizedJacobiWeight, wprime: np.ndarray,
                    table: RecurrenceTable, n: int, Q: np.ndarray,
                    p: np.ndarray, p_prev: np.ndarray) -> LadderValues:
     """The node formula of ``ladder_init`` (also used by
-    ``evolution.init_state``), from p_n, p_{n-1} on the points of Q
-    followed by the nodes."""
+    ``evolution.init_states``), from p_n, p_{n-1} on the points of Q
+    followed by the nodes, and W'(x_j). With a leading batch axis on every
+    input (and on the table's arrays), each value gains it too."""
     pn, pnm1, qn, qm = _node_transforms(Q, p, p_prev)
-    aw = w.alpha * nd.wprime
+    aw = w.alpha * wprime
+    a_n = np.asarray(_a_at(table, n))[..., None]
     theta = aw * pn * qn
-    omega = 0.5 * aw + _a_at(table, n) * aw * qn * pnm1  # V(x_j) = alpha_j W'(x_j)/2
+    omega = 0.5 * aw + a_n * aw * qn * pnm1  # V(x_j) = alpha_j W'(x_j)/2
     theta_prev = aw * pnm1 * qm if n >= 1 else None
     return LadderValues(n=n, theta=theta, omega=omega, theta_prev=theta_prev)
 
@@ -97,7 +100,7 @@ def ladder_init(w: GeneralizedJacobiWeight, table: RecurrenceTable, t: float,
     ``cauchy_node_matrix`` applied to one evaluation of the recurrence.
     """
     nd, Q, p, p_prev = _recurrence_on_rules(w, table, t, n, npts)
-    return _ladder_values(w, nd, table, n, Q, p, p_prev)
+    return _ladder_values(w, nd.wprime, table, n, Q, p, p_prev)
 
 
 def ladder_step(values: LadderValues, x_nodes, a_n: float, a_next: float,

@@ -24,7 +24,9 @@ class RecurrenceTable:
     """Recurrence coefficients up to degree N.
 
     a[0] is an unused placeholder (0.0); a[1..N], b[0..N-1], gamma[0..N]
-    are meaningful. gamma_{n-1} = a_n gamma_n by construction.
+    are meaningful. gamma_{n-1} = a_n gamma_n by construction. A batched
+    ``stieltjes_recurrence`` gives the arrays a leading axis, one row per
+    measure, and the degree is the last axis.
     """
 
     a: np.ndarray
@@ -33,7 +35,7 @@ class RecurrenceTable:
 
     @property
     def N(self) -> int:
-        return len(self.gamma) - 1
+        return self.gamma.shape[-1] - 1
 
 
 def stieltjes_procedure(w: GeneralizedJacobiWeight, t: float, N: int,
@@ -57,42 +59,82 @@ def stieltjes_recurrence(xs: np.ndarray, ws: np.ndarray, N: int):
     Returns (table, p, p_prev) with p = p_{N-1} and p_prev = p_{N-2} (0 when
     N = 1) at every entry of ``xs``: the arithmetic of ``eval_polynomial``
     at degree N-1, so a caller that needs b_n and p_n, p_{n-1} on more
-    points than the measure's runs one recurrence with N = n + 1. Raises
-    LostOrthogonality when a norm falls below the roundoff floor and
-    NonFinite when some gamma_n overflows.
+    points than the measure's runs one recurrence with N = n + 1.
+
+    2-D ``xs`` and ``ws`` hold one measure per row, and every output gains
+    that leading axis (the table's arrays too); each row has the
+    arithmetic of its own 1-D call, dot products included. Raises
+    LostOrthogonality on nonpositive mass or when a norm falls below the
+    roundoff floor of its row, and NonFinite when some gamma_n overflows;
+    with several rows, the error is that of the first row that fails, and
+    it carries that row as ``row``.
     """
-    k = len(ws)
-    x = xs[:k]
-    width = x.max() - x.min()
+    batched = np.ndim(ws) == 2
+    xs, ws = np.atleast_2d(xs, ws)
+    k = ws.shape[1]
+    x = xs[:, :k]
+    width = np.maximum.reduce(x, axis=1) - np.minimum.reduce(x, axis=1)
     floor = 1e-14 * width * width
-    mu0 = float(np.sum(ws))
-    if mu0 <= 0.0:
-        raise LostOrthogonality(f"nonpositive total mass {mu0}")
-    a = np.zeros(N + 1)
-    b = np.zeros(N)
-    gamma0 = mu0 ** -0.5
-    p_prev = np.zeros_like(xs)
-    p = np.full_like(xs, gamma0)
-    for n in range(N):
-        if n:
-            p_prev, p = p, ptil / a[n]
-        pk = p[:k]
-        b[n] = float(np.dot(ws, x * pk * pk))
-        ptil = (xs - b[n]) * p - a[n] * p_prev
-        s2 = float(np.dot(ws, ptil[:k] * ptil[:k]))
-        if s2 <= floor:
-            raise LostOrthogonality(
-                f"norm^2 = {s2} at degree {n + 1} below floor {floor}"
-            )
-        a[n + 1] = np.sqrt(s2)
-    with np.errstate(over="ignore"):
-        gamma = np.divide.accumulate(np.concatenate(([gamma0], a[1:])))
-    if not np.isfinite(gamma[-1]):
-        bad = int(np.argmin(np.isfinite(gamma)))
-        raise NonFinite(
-            f"gamma_{bad} overflows the float range at degree {bad}"
-        )
+    mu0 = np.add.reduce(ws, axis=1)
+    # rows that fail go on with meaningless values and are reported below
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # scalar pow, as a 1-D call has always taken it: numpy's vectorized
+        # pow can differ from it in the last bit
+        gamma0 = np.array([[mu ** -0.5 if mu > 0.0 else np.inf]
+                           for mu in mu0.tolist()])
+        # four buffers rotate in place, each with its view on the measure
+        (p_prev, p_prev_k), (p, pk), (ptil, ptil_k), (scratch, scratch_k) = (
+            (buf, buf[:, :k]) for buf in np.empty((4,) + xs.shape))
+        p_prev[:] = 0.0
+        p[:] = gamma0
+        sq = np.empty_like(x)
+        # a, b and the norms^2 by degree, one (rows, 1) column per degree
+        coef = np.zeros((3, N + 1) + gamma0.shape)
+        a, b, s2 = coef
+        for n, (an, bn, s2n, a_next) in enumerate(zip(a, b, s2, a[1:])):
+            np.multiply(x, pk, sq)
+            sq *= pk
+            np.vecdot(ws, sq, out=bn, keepdims=True)
+            np.subtract(xs, bn, ptil)
+            ptil *= p
+            np.multiply(p_prev, an, scratch)
+            ptil -= scratch
+            np.multiply(ptil_k, ptil_k, sq)
+            np.vecdot(ws, sq, out=s2n, keepdims=True)
+            np.sqrt(s2n, out=a_next)
+            if n + 1 < N:
+                np.divide(ptil, a_next, scratch)
+                (p_prev, p_prev_k), (p, pk), (scratch, scratch_k) = (
+                    (p, pk), (scratch, scratch_k), (p_prev, p_prev_k))
+        a, b, s2 = a[..., 0].T, b[:N, :, 0].T, s2[:N, :, 0].T
+        gamma = np.concatenate((gamma0, a[:, 1:]), axis=1)
+        np.divide.accumulate(gamma, axis=1, out=gamma)
+    # a row without mass has gamma_0 = inf, so it fails the last test too
+    if not ((s2 > floor[:, None]).all() and np.isfinite(gamma[:, -1]).all()):
+        failed = (s2 <= floor[:, None]).any(axis=1) | ~np.isfinite(gamma[:, -1])
+        raise _first_failure(int(np.argmax(failed)), mu0, s2, floor, gamma)
+    if not batched:
+        return (RecurrenceTable(a=a[0], b=b[0], gamma=gamma[0]),
+                p[0], p_prev[0])
     return RecurrenceTable(a=a, b=b, gamma=gamma), p, p_prev
+
+
+def _first_failure(row: int, mu0, s2, floor, gamma) -> Exception:
+    """The error of ``stieltjes_recurrence`` for one failing row, with the
+    checks in the order of a loop over the degree: the mass, each norm,
+    then the overflow of gamma."""
+    if mu0[row] <= 0.0:
+        exc = LostOrthogonality(f"nonpositive total mass {mu0[row]}")
+    elif np.any(s2[row] <= floor[row]):
+        n = int(np.argmax(s2[row] <= floor[row]))
+        exc = LostOrthogonality(
+            f"norm^2 = {s2[row, n]} at degree {n + 1} below floor {floor[row]}"
+        )
+    else:
+        bad = int(np.argmin(np.isfinite(gamma[row])))
+        exc = NonFinite(f"gamma_{bad} overflows the float range at degree {bad}")
+    exc.row = row
+    return exc
 
 
 def eval_polynomial(table: RecurrenceTable, n: int, x):

@@ -8,9 +8,10 @@ converges spectrally.
 The rules of one weight do not depend on t: for given exponents and npts
 they are stacked once into a small cached table (the plain piece rules,
 then, where Cauchy transforms are wanted, the singular rules beside the
-nodes), and
-``discretized_measure``, ``cauchy_node_matrix`` and ``stieltjes_at_node``
-all map that one table to the endpoints at t with array operations.
+nodes), and ``discretized_measure`` and ``cauchy_node_matrices`` (with its
+one-time case ``cauchy_node_matrix`` and ``stieltjes_at_node``) all map
+that one table to the endpoints at one or several times with array
+operations.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from .errors import BadExponent, DivergentTransform
-from .weights import GeneralizedJacobiWeight, node_data
+from .weights import GeneralizedJacobiWeight, node_data, stage_node_data
 
 DEFAULT_NPTS = 64
 
@@ -116,7 +117,8 @@ class _RuleTable:
     beside each node x_j with alpha_j > 0: the rule left of x_j, then the
     one right of it. Every rule on piece p
     absorbs the two endpoint factors of p; ``scale`` is its Jacobian
-    exponent 1 + beta_left + beta_right. ``node`` and ``sign`` hold, for
+    exponent 1 + beta_left + beta_right, and ``free[k]`` marks the points
+    whose rule does not absorb endpoint k. ``node`` and ``sign`` hold, for
     the singular points only, the node whose Cauchy factor the rule absorbs
     and the sign of x_node - u. Nothing here depends on t.
     """
@@ -125,6 +127,7 @@ class _RuleTable:
     wts: np.ndarray
     piece: np.ndarray
     scale: np.ndarray
+    free: np.ndarray
     node: np.ndarray
     sign: np.ndarray
     nplain: int
@@ -147,11 +150,14 @@ def _rule_table(alpha: tuple, npts: int, singular: bool) -> _RuleTable:
             node.append(j)
             sign.append(-1.0)
     built = [gauss_jacobi_rule(npts, bl, br) for _, bl, br in rules]
+    piece = np.repeat([p for p, _, _ in rules], npts)
+    k = np.arange(m)[:, None]
     arrays = (
         np.concatenate([r.nodes for r in built]),
         np.concatenate([r.weights for r in built]),
-        np.repeat([p for p, _, _ in rules], npts),
+        piece,
         np.repeat([1.0 + bl + br for _, bl, br in rules], npts),
+        (k != piece) & (k != piece + 1),
         np.repeat(np.array(node, dtype=int), npts),
         np.repeat(sign, npts),
     )
@@ -165,26 +171,29 @@ def _table(w: GeneralizedJacobiWeight, npts: int, singular: bool) -> _RuleTable:
     return _rule_table(tuple(w.alpha.tolist()), int(npts), singular)
 
 
-def _stacked_points(w: GeneralizedJacobiWeight, nd, table: _RuleTable,
-                    stop: int):
-    """Mapped points and effective weights of the first ``stop`` table points.
+def _stacked_points(w: GeneralizedJacobiWeight, X: np.ndarray,
+                    table: _RuleTable, stop: int):
+    """Mapped points and effective weights of the first ``stop`` table points
+    at each row of endpoint positions ``X`` (one row per time): two
+    (len(X), stop) arrays.
 
     Each weight is C_p times the rule weight times half^scale of its piece,
-    times |u - x_k|^alpha_k for every endpoint k its rule does not absorb.
+    times |u - x_k|^alpha_k for every endpoint k its rule does not absorb,
+    multiplied in that order of k, one (len(X), stop) factor at a time.
     """
     piece = table.piece[:stop]
-    xl, xr = nd.x[piece], nd.x[piece + 1]
+    # take keeps the rows contiguous (X[:, piece] would be column-major)
+    xl, xr = np.take(X, piece, axis=1), np.take(X, piece + 1, axis=1)
     half = 0.5 * (xr - xl)
     xs = 0.5 * (xr + xl) + half * table.s[:stop]
-    # row 0 the rule part, row k + 1 the factor of endpoint k (1 if absorbed);
-    # the product down the rows multiplies them in that order
-    f = np.empty((w.m + 1, stop))
-    f[0] = w.pieces[piece] * table.wts[:stop] * half ** table.scale[:stop]
-    np.power(np.abs(xs - nd.x[:, None]), w.alpha[:, None], out=f[1:])
-    cols = np.arange(stop)
-    f[piece + 1, cols] = 1.0
-    f[piece + 2, cols] = 1.0
-    return xs, np.prod(f, axis=0)
+    eff = w.pieces[piece] * table.wts[:stop] * half ** table.scale[:stop]
+    fk = np.empty_like(xs)
+    for k in range(w.m):
+        np.subtract(xs, X[:, k, None], out=fk)
+        np.abs(fk, out=fk)
+        np.power(fk, w.alpha[k], out=fk)
+        np.multiply(eff, fk, out=eff, where=table.free[k, :stop])
+    return xs, eff
 
 
 def discretized_measure(w: GeneralizedJacobiWeight, t: float, npts: int = DEFAULT_NPTS):
@@ -194,7 +203,8 @@ def discretized_measure(w: GeneralizedJacobiWeight, t: float, npts: int = DEFAUL
     at t; any exponents > -1 are allowed.
     """
     table = _table(w, npts, singular=False)
-    return _stacked_points(w, node_data(w, t), table, table.nplain)
+    xs, ws = _stacked_points(w, node_data(w, t).x[None], table, table.nplain)
+    return xs[0], ws[0]
 
 
 def integrate_against_weight(w: GeneralizedJacobiWeight, f, t: float,
@@ -204,16 +214,18 @@ def integrate_against_weight(w: GeneralizedJacobiWeight, f, t: float,
     return float(np.dot(ws, _eval_on(f, xs)))
 
 
-def cauchy_node_matrix(w: GeneralizedJacobiWeight, t: float,
-                       npts: int = DEFAULT_NPTS, nodes=None):
-    """Cauchy transforms at endpoints as one linear map of sample values.
+def cauchy_node_matrices(w: GeneralizedJacobiWeight, ts,
+                         npts: int = DEFAULT_NPTS, nodes=None):
+    """Cauchy transforms at endpoints as one linear map per time.
 
-    Returns (points, weights, nd, Q): the points of every rule in the
-    stacked rule table, the effective weights of its plain slice (the
-    first ``len(weights)`` points and these weights are
-    ``discretized_measure``), the node data at t, and a matrix with one row
-    per requested node (all m endpoints when ``nodes`` is None) such that
-    q(x_j) = int w(u) f(u) / (x_j - u) du = Q[i] @ f(points), j = nodes[i].
+    Returns (points, weights, nds, Q) for the times ``ts``: the points of
+    every rule in the stacked rule table, one row per time; the effective
+    weights of its plain slice (the first ``weights.shape[1]`` points and
+    these weights are ``discretized_measure``); the node data of
+    ``stage_node_data``; and Q, of shape (times, requested nodes, points),
+    with one row per requested node (all m endpoints when ``nodes`` is
+    None) such that, at time ts[s] and with j = nodes[i],
+    q(x_j) = int w(u) f(u) / (x_j - u) du = Q[s, i] @ f(points[s]).
 
     Each piece contributes its plain absorbed rule, which carries the smooth
     factor 1/(x_j - u) for every node off that piece. On the one or two
@@ -223,7 +235,8 @@ def cauchy_node_matrix(w: GeneralizedJacobiWeight, t: float,
     left of x_j, - on the right). The table holds these singular rules for
     every node with alpha_j > 0, so with all nodes admissible there are
     3(m-1) rules. Points, weights and Q come from a fixed number of array
-    operations on the table, with no loop over pieces or nodes.
+    operations on the table for all times at once, with no loop over
+    times, pieces or nodes.
     """
     a = w.alpha
     for j in range(w.m) if nodes is None else nodes:
@@ -231,19 +244,27 @@ def cauchy_node_matrix(w: GeneralizedJacobiWeight, t: float,
             raise DivergentTransform(
                 f"q(x_{j + 1}) diverges: alpha_{j + 1} = {a[j]} <= 0"
             )
-    nd = node_data(w, t)
+    nds = stage_node_data(w, ts)
+    X = np.array([nd.x for nd in nds])
     table = _table(w, npts, singular=True)
     k = table.nplain
-    points, eff = _stacked_points(w, nd, table, len(table.s))
-    Q = np.zeros((w.m, len(points)))
-    Q[:, :k] = eff[:k] / (nd.x[:, None] - points[:k])
-    cols = np.arange(k)
-    Q[table.piece[:k], cols] = 0.0  # the singular rules carry these
-    Q[table.piece[:k] + 1, cols] = 0.0
-    Q[table.node, np.arange(k, len(points))] = table.sign * eff[k:]
+    points, eff = _stacked_points(w, X, table, len(table.s))
+    Q = np.zeros((len(X), w.m, points.shape[1]))
+    # pieces adjacent to the node are left 0: the singular rules carry them
+    np.divide(eff[:, None, :k], X[:, :, None] - points[:, None, :k],
+              out=Q[:, :, :k], where=table.free[:, :k])
+    Q[:, table.node, np.arange(k, points.shape[1])] = table.sign * eff[:, k:]
     if nodes is not None:
-        Q = Q[np.asarray(nodes, dtype=int)]
-    return points, eff[:k], nd, Q
+        Q = Q[:, np.asarray(nodes, dtype=int)]
+    return points, eff[:, :k], nds, Q
+
+
+def cauchy_node_matrix(w: GeneralizedJacobiWeight, t: float,
+                       npts: int = DEFAULT_NPTS, nodes=None):
+    """``cauchy_node_matrices`` at the one time t: (points, weights, nd, Q)
+    with q(x_j) = Q[i] @ f(points), j = nodes[i]."""
+    points, ws, nds, Q = cauchy_node_matrices(w, (t,), npts, nodes)
+    return points[0], ws[0], nds[0], Q[0]
 
 
 def stieltjes_at_node(w: GeneralizedJacobiWeight, pvals, j: int, t: float,

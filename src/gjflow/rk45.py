@@ -71,8 +71,10 @@ def integrate_rk45(rhs: Callable[[Any, np.ndarray], np.ndarray],
     sample_times (see the module docstring for ``frames`` and ``rhs``).
 
     Returns (samples, stats) where samples[i] is the state at sample_times[i].
-    Raises StepCollapse when the accepted step would fall below
-    min_step_frac * |t1 - t0|.
+    Raises StepCollapse as soon as the controller's step falls below the
+    floor min_step_frac * |t1 - t0|, so no attempt runs below it; only a
+    step clipped to land on a sample time, which may sit arbitrarily close,
+    is exempt.
     """
     y = np.asarray(y0, dtype=float).copy()
     if sample_times is None:
@@ -93,7 +95,7 @@ def integrate_rk45(rhs: Callable[[Any, np.ndarray], np.ndarray],
     ks[0] = rhs(frames(np.array([t0]))[0], y)  # FSAL: row 0 is y' at t
     stats.fevals += 1
     # conservative initial step; the controller adapts within a few steps
-    h = direction * min(abs(span) * 1e-3, 1e-2)
+    h = direction * max(min(abs(span) * 1e-3, 1e-2), h_floor)
     err_prev = 1.0
     isample = 0
     while isample < len(sample_times) and sample_times[isample] == t0:
@@ -138,9 +140,9 @@ def integrate_rk45(rhs: Callable[[Any, np.ndarray], np.ndarray],
             stats.rejected += 1
             factor = max(_MIN_FACTOR, _SAFETY * err ** (-1.0 / _ORDER))
             h = direction * abs(h_try) * min(1.0, factor)
-            if abs(h) < h_floor:
-                raise StepCollapse(
-                    f"step size {abs(h):.3e} below floor {h_floor:.3e} at t = {t}",
-                    t=t,
-                )
+        if abs(h) < h_floor:
+            raise StepCollapse(
+                f"step size {abs(h):.3e} below floor {h_floor:.3e} at t = {t}",
+                t=t,
+            )
     return out, stats

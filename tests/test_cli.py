@@ -289,3 +289,67 @@ class TestErrorPaths:
         code = main(["evolve", "--config", write_config(tmp_path, MOVING3),
                      "--t1", "0.0", "--t0", "0.0"])
         assert code == EXIT_CONFIG
+
+
+M6_GAP_CONFIG = {  # a 0.05 gap between x_2 and x_3
+    "weight": {"alpha": [0.7, 1.3, 0.4, 1.1, 0.9, 1.5],
+               "pieces": [1.0, 0.7, 1.5, 1.2, 0.8],
+               "trajectory": [[-2.0], [-0.6], [-0.55], [0.4], [1.2], [2.0]]},
+    "n": 5,
+}
+
+
+def resolved_npts(comments):
+    line = next(c for c in comments if c.startswith("# config: "))
+    return json.loads(line[len("# config: "):])["npts"]
+
+
+class TestQuadratureResolution:
+    def test_default_npts_follows_n(self):
+        for n, npts in ((5, 64), (62, 64), (63, 65), (100, 102)):
+            assert parse_config(json.dumps(dict(CHEB, n=n))).npts == npts
+            cfg = parse_config(json.dumps(CHEB), overrides={"n": n})
+            assert (cfg.n, cfg.npts) == (n, npts)
+        cfg = parse_config(json.dumps(dict(CHEB, quad={"npts": 40})),
+                           overrides={"n": 100})
+        assert cfg.npts == 40             # given, so kept (and refused later)
+        assert parse_config(json.dumps(CHEB), overrides={"npts": 70}).npts == 70
+
+    @pytest.mark.parametrize("doc, n", [
+        (README_CONFIG, 100), (M6_GAP_CONFIG, 70), (M6_GAP_CONFIG, 100),
+    ], ids=["readme-100", "m6-gap-70", "m6-gap-100"])
+    def test_default_npts_matches_four_times_the_points(self, tmp_path, capsys,
+                                                        doc, n):
+        # 64 points give a_100, b_100 wrong by 0.3 on the README config
+        path = write_config(tmp_path, doc)
+        assert main(["coeffs", "--config", path, "--n", str(n)]) == EXIT_OK
+        comments, _, rows = read_csv(capsys.readouterr().out)
+        npts = resolved_npts(comments)
+        assert npts == n + 2
+        assert main(["coeffs", "--config", path, "--n", str(n),
+                     "--npts", str(4 * npts)]) == EXIT_OK
+        _, _, fine = read_csv(capsys.readouterr().out)
+        got, ref = np.array(rows)[:, 1:3], np.array(fine)[:, 1:3]
+        assert np.max(np.abs(got - ref) / np.maximum(np.abs(ref), 1.0)) < 1e-12
+
+    def test_verify_at_high_degree_passes_by_default(self, tmp_path, capsys):
+        # at 64 points the flow and the oracle share an under-resolved rule
+        # and miss each other by 1.4
+        code = main(["verify", "--config", write_config(tmp_path, README_CONFIG),
+                     "--n", "90"])
+        comments, _, _ = read_csv(capsys.readouterr().out)
+        assert code == EXIT_OK
+        assert resolved_npts(comments) == 92
+
+    @pytest.mark.parametrize("args, doc", [
+        (["--n", "100", "--npts", "64"], README_CONFIG),
+        (["--n", "62"], dict(README_CONFIG, quad={"npts": 60})),
+    ], ids=["flag", "config"])
+    def test_forced_npts_below_n_plus_2_is_under_resolved(self, tmp_path,
+                                                          capsys, args, doc):
+        for command in ("coeffs", "verify"):
+            code = main([command, "--config", write_config(tmp_path, doc), *args])
+            captured = capsys.readouterr()
+            assert code == EXIT_NUMERICAL
+            assert "UnderResolved" in captured.err
+            assert captured.out == ""

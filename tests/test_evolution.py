@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 import gjflow.evolution
+import gjflow.quadrature
+import gjflow.weights
 from gjflow import (
     EndpointCollision,
     EndpointTrajectory,
@@ -11,6 +13,7 @@ from gjflow import (
     evolution_rhs,
     evolve,
     init_state,
+    init_states,
     make_weight,
     node_data,
     pn_time_derivative_check,
@@ -221,6 +224,62 @@ class TestEvolve:
         for w in (ref3, w6):
             init_state(w, 8, 0.0)
         assert calls == []
+
+class TestInitStates:
+    # x_1 = -1 + t/2 and x_2 = 1 - t: the support narrows from width 2 and
+    # the endpoints cross at t = 4/3. gamma_700 ~ (4 / width)^700 leaves the
+    # float range once the width is below 4 * 2^(-1024/700), about 1.45
+    NARROWING = make_weight([0.5, 0.5], [1.0],
+                            EndpointTrajectory(((-1.0, 0.5), (1.0, -1.0))))
+
+    def failure(self, n, ts, npts):
+        with pytest.raises(InitFailure) as info:
+            init_states(self.NARROWING, n, ts, npts)
+        return str(info.value)
+
+    def test_names_the_first_bad_time(self):
+        msg = self.failure(700, [0.0, 0.5, 1.0], 710)
+        assert msg.startswith("state initialization failed at t=0.5: gamma_")
+        with pytest.raises(InitFailure) as alone:
+            init_state(self.NARROWING, 700, 0.5, 710)
+        assert str(alone.value) == msg
+        init_state(self.NARROWING, 700, 0.0, 710)          # t = 0 is fine
+
+    def test_an_earlier_time_failing_a_later_step_comes_first(self):
+        # t = 1.6 fails the ordering check, before any recurrence runs;
+        # t = 0.5 would only fail in the recurrence, and comes first
+        msg = self.failure(700, [0.0, 0.5, 1.6], 710)
+        assert msg.startswith("state initialization failed at t=0.5: gamma_")
+
+    def test_crossed_endpoints(self):
+        msg = self.failure(5, [0.0, 1.6, 1.8], 64)
+        assert msg.startswith("state initialization failed at t=1.6: "
+                              "endpoints not strictly increasing at t=1.6: ")
+
+    @pytest.mark.parametrize("samples", [2, 7, 21])
+    def test_verify_builds_the_oracle_in_one_pass(self, moving3, monkeypatch,
+                                                  samples):
+        calls = {"stieltjes_recurrence": 0, "stage_node_data": 0}
+
+        def counted(name, fn):
+            def counting(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return counting
+
+        for mod in (gjflow.evolution, gjflow.quadrature, gjflow.weights):
+            for name in calls:
+                if hasattr(mod, name):
+                    monkeypatch.setattr(mod, name,
+                                        counted(name, getattr(mod, name)))
+        rep = evolve(moving3, 5, (0.0, 0.3), sample_count=samples)
+        calls.update(dict.fromkeys(calls, 0))
+        vt = verify_against_direct(moving3, 5, rep)
+        assert calls == {"stieltjes_recurrence": 1, "stage_node_data": 1}
+        assert vt.deviations.shape == (samples, 3 + 3 * moving3.m)
+        ref = np.array([init_state(moving3, 5, t).pack() for t in rep.times])
+        assert np.array_equal(init_states(moving3, 5, rep.times), ref)
+
 
 class TestRhsFiniteDifference:
     def test_observed_order(self, moving3):

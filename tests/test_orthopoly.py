@@ -13,6 +13,7 @@ from gjflow import (
     moments,
     stieltjes_procedure,
 )
+from gjflow.orthopoly import stieltjes_recurrence
 
 
 class TestStieltjesProcedure:
@@ -52,6 +53,44 @@ class TestStieltjesProcedure:
     def test_breakdown_on_tiny_discretization(self, cheb):
         with pytest.raises(LostOrthogonality):
             stieltjes_procedure(cheb, 0.0, 10, npts=2)
+
+
+class TestBatchedRecurrence:
+    """``stieltjes_recurrence`` with one measure per row."""
+
+    @staticmethod
+    def measures(ts):
+        w = make_weight([0.4, 1.3, 0.8], [1.0, 2.0],
+                        EndpointTrajectory(((-1.0,), (0.1, 0.9), (1.5, -0.2))))
+        xs, ws = zip(*(discretized_measure(w, t, 24) for t in ts))
+        extra = np.linspace(-1.0, 1.5, 5)           # carried points
+        return np.array([np.concatenate((x, extra)) for x in xs]), np.array(ws)
+
+    def test_rows_match_one_dimensional_calls(self):
+        xs, ws = self.measures([0.0, 0.2, 0.35])
+        # ten million times narrower: its norms fall below the other rows'
+        # roundoff floors, and each row is held to its own
+        xs[2] *= 1e-7
+        table, p, p_prev = stieltjes_recurrence(xs, ws, 12)
+        assert table.a.shape == (3, 13) and table.N == 12 and p.shape == xs.shape
+        for i in range(3):
+            row, p1, pm1 = stieltjes_recurrence(xs[i], ws[i], 12)
+            for got, ref in ((table.a[i], row.a), (table.b[i], row.b),
+                             (table.gamma[i], row.gamma), (p[i], p1),
+                             (p_prev[i], pm1)):
+                assert np.array_equal(got, ref)
+
+    def test_error_of_the_first_failing_row(self):
+        xs, ws = self.measures([0.0, 0.1, 0.2])
+        ws[2] = 0.0                                  # no mass
+        ws[1, 2:] = 0.0                              # two points: p_2 vanishes
+        with pytest.raises(LostOrthogonality, match="at degree 2 below") as info:
+            stieltjes_recurrence(xs, ws, 6)
+        assert info.value.row == 1
+        ws[1] = 0.0
+        with pytest.raises(LostOrthogonality, match="nonpositive total mass") as info:
+            stieltjes_recurrence(xs, ws, 6)
+        assert info.value.row == 1
 
 
 class TestEvalPolynomial:

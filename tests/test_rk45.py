@@ -93,6 +93,22 @@ def test_step_collapse_carries_t():
     assert f"at t = {info.value.t}" in str(info.value)
 
 
+def test_no_attempt_below_the_floor():
+    # on the way to the blow-up at t = 1 the controller shrinks its step
+    # every attempt; the only sample is t1, so no attempt is clipped and
+    # each must run at a step of at least the floor
+    rec = Recorder(lambda t, y: np.array([1.0 / (1.0 - t) ** 2]))
+    with pytest.raises(StepCollapse) as info:
+        integrate_rk45(rec.rhs, rec.frames, 0.0, 2.0, [1.0],
+                       min_step_frac=1e-6)
+    floor = 1e-6 * 2.0
+    # stage times run from t + h/5 to t + h
+    steps = np.array([(ts[-1] - ts[0]) / 0.8 for ts in rec.frame_calls[1:]])
+    assert len(steps) > 50
+    assert np.min(steps) >= floor * (1.0 - 1e-6)
+    assert 0.99 < info.value.t < 1.0
+
+
 def test_rejects_empty_span_and_unordered_samples():
     with pytest.raises(ValueError, match="t1 must differ"):
         integrate_rk45(lambda t, y: y, time_frames, 0.5, 0.5, [1.0])

@@ -1,7 +1,8 @@
 """The stacked rule table against per-piece rules (``quad_ref``).
 
-``discretized_measure``, ``cauchy_node_matrix``, ``stieltjes_at_node`` and
-``init_state`` all read one cached table of absorbed rules; these tests
+``discretized_measure``, ``cauchy_node_matrix``, ``stieltjes_at_node``,
+``init_state`` and ``init_states`` all read one cached table of absorbed
+rules; these tests
 compare each with the piece-by-piece reference, computed in extended
 precision, to 1e-12 in the relative metric of ``verify`` (absolute
 floor 1); random configs to 1e-11 (see ``PROPERTY_TOL``).
@@ -18,6 +19,7 @@ from gjflow import (
     EndpointTrajectory,
     discretized_measure,
     init_state,
+    init_states,
     make_weight,
     stieltjes_at_node,
 )
@@ -79,6 +81,22 @@ class TestAgainstPerPieceRules:
             assert quad_ref.relative(got, quad_ref.init_state(w, n, t)) <= TOL
 
 
+    @pytest.mark.parametrize("n", [1, 9, 30])
+    def test_init_states(self, w, n):
+        ts = [0.11, -0.04, 0.0, 0.11, 0.2]
+        got = init_states(w, n, ts)
+        assert got.shape == (len(ts), 3 + 3 * w.m)
+        for t, row in zip(ts, got):
+            assert quad_ref.relative(row, quad_ref.init_state(w, n, t)) <= TOL
+
+
+@pytest.mark.parametrize("name", sorted(WEIGHTS))
+def test_init_state_is_init_states_at_one_time(name):
+    w = weight(name)
+    for n, t in ((1, 0.0), (7, 0.13), (30, -0.05)):
+        assert np.array_equal(init_state(w, n, t).pack(), init_states(w, n, [t])[0])
+
+
 @st.composite
 def configs(draw):
     """A random admissible weight, a time t and a degree n.
@@ -108,6 +126,16 @@ def test_init_state_property(cfg):
     w, n, t = cfg
     got = init_state(w, n, t).pack()
     assert quad_ref.relative(got, quad_ref.init_state(w, n, t)) <= PROPERTY_TOL
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(configs(), st.lists(st.floats(-0.01, 0.01), min_size=1, max_size=12))
+def test_init_states_property(cfg, offsets):
+    # times near t, where every gap is still at least 0.03
+    w, n, t = cfg
+    ts = t + np.array(offsets)
+    for ti, row in zip(ts, init_states(w, n, ts)):
+        assert quad_ref.relative(row, quad_ref.init_state(w, n, ti)) <= PROPERTY_TOL
 
 
 class TestEdges:
