@@ -18,7 +18,6 @@ from .errors import (
     IndexOutOfRange,
     InitFailure,
     LostOrthogonality,
-    NodeCollision,
     NonDistinctEndpoints,
     NonFinite,
     StepCollapse,
@@ -47,7 +46,6 @@ from .ladder import (
 )
 from .momentflow import (
     MomentState,
-    check_mu_identity,
     evolve_moments,
     moment_rhs,
     nu_by_quadrature,
@@ -71,10 +69,6 @@ from .weights import (
     GeneralizedJacobiWeight,
     NodeData,
     barycentric_interpolate,
-    eval_V,
-    eval_V_and_logderivs,
-    eval_W,
-    eval_weight,
     make_weight,
     node_data,
     stage_node_data,

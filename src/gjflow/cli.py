@@ -27,8 +27,8 @@ from .errors import (
 )
 from .evolution import evolve, verify_against_direct
 from .ladder import ladder_checks, ladder_init
-from .momentflow import check_mu_identity, evolve_moments, nu_by_quadrature
-from .orthopoly import stieltjes_procedure
+from .momentflow import evolve_moments, nu_by_quadrature
+from .orthopoly import moments, stieltjes_procedure
 from .quadrature import DEFAULT_NPTS, gauss_jacobi_rule, integrate_against_weight
 from .weights import EndpointTrajectory, make_weight, node_data
 
@@ -200,28 +200,40 @@ def _emit(out, cfg: RunConfig, columns, rows, extra_comments=()):
         out.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def _selfcheck_compare(label: str, coarse, fine, tol: float = 1e-9) -> Optional[str]:
-    coarse = np.asarray(coarse, dtype=float)
-    fine = np.asarray(fine, dtype=float)
-    dev = float(np.max(np.abs(coarse - fine) / np.maximum(np.abs(fine), 1.0)))
-    if dev > tol:
-        return f"selfcheck failed for {label}: npts-doubling deviation {dev:.3e}"
-    return None
+def _selfchecked(cfg: RunConfig, label: str, compute, fields=None):
+    """``compute(cfg.npts)``; with ``--selfcheck``, also ``compute`` at
+    twice the points, compared on the named array fields of the result
+    (on the result itself when ``fields`` is None). A relative deviation
+    above 1e-9 is printed to stderr and returns None."""
+    def flat(result):
+        if fields is None:
+            return np.asarray(result, dtype=float)
+        return np.concatenate([getattr(result, name) for name in fields])
+
+    coarse = compute(cfg.npts)
+    if cfg.selfcheck:
+        c, f = flat(coarse), flat(compute(2 * cfg.npts))
+        dev = float(np.max(np.abs(c - f) / np.maximum(np.abs(f), 1.0)))
+        if dev > 1e-9:
+            print(f"selfcheck failed for {label}: npts-doubling deviation "
+                  f"{dev:.3e}", file=sys.stderr)
+            return None
+    return coarse
+
+
+def _steps_comment(stats) -> str:
+    return (f"steps: accepted={stats.accepted} rejected={stats.rejected} "
+            f"fevals={stats.fevals}")
 
 
 def cmd_coeffs(cfg: RunConfig, out) -> int:
     w = cfg.weight()
-    table = stieltjes_procedure(w, cfg.t0, cfg.n + 1, cfg.npts)
-    if cfg.selfcheck:
-        fine = stieltjes_procedure(w, cfg.t0, cfg.n + 1, 2 * cfg.npts)
-        msg = _selfcheck_compare(
-            "coeffs",
-            np.concatenate((table.a, table.b, table.gamma)),
-            np.concatenate((fine.a, fine.b, fine.gamma)),
-        )
-        if msg:
-            print(msg, file=sys.stderr)
-            return EXIT_VERIFY
+    table = _selfchecked(
+        cfg, "coeffs",
+        lambda npts: stieltjes_procedure(w, cfg.t0, cfg.n + 1, npts),
+        ("a", "b", "gamma"))
+    if table is None:
+        return EXIT_VERIFY
     rows = [
         (n, table.a[n], table.b[n], table.gamma[n]) for n in range(cfg.n + 1)
     ]
@@ -232,18 +244,11 @@ def cmd_coeffs(cfg: RunConfig, out) -> int:
 def cmd_ladder(cfg: RunConfig, out) -> int:
     w = cfg.weight()
     table = stieltjes_procedure(w, cfg.t0, cfg.n + 1, cfg.npts)
-    lv = ladder_init(w, table, cfg.t0, cfg.n, cfg.npts)
-    if cfg.selfcheck:
-        fine_table = stieltjes_procedure(w, cfg.t0, cfg.n + 1, 2 * cfg.npts)
-        fine = ladder_init(w, fine_table, cfg.t0, cfg.n, 2 * cfg.npts)
-        msg = _selfcheck_compare(
-            "ladder",
-            np.concatenate((lv.theta, lv.omega)),
-            np.concatenate((fine.theta, fine.omega)),
-        )
-        if msg:
-            print(msg, file=sys.stderr)
-            return EXIT_VERIFY
+    lv = _selfchecked(cfg, "ladder",
+                      lambda npts: ladder_init(w, cfg.t0, cfg.n, npts),
+                      ("theta", "omega"))
+    if lv is None:
+        return EXIT_VERIFY
     report = ladder_checks(w, table, lv, cfg.t0, cfg.npts)
     nd = node_data(w, cfg.t0)
     rows = [
@@ -281,38 +286,29 @@ def cmd_evolve(cfg: RunConfig, out) -> int:
         tuple(np.concatenate(([s.t], s.pack(), report.drifts[i])))
         for i, s in enumerate(report.states)
     ]
-    stats = report.stats
-    comments = [f"steps: accepted={stats.accepted} rejected={stats.rejected} "
-                f"fevals={stats.fevals}"]
-    _emit(out, cfg, columns, rows, comments)
+    _emit(out, cfg, columns, rows, [_steps_comment(report.stats)])
     return EXIT_OK
 
 
 def cmd_moments(cfg: RunConfig, out) -> int:
     _require_span(cfg)
     w = cfg.weight()
-    if cfg.selfcheck:
-        msg = _selfcheck_compare(
-            "moments",
-            nu_by_quadrature(w, cfg.n, cfg.t0, cfg.npts),
-            nu_by_quadrature(w, cfg.n, cfg.t0, 2 * cfg.npts),
-        )
-        if msg:
-            print(msg, file=sys.stderr)
-            return EXIT_VERIFY
+    nu0 = _selfchecked(cfg, "moments",
+                       lambda npts: nu_by_quadrature(w, cfg.n, cfg.t0, npts))
+    if nu0 is None:
+        return EXIT_VERIFY
     states, stats = evolve_moments(w, cfg.n, (cfg.t0, cfg.t1),
                                    tol=(cfg.rtol, cfg.atol),
-                                   sample_count=cfg.samples, npts=cfg.npts)
+                                   sample_count=cfg.samples, npts=cfg.npts,
+                                   nu0=nu0)
     m = w.m
     columns = ["t"] + [f"nu_{j + 1}" for j in range(m)] + ["mu_n", "gap"]
     rows = []
     for s in states:
-        mu_n, _, _ = check_mu_identity(w, cfg.n, s.t, cfg.npts)
+        mu_n = float(moments(w, s.t, cfg.n, cfg.npts)[cfg.n])
         gap = abs(mu_n - s.nu[0]) / max(abs(mu_n), abs(s.nu[0]), 1e-300)
         rows.append(tuple(np.concatenate(([s.t], s.nu, [mu_n, gap]))))
-    comments = [f"steps: accepted={stats.accepted} rejected={stats.rejected} "
-                f"fevals={stats.fevals}"]
-    _emit(out, cfg, columns, rows, comments)
+    _emit(out, cfg, columns, rows, [_steps_comment(stats)])
     return EXIT_OK
 
 
@@ -357,7 +353,7 @@ def cmd_selftest(cfg: RunConfig, out) -> int:
     w = cfg.weight()
     if np.all(w.alpha > 0.0) and cfg.n >= 1:
         wt = stieltjes_procedure(w, cfg.t0, cfg.n + 1, cfg.npts)
-        lv = ladder_init(w, wt, cfg.t0, cfg.n, cfg.npts)
+        lv = ladder_init(w, cfg.t0, cfg.n, cfg.npts)
         report = ladder_checks(w, wt, lv, cfg.t0, cfg.npts)
         checks.append(("ladder_residue_sums",
                        max(report.residue_theta, report.residue_x_theta,

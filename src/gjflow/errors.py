@@ -27,14 +27,9 @@ class BadConstant(GJFlowError):
 class NonFinite(GJFlowError):
     """A computed value is not a finite float.
 
-    Raised when the weight diverges (negative exponent at its own endpoint)
-    and when a leading coefficient gamma_n of the recurrence overflows; the
-    message names the endpoint or the first overflowing degree.
+    Raised when a leading coefficient gamma_n of the recurrence overflows;
+    the message names the first overflowing degree.
     """
-
-
-class NodeCollision(GJFlowError):
-    """Logarithmic derivative requested exactly at an endpoint."""
 
 
 class DivergentTransform(GJFlowError):

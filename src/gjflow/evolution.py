@@ -24,9 +24,9 @@ import numpy as np
 
 from .errors import (EndpointCollision, InitFailure, NonDistinctEndpoints,
                      StepCollapse)
-from .ladder import LadderValues, _ladder_values, ladder_init
-from .orthopoly import eval_polynomial, stieltjes_procedure, stieltjes_recurrence
-from .quadrature import DEFAULT_NPTS, cauchy_node_matrices
+from .ladder import LadderValues, _ladder_nodes, ladder_init
+from .orthopoly import eval_polynomial, stieltjes_procedure
+from .quadrature import DEFAULT_NPTS
 from .rk45 import IntegrationStats, integrate_rk45
 from .weights import (GeneralizedJacobiWeight, NodeData, _flow_frames,
                       node_data, stage_node_data)
@@ -148,13 +148,10 @@ def init_states(w: GeneralizedJacobiWeight, n: int, ts,
     """Build the packed flow states at the times ts from the direct
     quadrature oracles: one row of ``EvolutionState.pack()`` per time.
 
-    One ``cauchy_node_matrices`` gives the stacked rule points, the
-    discretized measure and the Cauchy matrix at every time. One
-    ``stieltjes_recurrence`` to degree n + 1 over those points and the
-    nodes, all times at once, gives a_n, b_n, gamma_n together with p_n and
-    p_{n-1} everywhere, and the ladder node formula turns them into the
-    node ratios. Each time is checked on its own; InitFailure names the
-    first time whose state cannot be built, with the underlying message.
+    ``ladder._ladder_nodes`` gives a_n, b_n, gamma_n and the ladder node
+    values at all times from one pass; dividing by W'(x_j) gives the node
+    ratios. Each time is checked on its own; InitFailure names the first
+    time whose state cannot be built, with the underlying message.
     """
     if n < 1:
         raise InitFailure("flow state needs n >= 1 (carries Theta_{n-1})")
@@ -162,12 +159,7 @@ def init_states(w: GeneralizedJacobiWeight, n: int, ts,
         raise InitFailure("evolution requires all exponents alpha_k > 0")
     ts = np.asarray(ts, dtype=float)
     try:
-        points, ws, nds, Q = cauchy_node_matrices(w, ts, npts)
-        X = np.array([nd.x for nd in nds])
-        wprime = np.array([nd.wprime for nd in nds])
-        table, p, p_prev = stieltjes_recurrence(
-            np.concatenate((points, X), axis=1), ws, n + 1)
-        lv = _ladder_values(w, wprime, table, n, Q, p, p_prev)
+        table, wprime, _, lv = _ladder_nodes(w, ts, n, npts)
     except Exception as exc:  # noqa: BLE001 - surfaced as one condition
         # the first failing time of the step that failed (ordering check or
         # recurrence); the times before it passed that step, not all steps
@@ -301,7 +293,7 @@ def pn_time_derivative_check(w: GeneralizedJacobiWeight, n: int, x: float,
     endpoint x_j(t).
     """
     table = stieltjes_procedure(w, t, n + 1, npts)
-    lv = ladder_init(w, table, t, n, npts)
+    lv = ladder_init(w, t, n, npts)
     nd = node_data(w, t)
 
     table_p = stieltjes_procedure(w, t + h, n + 1, npts)

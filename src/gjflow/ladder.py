@@ -14,9 +14,9 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ZeroCoefficient
-from .orthopoly import RecurrenceTable, eval_polynomial
-from .quadrature import DEFAULT_NPTS, cauchy_node_matrix
+from .errors import IndexOutOfRange, ZeroCoefficient
+from .orthopoly import RecurrenceTable, eval_polynomial, stieltjes_recurrence
+from .quadrature import DEFAULT_NPTS, cauchy_node_matrices
 from .weights import (
     GeneralizedJacobiWeight,
     NodeData,
@@ -55,52 +55,49 @@ def _a_at(table: RecurrenceTable, n: int):
     return table.a[..., n] if n >= 1 else 0.0
 
 
-def _recurrence_on_rules(w: GeneralizedJacobiWeight, table: RecurrenceTable,
-                         t: float, n: int, npts: int):
-    """The ``cauchy_node_matrix`` at t and p_n, p_{n-1} from one forward
-    recurrence over its points followed by the nodes: (nd, Q, p, p_prev)."""
-    points, _, nd, Q = cauchy_node_matrix(w, t, npts)
-    p, _, p_prev = eval_polynomial(table, n, np.concatenate((points, nd.x)))
-    return nd, Q, p, p_prev
+def _ladder_nodes(w: GeneralizedJacobiWeight, ts, n: int, npts: int):
+    """The ladder node values at the times ts, from one pass.
 
-
-def _node_transforms(Q: np.ndarray, p: np.ndarray, p_prev: np.ndarray):
-    """p_n, p_{n-1} and their Cauchy transforms q_n, q_{n-1} at every node,
-    from p_n, p_{n-1} on the points of Q followed by the nodes. Q, p and
-    p_prev may carry one leading batch axis."""
+    One ``cauchy_node_matrices`` gives the stacked rule points, the
+    discretized measure and the Cauchy matrix Q at every time. One
+    ``stieltjes_recurrence`` to degree n + 1 over those points and the
+    nodes, all times at once, gives the table and p_n, p_{n-1} everywhere;
+    Q turns them into q_n, q_{n-1} at the nodes. Returns (table, wprime,
+    (p_n, p_{n-1}, q_n, q_{n-1}) at the nodes, LadderValues), every array
+    with one row per time; the node formula is that of ``ladder_init``.
+    """
+    if n < 0:
+        raise IndexOutOfRange(f"degree must be >= 0, got {n}")
+    points, ws, nds, Q = cauchy_node_matrices(w, ts, npts)
+    X = np.array([nd.x for nd in nds])
+    wprime = np.array([nd.wprime for nd in nds])
+    table, p, p_prev = stieltjes_recurrence(
+        np.concatenate((points, X), axis=1), ws, n + 1)
     k = Q.shape[-1]
-    q = Q @ np.stack((p[..., :k], p_prev[..., :k]), axis=-1)
-    return p[..., k:], p_prev[..., k:], q[..., 0], q[..., 1]
-
-
-def _ladder_values(w: GeneralizedJacobiWeight, wprime: np.ndarray,
-                   table: RecurrenceTable, n: int, Q: np.ndarray,
-                   p: np.ndarray, p_prev: np.ndarray) -> LadderValues:
-    """The node formula of ``ladder_init`` (also used by
-    ``evolution.init_states``), from p_n, p_{n-1} on the points of Q
-    followed by the nodes, and W'(x_j). With a leading batch axis on every
-    input (and on the table's arrays), each value gains it too."""
-    pn, pnm1, qn, qm = _node_transforms(Q, p, p_prev)
+    q = Q @ np.stack((p[:, :k], p_prev[:, :k]), axis=-1)
+    pn, pnm1, qn, qm = p[:, k:], p_prev[:, k:], q[..., 0], q[..., 1]
     aw = w.alpha * wprime
     a_n = np.asarray(_a_at(table, n))[..., None]
     theta = aw * pn * qn
     omega = 0.5 * aw + a_n * aw * qn * pnm1  # V(x_j) = alpha_j W'(x_j)/2
     theta_prev = aw * pnm1 * qm if n >= 1 else None
-    return LadderValues(n=n, theta=theta, omega=omega, theta_prev=theta_prev)
+    return table, wprime, (pn, pnm1, qn, qm), LadderValues(
+        n=n, theta=theta, omega=omega, theta_prev=theta_prev)
 
 
-def ladder_init(w: GeneralizedJacobiWeight, table: RecurrenceTable, t: float,
-                n: int, npts: int = DEFAULT_NPTS) -> LadderValues:
+def ladder_init(w: GeneralizedJacobiWeight, t: float, n: int,
+                npts: int = DEFAULT_NPTS) -> LadderValues:
     """Node values from the Cauchy-transform representation.
 
     Theta_n(x_j) = alpha_j W'(x_j) p_n(x_j) q_n(x_j),
     Omega_n(x_j) = V(x_j) + a_n alpha_j W'(x_j) q_n(x_j) p_{n-1}(x_j),
     with q_n the Cauchy transform of w p_n; requires all alpha_k > 0.
-    The transforms at all nodes, of p_n and p_{n-1} alike, come from one
-    ``cauchy_node_matrix`` applied to one evaluation of the recurrence.
+    The recurrence and the transforms at all nodes, of p_n and p_{n-1}
+    alike, come from ``_ladder_nodes`` at the one time t.
     """
-    nd, Q, p, p_prev = _recurrence_on_rules(w, table, t, n, npts)
-    return _ladder_values(w, nd.wprime, table, n, Q, p, p_prev)
+    lv = _ladder_nodes(w, (t,), n, npts)[-1]
+    return LadderValues(n=n, theta=lv.theta[0], omega=lv.omega[0],
+                        theta_prev=None if n == 0 else lv.theta_prev[0])
 
 
 def ladder_step(values: LadderValues, x_nodes, a_n: float, a_next: float,
@@ -131,8 +128,10 @@ def ladder_step(values: LadderValues, x_nodes, a_n: float, a_next: float,
 def ladder_from_table(w: GeneralizedJacobiWeight, table: RecurrenceTable,
                       t: float, n: int, npts: int = DEFAULT_NPTS) -> LadderValues:
     """Climb from the degree-0 initialization to n via ladder_step alone."""
+    if n < 0 or n > table.N:
+        raise IndexOutOfRange(f"degree {n} outside table range 0..{table.N}")
     nd = node_data(w, t)
-    values = ladder_init(w, table, t, 0, npts)
+    values = ladder_init(w, t, 0, npts)
     for k in range(n):
         values = ladder_step(values, nd.x, _a_at(table, k),
                              float(table.a[k + 1]), float(table.b[k]))
@@ -181,8 +180,7 @@ def ladder_checks(w: GeneralizedJacobiWeight, table: RecurrenceTable,
 
     wron = 0.0
     if n >= 1:
-        _, Q, p, p_prev = _recurrence_on_rules(w, table, t, n, npts)
-        pn, pnm1, qn, qm = _node_transforms(Q, p, p_prev)
+        _, _, (pn, pnm1, qn, qm), _ = _ladder_nodes(w, (t,), n, npts)
         wron = float(np.max(np.abs(a_n * (pn * qm - pnm1 * qn) - 1.0)))
     return LadderReport(residue_theta=r_theta, residue_x_theta=r_x_theta,
                         residue_omega=r_omega, diffrel_residual=diffrel,

@@ -14,7 +14,6 @@ from typing import List
 
 import numpy as np
 
-from .orthopoly import moments
 from .quadrature import DEFAULT_NPTS, discretized_measure
 from .rk45 import integrate_rk45
 from .weights import GeneralizedJacobiWeight, NodeData, _flow_frames, node_data
@@ -98,16 +97,3 @@ def evolve_moments(w: GeneralizedJacobiWeight, n: int, t_span,
     ]
     return states, stats
 
-
-def check_mu_identity(w: GeneralizedJacobiWeight, n: int, t: float,
-                      npts: int = DEFAULT_NPTS):
-    """Report (mu_n, nu_{n,1}, relative gap) from independent quadratures.
-
-    The relationship is measured, not asserted: the literal definitions of
-    mu_n and nu_{n,1} coincide only up to the extra polynomial factor over
-    the remaining endpoints.
-    """
-    mu_n = float(moments(w, t, n, npts)[n])
-    nu_1 = float(nu_by_quadrature(w, n, t, npts)[0])
-    gap = abs(mu_n - nu_1) / max(abs(mu_n), abs(nu_1), 1e-300)
-    return mu_n, nu_1, gap

@@ -18,9 +18,7 @@ from .errors import (
     BadConstant,
     BadExponent,
     EndpointCollision,
-    NodeCollision,
     NonDistinctEndpoints,
-    NonFinite,
 )
 
 
@@ -221,77 +219,6 @@ def _flow_frames(w: GeneralizedJacobiWeight):
         except NonDistinctEndpoints as exc:
             raise EndpointCollision(str(exc), t=exc.t) from exc
     return frames
-
-
-def eval_W(w: GeneralizedJacobiWeight, x, t: float):
-    """Node polynomial W(x, t) = prod_k (x - x_k(t))."""
-    pos = w.trajectory.positions(t)
-    x = np.asarray(x, dtype=float)
-    return np.prod(x[..., None] - pos, axis=-1)
-
-
-def eval_weight(w: GeneralizedJacobiWeight, x: float, t: float) -> float:
-    """Weight value at a point; 0 outside the support.
-
-    At an endpoint with positive local exponent the value is 0; with zero
-    exponent the one-sided piece value is returned (right piece, except at
-    x_m); a negative exponent at its own endpoint raises NonFinite.
-    """
-    nd = node_data(w, t)
-    x = float(x)
-    if x < nd.x[0] or x > nd.x[-1]:
-        return 0.0
-    hits = np.nonzero(nd.x == x)[0]
-    if hits.size:
-        k = int(hits[0])
-        if w.alpha[k] > 0.0:
-            return 0.0
-        if w.alpha[k] < 0.0:
-            raise NonFinite(f"weight diverges at endpoint x_{k + 1} = {x}")
-        # alpha_k == 0: one-sided piece value (right piece except at x_m)
-        j = k if k < w.m - 1 else k - 1
-    else:
-        j = int(np.searchsorted(nd.x, x)) - 1
-    val = w.pieces[j]
-    for k in range(w.m):
-        d = abs(x - nd.x[k])
-        if d > 0.0 or w.alpha[k] != 0.0:
-            val *= d ** w.alpha[k]
-    return float(val)
-
-
-def eval_V(w: GeneralizedJacobiWeight, x: float, t: float) -> float:
-    """The degree <= m-1 polynomial with V(x_k) = alpha_k W'(x_k) / 2.
-
-    Evaluated through the node-value representation:
-    V(x) = W(x) * (1/2) * sum_k alpha_k / (x - x_k).
-    """
-    nd = node_data(w, t)
-    diffs = np.asarray(x, dtype=float) - nd.x
-    hits = np.nonzero(diffs == 0.0)[0]
-    if hits.size:
-        k = int(hits[0])
-        return float(w.alpha[k] * nd.wprime[k] / 2.0)
-    return float(np.prod(diffs) * 0.5 * np.sum(w.alpha / diffs))
-
-
-def eval_V_and_logderivs(w: GeneralizedJacobiWeight, x: float, t: float):
-    """Return (V(x), d/dx log w, d/dt log w) at a non-node point.
-
-    d/dx log w = sum_k alpha_k / (x - x_k),
-    d/dt log w = -sum_k alpha_k xdot_k / (x - x_k).
-    Raises NodeCollision if x coincides with an endpoint (V alone is still
-    available through eval_V).
-    """
-    nd = node_data(w, t)
-    diffs = float(x) - nd.x
-    if np.any(diffs == 0.0):
-        raise NodeCollision(f"x = {x} coincides with an endpoint at t = {t}")
-    inv = 1.0 / diffs
-    V = float(np.prod(diffs) * 0.5 * np.sum(w.alpha * inv))
-    dlogw_dx = float(np.sum(w.alpha * inv))
-    dlogw_dt = float(-np.sum(w.alpha * nd.xdot * inv))
-    return V, dlogw_dx, dlogw_dt
 
 
 def barycentric_interpolate(nd: NodeData, values, x):

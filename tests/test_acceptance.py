@@ -79,7 +79,7 @@ def test_criterion_2_ladder_structure():
     sa = w.sum_alpha
     ok = True
     for n in range(11):
-        direct = ladder_init(w, table, 0.0, n)
+        direct = ladder_init(w, 0.0, n)
         stepped = ladder_from_table(w, table, 0.0, n)
         scale = np.maximum(np.abs(direct.theta), 1.0)
         ok &= bool(np.max(np.abs(stepped.theta - direct.theta) / scale) <= 1e-6)

@@ -259,6 +259,29 @@ class TestVerify:
         assert "verification failed" in capsys.readouterr().err
 
 
+class TestSelfcheck:
+    """``--selfcheck`` compares each command's quadrature quantities with
+    a run at twice the points (README config at n = 1)."""
+
+    @pytest.mark.parametrize("cmd", ["coeffs", "ladder", "moments"])
+    def test_fails_at_three_points(self, tmp_path, capsys, cmd):
+        code = main([cmd, "--config", write_config(tmp_path, README_CONFIG),
+                     "--n", "1", "--npts", "3", "--selfcheck"])
+        captured = capsys.readouterr()
+        assert code == EXIT_VERIFY
+        assert captured.err.startswith(f"selfcheck failed for {cmd}: ")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("cmd", ["coeffs", "ladder", "moments"])
+    def test_passes_at_default_npts(self, tmp_path, capsys, cmd):
+        code = main([cmd, "--config", write_config(tmp_path, README_CONFIG),
+                     "--n", "1", "--selfcheck"])
+        captured = capsys.readouterr()
+        assert code == EXIT_OK
+        assert "selfcheck" not in captured.err
+        assert captured.out.startswith("# gjflow ")
+
+
 class TestSelftest:
     def test_default_config(self, capsys):
         code = main(["selftest"])

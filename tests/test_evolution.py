@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import gjflow.evolution
+import gjflow.ladder
 import gjflow.quadrature
 import gjflow.weights
 from gjflow import (
@@ -206,7 +207,6 @@ class TestEvolve:
     def test_init_runs_one_recurrence(self, ref3, monkeypatch):
         # p_n and p_{n-1} on the rule points and the nodes come from the
         # Stieltjes pass itself, not from a second polynomial evaluation
-        import gjflow.ladder
         import gjflow.orthopoly
 
         calls = []
@@ -267,7 +267,7 @@ class TestInitStates:
                 return fn(*args, **kwargs)
             return counting
 
-        for mod in (gjflow.evolution, gjflow.quadrature, gjflow.weights):
+        for mod in (gjflow.ladder, gjflow.quadrature, gjflow.weights):
             for name in calls:
                 if hasattr(mod, name):
                     monkeypatch.setattr(mod, name,

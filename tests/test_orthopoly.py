@@ -93,6 +93,25 @@ class TestBatchedRecurrence:
         assert info.value.row == 1
 
 
+@pytest.mark.parametrize("m", [2, 3, 6])
+def test_carried_polynomials_equal_eval_polynomial(m):
+    # the p, p_prev that stieltjes_recurrence carries to degree N are
+    # eval_polynomial's p_{N-1}, p_{N-2} on its own table, bit for bit,
+    # on the measure's points and on the points that only ride along
+    rng = np.random.default_rng(m)
+    x = np.cumsum(rng.uniform(0.1, 1.0, size=m))
+    w = make_weight(rng.uniform(0.2, 1.8, size=m),
+                    rng.uniform(0.5, 2.0, size=m - 1),
+                    EndpointTrajectory.fixed(x))
+    extra = np.concatenate((x, np.linspace(x[0] - 0.1, x[-1] + 0.1, 7)))
+    for n in (0, 1, 8, 40):
+        xs, ws = discretized_measure(w, 0.0, max(64, n + 2))
+        xs = np.concatenate((xs, extra))
+        table, p, p_prev = stieltjes_recurrence(xs, ws, n + 1)
+        ref, _, ref_prev = eval_polynomial(table, n, xs)
+        assert np.array_equal(p, ref) and np.array_equal(p_prev, ref_prev)
+
+
 class TestEvalPolynomial:
     def test_degree_zero_constant(self, cheb):
         table = stieltjes_procedure(cheb, 0.0, 5)

@@ -6,14 +6,8 @@ from gjflow import (
     BadConstant,
     BadExponent,
     EndpointTrajectory,
-    NodeCollision,
     NonDistinctEndpoints,
-    NonFinite,
     barycentric_interpolate,
-    eval_V,
-    eval_V_and_logderivs,
-    eval_W,
-    eval_weight,
     make_weight,
     node_data,
     stage_node_data,
@@ -154,65 +148,50 @@ class TestStageNodeData:
             "endpoints not strictly increasing at t=0.2: [-1.0, 1.0, 1.0]")
 
 
-class TestEvalWeight:
-    def test_chebyshev_center(self, cheb):
-        assert eval_weight(cheb, 0.0, 0.0) == pytest.approx(1.0)
+def _log_weight(w, x, t):
+    """log w(x, t) at a point strictly inside a piece, from the definition."""
+    pos = w.trajectory.positions(t)
+    j = int(np.searchsorted(pos, x)) - 1
+    return float(np.log(w.pieces[j]) + np.sum(w.alpha * np.log(np.abs(x - pos))))
 
-    def test_outside_support(self, cheb):
-        assert eval_weight(cheb, 2.0, 0.0) == 0.0
-        assert eval_weight(cheb, -1.5, 0.0) == 0.0
 
-    def test_m3_product(self):
-        w = make_weight([1.0, 1.0, 1.0], [1.0, 1.0],
-                        EndpointTrajectory.fixed([-1.0, 0.0, 1.0]))
-        assert eval_weight(w, 0.5, 0.0) == pytest.approx(0.375)
-
-    def test_positive_exponent_endpoint_is_zero(self, cheb):
-        assert eval_weight(cheb, 1.0, 0.0) == 0.0
-
-    def test_zero_exponent_endpoint_one_sided(self):
-        w = make_weight([0.0, 0.5], [2.0], EndpointTrajectory.fixed([-1.0, 1.0]))
-        assert eval_weight(w, -1.0, 0.0) == pytest.approx(2.0 * 2.0 ** 0.5)
-
-    def test_negative_exponent_endpoint_diverges(self):
-        w = make_weight([-0.5, 0.5], [1.0], EndpointTrajectory.fixed([-1.0, 1.0]))
-        with pytest.raises(NonFinite):
-            eval_weight(w, -1.0, 0.0)
+def _V(w, nd, x):
+    """V, the degree <= m-1 interpolant of alpha_k W'(x_k) / 2."""
+    return barycentric_interpolate(nd, 0.5 * w.alpha * nd.wprime, x)
 
 
 class TestV:
     def test_chebyshev_V_is_half_x(self, cheb):
         # V(x) = x/2 for (1-x^2)^(1/2)
-        assert eval_V(cheb, 0.0, 0.0) == pytest.approx(0.0, abs=1e-14)
-        assert eval_V(cheb, 0.3, 0.0) == pytest.approx(0.15)
+        nd = node_data(cheb, 0.0)
+        assert _V(cheb, nd, 0.0) == pytest.approx(0.0, abs=1e-14)
+        assert _V(cheb, nd, 0.3) == pytest.approx(0.15)
 
     def test_interpolation_condition(self, ref3):
         nd = node_data(ref3, 0.0)
         for k in range(ref3.m):
             expected = ref3.alpha[k] * nd.wprime[k] / 2.0
-            assert eval_V(ref3, nd.x[k], 0.0) == pytest.approx(expected)
+            assert _V(ref3, nd, nd.x[k]) == pytest.approx(expected)
 
     def test_identity_2V_over_W(self, ref3):
-        # 2 V(x) / W(x) == d/dx log w at 20 random points
+        # 2 V(x) / W(x) == d/dx log w = sum_k alpha_k / (x - x_k) at 20
+        # random points
+        nd = node_data(ref3, 0.0)
         rng = np.random.default_rng(3)
         for x in rng.uniform(-0.9, 0.9, size=20):
-            if np.min(np.abs(x - node_data(ref3, 0.0).x)) < 0.05:
+            if np.min(np.abs(x - nd.x)) < 0.05:
                 continue
-            V, dlx, _ = eval_V_and_logderivs(ref3, x, 0.0)
-            W = eval_W(ref3, x, 0.0)
-            assert 2.0 * V / W == pytest.approx(dlx, rel=1e-10)
+            W = np.prod(x - nd.x)
+            assert 2.0 * _V(ref3, nd, x) / W == pytest.approx(
+                np.sum(ref3.alpha / (x - nd.x)), rel=1e-10)
 
     def test_degree_at_most_m_minus_1(self, ref3):
         # fitting degree m leaves a negligible leading coefficient
         m = ref3.m
         xs = np.linspace(-2.0, 2.0, m + 1)
-        ys = np.array([eval_V(ref3, x, 0.0) for x in xs])
+        ys = _V(ref3, node_data(ref3, 0.0), xs)
         coeffs = np.polynomial.polynomial.polyfit(xs, ys, m)
         assert abs(coeffs[m]) <= 1e-12 * np.max(np.abs(coeffs))
-
-    def test_node_collision(self, ref3):
-        with pytest.raises(NodeCollision):
-            eval_V_and_logderivs(ref3, 0.2, 0.0)
 
 
 class TestLogDerivatives:
@@ -223,6 +202,7 @@ class TestLogDerivatives:
                                                      [0.3, -0.2, 0.5]))
 
     def test_dlogw_dx_finite_difference(self, moving):
+        # 2 V / W against a central difference of log w in x
         rng = np.random.default_rng(7)
         t = 0.2
         nd = node_data(moving, t)
@@ -230,12 +210,13 @@ class TestLogDerivatives:
         for x in rng.uniform(nd.x[0] + 0.1, nd.x[-1] - 0.1, size=10):
             if np.min(np.abs(x - nd.x)) < 0.05:
                 continue
-            _, dlx, _ = eval_V_and_logderivs(moving, x, t)
-            fd = (np.log(eval_weight(moving, x + h, t))
-                  - np.log(eval_weight(moving, x - h, t))) / (2 * h)
+            dlx = 2.0 * _V(moving, nd, x) / np.prod(x - nd.x)
+            fd = (_log_weight(moving, x + h, t)
+                  - _log_weight(moving, x - h, t)) / (2 * h)
             assert dlx == pytest.approx(fd, rel=1e-6)
 
     def test_dlogw_dt_finite_difference(self, moving):
+        # the node velocities move log w by -sum_k alpha_k xdot_k / (x - x_k)
         rng = np.random.default_rng(11)
         t = 0.2
         nd = node_data(moving, t)
@@ -243,14 +224,14 @@ class TestLogDerivatives:
         for x in rng.uniform(nd.x[0] + 0.1, nd.x[-1] - 0.1, size=10):
             if np.min(np.abs(x - nd.x)) < 0.05:
                 continue
-            _, _, dlt = eval_V_and_logderivs(moving, x, t)
-            fd = (np.log(eval_weight(moving, x, t + h))
-                  - np.log(eval_weight(moving, x, t - h))) / (2 * h)
+            dlt = -np.sum(moving.alpha * nd.xdot / (x - nd.x))
+            fd = (_log_weight(moving, x, t + h)
+                  - _log_weight(moving, x, t - h)) / (2 * h)
             assert dlt == pytest.approx(fd, rel=1e-6, abs=1e-8)
 
     def test_fixed_endpoints_no_t_dependence(self, ref3):
-        _, _, dlt = eval_V_and_logderivs(ref3, 0.4, 0.0)
-        assert dlt == 0.0
+        assert np.array_equal(node_data(ref3, 0.0).xdot, np.zeros(ref3.m))
+        assert _log_weight(ref3, 0.4, 1.0) == _log_weight(ref3, 0.4, 0.0)
 
 
 class TestBarycentric:
