@@ -39,7 +39,7 @@ from .ladder import (
     LadderReport,
     LadderValues,
     ladder_checks,
-    ladder_from_table,
+    ladder_climb,
     ladder_init,
     ladder_step,
     residue_sums,

@@ -26,7 +26,7 @@ from .errors import (
     UnderResolved,
 )
 from .evolution import evolve, verify_against_direct
-from .ladder import ladder_checks, ladder_init
+from .ladder import ladder_checks
 from .momentflow import evolve_moments, nu_by_quadrature
 from .orthopoly import moments, stieltjes_procedure
 from .quadrature import DEFAULT_NPTS, gauss_jacobi_rule, integrate_against_weight
@@ -200,19 +200,15 @@ def _emit(out, cfg: RunConfig, columns, rows, extra_comments=()):
         out.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def _selfchecked(cfg: RunConfig, label: str, compute, fields=None):
+def _selfchecked(cfg: RunConfig, label: str, compute,
+                 key=lambda result: result):
     """``compute(cfg.npts)``; with ``--selfcheck``, also ``compute`` at
-    twice the points, compared on the named array fields of the result
-    (on the result itself when ``fields`` is None). A relative deviation
-    above 1e-9 is printed to stderr and returns None."""
-    def flat(result):
-        if fields is None:
-            return np.asarray(result, dtype=float)
-        return np.concatenate([getattr(result, name) for name in fields])
-
+    twice the points, the two compared on the array ``key(result)``. A
+    relative deviation above 1e-9 is printed to stderr and returns None."""
     coarse = compute(cfg.npts)
     if cfg.selfcheck:
-        c, f = flat(coarse), flat(compute(2 * cfg.npts))
+        c, f = (np.asarray(key(r), dtype=float)
+                for r in (coarse, compute(2 * cfg.npts)))
         dev = float(np.max(np.abs(c - f) / np.maximum(np.abs(f), 1.0)))
         if dev > 1e-9:
             print(f"selfcheck failed for {label}: npts-doubling deviation "
@@ -231,7 +227,7 @@ def cmd_coeffs(cfg: RunConfig, out) -> int:
     table = _selfchecked(
         cfg, "coeffs",
         lambda npts: stieltjes_procedure(w, cfg.t0, cfg.n + 1, npts),
-        ("a", "b", "gamma"))
+        lambda table: np.concatenate((table.a, table.b, table.gamma)))
     if table is None:
         return EXIT_VERIFY
     rows = [
@@ -243,13 +239,12 @@ def cmd_coeffs(cfg: RunConfig, out) -> int:
 
 def cmd_ladder(cfg: RunConfig, out) -> int:
     w = cfg.weight()
-    table = stieltjes_procedure(w, cfg.t0, cfg.n + 1, cfg.npts)
-    lv = _selfchecked(cfg, "ladder",
-                      lambda npts: ladder_init(w, cfg.t0, cfg.n, npts),
-                      ("theta", "omega"))
-    if lv is None:
+    report = _selfchecked(
+        cfg, "ladder", lambda npts: ladder_checks(w, cfg.t0, cfg.n, npts),
+        lambda rep: np.concatenate((rep.values.theta, rep.values.omega)))
+    if report is None:
         return EXIT_VERIFY
-    report = ladder_checks(w, table, lv, cfg.t0, cfg.npts)
+    lv = report.values
     nd = node_data(w, cfg.t0)
     rows = [
         (j + 1, nd.x[j], lv.theta[j],
@@ -352,9 +347,7 @@ def cmd_selftest(cfg: RunConfig, out) -> int:
 
     w = cfg.weight()
     if np.all(w.alpha > 0.0) and cfg.n >= 1:
-        wt = stieltjes_procedure(w, cfg.t0, cfg.n + 1, cfg.npts)
-        lv = ladder_init(w, cfg.t0, cfg.n, cfg.npts)
-        report = ladder_checks(w, wt, lv, cfg.t0, cfg.npts)
+        report = ladder_checks(w, cfg.t0, cfg.n, cfg.npts)
         checks.append(("ladder_residue_sums",
                        max(report.residue_theta, report.residue_x_theta,
                            report.residue_omega) < 1e-8))

@@ -24,8 +24,8 @@ import numpy as np
 
 from .errors import (EndpointCollision, InitFailure, NonDistinctEndpoints,
                      StepCollapse)
-from .ladder import LadderValues, _ladder_nodes, ladder_init
-from .orthopoly import eval_polynomial, stieltjes_procedure
+from .ladder import LadderValues, _ladder_nodes
+from .orthopoly import eval_polynomial
 from .quadrature import DEFAULT_NPTS
 from .rk45 import IntegrationStats, integrate_rk45
 from .weights import (GeneralizedJacobiWeight, NodeData, _flow_frames,
@@ -159,7 +159,7 @@ def init_states(w: GeneralizedJacobiWeight, n: int, ts,
         raise InitFailure("evolution requires all exponents alpha_k > 0")
     ts = np.asarray(ts, dtype=float)
     try:
-        table, wprime, _, lv = _ladder_nodes(w, ts, n, npts)
+        table, nds, _, lv = _ladder_nodes(w, ts, n, npts)
     except Exception as exc:  # noqa: BLE001 - surfaced as one condition
         # the first failing time of the step that failed (ordering check or
         # recurrence); the times before it passed that step, not all steps
@@ -169,6 +169,7 @@ def init_states(w: GeneralizedJacobiWeight, n: int, ts,
             init_states(w, n, ts[:i], npts)
         raise InitFailure(
             f"state initialization failed at t={ts[i]}: {exc}") from exc
+    wprime = np.array([nd.wprime for nd in nds])
     return np.column_stack((table.a[:, n], table.b[:, n], table.gamma[:, n],
                             lv.theta / wprime, lv.theta_prev / wprime,
                             lv.omega / wprime))
@@ -274,7 +275,7 @@ def _dp_dt_formula(w, table, lv: LadderValues, nd: NodeData, n: int, x: float,
     """
     gdot_over_g = -0.5 * float(np.sum(nd.xdot * lv.theta / nd.wprime))
     pn, _, pnm1 = eval_polynomial(table, n, x)
-    a_n = float(table.a[n]) if n >= 1 else 0.0
+    a_n = float(table.a[n])
     V_nodes = 0.5 * w.alpha * nd.wprime
     v = nd.xdot - frame_velocity
     k = v != 0.0
@@ -290,30 +291,19 @@ def pn_time_derivative_check(w: GeneralizedJacobiWeight, n: int, x: float,
     finite differences of tables recomputed at t +/- h.
 
     The off-node check holds x fixed; the node check follows the moving
-    endpoint x_j(t).
+    endpoint x_j(t). One ``_ladder_nodes`` pass at t, t + h and t - h gives
+    the three tables, the node positions at t +/- h and the node values at t.
     """
-    table = stieltjes_procedure(w, t, n + 1, npts)
-    lv = ladder_init(w, t, n, npts)
-    nd = node_data(w, t)
-
-    table_p = stieltjes_procedure(w, t + h, n + 1, npts)
-    table_m = stieltjes_procedure(w, t - h, n + 1, npts)
-
-    # fixed x, off node
+    tables, nds, _, lv = _ladder_nodes(w, (t, t + h, t - h), n, npts)
+    table, lv, nd = tables.row(0), lv.row(0), node_data(w, t)
+    # fixed x off node, then along the node trajectory x_j(t)
     formula = _dp_dt_formula(w, table, lv, nd, n, x)
-    fd = (eval_polynomial(table_p, n, x)[0]
-          - eval_polynomial(table_m, n, x)[0]) / (2.0 * h)
-    scale = max(abs(fd), abs(formula), 1.0)
-    res_off = abs(fd - formula) / scale
-
-    # along the node trajectory x_j(t)
     formula_j = _dp_dt_formula(w, table, lv, nd, n, nd.x[j], nd.xdot[j])
-    xp = w.trajectory.positions(t + h)[j]
-    xm = w.trajectory.positions(t - h)[j]
-    fd_j = (eval_polynomial(table_p, n, xp)[0]
-            - eval_polynomial(table_m, n, xm)[0]) / (2.0 * h)
-    scale_j = max(abs(fd_j), abs(formula_j), 1.0)
-    res_node = abs(fd_j - formula_j) / scale_j
+    p_plus, p_minus = (eval_polynomial(tables.row(i), n, [x, nds[i].x[j]])[0]
+                       for i in (1, 2))
+    fd, fd_j = ((p_plus - p_minus) / (2.0 * h)).tolist()
+    res_off = abs(fd - formula) / max(abs(fd), abs(formula), 1.0)
+    res_node = abs(fd_j - formula_j) / max(abs(fd_j), abs(formula_j), 1.0)
 
     return TimeDerivativeCheck(
         residual_offnode=res_off, residual_node=res_node,

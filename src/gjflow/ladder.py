@@ -15,14 +15,9 @@ from typing import Optional
 import numpy as np
 
 from .errors import IndexOutOfRange, ZeroCoefficient
-from .orthopoly import RecurrenceTable, eval_polynomial, stieltjes_recurrence
+from .orthopoly import eval_polynomial, stieltjes_recurrence
 from .quadrature import DEFAULT_NPTS, cauchy_node_matrices
-from .weights import (
-    GeneralizedJacobiWeight,
-    NodeData,
-    barycentric_interpolate,
-    node_data,
-)
+from .weights import GeneralizedJacobiWeight, NodeData, barycentric_interpolate
 
 
 @dataclass(frozen=True)
@@ -38,33 +33,37 @@ class LadderValues:
     omega: np.ndarray
     theta_prev: Optional[np.ndarray] = None
 
+    def row(self, i: int) -> "LadderValues":
+        """The values at time i of the batched values of several times."""
+        return LadderValues(
+            n=self.n, theta=self.theta[i], omega=self.omega[i],
+            theta_prev=None if self.theta_prev is None else self.theta_prev[i])
+
 
 @dataclass(frozen=True)
 class LadderReport:
-    """Residuals of the structural identities, all relative."""
+    """Residuals of the structural identities, all relative, and the node
+    values they were taken on."""
 
     residue_theta: float        # sum Theta_n(x_j)/W'(x_j)  (should be 0)
     residue_x_theta: float      # sum x_j Theta_n(x_j)/W'(x_j) vs 2n+1+sum(alpha)
     residue_omega: float        # sum Omega_n(x_j)/W'(x_j) vs n+sum(alpha)/2
     diffrel_residual: float     # W p_n' - (Omega_n - V) p_n + a_n Theta_n p_{n-1}
     wronskian_residual: float   # a_n (p_n q_{n-1} - p_{n-1} q_n) - 1 at nodes
-
-
-def _a_at(table: RecurrenceTable, n: int):
-    # a_0 = 0 by convention (p_{-1} = 0); makes the step recurrence exact at n = 0
-    return table.a[..., n] if n >= 1 else 0.0
+    values: LadderValues
 
 
 def _ladder_nodes(w: GeneralizedJacobiWeight, ts, n: int, npts: int):
     """The ladder node values at the times ts, from one pass.
 
     One ``cauchy_node_matrices`` gives the stacked rule points, the
-    discretized measure and the Cauchy matrix Q at every time. One
-    ``stieltjes_recurrence`` to degree n + 1 over those points and the
-    nodes, all times at once, gives the table and p_n, p_{n-1} everywhere;
-    Q turns them into q_n, q_{n-1} at the nodes. Returns (table, wprime,
-    (p_n, p_{n-1}, q_n, q_{n-1}) at the nodes, LadderValues), every array
-    with one row per time; the node formula is that of ``ladder_init``.
+    discretized measure, the node data and the Cauchy matrix Q at every
+    time. One ``stieltjes_recurrence`` to degree n + 1 over those points
+    and the nodes, all times at once, gives the table and p_n, p_{n-1}
+    everywhere; Q turns them into q_n, q_{n-1} at the nodes. Returns
+    (table, node data list, (p_n, p_{n-1}, q_n, q_{n-1}) at the nodes,
+    LadderValues), each with one row per time; the node formula is that
+    of ``ladder_init``.
     """
     if n < 0:
         raise IndexOutOfRange(f"degree must be >= 0, got {n}")
@@ -77,11 +76,11 @@ def _ladder_nodes(w: GeneralizedJacobiWeight, ts, n: int, npts: int):
     q = Q @ np.stack((p[:, :k], p_prev[:, :k]), axis=-1)
     pn, pnm1, qn, qm = p[:, k:], p_prev[:, k:], q[..., 0], q[..., 1]
     aw = w.alpha * wprime
-    a_n = np.asarray(_a_at(table, n))[..., None]
+    a_n = table.a[:, n, None]
     theta = aw * pn * qn
     omega = 0.5 * aw + a_n * aw * qn * pnm1  # V(x_j) = alpha_j W'(x_j)/2
     theta_prev = aw * pnm1 * qm if n >= 1 else None
-    return table, wprime, (pn, pnm1, qn, qm), LadderValues(
+    return table, nds, (pn, pnm1, qn, qm), LadderValues(
         n=n, theta=theta, omega=omega, theta_prev=theta_prev)
 
 
@@ -95,9 +94,7 @@ def ladder_init(w: GeneralizedJacobiWeight, t: float, n: int,
     The recurrence and the transforms at all nodes, of p_n and p_{n-1}
     alike, come from ``_ladder_nodes`` at the one time t.
     """
-    lv = _ladder_nodes(w, (t,), n, npts)[-1]
-    return LadderValues(n=n, theta=lv.theta[0], omega=lv.omega[0],
-                        theta_prev=None if n == 0 else lv.theta_prev[0])
+    return _ladder_nodes(w, (t,), n, npts)[-1].row(0)
 
 
 def ladder_step(values: LadderValues, x_nodes, a_n: float, a_next: float,
@@ -125,15 +122,16 @@ def ladder_step(values: LadderValues, x_nodes, a_n: float, a_next: float,
                         theta_prev=values.theta.copy())
 
 
-def ladder_from_table(w: GeneralizedJacobiWeight, table: RecurrenceTable,
-                      t: float, n: int, npts: int = DEFAULT_NPTS) -> LadderValues:
-    """Climb from the degree-0 initialization to n via ladder_step alone."""
-    if n < 0 or n > table.N:
-        raise IndexOutOfRange(f"degree {n} outside table range 0..{table.N}")
-    nd = node_data(w, t)
+def ladder_climb(w: GeneralizedJacobiWeight, t: float, n: int,
+                 npts: int = DEFAULT_NPTS) -> LadderValues:
+    """Climb from the degree-0 initialization at t to degree n via
+    ladder_step alone, on the recurrence coefficients of the
+    ``_ladder_nodes`` pass to degree n at the same t."""
+    table, (nd,), _, _ = _ladder_nodes(w, (t,), n, npts)
+    table = table.row(0)
     values = ladder_init(w, t, 0, npts)
     for k in range(n):
-        values = ladder_step(values, nd.x, _a_at(table, k),
+        values = ladder_step(values, nd.x, table.a[k],
                              float(table.a[k + 1]), float(table.b[k]))
     return values
 
@@ -146,13 +144,18 @@ def residue_sums(values: LadderValues, nd: NodeData):
     return s0, s1, s2
 
 
-def ladder_checks(w: GeneralizedJacobiWeight, table: RecurrenceTable,
-                  values: LadderValues, t: float, npts: int = DEFAULT_NPTS,
-                  nsamples: int = 20, seed: int = 0) -> LadderReport:
-    """Residuals of the residue sums, the differential relation, and the
-    Wronskian-type identity a_n (p_n q_{n-1} - p_{n-1} q_n) = 1 at the nodes."""
-    nd = node_data(w, t)
-    n = values.n
+def ladder_checks(w: GeneralizedJacobiWeight, t: float, n: int,
+                  npts: int = DEFAULT_NPTS, nsamples: int = 20,
+                  seed: int = 0) -> LadderReport:
+    """Node values of degree n at t with the residuals of the residue sums,
+    the differential relation, and the Wronskian-type identity
+    a_n (p_n q_{n-1} - p_{n-1} q_n) = 1 at the nodes, all from one
+    ``_ladder_nodes`` pass: the values, the table that p_n is evaluated
+    from at the sample points, and p_n, p_{n-1}, q_n, q_{n-1} at the nodes.
+    """
+    table, (nd,), (pn_j, pnm1_j, qn_j, qm_j), lv = _ladder_nodes(
+        w, (t,), n, npts)
+    table, values = table.row(0), lv.row(0)
     sa = w.sum_alpha
     s0, s1, s2 = residue_sums(values, nd)
     scale = max(np.max(np.abs(values.theta)), 1.0)
@@ -164,10 +167,11 @@ def ladder_checks(w: GeneralizedJacobiWeight, table: RecurrenceTable,
 
     # differential relation at interior sample points, ladder polynomials
     # and V reconstructed from their node values (V(x_j) = alpha_j W'(x_j)/2)
-    # by barycentric interpolation
+    # by barycentric interpolation; the margin shrinks on narrow supports
     rng = np.random.default_rng(seed)
-    xs = rng.uniform(nd.x[0] + 0.05, nd.x[-1] - 0.05, size=nsamples)
-    a_n = _a_at(table, n)
+    margin = min(0.05, (nd.x[-1] - nd.x[0]) / 4)
+    xs = rng.uniform(nd.x[0] + margin, nd.x[-1] - margin, size=nsamples)
+    a_n = table.a[n]
     pn, dpn, pnm1 = eval_polynomial(table, n, xs)
     Wx = np.prod(xs[:, None] - nd.x, axis=1)
     Th, Om, Vx = barycentric_interpolate(
@@ -180,8 +184,7 @@ def ladder_checks(w: GeneralizedJacobiWeight, table: RecurrenceTable,
 
     wron = 0.0
     if n >= 1:
-        _, _, (pn, pnm1, qn, qm), _ = _ladder_nodes(w, (t,), n, npts)
-        wron = float(np.max(np.abs(a_n * (pn * qm - pnm1 * qn) - 1.0)))
+        wron = float(np.max(np.abs(a_n * (pn_j * qm_j - pnm1_j * qn_j) - 1.0)))
     return LadderReport(residue_theta=r_theta, residue_x_theta=r_x_theta,
                         residue_omega=r_omega, diffrel_residual=diffrel,
-                        wronskian_residual=wron)
+                        wronskian_residual=wron, values=values)

@@ -23,10 +23,10 @@ from .weights import GeneralizedJacobiWeight, node_data
 class RecurrenceTable:
     """Recurrence coefficients up to degree N.
 
-    a[0] is an unused placeholder (0.0); a[1..N], b[0..N-1], gamma[0..N]
-    are meaningful. gamma_{n-1} = a_n gamma_n by construction. A batched
-    ``stieltjes_recurrence`` gives the arrays a leading axis, one row per
-    measure, and the degree is the last axis.
+    a[0] = 0, so the recurrence holds at n = 0 with p_{-1} = 0; a[1..N],
+    b[0..N-1], gamma[0..N] are meaningful. gamma_{n-1} = a_n gamma_n by
+    construction. A batched ``stieltjes_recurrence`` gives the arrays a
+    leading axis, one row per measure, and the degree is the last axis.
     """
 
     a: np.ndarray
@@ -36,6 +36,10 @@ class RecurrenceTable:
     @property
     def N(self) -> int:
         return self.gamma.shape[-1] - 1
+
+    def row(self, i: int) -> "RecurrenceTable":
+        """The table of measure i of a batched table."""
+        return RecurrenceTable(a=self.a[i], b=self.b[i], gamma=self.gamma[i])
 
 
 def stieltjes_procedure(w: GeneralizedJacobiWeight, t: float, N: int,

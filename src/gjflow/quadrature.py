@@ -23,7 +23,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .errors import BadExponent, DivergentTransform
+from .errors import BadExponent, DivergentTransform, IndexOutOfRange
 from .weights import GeneralizedJacobiWeight, node_data, stage_node_data
 
 DEFAULT_NPTS = 64
@@ -236,10 +236,13 @@ def cauchy_node_matrices(w: GeneralizedJacobiWeight, ts,
     every node with alpha_j > 0, so with all nodes admissible there are
     3(m-1) rules. Points, weights and Q come from a fixed number of array
     operations on the table for all times at once, with no loop over
-    times, pieces or nodes.
+    times, pieces or nodes. Raises IndexOutOfRange for a node index
+    outside 0..m-1 and DivergentTransform for a node with alpha_j <= 0.
     """
     a = w.alpha
     for j in range(w.m) if nodes is None else nodes:
+        if not 0 <= j < w.m:
+            raise IndexOutOfRange(f"node index {j} outside 0..{w.m - 1}")
         if a[j] <= 0.0:
             raise DivergentTransform(
                 f"q(x_{j + 1}) diverges: alpha_{j + 1} = {a[j]} <= 0"
@@ -274,7 +277,8 @@ def stieltjes_at_node(w: GeneralizedJacobiWeight, pvals, j: int, t: float,
     The row of ``cauchy_node_matrix`` for node j applied to pvals at its
     points; other endpoints may have any admissible exponent (the table
     has no singular rules for those with alpha <= 0). Raises
-    DivergentTransform when alpha_j <= 0.
+    IndexOutOfRange unless 0 <= j < m and DivergentTransform when
+    alpha_j <= 0.
     """
     points, _, _, Q = cauchy_node_matrix(w, t, npts, nodes=[j])
     return float(Q[0] @ _eval_on(pvals, points))

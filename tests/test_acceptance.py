@@ -20,7 +20,7 @@ from gjflow import (
     hankel_det,
     init_state,
     ladder_checks,
-    ladder_from_table,
+    ladder_climb,
     ladder_init,
     make_weight,
     moments,
@@ -74,19 +74,18 @@ def test_criterion_1_classical_coefficients():
 def test_criterion_2_ladder_structure():
     started = time.perf_counter()
     w = reference_weight()
-    table = stieltjes_procedure(w, 0.0, 11)
     nd = node_data(w, 0.0)
     sa = w.sum_alpha
     ok = True
     for n in range(11):
         direct = ladder_init(w, 0.0, n)
-        stepped = ladder_from_table(w, table, 0.0, n)
+        stepped = ladder_climb(w, 0.0, n)
         scale = np.maximum(np.abs(direct.theta), 1.0)
         ok &= bool(np.max(np.abs(stepped.theta - direct.theta) / scale) <= 1e-6)
         scale_o = np.maximum(np.abs(direct.omega), 1.0)
         ok &= bool(np.max(np.abs(stepped.omega - direct.omega) / scale_o) <= 1e-6)
 
-        rep = ladder_checks(w, table, direct, 0.0, nsamples=20, seed=n)
+        rep = ladder_checks(w, 0.0, n, nsamples=20, seed=n)
         ok &= rep.diffrel_residual <= 1e-7
         if n >= 1:
             ok &= rep.wronskian_residual <= 1e-8

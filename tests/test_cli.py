@@ -164,6 +164,27 @@ class TestLadder:
         assert resid
         assert float(resid[0].split(":")[1]) < 1e-8
 
+    @pytest.mark.parametrize("cmd", ["ladder", "selftest"])
+    def test_support_narrower_than_the_sample_margin(self, tmp_path, capsys,
+                                                     cmd):
+        # width 0.08: a fixed 0.05 margin left no interval to sample from
+        doc = dict(MOVING3, weight={"alpha": [0.5, 0.5, 0.5],
+                                    "pieces": [1.0, 1.0],
+                                    "trajectory": [[0.0], [0.03], [0.08]]})
+        code = main([cmd, "--config", write_config(tmp_path, doc)])
+        captured = capsys.readouterr()
+        assert code == EXIT_OK
+        assert captured.err == ""
+        if cmd == "selftest":
+            assert "FAIL" not in captured.out
+            assert "PASS ladder_differential_relation" in captured.out
+            return
+        comments, _, rows = read_csv(captured.out)
+        resid = [float(c.split(":")[1]) for c in comments if "resid" in c]
+        assert len(resid) == 5
+        assert np.all(np.isfinite(resid)) and max(resid) < 1e-8
+        assert np.all(np.isfinite(rows))
+
 
 class TestEvolve:
     def test_fixed_endpoints_rows_identical(self, tmp_path, capsys):

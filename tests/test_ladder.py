@@ -1,22 +1,28 @@
+import json
+
 import numpy as np
 import pytest
 
 import gjflow.ladder
+import gjflow.orthopoly
+import gjflow.quadrature
 from gjflow import (
     EndpointTrajectory,
     IndexOutOfRange,
     ZeroCoefficient,
     eval_polynomial,
     ladder_checks,
-    ladder_from_table,
+    ladder_climb,
     ladder_init,
     ladder_step,
     make_weight,
     node_data,
+    pn_time_derivative_check,
     residue_sums,
     stieltjes_at_node,
     stieltjes_procedure,
 )
+from gjflow.cli import main
 from gjflow.quadrature import cauchy_node_matrix
 
 
@@ -80,8 +86,11 @@ class TestLadderInit:
                             aw * pnm1 * qm])
             got = np.array([lv.theta[j], lv.omega[j], lv.theta_prev[j]])
             np.testing.assert_allclose(got, ref, rtol=1e-13, atol=1e-13)
-        rep = ladder_checks(moving6, table, lv, t)
+        rep = ladder_checks(moving6, t, n)
         assert rep.wronskian_residual < 1e-8
+        # the report carries the values it checked, those of ladder_init
+        for name in ("theta", "omega", "theta_prev"):
+            assert np.array_equal(getattr(rep.values, name), getattr(lv, name))
 
     def test_one_recurrence_evaluation_for_all_nodes(self, ref3, moving6,
                                                      monkeypatch):
@@ -133,10 +142,20 @@ class TestLadderInit:
 
 class TestLadderStep:
     def test_matches_init_up_to_ten(self, ref3):
-        table = stieltjes_procedure(ref3, 0.0, 11)
+        self.assert_climb_matches_init(ref3, 0.0)
+
+    def test_moving_weight_away_from_zero(self, moving3):
+        # the start and the coefficients of the climb are both taken at t;
+        # a table from t = 0 climbed here gave theta_3 = (-17.04, -0.54,
+        # -0.04) against (-13.16, -0.41, 3.84)
+        self.assert_climb_matches_init(moving3, 0.5)
+
+    @staticmethod
+    def assert_climb_matches_init(w, t):
         for n in range(11):
-            direct = ladder_init(ref3, 0.0, n)
-            stepped = ladder_from_table(ref3, table, 0.0, n)
+            direct = ladder_init(w, t, n)
+            stepped = ladder_climb(w, t, n)
+            assert stepped.n == n
             assert stepped.theta == pytest.approx(direct.theta, rel=1e-6)
             assert stepped.omega == pytest.approx(direct.omega, rel=1e-6)
             if n >= 1:
@@ -155,11 +174,10 @@ class TestLadderStep:
         assert s2 == pytest.approx(5 + sa / 2.0, rel=1e-8)
 
     def test_degree_above_the_table_rejected(self, ref3):
-        table = stieltjes_procedure(ref3, 0.0, 3)
-        assert ladder_from_table(ref3, table, 0.0, 3).n == 3
-        for n in (4, -1):
-            with pytest.raises(IndexOutOfRange, match=f"degree {n} outside"):
-                ladder_from_table(ref3, table, 0.0, n)
+        # the climb builds its own table to degree n, so only a negative
+        # degree is left to reject
+        with pytest.raises(IndexOutOfRange, match="degree must be >= 0, got -1"):
+            ladder_climb(ref3, 0.0, -1)
 
     def test_zero_coefficient_rejected(self, ref3):
         table = stieltjes_procedure(ref3, 0.0, 3)
@@ -171,19 +189,15 @@ class TestLadderStep:
 
 class TestLadderChecks:
     def test_chebyshev_all_residuals(self, cheb):
-        table = stieltjes_procedure(cheb, 0.0, 11)
         for n in range(11):
-            lv = ladder_init(cheb, 0.0, n)
-            rep = ladder_checks(cheb, table, lv, 0.0)
+            rep = ladder_checks(cheb, 0.0, n)
             assert rep.residue_theta < 1e-9
             assert rep.diffrel_residual < 1e-7
             assert rep.wronskian_residual < 1e-8
 
     def test_m3_wronskian(self, ref3):
-        table = stieltjes_procedure(ref3, 0.0, 9)
         for n in (1, 4, 8):
-            lv = ladder_init(ref3, 0.0, n)
-            rep = ladder_checks(ref3, table, lv, 0.0)
+            rep = ladder_checks(ref3, 0.0, n)
             assert rep.wronskian_residual < 1e-8
             assert rep.residue_x_theta < 1e-8
             assert rep.residue_omega < 1e-8
@@ -219,8 +233,50 @@ def test_diffrel_matches_per_point_reference(which, request):
     table = stieltjes_procedure(w, t, 21)
     for n in (0, 1, 7, 20):
         lv = ladder_init(w, t, n)
-        rep = ladder_checks(w, table, lv, t, seed=n)
+        rep = ladder_checks(w, t, n, seed=n)
         ref = _diffrel_per_point(w, table, lv, t, seed=n)
         assert abs(rep.diffrel_residual - ref) < 1e-12
         assert rep.diffrel_residual < 1e-7
 
+
+def _count_passes(monkeypatch):
+    """Count the Stieltjes passes and the Cauchy matrix builds, wherever
+    they are called from."""
+    calls = {"stieltjes_recurrence": 0, "cauchy_node_matrices": 0}
+
+    def counted(name, fn):
+        def counting(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return counting
+
+    for mod in (gjflow.ladder, gjflow.orthopoly, gjflow.quadrature):
+        for name in calls:
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
+    return calls
+
+
+@pytest.mark.parametrize("cmd, passes", [
+    ("ladder", {"stieltjes_recurrence": 1, "cauchy_node_matrices": 1}),
+    # the Chebyshev coefficient check, the ladder checks, the frozen flow
+    ("selftest", {"stieltjes_recurrence": 3, "cauchy_node_matrices": 2}),
+])
+def test_cli_ladder_queries_build_once(moving6, tmp_path, capsys, monkeypatch,
+                                       cmd, passes):
+    path = tmp_path / "moving6.json"
+    path.write_text(json.dumps({
+        "weight": {"alpha": moving6.alpha.tolist(),
+                   "pieces": moving6.pieces.tolist(),
+                   "trajectory": [list(c) for c in moving6.trajectory.coeffs]},
+        "n": 30, "evolve": {"t0": 0.1, "t1": 0.4}}))
+    calls = _count_passes(monkeypatch)
+    assert main([cmd, "--config", str(path)]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+    assert calls == passes
+
+
+def test_time_derivative_check_builds_once(moving6, monkeypatch):
+    calls = _count_passes(monkeypatch)
+    pn_time_derivative_check(moving6, 30, 0.55, 0.1, 1e-4)
+    assert calls == {"stieltjes_recurrence": 1, "cauchy_node_matrices": 1}

@@ -5,11 +5,13 @@ from gjflow import (
     BadExponent,
     DivergentTransform,
     EndpointTrajectory,
+    IndexOutOfRange,
     gauss_jacobi_rule,
     integrate_against_weight,
     make_weight,
     stieltjes_at_node,
 )
+from gjflow.quadrature import cauchy_node_matrices
 
 
 def reference_moments(a: float, b: float, dmax: int) -> np.ndarray:
@@ -114,6 +116,14 @@ class TestStieltjesAtNode:
         w = make_weight([0.0, 0.5], [1.0], EndpointTrajectory.fixed([-1.0, 1.0]))
         with pytest.raises(DivergentTransform):
             stieltjes_at_node(w, lambda u: np.ones_like(u), 0, 0.0)
+
+    @pytest.mark.parametrize("j", [-1, 3])
+    def test_node_index_outside_the_endpoints(self, ref3, j):
+        # -1 would read the last node and 3 = m would be a bare IndexError
+        with pytest.raises(IndexOutOfRange, match=f"node index {j} outside 0..2"):
+            stieltjes_at_node(ref3, lambda u: np.ones_like(u), j, 0.0)
+        with pytest.raises(IndexOutOfRange, match=f"node index {j} outside"):
+            cauchy_node_matrices(ref3, (0.0, 0.1), nodes=[0, j])
 
     def test_npts_doubling_converged(self, ref3):
         f = lambda u: u ** 3 - u + 0.5
