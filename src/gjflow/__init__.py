@@ -68,6 +68,7 @@ from .weights import (
     EndpointTrajectory,
     GeneralizedJacobiWeight,
     NodeData,
+    NodeFrames,
     barycentric_interpolate,
     make_weight,
     node_data,

@@ -62,13 +62,19 @@ class EvolutionState:
 
     def conserved_sums(self, x: np.ndarray) -> np.ndarray:
         """The five Lagrange leading-coefficient sums conserved by the flow."""
-        return np.array([
-            np.sum(self.theta),
-            np.sum(self.theta_prev),
-            np.sum(x * self.theta),
-            np.sum(x * self.theta_prev),
-            np.sum(self.omega),
-        ])
+        return _conserved_sums(self.pack(), x)
+
+
+def _conserved_sums(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The five conserved sums of packed states y at node positions x: the
+    sums of theta, theta_prev, x * theta, x * theta_prev and omega, along
+    the last axis (rows of y and x are times)."""
+    m = x.shape[-1]
+    theta, theta_prev, omega = (y[..., 3 + i * m:3 + (i + 1) * m]
+                                for i in range(3))
+    return np.stack([np.sum(theta, axis=-1), np.sum(theta_prev, axis=-1),
+                     np.sum(x * theta, axis=-1), np.sum(x * theta_prev, axis=-1),
+                     np.sum(omega, axis=-1)], axis=-1)
 
 
 @dataclass
@@ -89,9 +95,10 @@ def _term_table(m: int):
     Each right-hand side component is a sum of terms coef * z[f1] * z[f2]
     * z[f3] over the factor vector z = [y, U @ B, 1, a^2], where U holds
     the node ratio rows theta, theta_prev, omega of the packed state y and
-    B = [xdot | x * xdot | K] is ``NodeData.basis``; so (U @ B)[i] holds
-    U_i . xdot, U_i . (x * xdot) and K U_i (K is symmetric). Returns the
-    three factor index arrays and the (3 + 3m) x terms coefficient matrix.
+    B = [xdot | x * xdot | K] is one row of ``NodeFrames.basis``; so
+    (U @ B)[i] holds U_i . xdot, U_i . (x * xdot) and K U_i (K is
+    symmetric). Returns the three factor index arrays and the (3 + 3m) x
+    terms coefficient matrix.
     """
     j = np.arange(m)
     th, tp, om = 3 + j, 3 + m + j, 3 + 2 * m + j
@@ -126,20 +133,38 @@ def _term_table(m: int):
     return table
 
 
-def evolution_rhs(y: np.ndarray, nd: NodeData) -> np.ndarray:
-    """Time derivative of the packed state y at the given node data.
+def _factor_buffer(m: int):
+    """Scratch for ``evolution_rhs`` at m endpoints: the factor vector z of
+    ``_term_table(m)`` with its fixed 1.0 in place, and two views into it,
+    the node-ratio rows U (3 x m) and U @ basis (3 x (m + 2))."""
+    k = 3 + 3 * m
+    z = np.empty(k + 3 * (m + 2) + 2)
+    z[-2] = 1.0
+    return z, z[3:k].reshape(3, m), z[k:-2].reshape(3, m + 2)
+
+
+def evolution_rhs(y: np.ndarray, basis: np.ndarray, buf=None) -> np.ndarray:
+    """Time derivative of the packed state y at the frame ``basis``.
 
     ``y`` is ``EvolutionState.pack()``: (a, b, gamma), then theta,
-    theta_prev and omega as the rows of ``U = y[3:].reshape(3, m)``. The
-    system is a polynomial of degree at most 3 in y whose coefficients
-    depend on t only through ``nd.basis``: one ``U @ basis`` gives every
-    dot and kernel product, and the terms of ``_term_table`` turn them into
-    the derivative with three gathers, one product and one matmul.
+    theta_prev and omega as the rows of ``U = y[3:].reshape(3, m)``;
+    ``basis`` is the m x (m + 2) matrix ``[xdot | x * xdot | K]`` of
+    ``NodeData.basis`` or one row of ``NodeFrames.basis``. The system is a
+    polynomial of degree at most 3 in y whose coefficients depend on t only
+    through ``basis``: one ``U @ basis`` gives every dot and kernel
+    product, and the terms of ``_term_table`` turn them into the
+    derivative with three gathers, one product and one matmul.
+
+    The factor vector is written in place into ``buf``, a
+    ``_factor_buffer(m)`` that one integration reuses for all its calls;
+    without it a fresh one is made.
     """
-    m = len(nd.x)
+    m = len(basis)
     f1, f2, f3, coefs = _term_table(m)
-    ub = y[3:].reshape(3, m) @ nd.basis
-    z = np.concatenate((y, ub.ravel(), (1.0, y[0] * y[0])))
+    z, u, ub = _factor_buffer(m) if buf is None else buf
+    z[:len(y)] = y
+    np.matmul(u, basis, out=ub)
+    z[-1] = y[0] * y[0]
     return coefs @ (z[f1] * z[f2] * z[f3])
 
 
@@ -159,7 +184,7 @@ def init_states(w: GeneralizedJacobiWeight, n: int, ts,
         raise InitFailure("evolution requires all exponents alpha_k > 0")
     ts = np.asarray(ts, dtype=float)
     try:
-        table, nds, _, lv = _ladder_nodes(w, ts, n, npts)
+        table, frames, _, _, lv = _ladder_nodes(w, ts, n, npts)
     except Exception as exc:  # noqa: BLE001 - surfaced as one condition
         # the first failing time of the step that failed (ordering check or
         # recurrence); the times before it passed that step, not all steps
@@ -169,7 +194,7 @@ def init_states(w: GeneralizedJacobiWeight, n: int, ts,
             init_states(w, n, ts[:i], npts)
         raise InitFailure(
             f"state initialization failed at t={ts[i]}: {exc}") from exc
-    wprime = np.array([nd.wprime for nd in nds])
+    wprime = frames.wprime
     return np.column_stack((table.a[:, n], table.b[:, n], table.gamma[:, n],
                             lv.theta / wprime, lv.theta_prev / wprime,
                             lv.omega / wprime))
@@ -191,8 +216,10 @@ def evolve(w: GeneralizedJacobiWeight, n: int, t_span, tol=(1e-9, 1e-12),
     m = w.m
     times = np.linspace(t0, t1, sample_count)
 
-    def rhs(nd, y):
-        return evolution_rhs(y, nd)
+    buf = _factor_buffer(m)
+
+    def rhs(basis, y):
+        return evolution_rhs(y, basis, buf)
 
     try:
         ys, stats = integrate_rk45(rhs, _flow_frames(w), t0, t1, state0.pack(),
@@ -207,9 +234,8 @@ def evolve(w: GeneralizedJacobiWeight, n: int, t_span, tol=(1e-9, 1e-12),
                 f"endpoints nearly coincide at t = {exc.t}", t=exc.t) from exc
         raise
     states = [EvolutionState.unpack(t, n, m, y) for t, y in zip(times, ys)]
-    # times[0] is t0 and states[0] is state0, so row 0 holds the sums at t0
-    sums = np.array([s.conserved_sums(nd.x)
-                     for s, nd in zip(states, stage_node_data(w, times))])
+    # times[0] is t0 and ys[0] is state0, so row 0 holds the sums at t0
+    sums = _conserved_sums(ys, stage_node_data(w, times).x)
     drifts = sums - sums[0]
     return EvolutionReport(n=n, times=times, states=states, drifts=drifts,
                            stats=stats)
@@ -294,12 +320,12 @@ def pn_time_derivative_check(w: GeneralizedJacobiWeight, n: int, x: float,
     endpoint x_j(t). One ``_ladder_nodes`` pass at t, t + h and t - h gives
     the three tables, the node positions at t +/- h and the node values at t.
     """
-    tables, nds, _, lv = _ladder_nodes(w, (t, t + h, t - h), n, npts)
+    tables, frames, _, _, lv = _ladder_nodes(w, (t, t + h, t - h), n, npts)
     table, lv, nd = tables.row(0), lv.row(0), node_data(w, t)
     # fixed x off node, then along the node trajectory x_j(t)
     formula = _dp_dt_formula(w, table, lv, nd, n, x)
     formula_j = _dp_dt_formula(w, table, lv, nd, n, nd.x[j], nd.xdot[j])
-    p_plus, p_minus = (eval_polynomial(tables.row(i), n, [x, nds[i].x[j]])[0]
+    p_plus, p_minus = (eval_polynomial(tables.row(i), n, [x, frames.x[i, j]])[0]
                        for i in (1, 2))
     fd, fd_j = ((p_plus - p_minus) / (2.0 * h)).tolist()
     res_off = abs(fd - formula) / max(abs(fd), abs(formula), 1.0)

@@ -57,30 +57,28 @@ def _ladder_nodes(w: GeneralizedJacobiWeight, ts, n: int, npts: int):
     """The ladder node values at the times ts, from one pass.
 
     One ``cauchy_node_matrices`` gives the stacked rule points, the
-    discretized measure, the node data and the Cauchy matrix Q at every
+    discretized measure, the node frames and the Cauchy matrix Q at every
     time. One ``stieltjes_recurrence`` to degree n + 1 over those points
     and the nodes, all times at once, gives the table and p_n, p_{n-1}
     everywhere; Q turns them into q_n, q_{n-1} at the nodes. Returns
-    (table, node data list, (p_n, p_{n-1}, q_n, q_{n-1}) at the nodes,
+    (table, NodeFrames, Q, (p_n, p_{n-1}, q_n, q_{n-1}) at the nodes,
     LadderValues), each with one row per time; the node formula is that
     of ``ladder_init``.
     """
     if n < 0:
         raise IndexOutOfRange(f"degree must be >= 0, got {n}")
-    points, ws, nds, Q = cauchy_node_matrices(w, ts, npts)
-    X = np.array([nd.x for nd in nds])
-    wprime = np.array([nd.wprime for nd in nds])
+    points, ws, frames, Q = cauchy_node_matrices(w, ts, npts)
     table, p, p_prev = stieltjes_recurrence(
-        np.concatenate((points, X), axis=1), ws, n + 1)
+        np.concatenate((points, frames.x), axis=1), ws, n + 1)
     k = Q.shape[-1]
     q = Q @ np.stack((p[:, :k], p_prev[:, :k]), axis=-1)
     pn, pnm1, qn, qm = p[:, k:], p_prev[:, k:], q[..., 0], q[..., 1]
-    aw = w.alpha * wprime
+    aw = w.alpha * frames.wprime
     a_n = table.a[:, n, None]
     theta = aw * pn * qn
     omega = 0.5 * aw + a_n * aw * qn * pnm1  # V(x_j) = alpha_j W'(x_j)/2
     theta_prev = aw * pnm1 * qm if n >= 1 else None
-    return table, nds, (pn, pnm1, qn, qm), LadderValues(
+    return table, frames, Q, (pn, pnm1, qn, qm), LadderValues(
         n=n, theta=theta, omega=omega, theta_prev=theta_prev)
 
 
@@ -124,14 +122,22 @@ def ladder_step(values: LadderValues, x_nodes, a_n: float, a_next: float,
 
 def ladder_climb(w: GeneralizedJacobiWeight, t: float, n: int,
                  npts: int = DEFAULT_NPTS) -> LadderValues:
-    """Climb from the degree-0 initialization at t to degree n via
-    ladder_step alone, on the recurrence coefficients of the
-    ``_ladder_nodes`` pass to degree n at the same t."""
-    table, (nd,), _, _ = _ladder_nodes(w, (t,), n, npts)
-    table = table.row(0)
-    values = ladder_init(w, t, 0, npts)
+    """Climb from the degree-0 node values at t to degree n via ladder_step
+    alone, on the recurrence coefficients of one ``_ladder_nodes`` pass to
+    degree n at the same t.
+
+    The start comes from that pass too: p_0 = gamma_0 is constant, so
+    Theta_0(x_j) = alpha_j W'(x_j) gamma_0^2 (Q @ 1)_j and
+    Omega_0(x_j) = V(x_j) = alpha_j W'(x_j)/2.
+    """
+    table, frames, Q, _, _ = _ladder_nodes(w, (t,), n, npts)
+    table, x = table.row(0), frames.x[0]
+    aw = w.alpha * frames.wprime[0]
+    gamma0 = table.gamma[0]
+    values = LadderValues(n=0, theta=aw * gamma0 * gamma0 * Q[0].sum(axis=-1),
+                          omega=0.5 * aw)
     for k in range(n):
-        values = ladder_step(values, nd.x, table.a[k],
+        values = ladder_step(values, x, table.a[k],
                              float(table.a[k + 1]), float(table.b[k]))
     return values
 
@@ -153,9 +159,9 @@ def ladder_checks(w: GeneralizedJacobiWeight, t: float, n: int,
     ``_ladder_nodes`` pass: the values, the table that p_n is evaluated
     from at the sample points, and p_n, p_{n-1}, q_n, q_{n-1} at the nodes.
     """
-    table, (nd,), (pn_j, pnm1_j, qn_j, qm_j), lv = _ladder_nodes(
+    table, frames, _, (pn_j, pnm1_j, qn_j, qm_j), lv = _ladder_nodes(
         w, (t,), n, npts)
-    table, values = table.row(0), lv.row(0)
+    table, nd, values = table.row(0), frames.row(0), lv.row(0)
     sa = w.sum_alpha
     s0, s1, s2 = residue_sums(values, nd)
     scale = max(np.max(np.abs(values.theta)), 1.0)

@@ -24,7 +24,7 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from .errors import BadExponent, DivergentTransform, IndexOutOfRange
-from .weights import GeneralizedJacobiWeight, node_data, stage_node_data
+from .weights import GeneralizedJacobiWeight, stage_node_data
 
 DEFAULT_NPTS = 64
 
@@ -179,7 +179,8 @@ def _stacked_points(w: GeneralizedJacobiWeight, X: np.ndarray,
 
     Each weight is C_p times the rule weight times half^scale of its piece,
     times |u - x_k|^alpha_k for every endpoint k its rule does not absorb,
-    multiplied in that order of k, one (len(X), stop) factor at a time.
+    multiplied in that order of k, one (len(X), stop) factor at a time; the
+    power is taken only where its factor is used.
     """
     piece = table.piece[:stop]
     # take keeps the rows contiguous (X[:, piece] would be column-major)
@@ -191,8 +192,9 @@ def _stacked_points(w: GeneralizedJacobiWeight, X: np.ndarray,
     for k in range(w.m):
         np.subtract(xs, X[:, k, None], out=fk)
         np.abs(fk, out=fk)
-        np.power(fk, w.alpha[k], out=fk)
-        np.multiply(eff, fk, out=eff, where=table.free[k, :stop])
+        free = table.free[k, :stop]
+        np.power(fk, w.alpha[k], out=fk, where=free)
+        np.multiply(eff, fk, out=eff, where=free)
     return xs, eff
 
 
@@ -203,7 +205,7 @@ def discretized_measure(w: GeneralizedJacobiWeight, t: float, npts: int = DEFAUL
     at t; any exponents > -1 are allowed.
     """
     table = _table(w, npts, singular=False)
-    xs, ws = _stacked_points(w, node_data(w, t).x[None], table, table.nplain)
+    xs, ws = _stacked_points(w, stage_node_data(w, (t,)).x, table, table.nplain)
     return xs[0], ws[0]
 
 
@@ -218,10 +220,10 @@ def cauchy_node_matrices(w: GeneralizedJacobiWeight, ts,
                          npts: int = DEFAULT_NPTS, nodes=None):
     """Cauchy transforms at endpoints as one linear map per time.
 
-    Returns (points, weights, nds, Q) for the times ``ts``: the points of
+    Returns (points, weights, frames, Q) for the times ``ts``: the points of
     every rule in the stacked rule table, one row per time; the effective
     weights of its plain slice (the first ``weights.shape[1]`` points and
-    these weights are ``discretized_measure``); the node data of
+    these weights are ``discretized_measure``); the ``NodeFrames`` of
     ``stage_node_data``; and Q, of shape (times, requested nodes, points),
     with one row per requested node (all m endpoints when ``nodes`` is
     None) such that, at time ts[s] and with j = nodes[i],
@@ -247,8 +249,8 @@ def cauchy_node_matrices(w: GeneralizedJacobiWeight, ts,
             raise DivergentTransform(
                 f"q(x_{j + 1}) diverges: alpha_{j + 1} = {a[j]} <= 0"
             )
-    nds = stage_node_data(w, ts)
-    X = np.array([nd.x for nd in nds])
+    frames = stage_node_data(w, ts)
+    X = frames.x
     table = _table(w, npts, singular=True)
     k = table.nplain
     points, eff = _stacked_points(w, X, table, len(table.s))
@@ -259,15 +261,15 @@ def cauchy_node_matrices(w: GeneralizedJacobiWeight, ts,
     Q[:, table.node, np.arange(k, points.shape[1])] = table.sign * eff[:, k:]
     if nodes is not None:
         Q = Q[:, np.asarray(nodes, dtype=int)]
-    return points, eff[:, :k], nds, Q
+    return points, eff[:, :k], frames, Q
 
 
 def cauchy_node_matrix(w: GeneralizedJacobiWeight, t: float,
                        npts: int = DEFAULT_NPTS, nodes=None):
     """``cauchy_node_matrices`` at the one time t: (points, weights, nd, Q)
     with q(x_j) = Q[i] @ f(points), j = nodes[i]."""
-    points, ws, nds, Q = cauchy_node_matrices(w, (t,), npts, nodes)
-    return points[0], ws[0], nds[0], Q[0]
+    points, ws, frames, Q = cauchy_node_matrices(w, (t,), npts, nodes)
+    return points[0], ws[0], frames.row(0), Q[0]
 
 
 def stieltjes_at_node(w: GeneralizedJacobiWeight, pvals, j: int, t: float,

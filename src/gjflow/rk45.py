@@ -8,12 +8,14 @@ The right-hand side comes in two parts, so that what depends on t alone is
 built once per step instead of once per stage:
 
 - ``frames(ts)`` takes a 1-D array of times and returns a sequence of one
-  frame per time: whatever the state part needs at that time (for the
-  gjflow flows, a ``NodeData``). It is called once with ``[t0]`` and then
-  once per attempted step, accepted or rejected, with the 5 distinct stage
-  times ``t + c_i h`` of the tableau in stage order; the last two stages
-  both sit at ``t + h`` and share one frame. An exception it raises
-  propagates unchanged, so a frame builder may reject a time.
+  frame per time, indexed by stage: whatever the state part needs at that
+  time. For the gjflow flows it is the ``basis`` stack of a ``NodeFrames``,
+  so a frame is one m x (m + 2) row ``[xdot | x * xdot | K]``. It is
+  called once with ``[t0]`` and then once per attempted step, accepted or
+  rejected, with the 5 distinct stage times ``t + c_i h`` of the tableau
+  in stage order; the last two stages both sit at ``t + h`` and share one
+  frame. An exception it raises propagates unchanged, so a frame builder
+  may reject a time.
 - ``rhs(frame, y)`` returns y' at the frame's time. It is called once per
   function evaluation: 1 + 6 per attempted step.
 """

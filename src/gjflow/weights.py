@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import List
 
 import numpy as np
 
@@ -26,17 +25,27 @@ def _horner(cols, t) -> np.ndarray:
     """Polynomial values at t from coefficient columns, highest degree first
     (at least two columns); t is a float or an array that broadcasts
     against a column."""
-    out = cols[0] * t + cols[1]
+    out = cols[0] * t
+    out += cols[1]
     for c in cols[2:]:
-        out = out * t + c
+        out *= t
+        out += c
     return out
 
 
 def _gaps(x: np.ndarray) -> np.ndarray:
-    """x_j - x_k, with 1 on the diagonal."""
-    gaps = x[:, None] - x
-    gaps.flat[::len(x) + 1] = 1.0
+    """x_j - x_k over the last axis of x, with 1 on the diagonal: (..., m, m)."""
+    m = x.shape[-1]
+    gaps = x[..., :, None] - x[..., None, :]
+    gaps.reshape(x.shape[:-1] + (m * m,))[..., ::m + 1] = 1.0
     return gaps
+
+
+def _wprime(x: np.ndarray) -> np.ndarray:
+    """W'(x_j) = prod_{k != j}(x_j - x_k) over the last axis of x, read-only."""
+    wprime = np.prod(_gaps(x), axis=-1)
+    wprime.setflags(write=False)
+    return wprime
 
 
 @dataclass(frozen=True)
@@ -96,13 +105,12 @@ class EndpointTrajectory:
 
 @dataclass(frozen=True)
 class NodeData:
-    """Endpoint positions and velocities at one time.
+    """Endpoint positions and velocities at one time: one row of a
+    ``NodeFrames``, as ``node_data`` returns it.
 
-    ``basis`` is the m x (m + 2) matrix ``[xdot | x * xdot | K]`` that a
-    flow right-hand side multiplies its node ratios by, K being the
-    velocity kernel; it is filled in when the node data is built and is
-    read-only. ``wprime``, the values W'(x_j), is computed when first read
-    and then kept: a flow right-hand side never pays for it.
+    ``basis`` is the read-only m x (m + 2) matrix ``[xdot | x * xdot | K]``,
+    K being the velocity kernel. ``wprime``, the values W'(x_j), is
+    computed when first read and then kept.
     """
 
     t: float
@@ -113,12 +121,38 @@ class NodeData:
     @cached_property
     def wprime(self) -> np.ndarray:
         """W'(x_j) = prod_{k != j}(x_j - x_k)."""
-        return np.prod(_gaps(self.x), axis=1)
+        return _wprime(self.x)
 
     def velocity_kernel(self) -> np.ndarray:
         """Symmetric kernel K[j,k] = (xd_j - xd_k)/(x_j - x_k), K[j,j] = 0,
         as a read-only view of ``basis``."""
         return self.basis[:, 2:]
+
+
+@dataclass(frozen=True)
+class NodeFrames:
+    """Node data at s times as one read-only bundle of arrays.
+
+    ``t`` has shape (s,), ``x`` and ``xdot`` (s, m), and ``basis`` (s, m,
+    m + 2): row i is the matrix ``[xdot | x * xdot | K]`` at ``t[i]`` that
+    a flow right-hand side multiplies its node ratios by, K being the
+    velocity kernel. ``wprime``, the (s, m) values W'(x_j), is computed
+    when first read and then kept: a flow integrator never pays for it.
+    """
+
+    t: np.ndarray
+    x: np.ndarray
+    xdot: np.ndarray
+    basis: np.ndarray = field(repr=False)
+
+    @cached_property
+    def wprime(self) -> np.ndarray:
+        """W'(x_j) = prod_{k != j}(x_j - x_k), one row per time."""
+        return _wprime(self.x)
+
+    def row(self, i: int) -> NodeData:
+        """The node data at time ``t[i]``, as views of row i."""
+        return NodeData(float(self.t[i]), self.x[i], self.xdot[i], self.basis[i])
 
 
 @dataclass(frozen=True)
@@ -167,21 +201,24 @@ def make_weight(alpha, pieces, trajectory, t_ref: float = 0.0) -> GeneralizedJac
     return GeneralizedJacobiWeight(alpha=alpha, pieces=pieces, trajectory=trajectory)
 
 
-def stage_node_data(w: GeneralizedJacobiWeight, ts) -> List[NodeData]:
-    """Node data at each of the times ``ts``, built together.
+def stage_node_data(w: GeneralizedJacobiWeight, ts) -> NodeFrames:
+    """Node data at each of the times ``ts``, built together as one
+    ``NodeFrames``.
 
     One Horner pass over the stacked coefficient columns gives positions
     and velocities at all times, one comparison checks their order, and one
-    (s, m, m) gap tensor gives the velocity kernels; each ``NodeData``
-    comes with its ``basis`` filled in. Per time, the arithmetic is that of
-    a scalar Horner pass and of the scalar kernel formula.
+    (s, m, m) gap tensor gives the velocity kernels in ``basis``. Per time,
+    the arithmetic is that of a scalar Horner pass and of the scalar kernel
+    formula. Every array of the bundle is read-only; ``t`` is a copy of
+    ``ts``.
 
     Raises NonDistinctEndpoints, carrying its ``t``, at the first time
     whose positions are not strictly increasing.
     """
-    ts = np.asarray(ts, dtype=float)
+    ts = np.array(ts, dtype=float)
     m = w.m
     xv = _horner(w.trajectory._cols, ts[:, None])
+    xv.setflags(write=False)
     x, xd = xv[:, :m], xv[:, m:]
     bad = x[:, :-1] >= x[:, 1:]
     if bad.any():
@@ -192,30 +229,29 @@ def stage_node_data(w: GeneralizedJacobiWeight, ts) -> List[NodeData]:
     basis = np.empty((len(ts), m, m + 2))
     basis[:, :, 0] = xd
     np.multiply(x, xd, out=basis[:, :, 1])
-    gaps = x[:, :, None] - x[:, None, :]
-    gaps.reshape(len(ts), m * m)[:, ::m + 1] = 1.0
-    np.divide(xd[:, :, None] - xd[:, None, :], gaps, out=basis[:, :, 2:])
+    np.divide(xd[:, :, None] - xd[:, None, :], _gaps(x), out=basis[:, :, 2:])
     basis.setflags(write=False)
-    return [NodeData(t=t, x=xi, xdot=xdi, basis=bi)
-            for t, xi, xdi, bi in zip(ts.tolist(), x, xd, basis)]
+    ts.setflags(write=False)
+    return NodeFrames(t=ts, x=x, xdot=xd, basis=basis)
 
 
 def node_data(w: GeneralizedJacobiWeight, t: float) -> NodeData:
-    """Node data at time t: ``stage_node_data`` at one time.
+    """Node data at time t: row 0 of ``stage_node_data`` at one time.
 
     Raises NonDistinctEndpoints unless the positions are strictly
     increasing. ``NodeData.wprime`` is computed when first read.
     """
-    return stage_node_data(w, (t,))[0]
+    return stage_node_data(w, (t,)).row(0)
 
 
 def _flow_frames(w: GeneralizedJacobiWeight):
-    """The ``frames`` callable of a flow integrator: ``stage_node_data``,
-    where endpoints that lose their order during integration are an
+    """The ``frames`` callable of a flow integrator: the ``basis`` stack of
+    ``stage_node_data``, so the frame of stage time i is ``basis[i]``.
+    Endpoints that lose their order during integration are an
     EndpointCollision at the first such stage time."""
     def frames(ts):
         try:
-            return stage_node_data(w, ts)
+            return stage_node_data(w, ts).basis
         except NonDistinctEndpoints as exc:
             raise EndpointCollision(str(exc), t=exc.t) from exc
     return frames

@@ -139,7 +139,7 @@ def test_criterion_5_rhs_order():
     started = time.perf_counter()
     w = moving_weight()
     s = init_state(w, 5, 0.1)
-    rhs = evolution_rhs(s.pack(), node_data(w, 0.1))
+    rhs = evolution_rhs(s.pack(), node_data(w, 0.1).basis)
     errs = []
     for h in (1e-3, 5e-4):
         fd = (init_state(w, 5, 0.1 + h).pack()

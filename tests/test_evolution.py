@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -20,12 +22,17 @@ from gjflow import (
     pn_time_derivative_check,
     verify_against_direct,
 )
+from gjflow.cli import parse_config
+from gjflow.momentflow import (beta_exponents, evolve_moments, moment_rhs,
+                               nu_by_quadrature)
+from gjflow.rk45 import integrate_rk45
+from test_cli import M4_CONFIG, M6_CONFIG, README_CONFIG
 
 
 class TestEvolutionRhs:
     def test_fixed_endpoints_zero_rhs(self, ref3):
         s = init_state(ref3, 4, 0.0)
-        d = evolution_rhs(s.pack(), node_data(ref3, 0.0))
+        d = evolution_rhs(s.pack(), node_data(ref3, 0.0).basis)
         assert np.max(np.abs(d)) < 1e-12
 
     def test_translation(self):
@@ -33,7 +40,7 @@ class TestEvolutionRhs:
                         EndpointTrajectory.affine([-1.0, 0.2, 1.0],
                                                   [1.0, 1.0, 1.0]))
         s = init_state(w, 4, 0.0)
-        d = evolution_rhs(s.pack(), node_data(w, 0.0))
+        d = evolution_rhs(s.pack(), node_data(w, 0.0).basis)
         assert abs(d[0]) < 1e-10          # a_dot
         assert d[1] == pytest.approx(1.0, abs=1e-10)   # b_dot
         assert np.max(np.abs(d[3:])) < 1e-10           # node ratios frozen
@@ -43,7 +50,7 @@ class TestEvolutionRhs:
         w = make_weight([0.5, 0.5, 0.5], [1.0, 1.0],
                         EndpointTrajectory.affine(pts, pts))
         s = init_state(w, 4, 0.0)
-        d = evolution_rhs(s.pack(), node_data(w, 0.0))
+        d = evolution_rhs(s.pack(), node_data(w, 0.0).basis)
         assert d[0] / s.a == pytest.approx(1.0, abs=1e-10)
         assert d[1] == pytest.approx(s.b, abs=1e-10)
 
@@ -91,7 +98,7 @@ class TestPackedRhs:
             y = rng.standard_normal(3 + 3 * m)
             s = EvolutionState.unpack(0.05, 4, m, y)
             ref = _rhs_reference(s, nd)
-            got = evolution_rhs(y, nd)
+            got = evolution_rhs(y, nd.basis)
             assert np.max(np.abs(got - ref) / np.maximum(np.abs(ref), 1.0)) < 1e-14
             assert np.array_equal(y, s.pack())      # y is not written
 
@@ -109,6 +116,62 @@ def test_unpack_only_at_samples(moving3, monkeypatch):
     rep = evolve(moving3, 5, (0.0, 0.3), sample_count=7)
     assert rep.stats.fevals > 7
     assert calls == list(rep.times)
+
+
+def test_rhs_runs_once_per_feval(moving3, monkeypatch):
+    # the benchmark's evolution_rhs span counts fevals through this binding
+    calls = []
+    original = gjflow.evolution.evolution_rhs
+
+    def counting(*args):
+        calls.append(args[1].shape)
+        return original(*args)
+
+    monkeypatch.setattr(gjflow.evolution, "evolution_rhs", counting)
+    rep = evolve(moving3, 5, (0.0, 0.3), sample_count=7)
+    assert len(calls) == rep.stats.fevals > 7
+    assert set(calls) == {(3, 5)}           # one (m, m + 2) frame per call
+
+
+def _per_stage_frames(w):
+    """A flow's frames, each from its own ``node_data`` call."""
+    return lambda ts: [node_data(w, t).basis for t in ts]
+
+
+@pytest.mark.parametrize("doc", [README_CONFIG, M4_CONFIG, M6_CONFIG],
+                         ids=["readme", "m4", "m6"])
+class TestFramesBundle:
+    """The flows read their frames from one bundle per attempt and reuse
+    one RHS buffer; both must give what per-stage node data gives."""
+
+    @staticmethod
+    def _load(doc):
+        cfg = parse_config(json.dumps(doc))
+        opts = dict(rtol=cfg.rtol, atol=cfg.atol)
+        return cfg, cfg.weight(), (cfg.t0, cfg.t1), opts
+
+    def test_evolve_bit_for_bit(self, doc):
+        cfg, w, span, opts = self._load(doc)
+        rep = evolve(w, cfg.n, span, tol=(cfg.rtol, cfg.atol),
+                     sample_count=cfg.samples)
+        ys, stats = integrate_rk45(
+            lambda basis, y: evolution_rhs(y, basis), _per_stage_frames(w),
+            *span, init_state(w, cfg.n, cfg.t0).pack(), sample_times=rep.times,
+            **opts)
+        assert stats == rep.stats
+        assert np.array_equal(np.array([s.pack() for s in rep.states]), ys)
+
+    def test_evolve_moments_bit_for_bit(self, doc):
+        cfg, w, span, opts = self._load(doc)
+        states, stats = evolve_moments(w, cfg.n, span, tol=(cfg.rtol, cfg.atol),
+                                       sample_count=cfg.samples)
+        beta = beta_exponents(cfg.n, w.m)
+        ys, ref_stats = integrate_rk45(
+            lambda basis, nu: moment_rhs(nu, basis, w.alpha, beta),
+            _per_stage_frames(w), *span, nu_by_quadrature(w, cfg.n, cfg.t0),
+            sample_times=np.linspace(*span, cfg.samples), **opts)
+        assert stats == ref_stats
+        assert np.array_equal(np.array([s.nu for s in states]), ys)
 
 
 def test_drifts_match_per_sample_node_data(moving3):
@@ -284,7 +347,7 @@ class TestInitStates:
 class TestRhsFiniteDifference:
     def test_observed_order(self, moving3):
         s = init_state(moving3, 5, 0.1)
-        rhs = evolution_rhs(s.pack(), node_data(moving3, 0.1))
+        rhs = evolution_rhs(s.pack(), node_data(moving3, 0.1).basis)
         errs = []
         for h in (1e-3, 5e-4):
             sp = init_state(moving3, 5, 0.1 + h).pack()

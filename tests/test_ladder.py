@@ -276,6 +276,13 @@ def test_cli_ladder_queries_build_once(moving6, tmp_path, capsys, monkeypatch,
     assert calls == passes
 
 
+def test_ladder_climb_builds_once(moving6, monkeypatch):
+    # the degree-0 start comes from the same pass as the coefficients
+    calls = _count_passes(monkeypatch)
+    ladder_climb(moving6, 0.1, 30)
+    assert calls == {"stieltjes_recurrence": 1, "cauchy_node_matrices": 1}
+
+
 def test_time_derivative_check_builds_once(moving6, monkeypatch):
     calls = _count_passes(monkeypatch)
     pn_time_derivative_check(moving6, 30, 0.55, 0.1, 1e-4)

@@ -27,7 +27,7 @@ class TestMomentRhs:
     def test_fixed_endpoints_zero(self, ref3):
         nd = node_data(ref3, 0.0)
         nu = nu_by_quadrature(ref3, 2, 0.0)
-        d = moment_rhs(nu, nd, ref3.alpha, beta_exponents(2, ref3.m))
+        d = moment_rhs(nu, nd.basis, ref3.alpha, beta_exponents(2, ref3.m))
         assert np.max(np.abs(d)) == 0.0
 
     def test_translation_zero(self):
@@ -35,14 +35,14 @@ class TestMomentRhs:
                         EndpointTrajectory.affine([-1.0, 1.0], [1.0, 1.0]))
         nd = node_data(w, 0.0)
         nu = nu_by_quadrature(w, 3, 0.0)
-        d = moment_rhs(nu, nd, w.alpha, beta_exponents(3, w.m))
+        d = moment_rhs(nu, nd.basis, w.alpha, beta_exponents(3, w.m))
         assert np.max(np.abs(d)) == 0.0
 
     def test_matches_finite_difference(self, stretching2):
         n, t, h = 2, 0.1, 1e-5
         nd = node_data(stretching2, t)
         nu = nu_by_quadrature(stretching2, n, t)
-        d = moment_rhs(nu, nd, stretching2.alpha, beta_exponents(n, 2))
+        d = moment_rhs(nu, nd.basis, stretching2.alpha, beta_exponents(n, 2))
         fd = (nu_by_quadrature(stretching2, n, t + h)
               - nu_by_quadrature(stretching2, n, t - h)) / (2 * h)
         assert d == pytest.approx(fd, rel=1e-6)

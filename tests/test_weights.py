@@ -117,9 +117,11 @@ class TestStageNodeData:
             for k, p in enumerate(np.linspace(-2.0, 2.0, m)))
         w = make_weight(np.full(m, 0.5), np.ones(m - 1), EndpointTrajectory(coeffs))
         ts = np.array([-0.8, -0.3, -1e-3, 0.0, 0.25, 0.6])
-        nds = stage_node_data(w, ts)
-        assert len(nds) == len(ts)
-        for t, nd in zip(ts, nds):
+        frames = stage_node_data(w, ts)
+        assert np.array_equal(frames.t, ts)
+        assert frames.basis.shape == (len(ts), m, m + 2)
+        assert "wprime" not in vars(frames)           # not computed yet
+        for i, t in enumerate(ts):
             x = np.array([npoly.polyval(t, c) for c in coeffs])
             xd = np.array([npoly.polyval(t, npoly.polyder(c)) for c in coeffs])
             K = np.zeros((m, m))
@@ -127,15 +129,27 @@ class TestStageNodeData:
                 for k in range(m):
                     if k != j:
                         K[j, k] = (xd[j] - xd[k]) / (x[j] - x[k])
-            assert nd.t == t
-            assert np.array_equal(nd.x, x)
-            assert np.array_equal(nd.xdot, xd)
-            assert np.array_equal(nd.velocity_kernel(), K)
-            assert np.array_equal(nd.basis[:, 0], xd)
-            assert np.array_equal(nd.basis[:, 1], x * xd)
+            gaps = x[:, None] - x
+            np.fill_diagonal(gaps, 1.0)
+            assert np.array_equal(frames.x[i], x)
+            assert np.array_equal(frames.xdot[i], xd)
+            assert np.array_equal(frames.basis[i, :, 0], xd)
+            assert np.array_equal(frames.basis[i, :, 1], x * xd)
+            assert np.array_equal(frames.basis[i, :, 2:], K)
+            assert np.array_equal(frames.wprime[i], np.prod(gaps, axis=1))
+            # the one-time view equals the row, field by field
             one = node_data(w, t)
-            assert np.array_equal(one.x, x) and np.array_equal(one.basis, nd.basis)
-        assert not nds[0].basis.flags.writeable
+            assert one.t == t and isinstance(one.t, float)
+            for name in ("x", "xdot", "basis", "wprime"):
+                assert np.array_equal(getattr(one, name), getattr(frames, name)[i])
+            assert np.array_equal(one.velocity_kernel(), K)
+            row = frames.row(i)
+            assert row.t == t and np.array_equal(row.basis, frames.basis[i])
+        assert frames.wprime is frames.wprime         # computed once
+        for arr in (frames.t, frames.x, frames.xdot, frames.basis, frames.wprime):
+            assert not arr.flags.writeable
+        assert not np.shares_memory(frames.t, ts)     # the caller's times stay writable
+        assert ts.flags.writeable
 
     def test_first_bad_time_is_reported(self):
         # x_2 = 0.2 + 4t meets x_3 = 1 at t = 0.2
