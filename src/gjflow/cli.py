@@ -13,6 +13,7 @@ import argparse
 import json
 import sys
 from dataclasses import asdict, dataclass
+from functools import lru_cache
 from typing import List, Optional
 
 import numpy as np
@@ -409,7 +410,10 @@ def run_command(cmd: str, cfg: RunConfig, out) -> int:
         return EXIT_NUMERICAL
 
 
-def main(argv=None) -> int:
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it
+    unchanged, and building it costs more than a parse."""
     parser = argparse.ArgumentParser(
         prog="gjflow",
         description="Recurrence-coefficient deformation flows for "
@@ -429,7 +433,11 @@ def main(argv=None) -> int:
                         help="assert npts-doubling convergence")
     parser.add_argument("--strict", action="store_true",
                         help="reject unknown config keys")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
 
     try:
         if args.config is not None:

@@ -89,12 +89,16 @@ def integrate_rk45(rhs: Callable[[Any, np.ndarray], np.ndarray],
     if np.any(direction * np.diff(sample_times) < 0):
         raise ValueError("sample times must be ordered toward t1")
     h_floor = min_step_frac * abs(span)
+    sample_times = sample_times.tolist()  # read one at a time as floats
 
     stats = IntegrationStats()
     out = np.empty((len(sample_times), len(y)))
     t = t0
     ks = np.empty((7, len(y)))
+    # stage i reads rows 0..i-1; these views follow ks as it is written
+    heads = [(_A[i], ks[:i], f) for i, f in enumerate(_STAGE_FRAME, start=1)]
     ks[0] = rhs(frames(np.array([t0]))[0], y)  # FSAL: row 0 is y' at t
+    abs_y = np.abs(y)
     stats.fevals += 1
     # conservative initial step; the controller adapts within a few steps
     h = direction * max(min(abs(span) * 1e-3, 1e-2), h_floor)
@@ -111,19 +115,28 @@ def integrate_rk45(rhs: Callable[[Any, np.ndarray], np.ndarray],
         hit = direction * (t + h) >= direction * target
         h_try = target - t if hit else h
         stage_frames = frames(t + _C_STAGES * h_try)
-        for i, f in enumerate(_STAGE_FRAME, start=1):
-            yi = y + h_try * (_A[i] @ ks[:i])
+        # each combination is y + h * (a @ k), scaled and added in place
+        for i, (a, k, f) in enumerate(heads, start=1):
+            yi = np.dot(a, k)
+            yi *= h_try
+            yi += y
             ks[i] = rhs(stage_frames[f], yi)
         stats.fevals += 6
-        y_new = y + h_try * (_B5 @ ks)  # FSAL: stage 7 was evaluated at y_new
-        err_vec = h_try * (_E @ ks)
-        tol = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
-        scaled = err_vec / tol
-        err = math.sqrt(float(scaled @ scaled) / len(scaled))
+        y_new = np.dot(_B5, ks)  # FSAL: stage 7 was evaluated at y_new
+        y_new *= h_try
+        y_new += y
+        scaled = np.dot(_E, ks)
+        scaled *= h_try
+        abs_new = np.abs(y_new)
+        tol = np.maximum(abs_y, abs_new)
+        tol *= rtol
+        tol += atol
+        scaled /= tol
+        err = math.sqrt(float(np.dot(scaled, scaled)) / len(scaled))
         if err <= 1.0:
             t_new = target if hit else t + h_try
             stats.accepted += 1
-            t, y = t_new, y_new
+            t, y, abs_y = t_new, y_new, abs_new
             ks[0] = ks[6]
             if hit:
                 while isample < len(sample_times) and sample_times[isample] == t:

@@ -221,7 +221,7 @@ def stage_node_data(w: GeneralizedJacobiWeight, ts) -> NodeFrames:
     xv.setflags(write=False)
     x, xd = xv[:, :m], xv[:, m:]
     bad = x[:, :-1] >= x[:, 1:]
-    if bad.any():
+    if np.count_nonzero(bad):  # cheaper than bad.any() on this small view
         i = int(np.argmax(bad.any(axis=1)))
         t = float(ts[i])
         raise NonDistinctEndpoints(

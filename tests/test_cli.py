@@ -8,6 +8,7 @@ from gjflow.cli import (
     EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_VERIFY,
+    _parser,
     main,
     parse_config,
 )
@@ -310,6 +311,36 @@ class TestSelftest:
         out = capsys.readouterr().out
         assert "PASS gauss_jacobi_mass" in out
         assert "FAIL" not in out
+
+
+def test_parser_reuse_keeps_every_call_identical(tmp_path, capsys):
+    # one parser serves every main call of a process; a run of calls must
+    # read as if each had built its own, usage errors and --help included
+    cheb = write_config(tmp_path, CHEB)
+    calls = [["coeffs", "--config", cheb], ["--help"], ["nosuchcommand"],
+             ["coeffs", "--config", cheb, "--n", "3"], ["coeffs"],
+             ["ladder", "--config", cheb, "--npts", "bad"],
+             ["coeffs", "--config", cheb]]
+
+    def run(fresh):
+        seen = []
+        for argv in calls + calls:
+            if fresh:
+                _parser.cache_clear()
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = ("exit", exc.code)
+            seen.append((code, *capsys.readouterr()))
+        return seen
+
+    fresh, reused = run(True), run(False)
+    assert reused == fresh
+    assert [c for c, _, _ in fresh[:len(calls)]] == [
+        EXIT_OK, ("exit", 0), ("exit", 2), EXIT_OK, EXIT_CONFIG, ("exit", 2),
+        EXIT_OK]
+    assert fresh[1][1].startswith("usage: gjflow ")
+    assert "invalid choice: 'nosuchcommand'" in fresh[2][2]
 
 
 class TestErrorPaths:
