@@ -8,6 +8,8 @@ precision, to 1e-12 in the relative metric of ``verify`` (absolute
 floor 1); random configs to 1e-11 (see ``PROPERTY_TOL``).
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -18,12 +20,21 @@ from gjflow import (
     DivergentTransform,
     EndpointTrajectory,
     discretized_measure,
+    gauss_jacobi_rule,
     init_state,
     init_states,
     make_weight,
+    quadrature,
     stieltjes_at_node,
 )
-from gjflow.quadrature import _rule_cached, _rule_table, cauchy_node_matrix
+from gjflow.quadrature import (
+    _RuleCache,
+    _build_rules,
+    _monic_jacobi_recurrence,
+    _rule_cached,
+    _rule_table,
+    cauchy_node_matrix,
+)
 
 TOL = 1e-12
 # Random configs reach the float64 noise floor of init_state in this metric:
@@ -178,3 +189,127 @@ class TestEdges:
 
     def test_table_cache_is_small(self):
         assert _rule_table.cache_info().maxsize <= 4
+
+
+def _scalar_recurrence(n, a, b):
+    """The per-rule recurrence formulas, one exponent pair at a time."""
+    ab = a + b
+    diag, beta = np.empty(n), np.empty(n)
+    diag[0] = (b - a) / (ab + 2.0)
+    beta[0] = 2.0 ** (ab + 1.0) * math.exp(
+        math.lgamma(a + 1.0) + math.lgamma(b + 1.0) - math.lgamma(ab + 2.0))
+    if n > 1:
+        diag[1] = (b * b - a * a) / ((2.0 + ab) * (4.0 + ab))
+        beta[1] = 4.0 * (a + 1.0) * (b + 1.0) / ((ab + 2.0) ** 2 * (ab + 3.0))
+    for k in range(2, n):
+        s = 2.0 * k + ab
+        diag[k] = (b * b - a * a) / (s * (s + 2.0))
+        beta[k] = 4.0 * k * (k + a) * (k + b) * (k + ab) / (s * s * (s + 1.0) * (s - 1.0))
+    return diag, beta
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """The exponent pairs of every ``_build_rules`` call, one list per call."""
+    calls = []
+
+    def counted(npts, pairs):
+        calls.append(list(pairs))
+        return _build_rules(npts, pairs)
+
+    monkeypatch.setattr(quadrature, "_build_rules", counted)
+    return calls
+
+
+class TestRuleCache:
+    @pytest.mark.parametrize("n", [1, 2, 3, 65])
+    def test_batched_recurrence_is_the_per_rule_one(self, n):
+        a = np.array([0.3, -0.9, 1.5, 0.0, -0.5])
+        b = np.array([1.2, -0.9, -0.8, 0.0, 0.5])
+        diag, beta = _monic_jacobi_recurrence(n, a, b)
+        for j in range(len(a)):
+            ref = _scalar_recurrence(n, float(a[j]), float(b[j]))
+            assert np.array_equal(diag[:, j], ref[0])
+            assert np.array_equal(beta[:, j], ref[1])
+
+    def test_table_miss_builds_the_fresh_rules_in_one_pass(self, builds):
+        # exponents no other test uses
+        w = make_weight([0.37, 1.41, 0.83, 1.07], [1.0, 1.0, 1.0],
+                        EndpointTrajectory.fixed([-1.0, 0.1, 0.5, 1.0]))
+        cauchy_node_matrix(w, 0.0, 19)
+        assert len(builds) == 1 and len(builds[0]) == 3 * (w.m - 1)
+        # a new table (plain rules only) whose rules are all cached
+        before = _rule_cached.cache_info()
+        discretized_measure(w, 0.0, 19)
+        after = _rule_cached.cache_info()
+        assert len(builds) == 1
+        assert (after.hits - before.hits, after.misses - before.misses) == (w.m - 1, 0)
+        # a table with one fresh rule builds that one alone
+        w2 = make_weight([0.37, 1.41, 0.83, 1.09], [1.0, 1.0, 1.0],
+                         EndpointTrajectory.fixed([-1.0, 0.1, 0.5, 1.0]))
+        discretized_measure(w2, 0.0, 19)
+        assert builds[1:] == [[(0.83, 1.09)]]
+
+    def test_duplicate_pairs_are_built_once(self, builds):
+        w = make_weight([0.59, 0.59, 0.59, 0.59], [1.0, 2.0, 0.5],
+                        EndpointTrajectory.fixed([-1.0, 0.1, 0.5, 1.0]))
+        before = _rule_cached.cache_info()
+        points, _, _, _ = cauchy_node_matrix(w, 0.0, 13)
+        after = _rule_cached.cache_info()
+        # 9 rules, 3 distinct: (a, a), (a - 1, a) and (a, a - 1)
+        assert len(builds) == 1 and len(builds[0]) == 3
+        assert len(set(builds[0])) == 3
+        assert (after.hits - before.hits, after.misses - before.misses) == (6, 3)
+        assert points.shape == (9 * 13,)
+
+    def test_gauss_jacobi_rule_is_the_table_slice(self, builds):
+        alpha = (0.43, 1.17, 0.61)
+        npts = 23
+        table = _rule_table(alpha, npts, True)
+        rules = [(alpha[0], alpha[1]), (alpha[1], alpha[2]),
+                 (alpha[0] - 1.0, alpha[1]), (alpha[0], alpha[1] - 1.0),
+                 (alpha[1] - 1.0, alpha[2]), (alpha[1], alpha[2] - 1.0)]
+        assert builds == [rules]
+        for i, (bl, br) in enumerate(rules):
+            part = slice(i * npts, (i + 1) * npts)
+            rule = gauss_jacobi_rule(npts, bl, br)
+            assert np.array_equal(rule.nodes, table.s[part])
+            assert np.array_equal(rule.weights, table.wts[part])
+            # built alone, the rule is the same to the bit
+            alone_nodes, alone_weights = _build_rules(npts, [(bl, br)])[0]
+            assert np.array_equal(alone_nodes, table.s[part])
+            assert np.array_equal(alone_weights, table.wts[part])
+        assert len(builds) == 1  # gauss_jacobi_rule found every rule cached
+
+    def test_least_recently_used_rules_are_dropped(self):
+        cache = _RuleCache(maxsize=3)
+        pairs = [(0.1, 0.2), (0.3, 0.4), (0.5, 0.6), (0.7, 0.8)]
+        # more distinct rules than the cache holds, all returned
+        got = cache.rules(5, pairs)
+        assert [g[0].shape for g in got] == [(5,)] * 4
+        assert cache.cache_info() == (0, 4, 3, 3)
+        cache.rules(5, [(0.3, 0.4)])  # a hit, now the most recent
+        cache.rules(5, [(0.1, 0.2)])  # dropped above: built again, drops (0.5, 0.6)
+        assert cache.cache_info() == (1, 5, 3, 3)
+        cache.rules(5, [(0.3, 0.4), (0.1, 0.2), (0.7, 0.8)])
+        assert cache.cache_info() == (4, 5, 3, 3)
+
+    def test_rule_cache_is_bounded(self):
+        info = _rule_cached.cache_info()
+        assert info.maxsize == 512
+        assert info.currsize <= 512
+
+    def test_unconverged_eigenvalues_raise(self, monkeypatch):
+        monkeypatch.setattr(quadrature, "dsterf",
+                            lambda d, e: (np.zeros_like(d), 3))
+        cache = _RuleCache(maxsize=8)
+        with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+            cache.rules(6, [(0.25, 0.75)])
+        assert cache.cache_info().currsize == 0
+
+    @pytest.mark.parametrize("pair", [(np.nan, 0.5), (0.3, np.nan), (np.inf, 0.0)])
+    def test_nonfinite_exponents_raise(self, pair):
+        # dsterf returns wrong or NaN eigenvalues with info 0 for some
+        # non-finite inputs; the builder refuses them before the solve
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match="not finite"):
+            _RuleCache(maxsize=8).rules(5, [pair])
