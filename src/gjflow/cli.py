@@ -31,7 +31,7 @@ from .ladder import ladder_checks
 from .momentflow import evolve_moments, nu_by_quadrature
 from .orthopoly import moments, stieltjes_procedure
 from .quadrature import DEFAULT_NPTS, gauss_jacobi_rule, integrate_against_weight
-from .weights import EndpointTrajectory, make_weight, node_data
+from .weights import EndpointTrajectory, make_weight
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -246,9 +246,8 @@ def cmd_ladder(cfg: RunConfig, out) -> int:
     if report is None:
         return EXIT_VERIFY
     lv = report.values
-    nd = node_data(w, cfg.t0)
     rows = [
-        (j + 1, nd.x[j], lv.theta[j],
+        (j + 1, report.x[j], lv.theta[j],
          lv.theta_prev[j] if lv.theta_prev is not None else 0.0, lv.omega[j])
         for j in range(w.m)
     ]

@@ -6,12 +6,13 @@ theta_prev_j = Theta_{n-1}(x_j)/W'(x_j), omega_j = Omega_n(x_j)/W'(x_j).
 The integrator carries it packed, as the vector
 (a, b, gamma, theta, theta_prev, omega) of length 3 + 3m that
 ``EvolutionState.pack`` returns; ``EvolutionState`` itself is built only at
-the sample times. The closed system of ODEs in t is integrated with an
-embedded RK 4(5) pair and cross-validated against full recomputation from
-quadrature: ``init_states`` rebuilds the states at any number of times
-from the stacked absorbed rules with one Stieltjes recurrence over all of
-them, which yields the coefficients and p_n, p_{n-1} at the rule points
-and nodes alike.
+the sample times. The closed system of ODEs in t is integrated with the
+Dormand-Prince 8(5,3) pair of ``rk45``, sampled through its dense output,
+and cross-validated against full recomputation from quadrature:
+``init_states`` rebuilds the states at any number of times from the
+stacked absorbed rules with one Stieltjes recurrence over all of them,
+which yields the coefficients and p_n, p_{n-1} at the rule points and
+nodes alike.
 """
 
 from __future__ import annotations

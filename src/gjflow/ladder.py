@@ -43,7 +43,7 @@ class LadderValues:
 @dataclass(frozen=True)
 class LadderReport:
     """Residuals of the structural identities, all relative, and the node
-    values they were taken on."""
+    positions and values they were taken on."""
 
     residue_theta: float        # sum Theta_n(x_j)/W'(x_j)  (should be 0)
     residue_x_theta: float      # sum x_j Theta_n(x_j)/W'(x_j) vs 2n+1+sum(alpha)
@@ -51,6 +51,7 @@ class LadderReport:
     diffrel_residual: float     # W p_n' - (Omega_n - V) p_n + a_n Theta_n p_{n-1}
     wronskian_residual: float   # a_n (p_n q_{n-1} - p_{n-1} q_n) - 1 at nodes
     values: LadderValues
+    x: np.ndarray               # node positions x_j at t
 
 
 def _ladder_nodes(w: GeneralizedJacobiWeight, ts, n: int, npts: int):
@@ -156,8 +157,9 @@ def ladder_checks(w: GeneralizedJacobiWeight, t: float, n: int,
     """Node values of degree n at t with the residuals of the residue sums,
     the differential relation, and the Wronskian-type identity
     a_n (p_n q_{n-1} - p_{n-1} q_n) = 1 at the nodes, all from one
-    ``_ladder_nodes`` pass: the values, the table that p_n is evaluated
-    from at the sample points, and p_n, p_{n-1}, q_n, q_{n-1} at the nodes.
+    ``_ladder_nodes`` pass: the values, the node positions, the table that
+    p_n is evaluated from at the sample points, and p_n, p_{n-1}, q_n,
+    q_{n-1} at the nodes.
     """
     table, frames, _, (pn_j, pnm1_j, qn_j, qm_j), lv = _ladder_nodes(
         w, (t,), n, npts)
@@ -193,4 +195,4 @@ def ladder_checks(w: GeneralizedJacobiWeight, t: float, n: int,
         wron = float(np.max(np.abs(a_n * (pn_j * qm_j - pnm1_j * qn_j) - 1.0)))
     return LadderReport(residue_theta=r_theta, residue_x_theta=r_x_theta,
                         residue_omega=r_omega, diffrel_residual=diffrel,
-                        wronskian_residual=wron, values=values)
+                        wronskian_residual=wron, values=values, x=nd.x)

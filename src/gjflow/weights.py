@@ -175,8 +175,9 @@ class GeneralizedJacobiWeight:
 def make_weight(alpha, pieces, trajectory, t_ref: float = 0.0) -> GeneralizedJacobiWeight:
     """Build and validate a generalized Jacobi weight.
 
-    Raises BadExponent if some alpha_k <= -1, BadConstant if some C_j <= 0,
-    NonDistinctEndpoints if the trajectory is not strictly ordered at t_ref.
+    Raises BadExponent unless every alpha_k is finite and > -1, BadConstant
+    unless every C_j is finite and > 0, NonDistinctEndpoints if the
+    trajectory is not strictly ordered at t_ref.
     """
     alpha = np.asarray(alpha, dtype=float)
     pieces = np.asarray(pieces, dtype=float)
@@ -189,10 +190,12 @@ def make_weight(alpha, pieces, trajectory, t_ref: float = 0.0) -> GeneralizedJac
         raise NonDistinctEndpoints(
             f"trajectory has {trajectory.m} endpoints, expected {m}"
         )
-    if np.any(alpha <= -1.0):
-        raise BadExponent(f"exponents must be > -1, got {alpha.tolist()}")
-    if np.any(pieces <= 0.0):
-        raise BadConstant(f"piece constants must be > 0, got {pieces.tolist()}")
+    if not np.all(np.isfinite(alpha) & (alpha > -1.0)):
+        raise BadExponent(
+            f"exponents must be finite and > -1, got {alpha.tolist()}")
+    if not np.all(np.isfinite(pieces) & (pieces > 0.0)):
+        raise BadConstant(
+            f"piece constants must be finite and > 0, got {pieces.tolist()}")
     x = trajectory.positions(t_ref)
     if np.any(np.diff(x) <= 0.0):
         raise NonDistinctEndpoints(

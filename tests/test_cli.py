@@ -245,9 +245,9 @@ M6_CONFIG = {
 # The integrator's step history is part of the output: a change that
 # alters it must update these lines on purpose.
 @pytest.mark.parametrize("doc, steps", [
-    (README_CONFIG, "# steps: accepted=94 rejected=0 fevals=565"),
-    (M4_CONFIG, "# steps: accepted=75 rejected=0 fevals=451"),
-    (M6_CONFIG, "# steps: accepted=83 rejected=0 fevals=499"),
+    (README_CONFIG, "# steps: accepted=18 rejected=0 fevals=259"),
+    (M4_CONFIG, "# steps: accepted=20 rejected=2 fevals=289"),
+    (M6_CONFIG, "# steps: accepted=18 rejected=0 fevals=241"),
 ], ids=["readme", "m4", "m6"])
 def test_evolve_step_counts_pinned(tmp_path, capsys, doc, steps):
     code = main(["evolve", "--config", write_config(tmp_path, doc)])

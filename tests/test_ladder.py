@@ -91,6 +91,8 @@ class TestLadderInit:
         # the report carries the values it checked, those of ladder_init
         for name in ("theta", "omega", "theta_prev"):
             assert np.array_equal(getattr(rep.values, name), getattr(lv, name))
+        # and the node positions, those of node_data
+        assert np.array_equal(rep.x, node_data(moving6, t).x)
 
     def test_one_recurrence_evaluation_for_all_nodes(self, ref3, moving6,
                                                      monkeypatch):

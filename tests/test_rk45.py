@@ -2,7 +2,10 @@ import numpy as np
 import pytest
 
 from gjflow import StepCollapse
+from gjflow import rk45
 from gjflow.rk45 import integrate_rk45
+
+C = rk45._C
 
 
 def time_frames(ts):
@@ -31,10 +34,21 @@ def bump(t, y):
     return np.array([1.0 / (1e-3 + (t - 0.5) ** 2), np.cos(t) * y[1]])
 
 
+def attempts_of(frame_calls):
+    """(t, h) of every attempted step, from its 11 stage times
+    t + c_1 h, ..., t + c_11 h, with c_11 = 1."""
+    out = []
+    for ts in frame_calls:
+        if len(ts) == 11:
+            h = (ts[-1] - ts[0]) / (C[11] - C[1])
+            out.append((ts[-1] - h, h))
+    return out
+
+
 def test_lands_on_every_sample_time():
-    # y' = 3 t^2 is integrated exactly up to roundoff by a 5th-order
-    # method, so a sample taken away from its time would show as an error
-    # of about 3 t^2 times the miss
+    # y' = 3 t^2 is integrated exactly up to roundoff by the 8th-order step
+    # and by its 7th-order interpolant, so a sample taken away from its
+    # time would show as an error of about 3 t^2 times the miss
     times = np.array([0.0, 0.0, 0.25, 0.25, 0.25, 0.6, 1.3, 2.0])
     out, _ = integrate_rk45(lambda t, y: np.array([3.0 * t * t]), time_frames,
                             0.0, 2.0, [0.0], sample_times=times)
@@ -54,17 +68,85 @@ def test_default_sample_is_t1_and_y0_untouched():
 
 def test_fevals_and_frames_per_attempt():
     rec = Recorder(bump)
+    samples = np.linspace(0.0, 1.0, 5)
     _, stats = integrate_rk45(rec.rhs, rec.frames, 0.0, 1.0, [0.0, 1.0],
-                              rtol=1e-8, atol=1e-10,
-                              sample_times=np.linspace(0.0, 1.0, 5))
+                              rtol=1e-8, atol=1e-10, sample_times=samples)
     attempts = stats.accepted + stats.rejected
-    assert stats.rejected > 0
-    assert stats.fevals == 1 + 6 * attempts == rec.rhs_calls
-    assert len(rec.frame_calls) == 1 + attempts
-    assert np.array_equal(rec.frame_calls[0], [0.0])
-    for ts in rec.frame_calls[1:]:
-        assert ts.shape == (5,)
-        assert np.all(np.diff(ts) > 0.0)                 # 5 distinct times
+    calls = rec.frame_calls
+    dense = [i for i, ts in enumerate(calls) if len(ts) == 3]
+    assert stats.rejected > 0 and dense
+    assert stats.fevals == 1 + 12 * attempts + 3 * len(dense) == rec.rhs_calls
+    assert len(calls) == 1 + attempts + len(dense)
+    assert np.array_equal(calls[0], [0.0])
+    steps = attempts_of(calls)
+    assert len(steps) == attempts
+    for ts, (t, h) in zip((ts for ts in calls if len(ts) == 11), steps):
+        # 11 distinct stage times in stage order, which is not sorted
+        np.testing.assert_allclose(ts, t + C[1:12] * h, rtol=0.0, atol=1e-14)
+        assert len(np.unique(ts)) == 11 and ts[5] < ts[4]
+    # an attempt is accepted when the next one starts at its end; exactly
+    # the accepted steps that hold a sample strictly inside take the three
+    # dense-output stages, right after their own stage times
+    starts = [t for t, _ in steps[1:]] + [1.0]
+    holding = [i for i, ((t, h), nxt) in enumerate(zip(steps, starts))
+               if nxt == pytest.approx(t + h, abs=1e-14)
+               and np.any((samples > t) & (samples < t + h))]
+    attempt_call = [i for i, ts in enumerate(calls) if len(ts) == 11]
+    assert [attempt_call[i] + 1 for i in holding] == dense
+    for i in holding:
+        t, h = steps[i]
+        np.testing.assert_allclose(calls[attempt_call[i] + 1],
+                                   t + np.array([0.1, 0.2, 7.0 / 9.0]) * h,
+                                   rtol=0.0, atol=1e-14)
+
+
+def test_step_sequence_does_not_depend_on_samples():
+    # samples come from the interpolant, so no step is clipped to one: the
+    # attempts with 17 samples are those with only t1, bit for bit
+    runs = []
+    for samples in (None, np.linspace(0.0, 1.0, 17)):
+        rec = Recorder(bump)
+        out, stats = integrate_rk45(rec.rhs, rec.frames, 0.0, 1.0, [0.0, 1.0],
+                                    rtol=1e-8, atol=1e-10, sample_times=samples)
+        runs.append(([ts for ts in rec.frame_calls if len(ts) == 11],
+                     stats, out[-1]))
+    (plain, s1, end1), (sampled, s17, end17) = runs
+    assert s1.rejected > 0
+    assert (s17.accepted, s17.rejected) == (s1.accepted, s1.rejected)
+    assert len(plain) == len(sampled)
+    assert all(np.array_equal(a, b) for a, b in zip(plain, sampled))
+    assert np.array_equal(end1, end17)
+    assert s17.fevals > s1.fevals     # the dense-output stages
+
+
+@pytest.mark.parametrize("t0, t1", [(0.0, 6.0), (6.0, 0.0)],
+                         ids=["forward", "backward"])
+def test_dense_output_matches_closed_form(t0, t1):
+    # y' = cos(t) y, y = exp(sin t), sampled at 61 times: far more samples
+    # than steps, so most of them fall between step ends
+    rec = Recorder(lambda t, y: np.cos(t) * y)
+    times = np.linspace(t0, t1, 61)
+    out, stats = integrate_rk45(rec.rhs, rec.frames, t0, t1,
+                                [np.exp(np.sin(t0))], rtol=1e-9, atol=1e-12,
+                                sample_times=times)
+    assert stats.accepted < 40
+    assert sum(len(ts) == 3 for ts in rec.frame_calls) > 20
+    np.testing.assert_allclose(out[:, 0], np.exp(np.sin(times)), rtol=1e-8)
+
+
+def test_tableau_matches_published_coefficients():
+    # the literal tableau against the copy that ships with scipy, entry
+    # for entry (row 12 of A is b; no error weight falls on stage 12)
+    from scipy.integrate._ivp import dop853_coefficients as ref
+    assert np.array_equal(rk45._C, ref.C)
+    a = np.zeros_like(ref.A)
+    for i, row in enumerate(rk45._A):
+        assert len(row) == i
+        a[i, :i] = row
+    assert np.array_equal(a, ref.A)
+    assert np.array_equal(rk45._B, ref.B)
+    assert np.array_equal(rk45._E5, ref.E5[:12]) and ref.E5[12] == 0.0
+    assert np.array_equal(rk45._D, ref.D)
 
 
 def test_backward_integration():
@@ -102,8 +184,7 @@ def test_no_attempt_below_the_floor():
         integrate_rk45(rec.rhs, rec.frames, 0.0, 2.0, [1.0],
                        min_step_frac=1e-6)
     floor = 1e-6 * 2.0
-    # stage times run from t + h/5 to t + h
-    steps = np.array([(ts[-1] - ts[0]) / 0.8 for ts in rec.frame_calls[1:]])
+    steps = np.array([h for _, h in attempts_of(rec.frame_calls)])
     assert len(steps) > 50
     assert np.min(steps) >= floor * (1.0 - 1e-6)
     assert 0.99 < info.value.t < 1.0
@@ -118,3 +199,7 @@ def test_rejects_empty_span_and_unordered_samples():
     with pytest.raises(ValueError, match="ordered"):
         integrate_rk45(lambda t, y: y, time_frames, 1.0, 0.0, [1.0],
                        sample_times=np.array([1.0, 0.2, 0.6]))
+    for outside in ([-0.1, 0.5], [0.5, 1.2]):
+        with pytest.raises(ValueError, match="between t0 and t1"):
+            integrate_rk45(lambda t, y: y, time_frames, 0.0, 1.0, [1.0],
+                           sample_times=np.array(outside))

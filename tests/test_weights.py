@@ -31,6 +31,17 @@ class TestMakeWeight:
         with pytest.raises(BadConstant):
             make_weight([0.5, 0.5], [-1.0], EndpointTrajectory.fixed([-1.0, 1.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_exponent(self, bad):
+        with pytest.raises(BadExponent, match="finite"):
+            make_weight([bad, 0.5], [1.0], EndpointTrajectory.fixed([-1.0, 1.0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_piece_constant(self, bad):
+        with pytest.raises(BadConstant, match="finite"):
+            make_weight([0.5, 0.5, 0.5], [1.0, bad],
+                        EndpointTrajectory.fixed([-1.0, 0.0, 1.0]))
+
     def test_length_mismatch(self):
         with pytest.raises(BadConstant):
             make_weight([0.5, 0.5, 0.5], [1.0, 1.0, 1.0],
