@@ -3,7 +3,7 @@
 Everything is organized around node values at the moving endpoints:
 weights and trajectories (``weights``), singularity-absorbing quadrature
 and Cauchy transforms (``quadrature``), recurrence coefficients and
-Hankel determinants (``orthopoly``), ladder polynomials (``ladder``),
+moments (``orthopoly``), ladder polynomials (``ladder``),
 the coefficient deformation ODE system (``evolution``), the linear
 moment flow (``momentflow``), and a CSV-emitting CLI (``cli``).
 """
@@ -45,7 +45,6 @@ from .ladder import (
     residue_sums,
 )
 from .momentflow import (
-    MomentState,
     evolve_moments,
     moment_rhs,
     nu_by_quadrature,
@@ -53,7 +52,6 @@ from .momentflow import (
 from .orthopoly import (
     RecurrenceTable,
     eval_polynomial,
-    hankel_det,
     moments,
     stieltjes_procedure,
 )
@@ -62,7 +60,6 @@ from .quadrature import (
     discretized_measure,
     gauss_jacobi_rule,
     integrate_against_weight,
-    stieltjes_at_node,
 )
 from .weights import (
     EndpointTrajectory,

@@ -69,21 +69,26 @@ def _require(cond: bool, path: str, reason: str):
         raise ConfigError(f"{path}: {reason}")
 
 
+def _is_int(v) -> bool:
+    # bool is a subclass of int, but JSON true and false are not numbers
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _finite_list(values, path: str) -> List[float]:
     _require(isinstance(values, list) and len(values) > 0, path,
              "must be a non-empty list of numbers")
-    out = []
-    for i, v in enumerate(values):
-        _require(isinstance(v, (int, float)) and np.isfinite(v),
-                 f"{path}[{i}]", "must be a finite number")
-        out.append(float(v))
-    return out
+    return [_finite_number(v, f"{path}[{i}]") for i, v in enumerate(values)]
 
 
 def _finite_number(v, path: str) -> float:
-    _require(isinstance(v, (int, float)) and np.isfinite(v), path,
+    _require((_is_int(v) or isinstance(v, float)) and np.isfinite(v), path,
              "must be a finite number")
     return float(v)
+
+
+def _integer(v, path: str, least: int, reason: str) -> int:
+    _require(_is_int(v) and v >= least, path, reason)
+    return v
 
 
 def _check_keys(doc: dict, allowed, path: str, strict: bool):
@@ -140,17 +145,14 @@ def parse_config(text: str, strict: bool = False,
     cfg = RunConfig(alpha=alpha, pieces=pieces, trajectory=trajectory)
     npts = None
     if "n" in doc:
-        _require(isinstance(doc["n"], int) and doc["n"] >= 0, "n",
-                 "must be a non-negative integer")
-        cfg.n = doc["n"]
+        cfg.n = _integer(doc["n"], "n", 0, "must be a non-negative integer")
     if "quad" in doc:
         qsec = doc["quad"]
         _require(isinstance(qsec, dict), "quad", "must be an object")
         _check_keys(qsec, {"npts"}, "quad.", strict)
         if "npts" in qsec:
-            _require(isinstance(qsec["npts"], int) and qsec["npts"] >= 1,
-                     "quad.npts", "must be a positive integer")
-            npts = qsec["npts"]
+            npts = _integer(qsec["npts"], "quad.npts", 1,
+                            "must be a positive integer")
     if "evolve" in doc:
         esec = doc["evolve"]
         _require(isinstance(esec, dict), "evolve", "must be an object")
@@ -167,9 +169,8 @@ def parse_config(text: str, strict: bool = False,
             cfg.atol = _finite_number(esec["atol"], "evolve.atol")
             _require(cfg.atol > 0, "evolve.atol", "must be positive")
         if "samples" in esec:
-            _require(isinstance(esec["samples"], int) and esec["samples"] >= 2,
-                     "evolve.samples", "must be an integer >= 2")
-            cfg.samples = esec["samples"]
+            cfg.samples = _integer(esec["samples"], "evolve.samples", 2,
+                                   "must be an integer >= 2")
     if "verify" in doc:
         vsec = doc["verify"]
         _require(isinstance(vsec, dict), "verify", "must be an object")
@@ -277,10 +278,7 @@ def cmd_evolve(cfg: RunConfig, out) -> int:
     columns += [f"theta_prev_{j + 1}" for j in range(m)]
     columns += [f"omega_{j + 1}" for j in range(m)]
     columns += [f"drift_{i + 1}" for i in range(5)]
-    rows = [
-        tuple(np.concatenate(([s.t], s.pack(), report.drifts[i])))
-        for i, s in enumerate(report.states)
-    ]
+    rows = np.column_stack((report.times, report.ys, report.drifts))
     _emit(out, cfg, columns, rows, [_steps_comment(report.stats)])
     return EXIT_OK
 
@@ -292,17 +290,17 @@ def cmd_moments(cfg: RunConfig, out) -> int:
                        lambda npts: nu_by_quadrature(w, cfg.n, cfg.t0, npts))
     if nu0 is None:
         return EXIT_VERIFY
-    states, stats = evolve_moments(w, cfg.n, (cfg.t0, cfg.t1),
-                                   tol=(cfg.rtol, cfg.atol),
-                                   sample_count=cfg.samples, npts=cfg.npts,
-                                   nu0=nu0)
+    nus, stats = evolve_moments(w, cfg.n, (cfg.t0, cfg.t1),
+                                tol=(cfg.rtol, cfg.atol),
+                                sample_count=cfg.samples, npts=cfg.npts,
+                                nu0=nu0)
     m = w.m
     columns = ["t"] + [f"nu_{j + 1}" for j in range(m)] + ["mu_n", "gap"]
     rows = []
-    for s in states:
-        mu_n = float(moments(w, s.t, cfg.n, cfg.npts)[cfg.n])
-        gap = abs(mu_n - s.nu[0]) / max(abs(mu_n), abs(s.nu[0]), 1e-300)
-        rows.append(tuple(np.concatenate(([s.t], s.nu, [mu_n, gap]))))
+    for t, nu in zip(np.linspace(cfg.t0, cfg.t1, cfg.samples).tolist(), nus):
+        mu_n = float(moments(w, t, cfg.n, cfg.npts)[cfg.n])
+        gap = abs(mu_n - nu[0]) / max(abs(mu_n), abs(nu[0]), 1e-300)
+        rows.append((t, *nu, mu_n, gap))
     _emit(out, cfg, columns, rows, [_steps_comment(stats)])
     return EXIT_OK
 
@@ -361,10 +359,8 @@ def cmd_selftest(cfg: RunConfig, out) -> int:
         )
         rep = evolve(frozen, cfg.n, (cfg.t0, cfg.t0 + 1.0),
                      tol=(cfg.rtol, cfg.atol), sample_count=5, npts=cfg.npts)
-        first = rep.states[0].pack()
-        last = rep.states[-1].pack()
         checks.append(("frozen_trajectory_constant",
-                       float(np.max(np.abs(last - first))) < 1e-12))
+                       float(np.max(np.abs(rep.ys[-1] - rep.ys[0]))) < 1e-12))
 
     ok = True
     for name, passed in checks:

@@ -3,16 +3,17 @@
 The state for a fixed degree n is (a_n, b_n, gamma_n) together with the
 node ratios theta_j = Theta_n(x_j)/W'(x_j),
 theta_prev_j = Theta_{n-1}(x_j)/W'(x_j), omega_j = Omega_n(x_j)/W'(x_j).
-The integrator carries it packed, as the vector
+The flow carries it packed, as the vector
 (a, b, gamma, theta, theta_prev, omega) of length 3 + 3m that
-``EvolutionState.pack`` returns; ``EvolutionState`` itself is built only at
-the sample times. The closed system of ODEs in t is integrated with the
-Dormand-Prince 8(5,3) pair of ``rk45``, sampled through its dense output,
-and cross-validated against full recomputation from quadrature:
-``init_states`` rebuilds the states at any number of times from the
-stacked absorbed rules with one Stieltjes recurrence over all of them,
-which yields the coefficients and p_n, p_{n-1} at the rule points and
-nodes alike.
+``EvolutionState.pack`` returns, and ``evolve`` reports the sampled states
+as the rows of one array; ``EvolutionState`` is only the named view of
+one state that ``init_state`` returns. The closed system of ODEs in t is
+integrated with the Dormand-Prince 8(5,3) pair of ``rk45``, sampled
+through its dense output, and cross-validated against full recomputation
+from quadrature: ``init_states`` rebuilds the states at any number of
+times from the stacked absorbed rules with one Stieltjes recurrence over
+all of them, which yields the coefficients and p_n, p_{n-1} at the rule
+points and nodes alike.
 """
 
 from __future__ import annotations
@@ -51,25 +52,12 @@ class EvolutionState:
             ([self.a, self.b, self.gamma], self.theta, self.theta_prev, self.omega)
         )
 
-    @staticmethod
-    def unpack(t: float, n: int, m: int, y: np.ndarray) -> "EvolutionState":
-        return EvolutionState(
-            t=float(t), n=n,
-            a=float(y[0]), b=float(y[1]), gamma=float(y[2]),
-            theta=y[3:3 + m].copy(),
-            theta_prev=y[3 + m:3 + 2 * m].copy(),
-            omega=y[3 + 2 * m:3 + 3 * m].copy(),
-        )
-
-    def conserved_sums(self, x: np.ndarray) -> np.ndarray:
-        """The five Lagrange leading-coefficient sums conserved by the flow."""
-        return _conserved_sums(self.pack(), x)
-
 
 def _conserved_sums(y: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """The five conserved sums of packed states y at node positions x: the
-    sums of theta, theta_prev, x * theta, x * theta_prev and omega, along
-    the last axis (rows of y and x are times)."""
+    """The five Lagrange leading-coefficient sums conserved by the flow, of
+    packed states y at node positions x: the sums of theta, theta_prev,
+    x * theta, x * theta_prev and omega, along the last axis (rows of y
+    and x are times)."""
     m = x.shape[-1]
     theta, theta_prev, omega = (y[..., 3 + i * m:3 + (i + 1) * m]
                                 for i in range(3))
@@ -84,7 +72,7 @@ class EvolutionReport:
 
     n: int
     times: np.ndarray
-    states: List[EvolutionState]
+    ys: np.ndarray              # samples x (3 + 3m), packed states
     drifts: np.ndarray          # samples x 5, vs the sums at t0
     stats: IntegrationStats
 
@@ -214,10 +202,8 @@ def evolve(w: GeneralizedJacobiWeight, n: int, t_span, tol=(1e-9, 1e-12),
     t0, t1 = float(t_span[0]), float(t_span[1])
     rtol, atol = tol
     state0 = init_state(w, n, t0, npts)
-    m = w.m
     times = np.linspace(t0, t1, sample_count)
-
-    buf = _factor_buffer(m)
+    buf = _factor_buffer(w.m)
 
     def rhs(basis, y):
         return evolution_rhs(y, basis, buf)
@@ -234,12 +220,10 @@ def evolve(w: GeneralizedJacobiWeight, n: int, t_span, tol=(1e-9, 1e-12),
             raise EndpointCollision(
                 f"endpoints nearly coincide at t = {exc.t}", t=exc.t) from exc
         raise
-    states = [EvolutionState.unpack(t, n, m, y) for t, y in zip(times, ys)]
     # times[0] is t0 and ys[0] is state0, so row 0 holds the sums at t0
     sums = _conserved_sums(ys, stage_node_data(w, times).x)
     drifts = sums - sums[0]
-    return EvolutionReport(n=n, times=times, states=states, drifts=drifts,
-                           stats=stats)
+    return EvolutionReport(n=n, times=times, ys=ys, drifts=drifts, stats=stats)
 
 
 @dataclass
@@ -272,9 +256,8 @@ def verify_against_direct(w: GeneralizedJacobiWeight, n: int,
     labels += [f"theta_prev_{j + 1}" for j in range(m)]
     labels += [f"omega_{j + 1}" for j in range(m)]
     direct = init_states(w, n, report.times, npts)
-    flow = np.array([s.pack() for s in report.states])
     return VerificationTable(times=report.times.copy(), labels=labels,
-                             deviations=_relative(flow - direct, direct))
+                             deviations=_relative(report.ys - direct, direct))
 
 
 @dataclass(frozen=True)

@@ -9,23 +9,11 @@ of the alpha_k > 0 restriction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List
-
 import numpy as np
 
 from .quadrature import DEFAULT_NPTS, discretized_measure
 from .rk45 import integrate_rk45
 from .weights import GeneralizedJacobiWeight, NodeData, _flow_frames, node_data
-
-
-@dataclass(frozen=True)
-class MomentState:
-    """Vector of modified moments at one time."""
-
-    n: int
-    t: float
-    nu: np.ndarray
 
 
 def beta_exponents(n: int, m: int) -> np.ndarray:
@@ -76,7 +64,8 @@ def moment_rhs(nu: np.ndarray, basis: np.ndarray, alpha: np.ndarray,
 def evolve_moments(w: GeneralizedJacobiWeight, n: int, t_span,
                    tol=(1e-9, 1e-12), sample_count: int = 20,
                    npts: int = DEFAULT_NPTS, nu0=None):
-    """Integrate the linear moment system; returns (states, stats).
+    """Integrate the linear moment system; returns (nus, stats), row i of
+    nus being the m moments at the i-th of ``sample_count`` uniform times.
 
     Initial values default to quadrature of the defining integral at t0;
     an explicit nu0 supports linearity experiments.
@@ -92,10 +81,6 @@ def evolve_moments(w: GeneralizedJacobiWeight, n: int, t_span,
     def rhs(basis, y):
         return moment_rhs(y, basis, w.alpha, beta)
 
-    ys, stats = integrate_rk45(rhs, _flow_frames(w), t0, t1, nu0, rtol=rtol,
-                               atol=atol, sample_times=times)
-    states: List[MomentState] = [
-        MomentState(n=n, t=float(t), nu=y.copy()) for t, y in zip(times, ys)
-    ]
-    return states, stats
+    return integrate_rk45(rhs, _flow_frames(w), t0, t1, nu0, rtol=rtol,
+                          atol=atol, sample_times=times)
 

@@ -1,11 +1,11 @@
-"""Orthonormal polynomial recurrence coefficients, moments, Hankel determinants.
+"""Orthonormal polynomial recurrence coefficients and moments.
 
 The three-term recurrence is
 ``a_{n+1} p_{n+1}(x) = (x - b_n) p_n(x) - a_n p_{n-1}(x)`` with
 ``p_n(x) = gamma_n x^n + ...`` orthonormal against the weight. The
 quadrature-backed discretized Stieltjes procedure is the primary path
 (``stieltjes_recurrence`` can carry p_n over points beyond the measure's);
-moment determinants are retained as a small-n diagnostic.
+``moments`` gives the plain moments about x_1 as a small-n diagnostic.
 """
 
 from __future__ import annotations
@@ -179,17 +179,3 @@ def moments(w: GeneralizedJacobiWeight, t: float, nmax: int,
         pw = pw * shifted
     return mu
 
-
-def hankel_det(mu, n: int) -> float:
-    """Determinant of the n x n moment matrix [mu_{i+j}], via pivoted LU."""
-    mu = np.asarray(mu, dtype=float)
-    if n < 0:
-        raise IndexOutOfRange(f"n must be >= 0, got {n}")
-    if n == 0:
-        return 1.0
-    if len(mu) < 2 * n - 1:
-        raise IndexOutOfRange(
-            f"need moments up to 2n-2 = {2 * n - 2}, have {len(mu) - 1}"
-        )
-    idx = np.arange(n)
-    return float(np.linalg.det(mu[idx[:, None] + idx[None, :]]))

@@ -8,8 +8,7 @@ converges spectrally.
 The rules of one weight do not depend on t: for given exponents and npts
 they are stacked once into a small cached table (the plain piece rules,
 then, where Cauchy transforms are wanted, the singular rules beside the
-nodes), and ``discretized_measure`` and ``cauchy_node_matrices`` (with its
-one-time case ``cauchy_node_matrix`` and ``stieltjes_at_node``) all map
+nodes), and ``discretized_measure`` and ``cauchy_node_matrices`` both map
 that one table to the endpoints at one or several times with array
 operations. A table takes its rules from a bounded per-rule cache and
 builds the ones it misses, each once, in one batched pass over all of them
@@ -186,15 +185,16 @@ def gauss_jacobi_rule(npts: int, beta_left: float, beta_right: float) -> Quadrat
     Exact for degree <= 2*npts-1. Against 40-digit rules, for npts <= 64
     and exponents down to -0.9, the nodes agree to 2.3e-16 and the weights
     to 3.5e-14 relative. Rules are cached per (npts, beta_left, beta_right).
+    Raises BadExponent unless both exponents are finite and > -1.
     """
     if npts < 1:
         raise ValueError(f"npts must be >= 1, got {npts}")
     beta_left = float(beta_left)
     beta_right = float(beta_right)
-    if beta_left <= -1.0 or beta_right <= -1.0:
-        raise BadExponent(
-            f"rule exponents must be > -1, got ({beta_left}, {beta_right})"
-        )
+    # written so that NaN fails too
+    if not (-1.0 < beta_left < math.inf and -1.0 < beta_right < math.inf):
+        raise BadExponent(f"rule exponents must be finite and > -1, got "
+                          f"({beta_left}, {beta_right})")
     [(nodes, wts)] = _rule_cached.rules(int(npts), [(beta_left, beta_right)])
     return QuadratureRule(nodes=nodes, weights=wts,
                           beta_left=beta_left, beta_right=beta_right)
@@ -241,7 +241,7 @@ def _rule_table(alpha: tuple, npts: int, singular: bool) -> _RuleTable:
     rules = [(p, alpha[p], alpha[p + 1]) for p in range(m - 1)]
     node, sign = [], []
     for j in range(m) if singular else ():
-        if alpha[j] <= 0.0:  # q(x_j) diverges; cauchy_node_matrix refuses it
+        if alpha[j] <= 0.0:  # q(x_j) diverges; cauchy_node_matrices refuses it
             continue
         if j > 0:  # node at the right end of piece j-1: x_j - u > 0
             rules.append((j - 1, alpha[j - 1], alpha[j] - 1.0))
@@ -365,24 +365,3 @@ def cauchy_node_matrices(w: GeneralizedJacobiWeight, ts,
         Q = Q[:, np.asarray(nodes, dtype=int)]
     return points, eff[:, :k], frames, Q
 
-
-def cauchy_node_matrix(w: GeneralizedJacobiWeight, t: float,
-                       npts: int = DEFAULT_NPTS, nodes=None):
-    """``cauchy_node_matrices`` at the one time t: (points, weights, nd, Q)
-    with q(x_j) = Q[i] @ f(points), j = nodes[i]."""
-    points, ws, frames, Q = cauchy_node_matrices(w, (t,), npts, nodes)
-    return points[0], ws[0], frames.row(0), Q[0]
-
-
-def stieltjes_at_node(w: GeneralizedJacobiWeight, pvals, j: int, t: float,
-                      npts: int = DEFAULT_NPTS) -> float:
-    """Cauchy transform q(x_j) = int w(u) p(u) / (x_j - u) du at endpoint j.
-
-    The row of ``cauchy_node_matrix`` for node j applied to pvals at its
-    points; other endpoints may have any admissible exponent (the table
-    has no singular rules for those with alpha <= 0). Raises
-    IndexOutOfRange unless 0 <= j < m and DivergentTransform when
-    alpha_j <= 0.
-    """
-    points, _, _, Q = cauchy_node_matrix(w, t, npts, nodes=[j])
-    return float(Q[0] @ _eval_on(pvals, points))

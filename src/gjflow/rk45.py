@@ -8,7 +8,8 @@ The method is DOP853 (Hairer, Norsett & Wanner, *Solving Ordinary
 Differential Equations I*, 2nd ed., section II.10): an 8th-order step of
 12 stages, whose first is y' at the start, evaluated by the step before
 at its new state (FSAL), so that an attempt evaluates stages 1..11 and
-y' at its new state; an embedded 5th-order error estimate; and 3 further
+only an accepted one y' at its new state (the error estimate puts no
+weight on it); an embedded 5th-order error estimate; and 3 further
 stages that make a continuous 7th-order extension of an accepted step.
 Sample times are read off that extension, so the step sizes are the
 controller's alone: only the step that would pass t1 is clipped, to end
@@ -29,8 +30,8 @@ built once per step instead of once per stage:
   dense-output stage times ``t + (1/10, 1/5, 7/9) h``. An exception it
   raises propagates unchanged, so a frame builder may reject a time.
 - ``rhs(frame, y)`` returns y' at the frame's time. It is called once per
-  function evaluation: 1 at t0, 12 per attempted step and 3 per step with
-  dense output.
+  function evaluation: 1 at t0, 11 per attempted step, 1 more per
+  accepted step and 3 per step with dense output.
 
 Error control: the controller keeps the 5th-order estimate of each step
 within ``TOL_SCALE`` times ``atol + rtol * |y|`` (root mean square over
@@ -187,10 +188,10 @@ _DENSE[2, :12] = 2.0 * _B
 _DENSE[1, 0] += 1.0
 _DENSE[2, [0, 12]] -= 1.0
 _DENSE[3:] = _D
-# stage times of one step after the first (FSAL) stage, the frame each
-# stage 1..12 reads from them, and the dense-output stage times
+# stage times of one step after the first (FSAL) stage, i.e. of stages
+# 1..11 (stage 12, at t + h, shares the frame of stage 11), and the
+# dense-output stage times
 _C_STAGES = _C[1:12]
-_STAGE_FRAME = tuple(range(11)) + (10,)
 _C_DENSE = _C[13:]
 # rows 0..12 of A, zero-padded into one matrix that one product scales by h
 _A_STAGES = np.array([np.pad(row, (0, 12 - len(row))) for row in _A[:13]])
@@ -267,7 +268,7 @@ def integrate_rk45(rhs: Callable[[Any, np.ndarray], np.ndarray],
     ks = np.empty((16, len(y)))
     # stage i reads rows 0..i-1; these views follow ks as it is written
     a_h = np.empty_like(_A_STAGES)  # _A_STAGES * h of the attempt
-    heads = [(a_h[i, :i], ks[:i], f) for i, f in enumerate(_STAGE_FRAME, start=1)]
+    heads = [(a_h[i, :i], ks[:i]) for i in range(1, 12)]
     ks[0] = rhs(frames(np.array([t0]))[0], y)  # FSAL: row 0 is y' at t
     abs_y = np.abs(y)
     stats.fevals += 1
@@ -284,15 +285,16 @@ def integrate_rk45(rhs: Callable[[Any, np.ndarray], np.ndarray],
         last = direction * (t + h) >= direction * t1
         h_try = t1 - t if last else h
         stage_frames = frames(t + _C_STAGES * h_try)
-        # each combination is y + (h a) @ k, added in place; the last one,
-        # stage 12, is the new state
+        # each combination is y + (h a) @ k, added in place; the new state
+        # is the combination of stage 12, whose y' is taken only on acceptance
         np.multiply(_A_STAGES, h_try, out=a_h)
-        for i, (a, k, f) in enumerate(heads, start=1):
+        for i, (a, k) in enumerate(heads):
             yi = np.dot(a, k)
             yi += y
-            ks[i] = rhs(stage_frames[f], yi)
-        stats.fevals += 12
-        y_new = yi
+            ks[i + 1] = rhs(stage_frames[i], yi)
+        stats.fevals += 11
+        y_new = np.dot(a_h[12], ks[:12])
+        y_new += y
         abs_new = np.abs(y_new)
         tol = np.maximum(abs_y, abs_new)
         tol *= rtol
@@ -302,6 +304,8 @@ def integrate_rk45(rhs: Callable[[Any, np.ndarray], np.ndarray],
         err = abs(h_try) * math.sqrt(float(np.dot(scaled, scaled)) / len(y))
         if err <= 1.0:
             t_new = t1 if last else t + h_try
+            ks[12] = rhs(stage_frames[10], y_new)  # FSAL: y' at t_new
+            stats.fevals += 1
             stats.accepted += 1
             inside = isample
             while inside < nsamples and direction * (samples[inside] - t_new) < 0:

@@ -109,8 +109,9 @@ class NodeData:
     ``NodeFrames``, as ``node_data`` returns it.
 
     ``basis`` is the read-only m x (m + 2) matrix ``[xdot | x * xdot | K]``,
-    K being the velocity kernel. ``wprime``, the values W'(x_j), is
-    computed when first read and then kept.
+    K being the symmetric velocity kernel K[j, k] = (xd_j - xd_k)/(x_j - x_k),
+    K[j, j] = 0. ``wprime``, the values W'(x_j), is computed when first
+    read and then kept.
     """
 
     t: float
@@ -122,11 +123,6 @@ class NodeData:
     def wprime(self) -> np.ndarray:
         """W'(x_j) = prod_{k != j}(x_j - x_k)."""
         return _wprime(self.x)
-
-    def velocity_kernel(self) -> np.ndarray:
-        """Symmetric kernel K[j,k] = (xd_j - xd_k)/(x_j - x_k), K[j,j] = 0,
-        as a read-only view of ``basis``."""
-        return self.basis[:, 2:]
 
 
 @dataclass(frozen=True)

@@ -11,13 +11,13 @@ import time
 
 import numpy as np
 
+from hankel_ref import hankel_det
 from jacobi_ref import jacobi_orthonormal_coeffs
 from gjflow import (
     EndpointTrajectory,
     evolution_rhs,
     evolve,
     evolve_moments,
-    hankel_det,
     init_state,
     ladder_checks,
     ladder_climb,
@@ -120,18 +120,18 @@ def test_criterion_4_covariance_laws():
                         EndpointTrajectory.affine([-1.0, 0.2, 1.0],
                                                  [1.0, 1.0, 1.0]))
     rep = evolve(shift, 4, (0.0, 0.7), sample_count=8)
-    s0 = rep.states[0]
-    for s in rep.states:
-        ok &= abs(s.b - (s0.b + s.t)) <= 1e-8
-        ok &= abs(s.a - s0.a) <= 1e-8
+    a, b = rep.ys[:, 0], rep.ys[:, 1]
+    for t, a_t, b_t in zip(rep.times, a, b):
+        ok &= abs(b_t - (b[0] + t)) <= 1e-8
+        ok &= abs(a_t - a[0]) <= 1e-8
 
     pts = [-1.0, 0.2, 1.0]
     dil = make_weight([0.5, 0.5, 0.5], [1.0, 1.0],
                       EndpointTrajectory.affine(pts, pts))  # x(t) = x0 (1 + t)
     repd = evolve(dil, 4, (0.0, 0.5), sample_count=8)
-    d0 = repd.states[0]
-    for s in repd.states:
-        ok &= abs(s.a / d0.a - (1.0 + s.t)) <= 1e-7
+    a = repd.ys[:, 0]
+    for t, a_t in zip(repd.times, a):
+        ok &= abs(a_t / a[0] - (1.0 + t)) <= 1e-7
     _report(4, "translation and dilation covariance", ok, started)
 
 
@@ -174,9 +174,9 @@ def test_criterion_7_moment_flow():
                      EndpointTrajectory(((-1.0,), (0.0, 1.0), (1.0,))))
     for w, t1 in ((w2, 0.5), (w3, 0.3)):
         for n in range(7):
-            states, stats = evolve_moments(w, n, (0.0, t1))
+            nus, stats = evolve_moments(w, n, (0.0, t1))
             direct = nu_by_quadrature(w, n, t1)
-            dev = np.max(np.abs(states[-1].nu - direct)
+            dev = np.max(np.abs(nus[-1] - direct)
                          / np.maximum(np.abs(direct), 1.0))
             ok &= bool(dev <= 1e-8)
             ok &= stats.accepted + stats.rejected < 10 ** 5

@@ -1,0 +1,42 @@
+"""The library names that the benchmark in ``perfbench/`` binds.
+
+``perfbench/tracer.py`` rebinds ``integrate_rk45`` and ``node_data`` where
+``gjflow.evolution`` imported them and wraps the trajectory methods it finds
+in ``EndpointTrajectory.__dict__``; ``perfbench/checks.py`` compares
+``evolve`` rows with ``init_state(...).pack()``; ``perfbench/run.py`` reads
+the rule cache's ``cache_info()``. The benchmark's own tests are not part
+of this suite, so these checks keep a cut of the library surface from
+breaking it unnoticed.
+"""
+
+import numpy as np
+
+import gjflow.evolution
+import gjflow.rk45
+import gjflow.weights
+from gjflow import EndpointTrajectory, make_weight
+from gjflow.quadrature import _rule_cached
+
+
+def test_evolution_bindings():
+    assert gjflow.evolution.integrate_rk45 is gjflow.rk45.integrate_rk45
+    assert gjflow.evolution.node_data is gjflow.weights.node_data
+
+
+def test_init_state_packs_one_state():
+    w = make_weight([0.5, 0.5, 0.5], [1.0, 1.0],
+                    EndpointTrajectory(((-1.0,), (0.0, 1.0), (1.0,))))
+    y = gjflow.evolution.init_state(w, 5, 0.1).pack()
+    assert y.shape == (3 + 3 * w.m,)
+    assert np.array_equal(y, gjflow.evolution.init_states(w, 5, (0.1,))[0])
+
+
+def test_rule_cache_info():
+    info = _rule_cached.cache_info()
+    assert info.hits >= 0 and info.misses >= 0 and info.maxsize > 0
+    assert 0 <= info.currsize <= info.maxsize
+
+
+def test_trajectory_methods_in_the_class_dict():
+    for attr in ("positions", "velocities"):
+        assert callable(EndpointTrajectory.__dict__[attr])

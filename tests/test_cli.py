@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -13,6 +14,8 @@ from gjflow.cli import (
     parse_config,
 )
 from gjflow.errors import ConfigError
+from gjflow.evolution import evolve
+from gjflow.momentflow import evolve_moments
 
 CHEB = {
     "weight": {"alpha": [0.5, 0.5], "pieces": [1.0],
@@ -97,6 +100,46 @@ class TestParseConfig:
         doc["evolve"] = dict(doc["evolve"], rtol=-1.0)
         with pytest.raises(ConfigError, match="rtol"):
             parse_config(json.dumps(doc))
+
+
+def _with(doc, path, value):
+    """A deep copy of doc with the entry at the key/index path set."""
+    doc = json.loads(json.dumps(doc))
+    node = doc
+    for key in path[:-1]:
+        node = node.setdefault(key, {}) if isinstance(key, str) else node[key]
+    node[path[-1]] = value
+    return doc
+
+
+# JSON true and false are bools, and bool is a subclass of int in Python:
+# every number and integer field must still refuse them
+BOOL_CASES = {
+    ("weight", "alpha", 0): "weight.alpha[0]: must be a finite number",
+    ("weight", "pieces", 0): "weight.pieces[0]: must be a finite number",
+    ("weight", "trajectory", 1, 1):
+        "weight.trajectory[1][1]: must be a finite number",
+    ("evolve", "t0"): "evolve.t0: must be a finite number",
+    ("evolve", "t1"): "evolve.t1: must be a finite number",
+    ("evolve", "rtol"): "evolve.rtol: must be a finite number",
+    ("evolve", "atol"): "evolve.atol: must be a finite number",
+    ("verify", "rtol"): "verify.rtol: must be a finite number",
+    ("n",): "n: must be a non-negative integer",
+    ("quad", "npts"): "quad.npts: must be a positive integer",
+    ("evolve", "samples"): "evolve.samples: must be an integer >= 2",
+}
+
+
+@pytest.mark.parametrize("path", BOOL_CASES,
+                         ids=[".".join(map(str, p)) for p in BOOL_CASES])
+@pytest.mark.parametrize("flag", [True, False])
+def test_booleans_are_not_numbers(tmp_path, capsys, path, flag):
+    doc = _with(MOVING3, path, flag)
+    message = BOOL_CASES[path]
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        parse_config(json.dumps(doc))
+    assert main(["evolve", "--config", write_config(tmp_path, doc)]) == EXIT_CONFIG
+    assert capsys.readouterr() == ("", f"config error: {message}\n")
 
 
 class TestCoeffs:
@@ -246,7 +289,7 @@ M6_CONFIG = {
 # alters it must update these lines on purpose.
 @pytest.mark.parametrize("doc, steps", [
     (README_CONFIG, "# steps: accepted=18 rejected=0 fevals=259"),
-    (M4_CONFIG, "# steps: accepted=20 rejected=2 fevals=289"),
+    (M4_CONFIG, "# steps: accepted=20 rejected=2 fevals=287"),
     (M6_CONFIG, "# steps: accepted=18 rejected=0 fevals=241"),
 ], ids=["readme", "m4", "m6"])
 def test_evolve_step_counts_pinned(tmp_path, capsys, doc, steps):
@@ -254,6 +297,35 @@ def test_evolve_step_counts_pinned(tmp_path, capsys, doc, steps):
     assert code == EXIT_OK
     comments, _, _ = read_csv(capsys.readouterr().out)
     assert steps in comments
+
+
+@pytest.mark.parametrize("doc", [README_CONFIG, M4_CONFIG, M6_CONFIG],
+                         ids=["readme", "m4", "m6"])
+class TestRowsAreTheFlowArrays:
+    """The data rows print the arrays the flows return, bit for bit."""
+
+    def test_evolve(self, tmp_path, capsys, doc):
+        cfg = parse_config(json.dumps(doc))
+        report = evolve(cfg.weight(), cfg.n, (cfg.t0, cfg.t1),
+                        tol=(cfg.rtol, cfg.atol), sample_count=cfg.samples,
+                        npts=cfg.npts)
+        assert main(["evolve", "--config", write_config(tmp_path, doc)]) == EXIT_OK
+        _, _, rows = read_csv(capsys.readouterr().out)
+        expected = np.column_stack((report.times, report.ys, report.drifts))
+        assert np.array_equal(np.array(rows), expected)
+
+    def test_moments(self, tmp_path, capsys, doc):
+        cfg = parse_config(json.dumps(doc))
+        w = cfg.weight()
+        nus, _ = evolve_moments(w, cfg.n, (cfg.t0, cfg.t1),
+                                tol=(cfg.rtol, cfg.atol),
+                                sample_count=cfg.samples, npts=cfg.npts)
+        assert main(["moments", "--config", write_config(tmp_path, doc)]) == EXIT_OK
+        _, header, rows = read_csv(capsys.readouterr().out)
+        rows = np.array(rows)
+        assert header[1:w.m + 1] == [f"nu_{j + 1}" for j in range(w.m)]
+        assert np.array_equal(rows[:, 0], np.linspace(cfg.t0, cfg.t1, cfg.samples))
+        assert np.array_equal(rows[:, 1:w.m + 1], nus)
 
 
 class TestMoments:

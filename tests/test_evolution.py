@@ -96,26 +96,12 @@ class TestPackedRhs:
         assert len(set(np.round(nd.xdot, 12))) == m   # non-uniform velocities
         for _ in range(5):
             y = rng.standard_normal(3 + 3 * m)
-            s = EvolutionState.unpack(0.05, 4, m, y)
+            s = EvolutionState(0.05, 4, *y[:3].tolist(),
+                               *y[3:].reshape(3, m).copy())
             ref = _rhs_reference(s, nd)
             got = evolution_rhs(y, nd.basis)
             assert np.max(np.abs(got - ref) / np.maximum(np.abs(ref), 1.0)) < 1e-14
             assert np.array_equal(y, s.pack())      # y is not written
-
-
-def test_unpack_only_at_samples(moving3, monkeypatch):
-    calls = []
-    unpack = EvolutionState.unpack
-
-    def counting(*args):
-        calls.append(args[0])
-        return unpack(*args)
-
-    monkeypatch.setattr(gjflow.evolution.EvolutionState, "unpack",
-                        staticmethod(counting))
-    rep = evolve(moving3, 5, (0.0, 0.3), sample_count=7)
-    assert rep.stats.fevals > 7
-    assert calls == list(rep.times)
 
 
 def test_rhs_runs_once_per_feval(moving3, monkeypatch):
@@ -159,26 +145,27 @@ class TestFramesBundle:
             *span, init_state(w, cfg.n, cfg.t0).pack(), sample_times=rep.times,
             **opts)
         assert stats == rep.stats
-        assert np.array_equal(np.array([s.pack() for s in rep.states]), ys)
+        assert np.array_equal(rep.ys, ys)
 
     def test_evolve_moments_bit_for_bit(self, doc):
         cfg, w, span, opts = self._load(doc)
-        states, stats = evolve_moments(w, cfg.n, span, tol=(cfg.rtol, cfg.atol),
-                                       sample_count=cfg.samples)
+        nus, stats = evolve_moments(w, cfg.n, span, tol=(cfg.rtol, cfg.atol),
+                                    sample_count=cfg.samples)
         beta = beta_exponents(cfg.n, w.m)
         ys, ref_stats = integrate_rk45(
             lambda basis, nu: moment_rhs(nu, basis, w.alpha, beta),
             _per_stage_frames(w), *span, nu_by_quadrature(w, cfg.n, cfg.t0),
             sample_times=np.linspace(*span, cfg.samples), **opts)
         assert stats == ref_stats
-        assert np.array_equal(np.array([s.nu for s in states]), ys)
+        assert np.array_equal(nus, ys)
 
 
 def test_drifts_match_per_sample_node_data(moving3):
     rep = evolve(moving3, 5, (0.0, 0.3), sample_count=7)
-    sums0 = init_state(moving3, 5, 0.0).conserved_sums(node_data(moving3, 0.0).x)
-    ref = np.array([s.conserved_sums(node_data(moving3, s.t).x) - sums0
-                    for s in rep.states])
+    sums = gjflow.evolution._conserved_sums
+    sums0 = sums(init_state(moving3, 5, 0.0).pack(), node_data(moving3, 0.0).x)
+    ref = np.array([sums(y, node_data(moving3, t).x) - sums0
+                    for t, y in zip(rep.times, rep.ys)])
     assert np.array_equal(rep.drifts, ref)
     assert np.all(rep.drifts[0] == 0.0) and np.any(rep.drifts[-1] != 0.0)
 
@@ -186,17 +173,17 @@ def test_drifts_match_per_sample_node_data(moving3):
 class TestEvolve:
     def test_fixed_endpoints_constant(self, ref3):
         rep = evolve(ref3, 3, (0.0, 2.0), sample_count=6)
-        first = rep.states[0].pack()
-        for s in rep.states[1:]:
-            assert np.max(np.abs(s.pack() - first)) < 1e-12
+        first = rep.ys[0]
+        for y in rep.ys[1:]:
+            assert np.max(np.abs(y - first)) < 1e-12
 
     def test_m2_translation_covariance(self):
         w = make_weight([0.5, 0.5], [1.0],
                         EndpointTrajectory.affine([-1.0, 1.0], [1.0, 1.0]))
         rep = evolve(w, 4, (0.0, 1.0))
-        s0, s1 = rep.states[0], rep.states[-1]
-        assert s1.b == pytest.approx(s0.b + 1.0, abs=1e-8)
-        assert s1.a == pytest.approx(s0.a, abs=1e-8)
+        (a0, b0), (a1, b1) = rep.ys[0, :2], rep.ys[-1, :2]
+        assert b1 == pytest.approx(b0 + 1.0, abs=1e-8)
+        assert a1 == pytest.approx(a0, abs=1e-8)
 
     def test_m3_against_direct(self, moving3):
         rep = evolve(moving3, 5, (0.0, 0.3), tol=(1e-9, 1e-12), sample_count=8)
@@ -208,9 +195,9 @@ class TestEvolve:
 
     def test_positivity_along_flow(self, moving3):
         rep = evolve(moving3, 5, (0.0, 0.3), sample_count=10)
-        for s in rep.states:
-            assert s.a > 0.0
-            assert s.gamma > 0.0
+        for y in rep.ys:
+            assert y[0] > 0.0       # a
+            assert y[2] > 0.0       # gamma
 
     def test_tolerance_sweep_monotone(self, moving3):
         devs = []

@@ -19,11 +19,11 @@ from gjflow import (
     node_data,
     pn_time_derivative_check,
     residue_sums,
-    stieltjes_at_node,
     stieltjes_procedure,
 )
 from gjflow.cli import main
-from gjflow.quadrature import cauchy_node_matrix
+from gjflow.quadrature import cauchy_node_matrices
+from test_quadrature import q_at_node
 
 
 @pytest.fixture
@@ -77,9 +77,9 @@ class TestLadderInit:
         a_n = table.a[n]
         for j in range(moving6.m):
             pn, _, pnm1 = eval_polynomial(table, n, nd.x[j])
-            qn = stieltjes_at_node(
+            qn = q_at_node(
                 moving6, lambda u: eval_polynomial(table, n, u)[0], j, t)
-            qm = stieltjes_at_node(
+            qm = q_at_node(
                 moving6, lambda u: eval_polynomial(table, n - 1, u)[0], j, t)
             aw = moving6.alpha[j] * nd.wprime[j]
             ref = np.array([aw * pn * qn, 0.5 * aw + a_n * aw * qn * pnm1,
@@ -120,7 +120,7 @@ class TestLadderInit:
     def test_matches_the_two_pass_formula(self, m):
         # one pass for table, p_n and the transforms gives, bit for bit, the
         # node formula on stieltjes_procedure's table with p_n, p_{n-1}
-        # evaluated a second time over the points of cauchy_node_matrix
+        # evaluated a second time over the points of cauchy_node_matrices
         rng = np.random.default_rng(m)
         x0 = np.cumsum(rng.uniform(0.1, 1.0, size=m))
         w = make_weight(rng.uniform(0.2, 1.8, size=m),
@@ -129,7 +129,8 @@ class TestLadderInit:
         t = 0.05
         for n in (0, 1, 5, 20):
             table = stieltjes_procedure(w, t, n + 1)
-            points, _, nd, Q = cauchy_node_matrix(w, t)
+            points, _, frames, Q = cauchy_node_matrices(w, (t,))
+            points, nd, Q = points[0], frames.row(0), Q[0]
             k = len(points)
             p, _, pp = eval_polynomial(table, n, np.concatenate((points, nd.x)))
             qn, qm = (Q @ np.stack((p[:k], pp[:k]), axis=-1)).T

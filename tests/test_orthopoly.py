@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hankel_ref import hankel_det
 from jacobi_ref import jacobi_orthonormal_coeffs
 from gjflow import (
     EndpointTrajectory,
@@ -8,7 +9,6 @@ from gjflow import (
     LostOrthogonality,
     discretized_measure,
     eval_polynomial,
-    hankel_det,
     make_weight,
     moments,
     stieltjes_procedure,

@@ -10,9 +10,15 @@ from gjflow import (
     gauss_jacobi_rule,
     integrate_against_weight,
     make_weight,
-    stieltjes_at_node,
 )
-from gjflow.quadrature import cauchy_node_matrices
+from gjflow.quadrature import DEFAULT_NPTS, cauchy_node_matrices
+
+
+def q_at_node(w, f, j: int, t: float, npts: int = DEFAULT_NPTS) -> float:
+    """The Cauchy transform q(x_j) = int w(u) f(u) / (x_j - u) du at endpoint
+    j: the row of ``cauchy_node_matrices`` for node j at the one time t."""
+    points, _, _, Q = cauchy_node_matrices(w, (t,), npts, nodes=[j])
+    return float(Q[0, 0] @ f(points[0]))
 
 
 def reference_moments(a: float, b: float, dmax: int) -> np.ndarray:
@@ -51,6 +57,14 @@ class TestGaussJacobiRule:
             gauss_jacobi_rule(4, -1.0, 0.0)
         with pytest.raises(BadExponent):
             gauss_jacobi_rule(4, 0.0, -1.5)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_exponent(self, bad):
+        # both used to pass the > -1 check and fail later with a bare
+        # ValueError, +inf after RuntimeWarnings (errors in this suite)
+        for pair in ((bad, 0.5), (0.5, bad)):
+            with pytest.raises(BadExponent, match="finite and > -1"):
+                gauss_jacobi_rule(4, *pair)
 
     def test_positive_weights_increasing_nodes(self):
         rule = gauss_jacobi_rule(24, -0.5, 1.5)
@@ -131,31 +145,31 @@ class TestStieltjesAtNode:
     def test_chebyshev_q0_at_right_endpoint(self, cheb):
         # q_0(1) = sqrt(2/pi) * int sqrt((1+u)/(1-u)) du = sqrt(2 pi)
         p0 = np.sqrt(2.0 / np.pi)
-        q = stieltjes_at_node(cheb, lambda u: np.full_like(u, p0), 1, 0.0)
+        q = q_at_node(cheb, lambda u: np.full_like(u, p0), 1, 0.0)
         assert q == pytest.approx(np.sqrt(2.0 * np.pi), rel=1e-12)
 
     def test_parity(self, cheb):
         p0 = np.sqrt(2.0 / np.pi)
-        qr = stieltjes_at_node(cheb, lambda u: np.full_like(u, p0), 1, 0.0)
-        ql = stieltjes_at_node(cheb, lambda u: np.full_like(u, p0), 0, 0.0)
+        qr = q_at_node(cheb, lambda u: np.full_like(u, p0), 1, 0.0)
+        ql = q_at_node(cheb, lambda u: np.full_like(u, p0), 0, 0.0)
         assert ql == pytest.approx(-qr, rel=1e-12)
 
     def test_zero_exponent_diverges(self):
         w = make_weight([0.0, 0.5], [1.0], EndpointTrajectory.fixed([-1.0, 1.0]))
         with pytest.raises(DivergentTransform):
-            stieltjes_at_node(w, lambda u: np.ones_like(u), 0, 0.0)
+            q_at_node(w, lambda u: np.ones_like(u), 0, 0.0)
 
     @pytest.mark.parametrize("j", [-1, 3])
     def test_node_index_outside_the_endpoints(self, ref3, j):
         # -1 would read the last node and 3 = m would be a bare IndexError
         with pytest.raises(IndexOutOfRange, match=f"node index {j} outside 0..2"):
-            stieltjes_at_node(ref3, lambda u: np.ones_like(u), j, 0.0)
+            q_at_node(ref3, lambda u: np.ones_like(u), j, 0.0)
         with pytest.raises(IndexOutOfRange, match=f"node index {j} outside"):
             cauchy_node_matrices(ref3, (0.0, 0.1), nodes=[0, j])
 
     def test_npts_doubling_converged(self, ref3):
         f = lambda u: u ** 3 - u + 0.5
         for j in range(3):
-            v32 = stieltjes_at_node(ref3, f, j, 0.0, npts=32)
-            v64 = stieltjes_at_node(ref3, f, j, 0.0, npts=64)
+            v32 = q_at_node(ref3, f, j, 0.0, npts=32)
+            v64 = q_at_node(ref3, f, j, 0.0, npts=64)
             assert v32 == pytest.approx(v64, rel=1e-12)

@@ -75,7 +75,8 @@ def test_fevals_and_frames_per_attempt():
     calls = rec.frame_calls
     dense = [i for i, ts in enumerate(calls) if len(ts) == 3]
     assert stats.rejected > 0 and dense
-    assert stats.fevals == 1 + 12 * attempts + 3 * len(dense) == rec.rhs_calls
+    assert stats.fevals == (1 + 12 * stats.accepted + 11 * stats.rejected
+                            + 3 * len(dense)) == rec.rhs_calls
     assert len(calls) == 1 + attempts + len(dense)
     assert np.array_equal(calls[0], [0.0])
     steps = attempts_of(calls)
@@ -98,6 +99,32 @@ def test_fevals_and_frames_per_attempt():
         np.testing.assert_allclose(calls[attempt_call[i] + 1],
                                    t + np.array([0.1, 0.2, 7.0 / 9.0]) * h,
                                    rtol=0.0, atol=1e-14)
+
+
+def test_no_rhs_call_at_a_rejected_new_state():
+    # after its 11 stages, an attempt evaluates y' at its new state (the
+    # FSAL stage, at t + h like stage 11) only when it is accepted
+    groups = []   # per frames call: its times and the rhs times that follow
+
+    def rhs(t, y):
+        groups[-1][1].append(t)
+        return bump(t, y)
+
+    def frames(ts):
+        groups.append((np.array(ts), []))
+        return time_frames(ts)
+
+    _, stats = integrate_rk45(rhs, frames, 0.0, 1.0, [0.0, 1.0],
+                              rtol=1e-8, atol=1e-10)
+    attempts = [(ts, called) for ts, called in groups if len(ts) == 11]
+    steps = attempts_of([ts for ts, _ in attempts])
+    starts = [t for t, _ in steps[1:]] + [1.0]
+    accepted = [nxt == pytest.approx(t + h, abs=1e-14)
+                for (t, h), nxt in zip(steps, starts)]
+    assert stats.rejected == accepted.count(False) > 0
+    assert stats.accepted == accepted.count(True)
+    for (ts, called), ok in zip(attempts, accepted):
+        assert called == list(ts) + ([ts[-1]] if ok else [])
 
 
 def test_step_sequence_does_not_depend_on_samples():

@@ -1,8 +1,7 @@
 """The stacked rule table against per-piece rules (``quad_ref``).
 
-``discretized_measure``, ``cauchy_node_matrix``, ``stieltjes_at_node``,
-``init_state`` and ``init_states`` all read one cached table of absorbed
-rules; these tests
+``discretized_measure``, ``cauchy_node_matrices``, ``init_state`` and
+``init_states`` all read one cached table of absorbed rules; these tests
 compare each with the piece-by-piece reference, computed in extended
 precision, to 1e-12 in the relative metric of ``verify`` (absolute
 floor 1); random configs to 1e-11 (see ``PROPERTY_TOL``).
@@ -25,7 +24,6 @@ from gjflow import (
     init_states,
     make_weight,
     quadrature,
-    stieltjes_at_node,
 )
 from gjflow.quadrature import (
     _RuleCache,
@@ -33,8 +31,9 @@ from gjflow.quadrature import (
     _monic_jacobi_recurrence,
     _rule_cached,
     _rule_table,
-    cauchy_node_matrix,
+    cauchy_node_matrices,
 )
+from test_quadrature import q_at_node
 
 TOL = 1e-12
 # Random configs reach the float64 noise floor of init_state in this metric:
@@ -76,7 +75,8 @@ class TestAgainstPerPieceRules:
 
     def test_cauchy_node_matrix(self, w):
         t = 0.07
-        points, ws, nd, Q = cauchy_node_matrix(w, t, 64)
+        points, ws, _, Q = cauchy_node_matrices(w, (t,), 64)
+        points, ws, Q = points[0], ws[0], Q[0]
         assert Q.shape == (w.m, 3 * (w.m - 1) * 64)
         k = len(ws)
         assert np.array_equal(points[:k], discretized_measure(w, t, 64)[0])
@@ -164,7 +164,7 @@ class TestEdges:
         w = make_weight([-0.5, 0.8, 0.0], [1.0, 1.5],
                         EndpointTrajectory.fixed([-1.0, 0.3, 1.0]))
         f = lambda u: u ** 3 - u + 0.5
-        got = stieltjes_at_node(w, f, 1, 0.0)
+        got = q_at_node(w, f, 1, 0.0)
         assert quad_ref.relative(got, quad_ref.cauchy_transform(w, 0.0, f, 1, 64)) <= TOL
 
     @pytest.mark.parametrize("alpha", [0.0, -0.4])
@@ -173,9 +173,9 @@ class TestEdges:
                         EndpointTrajectory.fixed([-1.0, 0.0, 1.0]))
         msg = rf"^q\(x_2\) diverges: alpha_2 = {alpha} <= 0$"
         with pytest.raises(DivergentTransform, match=msg):
-            stieltjes_at_node(w, np.ones_like, 1, 0.0)
+            q_at_node(w, np.ones_like, 1, 0.0)
         with pytest.raises(DivergentTransform, match=msg):
-            cauchy_node_matrix(w, 0.0)
+            cauchy_node_matrices(w, (0.0,))
 
     def test_measure_builds_only_the_plain_rules(self):
         # exponents and npts no other test uses, so every rule is a new build
@@ -184,7 +184,7 @@ class TestEdges:
         before = _rule_cached.cache_info().misses
         discretized_measure(w, 0.0, 17)
         assert _rule_cached.cache_info().misses - before == w.m - 1
-        cauchy_node_matrix(w, 0.0, 17)
+        cauchy_node_matrices(w, (0.0,), 17)
         assert _rule_cached.cache_info().misses - before == 3 * (w.m - 1)
 
     def test_table_cache_is_small(self):
@@ -236,7 +236,7 @@ class TestRuleCache:
         # exponents no other test uses
         w = make_weight([0.37, 1.41, 0.83, 1.07], [1.0, 1.0, 1.0],
                         EndpointTrajectory.fixed([-1.0, 0.1, 0.5, 1.0]))
-        cauchy_node_matrix(w, 0.0, 19)
+        cauchy_node_matrices(w, (0.0,), 19)
         assert len(builds) == 1 and len(builds[0]) == 3 * (w.m - 1)
         # a new table (plain rules only) whose rules are all cached
         before = _rule_cached.cache_info()
@@ -254,7 +254,7 @@ class TestRuleCache:
         w = make_weight([0.59, 0.59, 0.59, 0.59], [1.0, 2.0, 0.5],
                         EndpointTrajectory.fixed([-1.0, 0.1, 0.5, 1.0]))
         before = _rule_cached.cache_info()
-        points, _, _, _ = cauchy_node_matrix(w, 0.0, 13)
+        points = cauchy_node_matrices(w, (0.0,), 13)[0][0]
         after = _rule_cached.cache_info()
         # 9 rules, 3 distinct: (a, a), (a - 1, a) and (a, a - 1)
         assert len(builds) == 1 and len(builds[0]) == 3
