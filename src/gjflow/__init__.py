@@ -34,6 +34,7 @@ from .evolution import (
     init_states,
     pn_time_derivative_check,
     verify_against_direct,
+    verify_flow,
 )
 from .ladder import (
     LadderReport,

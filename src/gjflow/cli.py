@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import List, Optional
 
@@ -26,7 +27,7 @@ from .errors import (
     StepCollapse,
     UnderResolved,
 )
-from .evolution import evolve, verify_against_direct
+from .evolution import evolve, verify_flow
 from .ladder import ladder_checks
 from .momentflow import evolve_moments, nu_by_quadrature
 from .orthopoly import moments, stieltjes_procedure
@@ -61,7 +62,7 @@ class RunConfig:
         return make_weight(self.alpha, self.pieces, traj, t_ref=self.t0)
 
     def resolved(self) -> str:
-        return json.dumps(asdict(self), separators=(",", ":"))
+        return json.dumps(vars(self), separators=(",", ":"))
 
 
 def _require(cond: bool, path: str, reason: str):
@@ -81,9 +82,12 @@ def _finite_list(values, path: str) -> List[float]:
 
 
 def _finite_number(v, path: str) -> float:
-    _require((_is_int(v) or isinstance(v, float)) and np.isfinite(v), path,
-             "must be a finite number")
-    return float(v)
+    try:
+        x = float(v) if _is_int(v) or isinstance(v, float) else math.nan
+    except OverflowError:  # a JSON integer beyond float range
+        x = math.inf
+    _require(math.isfinite(x), path, "must be a finite number")
+    return x
 
 
 def _integer(v, path: str, least: int, reason: str) -> int:
@@ -198,6 +202,11 @@ def _emit(out, cfg: RunConfig, columns, rows, extra_comments=()):
     for line in extra_comments:
         out.write(f"# {line}\n")
     out.write(",".join(columns) + "\n")
+    if isinstance(rows, np.ndarray):
+        # a float's repr in a list is repr(float), as ``_fmt`` writes it
+        for row in rows.tolist():
+            out.write(repr(row)[1:-1].replace(", ", ",") + "\n")
+        return
     for row in rows:
         out.write(",".join(_fmt(v) for v in row) + "\n")
 
@@ -308,14 +317,10 @@ def cmd_moments(cfg: RunConfig, out) -> int:
 def cmd_verify(cfg: RunConfig, out) -> int:
     _require_span(cfg)
     w = cfg.weight()
-    report = evolve(w, cfg.n, (cfg.t0, cfg.t1), tol=(cfg.rtol, cfg.atol),
-                    sample_count=cfg.samples, npts=cfg.npts)
-    vt = verify_against_direct(w, cfg.n, report, cfg.npts)
+    vt = verify_flow(w, cfg.n, (cfg.t0, cfg.t1), tol=(cfg.rtol, cfg.atol),
+                     sample_count=cfg.samples, npts=cfg.npts)
     columns = ["t"] + [f"dev_{lab}" for lab in vt.labels]
-    rows = [
-        tuple(np.concatenate(([vt.times[i]], vt.deviations[i])))
-        for i in range(len(vt.times))
-    ]
+    rows = np.column_stack((vt.times, vt.deviations))
     comments = [f"max_deviation: {vt.max_deviation!r}",
                 f"verify_rtol: {cfg.verify_rtol!r}"]
     _emit(out, cfg, columns, rows, comments)

@@ -197,11 +197,17 @@ def init_state(w: GeneralizedJacobiWeight, n: int, t: float,
 
 
 def evolve(w: GeneralizedJacobiWeight, n: int, t_span, tol=(1e-9, 1e-12),
-           sample_count: int = 20, npts: int = DEFAULT_NPTS) -> EvolutionReport:
-    """Integrate the deformation system over t_span, sampling uniformly."""
+           sample_count: int = 20, npts: int = DEFAULT_NPTS,
+           y0=None) -> EvolutionReport:
+    """Integrate the deformation system over t_span, sampling uniformly.
+
+    The flow starts from the packed state y0 at t_span[0]; without it,
+    from ``init_state`` there.
+    """
     t0, t1 = float(t_span[0]), float(t_span[1])
     rtol, atol = tol
-    state0 = init_state(w, n, t0, npts)
+    if y0 is None:
+        y0 = init_state(w, n, t0, npts).pack()
     times = np.linspace(t0, t1, sample_count)
     buf = _factor_buffer(w.m)
 
@@ -209,7 +215,7 @@ def evolve(w: GeneralizedJacobiWeight, n: int, t_span, tol=(1e-9, 1e-12),
         return evolution_rhs(y, basis, buf)
 
     try:
-        ys, stats = integrate_rk45(rhs, _flow_frames(w), t0, t1, state0.pack(),
+        ys, stats = integrate_rk45(rhs, _flow_frames(w), t0, t1, y0,
                                    rtol=rtol, atol=atol, sample_times=times)
     except StepCollapse as exc:
         # a vanishing step right before two endpoints meet is the collision
@@ -220,7 +226,7 @@ def evolve(w: GeneralizedJacobiWeight, n: int, t_span, tol=(1e-9, 1e-12),
             raise EndpointCollision(
                 f"endpoints nearly coincide at t = {exc.t}", t=exc.t) from exc
         raise
-    # times[0] is t0 and ys[0] is state0, so row 0 holds the sums at t0
+    # times[0] is t0 and ys[0] is y0, so row 0 holds the sums at t0
     sums = _conserved_sums(ys, stage_node_data(w, times).x)
     drifts = sums - sums[0]
     return EvolutionReport(n=n, times=times, ys=ys, drifts=drifts, stats=stats)
@@ -246,18 +252,43 @@ def _relative(dev: np.ndarray, ref: np.ndarray) -> np.ndarray:
 
 
 def verify_against_direct(w: GeneralizedJacobiWeight, n: int,
-                          report: EvolutionReport,
-                          npts: int = DEFAULT_NPTS) -> VerificationTable:
-    """Recompute the sampled states from scratch, all in one
-    ``init_states``, and tabulate the deviations."""
+                          report: EvolutionReport, npts: int = DEFAULT_NPTS,
+                          direct=None) -> VerificationTable:
+    """Tabulate the deviations of the sampled states from the oracle states
+    ``direct`` at the report's times; without them, rebuild them all in one
+    ``init_states``."""
     m = w.m
     labels = ["a", "b", "gamma"]
     labels += [f"theta_{j + 1}" for j in range(m)]
     labels += [f"theta_prev_{j + 1}" for j in range(m)]
     labels += [f"omega_{j + 1}" for j in range(m)]
-    direct = init_states(w, n, report.times, npts)
+    if direct is None:
+        direct = init_states(w, n, report.times, npts)
     return VerificationTable(times=report.times.copy(), labels=labels,
                              deviations=_relative(report.ys - direct, direct))
+
+
+def verify_flow(w: GeneralizedJacobiWeight, n: int, t_span,
+                tol=(1e-9, 1e-12), sample_count: int = 20,
+                npts: int = DEFAULT_NPTS) -> VerificationTable:
+    """``evolve`` checked by ``verify_against_direct``, with one quadrature
+    pass: the oracle states at the sample times are built first, and the
+    flow starts from the one at t_span[0], which ``init_state`` would
+    rebuild bit for bit.
+
+    Failures come in the order of the flow followed by its check: when the
+    oracle fails, the flow runs from its own start, so that a failure of
+    that start or of the flow (EndpointCollision, StepCollapse) is raised
+    before the oracle's.
+    """
+    times = np.linspace(float(t_span[0]), float(t_span[1]), sample_count)
+    try:
+        direct = init_states(w, n, times, npts)
+    except InitFailure:
+        evolve(w, n, t_span, tol, sample_count, npts)
+        raise
+    report = evolve(w, n, t_span, tol, sample_count, npts, y0=direct[0])
+    return verify_against_direct(w, n, report, npts, direct)
 
 
 @dataclass(frozen=True)

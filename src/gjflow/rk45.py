@@ -22,16 +22,28 @@ built once per step instead of once per stage:
   frame per time, indexed by stage: whatever the state part needs at that
   time. For the gjflow flows it is the ``basis`` stack of a ``NodeFrames``,
   so a frame is one m x (m + 2) row ``[xdot | x * xdot | K]``. It is
-  called once with ``[t0]``; then once per attempted step, accepted or
-  rejected, with the 11 distinct stage times ``t + c_i h`` (i = 1..11) of
-  the tableau in stage order, which is not sorted (c_6 < c_5), the FSAL
-  stage sharing the frame of stage 11 at ``t + h``; and once more per
-  accepted step that holds a sample time strictly inside, with the 3
-  dense-output stage times ``t + (1/10, 1/5, 7/9) h``. An exception it
-  raises propagates unchanged, so a frame builder may reject a time.
+  called once with ``[t0]``; once with the probe time of the start step
+  (below); then once per attempted step, accepted or rejected, with the 11
+  distinct stage times ``t + c_i h`` (i = 1..11) of the tableau in stage
+  order, which is not sorted (c_6 < c_5), the FSAL stage sharing the frame
+  of stage 11 at ``t + h``. When a sample time lies strictly inside the
+  attempt, the 3 dense-output stage times ``t + (1/10, 1/5, 7/9) h``
+  follow in the same call, so one call serves the attempt and its dense
+  output. An exception it raises propagates unchanged, so a frame builder
+  may reject a time.
 - ``rhs(frame, y)`` returns y' at the frame's time. It is called once per
-  function evaluation: 1 at t0, 11 per attempted step, 1 more per
-  accepted step and 3 per step with dense output.
+  function evaluation: 1 at t0, 1 at the probe, 11 per attempted step, 1
+  more per accepted step and 3 per accepted step with dense output.
+
+The first step is sized from the start (Hairer, Norsett & Wanner, section
+II.4): from the norms d0 of y0 and d1 of y'(t0), a probe step
+h0 = 0.01 d0 / d1 gives d2, the norm of the change of slope over it per
+unit time, and the start is ``min(100 h0, (0.01 / max(d1, d2))^(1/6))``,
+at most the span and at least the step floor; the exponent is that of the
+5th-order error estimate. Where the slopes are zero (a state at rest),
+the start is the fixed ``min(1e-3 span, 1e-2)``. A sized start spares the
+two or three attempts the controller would spend growing a fixed one to
+the steps that it keeps.
 
 Error control: the controller keeps the 5th-order estimate of each step
 within ``TOL_SCALE`` times ``atol + rtol * |y|`` (root mean square over
@@ -189,10 +201,10 @@ _DENSE[1, 0] += 1.0
 _DENSE[2, [0, 12]] -= 1.0
 _DENSE[3:] = _D
 # stage times of one step after the first (FSAL) stage, i.e. of stages
-# 1..11 (stage 12, at t + h, shares the frame of stage 11), and the
-# dense-output stage times
+# 1..11 (stage 12, at t + h, shares the frame of stage 11), alone and
+# followed by the 3 dense-output stage times
 _C_STAGES = _C[1:12]
-_C_DENSE = _C[13:]
+_C_WITH_DENSE = np.concatenate((_C_STAGES, _C[13:]))
 # rows 0..12 of A, zero-padded into one matrix that one product scales by h
 _A_STAGES = np.array([np.pad(row, (0, 12 - len(row))) for row in _A[:13]])
 
@@ -209,12 +221,12 @@ class IntegrationStats:
     fevals: int = 0
 
 
-def _dense(rhs, frames, t: float, h: float, y, ks, ts) -> np.ndarray:
+def _dense(rhs, dense_frames, t: float, h: float, y, ks, ts) -> np.ndarray:
     """States at the times ts inside the accepted step of size h from
     (t, y), from the 7th-order continuous extension. ks holds the step's
     stages 0..12 (stage 12 is y' at the new state); stages 13..15 are
-    evaluated into it here, with one ``frames`` call."""
-    for i, frame in enumerate(frames(t + _C_DENSE * h), start=13):
+    evaluated into it here, at the frames of the 3 dense-output times."""
+    for i, frame in enumerate(dense_frames, start=13):
         yi = np.dot(_A[i], ks[:i])
         yi *= h
         yi += y
@@ -225,6 +237,31 @@ def _dense(rhs, frames, t: float, h: float, y, ks, ts) -> np.ndarray:
     out *= h
     out += y
     return out
+
+
+def _start_step(rhs, frames, t0: float, y0, f0, direction: float,
+                span: float, tol, stats: IntegrationStats) -> float:
+    """Size of the first step (see the module docstring), from y0, its
+    slope f0 and one probe evaluation, counted in ``stats``; a norm is the
+    controller's, the root mean square of a vector over ``tol``. A slope
+    that is not finite gives the fixed start too, with no probe."""
+    def norm(v):
+        v = v / tol
+        return math.sqrt(float(np.dot(v, v)) / len(v))
+
+    fixed = min(span * 1e-3, 1e-2)
+    d0, d1 = norm(y0), norm(f0)
+    if not math.isfinite(d0 + d1):
+        return fixed
+    h0 = min(0.01 * d0 / d1 if min(d0, d1) >= 1e-5 else 1e-6, span)
+    f1 = rhs(frames(np.array([t0 + direction * h0]))[0],
+             y0 + (direction * h0) * f0)
+    stats.fevals += 1
+    d2 = norm(f1 - f0) / h0
+    if max(d1, d2) <= 1e-15:
+        return fixed
+    # the controller's estimate is of 5th order: a step's error goes as h^6
+    return min(100.0 * h0, (0.01 / max(d1, d2)) ** (1.0 / 6.0), span)
 
 
 def integrate_rk45(rhs: Callable[[Any, np.ndarray], np.ndarray],
@@ -272,8 +309,9 @@ def integrate_rk45(rhs: Callable[[Any, np.ndarray], np.ndarray],
     ks[0] = rhs(frames(np.array([t0]))[0], y)  # FSAL: row 0 is y' at t
     abs_y = np.abs(y)
     stats.fevals += 1
-    # conservative initial step; the controller adapts within a few steps
-    h = direction * max(min(abs(span) * 1e-3, 1e-2), h_floor)
+    h = direction * max(_start_step(rhs, frames, t0, y, ks[0], direction,
+                                    abs(span), atol + rtol * abs_y, stats),
+                        h_floor)
     isample = 0
     while isample < nsamples and samples[isample] == t0:
         out[isample] = y
@@ -284,7 +322,12 @@ def integrate_rk45(rhs: Callable[[Any, np.ndarray], np.ndarray],
         # controller's natural step h is only updated from unclipped attempts
         last = direction * (t + h) >= direction * t1
         h_try = t1 - t if last else h
-        stage_frames = frames(t + _C_STAGES * h_try)
+        t_new = t1 if last else t + h_try
+        # the dense-output times ride on the attempt's own frames call
+        # when a sample lies strictly inside it
+        dense = direction * (samples[isample] - t_new) < 0
+        stage_frames = frames(
+            t + (_C_WITH_DENSE if dense else _C_STAGES) * h_try)
         # each combination is y + (h a) @ k, added in place; the new state
         # is the combination of stage 12, whose y' is taken only on acceptance
         np.multiply(_A_STAGES, h_try, out=a_h)
@@ -303,16 +346,16 @@ def integrate_rk45(rhs: Callable[[Any, np.ndarray], np.ndarray],
         scaled /= tol
         err = abs(h_try) * math.sqrt(float(np.dot(scaled, scaled)) / len(y))
         if err <= 1.0:
-            t_new = t1 if last else t + h_try
             ks[12] = rhs(stage_frames[10], y_new)  # FSAL: y' at t_new
             stats.fevals += 1
             stats.accepted += 1
-            inside = isample
-            while inside < nsamples and direction * (samples[inside] - t_new) < 0:
-                inside += 1
-            if inside > isample:
-                out[isample:inside] = _dense(rhs, frames, t, h_try, y, ks,
-                                             samples[isample:inside])
+            if dense:
+                inside = isample + 1
+                while (inside < nsamples
+                       and direction * (samples[inside] - t_new) < 0):
+                    inside += 1
+                out[isample:inside] = _dense(rhs, stage_frames[11:], t, h_try,
+                                             y, ks, samples[isample:inside])
                 stats.fevals += 3
                 isample = inside
             while isample < nsamples and samples[isample] == t_new:

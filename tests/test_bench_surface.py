@@ -2,15 +2,20 @@
 
 ``perfbench/tracer.py`` rebinds ``integrate_rk45`` and ``node_data`` where
 ``gjflow.evolution`` imported them and wraps the trajectory methods it finds
-in ``EndpointTrajectory.__dict__``; ``perfbench/checks.py`` compares
+in ``EndpointTrajectory.__dict__``; the ``oracle`` workload's
+``fevals_per_op`` is the sum of the stats that the rebound
+``integrate_rk45`` returns during a ``verify``; ``perfbench/checks.py`` compares
 ``evolve`` rows with ``init_state(...).pack()``; ``perfbench/run.py`` reads
 the rule cache's ``cache_info()``. The benchmark's own tests are not part
 of this suite, so these checks keep a cut of the library surface from
 breaking it unnoticed.
 """
 
+import json
+
 import numpy as np
 
+import gjflow.cli
 import gjflow.evolution
 import gjflow.rk45
 import gjflow.weights
@@ -21,6 +26,26 @@ from gjflow.quadrature import _rule_cached
 def test_evolution_bindings():
     assert gjflow.evolution.integrate_rk45 is gjflow.rk45.integrate_rk45
     assert gjflow.evolution.node_data is gjflow.weights.node_data
+
+
+def test_verify_integrates_through_the_evolution_binding(tmp_path, monkeypatch,
+                                                         capsys):
+    stats = []
+
+    def counted(*args, **kwargs):
+        out = gjflow.rk45.integrate_rk45(*args, **kwargs)
+        stats.append(out[1])
+        return out
+
+    monkeypatch.setattr(gjflow.evolution, "integrate_rk45", counted)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({
+        "weight": {"alpha": [0.5, 0.5, 0.5], "pieces": [1.0, 1.0],
+                   "trajectory": [[-1.0], [0.0, 1.0], [1.0]]},
+        "evolve": {"t0": 0.0, "t1": 0.3, "samples": 5}}))
+    assert gjflow.cli.main(["verify", "--config", str(path)]) == 0
+    assert "max_deviation" in capsys.readouterr().out
+    assert len(stats) == 1 and stats[0].fevals > 0
 
 
 def test_init_state_packs_one_state():

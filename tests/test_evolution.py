@@ -21,12 +21,14 @@ from gjflow import (
     node_data,
     pn_time_derivative_check,
     verify_against_direct,
+    verify_flow,
 )
 from gjflow.cli import parse_config
 from gjflow.momentflow import (beta_exponents, evolve_moments, moment_rhs,
                                nu_by_quadrature)
 from gjflow.rk45 import integrate_rk45
 from test_cli import M4_CONFIG, M6_CONFIG, README_CONFIG
+from test_rk45 import accepted_of, attempts_of
 
 
 class TestEvolutionRhs:
@@ -329,6 +331,90 @@ class TestInitStates:
         assert vt.deviations.shape == (samples, 3 + 3 * moving3.m)
         ref = np.array([init_state(moving3, 5, t).pack() for t in rep.times])
         assert np.array_equal(init_states(moving3, 5, rep.times), ref)
+
+
+class TestVerifyFlow:
+    """``verify_flow`` is ``evolve`` and ``verify_against_direct`` from one
+    quadrature pass."""
+
+    def test_one_oracle_pass_starts_the_flow(self, moving3, monkeypatch):
+        calls = {"init_states": 0}
+        starts = []
+        init_states_fn = gjflow.evolution.init_states
+        integrate = gjflow.evolution.integrate_rk45
+
+        def counted_init_states(*args, **kwargs):
+            calls["init_states"] += 1
+            return init_states_fn(*args, **kwargs)
+
+        def no_init_state(*args, **kwargs):
+            raise AssertionError("init_state called")
+
+        def spy(rhs, frames, t0, t1, y0, **kwargs):
+            starts.append(np.array(y0))
+            return integrate(rhs, frames, t0, t1, y0, **kwargs)
+
+        monkeypatch.setattr(gjflow.evolution, "init_states", counted_init_states)
+        monkeypatch.setattr(gjflow.evolution, "init_state", no_init_state)
+        monkeypatch.setattr(gjflow.evolution, "integrate_rk45", spy)
+        vt = verify_flow(moving3, 5, (0.0, 0.3), sample_count=8)
+        assert calls["init_states"] == 1 and len(starts) == 1
+        times = np.linspace(0.0, 0.3, 8)
+        assert np.array_equal(starts[0], init_states_fn(moving3, 5, times)[0])
+        monkeypatch.undo()
+        ref = verify_against_direct(moving3, 5,
+                                    evolve(moving3, 5, (0.0, 0.3), sample_count=8))
+        assert vt.labels == ref.labels
+        assert np.array_equal(vt.times, ref.times)
+        assert np.array_equal(vt.deviations, ref.deviations)
+
+    def test_flow_failure_before_a_later_oracle_failure(self, moving3):
+        # the middle endpoint meets the right one at t = 1; the oracle
+        # fails first at the sample t = 1, the flow just before it
+        with pytest.raises(EndpointCollision) as info:
+            verify_flow(moving3, 5, (0.0, 1.5), sample_count=4)
+        assert info.value.t == pytest.approx(1.0, abs=1e-3)
+
+    def test_failure_at_t0_is_the_start_failure(self, moving3):
+        with pytest.raises(InitFailure) as got:
+            verify_flow(moving3, 5, (1.0, 1.5), sample_count=4)
+        with pytest.raises(InitFailure) as want:
+            evolve(moving3, 5, (1.0, 1.5), sample_count=4)
+        assert str(got.value) == str(want.value)
+        assert "at t=1.0" in str(got.value)
+
+
+@pytest.mark.parametrize("doc", [M4_CONFIG, M6_CONFIG], ids=["m4", "m6"])
+def test_first_attempt_is_sized(doc):
+    # the start step is sized from the slopes at t0, so the first attempt
+    # runs within 10x of the median accepted step instead of ramping up
+    # from a fixed fraction of the span (parent code: about 1e-3 of it)
+    cfg = parse_config(json.dumps(doc))
+    w = cfg.weight()
+    calls = []
+    flow_frames = gjflow.weights._flow_frames(w)
+
+    def frames(ts):
+        calls.append(np.array(ts))
+        return flow_frames(ts)
+
+    integrate_rk45(lambda basis, y: evolution_rhs(y, basis), frames,
+                   cfg.t0, cfg.t1, init_state(w, cfg.n, cfg.t0).pack(),
+                   rtol=cfg.rtol, atol=cfg.atol,
+                   sample_times=np.linspace(cfg.t0, cfg.t1, cfg.samples))
+    steps = attempts_of(calls)
+    kept = [h for (_, h), ok in zip(steps, accepted_of(steps, cfg.t1)) if ok]
+    assert np.median(kept) / steps[0][1] < 10.0
+
+
+def test_frozen_flow_steps():
+    # the frozen trajectory of ``selftest``: a zero right-hand side, which
+    # takes the fixed start and no more steps than it always did
+    w = make_weight([0.5, 0.5, 0.5], [1.0, 1.0],
+                    EndpointTrajectory.fixed([-1.0, 0.0, 1.0]))
+    rep = evolve(w, 5, (0.0, 1.0), sample_count=5)
+    assert (rep.stats.accepted, rep.stats.rejected) == (4, 0)
+    assert np.array_equal(rep.ys[-1], rep.ys[0])
 
 
 class TestRhsFiniteDifference:

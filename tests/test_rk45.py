@@ -36,13 +36,22 @@ def bump(t, y):
 
 def attempts_of(frame_calls):
     """(t, h) of every attempted step, from its 11 stage times
-    t + c_1 h, ..., t + c_11 h, with c_11 = 1."""
+    t + c_1 h, ..., t + c_11 h, with c_11 = 1, which lead its frames call
+    (the 3 dense-output times may follow them)."""
     out = []
     for ts in frame_calls:
-        if len(ts) == 11:
-            h = (ts[-1] - ts[0]) / (C[11] - C[1])
-            out.append((ts[-1] - h, h))
+        if len(ts) in (11, 14):
+            h = (ts[10] - ts[0]) / (C[11] - C[1])
+            out.append((ts[10] - h, h))
     return out
+
+
+def accepted_of(steps, t1):
+    """Whether each attempt in steps was accepted: the next one, or the
+    end at t1, starts at its end."""
+    starts = [t for t, _ in steps[1:]] + [t1]
+    return [nxt == pytest.approx(t + h, abs=1e-14)
+            for (t, h), nxt in zip(steps, starts)]
 
 
 def test_lands_on_every_sample_time():
@@ -73,32 +82,46 @@ def test_fevals_and_frames_per_attempt():
                               rtol=1e-8, atol=1e-10, sample_times=samples)
     attempts = stats.accepted + stats.rejected
     calls = rec.frame_calls
-    dense = [i for i, ts in enumerate(calls) if len(ts) == 3]
-    assert stats.rejected > 0 and dense
-    assert stats.fevals == (1 + 12 * stats.accepted + 11 * stats.rejected
-                            + 3 * len(dense)) == rec.rhs_calls
-    assert len(calls) == 1 + attempts + len(dense)
+    # one call at t0, one at the probe that sizes the first step, and one
+    # per attempt
+    assert len(calls) == 2 + attempts
     assert np.array_equal(calls[0], [0.0])
+    assert len(calls[1]) == 1 and 0.0 < calls[1][0] < 1.0
     steps = attempts_of(calls)
     assert len(steps) == attempts
-    for ts, (t, h) in zip((ts for ts in calls if len(ts) == 11), steps):
+    for ts, (t, h) in zip(calls[2:], steps):
         # 11 distinct stage times in stage order, which is not sorted
-        np.testing.assert_allclose(ts, t + C[1:12] * h, rtol=0.0, atol=1e-14)
-        assert len(np.unique(ts)) == 11 and ts[5] < ts[4]
-    # an attempt is accepted when the next one starts at its end; exactly
-    # the accepted steps that hold a sample strictly inside take the three
-    # dense-output stages, right after their own stage times
-    starts = [t for t, _ in steps[1:]] + [1.0]
-    holding = [i for i, ((t, h), nxt) in enumerate(zip(steps, starts))
-               if nxt == pytest.approx(t + h, abs=1e-14)
-               and np.any((samples > t) & (samples < t + h))]
-    attempt_call = [i for i, ts in enumerate(calls) if len(ts) == 11]
-    assert [attempt_call[i] + 1 for i in holding] == dense
-    for i in holding:
-        t, h = steps[i]
-        np.testing.assert_allclose(calls[attempt_call[i] + 1],
-                                   t + np.array([0.1, 0.2, 7.0 / 9.0]) * h,
-                                   rtol=0.0, atol=1e-14)
+        np.testing.assert_allclose(ts[:11], t + C[1:12] * h, rtol=0.0,
+                                   atol=1e-14)
+        assert len(np.unique(ts[:11])) == 11 and ts[5] < ts[4]
+    accepted = accepted_of(steps, 1.0)
+    dense = sum(ok and len(ts) == 14 for ok, ts in zip(accepted, calls[2:]))
+    assert stats.rejected > 0 and dense
+    assert stats.fevals == (2 + 12 * stats.accepted + 11 * stats.rejected
+                            + 3 * dense) == rec.rhs_calls
+
+
+def test_dense_times_ride_on_the_attempt_call():
+    # exactly the attempts, accepted or rejected, that hold a sample
+    # strictly inside carry the three dense-output times after their own
+    # 11 stage times; an attempt ending on a sample carries none
+    rec = Recorder(bump)
+    samples = np.linspace(0.0, 1.0, 41)
+    integrate_rk45(rec.rhs, rec.frames, 0.0, 1.0, [0.0, 1.0],
+                   rtol=1e-8, atol=1e-10, sample_times=samples)
+    calls = rec.frame_calls[2:]
+    steps = attempts_of(calls)
+    accepted = accepted_of(steps, 1.0)
+    holding = [bool(np.any((samples > t + 1e-12) & (samples < t + h - 1e-12)))
+               for t, h in steps]
+    assert any(holding) and not all(holding)
+    assert any(h and not ok for h, ok in zip(holding, accepted))
+    for ts, (t, h), holds in zip(calls, steps, holding):
+        assert len(ts) == (14 if holds else 11)
+        if holds:
+            np.testing.assert_allclose(ts[11:],
+                                       t + np.array([0.1, 0.2, 7.0 / 9.0]) * h,
+                                       rtol=0.0, atol=1e-14)
 
 
 def test_no_rhs_call_at_a_rejected_new_state():
@@ -118,13 +141,26 @@ def test_no_rhs_call_at_a_rejected_new_state():
                               rtol=1e-8, atol=1e-10)
     attempts = [(ts, called) for ts, called in groups if len(ts) == 11]
     steps = attempts_of([ts for ts, _ in attempts])
-    starts = [t for t, _ in steps[1:]] + [1.0]
-    accepted = [nxt == pytest.approx(t + h, abs=1e-14)
-                for (t, h), nxt in zip(steps, starts)]
+    accepted = accepted_of(steps, 1.0)
     assert stats.rejected == accepted.count(False) > 0
     assert stats.accepted == accepted.count(True)
     for (ts, called), ok in zip(attempts, accepted):
         assert called == list(ts) + ([ts[-1]] if ok else [])
+
+
+def test_state_at_rest_starts_from_the_fixed_step():
+    # y' = 0 gives no slope to size the start from; the fixed start
+    # 1e-3 * span grows tenfold per accepted attempt, so the run takes
+    # 1e-3, 1e-2, 1e-1 and the clipped rest of the span
+    rec = Recorder(lambda t, y: np.zeros_like(y))
+    out, stats = integrate_rk45(rec.rhs, rec.frames, 0.0, 1.0, [1.0, -2.0],
+                                sample_times=np.linspace(0.0, 1.0, 5))
+    assert (stats.accepted, stats.rejected) == (4, 0)
+    # the last step alone holds the inner samples
+    assert stats.fevals == 2 + 12 * 4 + 3 == rec.rhs_calls
+    np.testing.assert_allclose([h for _, h in attempts_of(rec.frame_calls)],
+                               [1e-3, 1e-2, 1e-1, 1.0 - 0.111], rtol=1e-12)
+    assert np.all(out == [1.0, -2.0])
 
 
 def test_step_sequence_does_not_depend_on_samples():
@@ -135,8 +171,7 @@ def test_step_sequence_does_not_depend_on_samples():
         rec = Recorder(bump)
         out, stats = integrate_rk45(rec.rhs, rec.frames, 0.0, 1.0, [0.0, 1.0],
                                     rtol=1e-8, atol=1e-10, sample_times=samples)
-        runs.append(([ts for ts in rec.frame_calls if len(ts) == 11],
-                     stats, out[-1]))
+        runs.append(([ts[:11] for ts in rec.frame_calls[1:]], stats, out[-1]))
     (plain, s1, end1), (sampled, s17, end17) = runs
     assert s1.rejected > 0
     assert (s17.accepted, s17.rejected) == (s1.accepted, s1.rejected)
@@ -157,7 +192,7 @@ def test_dense_output_matches_closed_form(t0, t1):
                                 [np.exp(np.sin(t0))], rtol=1e-9, atol=1e-12,
                                 sample_times=times)
     assert stats.accepted < 40
-    assert sum(len(ts) == 3 for ts in rec.frame_calls) > 20
+    assert sum(len(ts) == 14 for ts in rec.frame_calls) > 20
     np.testing.assert_allclose(out[:, 0], np.exp(np.sin(times)), rtol=1e-8)
 
 
