@@ -105,8 +105,9 @@ def _check_keys(doc: dict, allowed, path: str, strict: bool):
 
 
 def default_npts(n: int) -> int:
-    """Quadrature points per piece when none are given: exactness of
-    x p_n^2 on each piece needs n + 1, and one more is margin."""
+    """Quadrature points per piece when none are given: the rule on each
+    piece integrates the measure exactly to degree 2 npts - 3, so x p_n^2
+    needs n + 2, as does the recurrence to degree n + 1."""
     return max(DEFAULT_NPTS, n + 2)
 
 

@@ -19,7 +19,7 @@ points and nodes alike.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import List
 
 import numpy as np
@@ -68,13 +68,21 @@ def _conserved_sums(y: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 @dataclass
 class EvolutionReport:
-    """Sampled flow states with conservation drifts and integrator stats."""
+    """Sampled flow states of the weight ``w`` with integrator stats and,
+    computed on first read, the conservation drifts."""
 
+    w: GeneralizedJacobiWeight
     n: int
     times: np.ndarray
     ys: np.ndarray              # samples x (3 + 3m), packed states
-    drifts: np.ndarray          # samples x 5, vs the sums at t0
     stats: IntegrationStats
+
+    @cached_property
+    def drifts(self) -> np.ndarray:
+        """samples x 5: the conserved sums at each sample minus those at
+        t0 (times[0] is t0, so row 0 holds the sums at t0)."""
+        sums = _conserved_sums(self.ys, stage_node_data(self.w, self.times).x)
+        return sums - sums[0]
 
 
 @lru_cache(maxsize=8)
@@ -226,10 +234,7 @@ def evolve(w: GeneralizedJacobiWeight, n: int, t_span, tol=(1e-9, 1e-12),
             raise EndpointCollision(
                 f"endpoints nearly coincide at t = {exc.t}", t=exc.t) from exc
         raise
-    # times[0] is t0 and ys[0] is y0, so row 0 holds the sums at t0
-    sums = _conserved_sums(ys, stage_node_data(w, times).x)
-    drifts = sums - sums[0]
-    return EvolutionReport(n=n, times=times, ys=ys, drifts=drifts, stats=stats)
+    return EvolutionReport(w=w, n=n, times=times, ys=ys, stats=stats)
 
 
 @dataclass

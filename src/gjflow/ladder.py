@@ -57,9 +57,9 @@ class LadderReport:
 def _ladder_nodes(w: GeneralizedJacobiWeight, ts, n: int, npts: int):
     """The ladder node values at the times ts, from one pass.
 
-    One ``cauchy_node_matrices`` gives the stacked rule points, the
-    discretized measure, the node frames and the Cauchy matrix Q at every
-    time. One ``stieltjes_recurrence`` to degree n + 1 over those points
+    One ``cauchy_node_matrices`` gives the discretized measure, the node
+    frames and the Cauchy matrix Q at every time. One
+    ``stieltjes_recurrence`` to degree n + 1 over the measure's points
     and the nodes, all times at once, gives the table and p_n, p_{n-1}
     everywhere; Q turns them into q_n, q_{n-1} at the nodes. Returns
     (table, NodeFrames, Q, (p_n, p_{n-1}, q_n, q_{n-1}) at the nodes,

@@ -1,15 +1,25 @@
 """Singularity-absorbing quadrature against generalized Jacobi weights.
 
-Every integral over a piece [x_j, x_{j+1}] absorbs the two adjacent
-endpoint factors |x - x_j|^a |x - x_{j+1}|^b into a Gauss-Jacobi rule, so
-the remaining factor is smooth on the closed piece and the composite rule
-converges spectrally.
+Every integral over a piece [x_p, x_{p+1}], mapped to s in (-1, 1),
+absorbs the endpoint factors (1+s)^alpha_p (1-s)^alpha_{p+1} into one
+Gauss-Jacobi rule, so the remaining factor is smooth on the closed piece
+and the composite rule converges spectrally. The rule lowers each exponent
+alpha > 0 by one: its weight (1+s)^(alpha_p - 1) (1-s)^(alpha_{p+1} - 1)
+integrates the measure with the polynomial factor (1+s)(1-s), and the
+Cauchy kernels 1/(x_p - u) and 1/(x_{p+1} - u), whose poles cancel one of
+the two, with -(1-s) and (1+s). So one rule per piece serves the measure
+and the transforms at both of its ends (polynomial modification of a
+weight; Gautschi, Orthogonal Polynomials: Computation and Approximation,
+2004). On its piece it integrates (1+s)^alpha_p (1-s)^alpha_{p+1} times
+a polynomial of degree 2 npts - 3 exactly. An exponent alpha <= 0,
+allowed for moment weights, stays as it is; the transform at its endpoint
+diverges.
 
 The rules of one weight do not depend on t: for given exponents and npts
-they are stacked once into a small cached table (the plain piece rules,
-then, where Cauchy transforms are wanted, the singular rules beside the
-nodes), and ``discretized_measure`` and ``cauchy_node_matrices`` both map
-that one table to the endpoints at one or several times with array
+they are stacked once into a small cached table of m - 1 rules, with the
+per-point factors of the measure and of the two adjacent Cauchy kernels,
+and ``discretized_measure`` and ``cauchy_node_matrices`` both map that
+one table to the endpoints at one or several times with array
 operations. A table takes its rules from a bounded per-rule cache and
 builds the ones it misses, each once, in one batched pass over all of them
 (``_build_rules``); ``gauss_jacobi_rule`` is the one-rule case.
@@ -212,17 +222,19 @@ def _eval_on(f, xs: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _RuleTable:
-    """The absorbed rules of one (alpha, npts), stacked point by point.
+    """The absorbed rules of one (alpha, npts), one per piece, stacked point
+    by point. Nothing here depends on t.
 
-    The m-1 plain piece rules come first (``nplain`` points, the discretized
-    measure). A table built with ``singular`` then holds the singular rules
-    beside each node x_j with alpha_j > 0: the rule left of x_j, then the
-    one right of it. Every rule on piece p
-    absorbs the two endpoint factors of p; ``scale`` is its Jacobian
-    exponent 1 + beta_left + beta_right, and ``free[k]`` marks the points
-    whose rule does not absorb endpoint k. ``node`` and ``sign`` hold, for
-    the singular points only, the node whose Cauchy factor the rule absorbs
-    and the sign of x_node - u. Nothing here depends on t.
+    The rule on piece p is the Gauss rule for (1+s)^lo (1-s)^hi, with
+    lo = alpha_p - 1 where alpha_p > 0 and lo = alpha_p otherwise, and hi
+    likewise from alpha_{p+1}. The powers it lowered are per-point factors:
+    ``measure`` = (1+s)^(alpha_p - lo) (1-s)^(alpha_{p+1} - hi) turns the
+    rule into the measure on p; ``left`` = -(1-s)^(alpha_{p+1} - hi) and
+    ``right`` = (1+s)^(alpha_p - lo) turn it into the Cauchy kernels
+    1/(x_p - u) and 1/(x_{p+1} - u) times the measure, up to the half-width
+    of p (for an endpoint with alpha > 0). ``scale`` is alpha_p +
+    alpha_{p+1}, the power of the half-width in those kernel weights, and
+    ``free[k]`` marks the points whose piece does not end at endpoint k.
     """
 
     s: np.ndarray
@@ -230,84 +242,78 @@ class _RuleTable:
     piece: np.ndarray
     scale: np.ndarray
     free: np.ndarray
-    node: np.ndarray
-    sign: np.ndarray
-    nplain: int
+    measure: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
 
 
 @lru_cache(maxsize=4)
-def _rule_table(alpha: tuple, npts: int, singular: bool) -> _RuleTable:
+def _rule_table(alpha: tuple, npts: int) -> _RuleTable:
     m = len(alpha)
-    rules = [(p, alpha[p], alpha[p + 1]) for p in range(m - 1)]
-    node, sign = [], []
-    for j in range(m) if singular else ():
-        if alpha[j] <= 0.0:  # q(x_j) diverges; cauchy_node_matrices refuses it
-            continue
-        if j > 0:  # node at the right end of piece j-1: x_j - u > 0
-            rules.append((j - 1, alpha[j - 1], alpha[j] - 1.0))
-            node.append(j)
-            sign.append(1.0)
-        if j < m - 1:  # node at the left end of piece j: x_j - u < 0
-            rules.append((j, alpha[j] - 1.0, alpha[j + 1]))
-            node.append(j)
-            sign.append(-1.0)
-    built = _rule_cached.rules(npts, [(bl, br) for _, bl, br in rules])
-    piece = np.repeat([p for p, _, _ in rules], npts)
+    # what the rules beside each endpoint take off its exponent: one where
+    # the Cauchy transform at that endpoint converges (alpha > 0)
+    drop = [float(a > 0.0) for a in alpha]
+    built = _rule_cached.rules(
+        npts, [(alpha[p] - drop[p], alpha[p + 1] - drop[p + 1]) for p in range(m - 1)])
+    s = np.concatenate([nodes for nodes, _ in built])
+    piece = np.repeat(np.arange(m - 1), npts)
+    to_left = (1.0 + s) ** np.take(drop, piece)   # (1+s)^(alpha_p - lo)
+    to_right = (1.0 - s) ** np.take(drop, piece + 1)
     k = np.arange(m)[:, None]
     arrays = (
-        np.concatenate([nodes for nodes, _ in built]),
+        s,
         np.concatenate([wts for _, wts in built]),
         piece,
-        np.repeat([1.0 + bl + br for _, bl, br in rules], npts),
+        np.take(alpha, piece) + np.take(alpha, piece + 1),
         (k != piece) & (k != piece + 1),
-        np.repeat(np.array(node, dtype=int), npts),
-        np.repeat(sign, npts),
+        to_left * to_right,
+        -to_right,
+        to_left,
     )
     for arr in arrays:
         arr.setflags(write=False)
-    return _RuleTable(*arrays, nplain=(m - 1) * npts)
+    return _RuleTable(*arrays)
 
 
-def _table(w: GeneralizedJacobiWeight, npts: int, singular: bool) -> _RuleTable:
-    # callers of the measure alone do not pay for the 2(m-1) singular rules
-    return _rule_table(tuple(w.alpha.tolist()), int(npts), singular)
+def _table(w: GeneralizedJacobiWeight, npts: int) -> _RuleTable:
+    return _rule_table(tuple(w.alpha.tolist()), int(npts))
 
 
-def _stacked_points(w: GeneralizedJacobiWeight, X: np.ndarray,
-                    table: _RuleTable, stop: int):
-    """Mapped points and effective weights of the first ``stop`` table points
-    at each row of endpoint positions ``X`` (one row per time): two
-    (len(X), stop) arrays.
+def _stacked_points(w: GeneralizedJacobiWeight, X: np.ndarray, table: _RuleTable):
+    """Mapped points, measure weights and adjacent-kernel weights of the
+    table at each row of endpoint positions ``X`` (one row per time): three
+    (len(X), points) arrays.
 
-    Each weight is C_p times the rule weight times half^scale of its piece,
-    times |u - x_k|^alpha_k for every endpoint k its rule does not absorb,
-    multiplied in that order of k, one (len(X), stop) factor at a time; the
-    power is taken only where its factor is used.
+    The kernel weight of a point is C_p times the rule weight times
+    half^scale of its piece, times |u - x_k|^alpha_k for every endpoint k
+    its piece does not end at, multiplied in that order of k, one factor
+    array at a time; the power is taken only where its factor is used. The
+    measure weight is that times half times the table's ``measure``.
     """
-    piece = table.piece[:stop]
+    piece = table.piece
     # take keeps the rows contiguous (X[:, piece] would be column-major)
     xl, xr = np.take(X, piece, axis=1), np.take(X, piece + 1, axis=1)
     half = 0.5 * (xr - xl)
-    xs = 0.5 * (xr + xl) + half * table.s[:stop]
-    eff = w.pieces[piece] * table.wts[:stop] * half ** table.scale[:stop]
+    xs = 0.5 * (xr + xl) + half * table.s
+    eff = w.pieces[piece] * table.wts * half ** table.scale
     fk = np.empty_like(xs)
     for k in range(w.m):
         np.subtract(xs, X[:, k, None], out=fk)
         np.abs(fk, out=fk)
-        free = table.free[k, :stop]
+        free = table.free[k]
         np.power(fk, w.alpha[k], out=fk, where=free)
         np.multiply(eff, fk, out=eff, where=free)
-    return xs, eff
+    half *= table.measure
+    return xs, eff * half, eff
 
 
 def discretized_measure(w: GeneralizedJacobiWeight, t: float, npts: int = DEFAULT_NPTS):
     """Composite absorbed rule: (points, weights) with sum w_i f(x_i) ~ int w f.
 
-    The plain piece rules of the stacked rule table, mapped to the endpoints
-    at t; any exponents > -1 are allowed.
+    The stacked rule table mapped to the endpoints at t, with the measure
+    factor of each point in its weight; any exponents > -1 are allowed.
     """
-    table = _table(w, npts, singular=False)
-    xs, ws = _stacked_points(w, stage_node_data(w, (t,)).x, table, table.nplain)
+    xs, ws, _ = _stacked_points(w, stage_node_data(w, (t,)).x, _table(w, npts))
     return xs[0], ws[0]
 
 
@@ -322,26 +328,24 @@ def cauchy_node_matrices(w: GeneralizedJacobiWeight, ts,
                          npts: int = DEFAULT_NPTS, nodes=None):
     """Cauchy transforms at endpoints as one linear map per time.
 
-    Returns (points, weights, frames, Q) for the times ``ts``: the points of
-    every rule in the stacked rule table, one row per time; the effective
-    weights of its plain slice (the first ``weights.shape[1]`` points and
-    these weights are ``discretized_measure``); the ``NodeFrames`` of
-    ``stage_node_data``; and Q, of shape (times, requested nodes, points),
-    with one row per requested node (all m endpoints when ``nodes`` is
-    None) such that, at time ts[s] and with j = nodes[i],
-    q(x_j) = int w(u) f(u) / (x_j - u) du = Q[s, i] @ f(points[s]).
+    Returns (points, weights, frames, Q) for the times ``ts``: the points
+    and weights of ``discretized_measure``, one row per time; the
+    ``NodeFrames`` of ``stage_node_data``; and Q, of shape (times,
+    requested nodes, points), with one row per requested node (all m
+    endpoints when ``nodes`` is None) such that, at time ts[s] and with
+    j = nodes[i], q(x_j) = int w(u) f(u) / (x_j - u) du = Q[s, i] @ f(points[s]).
 
-    Each piece contributes its plain absorbed rule, which carries the smooth
-    factor 1/(x_j - u) for every node off that piece. On the one or two
-    pieces adjacent to x_j the Cauchy factor combines with the endpoint
-    singularity into |u - x_j|^(alpha_j - 1), still an admissible
-    Gauss-Jacobi exponent exactly when alpha_j > 0 (sign: + on the piece
-    left of x_j, - on the right). The table holds these singular rules for
-    every node with alpha_j > 0, so with all nodes admissible there are
-    3(m-1) rules. Points, weights and Q come from a fixed number of array
-    operations on the table for all times at once, with no loop over
-    times, pieces or nodes. Raises IndexOutOfRange for a node index
-    outside 0..m-1 and DivergentTransform for a node with alpha_j <= 0.
+    The one rule table serves the measure and every transform. On a piece
+    away from x_j the measure carries the smooth factor 1/(x_j - u). On
+    the one or two pieces ending at x_j the factor combines with the
+    endpoint singularity into |u - x_j|^(alpha_j - 1), which the piece's
+    rule absorbs when alpha_j > 0; what remains of the measure there is the
+    table's ``left`` (x_j the left end) or ``right`` factor, a polynomial
+    of degree at most 1. So (m-1) rules serve all. Points, weights and Q
+    come from a fixed number of array operations on the table for all
+    times at once, with no loop over times, pieces or nodes. Raises
+    IndexOutOfRange for a node index outside 0..m-1 and DivergentTransform
+    for a node with alpha_j <= 0.
     """
     a = w.alpha
     for j in range(w.m) if nodes is None else nodes:
@@ -353,15 +357,16 @@ def cauchy_node_matrices(w: GeneralizedJacobiWeight, ts,
             )
     frames = stage_node_data(w, ts)
     X = frames.x
-    table = _table(w, npts, singular=True)
-    k = table.nplain
-    points, eff = _stacked_points(w, X, table, len(table.s))
-    Q = np.zeros((len(X), w.m, points.shape[1]))
-    # pieces adjacent to the node are left 0: the singular rules carry them
-    np.divide(eff[:, None, :k], X[:, :, None] - points[:, None, :k],
-              out=Q[:, :, :k], where=table.free[:, :k])
-    Q[:, table.node, np.arange(k, points.shape[1])] = table.sign * eff[:, k:]
+    table = _table(w, npts)
+    points, ws, eff = _stacked_points(w, X, table)
+    Q = np.empty((len(X), w.m, points.shape[1]))
+    np.divide(ws[:, None, :], X[:, :, None] - points[:, None, :],
+              out=Q, where=table.free)
+    # the pieces ending at a node: its kernel times the measure, from the
+    # rule that absorbs both (the row of a node with alpha <= 0 is dropped)
+    cols = np.arange(points.shape[1])
+    Q[:, table.piece, cols] = eff * table.left
+    Q[:, table.piece + 1, cols] = eff * table.right
     if nodes is not None:
         Q = Q[:, np.asarray(nodes, dtype=int)]
-    return points, eff[:, :k], frames, Q
-
+    return points, ws, frames, Q

@@ -172,6 +172,19 @@ def test_drifts_match_per_sample_node_data(moving3):
     assert np.all(rep.drifts[0] == 0.0) and np.any(rep.drifts[-1] != 0.0)
 
 
+def test_drifts_are_computed_on_first_read(moving3, monkeypatch):
+    calls = []
+    sums = gjflow.evolution._conserved_sums
+    monkeypatch.setattr(gjflow.evolution, "_conserved_sums",
+                        lambda *args: calls.append(1) or sums(*args))
+    verify_flow(moving3, 5, (0.0, 0.3), sample_count=7)
+    assert calls == []
+    rep = evolve(moving3, 5, (0.0, 0.3), sample_count=7)
+    assert calls == []
+    assert rep.drifts is rep.drifts
+    assert calls == [1]
+
+
 class TestEvolve:
     def test_fixed_endpoints_constant(self, ref3):
         rep = evolve(ref3, 3, (0.0, 2.0), sample_count=6)

@@ -1,10 +1,13 @@
 """The stacked rule table against per-piece rules (``quad_ref``).
 
 ``discretized_measure``, ``cauchy_node_matrices``, ``init_state`` and
-``init_states`` all read one cached table of absorbed rules; these tests
-compare each with the piece-by-piece reference, computed in extended
-precision, to 1e-12 in the relative metric of ``verify`` (absolute
-floor 1); random configs to 1e-11 (see ``PROPERTY_TOL``).
+``init_states`` all read one cached table of absorbed rules, one per
+piece; these tests compare each with the piece-by-piece reference,
+computed in extended precision, to 1e-12 in the relative metric of
+``verify`` (absolute floor 1); random configs to 1e-11 (see
+``PROPERTY_TOL``). The reference integrates the measure with the plain
+piece rules and each Cauchy transform with two more rules beside its node,
+so it shares no rule with the table wherever an exponent is positive.
 """
 
 import math
@@ -40,7 +43,8 @@ TOL = 1e-12
 # on m = 5, alpha (1, 1, 1, 2, 2), x (-2, 1, 1.25, 1.875, 2), n = 11 (a
 # shrunk hypothesis example) 1-ulp noise on the rule weights alone spreads
 # the deviation over 1.6e-13 .. 1.3e-12, and the code before the rule table
-# reads 4.6e-13 there. The property test allows ten times that noise.
+# reads 4.6e-13 there. Small exponents add to it (``test_small_exponents``).
+# The property test allows ten times that noise.
 PROPERTY_TOL = 1e-11
 
 # m in {2, 3, 4, 6}; exponents below and above 1; inner endpoints moving
@@ -65,21 +69,64 @@ def w(request):
     return weight(request.param)
 
 
+def lowered_measure(w, t, npts):
+    """The table's measure built piece by piece in extended precision: the
+    rule with each positive endpoint exponent lowered by one, its weights
+    times the distance to each endpoint whose exponent it lowered."""
+    x = quad_ref._positions(w, t)
+    parts = []
+    for p in range(w.m - 1):
+        lower = w.alpha[p:p + 2] > 0.0
+        xs, eff = quad_ref.piece_points(w, x, p, npts, *(w.alpha[p:p + 2] - lower))
+        if lower[0]:
+            eff = eff * (xs - x[p])
+        if lower[1]:
+            eff = eff * (x[p + 1] - xs)
+        parts.append((xs, eff))
+    return (np.concatenate([xs for xs, _ in parts]),
+            np.concatenate([eff for _, eff in parts]))
+
+
+def assert_measure_integrals(w, t, npts):
+    """sum ws f(xs) against the plain piece rules of ``quad_ref.measure``,
+    for f = 1, u^k up to the table's exactness 2 npts - 3, cos and a Cauchy
+    kernel with its pole beyond the support."""
+    xs, ws = discretized_measure(w, t, npts)
+    rx, rw = quad_ref.measure(w, t, npts)
+    pole = float(rx[-1]) + 1.0
+    fs = [np.ones_like, np.cos, lambda u: 1.0 / (pole - u)]
+    fs += [lambda u, k=k: u ** k for k in range(1, 2 * npts - 2)]
+    for f in fs:
+        assert quad_ref.relative(np.dot(ws, f(xs)), np.sum(rw * f(rx))) <= TOL
+
+
+def assert_cauchy_transforms(w, t, npts, nodes):
+    """Q @ f of ``cauchy_node_matrices`` at the nodes against
+    ``quad_ref.cauchy_transform``."""
+    points, ws, _, Q = cauchy_node_matrices(w, (t,), npts, nodes=nodes)
+    for f in (np.cos, lambda u: u ** 5 - 2.0 * u, np.ones_like):
+        got = Q[0] @ f(points[0])
+        ref = [quad_ref.cauchy_transform(w, t, f, j, npts) for j in nodes]
+        assert quad_ref.relative(got, ref) <= TOL
+
+
 class TestAgainstPerPieceRules:
     @pytest.mark.parametrize("npts", [7, 64])
     def test_discretized_measure(self, w, npts):
         xs, ws = discretized_measure(w, 0.13, npts)
-        rx, rw = quad_ref.measure(w, 0.13, npts)
+        rx, rw = lowered_measure(w, 0.13, npts)
         assert quad_ref.relative(xs, rx) <= TOL
         np.testing.assert_allclose(ws, rw, rtol=TOL, atol=0.0)
+        if npts == 64:  # where the plain rules and the table both converge
+            assert_measure_integrals(w, 0.13, npts)
 
     def test_cauchy_node_matrix(self, w):
         t = 0.07
         points, ws, _, Q = cauchy_node_matrices(w, (t,), 64)
         points, ws, Q = points[0], ws[0], Q[0]
-        assert Q.shape == (w.m, 3 * (w.m - 1) * 64)
-        k = len(ws)
-        assert np.array_equal(points[:k], discretized_measure(w, t, 64)[0])
+        assert Q.shape == (w.m, (w.m - 1) * 64)
+        xs, mws = discretized_measure(w, t, 64)
+        assert np.array_equal(points, xs) and np.array_equal(ws, mws)
         for f in (np.cos, lambda u: u ** 5 - 2.0 * u, np.ones_like):
             got = Q @ f(points)
             ref = [quad_ref.cauchy_transform(w, t, f, j, 64) for j in range(w.m)]
@@ -151,14 +198,40 @@ def test_init_states_property(cfg, offsets):
 
 class TestEdges:
     def test_measure_with_nonpositive_exponents(self):
-        # moment-flow weights may have alpha in (-1, 0]; no singular rule
-        # is built for those nodes and the plain rules stand alone
+        # moment-flow weights may have alpha in (-1, 0]; the rules beside
+        # those nodes keep their exponents unlowered
         w = make_weight([-0.5, 0.0, 0.7, -0.9], [1.0, 2.0, 0.5],
                         EndpointTrajectory(((-1.0,), (0.0, 0.3), (0.6,), (1.4,))))
+        assert_measure_integrals(w, 0.2, 32)
         xs, ws = discretized_measure(w, 0.2, 32)
-        rx, rw = quad_ref.measure(w, 0.2, 32)
+        rx, rw = lowered_measure(w, 0.2, 32)
         assert quad_ref.relative(xs, rx) <= TOL
         np.testing.assert_allclose(ws, rw, rtol=TOL, atol=0.0)
+
+    @pytest.mark.parametrize("alpha", [
+        [0.4, 1.3, 0.7],    # every rule lowered on both sides
+        [0.6, -0.4, 1.1],   # one side: the left of piece 0, the right of 1
+        [-0.5, 0.0, -0.3],  # neither side
+    ])
+    def test_lowering_patterns(self, alpha):
+        w = make_weight(alpha, [1.5, 0.8],
+                        EndpointTrajectory(((-1.0,), (0.1, 0.5), (1.2,))))
+        assert_measure_integrals(w, 0.2, 32)
+        nodes = [j for j in range(w.m) if alpha[j] > 0.0]
+        if nodes:
+            assert_cauchy_transforms(w, 0.2, 32, nodes)
+
+    @pytest.mark.parametrize("alpha,x", [
+        ([0.05, 0.05, 0.05], [-1.0, 0.2, 1.0]),
+        ([2.0, 0.05], [-1.0, -0.8]),   # the 0.2-wide support of docs/formats.md
+    ])
+    def test_small_exponents(self, alpha, x):
+        # a small alpha puts most of a lowered rule's mass on the node
+        # next to its endpoint, whose distance 1 + s to it has only the
+        # node's absolute accuracy: about 1e-12 in this metric at n = 30
+        w = make_weight(alpha, [1.0] * (len(x) - 1), EndpointTrajectory.fixed(x))
+        got = init_state(w, 30, 0.0).pack()
+        assert quad_ref.relative(got, quad_ref.init_state(w, 30, 0.0)) <= PROPERTY_TOL
 
     def test_stieltjes_at_node_with_nonpositive_exponents_elsewhere(self):
         w = make_weight([-0.5, 0.8, 0.0], [1.0, 1.5],
@@ -177,15 +250,17 @@ class TestEdges:
         with pytest.raises(DivergentTransform, match=msg):
             cauchy_node_matrices(w, (0.0,))
 
-    def test_measure_builds_only_the_plain_rules(self):
+    def test_measure_builds_the_whole_table(self, builds):
         # exponents and npts no other test uses, so every rule is a new build
         w = make_weight([0.31, 0.77, 1.23], [1.0, 1.0],
                         EndpointTrajectory.fixed([-1.0, 0.2, 1.0]))
         before = _rule_cached.cache_info().misses
         discretized_measure(w, 0.0, 17)
+        assert len(builds) == 1 and len(builds[0]) == w.m - 1
         assert _rule_cached.cache_info().misses - before == w.m - 1
         cauchy_node_matrices(w, (0.0,), 17)
-        assert _rule_cached.cache_info().misses - before == 3 * (w.m - 1)
+        assert len(builds) == 1
+        assert _rule_cached.cache_info().misses - before == w.m - 1
 
     def test_table_cache_is_small(self):
         assert _rule_table.cache_info().maxsize <= 4
@@ -237,18 +312,20 @@ class TestRuleCache:
         w = make_weight([0.37, 1.41, 0.83, 1.07], [1.0, 1.0, 1.0],
                         EndpointTrajectory.fixed([-1.0, 0.1, 0.5, 1.0]))
         cauchy_node_matrices(w, (0.0,), 19)
-        assert len(builds) == 1 and len(builds[0]) == 3 * (w.m - 1)
-        # a new table (plain rules only) whose rules are all cached
+        assert len(builds) == 1 and len(builds[0]) == w.m - 1
+        # a new table whose rules, those of the first two pieces, are cached
+        w3 = make_weight([0.37, 1.41, 0.83], [1.0, 1.0],
+                         EndpointTrajectory.fixed([-1.0, 0.1, 0.5]))
         before = _rule_cached.cache_info()
-        discretized_measure(w, 0.0, 19)
+        discretized_measure(w3, 0.0, 19)
         after = _rule_cached.cache_info()
         assert len(builds) == 1
-        assert (after.hits - before.hits, after.misses - before.misses) == (w.m - 1, 0)
+        assert (after.hits - before.hits, after.misses - before.misses) == (w3.m - 1, 0)
         # a table with one fresh rule builds that one alone
         w2 = make_weight([0.37, 1.41, 0.83, 1.09], [1.0, 1.0, 1.0],
                          EndpointTrajectory.fixed([-1.0, 0.1, 0.5, 1.0]))
         discretized_measure(w2, 0.0, 19)
-        assert builds[1:] == [[(0.83, 1.09)]]
+        assert builds[1:] == [[(0.83 - 1.0, 1.09 - 1.0)]]
 
     def test_duplicate_pairs_are_built_once(self, builds):
         w = make_weight([0.59, 0.59, 0.59, 0.59], [1.0, 2.0, 0.5],
@@ -256,19 +333,16 @@ class TestRuleCache:
         before = _rule_cached.cache_info()
         points = cauchy_node_matrices(w, (0.0,), 13)[0][0]
         after = _rule_cached.cache_info()
-        # 9 rules, 3 distinct: (a, a), (a - 1, a) and (a, a - 1)
-        assert len(builds) == 1 and len(builds[0]) == 3
-        assert len(set(builds[0])) == 3
-        assert (after.hits - before.hits, after.misses - before.misses) == (6, 3)
-        assert points.shape == (9 * 13,)
+        # 3 rules, all (a - 1, a - 1)
+        assert builds == [[(0.59 - 1.0, 0.59 - 1.0)]]
+        assert (after.hits - before.hits, after.misses - before.misses) == (2, 1)
+        assert points.shape == (3 * 13,)
 
     def test_gauss_jacobi_rule_is_the_table_slice(self, builds):
         alpha = (0.43, 1.17, 0.61)
         npts = 23
-        table = _rule_table(alpha, npts, True)
-        rules = [(alpha[0], alpha[1]), (alpha[1], alpha[2]),
-                 (alpha[0] - 1.0, alpha[1]), (alpha[0], alpha[1] - 1.0),
-                 (alpha[1] - 1.0, alpha[2]), (alpha[1], alpha[2] - 1.0)]
+        table = _rule_table(alpha, npts)
+        rules = [(alpha[0] - 1.0, alpha[1] - 1.0), (alpha[1] - 1.0, alpha[2] - 1.0)]
         assert builds == [rules]
         for i, (bl, br) in enumerate(rules):
             part = slice(i * npts, (i + 1) * npts)
