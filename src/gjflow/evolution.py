@@ -94,8 +94,8 @@ def _term_table(m: int):
     the node ratio rows theta, theta_prev, omega of the packed state y and
     B = [xdot | x * xdot | K] is one row of ``NodeFrames.basis``; so
     (U @ B)[i] holds U_i . xdot, U_i . (x * xdot) and K U_i (K is
-    symmetric). Returns the three factor index arrays and the (3 + 3m) x
-    terms coefficient matrix.
+    symmetric). Returns the 3 x terms array of factor indices and the
+    (3 + 3m) x terms coefficient matrix.
     """
     j = np.arange(m)
     th, tp, om = 3 + j, 3 + m + j, 3 + 2 * m + j
@@ -124,24 +124,28 @@ def _term_table(m: int):
                              for col in range(5))
     coefs = np.zeros((3 + 3 * m, len(coef)))
     coefs[out, np.arange(len(coef))] = coef
-    table = tuple(f.astype(np.intp) for f in (f1, f2, f3)) + (coefs,)
-    for arr in table:
+    factors = np.stack((f1, f2, f3)).astype(np.intp)
+    for arr in (factors, coefs):
         arr.setflags(write=False)
-    return table
+    return factors, coefs
 
 
-def _factor_buffer(m: int):
-    """Scratch for ``evolution_rhs`` at m endpoints: the factor vector z of
-    ``_term_table(m)`` with its fixed 1.0 in place, and two views into it,
-    the node-ratio rows U (3 x m) and U @ basis (3 x (m + 2))."""
+def _rhs_buffer(m: int):
+    """Everything ``evolution_rhs`` reads at m endpoints, built once per
+    flow: the factor vector z of ``_term_table(m)`` with its fixed 1.0 in
+    place; its views, the packed state y, the node-ratio rows U (3 x m)
+    and U @ basis (3 x (m + 2)); and the table."""
     k = 3 + 3 * m
     z = np.empty(k + 3 * (m + 2) + 2)
     z[-2] = 1.0
-    return z, z[3:k].reshape(3, m), z[k:-2].reshape(3, m + 2)
+    return (z, z[:k], z[3:k].reshape(3, m), z[k:-2].reshape(3, m + 2),
+            *_term_table(m))
 
 
-def evolution_rhs(y: np.ndarray, basis: np.ndarray, buf=None) -> np.ndarray:
-    """Time derivative of the packed state y at the frame ``basis``.
+def evolution_rhs(y: np.ndarray, basis: np.ndarray, buf=None,
+                  out=None) -> np.ndarray:
+    """Time derivative of the packed state y at the frame ``basis``,
+    written into ``out`` (a new array without it) and returned.
 
     ``y`` is ``EvolutionState.pack()``: (a, b, gamma), then theta,
     theta_prev and omega as the rows of ``U = y[3:].reshape(3, m)``;
@@ -150,19 +154,21 @@ def evolution_rhs(y: np.ndarray, basis: np.ndarray, buf=None) -> np.ndarray:
     polynomial of degree at most 3 in y whose coefficients depend on t only
     through ``basis``: one ``U @ basis`` gives every dot and kernel
     product, and the terms of ``_term_table`` turn them into the
-    derivative with three gathers, one product and one matmul.
+    derivative with one gather, two products and one matmul.
 
-    The factor vector is written in place into ``buf``, a
-    ``_factor_buffer(m)`` that one integration reuses for all its calls;
-    without it a fresh one is made.
+    ``buf`` is the ``_rhs_buffer(m)`` that one flow builds once and
+    reuses for all its calls: the term table is read from it and the
+    factor vector written into it; without it a fresh one is made. ``y``
+    is only read, so ``out`` may be a row of the integrator's stage array.
     """
-    m = len(basis)
-    f1, f2, f3, coefs = _term_table(m)
-    z, u, ub = _factor_buffer(m) if buf is None else buf
-    z[:len(y)] = y
-    np.matmul(u, basis, out=ub)
-    z[-1] = y[0] * y[0]
-    return coefs @ (z[f1] * z[f2] * z[f3])
+    z, y_part, u, ub, factors, coefs = _rhs_buffer(len(basis)) \
+        if buf is None else buf
+    y_part[...] = y
+    u.dot(basis, ub)
+    a = y[0]
+    z[-1] = a * a
+    g = z[factors]
+    return coefs.dot(g[0] * g[1] * g[2], out)
 
 
 def init_states(w: GeneralizedJacobiWeight, n: int, ts,
@@ -217,10 +223,10 @@ def evolve(w: GeneralizedJacobiWeight, n: int, t_span, tol=(1e-9, 1e-12),
     if y0 is None:
         y0 = init_state(w, n, t0, npts).pack()
     times = np.linspace(t0, t1, sample_count)
-    buf = _factor_buffer(w.m)
+    buf = _rhs_buffer(w.m)
 
-    def rhs(basis, y):
-        return evolution_rhs(y, basis, buf)
+    def rhs(basis, y, out):
+        evolution_rhs(y, basis, buf, out)
 
     try:
         ys, stats = integrate_rk45(rhs, _flow_frames(w), t0, t1, y0,

@@ -51,14 +51,15 @@ def nu_by_quadrature(w: GeneralizedJacobiWeight, n: int, t: float,
 
 
 def moment_rhs(nu: np.ndarray, basis: np.ndarray, alpha: np.ndarray,
-               beta: np.ndarray) -> np.ndarray:
+               beta: np.ndarray, out=None) -> np.ndarray:
     """nu_dot_j = sum_{k != j} (xd_j - xd_k)(alpha_k + beta_k)(nu_j - nu_k)/(x_j - x_k),
     with the kernel K = (xd_j - xd_k)/(x_j - x_k) read from the frame
-    ``basis = [xdot | x * xdot | K]`` (``NodeData.basis``)."""
+    ``basis = [xdot | x * xdot | K]`` (``NodeData.basis``); written into
+    ``out`` (a new array without it) and returned."""
     K = basis[:, 2:]
     ab = alpha + beta
     # sum_k K[j,k] ab_k (nu_j - nu_k)
-    return nu * (K @ ab) - K @ (ab * nu)
+    return np.subtract(nu * (K @ ab), K @ (ab * nu), out=out)
 
 
 def evolve_moments(w: GeneralizedJacobiWeight, n: int, t_span,
@@ -78,8 +79,8 @@ def evolve_moments(w: GeneralizedJacobiWeight, n: int, t_span,
     nu0 = np.asarray(nu0, dtype=float)
     times = np.linspace(t0, t1, sample_count)
 
-    def rhs(basis, y):
-        return moment_rhs(y, basis, w.alpha, beta)
+    def rhs(basis, y, out):
+        moment_rhs(y, basis, w.alpha, beta, out)
 
     return integrate_rk45(rhs, _flow_frames(w), t0, t1, nu0, rtol=rtol,
                           atol=atol, sample_times=times)

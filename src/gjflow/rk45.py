@@ -31,9 +31,19 @@ built once per step instead of once per stage:
   follow in the same call, so one call serves the attempt and its dense
   output. An exception it raises propagates unchanged, so a frame builder
   may reject a time.
-- ``rhs(frame, y)`` returns y' at the frame's time. It is called once per
-  function evaluation: 1 at t0, 1 at the probe, 11 per attempted step, 1
-  more per accepted step and 3 per accepted step with dense output.
+- ``rhs(frame, y, out)`` writes y' at the frame's time into ``out``, a
+  row of the integrator's stage array; its return value is ignored. ``y``
+  is a buffer that the integrator reuses, so the rhs must neither write
+  nor keep it. It is called once per function evaluation: 1 at t0, 1 at
+  the probe, 11 per attempted step, 1 more per accepted step and 3 per
+  accepted step with dense output.
+
+The stages of a step live in one array whose row 0 is y and whose row
+1 + i is stage i. Each attempt scales the tableau, extended by a leading
+column of ones, once to ``[1 | h A]``, so that the state of each stage,
+the 3 dense-output stages included, ``y + h sum_j a_ij k_j``, is one
+product of a row of it with the rows before the stage, written into one
+reused buffer.
 
 The first step is sized from the start (Hairer, Norsett & Wanner, section
 II.4): from the norms d0 of y0 and d1 of y'(t0), a probe step
@@ -205,8 +215,9 @@ _DENSE[3:] = _D
 # followed by the 3 dense-output stage times
 _C_STAGES = _C[1:12]
 _C_WITH_DENSE = np.concatenate((_C_STAGES, _C[13:]))
-# rows 0..12 of A, zero-padded into one matrix that one product scales by h
-_A_STAGES = np.array([np.pad(row, (0, 12 - len(row))) for row in _A[:13]])
+# rows 0..15 of A, zero-padded to 15 columns; one product per attempt
+# scales it by h into the extended tableau [1 | h A]
+_A_STAGES = np.array([np.pad(row, (0, 15 - len(row))) for row in _A])
 
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
@@ -221,21 +232,22 @@ class IntegrationStats:
     fevals: int = 0
 
 
-def _dense(rhs, dense_frames, t: float, h: float, y, ks, ts) -> np.ndarray:
+def _dense(rhs, dense_frames, heads, yi, stages, t: float, h: float,
+           ts) -> np.ndarray:
     """States at the times ts inside the accepted step of size h from
-    (t, y), from the 7th-order continuous extension. ks holds the step's
-    stages 0..12 (stage 12 is y' at the new state); stages 13..15 are
-    evaluated into it here, at the frames of the 3 dense-output times."""
-    for i, frame in enumerate(dense_frames, start=13):
-        yi = np.dot(_A[i], ks[:i])
-        yi *= h
-        yi += y
-        ks[i] = rhs(frame, yi)
+    (t, y), from the 7th-order continuous extension. ``stages`` holds y
+    and then the step's stages 0..12 (stage 12 is y' at the new state);
+    stages 13..15 are evaluated into it here, at the frames of the 3
+    dense-output times, through their ``heads`` of ``integrate_rk45`` and
+    its state buffer ``yi``."""
+    for (a, k, ki), frame in zip(heads, dense_frames):
+        a.dot(k, yi)
+        rhs(frame, yi, ki)
     x = (np.array(ts) - t) / h
     p = np.cumprod([x, 1.0 - x, x, 1.0 - x, x, 1.0 - x, x], axis=0)
-    out = np.dot(p.T, np.dot(_DENSE, ks))
+    out = np.dot(p.T, np.dot(_DENSE, stages[1:]))
     out *= h
-    out += y
+    out += stages[0]
     return out
 
 
@@ -254,8 +266,9 @@ def _start_step(rhs, frames, t0: float, y0, f0, direction: float,
     if not math.isfinite(d0 + d1):
         return fixed
     h0 = min(0.01 * d0 / d1 if min(d0, d1) >= 1e-5 else 1e-6, span)
-    f1 = rhs(frames(np.array([t0 + direction * h0]))[0],
-             y0 + (direction * h0) * f0)
+    f1 = np.empty_like(f0)
+    rhs(frames(np.array([t0 + direction * h0]))[0],
+        y0 + (direction * h0) * f0, f1)
     stats.fevals += 1
     d2 = norm(f1 - f0) / h0
     if max(d1, d2) <= 1e-15:
@@ -264,7 +277,7 @@ def _start_step(rhs, frames, t0: float, y0, f0, direction: float,
     return min(100.0 * h0, (0.01 / max(d1, d2)) ** (1.0 / 6.0), span)
 
 
-def integrate_rk45(rhs: Callable[[Any, np.ndarray], np.ndarray],
+def integrate_rk45(rhs: Callable[[Any, np.ndarray, np.ndarray], Any],
                    frames: Callable[[np.ndarray], Sequence[Any]],
                    t0: float, t1: float, y0: np.ndarray,
                    rtol: float = 1e-9, atol: float = 1e-12,
@@ -281,7 +294,7 @@ def integrate_rk45(rhs: Callable[[Any, np.ndarray], np.ndarray],
     min_step_frac * |t1 - t0|, so no attempt runs below it; only the step
     clipped to end on t1, which may sit arbitrarily close, is exempt.
     """
-    y = np.asarray(y0, dtype=float).copy()
+    y = np.asarray(y0, dtype=float)
     if sample_times is None:
         sample_times = np.array([t1])
     sample_times = np.asarray(sample_times, dtype=float)
@@ -302,11 +315,20 @@ def integrate_rk45(rhs: Callable[[Any, np.ndarray], np.ndarray],
     stats = IntegrationStats()
     out = np.empty((nsamples, len(y)))
     t = t0
-    ks = np.empty((16, len(y)))
-    # stage i reads rows 0..i-1; these views follow ks as it is written
-    a_h = np.empty_like(_A_STAGES)  # _A_STAGES * h of the attempt
-    heads = [(a_h[i, :i], ks[:i]) for i in range(1, 12)]
-    ks[0] = rhs(frames(np.array([t0]))[0], y)  # FSAL: row 0 is y' at t
+    # row 0 is y, row 1 + i stage i; the state of stage i is row i of
+    # [1 | h A] times rows 0..i, one product into the reused buffer yi,
+    # and the rhs writes the stage into its own row
+    stages = np.empty((17, len(y)))
+    stages[0] = y
+    y, ks = stages[0], stages[1:]
+    a_h = np.empty((16, 16))  # [1 | _A_STAGES * h] of the attempt
+    a_h[:, 0] = 1.0
+    yi = np.empty(len(y))
+    heads = [(a_h[i, :i + 1], stages[:i + 1], ks[i]) for i in range(1, 16)]
+    # the new state is the combination of stage 12, whose y' is taken
+    # only on acceptance
+    b_h, new_terms = heads[11][:2]
+    rhs(frames(np.array([t0]))[0], y, ks[0])  # FSAL: ks[0] is y' at t
     abs_y = np.abs(y)
     stats.fevals += 1
     h = direction * max(_start_step(rhs, frames, t0, y, ks[0], direction,
@@ -328,25 +350,21 @@ def integrate_rk45(rhs: Callable[[Any, np.ndarray], np.ndarray],
         dense = direction * (samples[isample] - t_new) < 0
         stage_frames = frames(
             t + (_C_WITH_DENSE if dense else _C_STAGES) * h_try)
-        # each combination is y + (h a) @ k, added in place; the new state
-        # is the combination of stage 12, whose y' is taken only on acceptance
-        np.multiply(_A_STAGES, h_try, out=a_h)
-        for i, (a, k) in enumerate(heads):
-            yi = np.dot(a, k)
-            yi += y
-            ks[i + 1] = rhs(stage_frames[i], yi)
+        np.multiply(_A_STAGES, h_try, out=a_h[:, 1:])
+        for (a, k, ki), frame in zip(heads, stage_frames[:11]):
+            a.dot(k, yi)
+            rhs(frame, yi, ki)
         stats.fevals += 11
-        y_new = np.dot(a_h[12], ks[:12])
-        y_new += y
+        y_new = b_h.dot(new_terms)
         abs_new = np.abs(y_new)
         tol = np.maximum(abs_y, abs_new)
         tol *= rtol
         tol += atol
-        scaled = np.dot(_E5, ks[:12])
+        scaled = _E5.dot(ks[:12])
         scaled /= tol
-        err = abs(h_try) * math.sqrt(float(np.dot(scaled, scaled)) / len(y))
+        err = abs(h_try) * math.sqrt(float(scaled.dot(scaled)) / len(y))
         if err <= 1.0:
-            ks[12] = rhs(stage_frames[10], y_new)  # FSAL: y' at t_new
+            rhs(stage_frames[10], y_new, ks[12])  # FSAL: y' at t_new
             stats.fevals += 1
             stats.accepted += 1
             if dense:
@@ -354,14 +372,16 @@ def integrate_rk45(rhs: Callable[[Any, np.ndarray], np.ndarray],
                 while (inside < nsamples
                        and direction * (samples[inside] - t_new) < 0):
                     inside += 1
-                out[isample:inside] = _dense(rhs, stage_frames[11:], t, h_try,
-                                             y, ks, samples[isample:inside])
+                out[isample:inside] = _dense(rhs, stage_frames[11:],
+                                             heads[12:], yi, stages, t, h_try,
+                                             samples[isample:inside])
                 stats.fevals += 3
                 isample = inside
             while isample < nsamples and samples[isample] == t_new:
                 out[isample] = y_new
                 isample += 1
-            t, y, abs_y = t_new, y_new, abs_new
+            t, abs_y = t_new, abs_new
+            y[:] = y_new
             ks[0] = ks[12]
             if not last:
                 factor = _MAX_FACTOR if err == 0.0 else \

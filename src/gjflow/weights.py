@@ -53,9 +53,12 @@ class EndpointTrajectory:
     """Polynomial-in-t endpoint paths x_k(t).
 
     ``coeffs[k]`` holds the coefficients of x_k(t), constant term first.
-    The zero-padded coefficient matrix, with the matrix of t-derivatives
-    stacked below it, is also kept column by column (highest degree
-    first), so that positions and velocities together are one Horner pass.
+    The trajectory also keeps, once, the coefficients of the 2m + 2m^2
+    polynomials that node data reads, column by column (highest degree
+    first): x_1..x_m, their t-derivatives, then the m x m numerators
+    x'_j - x'_k and denominators x_j - x_k (1 on the diagonal) of the
+    velocity kernel. One Horner pass over the first 2m gives positions
+    and velocities; one over all of them gives a ``NodeFrames``.
     """
 
     coeffs: tuple
@@ -71,7 +74,12 @@ class EndpointTrajectory:
         for k, row in enumerate(norm):
             cd[k, :len(row)] = row
         cd[m:, :-1] = cd[:m, 1:] * np.arange(1, cd.shape[1])
-        cols = tuple(np.ascontiguousarray(c) for c in cd.T[::-1])
+        # (2, m, m) gap polynomials: numerators x'_j - x'_k (0 on the
+        # diagonal), denominators x_j - x_k (1 on the diagonal)
+        gaps = cd.reshape(2, m, 1, -1)[::-1] - cd.reshape(2, 1, m, -1)[::-1]
+        gaps[1, np.arange(m), np.arange(m), 0] = 1.0
+        rows = np.concatenate((cd, gaps.reshape(2 * m * m, -1)))
+        cols = tuple(np.ascontiguousarray(c) for c in rows.T[::-1])
         for c in cols:
             c.setflags(write=False)
         object.__setattr__(self, "_cols", cols)
@@ -100,7 +108,7 @@ class EndpointTrajectory:
 
     def positions_and_velocities(self, t: float) -> np.ndarray:
         """x_1..x_m followed by their t-derivatives, one Horner pass."""
-        return _horner(self._cols, t)
+        return _horner([c[:2 * self.m] for c in self._cols], t)
 
 
 @dataclass(frozen=True)
@@ -204,31 +212,35 @@ def stage_node_data(w: GeneralizedJacobiWeight, ts) -> NodeFrames:
     """Node data at each of the times ``ts``, built together as one
     ``NodeFrames``.
 
-    One Horner pass over the stacked coefficient columns gives positions
-    and velocities at all times, one comparison checks their order, and one
-    (s, m, m) gap tensor gives the velocity kernels in ``basis``. Per time,
-    the arithmetic is that of a scalar Horner pass and of the scalar kernel
-    formula. Every array of the bundle is read-only; ``t`` is a copy of
-    ``ts``.
+    One Horner pass over all the trajectory's coefficient columns gives,
+    at all times, the positions and velocities and the numerators and
+    denominators of the velocity kernels; one comparison checks the
+    order, one divide gives the kernels and one product x * xdot. Per
+    time, x and xdot are those of a scalar Horner pass. K[j, k] is the
+    quotient of the gap polynomials x'_j - x'_k and x_j - x_k, which
+    suffer no cancellation; their coefficients only change sign under
+    j <-> k, so K is exactly symmetric, with a zero diagonal. Every array
+    of the bundle is read-only; ``t`` is a copy of ``ts``.
 
     Raises NonDistinctEndpoints, carrying its ``t``, at the first time
     whose positions are not strictly increasing.
     """
     ts = np.array(ts, dtype=float)
-    m = w.m
-    xv = _horner(w.trajectory._cols, ts[:, None])
-    xv.setflags(write=False)
-    x, xd = xv[:, :m], xv[:, m:]
+    s, m = len(ts), w.m
+    v = _horner(w.trajectory._cols, ts[:, None])
+    v.setflags(write=False)
+    x, xd = v[:, :m], v[:, m:2 * m]
     bad = x[:, :-1] >= x[:, 1:]
     if np.count_nonzero(bad):  # cheaper than bad.any() on this small view
         i = int(np.argmax(bad.any(axis=1)))
         t = float(ts[i])
         raise NonDistinctEndpoints(
             f"endpoints not strictly increasing at t={t}: {x[i].tolist()}", t=t)
-    basis = np.empty((len(ts), m, m + 2))
+    gaps = v[:, 2 * m:].reshape(s, 2, m, m)
+    basis = np.empty((s, m, m + 2))
     basis[:, :, 0] = xd
     np.multiply(x, xd, out=basis[:, :, 1])
-    np.divide(xd[:, :, None] - xd[:, None, :], _gaps(x), out=basis[:, :, 2:])
+    np.divide(gaps[:, 0], gaps[:, 1], out=basis[:, :, 2:])
     basis.setflags(write=False)
     ts.setflags(write=False)
     return NodeFrames(t=ts, x=x, xdot=xd, basis=basis)

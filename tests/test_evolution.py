@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gjflow.evolution
 import gjflow.ladder
@@ -143,9 +145,9 @@ class TestFramesBundle:
         rep = evolve(w, cfg.n, span, tol=(cfg.rtol, cfg.atol),
                      sample_count=cfg.samples)
         ys, stats = integrate_rk45(
-            lambda basis, y: evolution_rhs(y, basis), _per_stage_frames(w),
-            *span, init_state(w, cfg.n, cfg.t0).pack(), sample_times=rep.times,
-            **opts)
+            lambda basis, y, out: evolution_rhs(y, basis, out=out),
+            _per_stage_frames(w), *span, init_state(w, cfg.n, cfg.t0).pack(),
+            sample_times=rep.times, **opts)
         assert stats == rep.stats
         assert np.array_equal(rep.ys, ys)
 
@@ -155,7 +157,7 @@ class TestFramesBundle:
                                     sample_count=cfg.samples)
         beta = beta_exponents(cfg.n, w.m)
         ys, ref_stats = integrate_rk45(
-            lambda basis, nu: moment_rhs(nu, basis, w.alpha, beta),
+            lambda basis, nu, out: moment_rhs(nu, basis, w.alpha, beta, out),
             _per_stage_frames(w), *span, nu_by_quadrature(w, cfg.n, cfg.t0),
             sample_times=np.linspace(*span, cfg.samples), **opts)
         assert stats == ref_stats
@@ -183,6 +185,44 @@ def test_drifts_are_computed_on_first_read(moving3, monkeypatch):
     assert calls == []
     assert rep.drifts is rep.drifts
     assert calls == [1]
+
+
+@st.composite
+def flow_weights(draw):
+    """(w, n, t1): m in {3, 4} endpoints, the outer two fixed at -2 and 2;
+    each inner one keeps to its own lane of (-2, 2), 0.05 inside it, on an
+    affine or quadratic path, so that neighbours stay at least 0.05 apart
+    over [0, t1]."""
+    m = draw(st.sampled_from([3, 4]))
+    t1 = draw(st.floats(0.3, 0.6))
+    bounds = np.linspace(-2.0, 2.0, m - 1)
+    rows = [(-2.0,)]
+    for lo, hi in zip(bounds[:-1] + 0.05, bounds[1:] - 0.05):
+        p = draw(st.floats(lo, hi))
+        v = draw(st.floats(-1.0, 1.0))
+        q = draw(st.sampled_from([0.0]) | st.floats(-1.0, 1.0))
+        reach = abs(v) * t1 + abs(q) * t1 * t1
+        room = min(p - lo, hi - p)
+        if reach > room:
+            v, q = v * room / reach, q * room / reach
+        rows.append((p, v, q))
+    rows.append((2.0,))
+    alpha = draw(st.lists(st.sampled_from([0.5, 1.0, 1.5]),
+                          min_size=m, max_size=m))
+    pieces = draw(st.lists(st.floats(0.5, 2.0), min_size=m - 1,
+                           max_size=m - 1))
+    w = make_weight(alpha, pieces, EndpointTrajectory(tuple(rows)))
+    return w, draw(st.integers(1, 8)), t1
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(flow_weights())
+def test_flow_conserves_the_five_sums(flow):
+    # the five Lagrange leading-coefficient sums are invariants of the
+    # exact flow, so their drift is the integrator's error alone
+    w, n, t1 = flow
+    rep = evolve(w, n, (0.0, t1), sample_count=10)
+    assert np.max(np.abs(rep.drifts)) <= 1e-10
 
 
 class TestEvolve:
@@ -411,8 +451,8 @@ def test_first_attempt_is_sized(doc):
         calls.append(np.array(ts))
         return flow_frames(ts)
 
-    integrate_rk45(lambda basis, y: evolution_rhs(y, basis), frames,
-                   cfg.t0, cfg.t1, init_state(w, cfg.n, cfg.t0).pack(),
+    integrate_rk45(lambda basis, y, out: evolution_rhs(y, basis, out=out),
+                   frames, cfg.t0, cfg.t1, init_state(w, cfg.n, cfg.t0).pack(),
                    rtol=cfg.rtol, atol=cfg.atol,
                    sample_times=np.linspace(cfg.t0, cfg.t1, cfg.samples))
     steps = attempts_of(calls)

@@ -13,6 +13,13 @@ def time_frames(ts):
     return list(ts)
 
 
+def writes(f):
+    """The integrator's rhs for y' = f(t, y): it writes y' into its row."""
+    def rhs(t, y, out):
+        out[:] = f(t, y)
+    return rhs
+
+
 class Recorder:
     """Counts rhs calls and keeps every frames argument."""
 
@@ -21,9 +28,9 @@ class Recorder:
         self.rhs_calls = 0
         self.frame_calls = []
 
-    def rhs(self, t, y):
+    def rhs(self, t, y, out):
         self.rhs_calls += 1
-        return self.f(t, y)
+        out[:] = self.f(t, y)
 
     def frames(self, ts):
         self.frame_calls.append(np.array(ts))
@@ -59,8 +66,8 @@ def test_lands_on_every_sample_time():
     # and by its 7th-order interpolant, so a sample taken away from its
     # time would show as an error of about 3 t^2 times the miss
     times = np.array([0.0, 0.0, 0.25, 0.25, 0.25, 0.6, 1.3, 2.0])
-    out, _ = integrate_rk45(lambda t, y: np.array([3.0 * t * t]), time_frames,
-                            0.0, 2.0, [0.0], sample_times=times)
+    out, _ = integrate_rk45(writes(lambda t, y: np.array([3.0 * t * t])),
+                            time_frames, 0.0, 2.0, [0.0], sample_times=times)
     np.testing.assert_allclose(out[:, 0], times ** 3, rtol=1e-14, atol=1e-15)
     assert out[0, 0] == 0.0 and out[1, 0] == 0.0       # t0 rows are y0
     assert np.array_equal(out[2], out[3]) and np.array_equal(out[3], out[4])
@@ -68,7 +75,7 @@ def test_lands_on_every_sample_time():
 
 def test_default_sample_is_t1_and_y0_untouched():
     y0 = np.array([1.0])
-    out, _ = integrate_rk45(lambda t, y: np.cos(t) * y, time_frames,
+    out, _ = integrate_rk45(writes(lambda t, y: np.cos(t) * y), time_frames,
                             0.0, 1.0, y0, rtol=1e-9, atol=1e-12)
     assert out.shape == (1, 1)
     assert out[0, 0] == pytest.approx(np.exp(np.sin(1.0)), rel=1e-8)
@@ -129,9 +136,9 @@ def test_no_rhs_call_at_a_rejected_new_state():
     # FSAL stage, at t + h like stage 11) only when it is accepted
     groups = []   # per frames call: its times and the rhs times that follow
 
-    def rhs(t, y):
+    def rhs(t, y, out):
         groups[-1][1].append(t)
-        return bump(t, y)
+        out[:] = bump(t, y)
 
     def frames(ts):
         groups.append((np.array(ts), []))
@@ -196,6 +203,98 @@ def test_dense_output_matches_closed_form(t0, t1):
     np.testing.assert_allclose(out[:, 0], np.exp(np.sin(times)), rtol=1e-8)
 
 
+def unfused_dop853(f, t0, t1, y0, rtol, atol, sample_times):
+    """A plain DOP853 run of y' = f(t, y) with the integrator's start,
+    controller and dense output, each stage state formed as
+    y + h sum_j a_ij k_j from ``_A``, the error from ``_E5`` and the
+    samples from ``_DENSE``. Returns (samples, stats)."""
+    A, E5, DENSE = rk45._A, rk45._E5, rk45._DENSE
+    rtol, atol = rtol * rk45.TOL_SCALE, atol * rk45.TOL_SCALE
+    direction = 1.0 if t1 > t0 else -1.0
+    span = abs(t1 - t0)
+
+    def norm(v, scale):
+        return np.sqrt(np.mean((v / scale) ** 2))
+
+    def state(y, h, row, ks):
+        return y + h * sum(a * k for a, k in zip(row, ks))
+
+    y = np.array(y0, dtype=float)
+    k0 = f(t0, y)
+    scale = atol + rtol * np.abs(y)
+    d0, d1 = norm(y, scale), norm(k0, scale)
+    h0 = min(0.01 * d0 / d1 if min(d0, d1) >= 1e-5 else 1e-6, span)
+    d2 = norm(f(t0 + direction * h0, y + direction * h0 * k0) - k0, scale) / h0
+    h = direction * (min(span * 1e-3, 1e-2) if max(d1, d2) <= 1e-15 else
+                     min(100.0 * h0, (0.01 / max(d1, d2)) ** (1.0 / 6.0), span))
+    stats = rk45.IntegrationStats(fevals=2)
+    samples = list(sample_times)
+    out = [y for s in samples if s == t0]
+    t, i = t0, len(out)
+    while i < len(samples):
+        last = direction * (t + h) >= direction * t1
+        h_try = t1 - t if last else h
+        t_new = t1 if last else t + h_try
+        ks = [k0]
+        for s in range(1, 12):
+            ks.append(f(t + C[s] * h_try, state(y, h_try, A[s], ks)))
+        stats.fevals += 11
+        y_new = state(y, h_try, A[12], ks)
+        scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
+        err = abs(h_try) * norm(sum(e * k for e, k in zip(E5, ks)), scale)
+        if err <= 1.0:
+            stats.accepted += 1
+            ks.append(f(t + C[12] * h_try, y_new))
+            stats.fevals += 1
+            inside = [s for s in samples[i:] if direction * (s - t_new) < 0]
+            if inside:
+                for s in range(13, 16):
+                    ks.append(f(t + C[s] * h_try, state(y, h_try, A[s], ks)))
+                stats.fevals += 3
+            for ts in inside:
+                x = (ts - t) / h_try
+                p = np.cumprod([x, 1.0 - x, x, 1.0 - x, x, 1.0 - x, x])
+                out.append(state(y, h_try, p @ DENSE, ks))
+            i += len(inside)
+            while i < len(samples) and samples[i] == t_new:
+                out.append(y_new)
+                i += 1
+            t, y, k0 = t_new, y_new, ks[12]
+            if not last:
+                factor = rk45._MAX_FACTOR if err == 0.0 else min(
+                    rk45._MAX_FACTOR, rk45._SAFETY * err ** rk45._EXPONENT)
+                h = direction * abs(h_try) * factor
+        else:
+            stats.rejected += 1
+            factor = max(rk45._MIN_FACTOR, rk45._SAFETY * err ** rk45._EXPONENT)
+            h = direction * abs(h_try) * factor
+    return np.array(out), stats
+
+
+@pytest.mark.parametrize("samples", [1, 41], ids=["t1", "interior"])
+@pytest.mark.parametrize("backward", [False, True], ids=["forward", "backward"])
+@pytest.mark.parametrize("f, y0, span", [
+    # y = exp(sin t)
+    (lambda t, y: np.cos(t) * y, [1.0], (0.0, 6.0)),
+    # y = (exp(sin t), 1 / (1 - t))
+    (lambda t, y: np.array([np.cos(t) * y[0], y[1] * y[1]]), [1.0, 1.0],
+     (0.0, 0.9)),
+], ids=["exp_sin", "exp_sin_and_pole"])
+def test_matches_the_unfused_loop(f, y0, span, backward, samples):
+    # the stage products, the reused buffers and the rhs writing into
+    # its row change roundoff only: the same steps, the same samples
+    t0, t1 = span[::-1] if backward else span
+    if backward:
+        y0 = [np.exp(np.sin(t0)), 1.0 / (1.0 - t0)][:len(y0)]
+    times = np.linspace(t0, t1, samples + 1)[1:] if samples == 1 else \
+        np.linspace(t0, t1, samples)
+    ref, ref_stats = unfused_dop853(f, t0, t1, y0, 1e-9, 1e-12, times)
+    out, stats = integrate_rk45(writes(f), time_frames, t0, t1, y0,
+                                rtol=1e-9, atol=1e-12, sample_times=times)
+    assert stats == ref_stats and stats.rejected + stats.accepted > 5
+    np.testing.assert_allclose(out, ref, rtol=1e-13, atol=0.0)
+
+
 def test_tableau_matches_published_coefficients():
     # the literal tableau against the copy that ships with scipy, entry
     # for entry (row 12 of A is b; no error weight falls on stage 12)
@@ -213,7 +312,7 @@ def test_tableau_matches_published_coefficients():
 
 def test_backward_integration():
     times = np.linspace(1.0, -1.0, 6)
-    out, _ = integrate_rk45(lambda t, y: np.cos(t) * y, time_frames,
+    out, _ = integrate_rk45(writes(lambda t, y: np.cos(t) * y), time_frames,
                             1.0, -1.0, [np.exp(np.sin(1.0))],
                             rtol=1e-9, atol=1e-12, sample_times=times)
     np.testing.assert_allclose(out[:, 0], np.exp(np.sin(times)), rtol=1e-8)
@@ -221,7 +320,7 @@ def test_backward_integration():
 
 def test_matches_closed_form():
     times = np.linspace(0.0, 6.0, 13)
-    out, stats = integrate_rk45(lambda t, y: np.cos(t) * y, time_frames,
+    out, stats = integrate_rk45(writes(lambda t, y: np.cos(t) * y), time_frames,
                                 0.0, 6.0, [1.0], rtol=1e-9, atol=1e-12,
                                 sample_times=times)
     assert np.max(np.abs(out[:, 0] - np.exp(np.sin(times)))) < 1e-8
@@ -231,7 +330,7 @@ def test_matches_closed_form():
 def test_step_collapse_carries_t():
     # y = 1/(1 - t) blows up at t = 1
     with pytest.raises(StepCollapse) as info:
-        integrate_rk45(lambda t, y: np.array([1.0 / (1.0 - t) ** 2]),
+        integrate_rk45(writes(lambda t, y: np.array([1.0 / (1.0 - t) ** 2])),
                        time_frames, 0.0, 2.0, [1.0], min_step_frac=1e-6)
     assert 0.99 < info.value.t < 1.0
     assert f"at t = {info.value.t}" in str(info.value)
@@ -254,14 +353,14 @@ def test_no_attempt_below_the_floor():
 
 def test_rejects_empty_span_and_unordered_samples():
     with pytest.raises(ValueError, match="t1 must differ"):
-        integrate_rk45(lambda t, y: y, time_frames, 0.5, 0.5, [1.0])
+        integrate_rk45(writes(lambda t, y: y), time_frames, 0.5, 0.5, [1.0])
     with pytest.raises(ValueError, match="ordered"):
-        integrate_rk45(lambda t, y: y, time_frames, 0.0, 1.0, [1.0],
+        integrate_rk45(writes(lambda t, y: y), time_frames, 0.0, 1.0, [1.0],
                        sample_times=np.array([0.0, 0.6, 0.4, 1.0]))
     with pytest.raises(ValueError, match="ordered"):
-        integrate_rk45(lambda t, y: y, time_frames, 1.0, 0.0, [1.0],
+        integrate_rk45(writes(lambda t, y: y), time_frames, 1.0, 0.0, [1.0],
                        sample_times=np.array([1.0, 0.2, 0.6]))
     for outside in ([-0.1, 0.5], [0.5, 1.2]):
         with pytest.raises(ValueError, match="between t0 and t1"):
-            integrate_rk45(lambda t, y: y, time_frames, 0.0, 1.0, [1.0],
+            integrate_rk45(writes(lambda t, y: y), time_frames, 0.0, 1.0, [1.0],
                            sample_times=np.array(outside))

@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npoly
@@ -116,6 +117,20 @@ class TestNodeData:
         assert str(info.value) == "endpoints not strictly increasing at t=1.0: [1.0, 1.0]"
 
 
+def _kernel_mp(coeffs, t):
+    """The velocity kernel at t, in 40-digit arithmetic from the exact
+    float coefficients (constant term first): an m x m list of mpf."""
+    with mpmath.workdps(40):
+        t = mpmath.mpf(t)
+        x = [mpmath.fsum(mpmath.mpf(c) * t ** i for i, c in enumerate(row))
+             for row in coeffs]
+        xd = [mpmath.fsum(i * mpmath.mpf(c) * t ** (i - 1)
+                          for i, c in enumerate(row) if i)
+              for row in coeffs]
+        return [[(xd[j] - xd[k]) / (x[j] - x[k]) if k != j else mpmath.mpf(0)
+                 for k in range(len(x))] for j in range(len(x))]
+
+
 class TestStageNodeData:
     @pytest.mark.parametrize("m", range(2, 9))
     @pytest.mark.parametrize("degree", range(4))
@@ -132,28 +147,32 @@ class TestStageNodeData:
         assert np.array_equal(frames.t, ts)
         assert frames.basis.shape == (len(ts), m, m + 2)
         assert "wprime" not in vars(frames)           # not computed yet
+        eps = np.finfo(float).eps
         for i, t in enumerate(ts):
             x = np.array([npoly.polyval(t, c) for c in coeffs])
             xd = np.array([npoly.polyval(t, npoly.polyder(c)) for c in coeffs])
-            K = np.zeros((m, m))
-            for j in range(m):
-                for k in range(m):
-                    if k != j:
-                        K[j, k] = (xd[j] - xd[k]) / (x[j] - x[k])
             gaps = x[:, None] - x
             np.fill_diagonal(gaps, 1.0)
             assert np.array_equal(frames.x[i], x)
             assert np.array_equal(frames.xdot[i], xd)
             assert np.array_equal(frames.basis[i, :, 0], xd)
             assert np.array_equal(frames.basis[i, :, 1], x * xd)
-            assert np.array_equal(frames.basis[i, :, 2:], K)
             assert np.array_equal(frames.wprime[i], np.prod(gaps, axis=1))
+            # K, from the gap polynomials, against the exact kernel of the
+            # same coefficients; exactly symmetric with a zero diagonal
+            K = frames.basis[i, :, 2:]
+            ref = _kernel_mp(coeffs, t)
+            for j in range(m):
+                for k in range(m):
+                    err = abs(mpmath.mpf(K[j, k]) - ref[j][k])
+                    assert err <= 16 * eps * abs(ref[j][k]), (j, k)
+            assert np.array_equal(K, K.T)
+            assert np.all(np.diag(K) == 0.0)
             # the one-time view equals the row, field by field
             one = node_data(w, t)
             assert one.t == t and isinstance(one.t, float)
             for name in ("x", "xdot", "basis", "wprime"):
                 assert np.array_equal(getattr(one, name), getattr(frames, name)[i])
-            assert np.array_equal(one.basis[:, 2:], K)
             row = frames.row(i)
             assert row.t == t and np.array_equal(row.basis, frames.basis[i])
         assert frames.wprime is frames.wprime         # computed once
