@@ -22,7 +22,8 @@ and ``discretized_measure`` and ``cauchy_node_matrices`` both map that
 one table to the endpoints at one or several times with array
 operations. A table takes its rules from a bounded per-rule cache and
 builds the ones it misses, each once, in one batched pass over all of them
-(``_build_rules``); ``gauss_jacobi_rule`` is the one-rule case.
+(``_build_rules``: one ``np.linalg.eigvalsh`` over the stacked recurrence
+matrices for the nodes); ``gauss_jacobi_rule`` is the one-rule case.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.linalg import LinAlgError
-from scipy.linalg.lapack import dsterf
 
 from .errors import BadExponent, DivergentTransform, IndexOutOfRange
 from .weights import GeneralizedJacobiWeight, stage_node_data
@@ -89,32 +89,37 @@ def _build_rules(npts: int, pairs):
     ``pairs``, built together: a list of read-only (nodes, weights).
 
     Golub-Welsch for the nodes, Christoffel for the weights. The nodes are
-    the eigenvalues of each rule's symmetric tridiagonal recurrence matrix
-    (``dsterf``, no eigenvectors; the one loop over rules). One forward pass
-    of the recurrence, normalized so that p_0 = 1, then carries p_k and
-    p_k' at all nodes of all rules, looping over the degree only. From it
-    every node takes one Newton step x -= p_n / p_n', and its weight is
-    beta_0 / sum_{k<n} p_k(x)^2, corrected to first order for that step.
-    Raises ValueError if a recurrence coefficient is not finite (a NaN or
-    infinite exponent, or a mass beyond float range) and LinAlgError if an
-    eigenvalue solve does not converge.
+    the eigenvalues of the rules' symmetric tridiagonal recurrence matrices,
+    stacked and solved in one batched ``np.linalg.eigvalsh`` (no
+    eigenvectors; LAPACK keeps a tridiagonal matrix as it is and ends in
+    ``dsterf``). One forward pass of the recurrence, normalized so that
+    p_0 = 1, then carries p_k and p_k' at all nodes of all rules, looping
+    over the degree only. From it every node takes one Newton step
+    x -= p_n / p_n', and its weight is beta_0 / sum_{k<n} p_k(x)^2,
+    corrected to first order for that step. Raises ValueError if a
+    recurrence coefficient is not finite (a NaN or infinite exponent, or a
+    mass beyond float range) and LinAlgError if the eigenvalue solve does
+    not converge.
     """
     left, right = np.array(pairs, dtype=float).T
     diag, beta = _monic_jacobi_recurrence(npts + 1, right, left)  # a: (1-s)
-    # dsterf returns wrong or NaN eigenvalues with info 0 for some
+    # the solve returns wrong or NaN eigenvalues without an error for some
     # non-finite inputs
     if not (np.isfinite(diag).all() and np.isfinite(beta).all()):
         raise ValueError(
             f"recurrence coefficients of the exponents {pairs} are not finite")
     root = np.sqrt(beta)
-    x = np.empty((npts, len(pairs)))
-    for j in range(len(pairs)):
-        # f2py wants a non-empty e; LAPACK reads npts - 1 entries of it
-        x[:, j], info = dsterf(diag[:npts, j], root[1:max(npts, 2), j])
-        if info != 0:
-            raise LinAlgError(
-                f"dsterf: {info} eigenvalues of the npts={npts} rule for "
-                f"exponents {pairs[j]} did not converge")
+    # one (npts, npts) Jacobi matrix per rule, only its lower band filled
+    jac = np.zeros((len(pairs), npts, npts))
+    i = np.arange(npts)
+    jac[:, i, i] = diag[:npts].T
+    jac[:, i[1:], i[:-1]] = root[1:npts].T
+    try:
+        x = np.linalg.eigvalsh(jac, UPLO="L").T.copy()
+    except LinAlgError as exc:
+        raise LinAlgError(
+            f"eigenvalues of the npts={npts} rules for exponents {pairs} "
+            f"did not converge") from exc
     # sqrt(beta_{k+1}) p_{k+1} = (x - diag_k) p_k - sqrt(beta_k) p_{k-1} and
     # its derivative, with (p, p') of three consecutive degrees in buffers
     # that rotate; p_{-1} = 0
@@ -190,7 +195,8 @@ def gauss_jacobi_rule(npts: int, beta_left: float, beta_right: float) -> Quadrat
 
     The one-rule case of ``_build_rules``, which builds all the fresh rules
     of a rule table in one pass: Golub-Welsch nodes (the eigenvalues of the
-    symmetric tridiagonal recurrence matrix) polished by one Newton step,
+    symmetric tridiagonal recurrence matrices, one batched
+    ``np.linalg.eigvalsh`` for all rules) polished by one Newton step,
     and Christoffel weights from the normalized recurrence at the nodes.
     Exact for degree <= 2*npts-1. Against 40-digit rules, for npts <= 64
     and exponents down to -0.9, the nodes agree to 2.3e-16 and the weights

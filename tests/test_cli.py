@@ -1,6 +1,10 @@
 import io
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -367,6 +371,23 @@ class TestVerify:
         assert err.startswith("numerical failure: EndpointCollision: ")
         last_good = re.search(r"\(last good t = (\S+)\)$", err.strip())
         assert float(last_good.group(1)) == pytest.approx(0.5, abs=1e-3)
+
+
+def test_cli_runs_without_scipy(tmp_path):
+    # a fresh interpreter: the start-up cost of a command is its imports
+    script = ("import sys\n"
+              "from gjflow.cli import main\n"
+              "code = main(['verify', '--config', sys.argv[1]])\n"
+              "loaded = sorted(m for m in sys.modules if m.startswith('scipy'))\n"
+              "sys.exit(f'scipy modules loaded: {loaded}' if loaded else code)\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, write_config(tmp_path, README_CONFIG)],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert "max_deviation" in proc.stdout
 
 
 class TestSelfcheck:

@@ -374,8 +374,10 @@ class TestRuleCache:
         assert info.currsize <= 512
 
     def test_unconverged_eigenvalues_raise(self, monkeypatch):
-        monkeypatch.setattr(quadrature, "dsterf",
-                            lambda d, e: (np.zeros_like(d), 3))
+        def unconverged(a, UPLO="L"):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", unconverged)
         cache = _RuleCache(maxsize=8)
         with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
             cache.rules(6, [(0.25, 0.75)])
@@ -387,3 +389,42 @@ class TestRuleCache:
         # non-finite inputs; the builder refuses them before the solve
         with np.errstate(all="ignore"), pytest.raises(ValueError, match="not finite"):
             _RuleCache(maxsize=8).rules(5, [pair])
+
+
+def _dsterf_nodes(npts, pairs):
+    """The Gauss nodes of each rule of ``_build_rules(npts, pairs)`` by
+    LAPACK's ``dsterf`` on its recurrence, one call per rule, laid out as
+    ``np.linalg.eigvalsh`` returns them."""
+    dsterf = pytest.importorskip("scipy.linalg.lapack").dsterf
+    left, right = np.array(pairs, dtype=float).T
+    diag, beta = _monic_jacobi_recurrence(npts + 1, right, left)
+    root = np.sqrt(beta)
+    out = np.empty((len(pairs), npts))
+    for j in range(len(pairs)):
+        # f2py wants a non-empty e; LAPACK reads npts - 1 entries of it
+        out[j], info = dsterf(diag[:npts, j], root[1:max(npts, 2), j])
+        assert info == 0
+    return out
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(1, 130),
+       st.lists(st.tuples(st.floats(-0.99, 3.0, exclude_min=True),
+                          st.floats(-0.99, 3.0, exclude_min=True)),
+                min_size=1, max_size=6))
+def test_rules_match_a_dsterf_reference_bit_for_bit(npts, pairs):
+    got = _build_rules(npts, pairs)
+    solves = []
+
+    def reference(jac, UPLO):
+        solves.append(jac.shape)
+        return _dsterf_nodes(npts, pairs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        # the same Newton step and weights from the reference nodes
+        mp.setattr(np.linalg, "eigvalsh", reference)
+        ref = _build_rules(npts, pairs)
+    assert solves == [(len(pairs), npts, npts)]  # one batched solve
+    for (nodes, weights), (ref_nodes, ref_weights) in zip(got, ref, strict=True):
+        assert np.array_equal(nodes, ref_nodes)
+        assert np.array_equal(weights, ref_weights)
