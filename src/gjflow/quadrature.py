@@ -23,7 +23,9 @@ one table to the endpoints at one or several times with array
 operations. A table takes its rules from a bounded per-rule cache and
 builds the ones it misses, each once, in one batched pass over all of them
 (``_build_rules``: one ``np.linalg.eigvalsh`` over the stacked recurrence
-matrices for the nodes); ``gauss_jacobi_rule`` is the one-rule case.
+matrices for the nodes, then one complex-step pass of the recurrence for
+the Newton step and the weights); ``gauss_jacobi_rule`` is the one-rule
+case.
 """
 
 from __future__ import annotations
@@ -84,6 +86,15 @@ def _monic_jacobi_recurrence(n: int, a, b):
     return diag, beta
 
 
+# the imaginary step of the complex-step derivative: far below the
+# rounding of any node, far above the float underflow of its products
+_COMPLEX_STEP = 1e-30
+# degrees per block of the recurrence; at 5 rules of 64 points every
+# block temporary stays under glibc's 128 KiB mmap threshold (above it,
+# every build maps its temporaries afresh and pays their page faults)
+_DEGREE_BLOCK = 16
+
+
 def _build_rules(npts: int, pairs):
     """Gauss rules of ``npts`` points for every (beta_left, beta_right) of
     ``pairs``, built together: a list of read-only (nodes, weights).
@@ -92,14 +103,21 @@ def _build_rules(npts: int, pairs):
     the eigenvalues of the rules' symmetric tridiagonal recurrence matrices,
     stacked and solved in one batched ``np.linalg.eigvalsh`` (no
     eigenvectors; LAPACK keeps a tridiagonal matrix as it is and ends in
-    ``dsterf``). One forward pass of the recurrence, normalized so that
-    p_0 = 1, then carries p_k and p_k' at all nodes of all rules, looping
-    over the degree only. From it every node takes one Newton step
-    x -= p_n / p_n', and its weight is beta_0 / sum_{k<n} p_k(x)^2,
-    corrected to first order for that step. Raises ValueError if a
-    recurrence coefficient is not finite (a NaN or infinite exponent, or a
-    mass beyond float range) and LinAlgError if the eigenvalue solve does
-    not converge.
+    ``dsterf``). One forward pass of the recurrence then runs at all nodes
+    of all rules at once, looping over the degree only, with two array
+    operations per degree. It carries q_k = p_k / sigma_k, the normalized
+    p_k (p_0 = 1) rescaled so that q_{k+1} = v_k q_k - q_{k-1}, with
+    sigma_0 = sigma_1 = 1 and sigma_{k+1} = sigma_{k-1} r_k / r_{k+1}
+    (r_k = sqrt(beta_k)). It runs at x + i h (h = ``_COMPLEX_STEP``), so
+    that Im q_k / h is q_k' to rounding and sum_{k<n} sigma_k^2 q_k^2 holds
+    sum p_k^2 in its real part and 2 h sum p_k p_k' in its imaginary part.
+    From it every node takes one Newton step x -= p_n / p_n', and its
+    weight is beta_0 / sum_{k<n} p_k(x)^2, corrected to first order for
+    that step. The degrees go in blocks of ``_DEGREE_BLOCK``, whose sums
+    are added in degree order, so a rule is the same to the bit whichever
+    batch builds it. Raises ValueError if a recurrence coefficient is not
+    finite (a NaN or infinite exponent, or a mass beyond float range) and
+    LinAlgError if the eigenvalue solve does not converge.
     """
     left, right = np.array(pairs, dtype=float).T
     diag, beta = _monic_jacobi_recurrence(npts + 1, right, left)  # a: (1-s)
@@ -115,35 +133,50 @@ def _build_rules(npts: int, pairs):
     jac[:, i, i] = diag[:npts].T
     jac[:, i[1:], i[:-1]] = root[1:npts].T
     try:
-        x = np.linalg.eigvalsh(jac, UPLO="L").T.copy()
+        x = np.linalg.eigvalsh(jac, UPLO="L")  # (rules, npts)
     except LinAlgError as exc:
         raise LinAlgError(
             f"eigenvalues of the npts={npts} rules for exponents {pairs} "
             f"did not converge") from exc
-    # sqrt(beta_{k+1}) p_{k+1} = (x - diag_k) p_k - sqrt(beta_k) p_{k-1} and
-    # its derivative, with (p, p') of three consecutive degrees in buffers
-    # that rotate; p_{-1} = 0
-    prev, cur, nxt = np.zeros((3, 2) + x.shape)
-    cur[0] = 1.0
-    sums = np.zeros((2,) + x.shape)  # sum_{k<n} of p_k^2 and of p_k p_k'
-    u, tmp = np.empty_like(x), np.empty_like(sums)
-    for d, r0, r1 in zip(diag[:npts], root[:npts], root[1:]):
-        p = cur[0]
-        np.multiply(p, cur, out=tmp)
-        sums += tmp
-        np.subtract(x, d, out=u)
-        np.multiply(u, cur, out=nxt)
-        dp = nxt[1]
-        dp += p
-        np.multiply(r0, prev, out=tmp)
-        nxt -= tmp
-        nxt /= r1
-        prev, cur, nxt = cur, nxt, prev
-    p, dp = cur
-    step = p / dp
-    acc, dacc = sums
-    nodes = (x - step).T.copy()
-    weights = (beta[0] / (acc - 2.0 * dacc * step)).T.copy()
+    del jac  # its memory serves the pass's buffers; the heap need not grow
+    # sigma over the degree, one column per rule: a product of r_k / r_{k+1}
+    # over every other k
+    sigma = np.ones((npts + 1, len(pairs)))
+    ratio = root[1:npts] / root[2:]
+    np.cumprod(ratio[0::2], axis=0, out=sigma[2::2])
+    np.cumprod(ratio[1::2], axis=0, out=sigma[3::2])
+    # per degree and rule, broadcast over the nodes: v_k = (x - shift_k)
+    # scale_k with shift_k = diag_k - i h, and sigma_k^2
+    scale = (sigma[:npts] / (sigma[1:] * root[1:]))[:, :, None]
+    shift = diag[:npts, :, None] - 1j * _COMPLEX_STEP
+    square = (sigma[:npts] ** 2)[:, :, None]
+    # q of the degrees of one block and the two before it; q_{-1} = 0. The
+    # row views are made once: per degree, indexing costs as much as the
+    # arithmetic
+    q = np.zeros((_DEGREE_BLOCK + 2,) + x.shape, dtype=complex)
+    q[1] = 1.0
+    rows = list(q)
+    v = np.empty((_DEGREE_BLOCK,) + x.shape, dtype=complex)
+    v_rows = list(v)
+    sums = np.zeros(x.shape, dtype=complex)
+    for k0 in range(0, npts, _DEGREE_BLOCK):
+        nb = min(_DEGREE_BLOCK, npts - k0)
+        block = slice(k0, k0 + nb)
+        vb = v[:nb]
+        np.subtract(x, shift[block], out=vb)
+        np.multiply(vb.view(float), scale[block], out=vb.view(float))
+        for j in range(nb):
+            np.multiply(v_rows[j], rows[j + 1], out=rows[j + 2])
+            np.subtract(rows[j + 2], rows[j], out=rows[j + 2])
+        # sigma_k^2 q_k^2 of the block (sigma real: it scales both parts)
+        np.square(q[1:nb + 1], out=vb)
+        np.multiply(vb.view(float), square[block], out=vb.view(float))
+        sums += vb.sum(axis=0)
+        q[:2] = q[nb:nb + 2]
+    # the Newton step p_n / p_n' over h
+    newton = q[1].real / q[1].imag
+    nodes = x - newton * _COMPLEX_STEP
+    weights = beta[0][:, None] / (sums.real - sums.imag * newton)
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return list(zip(nodes, weights))
@@ -198,9 +231,10 @@ def gauss_jacobi_rule(npts: int, beta_left: float, beta_right: float) -> Quadrat
     symmetric tridiagonal recurrence matrices, one batched
     ``np.linalg.eigvalsh`` for all rules) polished by one Newton step,
     and Christoffel weights from the normalized recurrence at the nodes.
-    Exact for degree <= 2*npts-1. Against 40-digit rules, for npts <= 64
-    and exponents down to -0.9, the nodes agree to 2.3e-16 and the weights
-    to 3.5e-14 relative. Rules are cached per (npts, beta_left, beta_right).
+    Exact for degree <= 2*npts-1. Against 40-digit rules, for npts 1, 2, 9
+    and 64 and exponents down to -0.9, the nodes agree to 2.2e-16 and the
+    weights to 5.4e-14 relative; at npts 128 to 1.1e-16 and 3.9e-13.
+    Rules are cached per (npts, beta_left, beta_right).
     Raises BadExponent unless both exponents are finite and > -1.
     """
     if npts < 1:

@@ -85,9 +85,11 @@ class TestGaussJacobiRule:
 
 # (beta_left, beta_right): both skews, both exponents down to -0.9, Legendre
 MP_EXPONENTS = [(-0.8, 1.5), (1.5, -0.8), (-0.9, -0.9), (0.0, 0.0), (0.3, 1.2)]
-# Against 40 digits the rules read at most 2.3e-16 on the nodes and 3.5e-14
-# on the weights over this grid; eigenvector weights read 4.4e-16 and
-# 2.5e-13, and nodes without the Newton step 1.0e-15 and 1.5e-12, at npts 64.
+# Against 40 digits the rules read at most 2.2e-16 on the nodes and 5.4e-14
+# on the weights over this grid (1.1e-16 and 3.9e-13 at npts 128); the plain
+# float pass that the complex-step one replaced read 2.2e-16 and 3.4e-14
+# (3.6e-13 at 128), eigenvector weights 4.4e-16 and 2.5e-13, and nodes
+# without the Newton step 1.0e-15 and 1.5e-12, at npts 64.
 MP_NODE_TOL = 2.5e-16
 MP_WEIGHT_TOL = 1e-13
 

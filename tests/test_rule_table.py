@@ -18,6 +18,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import quad_ref
+from jacobi_ref import real_arithmetic_rules
 from gjflow import (
     DivergentTransform,
     EndpointTrajectory,
@@ -428,3 +429,29 @@ def test_rules_match_a_dsterf_reference_bit_for_bit(npts, pairs):
     for (nodes, weights), (ref_nodes, ref_weights) in zip(got, ref, strict=True):
         assert np.array_equal(nodes, ref_nodes)
         assert np.array_equal(weights, ref_weights)
+
+
+# The complex-step pass against the plain float pass of ``jacobi_ref``, from
+# the same nodes of the same solve. Each rounds the recurrence differently,
+# and next to an endpoint whose exponent is close to -1 the rule is
+# sensitive to that rounding. At exponents (-0.99, -0.99) the two read
+# 3.3e-16 apart on the nodes (npts 14; 2.2e-16 and 1.1e-16 from the 40-digit
+# rules) and 1.1e-12 on the weights (npts 130; 6.4e-13 and 4.4e-13 from
+# them). Over 3000 random draws they stay within 2.2e-16 and 3.5e-13.
+REF_NODE_TOL = 5e-16
+REF_WEIGHT_TOL = 2e-12
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(1, 130),
+       st.lists(st.tuples(st.floats(-0.99, 3.0, exclude_min=True),
+                          st.floats(-0.99, 3.0, exclude_min=True)),
+                min_size=1, max_size=6))
+def test_rules_match_the_real_arithmetic_pass(npts, pairs):
+    # npts 1..130 ends the degree blocks anywhere, and covers a lone
+    # short block below 16
+    got = _build_rules(npts, pairs)
+    ref = real_arithmetic_rules(npts, pairs)
+    for (nodes, weights), (ref_nodes, ref_weights) in zip(got, ref, strict=True):
+        assert np.max(np.abs(nodes - ref_nodes)) <= REF_NODE_TOL
+        assert np.max(np.abs(weights / ref_weights - 1.0)) <= REF_WEIGHT_TOL
