@@ -3,8 +3,8 @@
 Commands: coeffs, ladder, evolve, moments, verify, selftest.
 Exit codes: 0 success, 2 config error, 3 numerical failure
 (endpoint collision, step collapse, lost orthogonality, too few quadrature
-points for the degree), 4 verification tolerance exceeded / selfcheck
-failure.
+points for the degree), 4 verification tolerance exceeded (``verify``,
+``moments``) / selfcheck failure.
 """
 
 from __future__ import annotations
@@ -27,10 +27,10 @@ from .errors import (
     StepCollapse,
     UnderResolved,
 )
-from .evolution import evolve, verify_flow
+from .evolution import _relative, evolve, verify_flow
 from .ladder import ladder_checks
-from .momentflow import evolve_moments, nu_by_quadrature
-from .orthopoly import moments, stieltjes_procedure
+from .momentflow import direct_moments, evolve_moments
+from .orthopoly import stieltjes_procedure
 from .quadrature import DEFAULT_NPTS, gauss_jacobi_rule, integrate_against_weight
 from .weights import EndpointTrajectory, make_weight
 
@@ -212,6 +212,18 @@ def _emit(out, cfg: RunConfig, columns, rows, extra_comments=()):
         out.write(",".join(_fmt(v) for v in row) + "\n")
 
 
+def _emit_verdict(out, cfg: RunConfig, columns, rows, comments, dev) -> int:
+    """``_emit`` with the lines ``max_deviation: dev`` and ``verify_rtol``
+    after ``comments``; EXIT_VERIFY, said on stderr, above ``verify_rtol``."""
+    _emit(out, cfg, columns, rows, [*comments, f"max_deviation: {dev!r}",
+                                    f"verify_rtol: {cfg.verify_rtol!r}"])
+    if dev > cfg.verify_rtol:
+        print(f"verification failed: max deviation {dev:.3e} "
+              f"> {cfg.verify_rtol:.3e}", file=sys.stderr)
+        return EXIT_VERIFY
+    return EXIT_OK
+
+
 def _selfchecked(cfg: RunConfig, label: str, compute,
                  key=lambda result: result):
     """``compute(cfg.npts)``; with ``--selfcheck``, also ``compute`` at
@@ -221,7 +233,7 @@ def _selfchecked(cfg: RunConfig, label: str, compute,
     if cfg.selfcheck:
         c, f = (np.asarray(key(r), dtype=float)
                 for r in (coarse, compute(2 * cfg.npts)))
-        dev = float(np.max(np.abs(c - f) / np.maximum(np.abs(f), 1.0)))
+        dev = float(np.max(_relative(c - f, f)))
         if dev > 1e-9:
             print(f"selfcheck failed for {label}: npts-doubling deviation "
                   f"{dev:.3e}", file=sys.stderr)
@@ -296,23 +308,23 @@ def cmd_evolve(cfg: RunConfig, out) -> int:
 def cmd_moments(cfg: RunConfig, out) -> int:
     _require_span(cfg)
     w = cfg.weight()
-    nu0 = _selfchecked(cfg, "moments",
-                       lambda npts: nu_by_quadrature(w, cfg.n, cfg.t0, npts))
-    if nu0 is None:
+    times = np.linspace(cfg.t0, cfg.t1, cfg.samples)
+    direct = _selfchecked(cfg, "moments",
+                          lambda npts: direct_moments(w, cfg.n, times, npts),
+                          lambda result: result[1])
+    if direct is None:
         return EXIT_VERIFY
+    mu_n, nu = direct
     nus, stats = evolve_moments(w, cfg.n, (cfg.t0, cfg.t1),
                                 tol=(cfg.rtol, cfg.atol),
                                 sample_count=cfg.samples, npts=cfg.npts,
-                                nu0=nu0)
-    m = w.m
-    columns = ["t"] + [f"nu_{j + 1}" for j in range(m)] + ["mu_n", "gap"]
-    rows = []
-    for t, nu in zip(np.linspace(cfg.t0, cfg.t1, cfg.samples).tolist(), nus):
-        mu_n = float(moments(w, t, cfg.n, cfg.npts)[cfg.n])
-        gap = abs(mu_n - nu[0]) / max(abs(mu_n), abs(nu[0]), 1e-300)
-        rows.append((t, *nu, mu_n, gap))
-    _emit(out, cfg, columns, rows, [_steps_comment(stats)])
-    return EXIT_OK
+                                nu0=nu[0])
+    columns = ["t"] + [f"nu_{j + 1}" for j in range(w.m)] + ["mu_n", "gap"]
+    scale = np.maximum(np.abs(mu_n), np.abs(nus[:, 0]))
+    gap = np.abs(mu_n - nus[:, 0]) / np.maximum(scale, 1e-300)
+    rows = np.column_stack((times, nus, mu_n, gap))
+    return _emit_verdict(out, cfg, columns, rows, [_steps_comment(stats)],
+                         float(np.max(_relative(nus - nu, nu))))
 
 
 def cmd_verify(cfg: RunConfig, out) -> int:
@@ -322,14 +334,7 @@ def cmd_verify(cfg: RunConfig, out) -> int:
                      sample_count=cfg.samples, npts=cfg.npts)
     columns = ["t"] + [f"dev_{lab}" for lab in vt.labels]
     rows = np.column_stack((vt.times, vt.deviations))
-    comments = [f"max_deviation: {vt.max_deviation!r}",
-                f"verify_rtol: {cfg.verify_rtol!r}"]
-    _emit(out, cfg, columns, rows, comments)
-    if vt.max_deviation > cfg.verify_rtol:
-        print(f"verification failed: max deviation {vt.max_deviation:.3e} "
-              f"> {cfg.verify_rtol:.3e}", file=sys.stderr)
-        return EXIT_VERIFY
-    return EXIT_OK
+    return _emit_verdict(out, cfg, columns, rows, [], vt.max_deviation)
 
 
 def cmd_selftest(cfg: RunConfig, out) -> int:

@@ -4,16 +4,16 @@ nu_{n,j} = int w(u) prod_k (u - x_k)^{beta_k} / (u - x_j) du with
 beta_1 = n + 1 and beta_k = 1 otherwise. Dividing out (u - x_j) always
 leaves a polynomial, so initial values and all verification values come
 from plain absorbed quadrature with no Cauchy singularity, independently
-of the alpha_k > 0 restriction.
+of the alpha_k > 0 restriction: ``direct_moments``, at all times at once.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .quadrature import DEFAULT_NPTS, discretized_measure
+from .quadrature import DEFAULT_NPTS, _stacked_points
 from .rk45 import integrate_rk45
-from .weights import GeneralizedJacobiWeight, NodeData, _flow_frames, node_data
+from .weights import GeneralizedJacobiWeight, _flow_frames
 
 
 def beta_exponents(n: int, m: int) -> np.ndarray:
@@ -23,31 +23,30 @@ def beta_exponents(n: int, m: int) -> np.ndarray:
     return beta
 
 
-def _nu_integrand(nd: NodeData, beta: np.ndarray, j: int):
-    """Polynomial factor prod_k (u - x_k)^{beta_k} / (u - x_j)."""
-    exps = beta.copy()
-    exps[j] -= 1.0
+def direct_moments(w: GeneralizedJacobiWeight, n: int, ts,
+                   npts: int = DEFAULT_NPTS):
+    """mu_n = int w(u) (u - x_1)^n du and the m moments nu_{n,j} at the
+    times ts from one stacked measure: arrays (s,) and (s, m).
 
-    def f(u):
-        u = np.asarray(u, dtype=float)
-        out = np.ones_like(u)
-        for k, e in enumerate(exps):
-            out = out * (u - nd.x[k]) ** int(round(e))
-        return out
-
-    return f
+    The integrand of nu_{n,j} is (u - x_1)^n prod_{k != j} (u - x_k): one
+    weighted power gives mu_n and serves every j, with the other factors
+    multiplied from the left and from the right. Each sum runs along the
+    last axis of its row, so row i is bit for bit the call at ts[i] alone.
+    """
+    frames, _, xs, ws, _ = _stacked_points(w, ts, npts)
+    d = xs[:, None, :] - frames.x[:, :, None]  # u - x_k: (s, m, points)
+    power = ws * d[:, 0] ** n
+    # prod_{k<j} (u - x_k) times prod_{k>j} (u - x_k)
+    left, right = np.ones_like(d), np.ones_like(d)
+    np.cumprod(d[:, :-1], axis=1, out=left[:, 1:])
+    np.cumprod(d[:, :0:-1], axis=1, out=right[:, -2::-1])
+    return power.sum(axis=-1), (left * right * power[:, None]).sum(axis=-1)
 
 
 def nu_by_quadrature(w: GeneralizedJacobiWeight, n: int, t: float,
                      npts: int = DEFAULT_NPTS) -> np.ndarray:
-    """All m modified moments from the defining integral."""
-    nd = node_data(w, t)
-    beta = beta_exponents(n, w.m)
-    xs, ws = discretized_measure(w, t, npts)
-    nu = np.empty(w.m)
-    for j in range(w.m):
-        nu[j] = np.dot(ws, _nu_integrand(nd, beta, j)(xs))
-    return nu
+    """All m modified moments at time t: row 0 of ``direct_moments``."""
+    return direct_moments(w, n, (t,), npts)[1][0]
 
 
 def moment_rhs(nu: np.ndarray, basis: np.ndarray, alpha: np.ndarray,
@@ -68,8 +67,9 @@ def evolve_moments(w: GeneralizedJacobiWeight, n: int, t_span,
     """Integrate the linear moment system; returns (nus, stats), row i of
     nus being the m moments at the i-th of ``sample_count`` uniform times.
 
-    Initial values default to quadrature of the defining integral at t0;
-    an explicit nu0 supports linearity experiments.
+    Initial values default to ``nu_by_quadrature`` at t0. A caller that
+    checks the flow passes row 0 of its ``direct_moments`` at the sample
+    times as nu0, the same values; nu0 also serves linearity experiments.
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
     rtol, atol = tol

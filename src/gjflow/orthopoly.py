@@ -5,7 +5,8 @@ The three-term recurrence is
 ``p_n(x) = gamma_n x^n + ...`` orthonormal against the weight. The
 quadrature-backed discretized Stieltjes procedure is the primary path
 (``stieltjes_recurrence`` can carry p_n over points beyond the measure's);
-``moments`` gives the plain moments about x_1 as a small-n diagnostic.
+``moments`` gives all plain moments about x_1 up to a degree (Hankel
+determinants at small n); ``momentflow.direct_moments`` gives mu_n alone.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IndexOutOfRange, LostOrthogonality, NonFinite
-from .quadrature import DEFAULT_NPTS, discretized_measure
-from .weights import GeneralizedJacobiWeight, node_data
+from .quadrature import DEFAULT_NPTS, _stacked_points, discretized_measure
+from .weights import GeneralizedJacobiWeight
 
 
 @dataclass(frozen=True)
@@ -169,13 +170,12 @@ def moments(w: GeneralizedJacobiWeight, t: float, nmax: int,
     """Moments mu_n = int w(u) (u - x_1)^n du for n = 0..nmax."""
     if nmax < 0:
         raise IndexOutOfRange(f"nmax must be >= 0, got {nmax}")
-    nd = node_data(w, t)
-    xs, ws = discretized_measure(w, t, npts)
-    shifted = xs - nd.x[0]
+    frames, _, xs, ws, _ = _stacked_points(w, (t,), npts)
+    shifted = xs[0] - frames.x[0, 0]
     mu = np.empty(nmax + 1)
-    pw = np.ones_like(xs)
+    pw = np.ones_like(shifted)
     for n in range(nmax + 1):
-        mu[n] = np.dot(ws, pw)
+        mu[n] = np.dot(ws[0], pw)
         pw = pw * shifted
     return mu
 

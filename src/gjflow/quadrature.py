@@ -12,8 +12,8 @@ and the transforms at both of its ends (polynomial modification of a
 weight; Gautschi, Orthogonal Polynomials: Computation and Approximation,
 2004). On its piece it integrates (1+s)^alpha_p (1-s)^alpha_{p+1} times
 a polynomial of degree 2 npts - 3 exactly. An exponent alpha <= 0,
-allowed for moment weights, stays as it is; the transform at its endpoint
-diverges.
+allowed for moment weights, stays as it is, as does one so small that
+alpha - 1 rounds to -1; the transform at its endpoint diverges.
 
 The rules of one weight do not depend on t: for given exponents and npts
 they are stacked once into a small cached table of m - 1 rules, with the
@@ -291,8 +291,9 @@ class _RuleTable:
 def _rule_table(alpha: tuple, npts: int) -> _RuleTable:
     m = len(alpha)
     # what the rules beside each endpoint take off its exponent: one where
-    # the Cauchy transform at that endpoint converges (alpha > 0)
-    drop = [float(a > 0.0) for a in alpha]
+    # the Cauchy transform at that endpoint converges (alpha > 0) and the
+    # lowered exponent stays above -1 in floating point
+    drop = [float(a - 1.0 > -1.0) for a in alpha]
     built = _rule_cached.rules(
         npts, [(alpha[p] - drop[p], alpha[p + 1] - drop[p + 1]) for p in range(m - 1)])
     s = np.concatenate([nodes for nodes, _ in built])
@@ -319,10 +320,11 @@ def _table(w: GeneralizedJacobiWeight, npts: int) -> _RuleTable:
     return _rule_table(tuple(w.alpha.tolist()), int(npts))
 
 
-def _stacked_points(w: GeneralizedJacobiWeight, X: np.ndarray, table: _RuleTable):
-    """Mapped points, measure weights and adjacent-kernel weights of the
-    table at each row of endpoint positions ``X`` (one row per time): three
-    (len(X), points) arrays.
+def _stacked_points(w: GeneralizedJacobiWeight, ts, npts: int):
+    """The measure at the times ``ts`` from one ``stage_node_data``:
+    (frames, table, points, weights, kernel weights), the ``NodeFrames``,
+    the rule table of ``npts`` and the table's mapped points, measure
+    weights and adjacent-kernel weights, three (len(ts), points) arrays.
 
     The kernel weight of a point is C_p times the rule weight times
     half^scale of its piece, times |u - x_k|^alpha_k for every endpoint k
@@ -330,6 +332,9 @@ def _stacked_points(w: GeneralizedJacobiWeight, X: np.ndarray, table: _RuleTable
     array at a time; the power is taken only where its factor is used. The
     measure weight is that times half times the table's ``measure``.
     """
+    frames = stage_node_data(w, ts)
+    table = _table(w, npts)
+    X = frames.x
     piece = table.piece
     # take keeps the rows contiguous (X[:, piece] would be column-major)
     xl, xr = np.take(X, piece, axis=1), np.take(X, piece + 1, axis=1)
@@ -344,7 +349,7 @@ def _stacked_points(w: GeneralizedJacobiWeight, X: np.ndarray, table: _RuleTable
         np.power(fk, w.alpha[k], out=fk, where=free)
         np.multiply(eff, fk, out=eff, where=free)
     half *= table.measure
-    return xs, eff * half, eff
+    return frames, table, xs, eff * half, eff
 
 
 def discretized_measure(w: GeneralizedJacobiWeight, t: float, npts: int = DEFAULT_NPTS):
@@ -353,7 +358,7 @@ def discretized_measure(w: GeneralizedJacobiWeight, t: float, npts: int = DEFAUL
     The stacked rule table mapped to the endpoints at t, with the measure
     factor of each point in its weight; any exponents > -1 are allowed.
     """
-    xs, ws, _ = _stacked_points(w, stage_node_data(w, (t,)).x, _table(w, npts))
+    _, _, xs, ws, _ = _stacked_points(w, (t,), npts)
     return xs[0], ws[0]
 
 
@@ -385,25 +390,22 @@ def cauchy_node_matrices(w: GeneralizedJacobiWeight, ts,
     come from a fixed number of array operations on the table for all
     times at once, with no loop over times, pieces or nodes. Raises
     IndexOutOfRange for a node index outside 0..m-1 and DivergentTransform
-    for a node with alpha_j <= 0.
+    for a node with alpha_j <= 0 or alpha_j - 1 rounding to -1.
     """
     a = w.alpha
     for j in range(w.m) if nodes is None else nodes:
         if not 0 <= j < w.m:
             raise IndexOutOfRange(f"node index {j} outside 0..{w.m - 1}")
-        if a[j] <= 0.0:
+        if a[j] - 1.0 <= -1.0:  # no rule of the table absorbs its kernel
             raise DivergentTransform(
-                f"q(x_{j + 1}) diverges: alpha_{j + 1} = {a[j]} <= 0"
-            )
-    frames = stage_node_data(w, ts)
-    X = frames.x
-    table = _table(w, npts)
-    points, ws, eff = _stacked_points(w, X, table)
-    Q = np.empty((len(X), w.m, points.shape[1]))
-    np.divide(ws[:, None, :], X[:, :, None] - points[:, None, :],
+                f"q(x_{j + 1}) diverges: alpha_{j + 1} = {a[j]} "
+                + ("<= 0" if a[j] <= 0.0 else "and alpha - 1 rounds to -1"))
+    frames, table, points, ws, eff = _stacked_points(w, ts, npts)
+    Q = np.empty((len(points), w.m, points.shape[1]))
+    np.divide(ws[:, None, :], frames.x[:, :, None] - points[:, None, :],
               out=Q, where=table.free)
     # the pieces ending at a node: its kernel times the measure, from the
-    # rule that absorbs both (the row of a node with alpha <= 0 is dropped)
+    # rule that absorbs both (the row of a node that none absorbs is dropped)
     cols = np.arange(points.shape[1])
     Q[:, table.piece, cols] = eff * table.left
     Q[:, table.piece + 1, cols] = eff * table.right

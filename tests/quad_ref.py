@@ -1,5 +1,6 @@
 """Per-piece absorbed quadrature, one Gauss-Jacobi rule at a time: an oracle
-for the stacked rule table of ``gjflow.quadrature`` and for ``init_state``.
+for the stacked rule table of ``gjflow.quadrature``, for ``init_state`` and
+for the direct moments of ``gjflow.momentflow``.
 
 Every rule is built on its own with ``gauss_jacobi_rule`` and mapped to its
 piece in a loop; the Cauchy transform at a node is a sum over pieces, with
@@ -67,6 +68,23 @@ def cauchy_transform(w, t, f, j, npts):
         xs, eff = piece_points(w, x, j, npts, a[j] - 1.0, a[j + 1])
         total -= np.sum(eff * f(xs))
     return total
+
+
+def direct_moments(w, n, t, npts=64):
+    """(mu_n, nu) at time t on ``measure``: mu_n = int w (u - x_1)^n du and
+    nu_{n,j} = int w prod_k (u - x_k)^{beta_k} / (u - x_j) du with
+    beta_1 = n + 1 and beta_k = 1 otherwise, one literal product per j."""
+    xs, ws = measure(w, t, npts)
+    x = _positions(w, t)
+    nu = np.empty(w.m, dtype=LD)
+    for j in range(w.m):
+        exps = [n + 1] + [1] * (w.m - 1)
+        exps[j] -= 1
+        f = np.ones_like(xs)
+        for k, e in enumerate(exps):
+            f = f * (xs - x[k]) ** e
+        nu[j] = np.sum(ws * f)
+    return np.sum(ws * (xs - x[0]) ** n), nu
 
 
 def recurrence(w, t, N, npts):

@@ -54,6 +54,11 @@ def read_csv(text):
     return comments, header, rows
 
 
+def max_deviation(comments):
+    [line] = [c for c in comments if c.startswith("# max_deviation: ")]
+    return float(line.split(": ")[1])
+
+
 class TestParseConfig:
     def test_defaults(self):
         cfg = parse_config(json.dumps(CHEB))
@@ -328,11 +333,24 @@ class TestRowsAreTheFlowArrays:
                                 tol=(cfg.rtol, cfg.atol),
                                 sample_count=cfg.samples, npts=cfg.npts)
         assert main(["moments", "--config", write_config(tmp_path, doc)]) == EXIT_OK
-        _, header, rows = read_csv(capsys.readouterr().out)
+        comments, header, rows = read_csv(capsys.readouterr().out)
+        assert comments[-1] == "# verify_rtol: 1e-06"
+        assert max_deviation(comments) < 1e-10
         rows = np.array(rows)
         assert header[1:w.m + 1] == [f"nu_{j + 1}" for j in range(w.m)]
         assert np.array_equal(rows[:, 0], np.linspace(cfg.t0, cfg.t1, cfg.samples))
         assert np.array_equal(rows[:, 1:w.m + 1], nus)
+
+
+# The reproducer of perfbench/README.md: the forward flow of the moments
+# rides a growing mode and misses the direct moments.
+MOMENTS_MISS = {
+    "weight": {"alpha": [0.924, 1.379, 1.062, 0.404], "pieces": [1, 1, 1],
+               "trajectory": [[-2.0], [-1.8983, 0.6971], [0.2606, -0.6927],
+                              [2.0]]},
+    "n": 10,
+    "evolve": {"t0": 0.0, "t1": 0.5678, "samples": 10},
+}
 
 
 class TestMoments:
@@ -340,9 +358,19 @@ class TestMoments:
         code = main(["moments", "--config", write_config(tmp_path, MOVING3),
                      "--n", "2"])
         assert code == EXIT_OK
-        _, header, rows = read_csv(capsys.readouterr().out)
+        comments, header, rows = read_csv(capsys.readouterr().out)
+        assert max_deviation(comments) < 1e-10
         assert header[-2:] == ["mu_n", "gap"]
         assert len(rows) == 5
+
+    def test_miss_exits_4_with_its_rows(self, tmp_path, capsys):
+        code = main(["moments", "--config", write_config(tmp_path, MOMENTS_MISS)])
+        assert code == EXIT_VERIFY
+        captured = capsys.readouterr()
+        assert captured.err.startswith("verification failed: max deviation ")
+        comments, header, rows = read_csv(captured.out)
+        assert 1e-3 < max_deviation(comments) < 1e-1
+        assert header[-2:] == ["mu_n", "gap"] and len(rows) == 10
 
 
 class TestVerify:

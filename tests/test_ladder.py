@@ -3,9 +3,12 @@ import json
 import numpy as np
 import pytest
 
+import gjflow.evolution
 import gjflow.ladder
+import gjflow.momentflow
 import gjflow.orthopoly
 import gjflow.quadrature
+import gjflow.weights
 from gjflow import (
     EndpointTrajectory,
     IndexOutOfRange,
@@ -242,10 +245,12 @@ def test_diffrel_matches_per_point_reference(which, request):
         assert rep.diffrel_residual < 1e-7
 
 
-def _count_passes(monkeypatch):
-    """Count the Stieltjes passes and the Cauchy matrix builds, wherever
-    they are called from."""
-    calls = {"stieltjes_recurrence": 0, "cauchy_node_matrices": 0}
+def _count_passes(monkeypatch,
+                  names=("stieltjes_recurrence", "cauchy_node_matrices")):
+    """Count the calls of the library functions ``names``, wherever they
+    are called from: by default the Stieltjes passes and the Cauchy matrix
+    builds."""
+    calls = dict.fromkeys(names, 0)
 
     def counted(name, fn):
         def counting(*args, **kwargs):
@@ -253,17 +258,25 @@ def _count_passes(monkeypatch):
             return fn(*args, **kwargs)
         return counting
 
-    for mod in (gjflow.ladder, gjflow.orthopoly, gjflow.quadrature):
+    for mod in (gjflow.ladder, gjflow.orthopoly, gjflow.quadrature,
+                gjflow.weights, gjflow.evolution, gjflow.momentflow):
         for name in calls:
             if hasattr(mod, name):
                 monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
     return calls
 
 
+# one measure for all of a command's times, and no node data of one time
+# beside it
+ONE_MEASURE = {"_stacked_points": 1, "node_data": 0}
+
+
 @pytest.mark.parametrize("cmd, passes", [
     ("ladder", {"stieltjes_recurrence": 1, "cauchy_node_matrices": 1}),
     # the Chebyshev coefficient check, the ladder checks, the frozen flow
     ("selftest", {"stieltjes_recurrence": 3, "cauchy_node_matrices": 2}),
+    *((cmd, ONE_MEASURE)
+      for cmd in ("coeffs", "ladder", "evolve", "verify", "moments")),
 ])
 def test_cli_ladder_queries_build_once(moving6, tmp_path, capsys, monkeypatch,
                                        cmd, passes):
@@ -273,7 +286,7 @@ def test_cli_ladder_queries_build_once(moving6, tmp_path, capsys, monkeypatch,
                    "pieces": moving6.pieces.tolist(),
                    "trajectory": [list(c) for c in moving6.trajectory.coeffs]},
         "n": 30, "evolve": {"t0": 0.1, "t1": 0.4}}))
-    calls = _count_passes(monkeypatch)
+    calls = _count_passes(monkeypatch, passes)
     assert main([cmd, "--config", str(path)]) == 0
     assert "FAIL" not in capsys.readouterr().out
     assert calls == passes

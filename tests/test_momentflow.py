@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import quad_ref
 from hankel_ref import hankel_det
 from gjflow import (
     EndpointCollision,
@@ -13,7 +16,8 @@ from gjflow import (
     node_data,
     nu_by_quadrature,
 )
-from gjflow.momentflow import beta_exponents
+from gjflow.momentflow import beta_exponents, direct_moments
+from test_rule_table import configs
 
 
 @pytest.fixture
@@ -96,9 +100,40 @@ def test_collision_during_integration():
     assert abs(exc.t - 0.2) < 1e-3
 
 
+# Moment weights may have exponents <= 0. Positive ones start at 0.05, as
+# in ``configs``: below it the lowered rules of the measure lose relative
+# precision as about 2e-16 / alpha (``test_rule_table``'s
+# ``test_tiny_exponent_measure``), whatever the integrand.
+MOMENT_EXPONENTS = st.floats(-0.95, 0.0, exclude_min=True) | st.floats(0.05, 2.0)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(configs(exponents=MOMENT_EXPONENTS, degrees=st.integers(0, 15)),
+       st.lists(st.floats(-0.01, 0.01), min_size=1, max_size=4))
+def test_direct_moments_property(cfg, offsets):
+    # each row against the literal per-j products, and bit for bit the
+    # call at its time alone
+    w, n, t = cfg
+    ts = t + np.array(offsets)
+    mu, nu = direct_moments(w, n, ts)
+    assert mu.shape == (len(ts),) and nu.shape == (len(ts), w.m)
+    for ti, mu_i, nu_i in zip(ts, mu, nu):
+        ref_mu, ref_nu = quad_ref.direct_moments(w, n, ti)
+        assert abs(mu_i - ref_mu) <= 1e-13 * abs(ref_mu)
+        assert np.max(np.abs(nu_i - ref_nu)) <= 1e-13 * np.max(np.abs(ref_nu))
+        one_mu, one_nu = direct_moments(w, n, (ti,))
+        assert one_mu[0] == mu_i and np.array_equal(one_nu[0], nu_i)
+        assert np.array_equal(nu_by_quadrature(w, n, ti), nu_i)
+
+
 class TestMuIdentity:
-    """The mu_n and gap columns of the ``moments`` command: mu_n from
-    ``moments``, nu_{n,1} from ``nu_by_quadrature``."""
+    """The mu_n and gap columns of the ``moments`` command: mu_n and
+    nu_{n,1} from ``direct_moments``; ``moments`` gives all the powers."""
+
+    def test_mu_n_is_a_moment(self, stretching2):
+        mu, _ = direct_moments(stretching2, 7, (0.0, 0.3))
+        for t, mu_n in zip((0.0, 0.3), mu):
+            assert mu_n == pytest.approx(moments(stretching2, t, 7)[7], rel=1e-14)
 
     def test_chebyshev_mu0(self, cheb):
         mu0 = moments(cheb, 0.0, 0)[0]

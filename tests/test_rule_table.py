@@ -157,8 +157,9 @@ def test_init_state_is_init_states_at_one_time(name):
 
 
 @st.composite
-def configs(draw):
-    """A random admissible weight, a time t and a degree n.
+def configs(draw, exponents=st.floats(0.05, 2.0), degrees=st.integers(1, 30)):
+    """A random admissible weight, a time t and a degree n, with the
+    exponents and the degree drawn from ``exponents`` and ``degrees``.
 
     At t the endpoints sit as the benchmark workloads place them: the outer
     two at -2 and 2, the inner ones uniform with gaps >= 0.05. The floor-1
@@ -167,7 +168,7 @@ def configs(draw):
     1.9e-12 against this reference, the same before the rule table.
     """
     m = draw(st.integers(2, 6))
-    alpha = draw(st.lists(st.floats(0.05, 2.0), min_size=m, max_size=m))
+    alpha = draw(st.lists(exponents, min_size=m, max_size=m))
     pieces = draw(st.lists(st.floats(0.5, 2.0), min_size=m - 1, max_size=m - 1))
     inner = draw(st.lists(st.floats(-1.95, 1.95), min_size=m - 2, max_size=m - 2))
     x = np.array([-2.0, *sorted(inner), 2.0])
@@ -176,7 +177,7 @@ def configs(draw):
     t = draw(st.floats(-0.05, 0.05))
     traj = tuple((float(xk - vk * t), float(vk)) for xk, vk in zip(x, v))
     w = make_weight(alpha, pieces, EndpointTrajectory(traj), t_ref=t)
-    return w, draw(st.integers(1, 30)), t
+    return w, draw(degrees), t
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -234,6 +235,16 @@ class TestEdges:
         got = init_state(w, 30, 0.0).pack()
         assert quad_ref.relative(got, quad_ref.init_state(w, 30, 0.0)) <= PROPERTY_TOL
 
+    @pytest.mark.xfail(strict=True, reason="the lowered rule's mass sits on "
+                       "the node next to the endpoint, whose distance 1 - s "
+                       "to it is only absolutely accurate: the measure is off "
+                       "by about 2e-16 / alpha")
+    def test_tiny_exponent_measure(self):
+        w = make_weight([0.0, 1e-10], [1.0], EndpointTrajectory.fixed([-2.0, 2.0]))
+        _, ws = discretized_measure(w, 0.0, 64)
+        _, rw = quad_ref.measure(w, 0.0, 64)
+        assert quad_ref.relative(np.sum(ws), np.sum(rw)) <= TOL
+
     def test_stieltjes_at_node_with_nonpositive_exponents_elsewhere(self):
         w = make_weight([-0.5, 0.8, 0.0], [1.0, 1.5],
                         EndpointTrajectory.fixed([-1.0, 0.3, 1.0]))
@@ -248,6 +259,19 @@ class TestEdges:
         msg = rf"^q\(x_2\) diverges: alpha_2 = {alpha} <= 0$"
         with pytest.raises(DivergentTransform, match=msg):
             q_at_node(w, np.ones_like, 1, 0.0)
+        with pytest.raises(DivergentTransform, match=msg):
+            cauchy_node_matrices(w, (0.0,))
+
+    def test_exponent_below_the_rounding_of_its_lowering(self):
+        # alpha_2 - 1 rounds to -1: its rules keep alpha_2, the measure is
+        # that of alpha_2 = 0 and the transform at x_2 is refused
+        w, w0 = (make_weight([0.5, alpha, 0.5], [1.0, 1.0],
+                             EndpointTrajectory.fixed([-1.0, 0.0, 1.0]))
+                 for alpha in (1e-300, 0.0))
+        xs, ws = discretized_measure(w, 0.0, 16)
+        x0, ws0 = discretized_measure(w0, 0.0, 16)
+        assert np.array_equal(xs, x0) and np.array_equal(ws, ws0)
+        msg = r"^q\(x_2\) diverges: alpha_2 = 1e-300 and alpha - 1 rounds to -1$"
         with pytest.raises(DivergentTransform, match=msg):
             cauchy_node_matrices(w, (0.0,))
 
