@@ -65,7 +65,6 @@ from .quadrature import (
 from .weights import (
     EndpointTrajectory,
     GeneralizedJacobiWeight,
-    NodeData,
     NodeFrames,
     barycentric_interpolate,
     make_weight,

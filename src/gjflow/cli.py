@@ -14,7 +14,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import List, Optional
 
 import numpy as np
@@ -27,11 +27,12 @@ from .errors import (
     StepCollapse,
     UnderResolved,
 )
-from .evolution import _relative, evolve, verify_flow
+from .evolution import (_relative, _state_labels, evolve, init_states,
+                        verify_against_direct)
 from .ladder import ladder_checks
 from .momentflow import direct_moments, evolve_moments
 from .orthopoly import stieltjes_procedure
-from .quadrature import DEFAULT_NPTS, gauss_jacobi_rule, integrate_against_weight
+from .quadrature import default_npts, gauss_jacobi_rule, integrate_against_weight
 from .weights import EndpointTrajectory, make_weight
 
 EXIT_OK = 0
@@ -102,13 +103,6 @@ def _check_keys(doc: dict, allowed, path: str, strict: bool):
                 raise ConfigError(f"{path}{key}: unknown key")
             print(f"warning: ignoring unknown config key {path}{key}",
                   file=sys.stderr)
-
-
-def default_npts(n: int) -> int:
-    """Quadrature points per piece when none are given: the rule on each
-    piece integrates the measure exactly to degree 2 npts - 3, so x p_n^2
-    needs n + 2, as does the recurrence to degree n + 1."""
-    return max(DEFAULT_NPTS, n + 2)
 
 
 def parse_config(text: str, strict: bool = False,
@@ -224,20 +218,29 @@ def _emit_verdict(out, cfg: RunConfig, columns, rows, comments, dev) -> int:
     return EXIT_OK
 
 
+class _SelfcheckFailed(Exception):
+    """An npts-doubling deviation of ``--selfcheck``: exit 4, no output."""
+
+
 def _selfchecked(cfg: RunConfig, label: str, compute,
-                 key=lambda result: result):
+                 key=lambda result: result, flow=lambda: None):
     """``compute(cfg.npts)``; with ``--selfcheck``, also ``compute`` at
-    twice the points, the two compared on the array ``key(result)``. A
-    relative deviation above 1e-9 is printed to stderr and returns None."""
-    coarse = compute(cfg.npts)
+    twice the points, the two compared on the array ``key(result)``, and
+    _SelfcheckFailed above a relative deviation of 1e-9. If ``compute``
+    fails, ``flow()`` runs first, so a flow fails before its oracle (the
+    order of ``verify_flow``)."""
+    try:
+        coarse = compute(cfg.npts)
+    except GJFlowError:
+        flow()
+        raise
     if cfg.selfcheck:
         c, f = (np.asarray(key(r), dtype=float)
                 for r in (coarse, compute(2 * cfg.npts)))
         dev = float(np.max(_relative(c - f, f)))
         if dev > 1e-9:
-            print(f"selfcheck failed for {label}: npts-doubling deviation "
-                  f"{dev:.3e}", file=sys.stderr)
-            return None
+            raise _SelfcheckFailed(f"selfcheck failed for {label}: "
+                                   f"npts-doubling deviation {dev:.3e}")
     return coarse
 
 
@@ -252,8 +255,6 @@ def cmd_coeffs(cfg: RunConfig, out) -> int:
         cfg, "coeffs",
         lambda npts: stieltjes_procedure(w, cfg.t0, cfg.n + 1, npts),
         lambda table: np.concatenate((table.a, table.b, table.gamma)))
-    if table is None:
-        return EXIT_VERIFY
     rows = [
         (n, table.a[n], table.b[n], table.gamma[n]) for n in range(cfg.n + 1)
     ]
@@ -266,8 +267,6 @@ def cmd_ladder(cfg: RunConfig, out) -> int:
     report = _selfchecked(
         cfg, "ladder", lambda npts: ladder_checks(w, cfg.t0, cfg.n, npts),
         lambda rep: np.concatenate((rep.values.theta, rep.values.omega)))
-    if report is None:
-        return EXIT_VERIFY
     lv = report.values
     rows = [
         (j + 1, report.x[j], lv.theta[j],
@@ -292,14 +291,11 @@ def _require_span(cfg: RunConfig):
 def cmd_evolve(cfg: RunConfig, out) -> int:
     _require_span(cfg)
     w = cfg.weight()
+    y0 = _selfchecked(cfg, "evolve",
+                      lambda npts: init_states(w, cfg.n, (cfg.t0,), npts)[0])
     report = evolve(w, cfg.n, (cfg.t0, cfg.t1), tol=(cfg.rtol, cfg.atol),
-                    sample_count=cfg.samples, npts=cfg.npts)
-    m = w.m
-    columns = ["t", "a", "b", "gamma"]
-    columns += [f"theta_{j + 1}" for j in range(m)]
-    columns += [f"theta_prev_{j + 1}" for j in range(m)]
-    columns += [f"omega_{j + 1}" for j in range(m)]
-    columns += [f"drift_{i + 1}" for i in range(5)]
+                    sample_count=cfg.samples, y0=y0)
+    columns = ["t", *_state_labels(w.m), *(f"drift_{i + 1}" for i in range(5))]
     rows = np.column_stack((report.times, report.ys, report.drifts))
     _emit(out, cfg, columns, rows, [_steps_comment(report.stats)])
     return EXIT_OK
@@ -309,16 +305,13 @@ def cmd_moments(cfg: RunConfig, out) -> int:
     _require_span(cfg)
     w = cfg.weight()
     times = np.linspace(cfg.t0, cfg.t1, cfg.samples)
-    direct = _selfchecked(cfg, "moments",
-                          lambda npts: direct_moments(w, cfg.n, times, npts),
-                          lambda result: result[1])
-    if direct is None:
-        return EXIT_VERIFY
-    mu_n, nu = direct
-    nus, stats = evolve_moments(w, cfg.n, (cfg.t0, cfg.t1),
-                                tol=(cfg.rtol, cfg.atol),
-                                sample_count=cfg.samples, npts=cfg.npts,
-                                nu0=nu[0])
+    flow = partial(evolve_moments, w, cfg.n, (cfg.t0, cfg.t1),
+                   tol=(cfg.rtol, cfg.atol), sample_count=cfg.samples,
+                   npts=cfg.npts)
+    mu_n, nu = _selfchecked(cfg, "moments",
+                            lambda npts: direct_moments(w, cfg.n, times, npts),
+                            lambda result: result[1], flow)
+    nus, stats = flow(nu0=nu[0])
     columns = ["t"] + [f"nu_{j + 1}" for j in range(w.m)] + ["mu_n", "gap"]
     scale = np.maximum(np.abs(mu_n), np.abs(nus[:, 0]))
     gap = np.abs(mu_n - nus[:, 0]) / np.maximum(scale, 1e-300)
@@ -330,8 +323,12 @@ def cmd_moments(cfg: RunConfig, out) -> int:
 def cmd_verify(cfg: RunConfig, out) -> int:
     _require_span(cfg)
     w = cfg.weight()
-    vt = verify_flow(w, cfg.n, (cfg.t0, cfg.t1), tol=(cfg.rtol, cfg.atol),
-                     sample_count=cfg.samples, npts=cfg.npts)
+    times = np.linspace(cfg.t0, cfg.t1, cfg.samples)
+    flow = partial(evolve, w, cfg.n, (cfg.t0, cfg.t1), tol=(cfg.rtol, cfg.atol),
+                   sample_count=cfg.samples, npts=cfg.npts)
+    direct = _selfchecked(
+        cfg, "verify", lambda npts: init_states(w, cfg.n, times, npts), flow=flow)
+    vt = verify_against_direct(w, cfg.n, flow(y0=direct[0]), direct=direct)
     columns = ["t"] + [f"dev_{lab}" for lab in vt.labels]
     rows = np.column_stack((vt.times, vt.deviations))
     return _emit_verdict(out, cfg, columns, rows, [], vt.max_deviation)
@@ -407,6 +404,9 @@ def run_command(cmd: str, cfg: RunConfig, out) -> int:
         return _COMMANDS[cmd](cfg, out)
     except ConfigError:
         raise
+    except _SelfcheckFailed as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_VERIFY
     except (EndpointCollision, StepCollapse) as exc:
         print(f"numerical failure: {type(exc).__name__}: {exc} "
               f"(last good t = {exc.t})", file=sys.stderr)

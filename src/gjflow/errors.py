@@ -2,7 +2,12 @@
 
 
 class GJFlowError(Exception):
-    """Base class for all gjflow errors."""
+    """Base class for all gjflow errors; ``t`` is the time an error refers
+    to, for the subclasses that carry one (None otherwise)."""
+
+    def __init__(self, message, t=None):
+        super().__init__(message)
+        self.t = t
 
 
 class NonDistinctEndpoints(GJFlowError):
@@ -10,10 +15,6 @@ class NonDistinctEndpoints(GJFlowError):
 
     Carries ``t``, the time queried, when there is one.
     """
-
-    def __init__(self, message, t=None):
-        super().__init__(message)
-        self.t = t
 
 
 class BadExponent(GJFlowError):
@@ -56,12 +57,11 @@ class ZeroCoefficient(GJFlowError):
 class EndpointCollision(GJFlowError):
     """Endpoint ordering failed during time integration.
 
-    Carries ``t``, the last time at which the configuration was still valid.
+    Carries ``t``: the first stage time at which the positions were not
+    strictly increasing when the integrator's frames found the collision;
+    the last accepted time when a step collapsed next to nearly coinciding
+    endpoints.
     """
-
-    def __init__(self, message, t=None):
-        super().__init__(message)
-        self.t = t
 
 
 class StepCollapse(GJFlowError):
@@ -69,10 +69,6 @@ class StepCollapse(GJFlowError):
 
     Carries ``t``, the last accepted time.
     """
-
-    def __init__(self, message, t=None):
-        super().__init__(message)
-        self.t = t
 
 
 class InitFailure(GJFlowError):

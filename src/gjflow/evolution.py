@@ -28,9 +28,8 @@ from .errors import (EndpointCollision, InitFailure, NonDistinctEndpoints,
                      StepCollapse)
 from .ladder import LadderValues, _ladder_nodes
 from .orthopoly import eval_polynomial
-from .quadrature import DEFAULT_NPTS
 from .rk45 import IntegrationStats, integrate_rk45
-from .weights import (GeneralizedJacobiWeight, NodeData, _flow_frames,
+from .weights import (GeneralizedJacobiWeight, NodeFrames, _flow_frames,
                       node_data, stage_node_data)
 
 
@@ -149,8 +148,8 @@ def evolution_rhs(y: np.ndarray, basis: np.ndarray, buf=None,
 
     ``y`` is ``EvolutionState.pack()``: (a, b, gamma), then theta,
     theta_prev and omega as the rows of ``U = y[3:].reshape(3, m)``;
-    ``basis`` is the m x (m + 2) matrix ``[xdot | x * xdot | K]`` of
-    ``NodeData.basis`` or one row of ``NodeFrames.basis``. The system is a
+    ``basis`` is the m x (m + 2) matrix ``[xdot | x * xdot | K]``, one
+    frame of ``NodeFrames.basis``. The system is a
     polynomial of degree at most 3 in y whose coefficients depend on t only
     through ``basis``: one ``U @ basis`` gives every dot and kernel
     product, and the terms of ``_term_table`` turn them into the
@@ -172,7 +171,7 @@ def evolution_rhs(y: np.ndarray, basis: np.ndarray, buf=None,
 
 
 def init_states(w: GeneralizedJacobiWeight, n: int, ts,
-                npts: int = DEFAULT_NPTS) -> np.ndarray:
+                npts: int | None = None) -> np.ndarray:
     """Build the packed flow states at the times ts from the direct
     quadrature oracles: one row of ``EvolutionState.pack()`` per time.
 
@@ -204,14 +203,14 @@ def init_states(w: GeneralizedJacobiWeight, n: int, ts,
 
 
 def init_state(w: GeneralizedJacobiWeight, n: int, t: float,
-               npts: int = DEFAULT_NPTS) -> EvolutionState:
+               npts: int | None = None) -> EvolutionState:
     """The flow state at time t: ``init_states`` at one time."""
     y = init_states(w, n, (t,), npts)[0]
     return EvolutionState(float(t), n, *y[:3].tolist(), *y[3:].reshape(3, -1))
 
 
 def evolve(w: GeneralizedJacobiWeight, n: int, t_span, tol=(1e-9, 1e-12),
-           sample_count: int = 20, npts: int = DEFAULT_NPTS,
+           sample_count: int = 20, npts: int | None = None,
            y0=None) -> EvolutionReport:
     """Integrate the deformation system over t_span, sampling uniformly.
 
@@ -243,6 +242,12 @@ def evolve(w: GeneralizedJacobiWeight, n: int, t_span, tol=(1e-9, 1e-12),
     return EvolutionReport(w=w, n=n, times=times, ys=ys, stats=stats)
 
 
+def _state_labels(m: int) -> List[str]:
+    """The names of the 3 + 3m components of a packed state."""
+    return ["a", "b", "gamma", *(f"{name}_{j + 1}" for name in
+                                 ("theta", "theta_prev", "omega") for j in range(m))]
+
+
 @dataclass
 class VerificationTable:
     """Per-sample relative deviations between the flow and the direct oracle."""
@@ -263,25 +268,20 @@ def _relative(dev: np.ndarray, ref: np.ndarray) -> np.ndarray:
 
 
 def verify_against_direct(w: GeneralizedJacobiWeight, n: int,
-                          report: EvolutionReport, npts: int = DEFAULT_NPTS,
+                          report: EvolutionReport, npts: int | None = None,
                           direct=None) -> VerificationTable:
     """Tabulate the deviations of the sampled states from the oracle states
     ``direct`` at the report's times; without them, rebuild them all in one
     ``init_states``."""
-    m = w.m
-    labels = ["a", "b", "gamma"]
-    labels += [f"theta_{j + 1}" for j in range(m)]
-    labels += [f"theta_prev_{j + 1}" for j in range(m)]
-    labels += [f"omega_{j + 1}" for j in range(m)]
     if direct is None:
         direct = init_states(w, n, report.times, npts)
-    return VerificationTable(times=report.times.copy(), labels=labels,
+    return VerificationTable(times=report.times.copy(), labels=_state_labels(w.m),
                              deviations=_relative(report.ys - direct, direct))
 
 
 def verify_flow(w: GeneralizedJacobiWeight, n: int, t_span,
                 tol=(1e-9, 1e-12), sample_count: int = 20,
-                npts: int = DEFAULT_NPTS) -> VerificationTable:
+                npts: int | None = None) -> VerificationTable:
     """``evolve`` checked by ``verify_against_direct``, with one quadrature
     pass: the oracle states at the sample times are built first, and the
     flow starts from the one at t_span[0], which ``init_state`` would
@@ -314,7 +314,7 @@ class TimeDerivativeCheck:
     formula_node: float
 
 
-def _dp_dt_formula(w, table, lv: LadderValues, nd: NodeData, n: int, x: float,
+def _dp_dt_formula(w, table, lv: LadderValues, nd: NodeFrames, n: int, x: float,
                    frame_velocity: float = 0.0):
     """Right side of the dp_n/dt expansion at x, seen from a frame moving at
     frame_velocity.
@@ -338,7 +338,7 @@ def _dp_dt_formula(w, table, lv: LadderValues, nd: NodeData, n: int, x: float,
 
 def pn_time_derivative_check(w: GeneralizedJacobiWeight, n: int, x: float,
                              t: float, h: float, j: int = 0,
-                             npts: int = DEFAULT_NPTS) -> TimeDerivativeCheck:
+                             npts: int | None = None) -> TimeDerivativeCheck:
     """Compare the explicit time-derivative formulas for p_n with centered
     finite differences of tables recomputed at t +/- h.
 

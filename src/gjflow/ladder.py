@@ -16,8 +16,8 @@ import numpy as np
 
 from .errors import IndexOutOfRange, ZeroCoefficient
 from .orthopoly import eval_polynomial, stieltjes_recurrence
-from .quadrature import DEFAULT_NPTS, cauchy_node_matrices
-from .weights import GeneralizedJacobiWeight, NodeData, barycentric_interpolate
+from .quadrature import cauchy_node_matrices, default_npts
+from .weights import GeneralizedJacobiWeight, NodeFrames, barycentric_interpolate
 
 
 @dataclass(frozen=True)
@@ -54,7 +54,7 @@ class LadderReport:
     x: np.ndarray               # node positions x_j at t
 
 
-def _ladder_nodes(w: GeneralizedJacobiWeight, ts, n: int, npts: int):
+def _ladder_nodes(w: GeneralizedJacobiWeight, ts, n: int, npts: int | None):
     """The ladder node values at the times ts, from one pass.
 
     One ``cauchy_node_matrices`` gives the discretized measure, the node
@@ -64,11 +64,12 @@ def _ladder_nodes(w: GeneralizedJacobiWeight, ts, n: int, npts: int):
     everywhere; Q turns them into q_n, q_{n-1} at the nodes. Returns
     (table, NodeFrames, Q, (p_n, p_{n-1}, q_n, q_{n-1}) at the nodes,
     LadderValues), each with one row per time; the node formula is that
-    of ``ladder_init``.
+    of ``ladder_init``. ``npts`` None is ``default_npts(n)``.
     """
     if n < 0:
         raise IndexOutOfRange(f"degree must be >= 0, got {n}")
-    points, ws, frames, Q = cauchy_node_matrices(w, ts, npts)
+    points, ws, frames, Q = cauchy_node_matrices(
+        w, ts, default_npts(n) if npts is None else npts)
     table, p, p_prev = stieltjes_recurrence(
         np.concatenate((points, frames.x), axis=1), ws, n + 1)
     k = Q.shape[-1]
@@ -84,7 +85,7 @@ def _ladder_nodes(w: GeneralizedJacobiWeight, ts, n: int, npts: int):
 
 
 def ladder_init(w: GeneralizedJacobiWeight, t: float, n: int,
-                npts: int = DEFAULT_NPTS) -> LadderValues:
+                npts: int | None = None) -> LadderValues:
     """Node values from the Cauchy-transform representation.
 
     Theta_n(x_j) = alpha_j W'(x_j) p_n(x_j) q_n(x_j),
@@ -122,7 +123,7 @@ def ladder_step(values: LadderValues, x_nodes, a_n: float, a_next: float,
 
 
 def ladder_climb(w: GeneralizedJacobiWeight, t: float, n: int,
-                 npts: int = DEFAULT_NPTS) -> LadderValues:
+                 npts: int | None = None) -> LadderValues:
     """Climb from the degree-0 node values at t to degree n via ladder_step
     alone, on the recurrence coefficients of one ``_ladder_nodes`` pass to
     degree n at the same t.
@@ -143,7 +144,7 @@ def ladder_climb(w: GeneralizedJacobiWeight, t: float, n: int,
     return values
 
 
-def residue_sums(values: LadderValues, nd: NodeData):
+def residue_sums(values: LadderValues, nd: NodeFrames):
     """The three Lagrange leading-coefficient sums of the node values."""
     s0 = float(np.sum(values.theta / nd.wprime))
     s1 = float(np.sum(nd.x * values.theta / nd.wprime))
@@ -152,7 +153,7 @@ def residue_sums(values: LadderValues, nd: NodeData):
 
 
 def ladder_checks(w: GeneralizedJacobiWeight, t: float, n: int,
-                  npts: int = DEFAULT_NPTS, nsamples: int = 20,
+                  npts: int | None = None, nsamples: int = 20,
                   seed: int = 0) -> LadderReport:
     """Node values of degree n at t with the residuals of the residue sums,
     the differential relation, and the Wronskian-type identity

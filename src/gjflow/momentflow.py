@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .quadrature import DEFAULT_NPTS, _stacked_points
+from .quadrature import _stacked_points, default_npts
 from .rk45 import integrate_rk45
 from .weights import GeneralizedJacobiWeight, _flow_frames
 
@@ -24,7 +24,7 @@ def beta_exponents(n: int, m: int) -> np.ndarray:
 
 
 def direct_moments(w: GeneralizedJacobiWeight, n: int, ts,
-                   npts: int = DEFAULT_NPTS):
+                   npts: int | None = None):
     """mu_n = int w(u) (u - x_1)^n du and the m moments nu_{n,j} at the
     times ts from one stacked measure: arrays (s,) and (s, m).
 
@@ -32,8 +32,10 @@ def direct_moments(w: GeneralizedJacobiWeight, n: int, ts,
     weighted power gives mu_n and serves every j, with the other factors
     multiplied from the left and from the right. Each sum runs along the
     last axis of its row, so row i is bit for bit the call at ts[i] alone.
+    ``npts`` None is ``default_npts(n)``.
     """
-    frames, _, xs, ws, _ = _stacked_points(w, ts, npts)
+    frames, _, xs, ws, _ = _stacked_points(
+        w, ts, default_npts(n) if npts is None else npts)
     d = xs[:, None, :] - frames.x[:, :, None]  # u - x_k: (s, m, points)
     power = ws * d[:, 0] ** n
     # prod_{k<j} (u - x_k) times prod_{k>j} (u - x_k)
@@ -44,7 +46,7 @@ def direct_moments(w: GeneralizedJacobiWeight, n: int, ts,
 
 
 def nu_by_quadrature(w: GeneralizedJacobiWeight, n: int, t: float,
-                     npts: int = DEFAULT_NPTS) -> np.ndarray:
+                     npts: int | None = None) -> np.ndarray:
     """All m modified moments at time t: row 0 of ``direct_moments``."""
     return direct_moments(w, n, (t,), npts)[1][0]
 
@@ -53,8 +55,8 @@ def moment_rhs(nu: np.ndarray, basis: np.ndarray, alpha: np.ndarray,
                beta: np.ndarray, out=None) -> np.ndarray:
     """nu_dot_j = sum_{k != j} (xd_j - xd_k)(alpha_k + beta_k)(nu_j - nu_k)/(x_j - x_k),
     with the kernel K = (xd_j - xd_k)/(x_j - x_k) read from the frame
-    ``basis = [xdot | x * xdot | K]`` (``NodeData.basis``); written into
-    ``out`` (a new array without it) and returned."""
+    ``basis = [xdot | x * xdot | K]`` (a frame of ``NodeFrames.basis``);
+    written into ``out`` (a new array without it) and returned."""
     K = basis[:, 2:]
     ab = alpha + beta
     # sum_k K[j,k] ab_k (nu_j - nu_k)
@@ -63,7 +65,7 @@ def moment_rhs(nu: np.ndarray, basis: np.ndarray, alpha: np.ndarray,
 
 def evolve_moments(w: GeneralizedJacobiWeight, n: int, t_span,
                    tol=(1e-9, 1e-12), sample_count: int = 20,
-                   npts: int = DEFAULT_NPTS, nu0=None):
+                   npts: int | None = None, nu0=None):
     """Integrate the linear moment system; returns (nus, stats), row i of
     nus being the m moments at the i-th of ``sample_count`` uniform times.
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IndexOutOfRange, LostOrthogonality, NonFinite
-from .quadrature import DEFAULT_NPTS, _stacked_points, discretized_measure
+from .quadrature import _stacked_points, default_npts, discretized_measure
 from .weights import GeneralizedJacobiWeight
 
 
@@ -44,12 +44,12 @@ class RecurrenceTable:
 
 
 def stieltjes_procedure(w: GeneralizedJacobiWeight, t: float, N: int,
-                        npts: int = DEFAULT_NPTS) -> RecurrenceTable:
+                        npts: int | None = None) -> RecurrenceTable:
     """Build a_1..a_N, b_0..b_{N-1}, gamma_0..gamma_N by discretized Stieltjes
-    on ``discretized_measure``."""
+    on ``discretized_measure`` of npts, by default ``default_npts(N)``."""
     if N < 0:
         raise IndexOutOfRange(f"N must be >= 0, got {N}")
-    xs, ws = discretized_measure(w, t, npts)
+    xs, ws = discretized_measure(w, t, default_npts(N) if npts is None else npts)
     return stieltjes_recurrence(xs, ws, N)[0]
 
 
@@ -166,11 +166,13 @@ def eval_polynomial(table: RecurrenceTable, n: int, x):
 
 
 def moments(w: GeneralizedJacobiWeight, t: float, nmax: int,
-            npts: int = DEFAULT_NPTS) -> np.ndarray:
-    """Moments mu_n = int w(u) (u - x_1)^n du for n = 0..nmax."""
+            npts: int | None = None) -> np.ndarray:
+    """Moments mu_n = int w(u) (u - x_1)^n du for n = 0..nmax, on npts
+    points per piece, by default ``default_npts(nmax)``."""
     if nmax < 0:
         raise IndexOutOfRange(f"nmax must be >= 0, got {nmax}")
-    frames, _, xs, ws, _ = _stacked_points(w, (t,), npts)
+    frames, _, xs, ws, _ = _stacked_points(
+        w, (t,), default_npts(nmax) if npts is None else npts)
     shifted = xs[0] - frames.x[0, 0]
     mu = np.empty(nmax + 1)
     pw = np.ones_like(shifted)

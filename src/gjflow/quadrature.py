@@ -46,6 +46,13 @@ DEFAULT_NPTS = 64
 _CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
 
 
+def default_npts(n: int) -> int:
+    """Quadrature points per piece when none are given for degree n: the
+    rule on each piece integrates the measure exactly to degree 2 npts - 3,
+    so x p_n^2 needs n + 2, as does the recurrence to degree n + 1."""
+    return max(DEFAULT_NPTS, n + 2)
+
+
 @dataclass(frozen=True)
 class QuadratureRule:
     """Gauss rule on (-1, 1) for the weight (1-s)^beta_right (1+s)^beta_left."""

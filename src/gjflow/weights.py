@@ -33,21 +33,6 @@ def _horner(cols, t) -> np.ndarray:
     return out
 
 
-def _gaps(x: np.ndarray) -> np.ndarray:
-    """x_j - x_k over the last axis of x, with 1 on the diagonal: (..., m, m)."""
-    m = x.shape[-1]
-    gaps = x[..., :, None] - x[..., None, :]
-    gaps.reshape(x.shape[:-1] + (m * m,))[..., ::m + 1] = 1.0
-    return gaps
-
-
-def _wprime(x: np.ndarray) -> np.ndarray:
-    """W'(x_j) = prod_{k != j}(x_j - x_k) over the last axis of x, read-only."""
-    wprime = np.prod(_gaps(x), axis=-1)
-    wprime.setflags(write=False)
-    return wprime
-
-
 @dataclass(frozen=True)
 class EndpointTrajectory:
     """Polynomial-in-t endpoint paths x_k(t).
@@ -57,8 +42,8 @@ class EndpointTrajectory:
     polynomials that node data reads, column by column (highest degree
     first): x_1..x_m, their t-derivatives, then the m x m numerators
     x'_j - x'_k and denominators x_j - x_k (1 on the diagonal) of the
-    velocity kernel. One Horner pass over the first 2m gives positions
-    and velocities; one over all of them gives a ``NodeFrames``.
+    velocity kernel. A Horner pass over the first m gives the positions,
+    one over the next m the velocities, one over all a ``NodeFrames``.
     """
 
     coeffs: tuple
@@ -101,62 +86,46 @@ class EndpointTrajectory:
         )
 
     def positions(self, t: float) -> np.ndarray:
-        return self.positions_and_velocities(t)[:self.m]
+        return _horner([c[:self.m] for c in self._cols], t)
 
     def velocities(self, t: float) -> np.ndarray:
-        return self.positions_and_velocities(t)[self.m:]
-
-    def positions_and_velocities(self, t: float) -> np.ndarray:
-        """x_1..x_m followed by their t-derivatives, one Horner pass."""
-        return _horner([c[:2 * self.m] for c in self._cols], t)
-
-
-@dataclass(frozen=True)
-class NodeData:
-    """Endpoint positions and velocities at one time: one row of a
-    ``NodeFrames``, as ``node_data`` returns it.
-
-    ``basis`` is the read-only m x (m + 2) matrix ``[xdot | x * xdot | K]``,
-    K being the symmetric velocity kernel K[j, k] = (xd_j - xd_k)/(x_j - x_k),
-    K[j, j] = 0. ``wprime``, the values W'(x_j), is computed when first
-    read and then kept.
-    """
-
-    t: float
-    x: np.ndarray
-    xdot: np.ndarray
-    basis: np.ndarray = field(repr=False)
-
-    @cached_property
-    def wprime(self) -> np.ndarray:
-        """W'(x_j) = prod_{k != j}(x_j - x_k)."""
-        return _wprime(self.x)
+        return _horner([c[self.m:2 * self.m] for c in self._cols], t)
 
 
 @dataclass(frozen=True)
 class NodeFrames:
-    """Node data at s times as one read-only bundle of arrays.
+    """Node data at one time or at s times as one read-only bundle of arrays.
 
-    ``t`` has shape (s,), ``x`` and ``xdot`` (s, m), and ``basis`` (s, m,
-    m + 2): row i is the matrix ``[xdot | x * xdot | K]`` at ``t[i]`` that
-    a flow right-hand side multiplies its node ratios by, K being the
-    velocity kernel. ``wprime``, the (s, m) values W'(x_j), is computed
-    when first read and then kept: a flow integrator never pays for it.
+    At s times ``t`` has shape (s,), ``x`` and ``xdot`` (s, m), and
+    ``basis`` (s, m, m + 2); at one time, as ``node_data`` and ``row``
+    return it, ``t`` is a float and the arrays drop the leading axis. A
+    frame of ``basis`` is the matrix ``[xdot | x * xdot | K]`` that a flow
+    right-hand side multiplies its node ratios by, K being the symmetric
+    velocity kernel K[j, k] = (xd_j - xd_k)/(x_j - x_k), K[j, j] = 0.
+    ``wprime``, the values W'(x_j), is computed when first read and then
+    kept: a flow integrator never pays for it.
     """
 
-    t: np.ndarray
+    t: float | np.ndarray
     x: np.ndarray
     xdot: np.ndarray
     basis: np.ndarray = field(repr=False)
 
     @cached_property
     def wprime(self) -> np.ndarray:
-        """W'(x_j) = prod_{k != j}(x_j - x_k), one row per time."""
-        return _wprime(self.x)
+        """W'(x_j) = prod_{k != j}(x_j - x_k) along the last axis of x."""
+        x = self.x
+        m = x.shape[-1]
+        # x_j - x_k, with 1 on the diagonal
+        gaps = x[..., :, None] - x[..., None, :]
+        gaps.reshape(x.shape[:-1] + (m * m,))[..., ::m + 1] = 1.0
+        wprime = np.prod(gaps, axis=-1)
+        wprime.setflags(write=False)
+        return wprime
 
-    def row(self, i: int) -> NodeData:
+    def row(self, i: int) -> "NodeFrames":
         """The node data at time ``t[i]``, as views of row i."""
-        return NodeData(float(self.t[i]), self.x[i], self.xdot[i], self.basis[i])
+        return NodeFrames(float(self.t[i]), self.x[i], self.xdot[i], self.basis[i])
 
 
 @dataclass(frozen=True)
@@ -246,11 +215,11 @@ def stage_node_data(w: GeneralizedJacobiWeight, ts) -> NodeFrames:
     return NodeFrames(t=ts, x=x, xdot=xd, basis=basis)
 
 
-def node_data(w: GeneralizedJacobiWeight, t: float) -> NodeData:
+def node_data(w: GeneralizedJacobiWeight, t: float) -> NodeFrames:
     """Node data at time t: row 0 of ``stage_node_data`` at one time.
 
     Raises NonDistinctEndpoints unless the positions are strictly
-    increasing. ``NodeData.wprime`` is computed when first read.
+    increasing. ``wprime`` is computed when first read.
     """
     return stage_node_data(w, (t,)).row(0)
 
@@ -268,7 +237,7 @@ def _flow_frames(w: GeneralizedJacobiWeight):
     return frames
 
 
-def barycentric_interpolate(nd: NodeData, values, x):
+def barycentric_interpolate(nd: NodeFrames, values, x):
     """Degree <= m-1 interpolant through (x_j, values_j), first barycentric form.
 
     p(x) = W(x) * sum_j values_j / (W'(x_j) (x - x_j)) at a point or a 1-D

@@ -372,6 +372,20 @@ class TestMoments:
         assert 1e-3 < max_deviation(comments) < 1e-1
         assert header[-2:] == ["mu_n", "gap"] and len(rows) == 10
 
+    def test_flow_failure_reported_before_the_oracle(self, tmp_path, capsys):
+        # x_2 = 2t meets x_3 = 1 at t = 0.5, a sample time at which the
+        # direct moments fail too: the flow's collision is what is reported
+        doc = {"weight": {"alpha": [0.5, 0.5, 0.5], "pieces": [1, 1],
+                          "trajectory": [[-1], [0, 2], [1]]},
+               "n": 5, "evolve": {"t0": 0, "t1": 1, "samples": 11}}
+        code = main(["moments", "--config", write_config(tmp_path, doc)])
+        assert code == EXIT_NUMERICAL
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("numerical failure: EndpointCollision: ")
+        last_good = re.search(r"\(last good t = (\S+)\)$", captured.err.strip())
+        assert float(last_good.group(1)) == pytest.approx(0.5, abs=1e-3)
+
 
 class TestVerify:
     def test_passes_at_default_tolerance(self, tmp_path, capsys):
@@ -422,7 +436,8 @@ class TestSelfcheck:
     """``--selfcheck`` compares each command's quadrature quantities with
     a run at twice the points (README config at n = 1)."""
 
-    @pytest.mark.parametrize("cmd", ["coeffs", "ladder", "moments"])
+    @pytest.mark.parametrize("cmd", ["coeffs", "ladder", "evolve", "moments",
+                                     "verify"])
     def test_fails_at_three_points(self, tmp_path, capsys, cmd):
         code = main([cmd, "--config", write_config(tmp_path, README_CONFIG),
                      "--n", "1", "--npts", "3", "--selfcheck"])
@@ -431,7 +446,8 @@ class TestSelfcheck:
         assert captured.err.startswith(f"selfcheck failed for {cmd}: ")
         assert captured.out == ""
 
-    @pytest.mark.parametrize("cmd", ["coeffs", "ladder", "moments"])
+    @pytest.mark.parametrize("cmd", ["coeffs", "ladder", "evolve", "moments",
+                                     "verify"])
     def test_passes_at_default_npts(self, tmp_path, capsys, cmd):
         code = main([cmd, "--config", write_config(tmp_path, README_CONFIG),
                      "--n", "1", "--selfcheck"])

@@ -50,6 +50,17 @@ class TestStieltjesProcedure:
         G = P @ (ws[:, None] * P.T)
         assert np.max(np.abs(G - np.eye(11))) < 1e-9
 
+    @pytest.mark.parametrize("N", [80, 100])
+    def test_default_npts_follows_the_degree(self, N):
+        # 64 points per piece miss these degrees by 2e-3 (N = 80) and 0.8
+        # (N = 100); the default takes max(64, N + 2)
+        w = make_weight([0.5, 1.5, 0.7], [1.0, 1.0],
+                        EndpointTrajectory.fixed([-2.0, 0.3, 2.0]))
+        table = stieltjes_procedure(w, 0.0, N)
+        ref = stieltjes_procedure(w, 0.0, N, 3 * N + 60)
+        assert np.max(np.abs(table.a - ref.a)) < 1e-12
+        assert np.max(np.abs(table.b - ref.b)) < 1e-12
+
     def test_breakdown_on_tiny_discretization(self, cheb):
         with pytest.raises(LostOrthogonality):
             stieltjes_procedure(cheb, 0.0, 10, npts=2)
