@@ -185,25 +185,15 @@ def parse_config(text: str, strict: bool = False,
     return cfg
 
 
-def _fmt(v) -> str:
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return repr(float(v))
-
-
 def _emit(out, cfg: RunConfig, columns, rows, extra_comments=()):
     out.write(f"# gjflow {__version__}\n")
     out.write(f"# config: {cfg.resolved()}\n")
     for line in extra_comments:
         out.write(f"# {line}\n")
     out.write(",".join(columns) + "\n")
-    if isinstance(rows, np.ndarray):
-        # a float's repr in a list is repr(float), as ``_fmt`` writes it
-        for row in rows.tolist():
-            out.write(repr(row)[1:-1].replace(", ", ",") + "\n")
-        return
+    # rows of Python ints and floats: the list repr writes each as its repr
     for row in rows:
-        out.write(",".join(_fmt(v) for v in row) + "\n")
+        out.write(repr(row)[1:-1].replace(", ", ",") + "\n")
 
 
 def _emit_verdict(out, cfg: RunConfig, columns, rows, comments, dev) -> int:
@@ -255,9 +245,8 @@ def cmd_coeffs(cfg: RunConfig, out) -> int:
         cfg, "coeffs",
         lambda npts: stieltjes_procedure(w, cfg.t0, cfg.n + 1, npts),
         lambda table: np.concatenate((table.a, table.b, table.gamma)))
-    rows = [
-        (n, table.a[n], table.b[n], table.gamma[n]) for n in range(cfg.n + 1)
-    ]
+    rows = np.column_stack([c[:cfg.n + 1] for c in (table.a, table.b, table.gamma)])
+    rows = [[n, *row] for n, row in enumerate(rows.tolist())]
     _emit(out, cfg, ("n", "a_n", "b_n", "gamma_n"), rows)
     return EXIT_OK
 
@@ -268,11 +257,9 @@ def cmd_ladder(cfg: RunConfig, out) -> int:
         cfg, "ladder", lambda npts: ladder_checks(w, cfg.t0, cfg.n, npts),
         lambda rep: np.concatenate((rep.values.theta, rep.values.omega)))
     lv = report.values
-    rows = [
-        (j + 1, report.x[j], lv.theta[j],
-         lv.theta_prev[j] if lv.theta_prev is not None else 0.0, lv.omega[j])
-        for j in range(w.m)
-    ]
+    prev = np.zeros(w.m) if lv.theta_prev is None else lv.theta_prev
+    rows = np.column_stack((report.x, lv.theta, prev, lv.omega)).tolist()
+    rows = [[j, *row] for j, row in enumerate(rows, 1)]
     comments = [
         f"residue_theta: {report.residue_theta!r}",
         f"residue_x_theta: {report.residue_x_theta!r}",
@@ -296,7 +283,7 @@ def cmd_evolve(cfg: RunConfig, out) -> int:
     report = evolve(w, cfg.n, (cfg.t0, cfg.t1), tol=(cfg.rtol, cfg.atol),
                     sample_count=cfg.samples, y0=y0)
     columns = ["t", *_state_labels(w.m), *(f"drift_{i + 1}" for i in range(5))]
-    rows = np.column_stack((report.times, report.ys, report.drifts))
+    rows = np.column_stack((report.times, report.ys, report.drifts)).tolist()
     _emit(out, cfg, columns, rows, [_steps_comment(report.stats)])
     return EXIT_OK
 
@@ -315,7 +302,7 @@ def cmd_moments(cfg: RunConfig, out) -> int:
     columns = ["t"] + [f"nu_{j + 1}" for j in range(w.m)] + ["mu_n", "gap"]
     scale = np.maximum(np.abs(mu_n), np.abs(nus[:, 0]))
     gap = np.abs(mu_n - nus[:, 0]) / np.maximum(scale, 1e-300)
-    rows = np.column_stack((times, nus, mu_n, gap))
+    rows = np.column_stack((times, nus, mu_n, gap)).tolist()
     return _emit_verdict(out, cfg, columns, rows, [_steps_comment(stats)],
                          float(np.max(_relative(nus - nu, nu))))
 
@@ -330,7 +317,7 @@ def cmd_verify(cfg: RunConfig, out) -> int:
         cfg, "verify", lambda npts: init_states(w, cfg.n, times, npts), flow=flow)
     vt = verify_against_direct(w, cfg.n, flow(y0=direct[0]), direct=direct)
     columns = ["t"] + [f"dev_{lab}" for lab in vt.labels]
-    rows = np.column_stack((vt.times, vt.deviations))
+    rows = np.column_stack((vt.times, vt.deviations)).tolist()
     return _emit_verdict(out, cfg, columns, rows, [], vt.max_deviation)
 
 

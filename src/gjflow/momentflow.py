@@ -34,8 +34,8 @@ def direct_moments(w: GeneralizedJacobiWeight, n: int, ts,
     last axis of its row, so row i is bit for bit the call at ts[i] alone.
     ``npts`` None is ``default_npts(n)``.
     """
-    frames, _, xs, ws, _ = _stacked_points(
-        w, ts, default_npts(n) if npts is None else npts)
+    frames, xs, ws = _stacked_points(
+        w, ts, default_npts(n) if npts is None else npts)[:3]
     d = xs[:, None, :] - frames.x[:, :, None]  # u - x_k: (s, m, points)
     power = ws * d[:, 0] ** n
     # prod_{k<j} (u - x_k) times prod_{k>j} (u - x_k)

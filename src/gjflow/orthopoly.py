@@ -50,7 +50,7 @@ def stieltjes_procedure(w: GeneralizedJacobiWeight, t: float, N: int,
     if N < 0:
         raise IndexOutOfRange(f"N must be >= 0, got {N}")
     xs, ws = discretized_measure(w, t, default_npts(N) if npts is None else npts)
-    return stieltjes_recurrence(xs, ws, N)[0]
+    return stieltjes_recurrence(xs, ws, N)[0].row(0)
 
 
 def stieltjes_recurrence(xs: np.ndarray, ws: np.ndarray, N: int):
@@ -66,15 +66,14 @@ def stieltjes_recurrence(xs: np.ndarray, ws: np.ndarray, N: int):
     at degree N-1, so a caller that needs b_n and p_n, p_{n-1} on more
     points than the measure's runs one recurrence with N = n + 1.
 
-    2-D ``xs`` and ``ws`` hold one measure per row, and every output gains
-    that leading axis (the table's arrays too); each row has the
-    arithmetic of its own 1-D call, dot products included. Raises
-    LostOrthogonality on nonpositive mass or when a norm falls below the
-    roundoff floor of its row, and NonFinite when some gamma_n overflows;
-    with several rows, the error is that of the first row that fails, and
-    it carries that row as ``row``.
+    ``xs`` and ``ws`` hold one measure per row (1-D arrays are one row),
+    and every output has that leading axis (the table's arrays too); each
+    row has the arithmetic of a call on it alone, dot products included.
+    Raises LostOrthogonality on nonpositive mass or when a norm falls below
+    the roundoff floor of its row, and NonFinite when some gamma_n
+    overflows; with several rows, the error is that of the first row that
+    fails, and it carries that row as ``row``.
     """
-    batched = np.ndim(ws) == 2
     xs, ws = np.atleast_2d(xs, ws)
     k = ws.shape[1]
     x = xs[:, :k]
@@ -83,8 +82,8 @@ def stieltjes_recurrence(xs: np.ndarray, ws: np.ndarray, N: int):
     mu0 = np.add.reduce(ws, axis=1)
     # rows that fail go on with meaningless values and are reported below
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        # scalar pow, as a 1-D call has always taken it: numpy's vectorized
-        # pow can differ from it in the last bit
+        # scalar pow: numpy's vectorized pow can differ from it in the
+        # last bit
         gamma0 = np.array([[mu ** -0.5 if mu > 0.0 else np.inf]
                            for mu in mu0.tolist()])
         # four buffers rotate in place, each with its view on the measure
@@ -118,9 +117,6 @@ def stieltjes_recurrence(xs: np.ndarray, ws: np.ndarray, N: int):
     if not ((s2 > floor[:, None]).all() and np.isfinite(gamma[:, -1]).all()):
         failed = (s2 <= floor[:, None]).any(axis=1) | ~np.isfinite(gamma[:, -1])
         raise _first_failure(int(np.argmax(failed)), mu0, s2, floor, gamma)
-    if not batched:
-        return (RecurrenceTable(a=a[0], b=b[0], gamma=gamma[0]),
-                p[0], p_prev[0])
     return RecurrenceTable(a=a, b=b, gamma=gamma), p, p_prev
 
 
@@ -171,8 +167,8 @@ def moments(w: GeneralizedJacobiWeight, t: float, nmax: int,
     points per piece, by default ``default_npts(nmax)``."""
     if nmax < 0:
         raise IndexOutOfRange(f"nmax must be >= 0, got {nmax}")
-    frames, _, xs, ws, _ = _stacked_points(
-        w, (t,), default_npts(nmax) if npts is None else npts)
+    frames, xs, ws = _stacked_points(
+        w, (t,), default_npts(nmax) if npts is None else npts)[:3]
     shifted = xs[0] - frames.x[0, 0]
     mu = np.empty(nmax + 1)
     pw = np.ones_like(shifted)

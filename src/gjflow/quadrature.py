@@ -15,13 +15,13 @@ a polynomial of degree 2 npts - 3 exactly. An exponent alpha <= 0,
 allowed for moment weights, stays as it is, as does one so small that
 alpha - 1 rounds to -1; the transform at its endpoint diverges.
 
-The rules of one weight do not depend on t: for given exponents and npts
-they are stacked once into a small cached table of m - 1 rules, with the
-per-point factors of the measure and of the two adjacent Cauchy kernels,
-and ``discretized_measure`` and ``cauchy_node_matrices`` both map that
-one table to the endpoints at one or several times with array
-operations. A table takes its rules from a bounded per-rule cache and
-builds the ones it misses, each once, in one batched pass over all of them
+The rules of one weight do not depend on t. ``_stacked_points`` stacks
+the m - 1 rules of the given exponents and npts, forms the per-point
+factors of the measure and of the two adjacent Cauchy kernels, and maps
+them to the endpoints at one or several times with array operations;
+``discretized_measure`` and ``cauchy_node_matrices`` both read it. It
+takes its rules from a bounded per-rule cache and builds the ones that
+cache misses, each once, in one batched pass over all of them
 (``_build_rules``: one ``np.linalg.eigvalsh`` over the stacked recurrence
 matrices for the nodes, then one complex-step pass of the recurrence for
 the Newton step and the weights); ``gauss_jacobi_rule`` is the one-rule
@@ -33,7 +33,6 @@ from __future__ import annotations
 import math
 from collections import OrderedDict, namedtuple
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from numpy.linalg import LinAlgError
@@ -234,7 +233,7 @@ def gauss_jacobi_rule(npts: int, beta_left: float, beta_right: float) -> Quadrat
     """Gauss rule for (1-s)^beta_right (1+s)^beta_left ds on (-1, 1).
 
     The one-rule case of ``_build_rules``, which builds all the fresh rules
-    of a rule table in one pass: Golub-Welsch nodes (the eigenvalues of the
+    of a weight in one pass: Golub-Welsch nodes (the eigenvalues of the
     symmetric tridiagonal recurrence matrices, one batched
     ``np.linalg.eigvalsh`` for all rules) polished by one Newton step,
     and Christoffel weights from the normalized recurrence at the nodes.
@@ -267,36 +266,32 @@ def _eval_on(f, xs: np.ndarray) -> np.ndarray:
     return np.array([float(f(x)) for x in xs])
 
 
-@dataclass(frozen=True)
-class _RuleTable:
-    """The absorbed rules of one (alpha, npts), one per piece, stacked point
-    by point. Nothing here depends on t.
+def _stacked_points(w: GeneralizedJacobiWeight, ts, npts: int):
+    """The absorbed rules of ``npts`` points, one per piece, mapped to the
+    endpoints at the times ``ts`` from one ``stage_node_data``: (frames,
+    points, weights, kernel weights, piece, free, left, right). The mapped
+    points and the measure and kernel weights are (len(ts), P) arrays; the
+    per-point rest does not depend on t.
 
-    The rule on piece p is the Gauss rule for (1+s)^lo (1-s)^hi, with
-    lo = alpha_p - 1 where alpha_p > 0 and lo = alpha_p otherwise, and hi
-    likewise from alpha_{p+1}. The powers it lowered are per-point factors:
-    ``measure`` = (1+s)^(alpha_p - lo) (1-s)^(alpha_{p+1} - hi) turns the
-    rule into the measure on p; ``left`` = -(1-s)^(alpha_{p+1} - hi) and
-    ``right`` = (1+s)^(alpha_p - lo) turn it into the Cauchy kernels
-    1/(x_p - u) and 1/(x_{p+1} - u) times the measure, up to the half-width
-    of p (for an endpoint with alpha > 0). ``scale`` is alpha_p +
-    alpha_{p+1}, the power of the half-width in those kernel weights, and
-    ``free[k]`` marks the points whose piece does not end at endpoint k.
+    The rule on piece p, from ``_rule_cached``, is the Gauss rule for
+    (1+s)^lo (1-s)^hi, with lo = alpha_p - 1 where alpha_p > 0 and
+    lo = alpha_p otherwise, and hi likewise from alpha_{p+1}. ``piece`` is
+    the piece of each point, and ``free[k]`` marks the points whose piece
+    does not end at endpoint k. The powers the rule lowered are per-point
+    factors: (1+s)^(alpha_p - lo) (1-s)^(alpha_{p+1} - hi) turns it into
+    the measure on p; ``left`` = -(1-s)^(alpha_{p+1} - hi) and ``right`` =
+    (1+s)^(alpha_p - lo) turn it into the Cauchy kernels 1/(x_p - u) and
+    1/(x_{p+1} - u) times the measure, up to the half-width of p (for an
+    endpoint with alpha > 0).
+
+    The kernel weight of a point is C_p times the rule weight times
+    half^(alpha_p + alpha_{p+1}) of its piece, times |u - x_k|^alpha_k for
+    every endpoint k its piece does not end at, multiplied in that order of
+    k, one factor array at a time; the power is taken only where its factor
+    is used. The measure weight is that times half times the measure factor.
     """
-
-    s: np.ndarray
-    wts: np.ndarray
-    piece: np.ndarray
-    scale: np.ndarray
-    free: np.ndarray
-    measure: np.ndarray
-    left: np.ndarray
-    right: np.ndarray
-
-
-@lru_cache(maxsize=4)
-def _rule_table(alpha: tuple, npts: int) -> _RuleTable:
-    m = len(alpha)
+    frames = stage_node_data(w, ts)
+    alpha, m = w.alpha.tolist(), w.m
     # what the rules beside each endpoint take off its exponent: one where
     # the Cauchy transform at that endpoint converges (alpha > 0) and the
     # lowered exponent stays above -1 in floating point
@@ -308,64 +303,31 @@ def _rule_table(alpha: tuple, npts: int) -> _RuleTable:
     to_left = (1.0 + s) ** np.take(drop, piece)   # (1+s)^(alpha_p - lo)
     to_right = (1.0 - s) ** np.take(drop, piece + 1)
     k = np.arange(m)[:, None]
-    arrays = (
-        s,
-        np.concatenate([wts for _, wts in built]),
-        piece,
-        np.take(alpha, piece) + np.take(alpha, piece + 1),
-        (k != piece) & (k != piece + 1),
-        to_left * to_right,
-        -to_right,
-        to_left,
-    )
-    for arr in arrays:
-        arr.setflags(write=False)
-    return _RuleTable(*arrays)
-
-
-def _table(w: GeneralizedJacobiWeight, npts: int) -> _RuleTable:
-    return _rule_table(tuple(w.alpha.tolist()), int(npts))
-
-
-def _stacked_points(w: GeneralizedJacobiWeight, ts, npts: int):
-    """The measure at the times ``ts`` from one ``stage_node_data``:
-    (frames, table, points, weights, kernel weights), the ``NodeFrames``,
-    the rule table of ``npts`` and the table's mapped points, measure
-    weights and adjacent-kernel weights, three (len(ts), points) arrays.
-
-    The kernel weight of a point is C_p times the rule weight times
-    half^scale of its piece, times |u - x_k|^alpha_k for every endpoint k
-    its piece does not end at, multiplied in that order of k, one factor
-    array at a time; the power is taken only where its factor is used. The
-    measure weight is that times half times the table's ``measure``.
-    """
-    frames = stage_node_data(w, ts)
-    table = _table(w, npts)
+    free = (k != piece) & (k != piece + 1)
     X = frames.x
-    piece = table.piece
     # take keeps the rows contiguous (X[:, piece] would be column-major)
     xl, xr = np.take(X, piece, axis=1), np.take(X, piece + 1, axis=1)
     half = 0.5 * (xr - xl)
-    xs = 0.5 * (xr + xl) + half * table.s
-    eff = w.pieces[piece] * table.wts * half ** table.scale
+    xs = 0.5 * (xr + xl) + half * s
+    eff = (w.pieces[piece] * np.concatenate([wts for _, wts in built])
+           * half ** (np.take(alpha, piece) + np.take(alpha, piece + 1)))
     fk = np.empty_like(xs)
-    for k in range(w.m):
+    for k in range(m):
         np.subtract(xs, X[:, k, None], out=fk)
         np.abs(fk, out=fk)
-        free = table.free[k]
-        np.power(fk, w.alpha[k], out=fk, where=free)
-        np.multiply(eff, fk, out=eff, where=free)
-    half *= table.measure
-    return frames, table, xs, eff * half, eff
+        np.power(fk, alpha[k], out=fk, where=free[k])
+        np.multiply(eff, fk, out=eff, where=free[k])
+    half *= to_left * to_right
+    return frames, xs, eff * half, eff, piece, free, -to_right, to_left
 
 
 def discretized_measure(w: GeneralizedJacobiWeight, t: float, npts: int = DEFAULT_NPTS):
     """Composite absorbed rule: (points, weights) with sum w_i f(x_i) ~ int w f.
 
-    The stacked rule table mapped to the endpoints at t, with the measure
+    The stacked absorbed rules mapped to the endpoints at t, with the measure
     factor of each point in its weight; any exponents > -1 are allowed.
     """
-    _, _, xs, ws, _ = _stacked_points(w, (t,), npts)
+    _, xs, ws = _stacked_points(w, (t,), npts)[:3]
     return xs[0], ws[0]
 
 
@@ -387,14 +349,14 @@ def cauchy_node_matrices(w: GeneralizedJacobiWeight, ts,
     endpoints when ``nodes`` is None) such that, at time ts[s] and with
     j = nodes[i], q(x_j) = int w(u) f(u) / (x_j - u) du = Q[s, i] @ f(points[s]).
 
-    The one rule table serves the measure and every transform. On a piece
+    The one rule per piece serves the measure and every transform. On a piece
     away from x_j the measure carries the smooth factor 1/(x_j - u). On
     the one or two pieces ending at x_j the factor combines with the
     endpoint singularity into |u - x_j|^(alpha_j - 1), which the piece's
     rule absorbs when alpha_j > 0; what remains of the measure there is the
-    table's ``left`` (x_j the left end) or ``right`` factor, a polynomial
-    of degree at most 1. So (m-1) rules serve all. Points, weights and Q
-    come from a fixed number of array operations on the table for all
+    ``left`` (x_j the left end) or ``right`` factor of ``_stacked_points``,
+    a polynomial of degree at most 1. So (m-1) rules serve all. Points,
+    weights and Q come from a fixed number of array operations for all
     times at once, with no loop over times, pieces or nodes. Raises
     IndexOutOfRange for a node index outside 0..m-1 and DivergentTransform
     for a node with alpha_j <= 0 or alpha_j - 1 rounding to -1.
@@ -403,19 +365,20 @@ def cauchy_node_matrices(w: GeneralizedJacobiWeight, ts,
     for j in range(w.m) if nodes is None else nodes:
         if not 0 <= j < w.m:
             raise IndexOutOfRange(f"node index {j} outside 0..{w.m - 1}")
-        if a[j] - 1.0 <= -1.0:  # no rule of the table absorbs its kernel
+        if a[j] - 1.0 <= -1.0:  # no rule absorbs its kernel
             raise DivergentTransform(
                 f"q(x_{j + 1}) diverges: alpha_{j + 1} = {a[j]} "
                 + ("<= 0" if a[j] <= 0.0 else "and alpha - 1 rounds to -1"))
-    frames, table, points, ws, eff = _stacked_points(w, ts, npts)
+    frames, points, ws, eff, piece, free, left, right = _stacked_points(
+        w, ts, npts)
     Q = np.empty((len(points), w.m, points.shape[1]))
     np.divide(ws[:, None, :], frames.x[:, :, None] - points[:, None, :],
-              out=Q, where=table.free)
+              out=Q, where=free)
     # the pieces ending at a node: its kernel times the measure, from the
     # rule that absorbs both (the row of a node that none absorbs is dropped)
     cols = np.arange(points.shape[1])
-    Q[:, table.piece, cols] = eff * table.left
-    Q[:, table.piece + 1, cols] = eff * table.right
+    Q[:, piece, cols] = eff * left
+    Q[:, piece + 1, cols] = eff * right
     if nodes is not None:
         Q = Q[:, np.asarray(nodes, dtype=int)]
     return points, ws, frames, Q

@@ -15,7 +15,6 @@ from gjflow.cli import (
     EXIT_OK,
     EXIT_VERIFY,
     _emit,
-    _fmt,
     _parser,
     main,
     parse_config,
@@ -107,11 +106,13 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="typo"):
             parse_config(json.dumps(doc), strict=True)
 
-    def test_negative_rtol(self):
-        doc = dict(MOVING3)
-        doc["evolve"] = dict(doc["evolve"], rtol=-1.0)
-        with pytest.raises(ConfigError, match="rtol"):
-            parse_config(json.dumps(doc))
+    @pytest.mark.parametrize("key", ["rtol", "atol"])
+    def test_negative_rtol(self, key):
+        for value in (-1.0, 0.0):
+            doc = dict(MOVING3)
+            doc["evolve"] = dict(doc["evolve"], **{key: value})
+            with pytest.raises(ConfigError, match=rf"^evolve\.{key}: must be positive$"):
+                parse_config(json.dumps(doc))
 
 
 def _with(doc, path, value):
@@ -271,6 +272,19 @@ class TestEvolve:
         code = main(["evolve", "--config", write_config(tmp_path, doc)])
         assert code == EXIT_NUMERICAL
         assert "numerical failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cmd", ["evolve", "verify"])
+    def test_tangential_touch_exit_code(self, tmp_path, capsys, cmd):
+        # x_2 = 4t - 4t^2 touches x_3 = 1 at t = 0.5 without crossing it
+        doc = {"weight": {"alpha": [0.5, 0.5, 0.5], "pieces": [1, 1],
+                          "trajectory": [[-1], [0, 4, -4], [1]]},
+               "n": 3, "evolve": {"t0": 0, "t1": 1}}
+        code = main([cmd, "--config", write_config(tmp_path, doc)])
+        assert code == EXIT_NUMERICAL
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("numerical failure: EndpointCollision: "
+                                       "endpoints nearly coincide at t = 0.49999")
 
 
 README_CONFIG = {
@@ -497,20 +511,19 @@ def test_parser_reuse_keeps_every_call_identical(tmp_path, capsys):
 
 
 def test_array_rows_print_as_fmt():
-    # float array rows are written from one list repr per row; the bytes
-    # must be those of _fmt on every value
+    # rows are written from one list repr per row; the bytes must be the
+    # repr of every value, the integer index in front as its str
     values = [0.0, -0.0, 1.0, -1.5, 1e-300, -1e-300, 5e-324, 1.2345e-310,
               2.2250738585072014e-308, 1.7976931348623157e308, -3.4e300,
               1e16, 1e-5, 1e22, 123456789.12345678, 0.1, 1 / 3,
               np.nan, np.inf, -np.inf]
-    rows = np.array(values).reshape(4, 5)
+    rows = np.array(values).reshape(4, 5).tolist()
     cfg = parse_config(json.dumps(CHEB))
-    fast, slow = io.StringIO(), io.StringIO()
-    _emit(fast, cfg, list("abcde"), rows)
-    _emit(slow, cfg, list("abcde"), [tuple(row) for row in rows])
-    assert fast.getvalue() == slow.getvalue()
-    data = fast.getvalue().splitlines()[-4:]
-    assert data == [",".join(_fmt(v) for v in row) for row in rows]
+    out = io.StringIO()
+    _emit(out, cfg, list("iabcde"), [[i, *row] for i, row in enumerate(rows)])
+    data = out.getvalue().splitlines()[-4:]
+    assert data == [",".join([str(i), *(repr(float(v)) for v in row)])
+                    for i, row in enumerate(rows)]
 
 
 class TestErrorPaths:

@@ -15,6 +15,7 @@ from gjflow import (
     EvolutionState,
     InitFailure,
     NonDistinctEndpoints,
+    StepCollapse,
     evolution_rhs,
     evolve,
     init_state,
@@ -268,6 +269,30 @@ class TestEvolve:
                         EndpointTrajectory(((-1.0,), (0.2, 4.0), (1.0,))))
         with pytest.raises(EndpointCollision):
             evolve(w, 3, (0.0, 0.5), sample_count=4)
+
+    def test_tangential_touch_is_a_collision(self):
+        # x_2 = 4t - 4t^2 touches x_3 = 1 at t = 0.5 without crossing it, so
+        # no stage finds the order broken: the step collapses just before
+        # the touch, and evolve reports that as the collision
+        w = make_weight([0.5, 0.5, 0.5], [1.0, 1.0],
+                        EndpointTrajectory(((-1.0,), (0.0, 4.0, -4.0), (1.0,))))
+        with pytest.raises(EndpointCollision,
+                           match=r"^endpoints nearly coincide at t = 0\.49999") as info:
+            evolve(w, 3, (0.0, 1.0))
+        assert type(info.value.__cause__) is StepCollapse
+        assert info.value.t == info.value.__cause__.t
+        assert 0.5 - 1e-6 < info.value.t < 0.5
+
+    def test_step_collapse_away_from_a_collision(self, moving3, monkeypatch):
+        # at t = 0.1 the endpoints (-1, 0.1, 1) are far apart: the collapse
+        # is not a collision and is raised as it is
+        def collapse(*args, **kwargs):
+            raise StepCollapse("step size below floor", t=0.1)
+
+        monkeypatch.setattr(gjflow.evolution, "integrate_rk45", collapse)
+        with pytest.raises(StepCollapse, match="^step size below floor$") as info:
+            evolve(moving3, 3, (0.0, 0.3), sample_count=4)
+        assert type(info.value) is StepCollapse and info.value.t == 0.1
 
     def test_collision_inside_a_step_names_first_bad_stage(self, monkeypatch):
         # x_2 = 0.2 + 0.8 (t / 0.3)^40 stays far from x_3 = 1 until just

@@ -65,6 +65,12 @@ class TestStieltjesProcedure:
         with pytest.raises(LostOrthogonality):
             stieltjes_procedure(cheb, 0.0, 10, npts=2)
 
+    def test_negative_degree(self, cheb):
+        with pytest.raises(IndexOutOfRange, match="^N must be >= 0, got -1$"):
+            stieltjes_procedure(cheb, 0.0, -1)
+        with pytest.raises(IndexOutOfRange, match="^nmax must be >= 0, got -1$"):
+            moments(cheb, 0.0, -1)
+
 
 class TestBatchedRecurrence:
     """``stieltjes_recurrence`` with one measure per row."""
@@ -85,10 +91,11 @@ class TestBatchedRecurrence:
         table, p, p_prev = stieltjes_recurrence(xs, ws, 12)
         assert table.a.shape == (3, 13) and table.N == 12 and p.shape == xs.shape
         for i in range(3):
-            row, p1, pm1 = stieltjes_recurrence(xs[i], ws[i], 12)
+            row, p1, pm1 = stieltjes_recurrence(xs[i:i + 1], ws[i:i + 1], 12)
+            row = row.row(0)
             for got, ref in ((table.a[i], row.a), (table.b[i], row.b),
-                             (table.gamma[i], row.gamma), (p[i], p1),
-                             (p_prev[i], pm1)):
+                             (table.gamma[i], row.gamma), (p[i], p1[0]),
+                             (p_prev[i], pm1[0])):
                 assert np.array_equal(got, ref)
 
     def test_error_of_the_first_failing_row(self):
@@ -118,9 +125,9 @@ def test_carried_polynomials_equal_eval_polynomial(m):
     for n in (0, 1, 8, 40):
         xs, ws = discretized_measure(w, 0.0, max(64, n + 2))
         xs = np.concatenate((xs, extra))
-        table, p, p_prev = stieltjes_recurrence(xs, ws, n + 1)
-        ref, _, ref_prev = eval_polynomial(table, n, xs)
-        assert np.array_equal(p, ref) and np.array_equal(p_prev, ref_prev)
+        table, p, p_prev = stieltjes_recurrence(xs[None], ws[None], n + 1)
+        ref, _, ref_prev = eval_polynomial(table.row(0), n, xs)
+        assert np.array_equal(p[0], ref) and np.array_equal(p_prev[0], ref_prev)
 
 
 class TestEvalPolynomial:

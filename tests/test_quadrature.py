@@ -58,6 +58,10 @@ class TestGaussJacobiRule:
         with pytest.raises(BadExponent):
             gauss_jacobi_rule(4, 0.0, -1.5)
 
+    def test_no_points(self):
+        with pytest.raises(ValueError, match="^npts must be >= 1, got 0$"):
+            gauss_jacobi_rule(0, 0.5, 0.5)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_exponent(self, bad):
         # both used to pass the > -1 check and fail later with a bare

@@ -364,3 +364,18 @@ def test_rejects_empty_span_and_unordered_samples():
         with pytest.raises(ValueError, match="between t0 and t1"):
             integrate_rk45(writes(lambda t, y: y), time_frames, 0.0, 1.0, [1.0],
                            sample_times=np.array(outside))
+
+
+def test_non_finite_slope_takes_the_fixed_start():
+    # y' = 1/y from y0 = 0: the slope at the start is infinite, so the
+    # first attempt has the fixed size 1e-3 (no probe evaluation); every
+    # attempt fails, none is accepted, and the step collapses at t0
+    rec = Recorder(lambda t, y: 1.0 / y)
+    with np.errstate(divide="ignore", invalid="ignore"), \
+            pytest.raises(StepCollapse) as info:
+        integrate_rk45(rec.rhs, rec.frames, 0.0, 1.0, np.array([0.0]))
+    assert info.value.t == 0.0
+    assert [len(ts) for ts in rec.frame_calls] == [1] + [11] * 13
+    steps = attempts_of(rec.frame_calls)
+    assert steps[0][1] == pytest.approx(1e-3, rel=1e-12)
+    assert all(t == pytest.approx(0.0, abs=1e-15) for t, _ in steps)

@@ -1,7 +1,7 @@
 """The stacked rule table against per-piece rules (``quad_ref``).
 
 ``discretized_measure``, ``cauchy_node_matrices``, ``init_state`` and
-``init_states`` all read one cached table of absorbed rules, one per
+``init_states`` all read one stacked set of absorbed rules, one per
 piece; these tests compare each with the piece-by-piece reference,
 computed in extended precision, to 1e-12 in the relative metric of
 ``verify`` (absolute floor 1); random configs to 1e-11 (see
@@ -34,7 +34,6 @@ from gjflow.quadrature import (
     _build_rules,
     _monic_jacobi_recurrence,
     _rule_cached,
-    _rule_table,
     cauchy_node_matrices,
 )
 from test_quadrature import q_at_node
@@ -287,9 +286,6 @@ class TestEdges:
         assert len(builds) == 1
         assert _rule_cached.cache_info().misses - before == w.m - 1
 
-    def test_table_cache_is_small(self):
-        assert _rule_table.cache_info().maxsize <= 4
-
 
 def _scalar_recurrence(n, a, b):
     """The per-rule recurrence formulas, one exponent pair at a time."""
@@ -363,21 +359,31 @@ class TestRuleCache:
         assert (after.hits - before.hits, after.misses - before.misses) == (2, 1)
         assert points.shape == (3 * 13,)
 
-    def test_gauss_jacobi_rule_is_the_table_slice(self, builds):
+    def test_gauss_jacobi_rule_is_the_table_slice(self, builds, monkeypatch):
+        # the rules the measure looked up, one per piece
+        looked_up = []
+        lookup = _rule_cached.rules
+
+        def recorded(npts, pairs):
+            looked_up.append(lookup(npts, pairs))
+            return looked_up[-1]
+
+        monkeypatch.setattr(_rule_cached, "rules", recorded)
         alpha = (0.43, 1.17, 0.61)
         npts = 23
-        table = _rule_table(alpha, npts)
+        w = make_weight(alpha, [1.0, 1.0], EndpointTrajectory.fixed([-1.0, 0.2, 1.0]))
+        discretized_measure(w, 0.0, npts)
         rules = [(alpha[0] - 1.0, alpha[1] - 1.0), (alpha[1] - 1.0, alpha[2] - 1.0)]
         assert builds == [rules]
-        for i, (bl, br) in enumerate(rules):
-            part = slice(i * npts, (i + 1) * npts)
+        [table] = looked_up
+        for (bl, br), (nodes, weights) in zip(rules, table, strict=True):
             rule = gauss_jacobi_rule(npts, bl, br)
-            assert np.array_equal(rule.nodes, table.s[part])
-            assert np.array_equal(rule.weights, table.wts[part])
+            assert np.array_equal(rule.nodes, nodes)
+            assert np.array_equal(rule.weights, weights)
             # built alone, the rule is the same to the bit
             alone_nodes, alone_weights = _build_rules(npts, [(bl, br)])[0]
-            assert np.array_equal(alone_nodes, table.s[part])
-            assert np.array_equal(alone_weights, table.wts[part])
+            assert np.array_equal(alone_nodes, nodes)
+            assert np.array_equal(alone_weights, weights)
         assert len(builds) == 1  # gauss_jacobi_rule found every rule cached
 
     def test_least_recently_used_rules_are_dropped(self):

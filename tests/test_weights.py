@@ -48,6 +48,10 @@ class TestMakeWeight:
             make_weight([0.5, 0.5, 0.5], [1.0, 1.0, 1.0],
                         EndpointTrajectory.fixed([-1.0, 0.0, 1.0]))
 
+    def test_one_endpoint(self):
+        with pytest.raises(BadExponent, match="at least two endpoints"):
+            make_weight([0.5], [], EndpointTrajectory.fixed([0.0]))
+
     def test_trajectory_length_mismatch(self):
         with pytest.raises(NonDistinctEndpoints):
             make_weight([0.5, 0.5], [1.0],
@@ -55,6 +59,10 @@ class TestMakeWeight:
 
 
 class TestEndpointTrajectory:
+    def test_empty_coefficient_row(self):
+        with pytest.raises(ValueError, match="at least a constant term"):
+            EndpointTrajectory(((-1.0,), (), (1.0,)))
+
     def test_matches_polyval_on_ragged_rows(self):
         coeffs = ((-2.0,), (0.2, 4.0), (0.5, -1.5, 0.75, 2.0),
                   (3.0, 0.0, -0.25), (7.5,))
