@@ -20,6 +20,7 @@ from .errors import (
     LostOrthogonality,
     NonDistinctEndpoints,
     NonFinite,
+    NotConverged,
     StepCollapse,
     UnderResolved,
     ZeroCoefficient,

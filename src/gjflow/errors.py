@@ -28,9 +28,15 @@ class BadConstant(GJFlowError):
 class NonFinite(GJFlowError):
     """A computed value is not a finite float.
 
-    Raised when a leading coefficient gamma_n of the recurrence overflows;
-    the message names the first overflowing degree.
+    Raised when a leading coefficient gamma_n of the recurrence overflows
+    (the message names the first overflowing degree), and when the mass or
+    a recurrence coefficient of a Gauss-Jacobi rule is not finite.
     """
+
+
+class NotConverged(GJFlowError):
+    """An iterative solve did not converge: the nodes of a Gauss-Jacobi
+    rule, by Newton passes or by the eigenvalue solve."""
 
 
 class DivergentTransform(GJFlowError):

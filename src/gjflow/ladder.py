@@ -167,7 +167,7 @@ def ladder_checks(w: GeneralizedJacobiWeight, t: float, n: int,
     table, nd, values = table.row(0), frames.row(0), lv.row(0)
     sa = w.sum_alpha
     s0, s1, s2 = residue_sums(values, nd)
-    scale = max(np.max(np.abs(values.theta)), 1.0)
+    scale = max(float(np.max(np.abs(values.theta))), 1.0)
     r_theta = abs(s0) / scale
     lead = 2 * n + 1 + sa
     r_x_theta = abs(s1 - lead) / abs(lead)

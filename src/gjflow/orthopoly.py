@@ -86,30 +86,31 @@ def stieltjes_recurrence(xs: np.ndarray, ws: np.ndarray, N: int):
         # last bit
         gamma0 = np.array([[mu ** -0.5 if mu > 0.0 else np.inf]
                            for mu in mu0.tolist()])
-        # four buffers rotate in place, each with its view on the measure
-        (p_prev, p_prev_k), (p, pk), (ptil, ptil_k), (scratch, scratch_k) = (
-            (buf, buf[:, :k]) for buf in np.empty((4,) + xs.shape))
+        # four buffers rotate in place; every product runs on the whole
+        # rows (a strided column view costs more per product), and the dot
+        # products read the measure's columns of ``sq``
+        p_prev, p, ptil, scratch = np.empty((4,) + xs.shape)
         p_prev[:] = 0.0
         p[:] = gamma0
-        sq = np.empty_like(x)
+        sq = np.empty_like(xs)
+        sq_k = sq[:, :k]
         # a, b and the norms^2 by degree, one (rows, 1) column per degree
         coef = np.zeros((3, N + 1) + gamma0.shape)
         a, b, s2 = coef
         for n, (an, bn, s2n, a_next) in enumerate(zip(a, b, s2, a[1:])):
-            np.multiply(x, pk, sq)
-            sq *= pk
-            np.vecdot(ws, sq, out=bn, keepdims=True)
+            np.multiply(xs, p, sq)
+            sq *= p
+            np.vecdot(ws, sq_k, out=bn, keepdims=True)
             np.subtract(xs, bn, ptil)
             ptil *= p
             np.multiply(p_prev, an, scratch)
             ptil -= scratch
-            np.multiply(ptil_k, ptil_k, sq)
-            np.vecdot(ws, sq, out=s2n, keepdims=True)
+            np.multiply(ptil, ptil, sq)
+            np.vecdot(ws, sq_k, out=s2n, keepdims=True)
             np.sqrt(s2n, out=a_next)
             if n + 1 < N:
                 np.divide(ptil, a_next, scratch)
-                (p_prev, p_prev_k), (p, pk), (scratch, scratch_k) = (
-                    (p, pk), (scratch, scratch_k), (p_prev, p_prev_k))
+                p_prev, p, scratch = p, scratch, p_prev
         a, b, s2 = a[..., 0].T, b[:N, :, 0].T, s2[:N, :, 0].T
         gamma = np.concatenate((gamma0, a[:, 1:]), axis=1)
         np.divide.accumulate(gamma, axis=1, out=gamma)

@@ -21,11 +21,12 @@ factors of the measure and of the two adjacent Cauchy kernels, and maps
 them to the endpoints at one or several times with array operations;
 ``discretized_measure`` and ``cauchy_node_matrices`` both read it. It
 takes its rules from a bounded per-rule cache and builds the ones that
-cache misses, each once, in one batched pass over all of them
-(``_build_rules``: one ``np.linalg.eigvalsh`` over the stacked recurrence
-matrices for the nodes, then one complex-step pass of the recurrence for
-the Newton step and the weights); ``gauss_jacobi_rule`` is the one-rule
-case.
+cache misses, each once, batched over all of them (``_build_rules``:
+nodes by Newton passes of the complex-step recurrence from an asymptotic
+start, or from one ``np.linalg.eigvalsh`` over the stacked recurrence
+matrices where an exponent exceeds the start's bound, then one final
+pass for the last Newton step and the weights); ``gauss_jacobi_rule`` is
+the one-rule case.
 """
 
 from __future__ import annotations
@@ -37,7 +38,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.linalg import LinAlgError
 
-from .errors import BadExponent, DivergentTransform, IndexOutOfRange
+from .errors import (BadExponent, DivergentTransform, IndexOutOfRange, NonFinite,
+                     NotConverged)
 from .weights import GeneralizedJacobiWeight, stage_node_data
 
 DEFAULT_NPTS = 64
@@ -99,52 +101,131 @@ _COMPLEX_STEP = 1e-30
 # block temporary stays under glibc's 128 KiB mmap threshold (above it,
 # every build maps its temporaries afresh and pays their page faults)
 _DEGREE_BLOCK = 16
+# rules whose lowered exponents are all at most this start from the
+# asymptotic nodes. Newton from them converged on every random draw up to
+# exponent 10 at npts 1-130, and from about 10 up it runs past the pass
+# cap or finds a root twice; but at npts 64 it takes 4-5 passes above 3,
+# where the eigenvalue solve costs less
+_ASYMPTOTIC_BOUND = 3.0
+# a rule leaves the Newton passes once its largest step is at most this:
+# its nodes are then about its square off, and the final pass's step and
+# first-order weights are exact to rounding (a stop at 1e-6 left the
+# weights 1.4e-12 off at npts 64)
+_NEWTON_TOL = 1e-7
+# at most 4 Newton passes were needed at or below the bound, npts 1-130
+_MAX_PASSES = 10
+_INSIDE = np.nextafter(1.0, 0.0)
+
+
+def _asymptotic_nodes(npts: int, a, b):
+    """The Gatteschi-Pittaluga interior approximation to the Gauss nodes of
+    (1-s)^a (1+s)^b, one increasing row per exponent pair of the arrays
+    ``a`` and ``b``, clipped strictly inside (-1, 1) (Hale and Townsend,
+    SIAM J. Sci. Comput. 35 (2013) A652-A674, with k = npts..1)."""
+    a, b = a[:, None], b[:, None]
+    rho = npts + 0.5 * (a + b + 1.0)
+    phi = (np.arange(npts, 0.0, -1.0) + 0.5 * a - 0.25) * (np.pi / rho)
+    tan = np.tan(0.5 * phi)
+    x = np.cos(phi + ((0.25 - a * a) / tan - (0.25 - b * b) * tan) / (4.0 * rho * rho))
+    return np.clip(x, -_INSIDE, _INSIDE)
+
+
+def _recurrence_pass(x, shift, scale, square=None):
+    """One complex-step pass of the rescaled recurrence at the nodes ``x``,
+    one row per rule: q_n at x + i h, and with the sigma_k^2 of ``square``
+    also sum_{k<n} sigma_k^2 q_k^2 (else None). Each rule's arithmetic is
+    its own, whichever rules share the pass."""
+    # q of the degrees of one block and the two before it; q_{-1} = 0. The
+    # row views are made once: per degree, indexing costs as much as the
+    # arithmetic
+    q = np.zeros((_DEGREE_BLOCK + 2,) + x.shape, dtype=complex)
+    q[1] = 1.0
+    rows = list(q)
+    v = np.empty((_DEGREE_BLOCK,) + x.shape, dtype=complex)
+    v_rows = list(v)
+    sums = None if square is None else np.zeros(x.shape, dtype=complex)
+    npts = len(shift)
+    for k0 in range(0, npts, _DEGREE_BLOCK):
+        nb = min(_DEGREE_BLOCK, npts - k0)
+        block = slice(k0, k0 + nb)
+        vb = v[:nb]
+        np.subtract(x, shift[block], out=vb)
+        np.multiply(vb.view(float), scale[block], out=vb.view(float))
+        for j in range(nb):
+            np.multiply(v_rows[j], rows[j + 1], out=rows[j + 2])
+            np.subtract(rows[j + 2], rows[j], out=rows[j + 2])
+        if sums is not None:
+            # sigma_k^2 q_k^2 of the block (sigma real: it scales both parts)
+            np.square(q[1:nb + 1], out=vb)
+            np.multiply(vb.view(float), square[block], out=vb.view(float))
+            sums += vb.sum(axis=0)
+        q[:2] = q[nb:nb + 2]
+    return q[1], sums
 
 
 def _build_rules(npts: int, pairs):
     """Gauss rules of ``npts`` points for every (beta_left, beta_right) of
     ``pairs``, built together: a list of read-only (nodes, weights).
 
-    Golub-Welsch for the nodes, Christoffel for the weights. The nodes are
-    the eigenvalues of the rules' symmetric tridiagonal recurrence matrices,
-    stacked and solved in one batched ``np.linalg.eigvalsh`` (no
-    eigenvectors; LAPACK keeps a tridiagonal matrix as it is and ends in
-    ``dsterf``). One forward pass of the recurrence then runs at all nodes
-    of all rules at once, looping over the degree only, with two array
-    operations per degree. It carries q_k = p_k / sigma_k, the normalized
-    p_k (p_0 = 1) rescaled so that q_{k+1} = v_k q_k - q_{k-1}, with
-    sigma_0 = sigma_1 = 1 and sigma_{k+1} = sigma_{k-1} r_k / r_{k+1}
-    (r_k = sqrt(beta_k)). It runs at x + i h (h = ``_COMPLEX_STEP``), so
-    that Im q_k / h is q_k' to rounding and sum_{k<n} sigma_k^2 q_k^2 holds
-    sum p_k^2 in its real part and 2 h sum p_k p_k' in its imaginary part.
-    From it every node takes one Newton step x -= p_n / p_n', and its
-    weight is beta_0 / sum_{k<n} p_k(x)^2, corrected to first order for
-    that step. The degrees go in blocks of ``_DEGREE_BLOCK``, whose sums
-    are added in degree order, so a rule is the same to the bit whichever
-    batch builds it. Raises ValueError if a recurrence coefficient is not
-    finite (a NaN or infinite exponent, or a mass beyond float range) and
-    LinAlgError if the eigenvalue solve does not converge.
+    Newton for the nodes, Christoffel for the weights. A rule whose lowered
+    exponents are all at most ``_ASYMPTOTIC_BOUND`` starts from
+    ``_asymptotic_nodes``; the others start from the eigenvalues of their
+    symmetric tridiagonal recurrence matrices, stacked and solved in one
+    batched ``np.linalg.eigvalsh`` (no eigenvectors; LAPACK keeps a
+    tridiagonal matrix as it is and ends in ``dsterf``). Every pass of the
+    recurrence runs at the nodes of all its rules at once, looping over the
+    degree only, with two array operations per degree. It carries
+    q_k = p_k / sigma_k, the normalized p_k (p_0 = 1) rescaled so that
+    q_{k+1} = v_k q_k - q_{k-1}, with sigma_0 = sigma_1 = 1 and
+    sigma_{k+1} = sigma_{k-1} r_k / r_{k+1} (r_k = sqrt(beta_k)). It runs at
+    x + i h (h = ``_COMPLEX_STEP``), so that Im q_k / h is q_k' to rounding
+    and the Newton step p_n / p_n' is Re q_n / Im q_n times h. The
+    asymptotic starts take Newton passes until the largest step of their
+    rule is at most ``_NEWTON_TOL``, each rule on its own steps; then one
+    final pass for all rules takes the last step and the weights:
+    sum_{k<n} sigma_k^2 q_k^2 holds sum p_k^2 in its real part and
+    2 h sum p_k p_k' in its imaginary part, and the weight is
+    beta_0 / sum_{k<n} p_k(x)^2, corrected to first order for that step.
+    The degrees go in blocks of ``_DEGREE_BLOCK``, whose sums are added in
+    degree order, so a rule is the same to the bit whichever batch builds
+    it. Raises NonFinite if a recurrence coefficient is not finite (a NaN
+    or infinite exponent, or a mass beyond float range), and NotConverged
+    if the eigenvalue solve fails, if a rule still steps above
+    ``_NEWTON_TOL`` after ``_MAX_PASSES`` passes, or if its nodes are not
+    strictly increasing inside [-1, 1] or, from the asymptotic start, not
+    each between the midpoints to the starts beside its own.
     """
     left, right = np.array(pairs, dtype=float).T
-    diag, beta = _monic_jacobi_recurrence(npts + 1, right, left)  # a: (1-s)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            diag, beta = _monic_jacobi_recurrence(npts + 1, right, left)  # a: (1-s)
+    except OverflowError:
+        raise NonFinite(f"the mass of the rules for the exponents {pairs} "
+                        f"overflows the float range") from None
     # the solve returns wrong or NaN eigenvalues without an error for some
     # non-finite inputs
     if not (np.isfinite(diag).all() and np.isfinite(beta).all()):
-        raise ValueError(
+        raise NonFinite(
             f"recurrence coefficients of the exponents {pairs} are not finite")
     root = np.sqrt(beta)
-    # one (npts, npts) Jacobi matrix per rule, only its lower band filled
-    jac = np.zeros((len(pairs), npts, npts))
-    i = np.arange(npts)
-    jac[:, i, i] = diag[:npts].T
-    jac[:, i[1:], i[:-1]] = root[1:npts].T
-    try:
-        x = np.linalg.eigvalsh(jac, UPLO="L")  # (rules, npts)
-    except LinAlgError as exc:
-        raise LinAlgError(
-            f"eigenvalues of the npts={npts} rules for exponents {pairs} "
-            f"did not converge") from exc
-    del jac  # its memory serves the pass's buffers; the heap need not grow
+    x = np.empty((len(pairs), npts))
+    solve = np.maximum(left, right) > _ASYMPTOTIC_BOUND
+    newton = np.flatnonzero(~solve)
+    start = _asymptotic_nodes(npts, right[newton], left[newton])
+    x[newton] = start
+    if solve.any():
+        # one (npts, npts) Jacobi matrix per rule, only its lower band filled
+        jac = np.zeros((int(solve.sum()), npts, npts))
+        i = np.arange(npts)
+        jac[:, i, i] = diag[:npts, solve].T
+        jac[:, i[1:], i[:-1]] = root[1:npts, solve].T
+        try:
+            x[solve] = np.linalg.eigvalsh(jac, UPLO="L")
+        except LinAlgError:
+            raise NotConverged(
+                f"eigenvalues of the npts={npts} rules for exponents {pairs} "
+                f"did not converge") from None
+        del jac  # its memory serves the pass's buffers; the heap need not grow
     # sigma over the degree, one column per rule: a product of r_k / r_{k+1}
     # over every other k
     sigma = np.ones((npts + 1, len(pairs)))
@@ -156,33 +237,32 @@ def _build_rules(npts: int, pairs):
     scale = (sigma[:npts] / (sigma[1:] * root[1:]))[:, :, None]
     shift = diag[:npts, :, None] - 1j * _COMPLEX_STEP
     square = (sigma[:npts] ** 2)[:, :, None]
-    # q of the degrees of one block and the two before it; q_{-1} = 0. The
-    # row views are made once: per degree, indexing costs as much as the
-    # arithmetic
-    q = np.zeros((_DEGREE_BLOCK + 2,) + x.shape, dtype=complex)
-    q[1] = 1.0
-    rows = list(q)
-    v = np.empty((_DEGREE_BLOCK,) + x.shape, dtype=complex)
-    v_rows = list(v)
-    sums = np.zeros(x.shape, dtype=complex)
-    for k0 in range(0, npts, _DEGREE_BLOCK):
-        nb = min(_DEGREE_BLOCK, npts - k0)
-        block = slice(k0, k0 + nb)
-        vb = v[:nb]
-        np.subtract(x, shift[block], out=vb)
-        np.multiply(vb.view(float), scale[block], out=vb.view(float))
-        for j in range(nb):
-            np.multiply(v_rows[j], rows[j + 1], out=rows[j + 2])
-            np.subtract(rows[j + 2], rows[j], out=rows[j + 2])
-        # sigma_k^2 q_k^2 of the block (sigma real: it scales both parts)
-        np.square(q[1:nb + 1], out=vb)
-        np.multiply(vb.view(float), square[block], out=vb.view(float))
-        sums += vb.sum(axis=0)
-        q[:2] = q[nb:nb + 2]
-    # the Newton step p_n / p_n' over h
-    newton = q[1].real / q[1].imag
-    nodes = x - newton * _COMPLEX_STEP
-    weights = beta[0][:, None] / (sums.real - sums.imag * newton)
+    active = newton
+    for _ in range(_MAX_PASSES):
+        if not active.size:
+            break
+        qn = _recurrence_pass(x[active], shift[:, active], scale[:, active])[0]
+        step = qn.real / qn.imag * _COMPLEX_STEP
+        # every root lies inside: a step beyond an end overshot the root
+        # next to it
+        x[active] = np.clip(x[active] - step, -_INSIDE, _INSIDE)
+        # a NaN step stays
+        active = active[~(np.abs(step).max(axis=1) <= _NEWTON_TOL)]
+    qn, sums = _recurrence_pass(x, shift, scale, square)
+    # the last Newton step p_n / p_n' over h
+    step = qn.real / qn.imag
+    nodes = x - step * _COMPLEX_STEP
+    # each node from an asymptotic start stays between the midpoints to
+    # the starts beside it, so the npts roots are distinct: the rule's nodes
+    mid = 0.5 * (start[:, 1:] + start[:, :-1])
+    polished = nodes[newton]
+    if active.size or not (
+            (polished[:, :-1] < mid).all() and (polished[:, 1:] > mid).all()
+            and (np.diff(nodes) > 0.0).all() and (np.abs(nodes) <= 1.0).all()):
+        raise NotConverged(
+            f"the Newton passes of the npts={npts} rules for exponents "
+            f"{pairs} did not converge")
+    weights = beta[0][:, None] / (sums.real - sums.imag * step)
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return list(zip(nodes, weights))
@@ -233,13 +313,13 @@ def gauss_jacobi_rule(npts: int, beta_left: float, beta_right: float) -> Quadrat
     """Gauss rule for (1-s)^beta_right (1+s)^beta_left ds on (-1, 1).
 
     The one-rule case of ``_build_rules``, which builds all the fresh rules
-    of a weight in one pass: Golub-Welsch nodes (the eigenvalues of the
-    symmetric tridiagonal recurrence matrices, one batched
-    ``np.linalg.eigvalsh`` for all rules) polished by one Newton step,
-    and Christoffel weights from the normalized recurrence at the nodes.
+    of a weight together: Newton nodes from the Gatteschi-Pittaluga
+    asymptotic start (from the eigenvalues of the symmetric tridiagonal
+    recurrence matrix where an exponent exceeds ``_ASYMPTOTIC_BOUND``), and
+    Christoffel weights from the normalized recurrence at the nodes.
     Exact for degree <= 2*npts-1. Against 40-digit rules, for npts 1, 2, 9
-    and 64 and exponents down to -0.9, the nodes agree to 2.2e-16 and the
-    weights to 5.4e-14 relative; at npts 128 to 1.1e-16 and 3.9e-13.
+    and 64 and exponents from -0.9 to 8, the nodes agree to 2.2e-16 and the
+    weights to 6.8e-14 relative; at npts 130 to 2.2e-16 and 4.4e-13.
     Rules are cached per (npts, beta_left, beta_right).
     Raises BadExponent unless both exponents are finite and > -1.
     """

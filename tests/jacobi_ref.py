@@ -31,8 +31,9 @@ def jacobi_orthonormal_coeffs(a: float, b: float, N: int):
 
 def real_arithmetic_rules(npts: int, pairs):
     """The rules of ``gjflow.quadrature._build_rules(npts, pairs)`` from the
-    same recurrence and the same batched eigenvalue solve, with the Newton
-    step and the Christoffel weights taken by the plain float recurrence:
+    same recurrence, started from one batched eigenvalue solve whatever the
+    exponents, with the Newton step and the Christoffel weights taken by
+    the plain float recurrence:
     p_k and p_k' carried side by side (p_0 = 1), no rescaling, no complex
     step. A list of (nodes, weights), one per pair.
     """

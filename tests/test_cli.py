@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from gjflow import quadrature
 from gjflow.cli import (
     EXIT_CONFIG,
     EXIT_NUMERICAL,
@@ -197,6 +198,26 @@ class TestCoeffs:
         assert "gamma_1025" in captured.err
         assert "inf" not in captured.out
 
+    @pytest.mark.parametrize("failure", ["mass", "float_max", "newton"])
+    def test_rule_build_failure_is_numerical_failure(self, tmp_path, capsys,
+                                                     monkeypatch, failure):
+        # exponents no other test uses, so that the rules are built here; a
+        # non-finite recurrence from finite exponents overflows the mass first
+        alpha = {"mass": [2000.0, 0.5, 1.0], "float_max": [1e308, 1e308, 0.5],
+                 "newton": [0.57, 0.91, 1.13]}[failure]
+        if failure == "newton":
+            monkeypatch.setattr(quadrature, "_MAX_PASSES", 1)
+        doc = {"weight": {"alpha": alpha, "pieces": [1, 1],
+                          "trajectory": [[-1], [0, 0.1], [1]]}}
+        code = main(["coeffs", "--config", write_config(tmp_path, doc)])
+        captured = capsys.readouterr()
+        assert code == EXIT_NUMERICAL
+        assert captured.out == ""
+        name, what = (("NotConverged", "did not converge") if failure == "newton"
+                      else ("NonFinite", "overflows the float range"))
+        assert captured.err.startswith(f"numerical failure: {name}: ")
+        assert what in captured.err
+
     def test_n_override(self, tmp_path, capsys):
         code = main(["coeffs", "--config", write_config(tmp_path, CHEB),
                      "--n", "3"])
@@ -241,6 +262,18 @@ class TestLadder:
         assert len(resid) == 5
         assert np.all(np.isfinite(resid)) and max(resid) < 1e-8
         assert np.all(np.isfinite(rows))
+
+
+    def test_residual_comments_are_floats(self, tmp_path, capsys):
+        # theta reaches 12.5 here, so the residue_theta scale is max |theta|
+        code = main(["ladder", "--config", write_config(tmp_path, MOVING3)])
+        assert code == EXIT_OK
+        comments, _, _ = read_csv(capsys.readouterr().out)
+        values = dict(c[2:].split(": ", 1) for c in comments if ": " in c)
+        del values["config"]
+        assert len(values) == 5
+        for value in values.values():
+            float(value)
 
 
 class TestEvolve:

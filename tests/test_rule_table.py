@@ -22,6 +22,8 @@ from jacobi_ref import real_arithmetic_rules
 from gjflow import (
     DivergentTransform,
     EndpointTrajectory,
+    NonFinite,
+    NotConverged,
     discretized_measure,
     gauss_jacobi_rule,
     init_state,
@@ -30,6 +32,7 @@ from gjflow import (
     quadrature,
 )
 from gjflow.quadrature import (
+    _ASYMPTOTIC_BOUND,
     _RuleCache,
     _build_rules,
     _monic_jacobi_recurrence,
@@ -369,22 +372,28 @@ class TestRuleCache:
             return looked_up[-1]
 
         monkeypatch.setattr(_rule_cached, "rules", recorded)
-        alpha = (0.43, 1.17, 0.61)
         npts = 23
-        w = make_weight(alpha, [1.0, 1.0], EndpointTrajectory.fixed([-1.0, 0.2, 1.0]))
-        discretized_measure(w, 0.0, npts)
-        rules = [(alpha[0] - 1.0, alpha[1] - 1.0), (alpha[1] - 1.0, alpha[2] - 1.0)]
-        assert builds == [rules]
-        [table] = looked_up
-        for (bl, br), (nodes, weights) in zip(rules, table, strict=True):
-            rule = gauss_jacobi_rule(npts, bl, br)
-            assert np.array_equal(rule.nodes, nodes)
-            assert np.array_equal(rule.weights, weights)
-            # built alone, the rule is the same to the bit
-            alone_nodes, alone_weights = _build_rules(npts, [(bl, br)])[0]
-            assert np.array_equal(alone_nodes, nodes)
-            assert np.array_equal(alone_weights, weights)
-        assert len(builds) == 1  # gauss_jacobi_rule found every rule cached
+        # all rules from the asymptotic start; then one rule on each side
+        # of its bound in one batch
+        for alpha in [(0.43, 1.17, 0.61), (0.47, 1.19, _ASYMPTOTIC_BOUND + 1.63)]:
+            builds.clear()
+            looked_up.clear()
+            w = make_weight(alpha, [1.0, 1.0],
+                            EndpointTrajectory.fixed([-1.0, 0.2, 1.0]))
+            discretized_measure(w, 0.0, npts)
+            rules = [(alpha[0] - 1.0, alpha[1] - 1.0),
+                     (alpha[1] - 1.0, alpha[2] - 1.0)]
+            assert builds == [rules]
+            [table] = looked_up
+            for (bl, br), (nodes, weights) in zip(rules, table, strict=True):
+                rule = gauss_jacobi_rule(npts, bl, br)
+                assert np.array_equal(rule.nodes, nodes)
+                assert np.array_equal(rule.weights, weights)
+                # built alone, the rule is the same to the bit
+                alone_nodes, alone_weights = _build_rules(npts, [(bl, br)])[0]
+                assert np.array_equal(alone_nodes, nodes)
+                assert np.array_equal(alone_weights, weights)
+            assert len(builds) == 1  # gauss_jacobi_rule found every rule cached
 
     def test_least_recently_used_rules_are_dropped(self):
         cache = _RuleCache(maxsize=3)
@@ -404,21 +413,28 @@ class TestRuleCache:
         assert info.maxsize == 512
         assert info.currsize <= 512
 
-    def test_unconverged_eigenvalues_raise(self, monkeypatch):
-        def unconverged(a, UPLO="L"):
-            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    @pytest.mark.parametrize("start", ["newton", "eigvalsh"])
+    def test_unconverged_nodes_raise(self, start, monkeypatch):
+        if start == "newton":
+            # one pass leaves the asymptotic start a step of about 1e-4
+            monkeypatch.setattr(quadrature, "_MAX_PASSES", 1)
+            pair = (0.25, 0.75)
+        else:
+            def unconverged(a, UPLO="L"):
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-        monkeypatch.setattr(np.linalg, "eigvalsh", unconverged)
+            monkeypatch.setattr(np.linalg, "eigvalsh", unconverged)
+            pair = (0.25, _ASYMPTOTIC_BOUND + 0.75)
         cache = _RuleCache(maxsize=8)
-        with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
-            cache.rules(6, [(0.25, 0.75)])
+        with pytest.raises(NotConverged, match="did not converge"):
+            cache.rules(6, [pair])
         assert cache.cache_info().currsize == 0
 
     @pytest.mark.parametrize("pair", [(np.nan, 0.5), (0.3, np.nan), (np.inf, 0.0)])
     def test_nonfinite_exponents_raise(self, pair):
         # dsterf returns wrong or NaN eigenvalues with info 0 for some
-        # non-finite inputs; the builder refuses them before the solve
-        with np.errstate(all="ignore"), pytest.raises(ValueError, match="not finite"):
+        # non-finite inputs; the builder refuses them before any start
+        with np.errstate(all="ignore"), pytest.raises(NonFinite, match="not finite"):
             _RuleCache(maxsize=8).rules(5, [pair])
 
 
@@ -438,10 +454,15 @@ def _dsterf_nodes(npts, pairs):
     return out
 
 
+# an exponent pair with at least one of the two above the asymptotic
+# start's bound, up to 100, so that its rule starts from the eigenvalues
+_ABOVE = st.floats(_ASYMPTOTIC_BOUND, 100.0, exclude_min=True)
+_ANY = st.floats(-0.99, 100.0, exclude_min=True)
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(st.integers(1, 130),
-       st.lists(st.tuples(st.floats(-0.99, 3.0, exclude_min=True),
-                          st.floats(-0.99, 3.0, exclude_min=True)),
+       st.lists(st.one_of(st.tuples(_ABOVE, _ANY), st.tuples(_ANY, _ABOVE)),
                 min_size=1, max_size=6))
 def test_rules_match_a_dsterf_reference_bit_for_bit(npts, pairs):
     got = _build_rules(npts, pairs)
@@ -461,22 +482,24 @@ def test_rules_match_a_dsterf_reference_bit_for_bit(npts, pairs):
         assert np.array_equal(weights, ref_weights)
 
 
-# The complex-step pass against the plain float pass of ``jacobi_ref``, from
-# the same nodes of the same solve. Each rounds the recurrence differently,
-# and next to an endpoint whose exponent is close to -1 the rule is
-# sensitive to that rounding. At exponents (-0.99, -0.99) the two read
-# 3.3e-16 apart on the nodes (npts 14; 2.2e-16 and 1.1e-16 from the 40-digit
-# rules) and 1.1e-12 on the weights (npts 130; 6.4e-13 and 4.4e-13 from
-# them). Over 3000 random draws they stay within 2.2e-16 and 3.5e-13.
+# The Newton passes from the asymptotic start against the plain float pass of
+# ``jacobi_ref``, one step from the eigenvalues. Each rounds the recurrence
+# differently, and next to an endpoint whose exponent is close to -1 the
+# rule is sensitive to that rounding. At exponents (-0.99, -0.99) the two
+# read 2.2e-16 apart on the nodes (npts 14; 2.2e-16 and 1.1e-16 from the
+# 40-digit rules) and 3.8e-13 on the weights (npts 130; 2.2e-13 and 2.1e-13
+# from them). Over 3000 random rules with exponents up to the bound they
+# stay within 1.1e-16 and 1.8e-13.
 REF_NODE_TOL = 5e-16
 REF_WEIGHT_TOL = 2e-12
 
 
+_UP_TO_BOUND = st.floats(-0.99, _ASYMPTOTIC_BOUND, exclude_min=True)
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(st.integers(1, 130),
-       st.lists(st.tuples(st.floats(-0.99, 3.0, exclude_min=True),
-                          st.floats(-0.99, 3.0, exclude_min=True)),
-                min_size=1, max_size=6))
+       st.lists(st.tuples(_UP_TO_BOUND, _UP_TO_BOUND), min_size=1, max_size=6))
 def test_rules_match_the_real_arithmetic_pass(npts, pairs):
     # npts 1..130 ends the degree blocks anywhere, and covers a lone
     # short block below 16
@@ -485,3 +508,14 @@ def test_rules_match_the_real_arithmetic_pass(npts, pairs):
     for (nodes, weights), (ref_nodes, ref_weights) in zip(got, ref, strict=True):
         assert np.max(np.abs(nodes - ref_nodes)) <= REF_NODE_TOL
         assert np.max(np.abs(weights / ref_weights - 1.0)) <= REF_WEIGHT_TOL
+
+
+@pytest.mark.parametrize("npts", [1, 2, 64, 130])
+def test_rules_at_or_below_the_bound_solve_no_eigenvalues(npts, monkeypatch):
+    def refused(jac, UPLO):
+        raise AssertionError("eigvalsh called")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refused)
+    bound = _ASYMPTOTIC_BOUND
+    _build_rules(npts, [(-0.99, -0.99), (bound, -0.99), (-0.99, bound),
+                        (bound, bound), (0.37, 1.91)])
