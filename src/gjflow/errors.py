@@ -36,7 +36,7 @@ class NonFinite(GJFlowError):
 
 class NotConverged(GJFlowError):
     """An iterative solve did not converge: the nodes of a Gauss-Jacobi
-    rule, by Newton passes or by the eigenvalue solve."""
+    rule, by Halley passes or by the eigenvalue solve."""
 
 
 class DivergentTransform(GJFlowError):

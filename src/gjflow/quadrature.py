@@ -22,11 +22,12 @@ them to the endpoints at one or several times with array operations;
 ``discretized_measure`` and ``cauchy_node_matrices`` both read it. It
 takes its rules from a bounded per-rule cache and builds the ones that
 cache misses, each once, batched over all of them (``_build_rules``:
-nodes by Newton passes of the complex-step recurrence from an asymptotic
-start, or from one ``np.linalg.eigvalsh`` over the stacked recurrence
-matrices where an exponent exceeds the start's bound, then one final
-pass for the last Newton step and the weights); ``gauss_jacobi_rule`` is
-the one-rule case.
+from an asymptotic start whose nodes next to the ends are polished on the
+hypergeometric series, or from one ``np.linalg.eigvalsh`` over the stacked
+recurrence matrices where an exponent exceeds the start's bound, one
+complex-step pass of the recurrence gives every node a Halley step and
+its Christoffel-Darboux weight; a rule whose start was too poor for that
+step takes another pass); ``gauss_jacobi_rule`` is the one-rule case.
 """
 
 from __future__ import annotations
@@ -95,24 +96,29 @@ def _monic_jacobi_recurrence(n: int, a, b):
 
 
 # the imaginary step of the complex-step derivative: far below the
-# rounding of any node, far above the float underflow of its products
-_COMPLEX_STEP = 1e-30
+# rounding of any node, far above the float underflow of its products, and
+# a power of two, so that dividing by it is exact
+_COMPLEX_STEP = 2.0 ** -100
 # degrees per block of the recurrence; at 5 rules of 64 points every
 # block temporary stays under glibc's 128 KiB mmap threshold (above it,
 # every build maps its temporaries afresh and pays their page faults)
 _DEGREE_BLOCK = 16
-# rules whose lowered exponents are all at most this start from the
-# asymptotic nodes. Newton from them converged on every random draw up to
-# exponent 10 at npts 1-130, and from about 10 up it runs past the pass
-# cap or finds a root twice; but at npts 64 it takes 4-5 passes above 3,
-# where the eigenvalue solve costs less
+# rules whose lowered exponents are all at most this start from
+# ``_start_nodes``, the others from the eigenvalue solve. From that start
+# the passes converged on every random draw up to exponent 10 at npts
+# 1-130 (at npts 64 in two passes up to 6, two or three up to 10), and from
+# about 10 up they run past the pass cap or find a root twice
 _ASYMPTOTIC_BOUND = 3.0
-# a rule leaves the Newton passes once its largest step is at most this:
-# its nodes are then about its square off, and the final pass's step and
-# first-order weights are exact to rounding (a stop at 1e-6 left the
-# weights 1.4e-12 off at npts 64)
-_NEWTON_TOL = 1e-7
-# at most 4 Newton passes were needed at or below the bound, npts 1-130
+# the nodes next to each end that the start polishes, the Newton steps it
+# takes on them, and the terms of the series it takes them on
+_END_NODES = 4
+_END_STEPS = 3
+_SERIES_TERMS = 30
+# a rule is accepted once the predicted error of every node's Halley step
+# is at most this, the spacing of the floats just above 1: next to an end,
+# the recurrence's rounding alone makes a step of 2.1e-16 (exponent
+# -1 + 1e-13, npts 64)
+_ROUNDING = 2.0 ** -52
 _MAX_PASSES = 10
 _INSIDE = np.nextafter(1.0, 0.0)
 
@@ -130,70 +136,154 @@ def _asymptotic_nodes(npts: int, a, b):
     return np.clip(x, -_INSIDE, _INSIDE)
 
 
-def _recurrence_pass(x, shift, scale, square=None):
+def _start_nodes(npts: int, a, b):
+    """The start of the rules at or below ``_ASYMPTOTIC_BOUND``, one
+    increasing row per exponent pair of the arrays ``a`` and ``b``:
+    ``_asymptotic_nodes``, with the min(4, npts // 2) nodes next to each
+    end polished by ``_END_STEPS`` Newton steps on the terminating series
+
+        P_npts^(a,b)(s) ~ 2F1(-npts, npts + a + b + 1; a + 1; z),
+
+    z = (1 - s) / 2, and on its mirror image in z = (1 + s) / 2 with b + 1
+    in place of a + 1, truncated after ``_SERIES_TERMS`` terms. Newton runs
+    on z, which carries a node's distance to its end in relative precision.
+    Each series is summed along the last, contiguous axis, so that each
+    rule's arithmetic is its own. Clipped strictly inside (-1, 1).
+    """
+    x = _asymptotic_nodes(npts, a, b)
+    e = min(_END_NODES, npts // 2)
+    if e:
+        # one row per polished node, the e next to the right end of each
+        # rule and then the e next to its left end, with z = 0.5 -+ 0.5 s,
+        # its end's exponent and n + a + b
+        ends = np.arange(-e, e)
+        side = np.repeat([-0.5, 0.5], e)
+        z = (0.5 + side * x[:, ends]).reshape(-1, 1)
+        exponent = np.repeat(np.stack((a, b), axis=1), e, axis=1).reshape(-1, 1)
+        k = np.arange(1.0, _SERIES_TERMS + 1.0)
+        ratio = ((k - 1.0 - npts) / k * (k + np.repeat(npts + a + b, 2 * e)[:, None])
+                 / (k + exponent))
+        for _ in range(_END_STEPS):
+            # the terms t_k past t_0 = 1: f - 1 is their sum, z f' that of
+            # k t_k
+            terms = np.multiply.accumulate(ratio * z, axis=1)
+            z *= 1.0 - (1.0 + terms.sum(axis=1, keepdims=True)) / (
+                k * terms).sum(axis=1, keepdims=True)
+        x[:, ends] = (z.reshape(-1, 2 * e) - 0.5) / side
+    return np.clip(x, -_INSIDE, _INSIDE)
+
+
+def _recurrence_pass(x, shift, scale):
     """One complex-step pass of the rescaled recurrence at the nodes ``x``,
-    one row per rule: q_n at x + i h, and with the sigma_k^2 of ``square``
-    also sum_{k<n} sigma_k^2 q_k^2 (else None). Each rule's arithmetic is
+    one row per rule: (q_{n-1}, q_n) at x + i h. Each rule's arithmetic is
     its own, whichever rules share the pass."""
     # q of the degrees of one block and the two before it; q_{-1} = 0. The
     # row views are made once: per degree, indexing costs as much as the
     # arithmetic
-    q = np.zeros((_DEGREE_BLOCK + 2,) + x.shape, dtype=complex)
+    q = np.empty((_DEGREE_BLOCK + 2,) + x.shape, dtype=complex)
+    q[0] = 0.0
     q[1] = 1.0
     rows = list(q)
     v = np.empty((_DEGREE_BLOCK,) + x.shape, dtype=complex)
     v_rows = list(v)
-    sums = None if square is None else np.zeros(x.shape, dtype=complex)
+    multiply, subtract = np.multiply, np.subtract
     npts = len(shift)
     for k0 in range(0, npts, _DEGREE_BLOCK):
         nb = min(_DEGREE_BLOCK, npts - k0)
-        block = slice(k0, k0 + nb)
         vb = v[:nb]
-        np.subtract(x, shift[block], out=vb)
-        np.multiply(vb.view(float), scale[block], out=vb.view(float))
-        for j in range(nb):
-            np.multiply(v_rows[j], rows[j + 1], out=rows[j + 2])
-            np.subtract(rows[j + 2], rows[j], out=rows[j + 2])
-        if sums is not None:
-            # sigma_k^2 q_k^2 of the block (sigma real: it scales both parts)
-            np.square(q[1:nb + 1], out=vb)
-            np.multiply(vb.view(float), square[block], out=vb.view(float))
-            sums += vb.sum(axis=0)
+        subtract(x, shift[k0:k0 + nb], vb)
+        vb = vb.view(float)
+        multiply(vb, scale[k0:k0 + nb], vb)
+        for vk, q0, q1, q2 in zip(v_rows[:nb], rows, rows[1:], rows[2:]):
+            multiply(vk, q1, q2)
+            subtract(q2, q0, q2)
         q[:2] = q[nb:nb + 2]
-    return q[1], sums
+    return q[0], q[1]
+
+
+def _halley_pass(x, shift, scale, coef):
+    """One recurrence pass at the nodes ``x`` of some rules, one row per
+    rule: the Halley step of every node, whether the rule is accepted, and
+    the weights at the stepped nodes. ``coef`` holds a + 1, b + 1,
+    lam_n = n (n + a + b + 1), lam_n - (a + b + 2),
+    lam_{n-1} = (n - 1) (n + a + b) and beta_0 / (r_n sigma_n sigma_{n-1}),
+    with n = npts and a and b the exponents of (1-s)^a (1+s)^b, each as a
+    column with one row per rule.
+    """
+    npts = x.shape[1]
+    a1, b1, lam, lam_diff, lam_prev, cd = coef
+    qm, qn = _recurrence_pass(x, shift, scale)
+    q, dq = qn.real, qn.imag / _COMPLEX_STEP
+    r, dr = qm.real, qm.imag / _COMPLEX_STEP
+    # -q_n'', -q_{n-1}'' and q_n''' from the Jacobi equation
+    # (1 - s^2) y'' + A y' + lam y = 0, with A = b - a - (a + b + 2) s
+    # written without its cancellation next to the ends
+    one_minus, one_plus = 1.0 - x, 1.0 + x
+    u = one_minus * one_plus
+    A = b1 * one_minus - a1 * one_plus
+    m2q = (A * dq + lam * q) / u
+    m2r = (A * dr + lam_prev * r) / u
+    d3q = ((A - 2.0 * x) * m2q - lam_diff * dq) / u
+    # Halley: p / (p' - p p'' / (2 p'))
+    step = q / (dq + 0.5 * (q / dq) * m2q)
+    # Christoffel-Darboux at the stepped node, where p_n = 0: the sum of
+    # p_k^2 over k < n is r_n p_n' p_{n-1}, each factor to second order
+    half = 0.5 * step
+    weights = cd / ((dq + step * (m2q + half * d3q)) * (r - step * (dr + half * m2r)))
+    # Halley leaves about |step|^3 / d^2, d the distance to the nearest
+    # other node or end, and a step within rounding of the node leaves it
+    # there: each gap bounds the steps of the two nodes beside it
+    gaps = np.empty((len(x), npts + 1))
+    gaps[:, 0] = one_plus[:, 0]
+    gaps[:, -1] = one_minus[:, -1]
+    np.subtract(x[:, 1:], x[:, :-1], out=gaps[:, 1:-1])
+    gaps *= gaps
+    size = np.abs(step)
+    # a NaN step is not accepted
+    accepted = ((size <= _ROUNDING) | (size * size * size <= _ROUNDING * np.minimum(
+        gaps[:, 1:], gaps[:, :-1]))).all(axis=1)
+    return step, accepted, weights
 
 
 def _build_rules(npts: int, pairs):
     """Gauss rules of ``npts`` points for every (beta_left, beta_right) of
     ``pairs``, built together: a list of read-only (nodes, weights).
 
-    Newton for the nodes, Christoffel for the weights. A rule whose lowered
-    exponents are all at most ``_ASYMPTOTIC_BOUND`` starts from
-    ``_asymptotic_nodes``; the others start from the eigenvalues of their
+    Halley steps for the nodes, Christoffel-Darboux for the weights. A rule
+    whose lowered exponents are all at most ``_ASYMPTOTIC_BOUND`` starts
+    from ``_start_nodes``; the others start from the eigenvalues of their
     symmetric tridiagonal recurrence matrices, stacked and solved in one
     batched ``np.linalg.eigvalsh`` (no eigenvectors; LAPACK keeps a
-    tridiagonal matrix as it is and ends in ``dsterf``). Every pass of the
-    recurrence runs at the nodes of all its rules at once, looping over the
-    degree only, with two array operations per degree. It carries
-    q_k = p_k / sigma_k, the normalized p_k (p_0 = 1) rescaled so that
-    q_{k+1} = v_k q_k - q_{k-1}, with sigma_0 = sigma_1 = 1 and
-    sigma_{k+1} = sigma_{k-1} r_k / r_{k+1} (r_k = sqrt(beta_k)). It runs at
-    x + i h (h = ``_COMPLEX_STEP``), so that Im q_k / h is q_k' to rounding
-    and the Newton step p_n / p_n' is Re q_n / Im q_n times h. The
-    asymptotic starts take Newton passes until the largest step of their
-    rule is at most ``_NEWTON_TOL``, each rule on its own steps; then one
-    final pass for all rules takes the last step and the weights:
-    sum_{k<n} sigma_k^2 q_k^2 holds sum p_k^2 in its real part and
-    2 h sum p_k p_k' in its imaginary part, and the weight is
-    beta_0 / sum_{k<n} p_k(x)^2, corrected to first order for that step.
-    The degrees go in blocks of ``_DEGREE_BLOCK``, whose sums are added in
-    degree order, so a rule is the same to the bit whichever batch builds
-    it. Raises NonFinite if a recurrence coefficient is not finite (a NaN
-    or infinite exponent, or a mass beyond float range), and NotConverged
-    if the eigenvalue solve fails, if a rule still steps above
-    ``_NEWTON_TOL`` after ``_MAX_PASSES`` passes, or if its nodes are not
-    strictly increasing inside [-1, 1] or, from the asymptotic start, not
-    each between the midpoints to the starts beside its own.
+    tridiagonal matrix as it is and ends in ``dsterf``). Every start is
+    clipped strictly inside (-1, 1), so the 1 - s^2 that the Jacobi
+    equation divides by is at least 2^-52 wherever a pass runs.
+
+    Every pass of the recurrence runs at the nodes of all its rules at
+    once, looping over the degree only, with two array operations per
+    degree. It carries q_k = p_k / sigma_k, the normalized p_k (p_0 = 1)
+    rescaled so that q_{k+1} = v_k q_k - q_{k-1}, with
+    sigma_0 = sigma_1 = 1 and sigma_{k+1} = sigma_{k-1} r_k / r_{k+1}
+    (r_k = sqrt(beta_k)). It runs at x + i h (h = ``_COMPLEX_STEP``), so
+    that Im q_k / h is q_k' to rounding, and keeps q_{n-1} next to q_n.
+    The Jacobi equation gives the higher derivatives, and each node takes
+    a Halley step (``_halley_pass``). Its weight is
+    beta_0 / (r_n p_n'(x*) p_{n-1}(x*)) at the stepped node x*, the
+    Christoffel-Darboux form of beta_0 / sum_{k<n} p_k(x*)^2, with both
+    factors Taylor-corrected to second order in the step. A rule is
+    accepted after the pass in which every node has a step or a predicted
+    error |step|^3 / d^2, d its distance to the nearest other node or end,
+    of at most ``_ROUNDING``: the first pass, at npts 37-130 with
+    exponents in [-0.999, 1]. Until then it takes its steps, clipped
+    strictly inside (-1, 1), and runs the pass again, each rule on its
+    own. Every operation is elementwise or along one rule's row, so a rule
+    is the same to the bit whichever batch builds it.
+
+    Raises NonFinite if a recurrence coefficient is not finite (a NaN or
+    infinite exponent, or a mass beyond float range), and NotConverged if
+    the eigenvalue solve fails, if a rule is not accepted after
+    ``_MAX_PASSES`` passes, or if its nodes are not strictly increasing
+    inside [-1, 1] or, from ``_start_nodes``, not each between the
+    midpoints to the starts beside its own.
     """
     left, right = np.array(pairs, dtype=float).T
     try:
@@ -210,9 +300,9 @@ def _build_rules(npts: int, pairs):
     root = np.sqrt(beta)
     x = np.empty((len(pairs), npts))
     solve = np.maximum(left, right) > _ASYMPTOTIC_BOUND
-    newton = np.flatnonzero(~solve)
-    start = _asymptotic_nodes(npts, right[newton], left[newton])
-    x[newton] = start
+    asymptotic = np.flatnonzero(~solve)
+    start = _start_nodes(npts, right[asymptotic], left[asymptotic])
+    x[asymptotic] = start
     if solve.any():
         # one (npts, npts) Jacobi matrix per rule, only its lower band filled
         jac = np.zeros((int(solve.sum()), npts, npts))
@@ -220,7 +310,7 @@ def _build_rules(npts: int, pairs):
         jac[:, i, i] = diag[:npts, solve].T
         jac[:, i[1:], i[:-1]] = root[1:npts, solve].T
         try:
-            x[solve] = np.linalg.eigvalsh(jac, UPLO="L")
+            x[solve] = np.clip(np.linalg.eigvalsh(jac, UPLO="L"), -_INSIDE, _INSIDE)
         except LinAlgError:
             raise NotConverged(
                 f"eigenvalues of the npts={npts} rules for exponents {pairs} "
@@ -233,39 +323,44 @@ def _build_rules(npts: int, pairs):
     np.cumprod(ratio[0::2], axis=0, out=sigma[2::2])
     np.cumprod(ratio[1::2], axis=0, out=sigma[3::2])
     # per degree and rule, broadcast over the nodes: v_k = (x - shift_k)
-    # scale_k with shift_k = diag_k - i h, and sigma_k^2
+    # scale_k with shift_k = diag_k - i h
     scale = (sigma[:npts] / (sigma[1:] * root[1:]))[:, :, None]
     shift = diag[:npts, :, None] - 1j * _COMPLEX_STEP
-    square = (sigma[:npts] ** 2)[:, :, None]
-    active = newton
+    # the per-rule constants of ``_halley_pass``, broadcast over the nodes
+    ab = left + right
+    lam = npts * (npts + ab + 1.0)
+    cd = beta[0] / (root[npts] * sigma[npts] * sigma[npts - 1])
+    per_rule = np.stack((right + 1.0, left + 1.0, lam, lam - (ab + 2.0),
+                         (npts - 1.0) * (npts + ab), cd))[:, :, None]
+    weights = np.empty_like(x)
+    active = np.arange(len(pairs))
     for _ in range(_MAX_PASSES):
+        nodes = x[active]
+        step, accepted, weights[active] = _halley_pass(
+            nodes, shift[:, active], scale[:, active], per_rule[:, active])
+        nodes -= step
+        if not accepted.all():
+            # every root lies inside: a step beyond an end overshot the
+            # root next to it
+            nodes[~accepted] = np.clip(nodes[~accepted], -_INSIDE, _INSIDE)
+        x[active] = nodes
+        active = active[~accepted]
         if not active.size:
             break
-        qn = _recurrence_pass(x[active], shift[:, active], scale[:, active])[0]
-        step = qn.real / qn.imag * _COMPLEX_STEP
-        # every root lies inside: a step beyond an end overshot the root
-        # next to it
-        x[active] = np.clip(x[active] - step, -_INSIDE, _INSIDE)
-        # a NaN step stays
-        active = active[~(np.abs(step).max(axis=1) <= _NEWTON_TOL)]
-    qn, sums = _recurrence_pass(x, shift, scale, square)
-    # the last Newton step p_n / p_n' over h
-    step = qn.real / qn.imag
-    nodes = x - step * _COMPLEX_STEP
     # each node from an asymptotic start stays between the midpoints to
     # the starts beside it, so the npts roots are distinct: the rule's nodes
     mid = 0.5 * (start[:, 1:] + start[:, :-1])
-    polished = nodes[newton]
+    polished = x[asymptotic]
     if active.size or not (
             (polished[:, :-1] < mid).all() and (polished[:, 1:] > mid).all()
-            and (np.diff(nodes) > 0.0).all() and (np.abs(nodes) <= 1.0).all()):
+            and (x[:, 1:] > x[:, :-1]).all()
+            and (x[:, 0] >= -1.0).all() and (x[:, -1] <= 1.0).all()):
         raise NotConverged(
-            f"the Newton passes of the npts={npts} rules for exponents "
+            f"the Halley passes of the npts={npts} rules for exponents "
             f"{pairs} did not converge")
-    weights = beta[0][:, None] / (sums.real - sums.imag * step)
-    nodes.setflags(write=False)
+    x.setflags(write=False)
     weights.setflags(write=False)
-    return list(zip(nodes, weights))
+    return list(zip(x, weights))
 
 
 class _RuleCache:
@@ -313,13 +408,14 @@ def gauss_jacobi_rule(npts: int, beta_left: float, beta_right: float) -> Quadrat
     """Gauss rule for (1-s)^beta_right (1+s)^beta_left ds on (-1, 1).
 
     The one-rule case of ``_build_rules``, which builds all the fresh rules
-    of a weight together: Newton nodes from the Gatteschi-Pittaluga
-    asymptotic start (from the eigenvalues of the symmetric tridiagonal
-    recurrence matrix where an exponent exceeds ``_ASYMPTOTIC_BOUND``), and
-    Christoffel weights from the normalized recurrence at the nodes.
+    of a weight together: nodes by a Halley step from the Gatteschi-Pittaluga
+    asymptotic start with its end nodes polished (from the eigenvalues of
+    the symmetric tridiagonal recurrence matrix where an exponent exceeds
+    ``_ASYMPTOTIC_BOUND``), and Christoffel-Darboux weights from the
+    normalized recurrence at the nodes.
     Exact for degree <= 2*npts-1. Against 40-digit rules, for npts 1, 2, 9
     and 64 and exponents from -0.9 to 8, the nodes agree to 2.2e-16 and the
-    weights to 6.8e-14 relative; at npts 130 to 2.2e-16 and 4.4e-13.
+    weights to 5.5e-14 relative; at npts 130 to 2.2e-16 and 4.7e-13.
     Rules are cached per (npts, beta_left, beta_right).
     Raises BadExponent unless both exponents are finite and > -1.
     """

@@ -92,17 +92,17 @@ class TestGaussJacobiRule:
 # its rule starts from the eigenvalues
 MP_EXPONENTS = [(-0.8, 1.5), (1.5, -0.8), (-0.9, -0.9), (0.0, 0.0), (0.3, 1.2),
                 (8.0, 0.3)]
-# Against 40 digits the rules read at most 2.2e-16 on the nodes and 6.8e-14
+# Against 40 digits the rules read at most 2.2e-16 on the nodes and 5.5e-14
 # on the weights over this grid at npts 1, 2, 9 and 64; at npts 130,
-# 2.2e-16 and 4.4e-13 (the weights from the eigenvalue start with one Newton
-# step read the same there, and 5.4e-14 at npts 64). The plain float pass
+# 2.2e-16 and 4.7e-13 (from the eigenvalue start for every pair, the
+# weights read the same, at npts 64 and at 130). The plain float pass
 # that the complex-step one replaced read 2.2e-16 and 3.4e-14 (3.6e-13 at
 # 128), eigenvector weights 4.4e-16 and 2.5e-13, and nodes without the
 # Newton step 1.0e-15 and 1.5e-12, at npts 64.
 MP_NODE_TOL = 2.5e-16
 MP_WEIGHT_TOL = 1e-13
-# the weights' rounding grows with npts: at npts 130 four of these six pairs
-# miss MP_WEIGHT_TOL, from either start
+# the weights' rounding grows with npts: at npts 130 three of these six pairs
+# miss MP_WEIGHT_TOL, five from the eigenvalue start
 MP_WEIGHT_TOL_130 = 5e-13
 
 

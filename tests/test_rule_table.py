@@ -33,10 +33,12 @@ from gjflow import (
 )
 from gjflow.quadrature import (
     _ASYMPTOTIC_BOUND,
+    _END_NODES,
     _RuleCache,
     _build_rules,
     _monic_jacobi_recurrence,
     _rule_cached,
+    _start_nodes,
     cauchy_node_matrices,
 )
 from test_quadrature import q_at_node
@@ -413,21 +415,46 @@ class TestRuleCache:
         assert info.maxsize == 512
         assert info.currsize <= 512
 
-    @pytest.mark.parametrize("start", ["newton", "eigvalsh"])
-    def test_unconverged_nodes_raise(self, start, monkeypatch):
-        if start == "newton":
-            # one pass leaves the asymptotic start a step of about 1e-4
-            monkeypatch.setattr(quadrature, "_MAX_PASSES", 1)
-            pair = (0.25, 0.75)
-        else:
+    @pytest.mark.parametrize("failure", ["newton", "eigvalsh", "pass_cap", "outside",
+                                         "not_increasing", "cell"])
+    def test_unconverged_nodes_raise(self, failure, monkeypatch):
+        npts, pair = 6, (0.25, 0.75)
+        if failure == "newton":
+            # far above its bound the asymptotic start is too poor: from
+            # it the passes find one root twice
+            monkeypatch.setattr(quadrature, "_ASYMPTOTIC_BOUND", math.inf)
+            pair = (14.4, 6.3)
+        elif failure == "eigvalsh":
             def unconverged(a, UPLO="L"):
                 raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
             monkeypatch.setattr(np.linalg, "eigvalsh", unconverged)
             pair = (0.25, _ASYMPTOTIC_BOUND + 0.75)
+        elif failure == "pass_cap":
+            # an exponent in (1, 3] takes a second pass at npts 64
+            monkeypatch.setattr(quadrature, "_MAX_PASSES", 1)
+            npts, pair = 64, (0.25, 2.75)
+        else:
+            # an accepted pass whose stepped nodes break one of the checks
+            halley_pass = quadrature._halley_pass
+
+            def broken(x, *args):
+                step, accepted, weights = halley_pass(x, *args)
+                nodes = x - step
+                if failure == "outside":
+                    nodes[:, -1] = 1.5
+                elif failure == "not_increasing":
+                    nodes[:, 1] = nodes[:, 0]
+                else:  # past the midpoint to the next start, still increasing
+                    nodes[:, 2] = 0.25 * nodes[:, 2] + 0.75 * nodes[:, 3]
+                return x - nodes, accepted, weights
+
+            monkeypatch.setattr(quadrature, "_halley_pass", broken)
+            if failure == "not_increasing":  # no start cells to leave
+                pair = (0.25, _ASYMPTOTIC_BOUND + 0.75)
         cache = _RuleCache(maxsize=8)
         with pytest.raises(NotConverged, match="did not converge"):
-            cache.rules(6, [pair])
+            cache.rules(npts, [pair])
         assert cache.cache_info().currsize == 0
 
     @pytest.mark.parametrize("pair", [(np.nan, 0.5), (0.3, np.nan), (np.inf, 0.0)])
@@ -482,14 +509,14 @@ def test_rules_match_a_dsterf_reference_bit_for_bit(npts, pairs):
         assert np.array_equal(weights, ref_weights)
 
 
-# The Newton passes from the asymptotic start against the plain float pass of
+# The Halley pass from the polished start against the plain float pass of
 # ``jacobi_ref``, one step from the eigenvalues. Each rounds the recurrence
 # differently, and next to an endpoint whose exponent is close to -1 the
 # rule is sensitive to that rounding. At exponents (-0.99, -0.99) the two
 # read 2.2e-16 apart on the nodes (npts 14; 2.2e-16 and 1.1e-16 from the
-# 40-digit rules) and 3.8e-13 on the weights (npts 130; 2.2e-13 and 2.1e-13
+# 40-digit rules) and 7.9e-13 on the weights (npts 130; 5.9e-13 and 2.1e-13
 # from them). Over 3000 random rules with exponents up to the bound they
-# stay within 1.1e-16 and 1.8e-13.
+# stay within 3.3e-16 and 2.0e-13.
 REF_NODE_TOL = 5e-16
 REF_WEIGHT_TOL = 2e-12
 
@@ -519,3 +546,75 @@ def test_rules_at_or_below_the_bound_solve_no_eigenvalues(npts, monkeypatch):
     bound = _ASYMPTOTIC_BOUND
     _build_rules(npts, [(-0.99, -0.99), (bound, -0.99), (-0.99, bound),
                         (bound, bound), (0.37, 1.91)])
+
+
+def _counted_passes(npts, pairs):
+    """The number of rules in each recurrence pass of ``_build_rules``."""
+    passes = []
+    run = quadrature._recurrence_pass
+
+    def counted(x, *args):
+        passes.append(len(x))
+        return run(x, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(quadrature, "_recurrence_pass", counted)
+        _build_rules(npts, pairs)
+    return passes
+
+
+# Lowered exponents in [-0.999, 1]. Nearer -1, the node next to that end
+# can sit closer to it than the recurrence resolves once the other exponent
+# is near -1 too, and a + b + 2 small (ROADMAP item 7): at
+# (-0.98, -1 + 1e-10) and npts 130 its root moves by half its distance to
+# the end, and the rule takes a second pass
+_UP_TO_ONE = st.floats(-0.999, 1.0)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.sampled_from([37, 64, 100, 130]),
+       st.lists(st.tuples(_UP_TO_ONE, _UP_TO_ONE), min_size=1, max_size=6))
+def test_one_recurrence_pass_up_to_exponent_one(npts, pairs):
+    assert _counted_passes(npts, pairs) == [len(pairs)]
+
+
+def test_one_recurrence_pass_next_to_a_rounded_end():
+    # the node next to the end with exponent -1 + 1e-13 rounds to -1.0 (to
+    # 1.0 at the right end): its pass runs at the clipped start, strictly
+    # inside, where 1 - s^2 >= 2^-52
+    pairs = [(-1.0 + 1e-13, 0.5), (0.5, -1.0 + 1e-13)]
+    assert _counted_passes(64, pairs) == [2]
+    (left, _), (right, _) = _build_rules(64, pairs)
+    assert left[0] == -1.0 and right[-1] == 1.0
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(1, 130),
+       st.lists(st.tuples(_UP_TO_BOUND, _UP_TO_BOUND), min_size=1, max_size=6))
+def test_at_most_three_passes_up_to_the_bound(npts, pairs):
+    # exponents in (1, 3] start up to 5e-4 of their spacing off and take a
+    # second pass; a third is to spare
+    passes = _counted_passes(npts, pairs)
+    assert len(passes) <= 3 and passes[0] == len(pairs)
+
+
+# the polished nodes next to the ends against the reference, in parts of the
+# distance to the nearest other node: they read at most 3.6e-11, where the
+# unpolished end node reads up to 1e-2 and the fifth node from an end 8.6e-6
+END_NODE_TOL = 1e-10
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(1, 130),
+       st.floats(-1.0, 1.0, exclude_min=True), st.floats(-0.99, 1.0), st.booleans())
+def test_polished_end_nodes_match_a_dsterf_reference(npts, near, other, swap):
+    # one exponent anywhere in (-1, 1]; both near -1 would make the
+    # reference's recurrence lose its precision
+    a, b = (other, near) if swap else (near, other)
+    start = _start_nodes(npts, np.array([a]), np.array([b]))[0]
+    ref = _dsterf_nodes(npts, [(b, a)])[0]  # (beta_left, beta_right)
+    gap = np.diff(ref)
+    spacing = np.minimum(np.append(gap, np.inf), np.insert(gap, 0, np.inf))
+    e = min(_END_NODES, npts // 2)
+    polished = np.r_[:e, npts - e:npts]
+    assert np.all(np.abs(start - ref)[polished] <= END_NODE_TOL * spacing[polished])
