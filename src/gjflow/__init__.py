@@ -35,7 +35,6 @@ from .evolution import (
     init_states,
     pn_time_derivative_check,
     verify_against_direct,
-    verify_flow,
 )
 from .ladder import (
     LadderReport,
@@ -49,7 +48,6 @@ from .ladder import (
 from .momentflow import (
     evolve_moments,
     moment_rhs,
-    nu_by_quadrature,
 )
 from .orthopoly import (
     RecurrenceTable,
@@ -58,10 +56,8 @@ from .orthopoly import (
     stieltjes_procedure,
 )
 from .quadrature import (
-    QuadratureRule,
     discretized_measure,
     gauss_jacobi_rule,
-    integrate_against_weight,
 )
 from .weights import (
     EndpointTrajectory,

@@ -32,7 +32,7 @@ from .evolution import (_relative, _state_labels, evolve, init_states,
 from .ladder import ladder_checks
 from .momentflow import direct_moments, evolve_moments
 from .orthopoly import stieltjes_procedure
-from .quadrature import default_npts, gauss_jacobi_rule, integrate_against_weight
+from .quadrature import default_npts, discretized_measure, gauss_jacobi_rule
 from .weights import EndpointTrajectory, make_weight
 
 EXIT_OK = 0
@@ -105,13 +105,19 @@ def _check_keys(doc: dict, allowed, path: str, strict: bool):
                   file=sys.stderr)
 
 
+#: the config path of each field that a command-line flag overrides
+_OVERRIDES = {"n": ("n",), "npts": ("quad", "npts"), "t0": ("evolve", "t0"),
+              "t1": ("evolve", "t1"), "rtol": ("evolve", "rtol")}
+
+
 def parse_config(text: str, strict: bool = False,
                  overrides: Optional[dict] = None) -> RunConfig:
     """Parse and validate a JSON config document.
 
-    ``overrides`` maps RunConfig fields to values that replace the
-    document's (None leaves a field alone). ``npts``, when neither gives
-    it, is ``default_npts`` of the resolved ``n``.
+    ``overrides`` maps fields of ``_OVERRIDES`` to values that replace the
+    document's (None leaves a field alone) before validation, so a flag
+    fails as its field would. ``npts``, when neither gives it, is
+    ``default_npts`` of the resolved ``n``.
     """
     try:
         doc = json.loads(text)
@@ -119,6 +125,12 @@ def parse_config(text: str, strict: bool = False,
         raise ConfigError(f"config: invalid JSON ({exc})") from exc
     _require(isinstance(doc, dict), "config", "top level must be an object")
     _check_keys(doc, {"weight", "n", "quad", "evolve", "verify"}, "", strict)
+    for key, value in (overrides or {}).items():
+        if value is not None:
+            *section, field = _OVERRIDES[key]
+            target = doc.setdefault(*section, {}) if section else doc
+            if isinstance(target, dict):  # else its section check fails below
+                target[field] = value
 
     _require("weight" in doc, "weight", "section is required")
     wsec = doc["weight"]
@@ -177,10 +189,6 @@ def parse_config(text: str, strict: bool = False,
         if "rtol" in vsec:
             cfg.verify_rtol = _finite_number(vsec["rtol"], "verify.rtol")
             _require(cfg.verify_rtol > 0, "verify.rtol", "must be positive")
-    overrides = {k: v for k, v in (overrides or {}).items() if v is not None}
-    npts = overrides.pop("npts", npts)
-    for key, value in overrides.items():
-        setattr(cfg, key, value)
     cfg.npts = default_npts(cfg.n) if npts is None else npts
     return cfg
 
@@ -217,8 +225,8 @@ def _selfchecked(cfg: RunConfig, label: str, compute,
     """``compute(cfg.npts)``; with ``--selfcheck``, also ``compute`` at
     twice the points, the two compared on the array ``key(result)``, and
     _SelfcheckFailed above a relative deviation of 1e-9. If ``compute``
-    fails, ``flow()`` runs first, so a flow fails before its oracle (the
-    order of ``verify_flow``)."""
+    fails, ``flow()`` runs first, so a flow, or its own start, fails
+    before its oracle: the one place that orders these failures."""
     try:
         coarse = compute(cfg.npts)
     except GJFlowError:
@@ -315,7 +323,7 @@ def cmd_verify(cfg: RunConfig, out) -> int:
                    sample_count=cfg.samples, npts=cfg.npts)
     direct = _selfchecked(
         cfg, "verify", lambda npts: init_states(w, cfg.n, times, npts), flow=flow)
-    vt = verify_against_direct(w, cfg.n, flow(y0=direct[0]), direct=direct)
+    vt = verify_against_direct(flow(y0=direct[0]), direct)
     columns = ["t"] + [f"dev_{lab}" for lab in vt.labels]
     rows = np.column_stack((vt.times, vt.deviations)).tolist()
     return _emit_verdict(out, cfg, columns, rows, [], vt.max_deviation)
@@ -324,9 +332,8 @@ def cmd_verify(cfg: RunConfig, out) -> int:
 def cmd_selftest(cfg: RunConfig, out) -> int:
     checks = []
 
-    rule = gauss_jacobi_rule(32, 0.5, 0.5)
-    checks.append(("gauss_jacobi_mass",
-                   abs(np.sum(rule.weights) - np.pi / 2) < 1e-12))
+    _, weights = gauss_jacobi_rule(32, 0.5, 0.5)
+    checks.append(("gauss_jacobi_mass", abs(np.sum(weights) - np.pi / 2) < 1e-12))
 
     cheb = make_weight([0.5, 0.5], [1.0], EndpointTrajectory.fixed([-1.0, 1.0]))
     table = stieltjes_procedure(cheb, 0.0, 10, cfg.npts)
@@ -334,8 +341,7 @@ def cmd_selftest(cfg: RunConfig, out) -> int:
                    np.max(np.abs(table.a[1:] - 0.5)) < 1e-10
                    and np.max(np.abs(table.b)) < 1e-12))
     checks.append(("quadrature_mass",
-                   abs(integrate_against_weight(cheb, lambda u: np.ones_like(u),
-                                                0.0, cfg.npts) - np.pi / 2)
+                   abs(discretized_measure(cheb, 0.0, cfg.npts)[1].sum() - np.pi / 2)
                    < 1e-12))
 
     w = cfg.weight()
@@ -440,8 +446,7 @@ def main(argv=None) -> int:
             text = _DEFAULT_SELFTEST_CONFIG
         else:
             raise ConfigError("config: --config is required")
-        overrides = {key: getattr(args, key)
-                     for key in ("n", "t0", "t1", "rtol", "npts")}
+        overrides = {key: getattr(args, key) for key in _OVERRIDES}
         cfg = parse_config(text, strict=args.strict, overrides=overrides)
         if args.selfcheck:
             cfg.selfcheck = True

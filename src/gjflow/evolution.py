@@ -4,16 +4,15 @@ The state for a fixed degree n is (a_n, b_n, gamma_n) together with the
 node ratios theta_j = Theta_n(x_j)/W'(x_j),
 theta_prev_j = Theta_{n-1}(x_j)/W'(x_j), omega_j = Omega_n(x_j)/W'(x_j).
 The flow carries it packed, as the vector
-(a, b, gamma, theta, theta_prev, omega) of length 3 + 3m that
-``EvolutionState.pack`` returns, and ``evolve`` reports the sampled states
-as the rows of one array; ``EvolutionState`` is only the named view of
-one state that ``init_state`` returns. The closed system of ODEs in t is
-integrated with the Dormand-Prince 8(5,3) pair of ``rk45``, sampled
-through its dense output, and cross-validated against full recomputation
-from quadrature: ``init_states`` rebuilds the states at any number of
-times from the stacked absorbed rules with one Stieltjes recurrence over
-all of them, which yields the coefficients and p_n, p_{n-1} at the rule
-points and nodes alike.
+(a, b, gamma, theta, theta_prev, omega) of length 3 + 3m, and ``evolve``
+reports the sampled states as the rows of one array. The closed system of
+ODEs in t is integrated with the Dormand-Prince 8(5,3) pair of ``rk45``,
+sampled through its dense output, and cross-validated against full
+recomputation from quadrature: ``init_states`` builds the states at any
+number of times from the stacked absorbed rules with one Stieltjes
+recurrence over all of them, which yields the coefficients and p_n,
+p_{n-1} at the rule points and nodes alike. ``evolve`` starts from its
+row 0 at t0; ``init_state`` is the named view (``EvolutionState``) of it.
 """
 
 from __future__ import annotations
@@ -215,12 +214,12 @@ def evolve(w: GeneralizedJacobiWeight, n: int, t_span, tol=(1e-9, 1e-12),
     """Integrate the deformation system over t_span, sampling uniformly.
 
     The flow starts from the packed state y0 at t_span[0]; without it,
-    from ``init_state`` there.
+    from row 0 of ``init_states`` there.
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
     rtol, atol = tol
     if y0 is None:
-        y0 = init_state(w, n, t0, npts).pack()
+        y0 = init_states(w, n, (t0,), npts)[0]
     times = np.linspace(t0, t1, sample_count)
     buf = _rhs_buffer(w.m)
 
@@ -267,39 +266,14 @@ def _relative(dev: np.ndarray, ref: np.ndarray) -> np.ndarray:
     return np.abs(dev) / np.maximum(np.abs(ref), 1.0)
 
 
-def verify_against_direct(w: GeneralizedJacobiWeight, n: int,
-                          report: EvolutionReport, npts: int | None = None,
-                          direct=None) -> VerificationTable:
-    """Tabulate the deviations of the sampled states from the oracle states
-    ``direct`` at the report's times; without them, rebuild them all in one
-    ``init_states``."""
-    if direct is None:
-        direct = init_states(w, n, report.times, npts)
-    return VerificationTable(times=report.times.copy(), labels=_state_labels(w.m),
+def verify_against_direct(report: EvolutionReport,
+                          direct: np.ndarray) -> VerificationTable:
+    """Tabulate the deviations of the sampled states of ``report`` from the
+    oracle states ``direct`` at its times, such as ``init_states`` over
+    ``report.times``."""
+    return VerificationTable(times=report.times.copy(),
+                             labels=_state_labels(report.w.m),
                              deviations=_relative(report.ys - direct, direct))
-
-
-def verify_flow(w: GeneralizedJacobiWeight, n: int, t_span,
-                tol=(1e-9, 1e-12), sample_count: int = 20,
-                npts: int | None = None) -> VerificationTable:
-    """``evolve`` checked by ``verify_against_direct``, with one quadrature
-    pass: the oracle states at the sample times are built first, and the
-    flow starts from the one at t_span[0], which ``init_state`` would
-    rebuild bit for bit.
-
-    Failures come in the order of the flow followed by its check: when the
-    oracle fails, the flow runs from its own start, so that a failure of
-    that start or of the flow (EndpointCollision, StepCollapse) is raised
-    before the oracle's.
-    """
-    times = np.linspace(float(t_span[0]), float(t_span[1]), sample_count)
-    try:
-        direct = init_states(w, n, times, npts)
-    except InitFailure:
-        evolve(w, n, t_span, tol, sample_count, npts)
-        raise
-    report = evolve(w, n, t_span, tol, sample_count, npts, y0=direct[0])
-    return verify_against_direct(w, n, report, npts, direct)
 
 
 @dataclass(frozen=True)

@@ -45,12 +45,6 @@ def direct_moments(w: GeneralizedJacobiWeight, n: int, ts,
     return power.sum(axis=-1), (left * right * power[:, None]).sum(axis=-1)
 
 
-def nu_by_quadrature(w: GeneralizedJacobiWeight, n: int, t: float,
-                     npts: int | None = None) -> np.ndarray:
-    """All m modified moments at time t: row 0 of ``direct_moments``."""
-    return direct_moments(w, n, (t,), npts)[1][0]
-
-
 def moment_rhs(nu: np.ndarray, basis: np.ndarray, alpha: np.ndarray,
                beta: np.ndarray, out=None) -> np.ndarray:
     """nu_dot_j = sum_{k != j} (xd_j - xd_k)(alpha_k + beta_k)(nu_j - nu_k)/(x_j - x_k),
@@ -69,15 +63,16 @@ def evolve_moments(w: GeneralizedJacobiWeight, n: int, t_span,
     """Integrate the linear moment system; returns (nus, stats), row i of
     nus being the m moments at the i-th of ``sample_count`` uniform times.
 
-    Initial values default to ``nu_by_quadrature`` at t0. A caller that
-    checks the flow passes row 0 of its ``direct_moments`` at the sample
-    times as nu0, the same values; nu0 also serves linearity experiments.
+    Initial values default to row 0 of ``direct_moments`` at t0. A caller
+    that checks the flow passes row 0 of its ``direct_moments`` at the
+    sample times as nu0, the same values; nu0 also serves linearity
+    experiments.
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
     rtol, atol = tol
     beta = beta_exponents(n, w.m)
     if nu0 is None:
-        nu0 = nu_by_quadrature(w, n, t0, npts)
+        nu0 = direct_moments(w, n, (t0,), npts)[1][0]
     nu0 = np.asarray(nu0, dtype=float)
     times = np.linspace(t0, t1, sample_count)
 

@@ -27,20 +27,19 @@ hypergeometric series, or from one ``np.linalg.eigvalsh`` over the stacked
 recurrence matrices where an exponent exceeds the start's bound, one
 complex-step pass of the recurrence gives every node a Halley step and
 its Christoffel-Darboux weight; a rule whose start was too poor for that
-step takes another pass); ``gauss_jacobi_rule`` is the one-rule case.
+step takes another pass); ``gauss_jacobi_rule`` is the one-rule case,
+the cached read-only (nodes, weights).
 """
 
 from __future__ import annotations
 
 import math
 from collections import OrderedDict, namedtuple
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.linalg import LinAlgError
 
-from .errors import (BadExponent, DivergentTransform, IndexOutOfRange, NonFinite,
-                     NotConverged)
+from .errors import BadExponent, DivergentTransform, NonFinite, NotConverged
 from .weights import GeneralizedJacobiWeight, stage_node_data
 
 DEFAULT_NPTS = 64
@@ -53,16 +52,6 @@ def default_npts(n: int) -> int:
     rule on each piece integrates the measure exactly to degree 2 npts - 3,
     so x p_n^2 needs n + 2, as does the recurrence to degree n + 1."""
     return max(DEFAULT_NPTS, n + 2)
-
-
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Gauss rule on (-1, 1) for the weight (1-s)^beta_right (1+s)^beta_left."""
-
-    nodes: np.ndarray
-    weights: np.ndarray
-    beta_left: float
-    beta_right: float
 
 
 def _monic_jacobi_recurrence(n: int, a, b):
@@ -404,8 +393,9 @@ class _RuleCache:
 _rule_cached = _RuleCache(maxsize=512)
 
 
-def gauss_jacobi_rule(npts: int, beta_left: float, beta_right: float) -> QuadratureRule:
-    """Gauss rule for (1-s)^beta_right (1+s)^beta_left ds on (-1, 1).
+def gauss_jacobi_rule(npts: int, beta_left: float, beta_right: float):
+    """Gauss rule for (1-s)^beta_right (1+s)^beta_left ds on (-1, 1): the
+    cached read-only arrays (nodes, weights).
 
     The one-rule case of ``_build_rules``, which builds all the fresh rules
     of a weight together: nodes by a Halley step from the Gatteschi-Pittaluga
@@ -427,19 +417,7 @@ def gauss_jacobi_rule(npts: int, beta_left: float, beta_right: float) -> Quadrat
     if not (-1.0 < beta_left < math.inf and -1.0 < beta_right < math.inf):
         raise BadExponent(f"rule exponents must be finite and > -1, got "
                           f"({beta_left}, {beta_right})")
-    [(nodes, wts)] = _rule_cached.rules(int(npts), [(beta_left, beta_right)])
-    return QuadratureRule(nodes=nodes, weights=wts,
-                          beta_left=beta_left, beta_right=beta_right)
-
-
-def _eval_on(f, xs: np.ndarray) -> np.ndarray:
-    try:
-        fv = np.asarray(f(xs), dtype=float)
-        if fv.shape == xs.shape:
-            return fv
-    except (TypeError, ValueError):
-        pass
-    return np.array([float(f(x)) for x in xs])
+    return _rule_cached.rules(int(npts), [(beta_left, beta_right)])[0]
 
 
 def _stacked_points(w: GeneralizedJacobiWeight, ts, npts: int):
@@ -507,23 +485,15 @@ def discretized_measure(w: GeneralizedJacobiWeight, t: float, npts: int = DEFAUL
     return xs[0], ws[0]
 
 
-def integrate_against_weight(w: GeneralizedJacobiWeight, f, t: float,
-                             npts: int = DEFAULT_NPTS) -> float:
-    """Integral of w(u, t) f(u) over the support, piecewise absorbed."""
-    xs, ws = discretized_measure(w, t, npts)
-    return float(np.dot(ws, _eval_on(f, xs)))
-
-
 def cauchy_node_matrices(w: GeneralizedJacobiWeight, ts,
-                         npts: int = DEFAULT_NPTS, nodes=None):
-    """Cauchy transforms at endpoints as one linear map per time.
+                         npts: int = DEFAULT_NPTS):
+    """Cauchy transforms at the endpoints as one linear map per time.
 
     Returns (points, weights, frames, Q) for the times ``ts``: the points
     and weights of ``discretized_measure``, one row per time; the
-    ``NodeFrames`` of ``stage_node_data``; and Q, of shape (times,
-    requested nodes, points), with one row per requested node (all m
-    endpoints when ``nodes`` is None) such that, at time ts[s] and with
-    j = nodes[i], q(x_j) = int w(u) f(u) / (x_j - u) du = Q[s, i] @ f(points[s]).
+    ``NodeFrames`` of ``stage_node_data``; and Q, of shape (times, m,
+    points), such that, at time ts[s], q(x_j) = int w(u) f(u) / (x_j - u) du
+    = Q[s, j] @ f(points[s]) for every endpoint j.
 
     The one rule per piece serves the measure and every transform. On a piece
     away from x_j the measure carries the smooth factor 1/(x_j - u). On
@@ -534,27 +504,22 @@ def cauchy_node_matrices(w: GeneralizedJacobiWeight, ts,
     a polynomial of degree at most 1. So (m-1) rules serve all. Points,
     weights and Q come from a fixed number of array operations for all
     times at once, with no loop over times, pieces or nodes. Raises
-    IndexOutOfRange for a node index outside 0..m-1 and DivergentTransform
-    for a node with alpha_j <= 0 or alpha_j - 1 rounding to -1.
+    DivergentTransform for an endpoint with alpha_j <= 0 or alpha_j - 1
+    rounding to -1.
     """
-    a = w.alpha
-    for j in range(w.m) if nodes is None else nodes:
-        if not 0 <= j < w.m:
-            raise IndexOutOfRange(f"node index {j} outside 0..{w.m - 1}")
-        if a[j] - 1.0 <= -1.0:  # no rule absorbs its kernel
+    for j, a in enumerate(w.alpha.tolist()):
+        if a - 1.0 <= -1.0:  # no rule absorbs its kernel
             raise DivergentTransform(
-                f"q(x_{j + 1}) diverges: alpha_{j + 1} = {a[j]} "
-                + ("<= 0" if a[j] <= 0.0 else "and alpha - 1 rounds to -1"))
+                f"q(x_{j + 1}) diverges: alpha_{j + 1} = {a} "
+                + ("<= 0" if a <= 0.0 else "and alpha - 1 rounds to -1"))
     frames, points, ws, eff, piece, free, left, right = _stacked_points(
         w, ts, npts)
     Q = np.empty((len(points), w.m, points.shape[1]))
     np.divide(ws[:, None, :], frames.x[:, :, None] - points[:, None, :],
               out=Q, where=free)
     # the pieces ending at a node: its kernel times the measure, from the
-    # rule that absorbs both (the row of a node that none absorbs is dropped)
+    # rule that absorbs both
     cols = np.arange(points.shape[1])
     Q[:, piece, cols] = eff * left
     Q[:, piece + 1, cols] = eff * right
-    if nodes is not None:
-        Q = Q[:, np.asarray(nodes, dtype=int)]
     return points, ws, frames, Q

@@ -293,11 +293,14 @@ def integrate_rk45(rhs: Callable[[Any, np.ndarray, np.ndarray], Any],
     soon as the controller's step falls below the floor
     min_step_frac * |t1 - t0|, so no attempt runs below it; only the step
     clipped to end on t1, which may sit arbitrarily close, is exempt.
+    Raises ValueError unless t0 and t1 are finite and differ.
     """
     y = np.asarray(y0, dtype=float)
     if sample_times is None:
         sample_times = np.array([t1])
     sample_times = np.asarray(sample_times, dtype=float)
+    if not (math.isfinite(t0) and math.isfinite(t1)):
+        raise ValueError(f"t0 and t1 must be finite, got {t0} and {t1}")
     span = t1 - t0
     if span == 0.0:
         raise ValueError("t1 must differ from t0")

@@ -32,9 +32,9 @@ def piece_points(w, x, j, npts, beta_left, beta_right):
     xl, xr = x[j], x[j + 1]
     half = 0.5 * (xr - xl)
     mid = 0.5 * (xr + xl)
-    rule = gauss_jacobi_rule(npts, beta_left, beta_right)
-    xs = mid + half * rule.nodes.astype(LD)
-    eff = LD(w.pieces[j]) * rule.weights.astype(LD) \
+    nodes, weights = gauss_jacobi_rule(npts, beta_left, beta_right)
+    xs = mid + half * nodes.astype(LD)
+    eff = LD(w.pieces[j]) * weights.astype(LD) \
         * half ** (1 + LD(beta_left) + LD(beta_right))
     for k in range(w.m):
         if k not in (j, j + 1):

@@ -19,17 +19,18 @@ from gjflow import (
     evolve,
     evolve_moments,
     init_state,
+    init_states,
     ladder_checks,
     ladder_climb,
     ladder_init,
     make_weight,
     moments,
     node_data,
-    nu_by_quadrature,
     pn_time_derivative_check,
     stieltjes_procedure,
     verify_against_direct,
 )
+from gjflow.momentflow import direct_moments
 
 
 def _report(num: int, label: str, ok: bool, started: float):
@@ -105,7 +106,7 @@ def test_criterion_3_deformation_flow():
     started = time.perf_counter()
     w = moving_weight()
     rep = evolve(w, 5, (0.0, 0.3), tol=(1e-9, 1e-12), sample_count=20)
-    vt = verify_against_direct(w, 5, rep)
+    vt = verify_against_direct(rep, init_states(w, 5, rep.times))
     ok = vt.max_deviation <= 1e-6
     ok &= bool(np.max(np.abs(rep.drifts)) <= 1e-8)
     ok &= (time.perf_counter() - started) < 120.0
@@ -175,7 +176,7 @@ def test_criterion_7_moment_flow():
     for w, t1 in ((w2, 0.5), (w3, 0.3)):
         for n in range(7):
             nus, stats = evolve_moments(w, n, (0.0, t1))
-            direct = nu_by_quadrature(w, n, t1)
+            direct = direct_moments(w, n, (t1,))[1][0]
             dev = np.max(np.abs(nus[-1] - direct)
                          / np.maximum(np.abs(direct), 1.0))
             ok &= bool(dev <= 1e-8)

@@ -9,6 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import gjflow.cli
+import gjflow.evolution
 from gjflow import quadrature
 from gjflow.cli import (
     EXIT_CONFIG,
@@ -142,6 +144,28 @@ BOOL_CASES = {
     ("quad", "npts"): "quad.npts: must be a positive integer",
     ("evolve", "samples"): "evolve.samples: must be an integer >= 2",
 }
+
+
+# a flag replaces its config field before validation, so it fails that
+# field's own check, with the field's path
+OVERRIDE_CASES = {
+    ("--rtol", "-1"): "evolve.rtol: must be positive",
+    ("--rtol", "0"): "evolve.rtol: must be positive",
+    ("--n", "-1"): "n: must be a non-negative integer",
+    ("--npts", "0"): "quad.npts: must be a positive integer",
+    ("--t0", "nan"): "evolve.t0: must be a finite number",
+    ("--t0", "inf"): "evolve.t0: must be a finite number",
+    ("--t1", "nan"): "evolve.t1: must be a finite number",
+}
+
+
+@pytest.mark.parametrize("flag", OVERRIDE_CASES,
+                         ids=["".join(f) for f in OVERRIDE_CASES])
+def test_flag_overrides_are_validated(tmp_path, capsys, flag):
+    message = OVERRIDE_CASES[flag]
+    assert main(["evolve", "--config", write_config(tmp_path, MOVING3),
+                 *flag]) == EXIT_CONFIG
+    assert capsys.readouterr() == ("", f"config error: {message}\n")
 
 
 @pytest.mark.parametrize("path", BOOL_CASES,
@@ -450,6 +474,37 @@ class TestVerify:
         assert code == EXIT_VERIFY
         assert "verification failed" in capsys.readouterr().err
 
+    def test_one_oracle_pass_starts_the_flow(self, tmp_path, capsys,
+                                             monkeypatch):
+        # one init_states per quadrature size (twice with --selfcheck), and
+        # the flow starts from row 0 of the first, without building its own
+        oracles, starts = [], []
+        init_states = gjflow.cli.init_states
+        integrate = gjflow.evolution.integrate_rk45
+
+        def counted(*args, **kwargs):
+            oracles.append(init_states(*args, **kwargs))
+            return oracles[-1]
+
+        def no_start(*args, **kwargs):
+            raise AssertionError("the flow built its own start")
+
+        def spy(rhs, frames, t0, t1, y0, **kwargs):
+            starts.append(np.array(y0))
+            return integrate(rhs, frames, t0, t1, y0, **kwargs)
+
+        monkeypatch.setattr(gjflow.cli, "init_states", counted)
+        monkeypatch.setattr(gjflow.evolution, "init_states", no_start)
+        monkeypatch.setattr(gjflow.evolution, "integrate_rk45", spy)
+        path = write_config(tmp_path, MOVING3)
+        for flags, passes in (([], 1), (["--selfcheck"], 2)):
+            oracles.clear()
+            starts.clear()
+            assert main(["verify", "--config", path, *flags]) == EXIT_OK
+            assert len(oracles) == passes and len(starts) == 1
+            assert np.array_equal(starts[0], oracles[0][0])
+        capsys.readouterr()
+
     def test_flow_failure_reported_before_the_oracle(self, tmp_path, capsys):
         # x_2 = 2t meets x_3 = 1 at t = 0.5, a sample time at which the
         # oracle fails too: the flow's collision is what is reported
@@ -464,6 +519,16 @@ class TestVerify:
         assert float(last_good.group(1)) == pytest.approx(0.5, abs=1e-3)
 
 
+def run_fresh(*args, timeout=120):
+    """``python *args`` in a fresh interpreter that imports this checkout's
+    gjflow."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=env, timeout=timeout)
+
+
 def test_cli_runs_without_scipy(tmp_path):
     # a fresh interpreter: the start-up cost of a command is its imports
     script = ("import sys\n"
@@ -471,14 +536,19 @@ def test_cli_runs_without_scipy(tmp_path):
               "code = main(['verify', '--config', sys.argv[1]])\n"
               "loaded = sorted(m for m in sys.modules if m.startswith('scipy'))\n"
               "sys.exit(f'scipy modules loaded: {loaded}' if loaded else code)\n")
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-c", script, write_config(tmp_path, README_CONFIG)],
-        capture_output=True, text=True, env=env, timeout=120)
+    proc = run_fresh("-c", script, write_config(tmp_path, README_CONFIG))
     assert proc.returncode == EXIT_OK, proc.stderr
     assert "max_deviation" in proc.stdout
+
+
+def test_infinite_end_time_flag_exits_at_once(tmp_path):
+    # in a fresh interpreter, under a timeout: a flow toward t1 = inf used to
+    # run without end
+    proc = run_fresh("-m", "gjflow.cli", "evolve", "--t1", "inf", "--config",
+                     write_config(tmp_path, README_CONFIG), timeout=30)
+    assert proc.returncode == EXIT_CONFIG
+    assert (proc.stdout, proc.stderr) == (
+        "", "config error: evolve.t1: must be a finite number\n")
 
 
 class TestSelfcheck:

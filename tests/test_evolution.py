@@ -24,11 +24,10 @@ from gjflow import (
     node_data,
     pn_time_derivative_check,
     verify_against_direct,
-    verify_flow,
 )
 from gjflow.cli import parse_config
-from gjflow.momentflow import (beta_exponents, evolve_moments, moment_rhs,
-                               nu_by_quadrature)
+from gjflow.momentflow import (beta_exponents, direct_moments, evolve_moments,
+                               moment_rhs)
 from gjflow.rk45 import integrate_rk45
 from test_cli import M4_CONFIG, M6_CONFIG, README_CONFIG
 from test_rk45 import accepted_of, attempts_of
@@ -159,7 +158,7 @@ class TestFramesBundle:
         beta = beta_exponents(cfg.n, w.m)
         ys, ref_stats = integrate_rk45(
             lambda basis, nu, out: moment_rhs(nu, basis, w.alpha, beta, out),
-            _per_stage_frames(w), *span, nu_by_quadrature(w, cfg.n, cfg.t0),
+            _per_stage_frames(w), *span, direct_moments(w, cfg.n, (cfg.t0,))[1][0],
             sample_times=np.linspace(*span, cfg.samples), **opts)
         assert stats == ref_stats
         assert np.array_equal(nus, ys)
@@ -180,9 +179,8 @@ def test_drifts_are_computed_on_first_read(moving3, monkeypatch):
     sums = gjflow.evolution._conserved_sums
     monkeypatch.setattr(gjflow.evolution, "_conserved_sums",
                         lambda *args: calls.append(1) or sums(*args))
-    verify_flow(moving3, 5, (0.0, 0.3), sample_count=7)
-    assert calls == []
     rep = evolve(moving3, 5, (0.0, 0.3), sample_count=7)
+    verify_against_direct(rep, init_states(moving3, 5, rep.times))
     assert calls == []
     assert rep.drifts is rep.drifts
     assert calls == [1]
@@ -243,7 +241,7 @@ class TestEvolve:
 
     def test_m3_against_direct(self, moving3):
         rep = evolve(moving3, 5, (0.0, 0.3), tol=(1e-9, 1e-12), sample_count=8)
-        vt = verify_against_direct(moving3, 5, rep)
+        vt = verify_against_direct(rep, init_states(moving3, 5, rep.times))
         assert vt.max_deviation < 1e-6
         assert np.max(np.abs(rep.drifts)) < 1e-8
         # shared initialization at t0
@@ -257,10 +255,11 @@ class TestEvolve:
 
     def test_tolerance_sweep_monotone(self, moving3):
         devs = []
+        direct = init_states(moving3, 5, np.linspace(0.0, 0.3, 4))
         for rtol in (1e-10, 1e-8, 1e-6):
             rep = evolve(moving3, 5, (0.0, 0.3), tol=(rtol, 1e-12),
                          sample_count=4)
-            devs.append(verify_against_direct(moving3, 5, rep).max_deviation)
+            devs.append(verify_against_direct(rep, direct).max_deviation)
         assert devs[0] <= devs[2]
         assert devs[1] <= devs[2]
 
@@ -404,62 +403,11 @@ class TestInitStates:
                                         counted(name, getattr(mod, name)))
         rep = evolve(moving3, 5, (0.0, 0.3), sample_count=samples)
         calls.update(dict.fromkeys(calls, 0))
-        vt = verify_against_direct(moving3, 5, rep)
+        vt = verify_against_direct(rep, init_states(moving3, 5, rep.times))
         assert calls == {"stieltjes_recurrence": 1, "stage_node_data": 1}
         assert vt.deviations.shape == (samples, 3 + 3 * moving3.m)
         ref = np.array([init_state(moving3, 5, t).pack() for t in rep.times])
         assert np.array_equal(init_states(moving3, 5, rep.times), ref)
-
-
-class TestVerifyFlow:
-    """``verify_flow`` is ``evolve`` and ``verify_against_direct`` from one
-    quadrature pass."""
-
-    def test_one_oracle_pass_starts_the_flow(self, moving3, monkeypatch):
-        calls = {"init_states": 0}
-        starts = []
-        init_states_fn = gjflow.evolution.init_states
-        integrate = gjflow.evolution.integrate_rk45
-
-        def counted_init_states(*args, **kwargs):
-            calls["init_states"] += 1
-            return init_states_fn(*args, **kwargs)
-
-        def no_init_state(*args, **kwargs):
-            raise AssertionError("init_state called")
-
-        def spy(rhs, frames, t0, t1, y0, **kwargs):
-            starts.append(np.array(y0))
-            return integrate(rhs, frames, t0, t1, y0, **kwargs)
-
-        monkeypatch.setattr(gjflow.evolution, "init_states", counted_init_states)
-        monkeypatch.setattr(gjflow.evolution, "init_state", no_init_state)
-        monkeypatch.setattr(gjflow.evolution, "integrate_rk45", spy)
-        vt = verify_flow(moving3, 5, (0.0, 0.3), sample_count=8)
-        assert calls["init_states"] == 1 and len(starts) == 1
-        times = np.linspace(0.0, 0.3, 8)
-        assert np.array_equal(starts[0], init_states_fn(moving3, 5, times)[0])
-        monkeypatch.undo()
-        ref = verify_against_direct(moving3, 5,
-                                    evolve(moving3, 5, (0.0, 0.3), sample_count=8))
-        assert vt.labels == ref.labels
-        assert np.array_equal(vt.times, ref.times)
-        assert np.array_equal(vt.deviations, ref.deviations)
-
-    def test_flow_failure_before_a_later_oracle_failure(self, moving3):
-        # the middle endpoint meets the right one at t = 1; the oracle
-        # fails first at the sample t = 1, the flow just before it
-        with pytest.raises(EndpointCollision) as info:
-            verify_flow(moving3, 5, (0.0, 1.5), sample_count=4)
-        assert info.value.t == pytest.approx(1.0, abs=1e-3)
-
-    def test_failure_at_t0_is_the_start_failure(self, moving3):
-        with pytest.raises(InitFailure) as got:
-            verify_flow(moving3, 5, (1.0, 1.5), sample_count=4)
-        with pytest.raises(InitFailure) as want:
-            evolve(moving3, 5, (1.0, 1.5), sample_count=4)
-        assert str(got.value) == str(want.value)
-        assert "at t=1.0" in str(got.value)
 
 
 @pytest.mark.parametrize("doc", [M4_CONFIG, M6_CONFIG], ids=["m4", "m6"])

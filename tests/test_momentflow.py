@@ -14,7 +14,6 @@ from gjflow import (
     moment_rhs,
     moments,
     node_data,
-    nu_by_quadrature,
 )
 from gjflow.momentflow import beta_exponents, direct_moments
 from test_rule_table import configs
@@ -30,7 +29,7 @@ def stretching2():
 class TestMomentRhs:
     def test_fixed_endpoints_zero(self, ref3):
         nd = node_data(ref3, 0.0)
-        nu = nu_by_quadrature(ref3, 2, 0.0)
+        nu = direct_moments(ref3, 2, (0.0,))[1][0]
         d = moment_rhs(nu, nd.basis, ref3.alpha, beta_exponents(2, ref3.m))
         assert np.max(np.abs(d)) == 0.0
 
@@ -38,17 +37,17 @@ class TestMomentRhs:
         w = make_weight([0.5, 0.5], [1.0],
                         EndpointTrajectory.affine([-1.0, 1.0], [1.0, 1.0]))
         nd = node_data(w, 0.0)
-        nu = nu_by_quadrature(w, 3, 0.0)
+        nu = direct_moments(w, 3, (0.0,))[1][0]
         d = moment_rhs(nu, nd.basis, w.alpha, beta_exponents(3, w.m))
         assert np.max(np.abs(d)) == 0.0
 
     def test_matches_finite_difference(self, stretching2):
         n, t, h = 2, 0.1, 1e-5
         nd = node_data(stretching2, t)
-        nu = nu_by_quadrature(stretching2, n, t)
+        nu = direct_moments(stretching2, n, (t,))[1][0]
         d = moment_rhs(nu, nd.basis, stretching2.alpha, beta_exponents(n, 2))
-        fd = (nu_by_quadrature(stretching2, n, t + h)
-              - nu_by_quadrature(stretching2, n, t - h)) / (2 * h)
+        plus, minus = direct_moments(stretching2, n, (t + h, t - h))[1]
+        fd = (plus - minus) / (2 * h)
         assert d == pytest.approx(fd, rel=1e-6)
 
 
@@ -60,7 +59,7 @@ class TestEvolveMoments:
 
     def test_m2_against_quadrature(self, stretching2):
         nus, stats = evolve_moments(stretching2, 2, (0.0, 0.5))
-        direct = nu_by_quadrature(stretching2, 2, 0.5)
+        direct = direct_moments(stretching2, 2, (0.5,))[1][0]
         assert np.max(np.abs(nus[-1] - direct)
                       / np.maximum(np.abs(direct), 1.0)) < 1e-8
         assert stats.accepted + stats.rejected < 10 ** 5
@@ -70,7 +69,7 @@ class TestEvolveMoments:
         w = make_weight([0.5, 0.3, 0.7], [1.0, 2.0],
                         EndpointTrajectory(((-1.0,), (0.0, 1.0), (1.0,))))
         nus, _ = evolve_moments(w, n, (0.0, 0.3))
-        direct = nu_by_quadrature(w, n, 0.3)
+        direct = direct_moments(w, n, (0.3,))[1][0]
         assert np.max(np.abs(nus[-1] - direct)
                       / np.maximum(np.abs(direct), 1.0)) < 1e-8
 
@@ -123,7 +122,6 @@ def test_direct_moments_property(cfg, offsets):
         assert np.max(np.abs(nu_i - ref_nu)) <= 1e-13 * np.max(np.abs(ref_nu))
         one_mu, one_nu = direct_moments(w, n, (ti,))
         assert one_mu[0] == mu_i and np.array_equal(one_nu[0], nu_i)
-        assert np.array_equal(nu_by_quadrature(w, n, ti), nu_i)
 
 
 class TestMuIdentity:
@@ -143,7 +141,7 @@ class TestMuIdentity:
         # with m = 2 the literal definitions differ: nu_{n,1} carries the
         # extra factor (u - x_2), so the gap is nonzero by definition
         mu0 = moments(cheb, 0.0, 0)[0]
-        nu1 = nu_by_quadrature(cheb, 0, 0.0)[0]
+        nu1 = direct_moments(cheb, 0, (0.0,))[1][0][0]
         gap = abs(mu0 - nu1) / max(abs(mu0), abs(nu1), 1e-300)
         assert np.isfinite(gap)
         assert gap > 0.1
@@ -151,7 +149,7 @@ class TestMuIdentity:
 
     def test_parity_sign(self, cheb):
         # symmetric weight: nu_{0,1} = int w (u - 1) du < 0
-        nu = nu_by_quadrature(cheb, 0, 0.0)
+        nu = direct_moments(cheb, 0, (0.0,))[1][0]
         assert nu[0] < 0.0
         assert nu[1] > 0.0
 

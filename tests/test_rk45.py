@@ -366,6 +366,23 @@ def test_rejects_empty_span_and_unordered_samples():
                            sample_times=np.array(outside))
 
 
+@pytest.mark.parametrize("t0, t1", [(0.0, np.inf), (0.0, -np.inf), (0.0, np.nan),
+                                    (np.nan, 1.0), (-np.inf, 1.0)])
+def test_rejects_non_finite_span(t0, t1):
+    # an infinite t1 made the step floor infinite and every attempt a NaN
+    # rejection, without end; the capped rhs turns such a loop into a failure
+    calls = []
+
+    def capped(t, y, out):
+        calls.append(t)
+        assert len(calls) < 1000, "the integrator ran on"
+        out[:] = -y
+
+    with pytest.raises(ValueError, match="^t0 and t1 must be finite, got "):
+        integrate_rk45(capped, time_frames, t0, t1, [1.0])
+    assert calls == []
+
+
 def test_non_finite_slope_takes_the_fixed_start():
     # y' = 1/y from y0 = 0: the slope at the start is infinite, so the
     # first attempt has the fixed size 1e-3 (no probe evaluation); every

@@ -41,7 +41,6 @@ from gjflow.quadrature import (
     _start_nodes,
     cauchy_node_matrices,
 )
-from test_quadrature import q_at_node
 
 TOL = 1e-12
 # Random configs reach the float64 noise floor of init_state in this metric:
@@ -105,13 +104,13 @@ def assert_measure_integrals(w, t, npts):
         assert quad_ref.relative(np.dot(ws, f(xs)), np.sum(rw * f(rx))) <= TOL
 
 
-def assert_cauchy_transforms(w, t, npts, nodes):
+def assert_cauchy_transforms(w, t, npts):
     """Q @ f of ``cauchy_node_matrices`` at the nodes against
     ``quad_ref.cauchy_transform``."""
-    points, ws, _, Q = cauchy_node_matrices(w, (t,), npts, nodes=nodes)
+    points, ws, _, Q = cauchy_node_matrices(w, (t,), npts)
     for f in (np.cos, lambda u: u ** 5 - 2.0 * u, np.ones_like):
         got = Q[0] @ f(points[0])
-        ref = [quad_ref.cauchy_transform(w, t, f, j, npts) for j in nodes]
+        ref = [quad_ref.cauchy_transform(w, t, f, j, npts) for j in range(w.m)]
         assert quad_ref.relative(got, ref) <= TOL
 
 
@@ -223,9 +222,8 @@ class TestEdges:
         w = make_weight(alpha, [1.5, 0.8],
                         EndpointTrajectory(((-1.0,), (0.1, 0.5), (1.2,))))
         assert_measure_integrals(w, 0.2, 32)
-        nodes = [j for j in range(w.m) if alpha[j] > 0.0]
-        if nodes:
-            assert_cauchy_transforms(w, 0.2, 32, nodes)
+        if min(alpha) > 0.0:  # else the transform at some node diverges
+            assert_cauchy_transforms(w, 0.2, 32)
 
     @pytest.mark.parametrize("alpha,x", [
         ([0.05, 0.05, 0.05], [-1.0, 0.2, 1.0]),
@@ -249,20 +247,11 @@ class TestEdges:
         _, rw = quad_ref.measure(w, 0.0, 64)
         assert quad_ref.relative(np.sum(ws), np.sum(rw)) <= TOL
 
-    def test_stieltjes_at_node_with_nonpositive_exponents_elsewhere(self):
-        w = make_weight([-0.5, 0.8, 0.0], [1.0, 1.5],
-                        EndpointTrajectory.fixed([-1.0, 0.3, 1.0]))
-        f = lambda u: u ** 3 - u + 0.5
-        got = q_at_node(w, f, 1, 0.0)
-        assert quad_ref.relative(got, quad_ref.cauchy_transform(w, 0.0, f, 1, 64)) <= TOL
-
     @pytest.mark.parametrize("alpha", [0.0, -0.4])
     def test_divergent_transform_message(self, alpha):
         w = make_weight([0.5, alpha, 0.5], [1.0, 1.0],
                         EndpointTrajectory.fixed([-1.0, 0.0, 1.0]))
         msg = rf"^q\(x_2\) diverges: alpha_2 = {alpha} <= 0$"
-        with pytest.raises(DivergentTransform, match=msg):
-            q_at_node(w, np.ones_like, 1, 0.0)
         with pytest.raises(DivergentTransform, match=msg):
             cauchy_node_matrices(w, (0.0,))
 
@@ -388,9 +377,9 @@ class TestRuleCache:
             assert builds == [rules]
             [table] = looked_up
             for (bl, br), (nodes, weights) in zip(rules, table, strict=True):
-                rule = gauss_jacobi_rule(npts, bl, br)
-                assert np.array_equal(rule.nodes, nodes)
-                assert np.array_equal(rule.weights, weights)
+                rule_nodes, rule_weights = gauss_jacobi_rule(npts, bl, br)
+                assert np.array_equal(rule_nodes, nodes)
+                assert np.array_equal(rule_weights, weights)
                 # built alone, the rule is the same to the bit
                 alone_nodes, alone_weights = _build_rules(npts, [(bl, br)])[0]
                 assert np.array_equal(alone_nodes, nodes)
