@@ -1,3 +1,4 @@
+import io
 import json
 
 import numpy as np
@@ -25,7 +26,7 @@ from gjflow import (
     pn_time_derivative_check,
     verify_against_direct,
 )
-from gjflow.cli import parse_config
+from gjflow.cli import cmd_verify, parse_config
 from gjflow.momentflow import (beta_exponents, direct_moments, evolve_moments,
                                moment_rhs)
 from gjflow.rk45 import integrate_rk45
@@ -408,6 +409,21 @@ class TestInitStates:
         assert vt.deviations.shape == (samples, 3 + 3 * moving3.m)
         ref = np.array([init_state(moving3, 5, t).pack() for t in rep.times])
         assert np.array_equal(init_states(moving3, 5, rep.times), ref)
+
+
+class TestVerifyFlow:
+    """``verify`` runs ``evolve`` and its ``init_states`` oracle from one
+    quadrature pass; a failure of the flow is the one reported."""
+
+    def test_flow_failure_before_a_later_oracle_failure(self):
+        # moving3: the middle endpoint meets the right one at t = 1; the
+        # oracle fails first at the sample t = 1, the flow just before it
+        doc = {"weight": {"alpha": [0.5, 0.5, 0.5], "pieces": [1, 1],
+                          "trajectory": [[-1], [0, 1], [1]]},
+               "n": 5, "evolve": {"t0": 0, "t1": 1.5, "samples": 4}}
+        with pytest.raises(EndpointCollision) as info:
+            cmd_verify(parse_config(json.dumps(doc)), io.StringIO())
+        assert info.value.t == pytest.approx(1.0, abs=1e-3)
 
 
 @pytest.mark.parametrize("doc", [M4_CONFIG, M6_CONFIG], ids=["m4", "m6"])
