@@ -64,6 +64,7 @@ from .weights import (
     GeneralizedJacobiWeight,
     NodeFrames,
     barycentric_interpolate,
+    check_span,
     make_weight,
     node_data,
     stage_node_data,

@@ -14,26 +14,20 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import List, Optional
 
 import numpy as np
 
 from . import __version__
-from .errors import (
-    ConfigError,
-    EndpointCollision,
-    GJFlowError,
-    StepCollapse,
-    UnderResolved,
-)
+from .errors import ConfigError, GJFlowError, StepCollapse, UnderResolved
 from .evolution import (_relative, _state_labels, evolve, init_states,
                         verify_against_direct)
 from .ladder import ladder_checks
 from .momentflow import direct_moments, evolve_moments
 from .orthopoly import stieltjes_procedure
 from .quadrature import default_npts, discretized_measure, gauss_jacobi_rule
-from .weights import EndpointTrajectory, make_weight
+from .weights import EndpointTrajectory, check_span, make_weight
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -221,17 +215,11 @@ class _SelfcheckFailed(Exception):
 
 
 def _selfchecked(cfg: RunConfig, label: str, compute,
-                 key=lambda result: result, flow=lambda: None):
+                 key=lambda result: result):
     """``compute(cfg.npts)``; with ``--selfcheck``, also ``compute`` at
     twice the points, the two compared on the array ``key(result)``, and
-    _SelfcheckFailed above a relative deviation of 1e-9. If ``compute``
-    fails, ``flow()`` runs first, so a flow, or its own start, fails
-    before its oracle: the one place that orders these failures."""
-    try:
-        coarse = compute(cfg.npts)
-    except GJFlowError:
-        flow()
-        raise
+    _SelfcheckFailed above a relative deviation of 1e-9."""
+    coarse = compute(cfg.npts)
     if cfg.selfcheck:
         c, f = (np.asarray(key(r), dtype=float)
                 for r in (coarse, compute(2 * cfg.npts)))
@@ -265,8 +253,7 @@ def cmd_ladder(cfg: RunConfig, out) -> int:
         cfg, "ladder", lambda npts: ladder_checks(w, cfg.t0, cfg.n, npts),
         lambda rep: np.concatenate((rep.values.theta, rep.values.omega)))
     lv = report.values
-    prev = np.zeros(w.m) if lv.theta_prev is None else lv.theta_prev
-    rows = np.column_stack((report.x, lv.theta, prev, lv.omega)).tolist()
+    rows = np.column_stack((report.x, lv.theta, lv.theta_prev, lv.omega)).tolist()
     rows = [[j, *row] for j, row in enumerate(rows, 1)]
     comments = [
         f"residue_theta: {report.residue_theta!r}",
@@ -281,11 +268,13 @@ def cmd_ladder(cfg: RunConfig, out) -> int:
 
 def _require_span(cfg: RunConfig):
     _require(cfg.t1 != cfg.t0, "evolve.t1", "must differ from evolve.t0")
+    w = cfg.weight()
+    check_span(w, cfg.t0, cfg.t1)
+    return w
 
 
 def cmd_evolve(cfg: RunConfig, out) -> int:
-    _require_span(cfg)
-    w = cfg.weight()
+    w = _require_span(cfg)
     y0 = _selfchecked(cfg, "evolve",
                       lambda npts: init_states(w, cfg.n, (cfg.t0,), npts)[0])
     report = evolve(w, cfg.n, (cfg.t0, cfg.t1), tol=(cfg.rtol, cfg.atol),
@@ -297,16 +286,13 @@ def cmd_evolve(cfg: RunConfig, out) -> int:
 
 
 def cmd_moments(cfg: RunConfig, out) -> int:
-    _require_span(cfg)
-    w = cfg.weight()
+    w = _require_span(cfg)
     times = np.linspace(cfg.t0, cfg.t1, cfg.samples)
-    flow = partial(evolve_moments, w, cfg.n, (cfg.t0, cfg.t1),
-                   tol=(cfg.rtol, cfg.atol), sample_count=cfg.samples,
-                   npts=cfg.npts)
     mu_n, nu = _selfchecked(cfg, "moments",
                             lambda npts: direct_moments(w, cfg.n, times, npts),
-                            lambda result: result[1], flow)
-    nus, stats = flow(nu0=nu[0])
+                            lambda result: result[1])
+    nus, stats = evolve_moments(w, cfg.n, (cfg.t0, cfg.t1), tol=(cfg.rtol, cfg.atol),
+                                sample_count=cfg.samples, nu0=nu[0])
     columns = ["t"] + [f"nu_{j + 1}" for j in range(w.m)] + ["mu_n", "gap"]
     scale = np.maximum(np.abs(mu_n), np.abs(nus[:, 0]))
     gap = np.abs(mu_n - nus[:, 0]) / np.maximum(scale, 1e-300)
@@ -316,14 +302,13 @@ def cmd_moments(cfg: RunConfig, out) -> int:
 
 
 def cmd_verify(cfg: RunConfig, out) -> int:
-    _require_span(cfg)
-    w = cfg.weight()
+    w = _require_span(cfg)
     times = np.linspace(cfg.t0, cfg.t1, cfg.samples)
-    flow = partial(evolve, w, cfg.n, (cfg.t0, cfg.t1), tol=(cfg.rtol, cfg.atol),
-                   sample_count=cfg.samples, npts=cfg.npts)
-    direct = _selfchecked(
-        cfg, "verify", lambda npts: init_states(w, cfg.n, times, npts), flow=flow)
-    vt = verify_against_direct(flow(y0=direct[0]), direct)
+    direct = _selfchecked(cfg, "verify",
+                          lambda npts: init_states(w, cfg.n, times, npts))
+    report = evolve(w, cfg.n, (cfg.t0, cfg.t1), tol=(cfg.rtol, cfg.atol),
+                    sample_count=cfg.samples, y0=direct[0])
+    vt = verify_against_direct(report, direct)
     columns = ["t"] + [f"dev_{lab}" for lab in vt.labels]
     rows = np.column_stack((vt.times, vt.deviations)).tolist()
     return _emit_verdict(out, cfg, columns, rows, [], vt.max_deviation)
@@ -400,12 +385,10 @@ def run_command(cmd: str, cfg: RunConfig, out) -> int:
     except _SelfcheckFailed as exc:
         print(exc, file=sys.stderr)
         return EXIT_VERIFY
-    except (EndpointCollision, StepCollapse) as exc:
-        print(f"numerical failure: {type(exc).__name__}: {exc} "
-              f"(last good t = {exc.t})", file=sys.stderr)
-        return EXIT_NUMERICAL
     except GJFlowError as exc:
-        print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
+        last = f" (last good t = {exc.t})" if isinstance(exc, StepCollapse) else ""
+        print(f"numerical failure: {type(exc).__name__}: {exc}{last}",
+              file=sys.stderr)
         return EXIT_NUMERICAL
 
 

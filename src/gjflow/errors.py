@@ -61,13 +61,9 @@ class ZeroCoefficient(GJFlowError):
 
 
 class EndpointCollision(GJFlowError):
-    """Endpoint ordering failed during time integration.
-
-    Carries ``t``: the first stage time at which the positions were not
-    strictly increasing when the integrator's frames found the collision;
-    the last accepted time when a step collapsed next to nearly coinciding
-    endpoints.
-    """
+    """Two neighbouring endpoints come within the gap floor of
+    ``weights.check_span`` on a flow's span; ``t`` is the first time from t0
+    at which the pair the message names reaches it."""
 
 
 class StepCollapse(GJFlowError):

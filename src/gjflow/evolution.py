@@ -23,12 +23,11 @@ from typing import List
 
 import numpy as np
 
-from .errors import (EndpointCollision, InitFailure, NonDistinctEndpoints,
-                     StepCollapse)
+from .errors import InitFailure, NonDistinctEndpoints
 from .ladder import LadderValues, _ladder_nodes
 from .orthopoly import eval_polynomial
 from .rk45 import IntegrationStats, integrate_rk45
-from .weights import (GeneralizedJacobiWeight, NodeFrames, _flow_frames,
+from .weights import (GeneralizedJacobiWeight, NodeFrames, check_span,
                       node_data, stage_node_data)
 
 
@@ -214,9 +213,10 @@ def evolve(w: GeneralizedJacobiWeight, n: int, t_span, tol=(1e-9, 1e-12),
     """Integrate the deformation system over t_span, sampling uniformly.
 
     The flow starts from the packed state y0 at t_span[0]; without it,
-    from row 0 of ``init_states`` there.
+    from row 0 of ``init_states`` there, once ``check_span`` passes.
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
+    check_span(w, t0, t1)
     rtol, atol = tol
     if y0 is None:
         y0 = init_states(w, n, (t0,), npts)[0]
@@ -226,18 +226,8 @@ def evolve(w: GeneralizedJacobiWeight, n: int, t_span, tol=(1e-9, 1e-12),
     def rhs(basis, y, out):
         evolution_rhs(y, basis, buf, out)
 
-    try:
-        ys, stats = integrate_rk45(rhs, _flow_frames(w), t0, t1, y0,
-                                   rtol=rtol, atol=atol, sample_times=times)
-    except StepCollapse as exc:
-        # a vanishing step right before two endpoints meet is the collision
-        # announcing itself; report it as such when the gap has degenerated
-        pos = np.sort(w.trajectory.positions(exc.t))
-        span = max(pos[-1] - pos[0], 1.0)
-        if np.min(np.diff(pos)) < 1e-8 * span:
-            raise EndpointCollision(
-                f"endpoints nearly coincide at t = {exc.t}", t=exc.t) from exc
-        raise
+    ys, stats = integrate_rk45(rhs, lambda ts: stage_node_data(w, ts).basis, t0,
+                               t1, y0, rtol=rtol, atol=atol, sample_times=times)
     return EvolutionReport(w=w, n=n, times=times, ys=ys, stats=stats)
 
 

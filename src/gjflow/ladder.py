@@ -10,7 +10,6 @@ values Theta_n(x_j), Omega_n(x_j).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -25,19 +24,18 @@ class LadderValues:
     """Node values of the ladder polynomials at one degree.
 
     theta[j] = Theta_n(x_j), omega[j] = Omega_n(x_j);
-    theta_prev[j] = Theta_{n-1}(x_j) (None at n = 0).
+    theta_prev[j] = Theta_{n-1}(x_j) (0 at n = 0).
     """
 
     n: int
     theta: np.ndarray
     omega: np.ndarray
-    theta_prev: Optional[np.ndarray] = None
+    theta_prev: np.ndarray
 
     def row(self, i: int) -> "LadderValues":
         """The values at time i of the batched values of several times."""
-        return LadderValues(
-            n=self.n, theta=self.theta[i], omega=self.omega[i],
-            theta_prev=None if self.theta_prev is None else self.theta_prev[i])
+        return LadderValues(n=self.n, theta=self.theta[i], omega=self.omega[i],
+                            theta_prev=self.theta_prev[i])
 
 
 @dataclass(frozen=True)
@@ -79,7 +77,8 @@ def _ladder_nodes(w: GeneralizedJacobiWeight, ts, n: int, npts: int | None):
     a_n = table.a[:, n, None]
     theta = aw * pn * qn
     omega = 0.5 * aw + a_n * aw * qn * pnm1  # V(x_j) = alpha_j W'(x_j)/2
-    theta_prev = aw * pnm1 * qm if n >= 1 else None
+    # Theta_{-1} = 0: zeros, not the -0.0 that p_{-1} = 0 gives at W' < 0
+    theta_prev = aw * pnm1 * qm if n >= 1 else np.zeros_like(theta)
     return table, frames, Q, (pn, pnm1, qn, qm), LadderValues(
         n=n, theta=theta, omega=omega, theta_prev=theta_prev)
 
@@ -114,10 +113,8 @@ def ladder_step(values: LadderValues, x_nodes, a_n: float, a_next: float,
     x = np.asarray(x_nodes, dtype=float)
     xb = x - b_n
     omega_new = xb * values.theta - values.omega
-    prev = values.theta_prev if values.theta_prev is not None \
-        else np.zeros_like(values.theta)  # n = 0: a_0 = 0 kills the term
-    theta_new = (xb * (omega_new - values.omega) + a_n * a_n * prev) \
-        / (a_next * a_next)
+    theta_new = (xb * (omega_new - values.omega)
+                 + a_n * a_n * values.theta_prev) / (a_next * a_next)
     return LadderValues(n=values.n + 1, theta=theta_new, omega=omega_new,
                         theta_prev=values.theta.copy())
 
@@ -137,7 +134,7 @@ def ladder_climb(w: GeneralizedJacobiWeight, t: float, n: int,
     aw = w.alpha * frames.wprime[0]
     gamma0 = table.gamma[0]
     values = LadderValues(n=0, theta=aw * gamma0 * gamma0 * Q[0].sum(axis=-1),
-                          omega=0.5 * aw)
+                          omega=0.5 * aw, theta_prev=np.zeros_like(aw))
     for k in range(n):
         values = ladder_step(values, x, table.a[k],
                              float(table.a[k + 1]), float(table.b[k]))

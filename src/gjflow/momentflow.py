@@ -13,7 +13,7 @@ import numpy as np
 
 from .quadrature import _stacked_points, default_npts
 from .rk45 import integrate_rk45
-from .weights import GeneralizedJacobiWeight, _flow_frames
+from .weights import GeneralizedJacobiWeight, check_span, stage_node_data
 
 
 def beta_exponents(n: int, m: int) -> np.ndarray:
@@ -66,9 +66,10 @@ def evolve_moments(w: GeneralizedJacobiWeight, n: int, t_span,
     Initial values default to row 0 of ``direct_moments`` at t0. A caller
     that checks the flow passes row 0 of its ``direct_moments`` at the
     sample times as nu0, the same values; nu0 also serves linearity
-    experiments.
+    experiments. ``check_span`` runs first, before any quadrature.
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
+    check_span(w, t0, t1)
     rtol, atol = tol
     beta = beta_exponents(n, w.m)
     if nu0 is None:
@@ -79,6 +80,6 @@ def evolve_moments(w: GeneralizedJacobiWeight, n: int, t_span,
     def rhs(basis, y, out):
         moment_rhs(y, basis, w.alpha, beta, out)
 
-    return integrate_rk45(rhs, _flow_frames(w), t0, t1, nu0, rtol=rtol,
-                          atol=atol, sample_times=times)
+    return integrate_rk45(rhs, lambda ts: stage_node_data(w, ts).basis, t0, t1,
+                          nu0, rtol=rtol, atol=atol, sample_times=times)
 

@@ -224,17 +224,49 @@ def node_data(w: GeneralizedJacobiWeight, t: float) -> NodeFrames:
     return stage_node_data(w, (t,)).row(0)
 
 
-def _flow_frames(w: GeneralizedJacobiWeight):
-    """The ``frames`` callable of a flow integrator: the ``basis`` stack of
-    ``stage_node_data``, so the frame of stage time i is ``basis[i]``.
-    Endpoints that lose their order during integration are an
-    EndpointCollision at the first such stage time."""
-    def frames(ts):
-        try:
-            return stage_node_data(w, ts).basis
-        except NonDistinctEndpoints as exc:
-            raise EndpointCollision(str(exc), t=exc.t) from exc
-    return frames
+@np.errstate(over="ignore", invalid="ignore")  # a gap that is not finite refuses
+def check_span(w: GeneralizedJacobiWeight, t0: float, t1: float) -> None:
+    """Raise EndpointCollision if two neighbouring endpoints come within
+    1e-8 * max(width at t0, 1) of each other between t0 and t1.
+
+    Each neighbour gap x_{j+1}(t) - x_j(t), a denominator row of the
+    trajectory's columns, is smallest at t0, t1 or a real root of its slope
+    (tried at each root's real part, as rounding splits a double root); a
+    gap that is not finite reaches the floor too. The error names the pair
+    that reaches it first, with ``t`` the first time from t0 that it does.
+    """
+    m, lo, hi, scale = w.m, min(t0, t1), max(t0, t1), max(abs(t0), abs(t1))
+    # highest degree first; x_{j+1} - x_j is every (m + 1)-th row from x_2 - x_1
+    gaps = np.array(w.trajectory._cols)[:, 2 * m + m * m + m::m + 1]
+    n = len(gaps) - 1
+    k = np.arange(n, 0, -1)[:, None]  # the slopes over n: finite where the gaps are
+    slopes = gaps[:-1] * (k / n) * scale ** (k - 1)  # in s = t / scale, |s| <= 1
+    finite = np.isfinite(slopes).all(axis=0)
+    ts = [t0, t1]
+    for d in slopes.T[finite].tolist():
+        small = 1e-8 * max(map(abs, d))  # leading terms this small spoil the solve
+        while d and abs(d[0]) <= small:
+            del d[0]
+        if len(d) > 1:  # a line's root as polyroots gives it, without its overhead
+            roots = [-d[1] / d[0]] if len(d) == 2 else \
+                np.polynomial.polynomial.polyroots(d[::-1]).real.tolist()
+            ts += [scale * r for r in roots if lo < scale * r < hi]
+    ts.sort(key=lambda t: abs(t - t0))
+    values = _horner(gaps, np.array(ts)[:, None])  # every gap at every time
+    floor = 1e-8 * max(float(values[0].sum()), 1.0)
+    ok = (floor < values) & (values < np.inf) & finite
+    if ok.all():
+        return
+    i = int(np.argmin(ok.all(axis=1)))  # every gap is monotone from ts[i - 1] to ts[i]
+    a, b, bad = ts[i - 1], ts[i], ~ok[i]
+    while i and (mid := 0.5 * (a + b)) not in (a, b):  # bisect to the float
+        g = _horner(gaps, mid)
+        below = ~((floor < g) & (g < np.inf))
+        a, b, bad = (a, mid, below) if below.any() else (mid, b, bad)
+    j = int(np.argmax(bad))
+    raise EndpointCollision(
+        f"endpoints x_{j + 1} and x_{j + 2} come within {floor:.1e} of each "
+        f"other at t = {b!r}, between t = {t0!r} and {t1!r}", t=b)
 
 
 def barycentric_interpolate(nd: NodeFrames, values, x):

@@ -11,6 +11,7 @@ import pytest
 
 import gjflow.cli
 import gjflow.evolution
+import gjflow.momentflow
 from gjflow import quadrature
 from gjflow.cli import (
     EXIT_CONFIG,
@@ -332,18 +333,57 @@ class TestEvolve:
         assert code == EXIT_NUMERICAL
         assert "numerical failure" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("cmd", ["evolve", "verify"])
-    def test_tangential_touch_exit_code(self, tmp_path, capsys, cmd):
-        # x_2 = 4t - 4t^2 touches x_3 = 1 at t = 0.5 without crossing it
-        doc = {"weight": {"alpha": [0.5, 0.5, 0.5], "pieces": [1, 1],
-                          "trajectory": [[-1], [0, 4, -4], [1]]},
-               "n": 3, "evolve": {"t0": 0, "t1": 1}}
-        code = main([cmd, "--config", write_config(tmp_path, doc)])
-        assert code == EXIT_NUMERICAL
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("numerical failure: EndpointCollision: "
-                                       "endpoints nearly coincide at t = 0.49999")
+
+# x_2 meets x_3 = 1 + gap at t = 0.5: x_2 = 2t crosses it, x_2 = 4t - 4t^2
+# touches it (gap 0) or comes within the gap of it
+def touching(gap):
+    return [[-1], [0, 4, -4], [1 + gap]]
+
+
+COLLISIONS = {"crossing": [[-1], [0, 2], [1]], "touch": touching(0),
+              "near_touch": touching(1e-12)}
+
+
+@pytest.mark.parametrize("trajectory", COLLISIONS.values(), ids=COLLISIONS)
+@pytest.mark.parametrize("cmd", ["evolve", "verify", "moments"])
+def test_collision_is_refused_before_any_quadrature(tmp_path, capsys,
+                                                    monkeypatch, cmd,
+                                                    trajectory):
+    # every command over the span refuses it before its oracle, its start
+    # or any step; at t = 0.5 the oracle would fail too, or be wrong
+    def no_work(*args, **kwargs):
+        raise AssertionError("quadrature or a step ran")
+
+    for module, name in ((gjflow.cli, "init_states"),
+                         (gjflow.cli, "direct_moments"),
+                         (gjflow.evolution, "init_states"),
+                         (gjflow.evolution, "integrate_rk45"),
+                         (gjflow.momentflow, "direct_moments"),
+                         (gjflow.momentflow, "integrate_rk45")):
+        monkeypatch.setattr(module, name, no_work)
+    doc = {"weight": {"alpha": [0.5, 0.5, 0.5], "pieces": [1, 1],
+                      "trajectory": trajectory},
+           "n": 3, "evolve": {"t0": 0, "t1": 1, "samples": 11}}
+    code = main([cmd, "--config", write_config(tmp_path, doc)])
+    assert code == EXIT_NUMERICAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    found = re.fullmatch(r"numerical failure: EndpointCollision: endpoints "
+                         r"x_2 and x_3 come within 2\.0e-08 of each other at "
+                         r"t = (\S+), between t = 0\.0 and 1\.0\n", captured.err)
+    assert float(found.group(1)) == pytest.approx(0.5, abs=1e-3)
+
+
+@pytest.mark.parametrize("cmd, code", [("evolve", EXIT_OK),
+                                       ("verify", EXIT_VERIFY),
+                                       ("moments", EXIT_VERIFY)])
+def test_near_touch_above_the_floor_runs(tmp_path, capsys, cmd, code):
+    # a smallest gap of 1e-6, above the floor 2e-8: the flows run
+    doc = {"weight": {"alpha": [0.5, 0.5, 0.5], "pieces": [1, 1],
+                      "trajectory": touching(1e-6)},
+           "n": 3, "evolve": {"t0": 0, "t1": 1}}
+    assert main([cmd, "--config", write_config(tmp_path, doc)]) == code
+    assert "EndpointCollision" not in capsys.readouterr().err
 
 
 README_CONFIG = {
@@ -445,20 +485,6 @@ class TestMoments:
         assert 1e-3 < max_deviation(comments) < 1e-1
         assert header[-2:] == ["mu_n", "gap"] and len(rows) == 10
 
-    def test_flow_failure_reported_before_the_oracle(self, tmp_path, capsys):
-        # x_2 = 2t meets x_3 = 1 at t = 0.5, a sample time at which the
-        # direct moments fail too: the flow's collision is what is reported
-        doc = {"weight": {"alpha": [0.5, 0.5, 0.5], "pieces": [1, 1],
-                          "trajectory": [[-1], [0, 2], [1]]},
-               "n": 5, "evolve": {"t0": 0, "t1": 1, "samples": 11}}
-        code = main(["moments", "--config", write_config(tmp_path, doc)])
-        assert code == EXIT_NUMERICAL
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("numerical failure: EndpointCollision: ")
-        last_good = re.search(r"\(last good t = (\S+)\)$", captured.err.strip())
-        assert float(last_good.group(1)) == pytest.approx(0.5, abs=1e-3)
-
 
 class TestVerify:
     def test_passes_at_default_tolerance(self, tmp_path, capsys):
@@ -504,19 +530,6 @@ class TestVerify:
             assert len(oracles) == passes and len(starts) == 1
             assert np.array_equal(starts[0], oracles[0][0])
         capsys.readouterr()
-
-    def test_flow_failure_reported_before_the_oracle(self, tmp_path, capsys):
-        # x_2 = 2t meets x_3 = 1 at t = 0.5, a sample time at which the
-        # oracle fails too: the flow's collision is what is reported
-        doc = {"weight": {"alpha": [0.5, 0.5, 0.5], "pieces": [1, 1],
-                          "trajectory": [[-1], [0, 2], [1]]},
-               "n": 5, "evolve": {"t0": 0, "t1": 0.9, "samples": 10}}
-        code = main(["verify", "--config", write_config(tmp_path, doc)])
-        assert code == EXIT_NUMERICAL
-        err = capsys.readouterr().err
-        assert err.startswith("numerical failure: EndpointCollision: ")
-        last_good = re.search(r"\(last good t = (\S+)\)$", err.strip())
-        assert float(last_good.group(1)) == pytest.approx(0.5, abs=1e-3)
 
 
 def run_fresh(*args, timeout=120):

@@ -1,4 +1,3 @@
-import io
 import json
 
 import numpy as np
@@ -15,7 +14,6 @@ from gjflow import (
     EndpointTrajectory,
     EvolutionState,
     InitFailure,
-    NonDistinctEndpoints,
     StepCollapse,
     evolution_rhs,
     evolve,
@@ -26,7 +24,7 @@ from gjflow import (
     pn_time_derivative_check,
     verify_against_direct,
 )
-from gjflow.cli import cmd_verify, parse_config
+from gjflow.cli import parse_config
 from gjflow.momentflow import (beta_exponents, direct_moments, evolve_moments,
                                moment_rhs)
 from gjflow.rk45 import integrate_rk45
@@ -270,18 +268,21 @@ class TestEvolve:
         with pytest.raises(EndpointCollision):
             evolve(w, 3, (0.0, 0.5), sample_count=4)
 
-    def test_tangential_touch_is_a_collision(self):
-        # x_2 = 4t - 4t^2 touches x_3 = 1 at t = 0.5 without crossing it, so
-        # no stage finds the order broken: the step collapses just before
-        # the touch, and evolve reports that as the collision
+    def test_tangential_touch_is_a_collision(self, monkeypatch):
+        # x_2 = 4t - 4t^2 touches x_3 = 1 at t = 0.5 without crossing it:
+        # the gap (2t - 1)^2 reaches the floor 2e-8 at 0.5 - sqrt(2e-8)/2,
+        # which evolve reports before its start or any step
+        def no_work(*args, **kwargs):
+            raise AssertionError("the flow started")
+
+        monkeypatch.setattr(gjflow.evolution, "init_states", no_work)
+        monkeypatch.setattr(gjflow.evolution, "integrate_rk45", no_work)
         w = make_weight([0.5, 0.5, 0.5], [1.0, 1.0],
                         EndpointTrajectory(((-1.0,), (0.0, 4.0, -4.0), (1.0,))))
-        with pytest.raises(EndpointCollision,
-                           match=r"^endpoints nearly coincide at t = 0\.49999") as info:
+        with pytest.raises(EndpointCollision, match=r"^endpoints x_2 and x_3 ") as info:
             evolve(w, 3, (0.0, 1.0))
-        assert type(info.value.__cause__) is StepCollapse
-        assert info.value.t == info.value.__cause__.t
-        assert 0.5 - 1e-6 < info.value.t < 0.5
+        assert info.value.__cause__ is None
+        assert info.value.t == pytest.approx(0.5 - np.sqrt(2e-8) / 2, rel=1e-12)
 
     def test_step_collapse_away_from_a_collision(self, moving3, monkeypatch):
         # at t = 0.1 the endpoints (-1, 0.1, 1) are far apart: the collapse
@@ -294,34 +295,28 @@ class TestEvolve:
             evolve(moving3, 3, (0.0, 0.3), sample_count=4)
         assert type(info.value) is StepCollapse and info.value.t == 0.1
 
-    def test_collision_inside_a_step_names_first_bad_stage(self, monkeypatch):
+    def test_collision_late_in_the_span_is_found_before_any_stage(
+            self, monkeypatch):
         # x_2 = 0.2 + 0.8 (t / 0.3)^40 stays far from x_3 = 1 until just
-        # before t = 0.3, so at a loose tolerance one step straddles the
-        # crossing and several of its stages lie past it
-        import gjflow.weights
-
+        # before t = 0.3, where a step at a loose tolerance would straddle
+        # the crossing; the gap 0.8 (1 - (t / 0.3)^40) reaches the floor
+        # 2e-8 at 0.3 (1 - 2.5e-8)^(1/40), before any node data is built
         calls = []
         build = gjflow.weights.stage_node_data
 
         def recording(w, ts):
-            calls.append(np.array(ts, dtype=float))
+            calls.append(ts)
             return build(w, ts)
 
         monkeypatch.setattr(gjflow.weights, "stage_node_data", recording)
         traj = EndpointTrajectory(
             ((-1.0,), (0.2,) + (0.0,) * 39 + (0.8 / 0.3 ** 40,), (1.0,)))
         w = make_weight([0.5, 0.5, 0.5], [1.0, 1.0], traj)
-        with pytest.raises(EndpointCollision) as info:
+        with pytest.raises(EndpointCollision, match=r"^endpoints x_2 and x_3 ") as info:
             evolve(w, 3, (0.0, 0.5), tol=(1e-3, 1e-6), sample_count=3)
-        exc = info.value
-        assert isinstance(exc.__cause__, NonDistinctEndpoints)
-        assert str(exc) == str(exc.__cause__)
-        assert str(exc).startswith(f"endpoints not strictly increasing at t={exc.t}: ")
-        ts = calls[-1]
-        bad = [bool(np.any(np.diff(traj.positions(t)) <= 0.0)) for t in ts]
-        first = bad.index(True)
-        assert exc.t == ts[first]
-        assert not any(bad[:first]) and sum(bad) > 1     # a later stage is bad too
+        assert calls == []
+        assert info.value.t == pytest.approx(0.3 * (1 - 2.5e-8) ** (1 / 40),
+                                             rel=1e-12)
 
     def test_init_requires_positive_exponents(self):
         w = make_weight([-0.5, 0.5], [1.0],
@@ -411,21 +406,6 @@ class TestInitStates:
         assert np.array_equal(init_states(moving3, 5, rep.times), ref)
 
 
-class TestVerifyFlow:
-    """``verify`` runs ``evolve`` and its ``init_states`` oracle from one
-    quadrature pass; a failure of the flow is the one reported."""
-
-    def test_flow_failure_before_a_later_oracle_failure(self):
-        # moving3: the middle endpoint meets the right one at t = 1; the
-        # oracle fails first at the sample t = 1, the flow just before it
-        doc = {"weight": {"alpha": [0.5, 0.5, 0.5], "pieces": [1, 1],
-                          "trajectory": [[-1], [0, 1], [1]]},
-               "n": 5, "evolve": {"t0": 0, "t1": 1.5, "samples": 4}}
-        with pytest.raises(EndpointCollision) as info:
-            cmd_verify(parse_config(json.dumps(doc)), io.StringIO())
-        assert info.value.t == pytest.approx(1.0, abs=1e-3)
-
-
 @pytest.mark.parametrize("doc", [M4_CONFIG, M6_CONFIG], ids=["m4", "m6"])
 def test_first_attempt_is_sized(doc):
     # the start step is sized from the slopes at t0, so the first attempt
@@ -434,11 +414,10 @@ def test_first_attempt_is_sized(doc):
     cfg = parse_config(json.dumps(doc))
     w = cfg.weight()
     calls = []
-    flow_frames = gjflow.weights._flow_frames(w)
 
     def frames(ts):
         calls.append(np.array(ts))
-        return flow_frames(ts)
+        return gjflow.weights.stage_node_data(w, ts).basis
 
     integrate_rk45(lambda basis, y, out: evolution_rhs(y, basis, out=out),
                    frames, cfg.t0, cfg.t1, init_state(w, cfg.n, cfg.t0).pack(),

@@ -43,7 +43,9 @@ class TestLadderInit:
         # Theta_0 is the constant 2n+1+sum(alpha) = 2 for m = 2
         lv = ladder_init(cheb, 0.0, 0)
         assert lv.theta == pytest.approx([2.0, 2.0], rel=1e-12)
-        assert lv.theta_prev is None
+        # Theta_{-1} = 0, with no sign bit: ladder prints 0.0, not -0.0
+        assert np.array_equal(lv.theta_prev, [0.0, 0.0])
+        assert not np.signbit(lv.theta_prev).any()
 
     def test_omega0_equals_V(self, ref3):
         # p_0 constant and p_{-1} = 0 force Omega_0 = V

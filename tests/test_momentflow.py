@@ -3,12 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gjflow.momentflow
 import quad_ref
 from hankel_ref import hankel_det
 from gjflow import (
     EndpointCollision,
     EndpointTrajectory,
-    NonDistinctEndpoints,
     evolve_moments,
     make_weight,
     moment_rhs,
@@ -85,18 +85,20 @@ class TestEvolveMoments:
         assert sc[-1] == pytest.approx(combo, rel=1e-10, abs=1e-10)
 
 
-def test_collision_during_integration():
-    # the moments stay smooth through the crossing at t = 0.2, so a stage
-    # lands past it and node_data's ordering failure is the collision
+def test_collision_during_integration(monkeypatch):
+    # x_2 = 0.2 + 4t crosses x_3 = 1 at t = 0.2; the gap 0.8 - 4t reaches
+    # the floor 2e-8 at 0.2 - 5e-9, found before the start or any step
+    def no_work(*args, **kwargs):
+        raise AssertionError("the flow started")
+
+    monkeypatch.setattr(gjflow.momentflow, "direct_moments", no_work)
+    monkeypatch.setattr(gjflow.momentflow, "integrate_rk45", no_work)
     w = make_weight([0.5, 0.5, 0.5], [1.0, 1.0],
                     EndpointTrajectory(((-1.0,), (0.2, 4.0), (1.0,))))
-    with pytest.raises(EndpointCollision) as info:
+    with pytest.raises(EndpointCollision, match=r"^endpoints x_2 and x_3 ") as info:
         evolve_moments(w, 2, (0.0, 0.5), sample_count=4)
-    exc = info.value
-    assert isinstance(exc.__cause__, NonDistinctEndpoints)
-    assert str(exc) == str(exc.__cause__)
-    assert str(exc).startswith(f"endpoints not strictly increasing at t={exc.t}: ")
-    assert abs(exc.t - 0.2) < 1e-3
+    assert info.value.__cause__ is None
+    assert info.value.t == pytest.approx(0.2 - 5e-9, rel=1e-12)
 
 
 # Moment weights may have exponents <= 0. Positive ones start at 0.05, as

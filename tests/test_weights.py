@@ -1,14 +1,21 @@
+import re
+
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npoly
 
 from gjflow import (
     BadConstant,
     BadExponent,
+    EndpointCollision,
     EndpointTrajectory,
+    GeneralizedJacobiWeight,
     NonDistinctEndpoints,
     barycentric_interpolate,
+    check_span,
     make_weight,
     node_data,
     stage_node_data,
@@ -198,6 +205,117 @@ class TestStageNodeData:
         assert info.value.t == 0.2
         assert str(info.value) == (
             "endpoints not strictly increasing at t=0.2: [-1.0, 1.0, 1.0]")
+
+
+@st.composite
+def spans(draw):
+    """(coefficient rows, t0, t1): m 2-6 endpoint paths of degree <= 4,
+    each neighbour gap drawn free (positive at t = 0), as a touch
+    a (t - tau)^2 (1 + b (t - tau)^2) or as a crossing k (tau - t), with
+    tau inside the span and the gap positive at t0."""
+    m, degree = draw(st.integers(2, 6)), draw(st.integers(0, 4))
+    t0 = draw(st.floats(-1.0, 1.0))
+    t1 = t0 + draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(0.1, 1.5))
+    coef = st.floats(-1.0, 1.0)
+    rows = [[draw(coef) for _ in range(degree + 1)]]
+    for _ in range(m - 1):
+        kind = draw(st.sampled_from(["free", "touch", "crossing"]))
+        tau = t0 + draw(st.floats(0.1, 0.9)) * (t1 - t0)
+        if kind == "touch":
+            a, b = draw(st.floats(0.1, 4.0)), draw(st.floats(0.0, 2.0))
+            gap = npoly.polymul(npoly.polypow([-tau, 1.0], 2),
+                                [a + a * b * tau * tau, -2 * a * b * tau, a * b])
+        elif kind == "crossing":
+            k = draw(st.floats(0.1, 4.0)) * np.sign(t1 - t0)
+            gap = [k * tau, -k]
+        else:
+            gap = [draw(st.floats(0.05, 2.0))] + [draw(coef) for _ in range(degree)]
+        rows.append(npoly.polyadd(rows[-1], gap).tolist())
+    return rows, t0, t1
+
+
+def _real_roots_mp(p, lo, hi):
+    """The real roots in [lo, hi] of the polynomial p (mpf coefficients,
+    highest degree first), ascending: p is monotone between the real roots
+    of its derivative, found the same way, so each piece holds at most one
+    root, which bisection finds."""
+    while len(p) > 1 and p[0] == 0:
+        p = p[1:]
+    if len(p) < 2:
+        return []
+    slope = [c * (len(p) - 1 - i) for i, c in enumerate(p[:-1])]
+    cuts = [lo, *_real_roots_mp(slope, lo, hi), hi]
+    roots = []
+    for a, b in zip(cuts, cuts[1:]):
+        fa = mpmath.polyval(p, a)
+        if fa == 0:
+            roots.append(a)
+        elif fa * mpmath.polyval(p, b) < 0:
+            for _ in range(70):
+                mid = (a + b) / 2
+                a, b = (mid, b) if mpmath.polyval(p, mid) * fa > 0 else (a, mid)
+            roots.append(b)
+    return roots + [hi] * (mpmath.polyval(p, hi) == 0)
+
+
+def _first_at_floor_mp(rows, t0, t1):
+    """Per neighbour pair, the first time from t0 toward t1 at which the
+    exact gap of the float rows (constant term first) is at or below the
+    floor 1e-8 * max(width at t0, 1), or None: in 30-digit arithmetic, t0
+    itself or the real root of gap - floor in the span nearest t0."""
+    with mpmath.workdps(30):
+        size = max(map(len, rows))
+        exact = [[mpmath.mpf(c) for c in row] + [mpmath.mpf(0)] * (size - len(row))
+                 for row in rows]
+        gaps = [[b - a for a, b in zip(lo, hi)][::-1]            # highest first
+                for lo, hi in zip(exact, exact[1:])]
+        floor = mpmath.mpf(1e-8) * max(
+            mpmath.fsum(mpmath.polyval(g, t0) for g in gaps), 1)
+        first = []
+        for g in gaps:
+            h = g[:-1] + [g[-1] - floor]
+            roots = [t0] if mpmath.polyval(h, t0) <= 0 else \
+                _real_roots_mp(h, min(t0, t1), max(t0, t1))
+            first.append(float(min(roots, key=lambda r: abs(r - t0)))
+                         if roots else None)
+        return first
+
+
+class TestCheckSpan:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(spans())
+    # a touch at t = -0.5 whose slope has leading terms near 1e-305: left
+    # in, they put the companion solve's small root at 0, and the touch passed
+    @example(([[0.0, 0.0, 0.33012014860005956],
+               [0.75, 3.0, 3.3301201486000593, 2.781495565218076e-305,
+                1.390747782609038e-305]], 0.0, -1.0))
+    def test_matches_an_mpmath_min_gap_reference(self, span):
+        rows, t0, t1 = span
+        m = len(rows)
+        w = GeneralizedJacobiWeight(np.full(m, 0.5), np.ones(m - 1),
+                                    EndpointTrajectory(tuple(map(tuple, rows))))
+        first = _first_at_floor_mp(rows, t0, t1)
+        hits = [t for t in first if t is not None]
+        if not hits:
+            check_span(w, t0, t1)
+            return
+        with pytest.raises(EndpointCollision) as info:
+            check_span(w, t0, t1)
+        t = min(hits, key=lambda t: abs(t - t0))
+        assert info.value.t == pytest.approx(t, abs=1e-8)
+        j = int(re.match(r"endpoints x_(\d+) and ", str(info.value)).group(1))
+        assert first[j - 1] == pytest.approx(t, abs=1e-8)   # the pair named
+
+    @pytest.mark.parametrize("slope, t", [(1e308, 0.797), (np.inf, 0.0)])
+    def test_a_gap_that_is_not_finite_refuses(self, slope, t):
+        # x_2 - x_1 = 1e308 + slope * t: it overflows the float range near
+        # t = 0.797, or its slope is not finite and it refuses at t0
+        with np.errstate(invalid="ignore"):  # the trajectory's own inf - inf
+            traj = EndpointTrajectory(((0.0,), (1e308, slope)))
+        w = GeneralizedJacobiWeight(np.full(2, 0.5), np.ones(1), traj)
+        with pytest.raises(EndpointCollision, match="^endpoints x_1 and x_2 ") as info:
+            check_span(w, 0.0, 1.0)
+        assert info.value.t == pytest.approx(t, abs=1e-3)
 
 
 def _log_weight(w, x, t):
