@@ -531,6 +531,26 @@ class TestVerify:
             assert np.array_equal(starts[0], oracles[0][0])
         capsys.readouterr()
 
+    def test_flow_failure_reported_before_the_oracle(self, tmp_path, capsys,
+                                                     monkeypatch):
+        # x_2 = 2t meets x_3 = 1 at t = 0.5, a sample time at which the
+        # oracle fails too: the collision the flow would meet is reported
+        # from the span check, before the oracle runs
+        def no_oracle(*args, **kwargs):
+            raise AssertionError("the oracle ran")
+
+        monkeypatch.setattr(gjflow.cli, "init_states", no_oracle)
+        doc = {"weight": {"alpha": [0.5, 0.5, 0.5], "pieces": [1, 1],
+                          "trajectory": [[-1], [0, 2], [1]]},
+               "n": 5, "evolve": {"t0": 0, "t1": 0.9, "samples": 10}}
+        code = main(["verify", "--config", write_config(tmp_path, doc)])
+        assert code == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: EndpointCollision: ")
+        assert "last good" not in err
+        at = re.search(r" at t = (\S+), between t = 0\.0 and 0\.9$", err.strip())
+        assert float(at.group(1)) == pytest.approx(0.5, abs=1e-3)
+
 
 def run_fresh(*args, timeout=120):
     """``python *args`` in a fresh interpreter that imports this checkout's

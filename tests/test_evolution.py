@@ -1,3 +1,4 @@
+import io
 import json
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gjflow.cli
 import gjflow.evolution
 import gjflow.ladder
 import gjflow.quadrature
@@ -24,7 +26,7 @@ from gjflow import (
     pn_time_derivative_check,
     verify_against_direct,
 )
-from gjflow.cli import parse_config
+from gjflow.cli import cmd_verify, parse_config
 from gjflow.momentflow import (beta_exponents, direct_moments, evolve_moments,
                                moment_rhs)
 from gjflow.rk45 import integrate_rk45
@@ -404,6 +406,25 @@ class TestInitStates:
         assert vt.deviations.shape == (samples, 3 + 3 * moving3.m)
         ref = np.array([init_state(moving3, 5, t).pack() for t in rep.times])
         assert np.array_equal(init_states(moving3, 5, rep.times), ref)
+
+
+class TestVerifyFlow:
+    """``verify`` checks its span before its ``init_states`` oracle or the
+    flow run, so a collision the flow would meet is the failure reported."""
+
+    def test_flow_failure_before_a_later_oracle_failure(self, monkeypatch):
+        # moving3: the middle endpoint meets the right one at t = 1; the
+        # oracle would fail at the sample t = 1, the flow just before it
+        def no_oracle(*args, **kwargs):
+            raise AssertionError("the oracle ran")
+
+        monkeypatch.setattr(gjflow.cli, "init_states", no_oracle)
+        doc = {"weight": {"alpha": [0.5, 0.5, 0.5], "pieces": [1, 1],
+                          "trajectory": [[-1], [0, 1], [1]]},
+               "n": 5, "evolve": {"t0": 0, "t1": 1.5, "samples": 4}}
+        with pytest.raises(EndpointCollision) as info:
+            cmd_verify(parse_config(json.dumps(doc)), io.StringIO())
+        assert info.value.t == pytest.approx(1.0, abs=1e-3)
 
 
 @pytest.mark.parametrize("doc", [M4_CONFIG, M6_CONFIG], ids=["m4", "m6"])
