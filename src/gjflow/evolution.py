@@ -78,7 +78,8 @@ class EvolutionReport:
     def drifts(self) -> np.ndarray:
         """samples x 5: the conserved sums at each sample minus those at
         t0 (times[0] is t0, so row 0 holds the sums at t0)."""
-        sums = _conserved_sums(self.ys, stage_node_data(self.w, self.times).x)
+        sums = _conserved_sums(self.ys,
+                               self.w.trajectory.positions(self.times[:, None]))
         return sums - sums[0]
 
 
@@ -128,15 +129,17 @@ def _term_table(m: int):
 
 
 def _rhs_buffer(m: int):
-    """Everything ``evolution_rhs`` reads at m endpoints, built once per
-    flow: the factor vector z of ``_term_table(m)`` with its fixed 1.0 in
-    place; its views, the packed state y, the node-ratio rows U (3 x m)
-    and U @ basis (3 x (m + 2)); and the table."""
+    """Everything ``evolution_rhs`` reads and writes at m endpoints, built
+    once per flow: the factor vector z of ``_term_table(m)`` with its fixed
+    1.0 in place; its views, the packed state y, the node-ratio rows U
+    (3 x m) and U @ basis (3 x (m + 2)); the table; and the product of
+    the three factors of each term."""
     k = 3 + 3 * m
     z = np.empty(k + 3 * (m + 2) + 2)
     z[-2] = 1.0
+    factors, coefs = _term_table(m)
     return (z, z[:k], z[3:k].reshape(3, m), z[k:-2].reshape(3, m + 2),
-            *_term_table(m))
+            factors, coefs, np.empty(factors.shape[1]))
 
 
 def evolution_rhs(y: np.ndarray, basis: np.ndarray, buf=None,
@@ -151,21 +154,24 @@ def evolution_rhs(y: np.ndarray, basis: np.ndarray, buf=None,
     polynomial of degree at most 3 in y whose coefficients depend on t only
     through ``basis``: one ``U @ basis`` gives every dot and kernel
     product, and the terms of ``_term_table`` turn them into the
-    derivative with one gather, two products and one matmul.
+    derivative with one gather, one running product over the three
+    gathered factors of each term and one matmul.
 
     ``buf`` is the ``_rhs_buffer(m)`` that one flow builds once and
-    reuses for all its calls: the term table is read from it and the
-    factor vector written into it; without it a fresh one is made. ``y``
-    is only read, so ``out`` may be a row of the integrator's stage array.
+    reuses for all its calls: the term table is read from it, and the
+    factor vector and the products of the terms are written into it;
+    without it a fresh one is made. ``y`` is only read, so ``out`` may be
+    a row of the integrator's stage array.
     """
-    z, y_part, u, ub, factors, coefs = _rhs_buffer(len(basis)) \
-        if buf is None else buf
+    z, y_part, u, ub, factors, coefs, prod = \
+        _rhs_buffer(len(basis)) if buf is None else buf
     y_part[...] = y
     u.dot(basis, ub)
-    a = y[0]
+    a = y_part.item(0)
     z[-1] = a * a
-    g = z[factors]
-    return coefs.dot(g[0] * g[1] * g[2], out)
+    # (z[f1] * z[f2]) * z[f3] for each term, in one reduction
+    np.multiply.reduce(z[factors], 0, None, prod)
+    return coefs.dot(prod, out)
 
 
 def init_states(w: GeneralizedJacobiWeight, n: int, ts,

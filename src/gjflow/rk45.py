@@ -13,7 +13,13 @@ weight on it); an embedded 5th-order error estimate; and 3 further
 stages that make a continuous 7th-order extension of an accepted step.
 Sample times are read off that extension, so the step sizes are the
 controller's alone: only the step that would pass t1 is clipped, to end
-on it.
+on it. The extension at t + x h is y + h (p(x) @ _DENSE) @ k over the
+step's 16 stages k, with the 7 weights p(x) = x, x (1 - x), x^2 (1 - x),
+..., x^4 (1 - x)^3. Per sample they are scalar float products, each the
+one before it times x or 1 - x, in the order of a running product (the
+bits of ``np.cumprod`` over the same factors); one matrix product of the
+samples' weights with ``_DENSE @ k`` then gives all the samples of a
+step.
 
 The right-hand side comes in two parts, so that what depends on t alone is
 built once per step instead of once per stage:
@@ -232,6 +238,23 @@ class IntegrationStats:
     fevals: int = 0
 
 
+def _dense_weights(ts, t: float, h: float) -> np.ndarray:
+    """The 7 products p(x) of the interpolant at x = (s - t) / h for each
+    time s of ``ts``, one row per time: scalar float products, each the
+    one before it times x or 1 - x, in the order of a running product."""
+    rows = []
+    for s in ts:
+        x = (s - t) / h
+        y = 1.0 - x
+        p1 = x * y
+        p2 = p1 * x
+        p3 = p2 * y
+        p4 = p3 * x
+        p5 = p4 * y
+        rows.append((x, p1, p2, p3, p4, p5, p5 * x))
+    return np.array(rows, order="F")
+
+
 def _dense(rhs, dense_frames, heads, yi, stages, t: float, h: float,
            ts) -> np.ndarray:
     """States at the times ts inside the accepted step of size h from
@@ -243,9 +266,7 @@ def _dense(rhs, dense_frames, heads, yi, stages, t: float, h: float,
     for (a, k, ki), frame in zip(heads, dense_frames):
         a.dot(k, yi)
         rhs(frame, yi, ki)
-    x = (np.array(ts) - t) / h
-    p = np.cumprod([x, 1.0 - x, x, 1.0 - x, x, 1.0 - x, x], axis=0)
-    out = np.dot(p.T, np.dot(_DENSE, stages[1:]))
+    out = np.dot(_dense_weights(ts, t, h), np.dot(_DENSE, stages[1:]))
     out *= h
     out += stages[0]
     return out
@@ -305,15 +326,15 @@ def integrate_rk45(rhs: Callable[[Any, np.ndarray, np.ndarray], Any],
     if span == 0.0:
         raise ValueError("t1 must differ from t0")
     direction = 1.0 if span > 0 else -1.0
-    if np.any(direction * np.diff(sample_times) < 0):
+    samples = sample_times.tolist()  # read one at a time as floats
+    nsamples = len(samples)
+    if any(direction * (b - a) < 0 for a, b in zip(samples, samples[1:])):
         raise ValueError("sample times must be ordered toward t1")
-    if len(sample_times) and (direction * (sample_times[0] - t0) < 0
-                              or direction * (sample_times[-1] - t1) > 0):
+    if nsamples and (direction * (samples[0] - t0) < 0
+                     or direction * (samples[-1] - t1) > 0):
         raise ValueError("sample times must lie between t0 and t1")
     h_floor = min_step_frac * abs(span)
     rtol, atol = rtol * TOL_SCALE, atol * TOL_SCALE
-    samples = sample_times.tolist()  # read one at a time as floats
-    nsamples = len(samples)
 
     stats = IntegrationStats()
     out = np.empty((nsamples, len(y)))
@@ -326,7 +347,11 @@ def integrate_rk45(rhs: Callable[[Any, np.ndarray, np.ndarray], Any],
     y, ks = stages[0], stages[1:]
     a_h = np.empty((16, 16))  # [1 | _A_STAGES * h] of the attempt
     a_h[:, 0] = 1.0
-    yi = np.empty(len(y))
+    h_a = a_h[:, 1:]  # its h A part
+    # the stage state; the new state, its and y's magnitudes (swapped on
+    # acceptance), the error scale and the scaled error estimate: reused
+    # by every attempt
+    yi, y_new, abs_new, tol, scaled = np.empty((5, len(y)))
     heads = [(a_h[i, :i + 1], stages[:i + 1], ks[i]) for i in range(1, 16)]
     # the new state is the combination of stage 12, whose y' is taken
     # only on acceptance
@@ -353,17 +378,17 @@ def integrate_rk45(rhs: Callable[[Any, np.ndarray, np.ndarray], Any],
         dense = direction * (samples[isample] - t_new) < 0
         stage_frames = frames(
             t + (_C_WITH_DENSE if dense else _C_STAGES) * h_try)
-        np.multiply(_A_STAGES, h_try, out=a_h[:, 1:])
+        np.multiply(_A_STAGES, h_try, out=h_a)
         for (a, k, ki), frame in zip(heads, stage_frames[:11]):
             a.dot(k, yi)
             rhs(frame, yi, ki)
         stats.fevals += 11
-        y_new = b_h.dot(new_terms)
-        abs_new = np.abs(y_new)
-        tol = np.maximum(abs_y, abs_new)
+        b_h.dot(new_terms, y_new)
+        np.abs(y_new, abs_new)
+        np.maximum(abs_y, abs_new, out=tol)
         tol *= rtol
         tol += atol
-        scaled = _E5.dot(ks[:12])
+        _E5.dot(ks[:12], scaled)
         scaled /= tol
         err = abs(h_try) * math.sqrt(float(scaled.dot(scaled)) / len(y))
         if err <= 1.0:
@@ -383,7 +408,7 @@ def integrate_rk45(rhs: Callable[[Any, np.ndarray, np.ndarray], Any],
             while isample < nsamples and samples[isample] == t_new:
                 out[isample] = y_new
                 isample += 1
-            t, abs_y = t_new, abs_new
+            t, abs_y, abs_new = t_new, abs_new, abs_y
             y[:] = y_new
             ks[0] = ks[12]
             if not last:

@@ -38,36 +38,47 @@ class EndpointTrajectory:
     """Polynomial-in-t endpoint paths x_k(t).
 
     ``coeffs[k]`` holds the coefficients of x_k(t), constant term first.
-    The trajectory also keeps, once, the coefficients of the 2m + 2m^2
+    The trajectory also keeps, once, the coefficients of the m + 2m(m + 2)
     polynomials that node data reads, column by column (highest degree
-    first): x_1..x_m, their t-derivatives, then the m x m numerators
-    x'_j - x'_k and denominators x_j - x_k (1 on the diagonal) of the
-    velocity kernel. A Horner pass over the first m gives the positions,
-    one over the next m the velocities, one over all a ``NodeFrames``.
+    first): x_1..x_m, then two m x (m + 2) tables, one row per endpoint j,
+    whose quotient is the frame ``[xdot | x * xdot | K]`` of
+    ``NodeFrames.basis``: the numerators [x'_j, 0, x'_j - x'_1, ...,
+    x'_j - x'_m] and the denominators [1, 1, x_j - x_1, ..., x_j - x_m]
+    (1 at x_j - x_j). A Horner pass over the first m gives the positions,
+    one over column 0 of the numerators the velocities, one over all a
+    ``NodeFrames``. It also holds the spans (t0, t1) that passed
+    ``check_span``.
     """
 
     coeffs: tuple
     _cols: tuple = field(init=False, repr=False, compare=False)
+    _passed_spans: set = field(default_factory=set, init=False, repr=False,
+                               compare=False)
 
+    # coefficients near the float limit overflow the derivative and gap
+    # rows to inf or nan; check_span refuses a gap that is not finite
+    @np.errstate(over="ignore", invalid="ignore")
     def __post_init__(self):
         norm = tuple(tuple(float(c) for c in row) for row in self.coeffs)
         if any(len(row) == 0 for row in norm):
             raise ValueError("each endpoint needs at least a constant term")
         object.__setattr__(self, "coeffs", norm)
         m = len(norm)
-        cd = np.zeros((2 * m, max([2, *map(len, norm)])))
+        rows = np.zeros((m + 2 * m * (m + 2), max([2, *map(len, norm)])))
+        x = rows[:m]
         for k, row in enumerate(norm):
-            cd[k, :len(row)] = row
-        cd[m:, :-1] = cd[:m, 1:] * np.arange(1, cd.shape[1])
-        # (2, m, m) gap polynomials: numerators x'_j - x'_k (0 on the
-        # diagonal), denominators x_j - x_k (1 on the diagonal)
-        gaps = cd.reshape(2, m, 1, -1)[::-1] - cd.reshape(2, 1, m, -1)[::-1]
-        gaps[1, np.arange(m), np.arange(m), 0] = 1.0
-        rows = np.concatenate((cd, gaps.reshape(2 * m * m, -1)))
-        cols = tuple(np.ascontiguousarray(c) for c in rows.T[::-1])
-        for c in cols:
-            c.setflags(write=False)
-        object.__setattr__(self, "_cols", cols)
+            x[k, :len(row)] = row
+        num, den = rows[m:].reshape(2, m, m + 2, -1)
+        xd = num[:, 0]
+        xd[:, :-1] = x[:, 1:] * np.arange(1, rows.shape[1])
+        np.subtract(xd[:, None], xd, out=num[:, 2:])
+        np.subtract(x[:, None], x, out=den[:, 2:])
+        den[:, :2, 0] = 1.0
+        j = np.arange(m)
+        den[j, j + 2, 0] = 1.0  # x_j - x_j
+        cols = rows.T[::-1].copy()
+        cols.setflags(write=False)
+        object.__setattr__(self, "_cols", tuple(cols))
 
     @property
     def m(self) -> int:
@@ -89,7 +100,8 @@ class EndpointTrajectory:
         return _horner([c[:self.m] for c in self._cols], t)
 
     def velocities(self, t: float) -> np.ndarray:
-        return _horner([c[self.m:2 * self.m] for c in self._cols], t)
+        m = self.m
+        return _horner([c[m::m + 2][:m] for c in self._cols], t)
 
 
 @dataclass(frozen=True)
@@ -182,14 +194,15 @@ def stage_node_data(w: GeneralizedJacobiWeight, ts) -> NodeFrames:
     ``NodeFrames``.
 
     One Horner pass over all the trajectory's coefficient columns gives,
-    at all times, the positions and velocities and the numerators and
-    denominators of the velocity kernels; one comparison checks the
-    order, one divide gives the kernels and one product x * xdot. Per
-    time, x and xdot are those of a scalar Horner pass. K[j, k] is the
-    quotient of the gap polynomials x'_j - x'_k and x_j - x_k, which
-    suffer no cancellation; their coefficients only change sign under
-    j <-> k, so K is exactly symmetric, with a zero diagonal. Every array
-    of the bundle is read-only; ``t`` is a copy of ``ts``.
+    at all times, the positions and the numerators and denominators of the
+    frames; one comparison checks the order, one divide gives the frames
+    (velocities over 1 and the kernels) and one product x * xdot fills
+    their second column. Per time, x and xdot are those of a scalar Horner
+    pass. K[j, k] is the quotient of the gap polynomials x'_j - x'_k and
+    x_j - x_k, which suffer no cancellation; their coefficients only
+    change sign under j <-> k, so K is exactly symmetric, with a zero
+    diagonal. Every array of the bundle is read-only; ``t`` is a copy of
+    ``ts``.
 
     Raises NonDistinctEndpoints, carrying its ``t``, at the first time
     whose positions are not strictly increasing.
@@ -198,21 +211,19 @@ def stage_node_data(w: GeneralizedJacobiWeight, ts) -> NodeFrames:
     s, m = len(ts), w.m
     v = _horner(w.trajectory._cols, ts[:, None])
     v.setflags(write=False)
-    x, xd = v[:, :m], v[:, m:2 * m]
+    x = v[:, :m]
     bad = x[:, :-1] >= x[:, 1:]
     if np.count_nonzero(bad):  # cheaper than bad.any() on this small view
         i = int(np.argmax(bad.any(axis=1)))
         t = float(ts[i])
         raise NonDistinctEndpoints(
             f"endpoints not strictly increasing at t={t}: {x[i].tolist()}", t=t)
-    gaps = v[:, 2 * m:].reshape(s, 2, m, m)
-    basis = np.empty((s, m, m + 2))
-    basis[:, :, 0] = xd
-    np.multiply(x, xd, out=basis[:, :, 1])
-    np.divide(gaps[:, 0], gaps[:, 1], out=basis[:, :, 2:])
+    fraction = v[:, m:].reshape(s, 2, m, m + 2)
+    basis = np.divide(fraction[:, 0], fraction[:, 1])
+    np.multiply(x, basis[:, :, 0], out=basis[:, :, 1])
     basis.setflags(write=False)
     ts.setflags(write=False)
-    return NodeFrames(t=ts, x=x, xdot=xd, basis=basis)
+    return NodeFrames(t=ts, x=x, xdot=basis[:, :, 0], basis=basis)
 
 
 def node_data(w: GeneralizedJacobiWeight, t: float) -> NodeFrames:
@@ -224,7 +235,6 @@ def node_data(w: GeneralizedJacobiWeight, t: float) -> NodeFrames:
     return stage_node_data(w, (t,)).row(0)
 
 
-@np.errstate(over="ignore", invalid="ignore")  # a gap that is not finite refuses
 def check_span(w: GeneralizedJacobiWeight, t0: float, t1: float) -> None:
     """Raise EndpointCollision if two neighbouring endpoints come within
     1e-8 * max(width at t0, 1) of each other between t0 and t1.
@@ -234,10 +244,25 @@ def check_span(w: GeneralizedJacobiWeight, t0: float, t1: float) -> None:
     (tried at each root's real part, as rounding splits a double root); a
     gap that is not finite reaches the floor too. The error names the pair
     that reaches it first, with ``t`` the first time from t0 that it does.
+
+    The answer depends only on the trajectory and the span, so the
+    trajectory remembers the spans that passed: a command that checks its
+    span before its flow does the work once, and the flow's own check
+    finds it done. A span that fails is worked out again on every call.
     """
-    m, lo, hi, scale = w.m, min(t0, t1), max(t0, t1), max(abs(t0), abs(t1))
-    # highest degree first; x_{j+1} - x_j is every (m + 1)-th row from x_2 - x_1
-    gaps = np.array(w.trajectory._cols)[:, 2 * m + m * m + m::m + 1]
+    passed = w.trajectory._passed_spans
+    if (t0, t1) not in passed:
+        _check_gaps(w.trajectory, t0, t1)
+        passed.add((t0, t1))
+
+
+@np.errstate(over="ignore", invalid="ignore")  # a gap that is not finite refuses
+def _check_gaps(trajectory: EndpointTrajectory, t0: float, t1: float) -> None:
+    """``check_span`` without the memory of passed spans."""
+    m, lo, hi, scale = trajectory.m, min(t0, t1), max(t0, t1), max(abs(t0), abs(t1))
+    # highest degree first; x_{j+1} - x_j, entry (j + 1, j + 2) of the
+    # denominator table, is every (m + 3)-th row from row (m + 2)^2
+    gaps = np.array(trajectory._cols)[:, (m + 2) ** 2::m + 3]
     n = len(gaps) - 1
     k = np.arange(n, 0, -1)[:, None]  # the slopes over n: finite where the gaps are
     slopes = gaps[:-1] * (k / n) * scale ** (k - 1)  # in s = t / scale, |s| <= 1

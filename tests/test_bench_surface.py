@@ -2,7 +2,8 @@
 
 ``perfbench/tracer.py`` rebinds ``integrate_rk45`` and ``node_data`` where
 ``gjflow.evolution`` imported them and wraps the trajectory methods it finds
-in ``EndpointTrajectory.__dict__``; the ``oracle`` workload's
+in ``EndpointTrajectory.__dict__``; its ``evolution.evolution_rhs`` span
+counts one call per feval at the module binding; the ``oracle`` workload's
 ``fevals_per_op`` is the sum of the stats that the rebound
 ``integrate_rk45`` returns during a ``verify``; ``perfbench/checks.py`` compares
 ``evolve`` rows with ``init_state(...).pack()``; ``perfbench/run.py`` reads
@@ -46,6 +47,34 @@ def test_verify_integrates_through_the_evolution_binding(tmp_path, monkeypatch,
     assert gjflow.cli.main(["verify", "--config", str(path)]) == 0
     assert "max_deviation" in capsys.readouterr().out
     assert len(stats) == 1 and stats[0].fevals > 0
+
+
+def test_evolve_evaluates_the_rhs_through_its_binding(tmp_path, monkeypatch,
+                                                     capsys):
+    calls, stats = [], []
+    rhs, integrate = gjflow.evolution.evolution_rhs, gjflow.rk45.integrate_rk45
+
+    def counted_rhs(*args, **kwargs):
+        calls.append(1)
+        return rhs(*args, **kwargs)
+
+    def counted_integrate(*args, **kwargs):
+        out = integrate(*args, **kwargs)
+        stats.append(out[1])
+        return out
+
+    monkeypatch.setattr(gjflow.evolution, "evolution_rhs", counted_rhs)
+    monkeypatch.setattr(gjflow.evolution, "integrate_rk45", counted_integrate)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({
+        "weight": {"alpha": [0.5, 1.0, 1.5, 1.0], "pieces": [1.0, 1.5, 0.7],
+                   "trajectory": [[-2.0], [-0.5, 0.6, -0.4], [0.8, -0.3],
+                                  [2.0]]},
+        "n": 6, "evolve": {"t0": 0.0, "t1": 0.5, "samples": 10}}))
+    assert gjflow.cli.main(["evolve", "--config", str(path)]) == 0
+    (flow_stats,) = stats
+    assert len(calls) == flow_stats.fevals > 100
+    assert f"fevals={flow_stats.fevals}\n" in capsys.readouterr().out
 
 
 def test_init_state_packs_one_state():

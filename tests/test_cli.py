@@ -374,6 +374,34 @@ def test_collision_is_refused_before_any_quadrature(tmp_path, capsys,
     assert float(found.group(1)) == pytest.approx(0.5, abs=1e-3)
 
 
+@pytest.mark.parametrize("cmd", ["evolve", "verify", "moments"])
+def test_one_span_check_per_command(tmp_path, capsys, monkeypatch, cmd):
+    # x_2 = 0.3 t + 0.1 t^3: the slope of each of the two neighbour gaps is
+    # a quadratic, whose roots one span check finds with one polyroots call
+    calls = []
+    polyroots = np.polynomial.polynomial.polyroots
+    monkeypatch.setattr(np.polynomial.polynomial, "polyroots",
+                        lambda c: calls.append(1) or polyroots(c))
+    doc = {"weight": {"alpha": [0.5, 0.5, 0.5], "pieces": [1, 1],
+                      "trajectory": [[-1], [0, 0.3, 0, 0.1], [1]]},
+           "n": 3, "evolve": {"t0": 0, "t1": 1, "samples": 5}}
+    assert main([cmd, "--config", write_config(tmp_path, doc)]) == EXIT_OK
+    assert capsys.readouterr().err == ""
+    assert len(calls) == 2
+
+
+def test_trajectory_near_the_float_limit_fails_quietly(tmp_path, capsys):
+    # the trajectory's velocity and gap rows overflow; only the collision
+    # that check_span finds is reported
+    doc = {"weight": {"alpha": [0.5, 0.5, 0.5], "pieces": [1, 1],
+                      "trajectory": [[-1], [0, 0, 1e308], [1]]}}
+    code = main(["evolve", "--config", write_config(tmp_path, doc)])
+    captured = capsys.readouterr()
+    assert code == EXIT_NUMERICAL and captured.out == ""
+    assert re.fullmatch(r"numerical failure: EndpointCollision: [^\n]*\n",
+                        captured.err)
+
+
 @pytest.mark.parametrize("cmd, code", [("evolve", EXIT_OK),
                                        ("verify", EXIT_VERIFY),
                                        ("moments", EXIT_VERIFY)])

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gjflow import StepCollapse
 from gjflow import rk45
@@ -201,6 +203,21 @@ def test_dense_output_matches_closed_form(t0, t1):
     assert stats.accepted < 40
     assert sum(len(ts) == 14 for ts in rec.frame_calls) > 20
     np.testing.assert_allclose(out[:, 0], np.exp(np.sin(times)), rtol=1e-8)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.floats(-10.0, 10.0),
+       st.floats(1e-9, 1.0).flatmap(lambda h: st.sampled_from([h, -h])),
+       st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4))
+def test_dense_weights_are_the_running_product(t, h, xs):
+    # the scalar products equal, bit for bit and in the same memory layout,
+    # the np.cumprod form they replace, which the dense output dots
+    ts = [t + x * h for x in xs]
+    x = (np.array(ts) - t) / h
+    ref = np.cumprod([x, 1.0 - x, x, 1.0 - x, x, 1.0 - x, x], axis=0).T
+    got = rk45._dense_weights(ts, t, h)
+    assert got.shape == ref.shape and got.strides == ref.strides
+    assert got.tobytes() == ref.tobytes()
 
 
 def unfused_dop853(f, t0, t1, y0, rtol, atol, sample_times):

@@ -7,6 +7,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npoly
 
+import gjflow.evolution
+import gjflow.momentflow
 from gjflow import (
     BadConstant,
     BadExponent,
@@ -84,6 +86,13 @@ class TestEndpointTrajectory:
             # constant-only rows do not move
             assert traj.velocities(t)[0] == 0.0
             assert traj.velocities(t)[4] == 0.0
+
+    def test_coefficients_near_the_float_limit_build_quietly(self):
+        # 2e308 overflows the velocity row and inf - inf fills the gap
+        # table with nan; the suite turns a numpy warning into an error
+        traj = EndpointTrajectory(((-1.0,), (0.0, 0.0, 1e308), (1.0,)))
+        np.testing.assert_array_equal(traj.positions(0.0), [-1.0, 0.0, 1.0])
+        assert traj.velocities(1.0)[1] == np.inf
 
 
 class TestNodeData:
@@ -310,12 +319,45 @@ class TestCheckSpan:
     def test_a_gap_that_is_not_finite_refuses(self, slope, t):
         # x_2 - x_1 = 1e308 + slope * t: it overflows the float range near
         # t = 0.797, or its slope is not finite and it refuses at t0
-        with np.errstate(invalid="ignore"):  # the trajectory's own inf - inf
-            traj = EndpointTrajectory(((0.0,), (1e308, slope)))
+        traj = EndpointTrajectory(((0.0,), (1e308, slope)))
         w = GeneralizedJacobiWeight(np.full(2, 0.5), np.ones(1), traj)
         with pytest.raises(EndpointCollision, match="^endpoints x_1 and x_2 ") as info:
             check_span(w, 0.0, 1.0)
         assert info.value.t == pytest.approx(t, abs=1e-3)
+
+    def test_a_failing_span_raises_again_on_every_call(self):
+        # x_2 = 0.2 + 4t crosses x_3 = 1 at t = 0.2: only passes are kept
+        w = make_weight([0.5, 0.5, 0.5], [1.0, 1.0],
+                        EndpointTrajectory(((-1.0,), (0.2, 4.0), (1.0,))))
+        raised = []
+        for _ in range(3):
+            with pytest.raises(EndpointCollision) as info:
+                check_span(w, 0.0, 0.5)
+            raised.append((str(info.value), info.value.t))
+        assert raised[0][1] == pytest.approx(0.2 - 5e-9, rel=1e-12)
+        assert raised == raised[:1] * 3
+
+    @pytest.mark.parametrize("flow", ["evolve", "evolve_moments"])
+    def test_library_flows_refuse_an_unchecked_crossing(self, flow,
+                                                        monkeypatch):
+        # the span up to 0.1 passes and is remembered; the crossing at 0.2
+        # of the span up to 0.5, never checked, is refused before any step
+        def no_work(*args, **kwargs):
+            raise AssertionError("the flow started")
+
+        for module, name in ((gjflow.evolution, "init_states"),
+                             (gjflow.evolution, "integrate_rk45"),
+                             (gjflow.momentflow, "direct_moments"),
+                             (gjflow.momentflow, "integrate_rk45")):
+            monkeypatch.setattr(module, name, no_work)
+        run = {"evolve": gjflow.evolution.evolve,
+               "evolve_moments": gjflow.momentflow.evolve_moments}[flow]
+        w = make_weight([0.5, 0.5, 0.5], [1.0, 1.0],
+                        EndpointTrajectory(((-1.0,), (0.2, 4.0), (1.0,))))
+        check_span(w, 0.0, 0.1)
+        with pytest.raises(EndpointCollision, match=r"^endpoints x_2 and x_3 ") as info:
+            run(w, 3, (0.0, 0.5), sample_count=4)
+        assert info.value.t == pytest.approx(0.2 - 5e-9, rel=1e-12)
 
 
 def _log_weight(w, x, t):
