@@ -2,8 +2,8 @@
 
 Everything is organized around node values at the moving endpoints:
 weights and trajectories (``weights``), singularity-absorbing quadrature
-and Cauchy transforms (``quadrature``), recurrence coefficients and
-moments (``orthopoly``), ladder polynomials (``ladder``),
+and Cauchy transforms (``quadrature``), recurrence coefficients
+(``orthopoly``), ladder polynomials (``ladder``),
 the coefficient deformation ODE system (``evolution``), the linear
 moment flow (``momentflow``), and a CSV-emitting CLI (``cli``).
 """
@@ -23,7 +23,6 @@ from .errors import (
     NotConverged,
     StepCollapse,
     UnderResolved,
-    ZeroCoefficient,
 )
 from .evolution import (
     EvolutionReport,
@@ -40,9 +39,7 @@ from .ladder import (
     LadderReport,
     LadderValues,
     ladder_checks,
-    ladder_climb,
     ladder_init,
-    ladder_step,
     residue_sums,
 )
 from .momentflow import (
@@ -52,7 +49,6 @@ from .momentflow import (
 from .orthopoly import (
     RecurrenceTable,
     eval_polynomial,
-    moments,
     stieltjes_procedure,
 )
 from .quadrature import (

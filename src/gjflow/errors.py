@@ -56,10 +56,6 @@ class IndexOutOfRange(GJFlowError):
     """Requested degree/index exceeds what was computed."""
 
 
-class ZeroCoefficient(GJFlowError):
-    """A recurrence coefficient that must be nonzero vanished."""
-
-
 class EndpointCollision(GJFlowError):
     """Two neighbouring endpoints come within the gap floor of
     ``weights.check_span`` on a flow's span; ``t`` is the first time from t0

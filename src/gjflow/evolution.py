@@ -23,7 +23,7 @@ from typing import List
 
 import numpy as np
 
-from .errors import InitFailure, NonDistinctEndpoints
+from .errors import InitFailure
 from .ladder import LadderValues, _ladder_nodes
 from .orthopoly import eval_polynomial
 from .rk45 import IntegrationStats, integrate_rk45
@@ -190,12 +190,11 @@ def init_states(w: GeneralizedJacobiWeight, n: int, ts,
         raise InitFailure("evolution requires all exponents alpha_k > 0")
     ts = np.asarray(ts, dtype=float)
     try:
-        table, frames, _, _, lv = _ladder_nodes(w, ts, n, npts)
+        table, frames, _, lv = _ladder_nodes(w, ts, n, npts)
     except Exception as exc:  # noqa: BLE001 - surfaced as one condition
         # the first failing time of the step that failed (ordering check or
         # recurrence); the times before it passed that step, not all steps
-        i = (int(np.argmax(ts == exc.t)) if isinstance(exc, NonDistinctEndpoints)
-             else getattr(exc, "row", 0))
+        i = getattr(exc, "row", 0)
         if i:
             init_states(w, n, ts[:i], npts)
         raise InitFailure(
@@ -316,7 +315,7 @@ def pn_time_derivative_check(w: GeneralizedJacobiWeight, n: int, x: float,
     endpoint x_j(t). One ``_ladder_nodes`` pass at t, t + h and t - h gives
     the three tables, the node positions at t +/- h and the node values at t.
     """
-    tables, frames, _, _, lv = _ladder_nodes(w, (t, t + h, t - h), n, npts)
+    tables, frames, _, lv = _ladder_nodes(w, (t, t + h, t - h), n, npts)
     table, lv, nd = tables.row(0), lv.row(0), node_data(w, t)
     # fixed x off node, then along the node trajectory x_j(t)
     formula = _dp_dt_formula(w, table, lv, nd, n, x)

@@ -5,6 +5,13 @@ relation ``W p_n' = (Omega_n - V) p_n - a_n Theta_n p_{n-1}`` for weights
 with rational logarithmic derivative 2V/W. With m endpoints, deg Omega_n
 <= m-1 and deg Theta_n <= m-2, so everything is carried as the m node
 values Theta_n(x_j), Omega_n(x_j).
+
+``ladder_init`` takes the node values of one degree from the Cauchy
+transforms of p_n and p_{n-1} at the nodes, in one pass at any degree;
+``ladder_checks`` measures the identities they satisfy. The paper's
+degree-raising recursion from n to n + 1 is not used by any command: it
+lives in ``tests/ladder_ref.py``, a reference ``ladder_init`` is compared
+against.
 """
 
 from __future__ import annotations
@@ -13,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IndexOutOfRange, ZeroCoefficient
+from .errors import IndexOutOfRange
 from .orthopoly import eval_polynomial, stieltjes_recurrence
 from .quadrature import cauchy_node_matrices, default_npts
 from .weights import GeneralizedJacobiWeight, NodeFrames, barycentric_interpolate
@@ -60,7 +67,7 @@ def _ladder_nodes(w: GeneralizedJacobiWeight, ts, n: int, npts: int | None):
     ``stieltjes_recurrence`` to degree n + 1 over the measure's points
     and the nodes, all times at once, gives the table and p_n, p_{n-1}
     everywhere; Q turns them into q_n, q_{n-1} at the nodes. Returns
-    (table, NodeFrames, Q, (p_n, p_{n-1}, q_n, q_{n-1}) at the nodes,
+    (table, NodeFrames, (p_n, p_{n-1}, q_n, q_{n-1}) at the nodes,
     LadderValues), each with one row per time; the node formula is that
     of ``ladder_init``. ``npts`` None is ``default_npts(n)``.
     """
@@ -79,7 +86,7 @@ def _ladder_nodes(w: GeneralizedJacobiWeight, ts, n: int, npts: int | None):
     omega = 0.5 * aw + a_n * aw * qn * pnm1  # V(x_j) = alpha_j W'(x_j)/2
     # Theta_{-1} = 0: zeros, not the -0.0 that p_{-1} = 0 gives at W' < 0
     theta_prev = aw * pnm1 * qm if n >= 1 else np.zeros_like(theta)
-    return table, frames, Q, (pn, pnm1, qn, qm), LadderValues(
+    return table, frames, (pn, pnm1, qn, qm), LadderValues(
         n=n, theta=theta, omega=omega, theta_prev=theta_prev)
 
 
@@ -94,51 +101,6 @@ def ladder_init(w: GeneralizedJacobiWeight, t: float, n: int,
     alike, come from ``_ladder_nodes`` at the one time t.
     """
     return _ladder_nodes(w, (t,), n, npts)[-1].row(0)
-
-
-def ladder_step(values: LadderValues, x_nodes, a_n: float, a_next: float,
-                b_n: float) -> LadderValues:
-    """Advance the node values from degree n to n+1.
-
-    Omega_{n+1}(x_j) = (x_j - b_n) Theta_n(x_j) - Omega_n(x_j);
-    Theta_{n+1}(x_j) = [(x_j - b_n)(Omega_{n+1}(x_j) - Omega_n(x_j))
-                        + a_n^2 Theta_{n-1}(x_j)] / a_{n+1}^2
-    (the node polynomial term vanishes since W(x_j) = 0). The second line
-    carries Theta_{n-1}, matching the classical ladder compatibility
-    condition; this is confirmed against the Cauchy-transform
-    initialization to roundoff.
-    """
-    if a_next == 0.0:
-        raise ZeroCoefficient(f"a_{values.n + 1} = 0 in ladder step")
-    x = np.asarray(x_nodes, dtype=float)
-    xb = x - b_n
-    omega_new = xb * values.theta - values.omega
-    theta_new = (xb * (omega_new - values.omega)
-                 + a_n * a_n * values.theta_prev) / (a_next * a_next)
-    return LadderValues(n=values.n + 1, theta=theta_new, omega=omega_new,
-                        theta_prev=values.theta.copy())
-
-
-def ladder_climb(w: GeneralizedJacobiWeight, t: float, n: int,
-                 npts: int | None = None) -> LadderValues:
-    """Climb from the degree-0 node values at t to degree n via ladder_step
-    alone, on the recurrence coefficients of one ``_ladder_nodes`` pass to
-    degree n at the same t.
-
-    The start comes from that pass too: p_0 = gamma_0 is constant, so
-    Theta_0(x_j) = alpha_j W'(x_j) gamma_0^2 (Q @ 1)_j and
-    Omega_0(x_j) = V(x_j) = alpha_j W'(x_j)/2.
-    """
-    table, frames, Q, _, _ = _ladder_nodes(w, (t,), n, npts)
-    table, x = table.row(0), frames.x[0]
-    aw = w.alpha * frames.wprime[0]
-    gamma0 = table.gamma[0]
-    values = LadderValues(n=0, theta=aw * gamma0 * gamma0 * Q[0].sum(axis=-1),
-                          omega=0.5 * aw, theta_prev=np.zeros_like(aw))
-    for k in range(n):
-        values = ladder_step(values, x, table.a[k],
-                             float(table.a[k + 1]), float(table.b[k]))
-    return values
 
 
 def residue_sums(values: LadderValues, nd: NodeFrames):
@@ -159,7 +121,7 @@ def ladder_checks(w: GeneralizedJacobiWeight, t: float, n: int,
     p_n is evaluated from at the sample points, and p_n, p_{n-1}, q_n,
     q_{n-1} at the nodes.
     """
-    table, frames, _, (pn_j, pnm1_j, qn_j, qm_j), lv = _ladder_nodes(
+    table, frames, (pn_j, pnm1_j, qn_j, qm_j), lv = _ladder_nodes(
         w, (t,), n, npts)
     table, nd, values = table.row(0), frames.row(0), lv.row(0)
     sa = w.sum_alpha

@@ -1,12 +1,12 @@
-"""Orthonormal polynomial recurrence coefficients and moments.
+"""Orthonormal polynomial recurrence coefficients.
 
 The three-term recurrence is
 ``a_{n+1} p_{n+1}(x) = (x - b_n) p_n(x) - a_n p_{n-1}(x)`` with
 ``p_n(x) = gamma_n x^n + ...`` orthonormal against the weight. The
-quadrature-backed discretized Stieltjes procedure is the primary path
-(``stieltjes_recurrence`` can carry p_n over points beyond the measure's);
-``moments`` gives all plain moments about x_1 up to a degree (Hankel
-determinants at small n); ``momentflow.direct_moments`` gives mu_n alone.
+coefficients come from the discretized Stieltjes procedure on the
+quadrature measure (``stieltjes_recurrence`` can carry p_n over points
+beyond the measure's); ``momentflow.direct_moments`` gives the moments
+mu_n that the ``moments`` command reports.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IndexOutOfRange, LostOrthogonality, NonFinite
-from .quadrature import _stacked_points, default_npts, discretized_measure
+from .quadrature import default_npts, discretized_measure
 from .weights import GeneralizedJacobiWeight
 
 
@@ -84,8 +84,8 @@ def stieltjes_recurrence(xs: np.ndarray, ws: np.ndarray, N: int):
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         # scalar pow: numpy's vectorized pow can differ from it in the
         # last bit
-        gamma0 = np.array([[mu ** -0.5 if mu > 0.0 else np.inf]
-                           for mu in mu0.tolist()])
+        gamma0 = np.array([mu ** -0.5 if mu > 0.0 else np.inf
+                           for mu in mu0.tolist()])[:, None]
         # four buffers rotate in place; every product runs on the whole
         # rows (a strided column view costs more per product), and the dot
         # products read the measure's columns of ``sq``
@@ -160,21 +160,3 @@ def eval_polynomial(table: RecurrenceTable, n: int, x):
     if scalar:
         return float(p[0]), float(d[0]), float(p_prev[0])
     return p, d, p_prev
-
-
-def moments(w: GeneralizedJacobiWeight, t: float, nmax: int,
-            npts: int | None = None) -> np.ndarray:
-    """Moments mu_n = int w(u) (u - x_1)^n du for n = 0..nmax, on npts
-    points per piece, by default ``default_npts(nmax)``."""
-    if nmax < 0:
-        raise IndexOutOfRange(f"nmax must be >= 0, got {nmax}")
-    frames, xs, ws = _stacked_points(
-        w, (t,), default_npts(nmax) if npts is None else npts)[:3]
-    shifted = xs[0] - frames.x[0, 0]
-    mu = np.empty(nmax + 1)
-    pw = np.ones_like(shifted)
-    for n in range(nmax + 1):
-        mu[n] = np.dot(ws[0], pw)
-        pw = pw * shifted
-    return mu
-

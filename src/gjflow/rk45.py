@@ -314,7 +314,8 @@ def integrate_rk45(rhs: Callable[[Any, np.ndarray, np.ndarray], Any],
     soon as the controller's step falls below the floor
     min_step_frac * |t1 - t0|, so no attempt runs below it; only the step
     clipped to end on t1, which may sit arbitrarily close, is exempt.
-    Raises ValueError unless t0 and t1 are finite and differ.
+    Raises ValueError unless t0, t1 and the sample times are finite and t0
+    and t1 differ.
     """
     y = np.asarray(y0, dtype=float)
     if sample_times is None:
@@ -328,6 +329,8 @@ def integrate_rk45(rhs: Callable[[Any, np.ndarray, np.ndarray], Any],
     direction = 1.0 if span > 0 else -1.0
     samples = sample_times.tolist()  # read one at a time as floats
     nsamples = len(samples)
+    if not all(map(math.isfinite, samples)):
+        raise ValueError(f"sample times must be finite, got {samples}")
     if any(direction * (b - a) < 0 for a, b in zip(samples, samples[1:])):
         raise ValueError("sample times must be ordered toward t1")
     if nsamples and (direction * (samples[0] - t0) < 0

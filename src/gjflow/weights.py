@@ -8,6 +8,7 @@ and piece constants do not depend on t, only the endpoints move.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -89,13 +90,6 @@ class EndpointTrajectory:
         """Endpoints that do not move."""
         return EndpointTrajectory(tuple((float(p),) for p in points))
 
-    @staticmethod
-    def affine(points, velocities) -> "EndpointTrajectory":
-        """x_k(t) = p_k + v_k * t."""
-        return EndpointTrajectory(
-            tuple((float(p), float(v)) for p, v in zip(points, velocities))
-        )
-
     def positions(self, t: float) -> np.ndarray:
         return _horner([c[:self.m] for c in self._cols], t)
 
@@ -162,7 +156,7 @@ def make_weight(alpha, pieces, trajectory, t_ref: float = 0.0) -> GeneralizedJac
 
     Raises BadExponent unless every alpha_k is finite and > -1, BadConstant
     unless every C_j is finite and > 0, NonDistinctEndpoints if the
-    trajectory is not strictly ordered at t_ref.
+    trajectory is not strictly ordered at t_ref (a NaN t_ref is not).
     """
     alpha = np.asarray(alpha, dtype=float)
     pieces = np.asarray(pieces, dtype=float)
@@ -182,10 +176,10 @@ def make_weight(alpha, pieces, trajectory, t_ref: float = 0.0) -> GeneralizedJac
         raise BadConstant(
             f"piece constants must be finite and > 0, got {pieces.tolist()}")
     x = trajectory.positions(t_ref)
-    if np.any(np.diff(x) <= 0.0):
+    if not (x[:-1] < x[1:]).all():
         raise NonDistinctEndpoints(
-            f"endpoints not strictly increasing at t={t_ref}: {x.tolist()}"
-        )
+            f"endpoints not strictly increasing at t={t_ref}: {x.tolist()}",
+            t=t_ref)
     return GeneralizedJacobiWeight(alpha=alpha, pieces=pieces, trajectory=trajectory)
 
 
@@ -204,20 +198,23 @@ def stage_node_data(w: GeneralizedJacobiWeight, ts) -> NodeFrames:
     diagonal. Every array of the bundle is read-only; ``t`` is a copy of
     ``ts``.
 
-    Raises NonDistinctEndpoints, carrying its ``t``, at the first time
-    whose positions are not strictly increasing.
+    Raises NonDistinctEndpoints, carrying its ``t`` and its index ``row``
+    in ``ts``, at the first time whose positions are not strictly
+    increasing, as at a NaN time.
     """
     ts = np.array(ts, dtype=float)
     s, m = len(ts), w.m
     v = _horner(w.trajectory._cols, ts[:, None])
     v.setflags(write=False)
     x = v[:, :m]
-    bad = x[:, :-1] >= x[:, 1:]
-    if np.count_nonzero(bad):  # cheaper than bad.any() on this small view
-        i = int(np.argmax(bad.any(axis=1)))
+    ordered = x[:, :-1] < x[:, 1:]  # False at NaN
+    if np.count_nonzero(ordered) < ordered.size:  # cheaper than not .all()
+        i = int(np.argmin(ordered.all(axis=1)))
         t = float(ts[i])
-        raise NonDistinctEndpoints(
+        exc = NonDistinctEndpoints(
             f"endpoints not strictly increasing at t={t}: {x[i].tolist()}", t=t)
+        exc.row = i
+        raise exc
     fraction = v[:, m:].reshape(s, 2, m, m + 2)
     basis = np.divide(fraction[:, 0], fraction[:, 1])
     np.multiply(x, basis[:, :, 0], out=basis[:, :, 1])
@@ -249,7 +246,10 @@ def check_span(w: GeneralizedJacobiWeight, t0: float, t1: float) -> None:
     trajectory remembers the spans that passed: a command that checks its
     span before its flow does the work once, and the flow's own check
     finds it done. A span that fails is worked out again on every call.
+    Raises ValueError unless t0 and t1 are finite.
     """
+    if not (math.isfinite(t0) and math.isfinite(t1)):
+        raise ValueError(f"t0 and t1 must be finite, got {t0} and {t1}")
     passed = w.trajectory._passed_spans
     if (t0, t1) not in passed:
         _check_gaps(w.trajectory, t0, t1)

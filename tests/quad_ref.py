@@ -1,6 +1,7 @@
 """Per-piece absorbed quadrature, one Gauss-Jacobi rule at a time: an oracle
-for the stacked rule table of ``gjflow.quadrature``, for ``init_state`` and
-for the direct moments of ``gjflow.momentflow``.
+for the stacked rule table of ``gjflow.quadrature``, for ``init_state``,
+for the direct moments of ``gjflow.momentflow`` and for the plain moments
+that Hankel determinants are taken of.
 
 Every rule is built on its own with ``gauss_jacobi_rule`` and mapped to its
 piece in a loop; the Cauchy transform at a node is a sum over pieces, with
@@ -68,6 +69,13 @@ def cauchy_transform(w, t, f, j, npts):
         xs, eff = piece_points(w, x, j, npts, a[j] - 1.0, a[j + 1])
         total -= np.sum(eff * f(xs))
     return total
+
+
+def moments(w, t, nmax, npts=64):
+    """mu_k = int w (u - x_1)^k du for k = 0..nmax on ``measure``."""
+    xs, ws = measure(w, t, npts)
+    u = xs - _positions(w, t)[0]
+    return np.array([np.sum(ws * u ** k) for k in range(nmax + 1)])
 
 
 def direct_moments(w, n, t, npts=64):

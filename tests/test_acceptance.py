@@ -13,6 +13,8 @@ import numpy as np
 
 from hankel_ref import hankel_det
 from jacobi_ref import jacobi_orthonormal_coeffs
+from ladder_ref import ladder_climb
+from quad_ref import moments
 from gjflow import (
     EndpointTrajectory,
     evolution_rhs,
@@ -21,10 +23,8 @@ from gjflow import (
     init_state,
     init_states,
     ladder_checks,
-    ladder_climb,
     ladder_init,
     make_weight,
-    moments,
     node_data,
     pn_time_derivative_check,
     stieltjes_procedure,
@@ -118,17 +118,17 @@ def test_criterion_4_covariance_laws():
     ok = True
 
     shift = make_weight([0.5, 0.5, 0.5], [1.0, 1.0],
-                        EndpointTrajectory.affine([-1.0, 0.2, 1.0],
-                                                 [1.0, 1.0, 1.0]))
+                        EndpointTrajectory(((-1.0, 1.0), (0.2, 1.0),
+                                            (1.0, 1.0))))
     rep = evolve(shift, 4, (0.0, 0.7), sample_count=8)
     a, b = rep.ys[:, 0], rep.ys[:, 1]
     for t, a_t, b_t in zip(rep.times, a, b):
         ok &= abs(b_t - (b[0] + t)) <= 1e-8
         ok &= abs(a_t - a[0]) <= 1e-8
 
-    pts = [-1.0, 0.2, 1.0]
+    pts = [-1.0, 0.2, 1.0]  # x(t) = x0 (1 + t)
     dil = make_weight([0.5, 0.5, 0.5], [1.0, 1.0],
-                      EndpointTrajectory.affine(pts, pts))  # x(t) = x0 (1 + t)
+                      EndpointTrajectory(tuple(zip(pts, pts))))
     repd = evolve(dil, 4, (0.0, 0.5), sample_count=8)
     a = repd.ys[:, 0]
     for t, a_t in zip(repd.times, a):

@@ -42,8 +42,8 @@ class TestEvolutionRhs:
 
     def test_translation(self):
         w = make_weight([0.5, 0.5, 0.5], [1.0, 1.0],
-                        EndpointTrajectory.affine([-1.0, 0.2, 1.0],
-                                                  [1.0, 1.0, 1.0]))
+                        EndpointTrajectory(((-1.0, 1.0), (0.2, 1.0),
+                                            (1.0, 1.0))))
         s = init_state(w, 4, 0.0)
         d = evolution_rhs(s.pack(), node_data(w, 0.0).basis)
         assert abs(d[0]) < 1e-10          # a_dot
@@ -53,7 +53,7 @@ class TestEvolutionRhs:
     def test_dilation(self):
         pts = [-1.0, 0.2, 1.0]
         w = make_weight([0.5, 0.5, 0.5], [1.0, 1.0],
-                        EndpointTrajectory.affine(pts, pts))
+                        EndpointTrajectory(tuple(zip(pts, pts))))
         s = init_state(w, 4, 0.0)
         d = evolution_rhs(s.pack(), node_data(w, 0.0).basis)
         assert d[0] / s.a == pytest.approx(1.0, abs=1e-10)
@@ -234,7 +234,7 @@ class TestEvolve:
 
     def test_m2_translation_covariance(self):
         w = make_weight([0.5, 0.5], [1.0],
-                        EndpointTrajectory.affine([-1.0, 1.0], [1.0, 1.0]))
+                        EndpointTrajectory(((-1.0, 1.0), (1.0, 1.0))))
         rep = evolve(w, 4, (0.0, 1.0))
         (a0, b0), (a1, b1) = rep.ys[0, :2], rep.ys[-1, :2]
         assert b1 == pytest.approx(b0 + 1.0, abs=1e-8)
@@ -382,6 +382,17 @@ class TestInitStates:
         msg = self.failure(5, [0.0, 1.6, 1.8], 64)
         assert msg.startswith("state initialization failed at t=1.6: "
                               "endpoints not strictly increasing at t=1.6: ")
+
+    def test_a_nan_time_is_not_ordered(self):
+        # NaN positions compare False both ways: the order check refuses
+        # them before the recurrence, which would blame the overflow of gamma_0
+        msg = self.failure(5, [0.0, np.nan, 0.5], 64)
+        assert msg.startswith("state initialization failed at t=nan: "
+                              "endpoints not strictly increasing at t=nan: ")
+
+    def test_no_times_give_no_rows(self, moving3):
+        # as the batched builders, one row per time
+        assert init_states(moving3, 5, []).shape == (0, 3 + 3 * moving3.m)
 
     @pytest.mark.parametrize("samples", [2, 7, 21])
     def test_verify_builds_the_oracle_in_one_pass(self, moving3, monkeypatch,

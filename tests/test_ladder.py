@@ -12,12 +12,9 @@ import gjflow.weights
 from gjflow import (
     EndpointTrajectory,
     IndexOutOfRange,
-    ZeroCoefficient,
     eval_polynomial,
     ladder_checks,
-    ladder_climb,
     ladder_init,
-    ladder_step,
     make_weight,
     node_data,
     pn_time_derivative_check,
@@ -26,6 +23,7 @@ from gjflow import (
 )
 from gjflow.cli import main
 from gjflow.quadrature import cauchy_node_matrices
+from ladder_ref import ladder_climb, ladder_step
 from test_quadrature import q_at_node
 
 
@@ -130,7 +128,8 @@ class TestLadderInit:
         x0 = np.cumsum(rng.uniform(0.1, 1.0, size=m))
         w = make_weight(rng.uniform(0.2, 1.8, size=m),
                         rng.uniform(0.5, 2.0, size=m - 1),
-                        EndpointTrajectory.affine(x0, rng.uniform(-0.2, 0.2, m)))
+                        EndpointTrajectory(tuple(
+                            zip(x0, rng.uniform(-0.2, 0.2, m)))))
         t = 0.05
         for n in (0, 1, 5, 20):
             table = stieltjes_procedure(w, t, n + 1)
@@ -149,6 +148,9 @@ class TestLadderInit:
 
 
 class TestLadderStep:
+    """``ladder_init`` against the degree-raising recursion of
+    ``ladder_ref``."""
+
     def test_matches_init_up_to_ten(self, ref3):
         self.assert_climb_matches_init(ref3, 0.0)
 
@@ -182,16 +184,16 @@ class TestLadderStep:
         assert s2 == pytest.approx(5 + sa / 2.0, rel=1e-8)
 
     def test_degree_above_the_table_rejected(self, ref3):
-        # the climb builds its own table to degree n, so only a negative
-        # degree is left to reject
+        # ladder_init builds its own table to degree n + 1, so only a
+        # negative degree is left to reject
         with pytest.raises(IndexOutOfRange, match="degree must be >= 0, got -1"):
-            ladder_climb(ref3, 0.0, -1)
+            ladder_init(ref3, 0.0, -1)
 
     def test_zero_coefficient_rejected(self, ref3):
         table = stieltjes_procedure(ref3, 0.0, 3)
         nd = node_data(ref3, 0.0)
         lv = ladder_init(ref3, 0.0, 1)
-        with pytest.raises(ZeroCoefficient):
+        with pytest.raises(ValueError, match="a_2 = 0 in ladder step"):
             ladder_step(lv, nd.x, table.a[1], 0.0, table.b[1])
 
 
@@ -292,13 +294,6 @@ def test_cli_ladder_queries_build_once(moving6, tmp_path, capsys, monkeypatch,
     assert main([cmd, "--config", str(path)]) == 0
     assert "FAIL" not in capsys.readouterr().out
     assert calls == passes
-
-
-def test_ladder_climb_builds_once(moving6, monkeypatch):
-    # the degree-0 start comes from the same pass as the coefficients
-    calls = _count_passes(monkeypatch)
-    ladder_climb(moving6, 0.1, 30)
-    assert calls == {"stieltjes_recurrence": 1, "cauchy_node_matrices": 1}
 
 
 def test_time_derivative_check_builds_once(moving6, monkeypatch):

@@ -12,7 +12,6 @@ from gjflow import (
     evolve_moments,
     make_weight,
     moment_rhs,
-    moments,
     node_data,
 )
 from gjflow.momentflow import beta_exponents, direct_moments
@@ -35,7 +34,7 @@ class TestMomentRhs:
 
     def test_translation_zero(self):
         w = make_weight([0.5, 0.5], [1.0],
-                        EndpointTrajectory.affine([-1.0, 1.0], [1.0, 1.0]))
+                        EndpointTrajectory(((-1.0, 1.0), (1.0, 1.0))))
         nd = node_data(w, 0.0)
         nu = direct_moments(w, 3, (0.0,))[1][0]
         d = moment_rhs(nu, nd.basis, w.alpha, beta_exponents(3, w.m))
@@ -128,21 +127,23 @@ def test_direct_moments_property(cfg, offsets):
 
 class TestMuIdentity:
     """The mu_n and gap columns of the ``moments`` command: mu_n and
-    nu_{n,1} from ``direct_moments``; ``moments`` gives all the powers."""
+    nu_{n,1} from ``direct_moments``; ``quad_ref.moments`` gives all the
+    powers in extended precision."""
 
     def test_mu_n_is_a_moment(self, stretching2):
         mu, _ = direct_moments(stretching2, 7, (0.0, 0.3))
         for t, mu_n in zip((0.0, 0.3), mu):
-            assert mu_n == pytest.approx(moments(stretching2, t, 7)[7], rel=1e-14)
+            ref = quad_ref.moments(stretching2, t, 7)[7]
+            assert mu_n == pytest.approx(ref, rel=1e-14)
 
     def test_chebyshev_mu0(self, cheb):
-        mu0 = moments(cheb, 0.0, 0)[0]
+        mu0 = quad_ref.moments(cheb, 0.0, 0)[0]
         assert mu0 == pytest.approx(np.pi / 2, rel=1e-13)
 
     def test_gap_is_reported_not_zero(self, cheb):
         # with m = 2 the literal definitions differ: nu_{n,1} carries the
         # extra factor (u - x_2), so the gap is nonzero by definition
-        mu0 = moments(cheb, 0.0, 0)[0]
+        mu0 = quad_ref.moments(cheb, 0.0, 0)[0]
         nu1 = direct_moments(cheb, 0, (0.0,))[1][0][0]
         gap = abs(mu0 - nu1) / max(abs(mu0), abs(nu1), 1e-300)
         assert np.isfinite(gap)
@@ -160,7 +161,7 @@ class TestRegularity:
     def test_hankel_positive_along_trajectory(self, stretching2):
         mins = []
         for t in np.linspace(0.0, 0.5, 6):
-            mu = moments(stretching2, t, 12)
+            mu = quad_ref.moments(stretching2, t, 12)
             dets = [hankel_det(mu, n) for n in range(1, 7)]
             assert all(d > 0.0 for d in dets)
             mins.append(min(dets))

@@ -400,6 +400,24 @@ def test_rejects_non_finite_span(t0, t1):
     assert calls == []
 
 
+@pytest.mark.parametrize("samples", [[np.nan], [0.2, np.nan, 0.8], [np.inf],
+                                     [-np.inf, 0.5]])
+def test_rejects_non_finite_sample_times(samples):
+    # a NaN sample time passes the order and range checks, and no step
+    # covers it; the capped rhs turns such a loop into a failure
+    calls = []
+
+    def capped(t, y, out):
+        calls.append(t)
+        assert len(calls) < 5000, "the integrator ran on"
+        out[:] = -y
+
+    with pytest.raises(ValueError, match="^sample times must be finite, got "):
+        integrate_rk45(capped, time_frames, 0.0, 1.0, [1.0],
+                       sample_times=np.array(samples))
+    assert calls == []
+
+
 def test_non_finite_slope_takes_the_fixed_start():
     # y' = 1/y from y0 = 0: the slope at the start is infinite, so the
     # first attempt has the fixed size 1e-3 (no probe evaluation); every

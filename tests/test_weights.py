@@ -61,6 +61,11 @@ class TestMakeWeight:
         with pytest.raises(BadExponent, match="at least two endpoints"):
             make_weight([0.5], [], EndpointTrajectory.fixed([0.0]))
 
+    def test_nan_reference_time(self, cheb):
+        with pytest.raises(NonDistinctEndpoints) as info:
+            make_weight(cheb.alpha, cheb.pieces, cheb.trajectory, t_ref=np.nan)
+        assert np.isnan(info.value.t)
+
     def test_trajectory_length_mismatch(self):
         with pytest.raises(NonDistinctEndpoints):
             make_weight([0.5, 0.5], [1.0],
@@ -134,7 +139,7 @@ class TestNodeData:
 
     def test_collision_at_query_time(self):
         w = make_weight([0.5, 0.5], [1.0],
-                        EndpointTrajectory.affine([-1.0, 1.0], [2.0, 0.0]))
+                        EndpointTrajectory(((-1.0, 2.0), (1.0, 0.0))))
         with pytest.raises(NonDistinctEndpoints) as info:
             node_data(w, 1.0)
         assert info.value.t == 1.0
@@ -214,6 +219,15 @@ class TestStageNodeData:
         assert info.value.t == 0.2
         assert str(info.value) == (
             "endpoints not strictly increasing at t=0.2: [-1.0, 1.0, 1.0]")
+
+    def test_a_nan_time_is_not_ordered(self, moving3):
+        with pytest.raises(NonDistinctEndpoints) as info:
+            stage_node_data(moving3, [0.1, np.nan, 0.3])
+        assert np.isnan(info.value.t) and info.value.row == 1
+        assert str(info.value) == (
+            "endpoints not strictly increasing at t=nan: [nan, nan, nan]")
+        with pytest.raises(NonDistinctEndpoints, match="at t=nan: "):
+            node_data(moving3, np.nan)
 
 
 @st.composite
@@ -337,6 +351,30 @@ class TestCheckSpan:
         assert raised[0][1] == pytest.approx(0.2 - 5e-9, rel=1e-12)
         assert raised == raised[:1] * 3
 
+    @pytest.mark.parametrize("t0, t1", [(0.0, np.nan), (np.nan, 0.3),
+                                        (0.0, np.inf), (-np.inf, 0.3),
+                                        (np.inf, 0.0), (0.0, -np.inf)])
+    @pytest.mark.parametrize("entry", ["check_span", "evolve", "evolve_moments"])
+    def test_a_non_finite_end_time_is_refused(self, moving3, monkeypatch,
+                                              entry, t0, t1):
+        # a NaN end time never ends the collision bisection; the cap on its
+        # gap evaluations turns such a loop into a failure
+        calls = []
+
+        def capped(*args):
+            calls.append(None)
+            assert len(calls) < 1000, "the span check ran on"
+            return horner(*args)
+
+        horner = gjflow.weights._horner
+        monkeypatch.setattr(gjflow.weights, "_horner", capped)
+        run = {"check_span": lambda span: check_span(moving3, *span),
+               "evolve": lambda span: gjflow.evolution.evolve(moving3, 3, span),
+               "evolve_moments": lambda span: gjflow.momentflow.evolve_moments(
+                   moving3, 3, span)}[entry]
+        with pytest.raises(ValueError, match="^t0 and t1 must be finite, got "):
+            run((t0, t1))
+
     @pytest.mark.parametrize("flow", ["evolve", "evolve_moments"])
     def test_library_flows_refuse_an_unchecked_crossing(self, flow,
                                                         monkeypatch):
@@ -410,8 +448,8 @@ class TestLogDerivatives:
     @pytest.fixture
     def moving(self):
         return make_weight([0.6, 0.4, 1.1], [1.0, 2.0],
-                           EndpointTrajectory.affine([-1.0, 0.1, 1.2],
-                                                     [0.3, -0.2, 0.5]))
+                           EndpointTrajectory(((-1.0, 0.3), (0.1, -0.2),
+                                               (1.2, 0.5))))
 
     def test_dlogw_dx_finite_difference(self, moving):
         # 2 V / W against a central difference of log w in x
