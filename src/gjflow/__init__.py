@@ -27,7 +27,6 @@ from .errors import (
 from .evolution import (
     EvolutionReport,
     EvolutionState,
-    VerificationTable,
     evolution_rhs,
     evolve,
     init_state,

@@ -20,13 +20,14 @@ from typing import List, Optional
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, GJFlowError, StepCollapse, UnderResolved
+from .errors import (BadConstant, BadExponent, ConfigError, GJFlowError,
+                     NonDistinctEndpoints, StepCollapse)
 from .evolution import (_relative, _state_labels, evolve, init_states,
                         verify_against_direct)
 from .ladder import ladder_checks
 from .momentflow import direct_moments, evolve_moments
-from .orthopoly import stieltjes_procedure
-from .quadrature import default_npts, discretized_measure, gauss_jacobi_rule
+from .orthopoly import stieltjes_procedure, stieltjes_recurrence
+from .quadrature import discretized_measure, gauss_jacobi_rule, npts_for
 from .weights import EndpointTrajectory, check_span, make_weight
 
 EXIT_OK = 0
@@ -43,7 +44,7 @@ class RunConfig:
     pieces: List[float]
     trajectory: List[List[float]]
     n: int = 5
-    npts: int = 64
+    npts: Optional[int] = None  # parse_config resolves it with npts_for
     t0: float = 0.0
     t1: float = 1.0
     rtol: float = 1e-9
@@ -54,7 +55,12 @@ class RunConfig:
 
     def weight(self):
         traj = EndpointTrajectory(tuple(tuple(c) for c in self.trajectory))
-        return make_weight(self.alpha, self.pieces, traj, t_ref=self.t0)
+        try:
+            return make_weight(self.alpha, self.pieces, traj, t_ref=self.t0)
+        except (BadExponent, BadConstant, NonDistinctEndpoints) as exc:
+            field = {BadExponent: "alpha", BadConstant: "pieces"}.get(
+                type(exc), "trajectory")
+            raise ConfigError(f"weight.{field}: {exc}") from exc
 
     def resolved(self) -> str:
         return json.dumps(vars(self), separators=(",", ":"))
@@ -111,7 +117,7 @@ def parse_config(text: str, strict: bool = False,
     ``overrides`` maps fields of ``_OVERRIDES`` to values that replace the
     document's (None leaves a field alone) before validation, so a flag
     fails as its field would. ``npts``, when neither gives it, is
-    ``default_npts`` of the resolved ``n``.
+    ``npts_for`` of the resolved ``n``.
     """
     try:
         doc = json.loads(text)
@@ -148,7 +154,6 @@ def parse_config(text: str, strict: bool = False,
     ]
 
     cfg = RunConfig(alpha=alpha, pieces=pieces, trajectory=trajectory)
-    npts = None
     if "n" in doc:
         cfg.n = _integer(doc["n"], "n", 0, "must be a non-negative integer")
     if "quad" in doc:
@@ -156,8 +161,8 @@ def parse_config(text: str, strict: bool = False,
         _require(isinstance(qsec, dict), "quad", "must be an object")
         _check_keys(qsec, {"npts"}, "quad.", strict)
         if "npts" in qsec:
-            npts = _integer(qsec["npts"], "quad.npts", 1,
-                            "must be a positive integer")
+            cfg.npts = _integer(qsec["npts"], "quad.npts", 1,
+                                "must be a positive integer")
     if "evolve" in doc:
         esec = doc["evolve"]
         _require(isinstance(esec, dict), "evolve", "must be an object")
@@ -183,7 +188,7 @@ def parse_config(text: str, strict: bool = False,
         if "rtol" in vsec:
             cfg.verify_rtol = _finite_number(vsec["rtol"], "verify.rtol")
             _require(cfg.verify_rtol > 0, "verify.rtol", "must be positive")
-    cfg.npts = default_npts(cfg.n) if npts is None else npts
+    cfg.npts = npts_for(cfg.n) if cfg.npts is None else cfg.npts
     return cfg
 
 
@@ -237,13 +242,15 @@ def _steps_comment(stats) -> str:
 
 def cmd_coeffs(cfg: RunConfig, out) -> int:
     w = cfg.weight()
-    table = _selfchecked(
-        cfg, "coeffs",
-        lambda npts: stieltjes_procedure(w, cfg.t0, cfg.n + 1, npts),
-        lambda table: np.concatenate((table.a, table.b, table.gamma)))
-    rows = np.column_stack([c[:cfg.n + 1] for c in (table.a, table.b, table.gamma)])
-    rows = [[n, *row] for n, row in enumerate(rows.tolist())]
-    _emit(out, cfg, ("n", "a_n", "b_n", "gamma_n"), rows)
+
+    # the table to n + 1 gives b_n; its a_{n+1} and gamma_{n+1}, which the
+    # n + 2 points of degree n do not resolve, are neither printed nor checked
+    def rows(npts):
+        t = stieltjes_recurrence(*discretized_measure(w, cfg.t0, npts), cfg.n + 1)[0]
+        return np.column_stack([c[0, :cfg.n + 1] for c in (t.a, t.b, t.gamma)]).tolist()
+
+    _emit(out, cfg, ("n", "a_n", "b_n", "gamma_n"),
+          [[n, *row] for n, row in enumerate(_selfchecked(cfg, "coeffs", rows))])
     return EXIT_OK
 
 
@@ -308,10 +315,10 @@ def cmd_verify(cfg: RunConfig, out) -> int:
                           lambda npts: init_states(w, cfg.n, times, npts))
     report = evolve(w, cfg.n, (cfg.t0, cfg.t1), tol=(cfg.rtol, cfg.atol),
                     sample_count=cfg.samples, y0=direct[0])
-    vt = verify_against_direct(report, direct)
-    columns = ["t"] + [f"dev_{lab}" for lab in vt.labels]
-    rows = np.column_stack((vt.times, vt.deviations)).tolist()
-    return _emit_verdict(out, cfg, columns, rows, [], vt.max_deviation)
+    devs = verify_against_direct(report, direct)
+    columns = ["t"] + [f"dev_{lab}" for lab in _state_labels(w.m)]
+    rows = np.column_stack((times, devs)).tolist()
+    return _emit_verdict(out, cfg, columns, rows, [], float(np.max(devs)))
 
 
 def cmd_selftest(cfg: RunConfig, out) -> int:
@@ -375,10 +382,7 @@ _DEFAULT_SELFTEST_CONFIG = """{
 def run_command(cmd: str, cfg: RunConfig, out) -> int:
     """Dispatch one command; returns the process exit code."""
     try:
-        if cfg.npts < cfg.n + 2:
-            raise UnderResolved(
-                f"npts = {cfg.npts} is below n + 2 = {cfg.n + 2}: the "
-                f"quadrature cannot resolve degree {cfg.n}")
+        npts_for(cfg.n, cfg.npts)
         return _COMMANDS[cmd](cfg, out)
     except ConfigError:
         raise

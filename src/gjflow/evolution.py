@@ -26,6 +26,7 @@ import numpy as np
 from .errors import InitFailure
 from .ladder import LadderValues, _ladder_nodes
 from .orthopoly import eval_polynomial
+from .quadrature import npts_for
 from .rk45 import IntegrationStats, integrate_rk45
 from .weights import (GeneralizedJacobiWeight, NodeFrames, check_span,
                       node_data, stage_node_data)
@@ -188,6 +189,7 @@ def init_states(w: GeneralizedJacobiWeight, n: int, ts,
         raise InitFailure("flow state needs n >= 1 (carries Theta_{n-1})")
     if np.any(w.alpha <= 0.0):
         raise InitFailure("evolution requires all exponents alpha_k > 0")
+    npts = npts_for(n, npts)  # refused as UnderResolved, not as an InitFailure
     ts = np.asarray(ts, dtype=float)
     try:
         table, frames, _, lv = _ladder_nodes(w, ts, n, npts)
@@ -242,19 +244,6 @@ def _state_labels(m: int) -> List[str]:
                                  ("theta", "theta_prev", "omega") for j in range(m))]
 
 
-@dataclass
-class VerificationTable:
-    """Per-sample relative deviations between the flow and the direct oracle."""
-
-    times: np.ndarray
-    labels: List[str]
-    deviations: np.ndarray  # samples x components
-
-    @property
-    def max_deviation(self) -> float:
-        return float(np.max(self.deviations))
-
-
 def _relative(dev: np.ndarray, ref: np.ndarray) -> np.ndarray:
     # relative with an absolute floor of 1 so near-zero components (e.g. b_n
     # of a symmetric weight) are judged on absolute error
@@ -262,13 +251,11 @@ def _relative(dev: np.ndarray, ref: np.ndarray) -> np.ndarray:
 
 
 def verify_against_direct(report: EvolutionReport,
-                          direct: np.ndarray) -> VerificationTable:
-    """Tabulate the deviations of the sampled states of ``report`` from the
+                          direct: np.ndarray) -> np.ndarray:
+    """The relative deviations of the sampled states of ``report`` from the
     oracle states ``direct`` at its times, such as ``init_states`` over
-    ``report.times``."""
-    return VerificationTable(times=report.times.copy(),
-                             labels=_state_labels(report.w.m),
-                             deviations=_relative(report.ys - direct, direct))
+    ``report.times``: samples x the components of ``_state_labels``."""
+    return _relative(report.ys - direct, direct)
 
 
 @dataclass(frozen=True)

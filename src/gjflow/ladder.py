@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import IndexOutOfRange
 from .orthopoly import eval_polynomial, stieltjes_recurrence
-from .quadrature import cauchy_node_matrices, default_npts
+from .quadrature import cauchy_node_matrices, npts_for
 from .weights import GeneralizedJacobiWeight, NodeFrames, barycentric_interpolate
 
 
@@ -69,12 +69,11 @@ def _ladder_nodes(w: GeneralizedJacobiWeight, ts, n: int, npts: int | None):
     everywhere; Q turns them into q_n, q_{n-1} at the nodes. Returns
     (table, NodeFrames, (p_n, p_{n-1}, q_n, q_{n-1}) at the nodes,
     LadderValues), each with one row per time; the node formula is that
-    of ``ladder_init``. ``npts`` None is ``default_npts(n)``.
+    of ``ladder_init``.
     """
     if n < 0:
         raise IndexOutOfRange(f"degree must be >= 0, got {n}")
-    points, ws, frames, Q = cauchy_node_matrices(
-        w, ts, default_npts(n) if npts is None else npts)
+    points, ws, frames, Q = cauchy_node_matrices(w, ts, npts_for(n, npts))
     table, p, p_prev = stieltjes_recurrence(
         np.concatenate((points, frames.x), axis=1), ws, n + 1)
     k = Q.shape[-1]

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .quadrature import _stacked_points, default_npts
+from .quadrature import _stacked_points, npts_for
 from .rk45 import integrate_rk45
 from .weights import GeneralizedJacobiWeight, check_span, stage_node_data
 
@@ -32,10 +32,8 @@ def direct_moments(w: GeneralizedJacobiWeight, n: int, ts,
     weighted power gives mu_n and serves every j, with the other factors
     multiplied from the left and from the right. Each sum runs along the
     last axis of its row, so row i is bit for bit the call at ts[i] alone.
-    ``npts`` None is ``default_npts(n)``.
     """
-    frames, xs, ws = _stacked_points(
-        w, ts, default_npts(n) if npts is None else npts)[:3]
+    frames, xs, ws = _stacked_points(w, ts, npts_for(n, npts))[:3]
     d = xs[:, None, :] - frames.x[:, :, None]  # u - x_k: (s, m, points)
     power = ws * d[:, 0] ** n
     # prod_{k<j} (u - x_k) times prod_{k>j} (u - x_k)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IndexOutOfRange, LostOrthogonality, NonFinite
-from .quadrature import default_npts, discretized_measure
+from .quadrature import discretized_measure, npts_for
 from .weights import GeneralizedJacobiWeight
 
 
@@ -46,10 +46,11 @@ class RecurrenceTable:
 def stieltjes_procedure(w: GeneralizedJacobiWeight, t: float, N: int,
                         npts: int | None = None) -> RecurrenceTable:
     """Build a_1..a_N, b_0..b_{N-1}, gamma_0..gamma_N by discretized Stieltjes
-    on ``discretized_measure`` of npts, by default ``default_npts(N)``."""
+    on ``discretized_measure`` of ``npts_for(N, npts)`` points, which
+    integrate the p_N^2 of a_N and gamma_N exactly."""
     if N < 0:
         raise IndexOutOfRange(f"N must be >= 0, got {N}")
-    xs, ws = discretized_measure(w, t, default_npts(N) if npts is None else npts)
+    xs, ws = discretized_measure(w, t, npts_for(N, npts))
     return stieltjes_recurrence(xs, ws, N)[0].row(0)
 
 

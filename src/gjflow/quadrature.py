@@ -39,19 +39,22 @@ from collections import OrderedDict, namedtuple
 import numpy as np
 from numpy.linalg import LinAlgError
 
-from .errors import BadExponent, DivergentTransform, NonFinite, NotConverged
+from .errors import (BadExponent, DivergentTransform, NonFinite, NotConverged,
+                     UnderResolved)
 from .weights import GeneralizedJacobiWeight, stage_node_data
-
-DEFAULT_NPTS = 64
 
 _CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
 
 
-def default_npts(n: int) -> int:
-    """Quadrature points per piece when none are given for degree n: the
+def npts_for(n: int, npts: int | None = None) -> int:
+    """Quadrature points per piece for degree n: ``npts``, or max(64, n + 2)
+    when none are given; UnderResolved for a given npts below n + 2. The
     rule on each piece integrates the measure exactly to degree 2 npts - 3,
     so x p_n^2 needs n + 2, as does the recurrence to degree n + 1."""
-    return max(DEFAULT_NPTS, n + 2)
+    if npts is not None and npts < n + 2:
+        raise UnderResolved(f"npts = {npts} is below n + 2 = {n + 2}: the "
+                            f"quadrature cannot resolve degree {n}")
+    return max(64, n + 2) if npts is None else npts
 
 
 def _monic_jacobi_recurrence(n: int, a, b):
@@ -475,7 +478,7 @@ def _stacked_points(w: GeneralizedJacobiWeight, ts, npts: int):
     return frames, xs, eff * half, eff, piece, free, -to_right, to_left
 
 
-def discretized_measure(w: GeneralizedJacobiWeight, t: float, npts: int = DEFAULT_NPTS):
+def discretized_measure(w: GeneralizedJacobiWeight, t: float, npts: int):
     """Composite absorbed rule: (points, weights) with sum w_i f(x_i) ~ int w f.
 
     The stacked absorbed rules mapped to the endpoints at t, with the measure
@@ -485,8 +488,7 @@ def discretized_measure(w: GeneralizedJacobiWeight, t: float, npts: int = DEFAUL
     return xs[0], ws[0]
 
 
-def cauchy_node_matrices(w: GeneralizedJacobiWeight, ts,
-                         npts: int = DEFAULT_NPTS):
+def cauchy_node_matrices(w: GeneralizedJacobiWeight, ts, npts: int):
     """Cauchy transforms at the endpoints as one linear map per time.
 
     Returns (points, weights, frames, Q) for the times ``ts``: the points

@@ -34,6 +34,27 @@ def _horner(cols, t) -> np.ndarray:
     return out
 
 
+def _ordered_horner(cols, m: int, ts: np.ndarray) -> np.ndarray:
+    """``_horner`` of the trajectory columns ``cols``, the first m of them the
+    positions, at the times ``ts``, one row per time. Raises
+    NonDistinctEndpoints, with its ``t`` and its index ``row`` in ``ts``, at
+    the first time that is not finite (before the pass, which would warn
+    there) or whose positions are not strictly increasing."""
+    if all(map(math.isfinite, ts.tolist())):  # cheaper than np.isfinite
+        v = _horner(cols, ts[:, None])
+        ordered = v[:, :m - 1] < v[:, 1:m]
+        if np.count_nonzero(ordered) == ordered.size:  # cheaper than .all()
+            return v
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = _horner([c[:m] for c in cols], ts[:, None])
+    i = int(np.argmin(np.isfinite(ts) & (x[:, :-1] < x[:, 1:]).all(axis=1)))
+    t = float(ts[i])
+    exc = NonDistinctEndpoints(
+        f"endpoints not strictly increasing at t={t}: {x[i].tolist()}", t=t)
+    exc.row = i
+    raise exc
+
+
 @dataclass(frozen=True)
 class EndpointTrajectory:
     """Polynomial-in-t endpoint paths x_k(t).
@@ -155,8 +176,8 @@ def make_weight(alpha, pieces, trajectory, t_ref: float = 0.0) -> GeneralizedJac
     """Build and validate a generalized Jacobi weight.
 
     Raises BadExponent unless every alpha_k is finite and > -1, BadConstant
-    unless every C_j is finite and > 0, NonDistinctEndpoints if the
-    trajectory is not strictly ordered at t_ref (a NaN t_ref is not).
+    unless every C_j is finite and > 0, NonDistinctEndpoints unless t_ref is
+    finite and the trajectory strictly ordered there.
     """
     alpha = np.asarray(alpha, dtype=float)
     pieces = np.asarray(pieces, dtype=float)
@@ -175,11 +196,7 @@ def make_weight(alpha, pieces, trajectory, t_ref: float = 0.0) -> GeneralizedJac
     if not np.all(np.isfinite(pieces) & (pieces > 0.0)):
         raise BadConstant(
             f"piece constants must be finite and > 0, got {pieces.tolist()}")
-    x = trajectory.positions(t_ref)
-    if not (x[:-1] < x[1:]).all():
-        raise NonDistinctEndpoints(
-            f"endpoints not strictly increasing at t={t_ref}: {x.tolist()}",
-            t=t_ref)
+    _ordered_horner([c[:m] for c in trajectory._cols], m, np.array([t_ref], float))
     return GeneralizedJacobiWeight(alpha=alpha, pieces=pieces, trajectory=trajectory)
 
 
@@ -199,22 +216,14 @@ def stage_node_data(w: GeneralizedJacobiWeight, ts) -> NodeFrames:
     ``ts``.
 
     Raises NonDistinctEndpoints, carrying its ``t`` and its index ``row``
-    in ``ts``, at the first time whose positions are not strictly
-    increasing, as at a NaN time.
+    in ``ts``, at the first time that is not finite (NaN or +-inf) or whose
+    positions are not strictly increasing.
     """
     ts = np.array(ts, dtype=float)
     s, m = len(ts), w.m
-    v = _horner(w.trajectory._cols, ts[:, None])
+    v = _ordered_horner(w.trajectory._cols, m, ts)
     v.setflags(write=False)
     x = v[:, :m]
-    ordered = x[:, :-1] < x[:, 1:]  # False at NaN
-    if np.count_nonzero(ordered) < ordered.size:  # cheaper than not .all()
-        i = int(np.argmin(ordered.all(axis=1)))
-        t = float(ts[i])
-        exc = NonDistinctEndpoints(
-            f"endpoints not strictly increasing at t={t}: {x[i].tolist()}", t=t)
-        exc.row = i
-        raise exc
     fraction = v[:, m:].reshape(s, 2, m, m + 2)
     basis = np.divide(fraction[:, 0], fraction[:, 1])
     np.multiply(x, basis[:, :, 0], out=basis[:, :, 1])

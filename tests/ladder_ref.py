@@ -12,7 +12,7 @@ import numpy as np
 
 from gjflow import LadderValues
 from gjflow.orthopoly import stieltjes_recurrence
-from gjflow.quadrature import cauchy_node_matrices, default_npts
+from gjflow.quadrature import cauchy_node_matrices, npts_for
 
 
 def ladder_step(values, x_nodes, a_n, a_next, b_n):
@@ -43,12 +43,11 @@ def ladder_climb(w, t, n, npts=None):
     p_0 = gamma_0 is constant, so the start is
     Theta_0(x_j) = alpha_j W'(x_j) gamma_0^2 (Q @ 1)_j and
     Omega_0(x_j) = V(x_j) = alpha_j W'(x_j)/2, with Q the Cauchy matrix of
-    the same call. ``npts`` None is ``default_npts(n)``, as in ``ladder_init``.
+    the same call, on ``npts_for(n, npts)`` points, as in ``ladder_init``.
     """
     if n < 0:
         raise ValueError(f"degree must be >= 0, got {n}")
-    points, ws, frames, Q = cauchy_node_matrices(
-        w, (t,), default_npts(n) if npts is None else npts)
+    points, ws, frames, Q = cauchy_node_matrices(w, (t,), npts_for(n, npts))
     table = stieltjes_recurrence(points, ws, n + 1)[0].row(0)
     x = frames.x[0]
     aw = w.alpha * frames.wprime[0]

@@ -257,6 +257,16 @@ class TestCoeffs:
                      "--selfcheck"])
         assert code == EXIT_OK
 
+    def test_selfcheck_compares_the_printed_rows(self, tmp_path, capsys):
+        # b_70 takes the table to 71, whose a_71 and gamma_71 the 72 points
+        # miss by 0.21 and 29 %; they are not printed, and not compared
+        code = main(["coeffs", "--config", write_config(tmp_path, CHEB),
+                     "--n", "70", "--selfcheck"])
+        captured = capsys.readouterr()
+        assert code == EXIT_OK and captured.err == ""
+        _, _, rows = read_csv(captured.out)
+        assert len(rows) == 71 and abs(rows[70][1] - 0.5) < 1e-14
+
 
 class TestLadder:
     def test_reports_residuals(self, tmp_path, capsys):
@@ -721,6 +731,23 @@ class TestErrorPaths:
         code = main(["evolve", "--config", write_config(tmp_path, MOVING3),
                      "--t1", "0.0", "--t0", "0.0"])
         assert code == EXIT_CONFIG
+
+    @pytest.mark.parametrize("field, value, reason", [
+        ("alpha", [-2, 0.5],
+         "exponents must be finite and > -1, got [-2.0, 0.5]"),
+        ("pieces", [-1], "piece constants must be finite and > 0, got [-1.0]"),
+        ("trajectory", [[1], [-1]],
+         "endpoints not strictly increasing at t=0.0: [1.0, -1.0]"),
+    ])
+    @pytest.mark.parametrize("cmd", ["coeffs", "ladder", "evolve", "moments",
+                                     "verify", "selftest"])
+    def test_refused_weight_names_its_field(self, tmp_path, capsys, cmd,
+                                            field, value, reason):
+        doc = dict(CHEB, weight=dict(CHEB["weight"], **{field: value}))
+        code = main([cmd, "--config", write_config(tmp_path, doc)])
+        captured = capsys.readouterr()
+        assert code == EXIT_CONFIG and captured.out == ""
+        assert captured.err == f"config error: weight.{field}: {reason}\n"
 
 
 M6_GAP_CONFIG = {  # a 0.05 gap between x_2 and x_3

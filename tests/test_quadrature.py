@@ -10,17 +10,19 @@ from gjflow import (
     gauss_jacobi_rule,
     make_weight,
 )
-from gjflow.quadrature import DEFAULT_NPTS, cauchy_node_matrices
+from gjflow.quadrature import cauchy_node_matrices
+
+NPTS = 64  # the points per piece of the helpers below
 
 
-def q_at_node(w, f, j: int, t: float, npts: int = DEFAULT_NPTS) -> float:
+def q_at_node(w, f, j: int, t: float, npts: int = NPTS) -> float:
     """The Cauchy transform q(x_j) = int w(u) f(u) / (x_j - u) du at endpoint
     j: the row of ``cauchy_node_matrices`` for node j at the one time t."""
     points, _, _, Q = cauchy_node_matrices(w, (t,), npts)
     return float(Q[0, j] @ f(points[0]))
 
 
-def integral(w, f, t: float, npts: int = DEFAULT_NPTS) -> float:
+def integral(w, f, t: float, npts: int = NPTS) -> float:
     """int w(u, t) f(u) du by the composite absorbed rule at time t."""
     xs, ws = discretized_measure(w, t, npts)
     return float(ws @ f(xs))

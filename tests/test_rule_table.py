@@ -253,7 +253,7 @@ class TestEdges:
                         EndpointTrajectory.fixed([-1.0, 0.0, 1.0]))
         msg = rf"^q\(x_2\) diverges: alpha_2 = {alpha} <= 0$"
         with pytest.raises(DivergentTransform, match=msg):
-            cauchy_node_matrices(w, (0.0,))
+            cauchy_node_matrices(w, (0.0,), 64)
 
     def test_exponent_below_the_rounding_of_its_lowering(self):
         # alpha_2 - 1 rounds to -1: its rules keep alpha_2, the measure is
@@ -266,7 +266,7 @@ class TestEdges:
         assert np.array_equal(xs, x0) and np.array_equal(ws, ws0)
         msg = r"^q\(x_2\) diverges: alpha_2 = 1e-300 and alpha - 1 rounds to -1$"
         with pytest.raises(DivergentTransform, match=msg):
-            cauchy_node_matrices(w, (0.0,))
+            cauchy_node_matrices(w, (0.0,), 64)
 
     def test_measure_builds_the_whole_table(self, builds):
         # exponents and npts no other test uses, so every rule is a new build

@@ -23,6 +23,9 @@ from gjflow import (
     stage_node_data,
 )
 
+#: x_1 = -1 - t, x_2 = 1 + t: ordered at every finite t and at t = inf
+DIVERGING = EndpointTrajectory(((-1.0, -1.0), (1.0, 1.0)))
+
 
 class TestMakeWeight:
     def test_chebyshev_valid(self, cheb):
@@ -65,6 +68,13 @@ class TestMakeWeight:
         with pytest.raises(NonDistinctEndpoints) as info:
             make_weight(cheb.alpha, cheb.pieces, cheb.trajectory, t_ref=np.nan)
         assert np.isnan(info.value.t)
+
+    @pytest.mark.parametrize("t", [np.inf, -np.inf])
+    def test_infinite_reference_time(self, t):
+        # x = (-1 - t, 1 + t) reads (-inf, inf) at t = inf, in order
+        with pytest.raises(NonDistinctEndpoints) as info:
+            make_weight([0.5, 0.5], [1.0], DIVERGING, t_ref=t)
+        assert info.value.t == t
 
     def test_trajectory_length_mismatch(self):
         with pytest.raises(NonDistinctEndpoints):
@@ -219,6 +229,21 @@ class TestStageNodeData:
         assert info.value.t == 0.2
         assert str(info.value) == (
             "endpoints not strictly increasing at t=0.2: [-1.0, 1.0, 1.0]")
+
+    @pytest.mark.parametrize("t", [np.inf, -np.inf])
+    def test_an_infinite_time_is_refused(self, t):
+        # before the Horner pass: no overflow warning, an error in this suite
+        w = make_weight([0.5, 0.5], [1.0], DIVERGING)
+        with pytest.raises(NonDistinctEndpoints) as info:
+            stage_node_data(w, [0.1, t, 0.3])
+        assert info.value.t == t and info.value.row == 1
+        x = [-t, t]
+        assert str(info.value) == (
+            f"endpoints not strictly increasing at t={t}: {x}")
+        with pytest.raises(NonDistinctEndpoints, match=f"at t={t}: "):
+            node_data(w, t)
+        frames = stage_node_data(w, [1e200])   # t^2 overflows, t is finite
+        assert frames.x.tolist() == [[-1e200, 1e200]]
 
     def test_a_nan_time_is_not_ordered(self, moving3):
         with pytest.raises(NonDistinctEndpoints) as info:

@@ -1,0 +1,108 @@
+"""The exact bytes of 280 CLI runs on the benchmark's configs.
+
+Blocks 0 and 1 of seeds 3 and 4 of the benchmark's two workloads
+(``perfbench/workloads.py``), 136 configs in all, are stored in
+``tests/golden/workload_configs.json``. Each ``flow`` config runs
+``evolve``, ``ladder``, ``coeffs`` and ``moments``, and each ``oracle``
+config runs ``verify``: 280 runs through ``cli.main`` in process.
+``tests/golden/workload_runs.sha256`` holds one sha256 per run, over the
+run's exit code, stdout and stderr as ``tests/test_golden.py`` records
+them, and the test names every run whose hash differs.
+
+A change that should leave every output byte alone must pass this test
+unchanged. The bytes depend on the numpy build and its BLAS, so on another
+platform regenerate the hashes from the parent commit before comparing a
+change against them. To regenerate the configs and the hashes, run from
+the repository root::
+
+    PYTHONPATH=src python tests/test_workload_runs.py
+
+and say in CHANGES.md which runs moved and why.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from gjflow import cli
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+CONFIGS = GOLDEN / "workload_configs.json"
+HASHES = GOLDEN / "workload_runs.sha256"
+#: workload -> the commands each of its configs runs
+COMMANDS = {"flow": ("evolve", "ladder", "coeffs", "moments"),
+            "oracle": ("verify",)}
+BLOCKS = [(workload, seed, index) for workload in COMMANDS
+          for seed in (3, 4) for index in (0, 1)]
+
+
+def _block_name(workload: str, seed: int, index: int) -> str:
+    return f"{workload}.s{seed}.b{index}"
+
+
+def _digest(path: Path, command: str) -> str:
+    """The sha256 of one run's exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main([command, "--config", str(path)])
+    record = f"exit: {code}\n--- stdout\n{out.getvalue()}--- stderr\n{err.getvalue()}"
+    return hashlib.sha256(record.encode("utf-8")).hexdigest()
+
+
+def _run_block(block: str, configs, tmp_dir: Path) -> dict:
+    """run name -> digest, for every run of the block's configs."""
+    workload = block.split(".")[0]
+    digests = {}
+    for i, doc in enumerate(configs):
+        path = tmp_dir / f"{block}.{i:02d}.json"
+        path.write_text(json.dumps(doc))
+        for command in COMMANDS[workload]:
+            digests[f"{block}.{i:02d}.{command}"] = _digest(path, command)
+    return digests
+
+
+def _stored_hashes() -> dict:
+    pairs = (line.split() for line in HASHES.read_text().splitlines())
+    return {name: digest for digest, name in pairs}
+
+
+@pytest.mark.parametrize("block", [_block_name(*b) for b in BLOCKS])
+def test_run_bytes(block, tmp_path):
+    configs = json.loads(CONFIGS.read_text())[block]
+    expected = {name: digest for name, digest in _stored_hashes().items()
+                if name.startswith(block + ".")}
+    got = _run_block(block, configs, tmp_path)
+    assert sorted(got) == sorted(expected)
+    differ = [name for name in got if got[name] != expected[name]]
+    assert not differ, f"{len(differ)} runs changed bytes: {differ}"
+
+
+def test_run_count():
+    configs = json.loads(CONFIGS.read_text())
+    assert sum(map(len, configs.values())) == 136
+    assert len(_stored_hashes()) == 280
+
+
+def _regenerate():
+    import tempfile
+    sys.path.insert(0, str(GOLDEN.parents[1] / "perfbench"))
+    import workloads
+    configs = {_block_name(*b): workloads.block(*b) for b in BLOCKS}
+    CONFIGS.write_text(json.dumps(configs, indent=1) + "\n")
+    lines = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for block, docs in configs.items():
+            digests = _run_block(block, docs, Path(tmp))
+            lines += [f"{digest}  {name}\n" for name, digest in digests.items()]
+    HASHES.write_text("".join(lines))
+    print(f"wrote {len(lines)} hashes of {sum(map(len, configs.values()))} "
+          f"configs under {GOLDEN}", file=sys.stderr)
+
+
+if __name__ == "__main__":
+    _regenerate()
