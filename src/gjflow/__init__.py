@@ -62,7 +62,8 @@ from .weights import (
     check_span,
     make_weight,
     node_data,
-    stage_node_data,
+    node_positions,
+    stage_frames,
 )
 
 __version__ = "0.1.0"

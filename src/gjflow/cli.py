@@ -27,7 +27,7 @@ from .evolution import (_relative, _state_labels, evolve, init_states,
 from .ladder import ladder_checks
 from .momentflow import direct_moments, evolve_moments
 from .orthopoly import stieltjes_procedure, stieltjes_recurrence
-from .quadrature import discretized_measure, gauss_jacobi_rule, npts_for
+from .quadrature import _absorbs, discretized_measure, gauss_jacobi_rule, npts_for
 from .weights import EndpointTrajectory, check_span, make_weight
 
 EXIT_OK = 0
@@ -254,8 +254,17 @@ def cmd_coeffs(cfg: RunConfig, out) -> int:
     return EXIT_OK
 
 
+def _require_transforms(cfg: RunConfig, least_n: int):
+    """Refuse a degree below least_n (a flow state carries Theta_{n-1}) and
+    an exponent whose Cauchy transform diverges (``quadrature._absorbs``)."""
+    _require(cfg.n >= least_n, "n", f"must be >= {least_n} for a flow")
+    _require(all(map(_absorbs, cfg.alpha)), "weight.alpha", "must be > 0, with "
+             f"alpha - 1 above -1, for the Cauchy transforms, got {cfg.alpha}")
+
+
 def cmd_ladder(cfg: RunConfig, out) -> int:
     w = cfg.weight()
+    _require_transforms(cfg, 0)
     report = _selfchecked(
         cfg, "ladder", lambda npts: ladder_checks(w, cfg.t0, cfg.n, npts),
         lambda rep: np.concatenate((rep.values.theta, rep.values.omega)))
@@ -282,6 +291,7 @@ def _require_span(cfg: RunConfig):
 
 def cmd_evolve(cfg: RunConfig, out) -> int:
     w = _require_span(cfg)
+    _require_transforms(cfg, 1)
     y0 = _selfchecked(cfg, "evolve",
                       lambda npts: init_states(w, cfg.n, (cfg.t0,), npts)[0])
     report = evolve(w, cfg.n, (cfg.t0, cfg.t1), tol=(cfg.rtol, cfg.atol),
@@ -310,6 +320,7 @@ def cmd_moments(cfg: RunConfig, out) -> int:
 
 def cmd_verify(cfg: RunConfig, out) -> int:
     w = _require_span(cfg)
+    _require_transforms(cfg, 1)
     times = np.linspace(cfg.t0, cfg.t1, cfg.samples)
     direct = _selfchecked(cfg, "verify",
                           lambda npts: init_states(w, cfg.n, times, npts))
@@ -337,7 +348,7 @@ def cmd_selftest(cfg: RunConfig, out) -> int:
                    < 1e-12))
 
     w = cfg.weight()
-    if np.all(w.alpha > 0.0) and cfg.n >= 1:
+    if all(map(_absorbs, cfg.alpha)) and cfg.n >= 1:
         report = ladder_checks(w, cfg.t0, cfg.n, cfg.npts)
         checks.append(("ladder_residue_sums",
                        max(report.residue_theta, report.residue_x_theta,

@@ -13,7 +13,7 @@ class GJFlowError(Exception):
 class NonDistinctEndpoints(GJFlowError):
     """Weight endpoints are not strictly increasing at the queried time.
 
-    Carries ``t``, the time queried, when there is one.
+    Also raised for a position at +-inf; carries ``t``, the time queried, if any.
     """
 
 

@@ -29,7 +29,7 @@ from .orthopoly import eval_polynomial
 from .quadrature import npts_for
 from .rk45 import IntegrationStats, integrate_rk45
 from .weights import (GeneralizedJacobiWeight, NodeFrames, check_span,
-                      node_data, stage_node_data)
+                      node_data, stage_frames)
 
 
 @dataclass(frozen=True)
@@ -91,7 +91,7 @@ def _term_table(m: int):
     Each right-hand side component is a sum of terms coef * z[f1] * z[f2]
     * z[f3] over the factor vector z = [y, U @ B, 1, a^2], where U holds
     the node ratio rows theta, theta_prev, omega of the packed state y and
-    B = [xdot | x * xdot | K] is one row of ``NodeFrames.basis``; so
+    B = [xdot | x * xdot | K] is one frame of ``stage_frames``; so
     (U @ B)[i] holds U_i . xdot, U_i . (x * xdot) and K U_i (K is
     symmetric). Returns the 3 x terms array of factor indices and the
     (3 + 3m) x terms coefficient matrix.
@@ -151,7 +151,7 @@ def evolution_rhs(y: np.ndarray, basis: np.ndarray, buf=None,
     ``y`` is ``EvolutionState.pack()``: (a, b, gamma), then theta,
     theta_prev and omega as the rows of ``U = y[3:].reshape(3, m)``;
     ``basis`` is the m x (m + 2) matrix ``[xdot | x * xdot | K]``, one
-    frame of ``NodeFrames.basis``. The system is a
+    frame of ``stage_frames``. The system is a
     polynomial of degree at most 3 in y whose coefficients depend on t only
     through ``basis``: one ``U @ basis`` gives every dot and kernel
     product, and the terms of ``_term_table`` turn them into the
@@ -187,12 +187,10 @@ def init_states(w: GeneralizedJacobiWeight, n: int, ts,
     """
     if n < 1:
         raise InitFailure("flow state needs n >= 1 (carries Theta_{n-1})")
-    if np.any(w.alpha <= 0.0):
-        raise InitFailure("evolution requires all exponents alpha_k > 0")
     npts = npts_for(n, npts)  # refused as UnderResolved, not as an InitFailure
     ts = np.asarray(ts, dtype=float)
     try:
-        table, frames, _, lv = _ladder_nodes(w, ts, n, npts)
+        table, _, wprime, _, lv = _ladder_nodes(w, ts, n, npts)
     except Exception as exc:  # noqa: BLE001 - surfaced as one condition
         # the first failing time of the step that failed (ordering check or
         # recurrence); the times before it passed that step, not all steps
@@ -201,7 +199,6 @@ def init_states(w: GeneralizedJacobiWeight, n: int, ts,
             init_states(w, n, ts[:i], npts)
         raise InitFailure(
             f"state initialization failed at t={ts[i]}: {exc}") from exc
-    wprime = frames.wprime
     return np.column_stack((table.a[:, n], table.b[:, n], table.gamma[:, n],
                             lv.theta / wprime, lv.theta_prev / wprime,
                             lv.omega / wprime))
@@ -233,8 +230,8 @@ def evolve(w: GeneralizedJacobiWeight, n: int, t_span, tol=(1e-9, 1e-12),
     def rhs(basis, y, out):
         evolution_rhs(y, basis, buf, out)
 
-    ys, stats = integrate_rk45(rhs, lambda ts: stage_node_data(w, ts).basis, t0,
-                               t1, y0, rtol=rtol, atol=atol, sample_times=times)
+    ys, stats = integrate_rk45(rhs, lambda ts: stage_frames(w, ts), t0, t1, y0,
+                               rtol=rtol, atol=atol, sample_times=times)
     return EvolutionReport(w=w, n=n, times=times, ys=ys, stats=stats)
 
 
@@ -302,12 +299,12 @@ def pn_time_derivative_check(w: GeneralizedJacobiWeight, n: int, x: float,
     endpoint x_j(t). One ``_ladder_nodes`` pass at t, t + h and t - h gives
     the three tables, the node positions at t +/- h and the node values at t.
     """
-    tables, frames, _, lv = _ladder_nodes(w, (t, t + h, t - h), n, npts)
+    tables, x_h, _, _, lv = _ladder_nodes(w, (t, t + h, t - h), n, npts)
     table, lv, nd = tables.row(0), lv.row(0), node_data(w, t)
     # fixed x off node, then along the node trajectory x_j(t)
     formula = _dp_dt_formula(w, table, lv, nd, n, x)
     formula_j = _dp_dt_formula(w, table, lv, nd, n, nd.x[j], nd.xdot[j])
-    p_plus, p_minus = (eval_polynomial(tables.row(i), n, [x, frames.x[i, j]])[0]
+    p_plus, p_minus = (eval_polynomial(tables.row(i), n, [x, x_h[i, j]])[0]
                        for i in (1, 2))
     fd, fd_j = ((p_plus - p_minus) / (2.0 * h)).tolist()
     res_off = abs(fd - formula) / max(abs(fd), abs(formula), 1.0)

@@ -23,7 +23,8 @@ import numpy as np
 from .errors import IndexOutOfRange
 from .orthopoly import eval_polynomial, stieltjes_recurrence
 from .quadrature import cauchy_node_matrices, npts_for
-from .weights import GeneralizedJacobiWeight, NodeFrames, barycentric_interpolate
+from .weights import (GeneralizedJacobiWeight, NodeFrames, _wprime,
+                      barycentric_interpolate, stage_frames)
 
 
 @dataclass(frozen=True)
@@ -63,29 +64,29 @@ def _ladder_nodes(w: GeneralizedJacobiWeight, ts, n: int, npts: int | None):
     """The ladder node values at the times ts, from one pass.
 
     One ``cauchy_node_matrices`` gives the discretized measure, the node
-    frames and the Cauchy matrix Q at every time. One
+    positions and the Cauchy matrix Q at every time. One
     ``stieltjes_recurrence`` to degree n + 1 over the measure's points
     and the nodes, all times at once, gives the table and p_n, p_{n-1}
     everywhere; Q turns them into q_n, q_{n-1} at the nodes. Returns
-    (table, NodeFrames, (p_n, p_{n-1}, q_n, q_{n-1}) at the nodes,
+    (table, x, W'(x), (p_n, p_{n-1}, q_n, q_{n-1}) at the nodes,
     LadderValues), each with one row per time; the node formula is that
     of ``ladder_init``.
     """
     if n < 0:
         raise IndexOutOfRange(f"degree must be >= 0, got {n}")
-    points, ws, frames, Q = cauchy_node_matrices(w, ts, npts_for(n, npts))
+    points, ws, x, Q = cauchy_node_matrices(w, ts, npts_for(n, npts))
     table, p, p_prev = stieltjes_recurrence(
-        np.concatenate((points, frames.x), axis=1), ws, n + 1)
+        np.concatenate((points, x), axis=1), ws, n + 1)
     k = Q.shape[-1]
     q = Q @ np.stack((p[:, :k], p_prev[:, :k]), axis=-1)
     pn, pnm1, qn, qm = p[:, k:], p_prev[:, k:], q[..., 0], q[..., 1]
-    aw = w.alpha * frames.wprime
+    aw = w.alpha * (wprime := _wprime(x))
     a_n = table.a[:, n, None]
     theta = aw * pn * qn
     omega = 0.5 * aw + a_n * aw * qn * pnm1  # V(x_j) = alpha_j W'(x_j)/2
     # Theta_{-1} = 0: zeros, not the -0.0 that p_{-1} = 0 gives at W' < 0
     theta_prev = aw * pnm1 * qm if n >= 1 else np.zeros_like(theta)
-    return table, frames, (pn, pnm1, qn, qm), LadderValues(
+    return table, x, wprime, (pn, pnm1, qn, qm), LadderValues(
         n=n, theta=theta, omega=omega, theta_prev=theta_prev)
 
 
@@ -120,9 +121,10 @@ def ladder_checks(w: GeneralizedJacobiWeight, t: float, n: int,
     p_n is evaluated from at the sample points, and p_n, p_{n-1}, q_n,
     q_{n-1} at the nodes.
     """
-    table, frames, (pn_j, pnm1_j, qn_j, qm_j), lv = _ladder_nodes(
+    table, x, _, (pn_j, pnm1_j, qn_j, qm_j), lv = _ladder_nodes(
         w, (t,), n, npts)
-    table, nd, values = table.row(0), frames.row(0), lv.row(0)
+    table, values = table.row(0), lv.row(0)
+    nd = NodeFrames(float(t), x[0], stage_frames(w, (t,))[0])
     sa = w.sum_alpha
     s0, s1, s2 = residue_sums(values, nd)
     scale = max(float(np.max(np.abs(values.theta))), 1.0)

@@ -13,7 +13,7 @@ import numpy as np
 
 from .quadrature import _stacked_points, npts_for
 from .rk45 import integrate_rk45
-from .weights import GeneralizedJacobiWeight, check_span, stage_node_data
+from .weights import GeneralizedJacobiWeight, check_span, stage_frames
 
 
 def beta_exponents(n: int, m: int) -> np.ndarray:
@@ -33,8 +33,8 @@ def direct_moments(w: GeneralizedJacobiWeight, n: int, ts,
     multiplied from the left and from the right. Each sum runs along the
     last axis of its row, so row i is bit for bit the call at ts[i] alone.
     """
-    frames, xs, ws = _stacked_points(w, ts, npts_for(n, npts))[:3]
-    d = xs[:, None, :] - frames.x[:, :, None]  # u - x_k: (s, m, points)
+    x, xs, ws = _stacked_points(w, ts, npts_for(n, npts))[:3]
+    d = xs[:, None, :] - x[:, :, None]  # u - x_k: (s, m, points)
     power = ws * d[:, 0] ** n
     # prod_{k<j} (u - x_k) times prod_{k>j} (u - x_k)
     left, right = np.ones_like(d), np.ones_like(d)
@@ -47,7 +47,7 @@ def moment_rhs(nu: np.ndarray, basis: np.ndarray, alpha: np.ndarray,
                beta: np.ndarray, out=None) -> np.ndarray:
     """nu_dot_j = sum_{k != j} (xd_j - xd_k)(alpha_k + beta_k)(nu_j - nu_k)/(x_j - x_k),
     with the kernel K = (xd_j - xd_k)/(x_j - x_k) read from the frame
-    ``basis = [xdot | x * xdot | K]`` (a frame of ``NodeFrames.basis``);
+    ``basis = [xdot | x * xdot | K]`` (a frame of ``stage_frames``);
     written into ``out`` (a new array without it) and returned."""
     K = basis[:, 2:]
     ab = alpha + beta
@@ -78,6 +78,6 @@ def evolve_moments(w: GeneralizedJacobiWeight, n: int, t_span,
     def rhs(basis, y, out):
         moment_rhs(y, basis, w.alpha, beta, out)
 
-    return integrate_rk45(rhs, lambda ts: stage_node_data(w, ts).basis, t0, t1,
+    return integrate_rk45(rhs, lambda ts: stage_frames(w, ts), t0, t1,
                           nu0, rtol=rtol, atol=atol, sample_times=times)
 

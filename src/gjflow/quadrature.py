@@ -41,7 +41,7 @@ from numpy.linalg import LinAlgError
 
 from .errors import (BadExponent, DivergentTransform, NonFinite, NotConverged,
                      UnderResolved)
-from .weights import GeneralizedJacobiWeight, stage_node_data
+from .weights import GeneralizedJacobiWeight, node_positions
 
 _CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
 
@@ -423,9 +423,15 @@ def gauss_jacobi_rule(npts: int, beta_left: float, beta_right: float):
     return _rule_cached.rules(int(npts), [(beta_left, beta_right)])[0]
 
 
+def _absorbs(a: float) -> bool:
+    """The exponent rule: the rules beside an endpoint of exponent a lower it
+    by one and absorb the Cauchy kernel there, where a - 1 > -1 in floats."""
+    return a - 1.0 > -1.0
+
+
 def _stacked_points(w: GeneralizedJacobiWeight, ts, npts: int):
     """The absorbed rules of ``npts`` points, one per piece, mapped to the
-    endpoints at the times ``ts`` from one ``stage_node_data``: (frames,
+    endpoints at the times ``ts`` from one ``node_positions``: (positions,
     points, weights, kernel weights, piece, free, left, right). The mapped
     points and the measure and kernel weights are (len(ts), P) arrays; the
     per-point rest does not depend on t.
@@ -447,12 +453,9 @@ def _stacked_points(w: GeneralizedJacobiWeight, ts, npts: int):
     k, one factor array at a time; the power is taken only where its factor
     is used. The measure weight is that times half times the measure factor.
     """
-    frames = stage_node_data(w, ts)
+    X = node_positions(w, ts)
     alpha, m = w.alpha.tolist(), w.m
-    # what the rules beside each endpoint take off its exponent: one where
-    # the Cauchy transform at that endpoint converges (alpha > 0) and the
-    # lowered exponent stays above -1 in floating point
-    drop = [float(a - 1.0 > -1.0) for a in alpha]
+    drop = [float(_absorbs(a)) for a in alpha]  # taken off each exponent
     built = _rule_cached.rules(
         npts, [(alpha[p] - drop[p], alpha[p + 1] - drop[p + 1]) for p in range(m - 1)])
     s = np.concatenate([nodes for nodes, _ in built])
@@ -461,7 +464,6 @@ def _stacked_points(w: GeneralizedJacobiWeight, ts, npts: int):
     to_right = (1.0 - s) ** np.take(drop, piece + 1)
     k = np.arange(m)[:, None]
     free = (k != piece) & (k != piece + 1)
-    X = frames.x
     # take keeps the rows contiguous (X[:, piece] would be column-major)
     xl, xr = np.take(X, piece, axis=1), np.take(X, piece + 1, axis=1)
     half = 0.5 * (xr - xl)
@@ -475,7 +477,7 @@ def _stacked_points(w: GeneralizedJacobiWeight, ts, npts: int):
         np.power(fk, alpha[k], out=fk, where=free[k])
         np.multiply(eff, fk, out=eff, where=free[k])
     half *= to_left * to_right
-    return frames, xs, eff * half, eff, piece, free, -to_right, to_left
+    return X, xs, eff * half, eff, piece, free, -to_right, to_left
 
 
 def discretized_measure(w: GeneralizedJacobiWeight, t: float, npts: int):
@@ -491,11 +493,11 @@ def discretized_measure(w: GeneralizedJacobiWeight, t: float, npts: int):
 def cauchy_node_matrices(w: GeneralizedJacobiWeight, ts, npts: int):
     """Cauchy transforms at the endpoints as one linear map per time.
 
-    Returns (points, weights, frames, Q) for the times ``ts``: the points
-    and weights of ``discretized_measure``, one row per time; the
-    ``NodeFrames`` of ``stage_node_data``; and Q, of shape (times, m,
-    points), such that, at time ts[s], q(x_j) = int w(u) f(u) / (x_j - u) du
-    = Q[s, j] @ f(points[s]) for every endpoint j.
+    Returns (points, weights, x, Q) for the times ``ts``: the points and
+    weights of ``discretized_measure`` and the endpoint positions x, one
+    row per time; and Q, of shape (times, m, points), such that, at time
+    ts[s], q(x_j) = int w(u) f(u) / (x_j - u) du = Q[s, j] @ f(points[s])
+    for every endpoint j.
 
     The one rule per piece serves the measure and every transform. On a piece
     away from x_j the measure carries the smooth factor 1/(x_j - u). On
@@ -510,18 +512,17 @@ def cauchy_node_matrices(w: GeneralizedJacobiWeight, ts, npts: int):
     rounding to -1.
     """
     for j, a in enumerate(w.alpha.tolist()):
-        if a - 1.0 <= -1.0:  # no rule absorbs its kernel
+        if not _absorbs(a):
             raise DivergentTransform(
                 f"q(x_{j + 1}) diverges: alpha_{j + 1} = {a} "
                 + ("<= 0" if a <= 0.0 else "and alpha - 1 rounds to -1"))
-    frames, points, ws, eff, piece, free, left, right = _stacked_points(
-        w, ts, npts)
+    x, points, ws, eff, piece, free, left, right = _stacked_points(w, ts, npts)
     Q = np.empty((len(points), w.m, points.shape[1]))
-    np.divide(ws[:, None, :], frames.x[:, :, None] - points[:, None, :],
+    np.divide(ws[:, None, :], x[:, :, None] - points[:, None, :],
               out=Q, where=free)
     # the pieces ending at a node: its kernel times the measure, from the
     # rule that absorbs both
     cols = np.arange(points.shape[1])
     Q[:, piece, cols] = eff * left
     Q[:, piece + 1, cols] = eff * right
-    return points, ws, frames, Q
+    return points, ws, x, Q

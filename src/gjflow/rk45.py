@@ -26,8 +26,8 @@ built once per step instead of once per stage:
 
 - ``frames(ts)`` takes a 1-D array of times and returns a sequence of one
   frame per time, indexed by stage: whatever the state part needs at that
-  time. For the gjflow flows it is the ``basis`` stack of a ``NodeFrames``,
-  so a frame is one m x (m + 2) row ``[xdot | x * xdot | K]``. It is
+  time. For the gjflow flows it is ``weights.stage_frames``, so a frame
+  is one m x (m + 2) matrix ``[xdot | x * xdot | K]``. It is
   called once with ``[t0]``; once with the probe time of the start step
   (below); then once per attempted step, accepted or rejected, with the 11
   distinct stage times ``t + c_i h`` (i = 1..11) of the tableau in stage

@@ -47,10 +47,16 @@ def _ordered_horner(cols, m: int, ts: np.ndarray) -> np.ndarray:
             return v
     with np.errstate(over="ignore", invalid="ignore"):
         x = _horner([c[:m] for c in cols], ts[:, None])
-    i = int(np.argmin(np.isfinite(ts) & (x[:, :-1] < x[:, 1:]).all(axis=1)))
+    _refuse("endpoints not strictly increasing", ts, x,
+            np.isfinite(ts) & (x[:, :-1] < x[:, 1:]).all(axis=1))
+
+
+def _refuse(what: str, ts: np.ndarray, x: np.ndarray, ok: np.ndarray):
+    """Raise NonDistinctEndpoints, saying ``what`` with the positions x, at
+    the first of the times ``ts`` not ``ok``, with its ``t`` and index ``row``."""
+    i = int(np.argmin(ok))
     t = float(ts[i])
-    exc = NonDistinctEndpoints(
-        f"endpoints not strictly increasing at t={t}: {x[i].tolist()}", t=t)
+    exc = NonDistinctEndpoints(f"{what} at t={t}: {x[i].tolist()}", t=t)
     exc.row = i
     raise exc
 
@@ -64,12 +70,11 @@ class EndpointTrajectory:
     polynomials that node data reads, column by column (highest degree
     first): x_1..x_m, then two m x (m + 2) tables, one row per endpoint j,
     whose quotient is the frame ``[xdot | x * xdot | K]`` of
-    ``NodeFrames.basis``: the numerators [x'_j, 0, x'_j - x'_1, ...,
+    ``stage_frames``: the numerators [x'_j, 0, x'_j - x'_1, ...,
     x'_j - x'_m] and the denominators [1, 1, x_j - x_1, ..., x_j - x_m]
     (1 at x_j - x_j). A Horner pass over the first m gives the positions,
-    one over column 0 of the numerators the velocities, one over all a
-    ``NodeFrames``. It also holds the spans (t0, t1) that passed
-    ``check_span``.
+    one over column 0 of the numerators the velocities, one over all the
+    frames. It also holds the spans (t0, t1) that passed ``check_span``.
     """
 
     coeffs: tuple
@@ -119,40 +124,29 @@ class EndpointTrajectory:
         return _horner([c[m::m + 2][:m] for c in self._cols], t)
 
 
+def _wprime(x: np.ndarray) -> np.ndarray:
+    """W'(x_j) = prod_{k != j}(x_j - x_k) along the last axis of positions x."""
+    m = x.shape[-1]
+    gaps = x[..., :, None] - x[..., None, :]  # x_j - x_k, 1 on the diagonal
+    gaps.reshape(x.shape[:-1] + (m * m,))[..., ::m + 1] = 1.0
+    wprime = np.prod(gaps, axis=-1)
+    wprime.setflags(write=False)
+    return wprime
+
+
 @dataclass(frozen=True)
 class NodeFrames:
-    """Node data at one time or at s times as one read-only bundle of arrays.
-
-    At s times ``t`` has shape (s,), ``x`` and ``xdot`` (s, m), and
-    ``basis`` (s, m, m + 2); at one time, as ``node_data`` and ``row``
-    return it, ``t`` is a float and the arrays drop the leading axis. A
-    frame of ``basis`` is the matrix ``[xdot | x * xdot | K]`` that a flow
+    """Node data at one time t: the positions ``x`` and the frame ``basis``
+    = ``[xdot | x * xdot | K]`` (a row of ``stage_frames``) that a flow
     right-hand side multiplies its node ratios by, K being the symmetric
     velocity kernel K[j, k] = (xd_j - xd_k)/(x_j - x_k), K[j, j] = 0.
-    ``wprime``, the values W'(x_j), is computed when first read and then
-    kept: a flow integrator never pays for it.
-    """
+    ``wprime``, the values W'(x_j), is computed when first read and kept."""
 
-    t: float | np.ndarray
+    t: float
     x: np.ndarray
-    xdot: np.ndarray
     basis: np.ndarray = field(repr=False)
-
-    @cached_property
-    def wprime(self) -> np.ndarray:
-        """W'(x_j) = prod_{k != j}(x_j - x_k) along the last axis of x."""
-        x = self.x
-        m = x.shape[-1]
-        # x_j - x_k, with 1 on the diagonal
-        gaps = x[..., :, None] - x[..., None, :]
-        gaps.reshape(x.shape[:-1] + (m * m,))[..., ::m + 1] = 1.0
-        wprime = np.prod(gaps, axis=-1)
-        wprime.setflags(write=False)
-        return wprime
-
-    def row(self, i: int) -> "NodeFrames":
-        """The node data at time ``t[i]``, as views of row i."""
-        return NodeFrames(float(self.t[i]), self.x[i], self.xdot[i], self.basis[i])
+    xdot = property(lambda self: self.basis[:, 0])
+    wprime = cached_property(lambda self: _wprime(self.x))
 
 
 @dataclass(frozen=True)
@@ -177,7 +171,7 @@ def make_weight(alpha, pieces, trajectory, t_ref: float = 0.0) -> GeneralizedJac
 
     Raises BadExponent unless every alpha_k is finite and > -1, BadConstant
     unless every C_j is finite and > 0, NonDistinctEndpoints unless t_ref is
-    finite and the trajectory strictly ordered there.
+    finite and the positions there finite and strictly increasing.
     """
     alpha = np.asarray(alpha, dtype=float)
     pieces = np.asarray(pieces, dtype=float)
@@ -196,49 +190,47 @@ def make_weight(alpha, pieces, trajectory, t_ref: float = 0.0) -> GeneralizedJac
     if not np.all(np.isfinite(pieces) & (pieces > 0.0)):
         raise BadConstant(
             f"piece constants must be finite and > 0, got {pieces.tolist()}")
-    _ordered_horner([c[:m] for c in trajectory._cols], m, np.array([t_ref], float))
-    return GeneralizedJacobiWeight(alpha=alpha, pieces=pieces, trajectory=trajectory)
+    w = GeneralizedJacobiWeight(alpha=alpha, pieces=pieces, trajectory=trajectory)
+    node_positions(w, (t_ref,))
+    return w
 
 
-def stage_node_data(w: GeneralizedJacobiWeight, ts) -> NodeFrames:
-    """Node data at each of the times ``ts``, built together as one
-    ``NodeFrames``.
-
-    One Horner pass over all the trajectory's coefficient columns gives,
-    at all times, the positions and the numerators and denominators of the
-    frames; one comparison checks the order, one divide gives the frames
-    (velocities over 1 and the kernels) and one product x * xdot fills
-    their second column. Per time, x and xdot are those of a scalar Horner
-    pass. K[j, k] is the quotient of the gap polynomials x'_j - x'_k and
-    x_j - x_k, which suffer no cancellation; their coefficients only
-    change sign under j <-> k, so K is exactly symmetric, with a zero
-    diagonal. Every array of the bundle is read-only; ``t`` is a copy of
-    ``ts``.
-
-    Raises NonDistinctEndpoints, carrying its ``t`` and its index ``row``
-    in ``ts``, at the first time that is not finite (NaN or +-inf) or whose
-    positions are not strictly increasing.
-    """
-    ts = np.array(ts, dtype=float)
-    s, m = len(ts), w.m
-    v = _ordered_horner(w.trajectory._cols, m, ts)
-    v.setflags(write=False)
-    x = v[:, :m]
-    fraction = v[:, m:].reshape(s, 2, m, m + 2)
+def stage_frames(w: GeneralizedJacobiWeight, ts) -> np.ndarray:
+    """The frames ``[xdot | x * xdot | K]`` at the times ``ts``, a read-only
+    (s, m, m + 2) array: one Horner pass over all the trajectory's columns,
+    one order check, one divide and one product x * xdot. Per time, x and
+    xdot are those of a scalar Horner pass. K[j, k], the quotient of the
+    gap polynomials x'_j - x'_k and x_j - x_k, is free of cancellation and
+    exactly symmetric, with a zero diagonal. Raises NonDistinctEndpoints,
+    with its ``t`` and its index ``row`` in ``ts``, at the first time that
+    is not finite or whose positions are not strictly increasing, which
+    near the float limit can happen inside a span that passed ``check_span``."""
+    m = w.m
+    v = _ordered_horner(w.trajectory._cols, m, np.asarray(ts, dtype=float))
+    fraction = v[:, m:].reshape(len(v), 2, m, m + 2)
     basis = np.divide(fraction[:, 0], fraction[:, 1])
-    np.multiply(x, basis[:, :, 0], out=basis[:, :, 1])
+    np.multiply(v[:, :m], basis[:, :, 0], out=basis[:, :, 1])
     basis.setflags(write=False)
-    ts.setflags(write=False)
-    return NodeFrames(t=ts, x=x, xdot=basis[:, :, 0], basis=basis)
+    return basis
+
+
+@np.errstate(over="ignore", invalid="ignore")  # refused below, not warned
+def node_positions(w: GeneralizedJacobiWeight, ts) -> np.ndarray:
+    """The endpoint positions at the times ``ts``, a read-only (s, m) array,
+    as the pass of ``stage_frames`` gives them, with its refusals and one
+    more: NonDistinctEndpoints at the first time with a position at +-inf."""
+    ts = np.asarray(ts, dtype=float)
+    x = _ordered_horner([c[:w.m] for c in w.trajectory._cols], w.m, ts)
+    if not (finite := np.isfinite(x).all(axis=1)).all():
+        _refuse("endpoint positions not finite", ts, x, finite)
+    x.setflags(write=False)
+    return x
 
 
 def node_data(w: GeneralizedJacobiWeight, t: float) -> NodeFrames:
-    """Node data at time t: row 0 of ``stage_node_data`` at one time.
-
-    Raises NonDistinctEndpoints unless the positions are strictly
-    increasing. ``wprime`` is computed when first read.
-    """
-    return stage_node_data(w, (t,)).row(0)
+    """Node data at time t, from ``node_positions`` and ``stage_frames`` at
+    that one time, with their refusals."""
+    return NodeFrames(float(t), node_positions(w, (t,))[0], stage_frames(w, (t,))[0])
 
 
 def check_span(w: GeneralizedJacobiWeight, t0: float, t1: float) -> None:

@@ -13,6 +13,7 @@ import numpy as np
 from gjflow import LadderValues
 from gjflow.orthopoly import stieltjes_recurrence
 from gjflow.quadrature import cauchy_node_matrices, npts_for
+from gjflow.weights import _wprime
 
 
 def ladder_step(values, x_nodes, a_n, a_next, b_n):
@@ -47,10 +48,10 @@ def ladder_climb(w, t, n, npts=None):
     """
     if n < 0:
         raise ValueError(f"degree must be >= 0, got {n}")
-    points, ws, frames, Q = cauchy_node_matrices(w, (t,), npts_for(n, npts))
+    points, ws, x, Q = cauchy_node_matrices(w, (t,), npts_for(n, npts))
     table = stieltjes_recurrence(points, ws, n + 1)[0].row(0)
-    x = frames.x[0]
-    aw = w.alpha * frames.wprime[0]
+    x = x[0]
+    aw = w.alpha * _wprime(x)
     gamma0 = table.gamma[0]
     values = LadderValues(n=0, theta=aw * gamma0 * gamma0 * Q[0].sum(axis=-1),
                           omega=0.5 * aw, theta_prev=np.zeros_like(aw))

@@ -750,6 +750,70 @@ class TestErrorPaths:
         assert captured.err == f"config error: weight.{field}: {reason}\n"
 
 
+    @pytest.mark.parametrize("cmd", ["coeffs", "ladder", "evolve", "moments",
+                                     "verify", "selftest"])
+    def test_overflowing_positions_name_the_trajectory(self, tmp_path, capsys,
+                                                       cmd):
+        # ordered, but -inf and inf at t0 = 1; refused before any pass
+        # warns, which this suite would turn into an error
+        doc = {"weight": {"alpha": [0.5, 0.5], "pieces": [1.0],
+                          "trajectory": [[-1e308, -1e308], [1e308, 1e308]]},
+               "evolve": {"t0": 1.0, "t1": 1.5}}
+        code = main([cmd, "--config", write_config(tmp_path, doc)])
+        captured = capsys.readouterr()
+        assert code == EXIT_CONFIG and captured.out == ""
+        assert captured.err == ("config error: weight.trajectory: endpoint "
+                                "positions not finite at t=1.0: [-inf, inf]\n")
+
+
+#: a middle exponent whose Cauchy transform diverges: <= 0, or so small that
+#: alpha - 1 rounds to -1
+DIVERGENT = [-0.5, 0.0, 1e-17]
+
+
+@pytest.mark.parametrize("cmd, n, alpha, field", [
+    *(pytest.param(cmd, 0, 0.5, "n: must be >= 1 for a flow", id=f"{cmd}-n0")
+      for cmd in ("evolve", "verify")),
+    *(pytest.param(cmd, 5, a, "weight.alpha: must be > 0, with alpha - 1 above "
+                   f"-1, for the Cauchy transforms, got [0.5, {a}, 0.5]",
+                   id=f"{cmd}-alpha{a}")
+      for cmd in ("ladder", "evolve", "verify") for a in DIVERGENT),
+])
+def test_flow_requirements_are_config_errors(tmp_path, capsys, monkeypatch,
+                                             cmd, n, alpha, field):
+    # refused before any quadrature, with exit 2 and the field's name
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("a quadrature ran")
+
+    monkeypatch.setattr(quadrature, "_stacked_points", no_quadrature)
+    doc = dict(MOVING3, n=n, weight=dict(MOVING3["weight"], alpha=[0.5, alpha, 0.5]))
+    code = main([cmd, "--config", write_config(tmp_path, doc)])
+    captured = capsys.readouterr()
+    assert code == EXIT_CONFIG and captured.out == ""
+    assert captured.err == f"config error: {field}\n"
+
+
+@pytest.mark.parametrize("cmd, n, alpha", [
+    ("ladder", 0, 0.5),
+    *((cmd, n, a) for cmd in ("coeffs", "moments") for n, a in
+      ((0, 0.5), *((5, a) for a in DIVERGENT))),
+])
+def test_commands_without_the_requirements_accept_them(tmp_path, capsys, cmd,
+                                                        n, alpha):
+    doc = dict(MOVING3, n=n, weight=dict(MOVING3["weight"], alpha=[0.5, alpha, 0.5]))
+    assert main([cmd, "--config", write_config(tmp_path, doc)]) == EXIT_OK
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("n, alpha", [(0, 0.5), *((5, a) for a in DIVERGENT)])
+def test_selftest_skips_the_weight_checks_the_rule_refuses(tmp_path, capsys,
+                                                           n, alpha):
+    doc = dict(MOVING3, n=n, weight=dict(MOVING3["weight"], alpha=[0.5, alpha, 0.5]))
+    assert main(["selftest", "--config", write_config(tmp_path, doc)]) == EXIT_OK
+    assert capsys.readouterr().out == (
+        "PASS gauss_jacobi_mass\nPASS chebyshev_coefficients\nPASS quadrature_mass\n")
+
+
 M6_GAP_CONFIG = {  # a 0.05 gap between x_2 and x_3
     "weight": {"alpha": [0.7, 1.3, 0.4, 1.1, 0.9, 1.5],
                "pieces": [1.0, 0.7, 1.5, 1.2, 0.8],

@@ -305,21 +305,48 @@ class TestEvolve:
         # the crossing; the gap 0.8 (1 - (t / 0.3)^40) reaches the floor
         # 2e-8 at 0.3 (1 - 2.5e-8)^(1/40), before any node data is built
         calls = []
-        build = gjflow.weights.stage_node_data
 
-        def recording(w, ts):
-            calls.append(ts)
-            return build(w, ts)
+        def recording(build):
+            def record(w, ts):
+                calls.append((build.__name__, ts))
+                return build(w, ts)
+            return record
 
-        monkeypatch.setattr(gjflow.weights, "stage_node_data", recording)
         traj = EndpointTrajectory(
             ((-1.0,), (0.2,) + (0.0,) * 39 + (0.8 / 0.3 ** 40,), (1.0,)))
         w = make_weight([0.5, 0.5, 0.5], [1.0, 1.0], traj)
+        for name in ("stage_frames", "node_positions"):
+            build = getattr(gjflow.weights, name)
+            for mod in (gjflow.weights, gjflow.quadrature, gjflow.evolution):
+                if hasattr(mod, name):
+                    monkeypatch.setattr(mod, name, recording(build))
         with pytest.raises(EndpointCollision, match=r"^endpoints x_2 and x_3 ") as info:
             evolve(w, 3, (0.0, 0.5), tol=(1e-3, 1e-6), sample_count=3)
         assert calls == []
         assert info.value.t == pytest.approx(0.3 * (1 - 2.5e-8) ** (1 / 40),
                                              rel=1e-12)
+
+    def test_positions_that_round_together_are_refused_at_the_first_stage(
+            self, monkeypatch):
+        # x_k = k + 1e307 t^2: every gap polynomial is the constant 1, so the
+        # span passes check_span, but the positions round together (all
+        # about 1e295 at t = 1e-6); the frames of the first stage after t0
+        # refuse them instead of feeding the flow a kernel of 1/0
+        calls = []
+        build = gjflow.evolution.stage_frames
+
+        def recording(w, ts):
+            calls.append(np.array(ts))
+            return build(w, ts)
+
+        monkeypatch.setattr(gjflow.evolution, "stage_frames", recording)
+        traj = EndpointTrajectory(tuple((float(k), 0.0, 1e307) for k in range(3)))
+        w = make_weight([0.5, 0.5, 0.5], [1.0, 1.0], traj)
+        with pytest.raises(NonDistinctEndpoints,
+                           match="^endpoints not strictly increasing") as info:
+            evolve(w, 3, (0.0, 5.0))
+        assert [c.tolist() for c in calls[:1]] == [[0.0]]
+        assert len(calls) == 2 and info.value.t == calls[1][info.value.row] > 0.0
 
     def test_init_requires_positive_exponents(self):
         w = make_weight([-0.5, 0.5], [1.0],
@@ -412,7 +439,7 @@ class TestInitStates:
     @pytest.mark.parametrize("samples", [2, 7, 21])
     def test_verify_builds_the_oracle_in_one_pass(self, moving3, monkeypatch,
                                                   samples):
-        calls = {"stieltjes_recurrence": 0, "stage_node_data": 0}
+        calls = {"stieltjes_recurrence": 0, "node_positions": 0}
 
         def counted(name, fn):
             def counting(*args, **kwargs):
@@ -428,7 +455,7 @@ class TestInitStates:
         rep = evolve(moving3, 5, (0.0, 0.3), sample_count=samples)
         calls.update(dict.fromkeys(calls, 0))
         devs = verify_against_direct(rep, init_states(moving3, 5, rep.times))
-        assert calls == {"stieltjes_recurrence": 1, "stage_node_data": 1}
+        assert calls == {"stieltjes_recurrence": 1, "node_positions": 1}
         assert devs.shape == (samples, 3 + 3 * moving3.m)
         ref = np.array([init_state(moving3, 5, t).pack() for t in rep.times])
         assert np.array_equal(init_states(moving3, 5, rep.times), ref)
@@ -464,7 +491,7 @@ def test_first_attempt_is_sized(doc):
 
     def frames(ts):
         calls.append(np.array(ts))
-        return gjflow.weights.stage_node_data(w, ts).basis
+        return gjflow.weights.stage_frames(w, ts)
 
     integrate_rk45(lambda basis, y, out: evolution_rhs(y, basis, out=out),
                    frames, cfg.t0, cfg.t1, init_state(w, cfg.n, cfg.t0).pack(),

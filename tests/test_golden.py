@@ -8,7 +8,9 @@ benchmark's workloads: ``flow`` (m 3-4, n 3-8, spans 0.3-0.6) and
 ``--selfcheck`` run and one crossing that every command refuses. The
 ``# steps:`` lines of ``evolve`` on block 0 of the ``flow`` workload for
 seeds 1 and 2 (``perfbench/workloads.py``) are pinned in
-``tests/golden/flow_steps.txt``.
+``tests/golden/flow_steps.txt``; those 24 configs are stored in
+``tests/golden/flow_step_configs.json``, so that the test does not run the
+generator.
 
 A change that should leave every output byte alone (a speed-up, a
 refactor) must pass this test unchanged. The bytes depend on the numpy
@@ -20,11 +22,11 @@ repository root::
 
     PYTHONPATH=src python tests/test_golden.py
 
-and say in CHANGES.md which files moved and by how much.
+and say in CHANGES.md which files moved and by how much. Regenerating
+also rewrites the stored configs from the generator.
 """
 
 import contextlib
-import importlib.util
 import io
 import json
 import sys
@@ -35,7 +37,7 @@ import pytest
 from gjflow import cli
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
-WORKLOADS = GOLDEN.parents[1] / "perfbench" / "workloads.py"
+FLOW_CONFIGS = GOLDEN / "flow_step_configs.json"
 COMMANDS = ("evolve", "verify", "moments")
 
 
@@ -96,22 +98,13 @@ def test_output_bytes(case, command, tmp_path):
     assert _record(case, command, tmp_path) == expected
 
 
-def _workloads():
-    """``perfbench/workloads.py``, loaded from its file."""
-    spec = importlib.util.spec_from_file_location("workloads", WORKLOADS)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules.setdefault("workloads", module)
-    spec.loader.exec_module(module)
-    return module
-
-
 def _flow_steps(tmp_dir: Path) -> str:
-    """The ``# steps:`` line of ``evolve`` on each config of block 0 of the
-    ``flow`` workload, seeds 1 and 2, one per line."""
-    workloads, lines = _workloads(), []
+    """The ``# steps:`` line of ``evolve`` on each stored config of block 0
+    of the ``flow`` workload, seeds 1 and 2, one per line."""
+    lines = []
     path = tmp_dir / "flow.json"
-    for seed in (1, 2):
-        for doc in workloads.block("flow", seed, 0):
+    for docs in json.loads(FLOW_CONFIGS.read_text()).values():
+        for doc in docs:
             path.write_text(json.dumps(doc))
             out = io.StringIO()
             with contextlib.redirect_stdout(out):
@@ -130,6 +123,11 @@ def test_flow_step_counts(tmp_path):
 def _regenerate():
     import tempfile
     GOLDEN.mkdir(exist_ok=True)
+    sys.path.insert(0, str(GOLDEN.parents[1] / "perfbench"))
+    import workloads
+    configs = {f"flow.s{seed}.b0": workloads.block("flow", seed, 0)
+               for seed in (1, 2)}
+    FLOW_CONFIGS.write_text(json.dumps(configs, indent=1) + "\n")
     with tempfile.TemporaryDirectory() as tmp:
         for case in CASES:
             for command in COMMANDS:
@@ -137,7 +135,7 @@ def _regenerate():
                     _record(case, command, Path(tmp)).encode("utf-8"))
         (GOLDEN / "flow_steps.txt").write_bytes(
             _flow_steps(Path(tmp)).encode("utf-8"))
-    print(f"wrote {len(CASES) * len(COMMANDS) + 1} files under {GOLDEN}",
+    print(f"wrote {len(CASES) * len(COMMANDS) + 2} files under {GOLDEN}",
           file=sys.stderr)
 
 

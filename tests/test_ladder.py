@@ -133,8 +133,8 @@ class TestLadderInit:
         t = 0.05
         for n in (0, 1, 5, 20):
             table = stieltjes_procedure(w, t, n + 1)
-            points, _, frames, Q = cauchy_node_matrices(w, (t,), 64)
-            points, nd, Q = points[0], frames.row(0), Q[0]
+            points, _, _, Q = cauchy_node_matrices(w, (t,), 64)
+            points, nd, Q = points[0], node_data(w, t), Q[0]
             k = len(points)
             p, _, pp = eval_polynomial(table, n, np.concatenate((points, nd.x)))
             qn, qm = (Q @ np.stack((p[:k], pp[:k]), axis=-1)).T

@@ -20,7 +20,8 @@ from gjflow import (
     check_span,
     make_weight,
     node_data,
-    stage_node_data,
+    node_positions,
+    stage_frames,
 )
 
 #: x_1 = -1 - t, x_2 = 1 + t: ordered at every finite t and at t = inf
@@ -171,6 +172,9 @@ def _kernel_mp(coeffs, t):
 
 
 class TestStageNodeData:
+    """``stage_frames`` and ``node_positions`` at several times, and the
+    one-time view ``node_data`` built from them."""
+
     @pytest.mark.parametrize("m", range(2, 9))
     @pytest.mark.parametrize("degree", range(4))
     def test_matches_per_time_reference_bit_for_bit(self, m, degree):
@@ -182,24 +186,21 @@ class TestStageNodeData:
             for k, p in enumerate(np.linspace(-2.0, 2.0, m)))
         w = make_weight(np.full(m, 0.5), np.ones(m - 1), EndpointTrajectory(coeffs))
         ts = np.array([-0.8, -0.3, -1e-3, 0.0, 0.25, 0.6])
-        frames = stage_node_data(w, ts)
-        assert np.array_equal(frames.t, ts)
-        assert frames.basis.shape == (len(ts), m, m + 2)
-        assert "wprime" not in vars(frames)           # not computed yet
+        frames, positions = stage_frames(w, ts), node_positions(w, ts)
+        assert frames.shape == (len(ts), m, m + 2)
+        assert positions.shape == (len(ts), m)
         eps = np.finfo(float).eps
         for i, t in enumerate(ts):
             x = np.array([npoly.polyval(t, c) for c in coeffs])
             xd = np.array([npoly.polyval(t, npoly.polyder(c)) for c in coeffs])
             gaps = x[:, None] - x
             np.fill_diagonal(gaps, 1.0)
-            assert np.array_equal(frames.x[i], x)
-            assert np.array_equal(frames.xdot[i], xd)
-            assert np.array_equal(frames.basis[i, :, 0], xd)
-            assert np.array_equal(frames.basis[i, :, 1], x * xd)
-            assert np.array_equal(frames.wprime[i], np.prod(gaps, axis=1))
+            assert np.array_equal(positions[i], x)
+            assert np.array_equal(frames[i, :, 0], xd)
+            assert np.array_equal(frames[i, :, 1], x * xd)
             # K, from the gap polynomials, against the exact kernel of the
             # same coefficients; exactly symmetric with a zero diagonal
-            K = frames.basis[i, :, 2:]
+            K = frames[i, :, 2:]
             ref = _kernel_mp(coeffs, t)
             for j in range(m):
                 for k in range(m):
@@ -207,52 +208,75 @@ class TestStageNodeData:
                     assert err <= 16 * eps * abs(ref[j][k]), (j, k)
             assert np.array_equal(K, K.T)
             assert np.all(np.diag(K) == 0.0)
-            # the one-time view equals the row, field by field
+            # the one-time view equals the rows, field by field
             one = node_data(w, t)
             assert one.t == t and isinstance(one.t, float)
-            for name in ("x", "xdot", "basis", "wprime"):
-                assert np.array_equal(getattr(one, name), getattr(frames, name)[i])
-            row = frames.row(i)
-            assert row.t == t and np.array_equal(row.basis, frames.basis[i])
-        assert frames.wprime is frames.wprime         # computed once
-        for arr in (frames.t, frames.x, frames.xdot, frames.basis, frames.wprime):
+            assert "wprime" not in vars(one)          # not computed yet
+            assert np.array_equal(one.x, x)
+            assert np.array_equal(one.xdot, xd)
+            assert np.array_equal(one.basis, frames[i])
+            assert np.array_equal(one.wprime, np.prod(gaps, axis=1))
+            assert one.wprime is one.wprime           # computed once
+            for arr in (one.x, one.xdot, one.basis, one.wprime):
+                assert not arr.flags.writeable
+        for arr in (frames, positions):
             assert not arr.flags.writeable
-        assert not np.shares_memory(frames.t, ts)     # the caller's times stay writable
-        assert ts.flags.writeable
+        assert ts.flags.writeable                     # the caller's times stay writable
 
     def test_first_bad_time_is_reported(self):
         # x_2 = 0.2 + 4t meets x_3 = 1 at t = 0.2
         w = make_weight([0.5, 0.5, 0.5], [1.0, 1.0],
                         EndpointTrajectory(((-1.0,), (0.2, 4.0), (1.0,))))
-        with pytest.raises(NonDistinctEndpoints) as info:
-            stage_node_data(w, [0.1, 0.15, 0.2, 0.25, 0.3])
-        assert info.value.t == 0.2
-        assert str(info.value) == (
-            "endpoints not strictly increasing at t=0.2: [-1.0, 1.0, 1.0]")
+        for build in (stage_frames, node_positions):
+            with pytest.raises(NonDistinctEndpoints) as info:
+                build(w, [0.1, 0.15, 0.2, 0.25, 0.3])
+            assert info.value.t == 0.2 and info.value.row == 2
+            assert str(info.value) == (
+                "endpoints not strictly increasing at t=0.2: [-1.0, 1.0, 1.0]")
 
     @pytest.mark.parametrize("t", [np.inf, -np.inf])
     def test_an_infinite_time_is_refused(self, t):
         # before the Horner pass: no overflow warning, an error in this suite
         w = make_weight([0.5, 0.5], [1.0], DIVERGING)
-        with pytest.raises(NonDistinctEndpoints) as info:
-            stage_node_data(w, [0.1, t, 0.3])
-        assert info.value.t == t and info.value.row == 1
         x = [-t, t]
-        assert str(info.value) == (
-            f"endpoints not strictly increasing at t={t}: {x}")
+        for build in (stage_frames, node_positions):
+            with pytest.raises(NonDistinctEndpoints) as info:
+                build(w, [0.1, t, 0.3])
+            assert info.value.t == t and info.value.row == 1
+            assert str(info.value) == (
+                f"endpoints not strictly increasing at t={t}: {x}")
         with pytest.raises(NonDistinctEndpoints, match=f"at t={t}: "):
             node_data(w, t)
-        frames = stage_node_data(w, [1e200])   # t^2 overflows, t is finite
-        assert frames.x.tolist() == [[-1e200, 1e200]]
+        # a finite time far out is no refusal
+        assert node_positions(w, [1e200]).tolist() == [[-1e200, 1e200]]
+        assert stage_frames(w, [1e200])[0, :, 1].tolist() == [1e200, 1e200]
 
     def test_a_nan_time_is_not_ordered(self, moving3):
-        with pytest.raises(NonDistinctEndpoints) as info:
-            stage_node_data(moving3, [0.1, np.nan, 0.3])
-        assert np.isnan(info.value.t) and info.value.row == 1
-        assert str(info.value) == (
-            "endpoints not strictly increasing at t=nan: [nan, nan, nan]")
+        for build in (stage_frames, node_positions):
+            with pytest.raises(NonDistinctEndpoints) as info:
+                build(moving3, [0.1, np.nan, 0.3])
+            assert np.isnan(info.value.t) and info.value.row == 1
+            assert str(info.value) == (
+                "endpoints not strictly increasing at t=nan: [nan, nan, nan]")
         with pytest.raises(NonDistinctEndpoints, match="at t=nan: "):
             node_data(moving3, np.nan)
+
+    def test_positions_that_overflow_are_refused(self):
+        # x_1 = -1e308 (1 + t) and x_2 = 1e308 (1 + t) stay ordered, but
+        # reach -inf and inf at t = 1; the Horner pass would warn there,
+        # an error in this suite
+        traj = EndpointTrajectory(((-1e308, -1e308), (1e308, 1e308)))
+        w = make_weight([0.5, 0.5], [1.0], traj)
+        with pytest.raises(NonDistinctEndpoints) as info:
+            node_positions(w, [0.0, 0.5, 1.0, 2.0])
+        assert info.value.t == 1.0 and info.value.row == 2
+        assert str(info.value) == (
+            "endpoint positions not finite at t=1.0: [-inf, inf]")
+        with pytest.raises(NonDistinctEndpoints, match=r"^endpoint positions "
+                           r"not finite at t=1.0: \[-inf, inf\]$"):
+            make_weight([0.5, 0.5], [1.0], traj, t_ref=1.0)
+        with pytest.raises(NonDistinctEndpoints, match="not finite at t=1.0"):
+            node_data(w, 1.0)
 
 
 @st.composite
