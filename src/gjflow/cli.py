@@ -283,19 +283,20 @@ def cmd_ladder(cfg: RunConfig, out) -> int:
 
 
 def _require_span(cfg: RunConfig):
+    """The weight and the one grid of sample times that the oracle and the
+    flow of a command share, once its span passes ``check_span``."""
     _require(cfg.t1 != cfg.t0, "evolve.t1", "must differ from evolve.t0")
     w = cfg.weight()
     check_span(w, cfg.t0, cfg.t1)
-    return w
+    return w, np.linspace(cfg.t0, cfg.t1, cfg.samples)
 
 
 def cmd_evolve(cfg: RunConfig, out) -> int:
-    w = _require_span(cfg)
+    w, times = _require_span(cfg)
     _require_transforms(cfg, 1)
     y0 = _selfchecked(cfg, "evolve",
-                      lambda npts: init_states(w, cfg.n, (cfg.t0,), npts)[0])
-    report = evolve(w, cfg.n, (cfg.t0, cfg.t1), tol=(cfg.rtol, cfg.atol),
-                    sample_count=cfg.samples, y0=y0)
+                      lambda npts: init_states(w, cfg.n, times[:1], npts)[0])
+    report = evolve(w, cfg.n, times, y0, (cfg.rtol, cfg.atol))
     columns = ["t", *_state_labels(w.m), *(f"drift_{i + 1}" for i in range(5))]
     rows = np.column_stack((report.times, report.ys, report.drifts)).tolist()
     _emit(out, cfg, columns, rows, [_steps_comment(report.stats)])
@@ -303,13 +304,11 @@ def cmd_evolve(cfg: RunConfig, out) -> int:
 
 
 def cmd_moments(cfg: RunConfig, out) -> int:
-    w = _require_span(cfg)
-    times = np.linspace(cfg.t0, cfg.t1, cfg.samples)
+    w, times = _require_span(cfg)
     mu_n, nu = _selfchecked(cfg, "moments",
                             lambda npts: direct_moments(w, cfg.n, times, npts),
                             lambda result: result[1])
-    nus, stats = evolve_moments(w, cfg.n, (cfg.t0, cfg.t1), tol=(cfg.rtol, cfg.atol),
-                                sample_count=cfg.samples, nu0=nu[0])
+    nus, stats = evolve_moments(w, cfg.n, times, nu[0], (cfg.rtol, cfg.atol))
     columns = ["t"] + [f"nu_{j + 1}" for j in range(w.m)] + ["mu_n", "gap"]
     scale = np.maximum(np.abs(mu_n), np.abs(nus[:, 0]))
     gap = np.abs(mu_n - nus[:, 0]) / np.maximum(scale, 1e-300)
@@ -319,13 +318,11 @@ def cmd_moments(cfg: RunConfig, out) -> int:
 
 
 def cmd_verify(cfg: RunConfig, out) -> int:
-    w = _require_span(cfg)
+    w, times = _require_span(cfg)
     _require_transforms(cfg, 1)
-    times = np.linspace(cfg.t0, cfg.t1, cfg.samples)
     direct = _selfchecked(cfg, "verify",
                           lambda npts: init_states(w, cfg.n, times, npts))
-    report = evolve(w, cfg.n, (cfg.t0, cfg.t1), tol=(cfg.rtol, cfg.atol),
-                    sample_count=cfg.samples, y0=direct[0])
+    report = evolve(w, cfg.n, times, direct[0], (cfg.rtol, cfg.atol))
     devs = verify_against_direct(report, direct)
     columns = ["t"] + [f"dev_{lab}" for lab in _state_labels(w.m)]
     rows = np.column_stack((times, devs)).tolist()
@@ -357,12 +354,14 @@ def cmd_selftest(cfg: RunConfig, out) -> int:
                        report.diffrel_residual < 1e-7))
         checks.append(("ladder_wronskian", report.wronskian_residual < 1e-8))
 
+        # one state at every time, run over [0, 1] (t0 + 1 may round to t0)
         frozen = make_weight(
             w.alpha, w.pieces,
             EndpointTrajectory.fixed(w.trajectory.positions(cfg.t0)),
         )
-        rep = evolve(frozen, cfg.n, (cfg.t0, cfg.t0 + 1.0),
-                     tol=(cfg.rtol, cfg.atol), sample_count=5, npts=cfg.npts)
+        y0 = init_states(frozen, cfg.n, (0.0,), cfg.npts)[0]
+        rep = evolve(frozen, cfg.n, np.linspace(0.0, 1.0, 5), y0,
+                     (cfg.rtol, cfg.atol))
         checks.append(("frozen_trajectory_constant",
                        float(np.max(np.abs(rep.ys[-1] - rep.ys[0]))) < 1e-12))
 

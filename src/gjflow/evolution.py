@@ -11,8 +11,8 @@ sampled through its dense output, and cross-validated against full
 recomputation from quadrature: ``init_states`` builds the states at any
 number of times from the stacked absorbed rules with one Stieltjes
 recurrence over all of them, which yields the coefficients and p_n,
-p_{n-1} at the rule points and nodes alike. ``evolve`` starts from its
-row 0 at t0; ``init_state`` is the named view (``EvolutionState``) of it.
+p_{n-1} at the rule points and nodes alike; ``init_state`` is one row as
+an ``EvolutionState``. ``_flow`` drives ``evolve`` and the moment flow.
 """
 
 from __future__ import annotations
@@ -211,27 +211,27 @@ def init_state(w: GeneralizedJacobiWeight, n: int, t: float,
     return EvolutionState(float(t), n, *y[:3].tolist(), *y[3:].reshape(3, -1))
 
 
-def evolve(w: GeneralizedJacobiWeight, n: int, t_span, tol=(1e-9, 1e-12),
-           sample_count: int = 20, npts: int | None = None,
-           y0=None) -> EvolutionReport:
-    """Integrate the deformation system over t_span, sampling uniformly.
+def _flow(w: GeneralizedJacobiWeight, times, rhs, y0, tol):
+    """The one ``integrate_rk45`` call of both flows, through this module's
+    binding: ``rhs`` over the frames of ``stage_frames`` from the state y0
+    at times[0], sampled at the times, once ``check_span`` passes from the
+    first time to the last. Returns (samples, stats)."""
+    check_span(w, float(times[0]), float(times[-1]))
+    return integrate_rk45(rhs, lambda ts: stage_frames(w, ts), times, y0, *tol)
 
-    The flow starts from the packed state y0 at t_span[0]; without it,
-    from row 0 of ``init_states`` there, once ``check_span`` passes.
-    """
-    t0, t1 = float(t_span[0]), float(t_span[1])
-    check_span(w, t0, t1)
-    rtol, atol = tol
-    if y0 is None:
-        y0 = init_states(w, n, (t0,), npts)[0]
-    times = np.linspace(t0, t1, sample_count)
+
+def evolve(w: GeneralizedJacobiWeight, n: int, times, y0,
+           tol=(1e-9, 1e-12)) -> EvolutionReport:
+    """Integrate the deformation system from the packed state y0 at
+    times[0], such as row 0 of ``init_states`` there, and sample it at
+    the times (``_flow``)."""
+    times = np.asarray(times, dtype=float)
     buf = _rhs_buffer(w.m)
 
     def rhs(basis, y, out):
         evolution_rhs(y, basis, buf, out)
 
-    ys, stats = integrate_rk45(rhs, lambda ts: stage_frames(w, ts), t0, t1, y0,
-                               rtol=rtol, atol=atol, sample_times=times)
+    ys, stats = _flow(w, times, rhs, y0, tol)
     return EvolutionReport(w=w, n=n, times=times, ys=ys, stats=stats)
 
 

@@ -23,8 +23,7 @@ import numpy as np
 from .errors import IndexOutOfRange
 from .orthopoly import eval_polynomial, stieltjes_recurrence
 from .quadrature import cauchy_node_matrices, npts_for
-from .weights import (GeneralizedJacobiWeight, NodeFrames, _wprime,
-                      barycentric_interpolate, stage_frames)
+from .weights import GeneralizedJacobiWeight, _wprime, barycentric_interpolate
 
 
 @dataclass(frozen=True)
@@ -103,11 +102,12 @@ def ladder_init(w: GeneralizedJacobiWeight, t: float, n: int,
     return _ladder_nodes(w, (t,), n, npts)[-1].row(0)
 
 
-def residue_sums(values: LadderValues, nd: NodeFrames):
-    """The three Lagrange leading-coefficient sums of the node values."""
-    s0 = float(np.sum(values.theta / nd.wprime))
-    s1 = float(np.sum(nd.x * values.theta / nd.wprime))
-    s2 = float(np.sum(values.omega / nd.wprime))
+def residue_sums(values: LadderValues, x: np.ndarray, wprime: np.ndarray):
+    """The three Lagrange leading-coefficient sums of the node values at
+    the node positions x, whose W'(x_j) are ``wprime``."""
+    s0 = float(np.sum(values.theta / wprime))
+    s1 = float(np.sum(x * values.theta / wprime))
+    s2 = float(np.sum(values.omega / wprime))
     return s0, s1, s2
 
 
@@ -121,12 +121,11 @@ def ladder_checks(w: GeneralizedJacobiWeight, t: float, n: int,
     p_n is evaluated from at the sample points, and p_n, p_{n-1}, q_n,
     q_{n-1} at the nodes.
     """
-    table, x, _, (pn_j, pnm1_j, qn_j, qm_j), lv = _ladder_nodes(
+    table, x, wprime, (pn_j, pnm1_j, qn_j, qm_j), lv = _ladder_nodes(
         w, (t,), n, npts)
-    table, values = table.row(0), lv.row(0)
-    nd = NodeFrames(float(t), x[0], stage_frames(w, (t,))[0])
+    table, values, x, wprime = table.row(0), lv.row(0), x[0], wprime[0]
     sa = w.sum_alpha
-    s0, s1, s2 = residue_sums(values, nd)
+    s0, s1, s2 = residue_sums(values, x, wprime)
     scale = max(float(np.max(np.abs(values.theta))), 1.0)
     r_theta = abs(s0) / scale
     lead = 2 * n + 1 + sa
@@ -138,13 +137,13 @@ def ladder_checks(w: GeneralizedJacobiWeight, t: float, n: int,
     # and V reconstructed from their node values (V(x_j) = alpha_j W'(x_j)/2)
     # by barycentric interpolation; the margin shrinks on narrow supports
     rng = np.random.default_rng(seed)
-    margin = min(0.05, (nd.x[-1] - nd.x[0]) / 4)
-    xs = rng.uniform(nd.x[0] + margin, nd.x[-1] - margin, size=nsamples)
+    margin = min(0.05, (x[-1] - x[0]) / 4)
+    xs = rng.uniform(x[0] + margin, x[-1] - margin, size=nsamples)
     a_n = table.a[n]
     pn, dpn, pnm1 = eval_polynomial(table, n, xs)
-    Wx = np.prod(xs[:, None] - nd.x, axis=1)
+    Wx = np.prod(xs[:, None] - x, axis=1)
     Th, Om, Vx = barycentric_interpolate(
-        nd, [values.theta, values.omega, 0.5 * w.alpha * nd.wprime], xs)
+        x, wprime, [values.theta, values.omega, 0.5 * w.alpha * wprime], xs)
     resid = np.max(np.abs(Wx * dpn - (Om - Vx) * pn + a_n * Th * pnm1),
                    initial=0.0)
     # |W p_n| joins the scale so the degree-0 case (0 = 0) stays clean
@@ -156,4 +155,4 @@ def ladder_checks(w: GeneralizedJacobiWeight, t: float, n: int,
         wron = float(np.max(np.abs(a_n * (pn_j * qm_j - pnm1_j * qn_j) - 1.0)))
     return LadderReport(residue_theta=r_theta, residue_x_theta=r_x_theta,
                         residue_omega=r_omega, diffrel_residual=diffrel,
-                        wronskian_residual=wron, values=values, x=nd.x)
+                        wronskian_residual=wron, values=values, x=x)

@@ -5,15 +5,16 @@ beta_1 = n + 1 and beta_k = 1 otherwise. Dividing out (u - x_j) always
 leaves a polynomial, so initial values and all verification values come
 from plain absorbed quadrature with no Cauchy singularity, independently
 of the alpha_k > 0 restriction: ``direct_moments``, at all times at once.
+``evolve_moments`` integrates through ``evolution._flow``, as ``evolve`` does.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .evolution import _flow
 from .quadrature import _stacked_points, npts_for
-from .rk45 import integrate_rk45
-from .weights import GeneralizedJacobiWeight, check_span, stage_frames
+from .weights import GeneralizedJacobiWeight
 
 
 def beta_exponents(n: int, m: int) -> np.ndarray:
@@ -55,29 +56,16 @@ def moment_rhs(nu: np.ndarray, basis: np.ndarray, alpha: np.ndarray,
     return np.subtract(nu * (K @ ab), K @ (ab * nu), out=out)
 
 
-def evolve_moments(w: GeneralizedJacobiWeight, n: int, t_span,
-                   tol=(1e-9, 1e-12), sample_count: int = 20,
-                   npts: int | None = None, nu0=None):
-    """Integrate the linear moment system; returns (nus, stats), row i of
-    nus being the m moments at the i-th of ``sample_count`` uniform times.
-
-    Initial values default to row 0 of ``direct_moments`` at t0. A caller
-    that checks the flow passes row 0 of its ``direct_moments`` at the
-    sample times as nu0, the same values; nu0 also serves linearity
-    experiments. ``check_span`` runs first, before any quadrature.
-    """
-    t0, t1 = float(t_span[0]), float(t_span[1])
-    check_span(w, t0, t1)
-    rtol, atol = tol
+def evolve_moments(w: GeneralizedJacobiWeight, n: int, times, nu0,
+                   tol=(1e-9, 1e-12)):
+    """Integrate the linear moment system from the m moments nu0 at
+    times[0] (``evolution._flow``); returns (nus, stats), row i of nus
+    being the moments at times[i]. A caller that checks the flow passes
+    row 0 of its ``direct_moments`` at the times as nu0; other start
+    values serve linearity experiments."""
     beta = beta_exponents(n, w.m)
-    if nu0 is None:
-        nu0 = direct_moments(w, n, (t0,), npts)[1][0]
-    nu0 = np.asarray(nu0, dtype=float)
-    times = np.linspace(t0, t1, sample_count)
 
     def rhs(basis, y, out):
         moment_rhs(y, basis, w.alpha, beta, out)
 
-    return integrate_rk45(rhs, lambda ts: stage_frames(w, ts), t0, t1,
-                          nu0, rtol=rtol, atol=atol, sample_times=times)
-
+    return _flow(w, times, rhs, nu0, tol)

@@ -11,6 +11,8 @@ at its new state (FSAL), so that an attempt evaluates stages 1..11 and
 only an accepted one y' at its new state (the error estimate puts no
 weight on it); an embedded 5th-order error estimate; and 3 further
 stages that make a continuous 7th-order extension of an accepted step.
+The one time argument is the grid of sample times: the integration runs
+from its first time t0 to its last t1 and returns the state at each.
 Sample times are read off that extension, so the step sizes are the
 controller's alone: only the step that would pass t1 is clipped, to end
 on it. The extension at t + x h is y + h (p(x) @ _DENSE) @ k over the
@@ -80,7 +82,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -300,42 +302,31 @@ def _start_step(rhs, frames, t0: float, y0, f0, direction: float,
 
 def integrate_rk45(rhs: Callable[[Any, np.ndarray, np.ndarray], Any],
                    frames: Callable[[np.ndarray], Sequence[Any]],
-                   t0: float, t1: float, y0: np.ndarray,
-                   rtol: float = 1e-9, atol: float = 1e-12,
-                   sample_times: Optional[np.ndarray] = None,
-                   min_step_frac: float = 1e-12):
-    """Integrate y' = rhs(frame(t), y) from t0 toward t1 and return the
-    states at sample_times (see the module docstring for ``frames`` and
-    ``rhs``).
+                   times: Sequence[float], y0: np.ndarray, rtol: float = 1e-9,
+                   atol: float = 1e-12, min_step_frac: float = 1e-12):
+    """Integrate y' = rhs(frame(t), y) from t0 = times[0], where y = y0, to
+    t1 = times[-1] and return the state at every time (see the module
+    docstring for ``frames`` and ``rhs``).
 
-    Returns (samples, stats) where samples[i] is the state at sample_times[i],
-    which must lie between t0 and t1, ordered toward t1; the integration
-    stops at the step that covers the last of them. Raises StepCollapse as
-    soon as the controller's step falls below the floor
-    min_step_frac * |t1 - t0|, so no attempt runs below it; only the step
-    clipped to end on t1, which may sit arbitrarily close, is exempt.
-    Raises ValueError unless t0, t1 and the sample times are finite and t0
-    and t1 differ.
+    Returns (samples, stats) where samples[i] is the state at times[i].
+    Raises StepCollapse as soon as the controller's step falls below the
+    floor min_step_frac * |t1 - t0|, so no attempt runs below it; only the
+    step clipped to end on t1, which may sit arbitrarily close, is exempt.
+    Raises ValueError unless the times are finite and ordered toward t1,
+    and t0 and t1 differ.
     """
     y = np.asarray(y0, dtype=float)
-    if sample_times is None:
-        sample_times = np.array([t1])
-    sample_times = np.asarray(sample_times, dtype=float)
-    if not (math.isfinite(t0) and math.isfinite(t1)):
-        raise ValueError(f"t0 and t1 must be finite, got {t0} and {t1}")
-    span = t1 - t0
-    if span == 0.0:
-        raise ValueError("t1 must differ from t0")
-    direction = 1.0 if span > 0 else -1.0
-    samples = sample_times.tolist()  # read one at a time as floats
+    samples = np.asarray(times, dtype=float).tolist()  # read one at a time
     nsamples = len(samples)
     if not all(map(math.isfinite, samples)):
-        raise ValueError(f"sample times must be finite, got {samples}")
+        raise ValueError(f"times must be finite, got {samples}")
+    span = samples[-1] - samples[0] if samples else 0.0
+    if span == 0.0:
+        raise ValueError("the last time must differ from the first")
+    t0, t1 = samples[0], samples[-1]
+    direction = 1.0 if span > 0 else -1.0
     if any(direction * (b - a) < 0 for a, b in zip(samples, samples[1:])):
-        raise ValueError("sample times must be ordered toward t1")
-    if nsamples and (direction * (samples[0] - t0) < 0
-                     or direction * (samples[-1] - t1) > 0):
-        raise ValueError("sample times must lie between t0 and t1")
+        raise ValueError("times must run in order from the first to the last")
     h_floor = min_step_frac * abs(span)
     rtol, atol = rtol * TOL_SCALE, atol * TOL_SCALE
 

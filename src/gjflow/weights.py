@@ -295,8 +295,9 @@ def _check_gaps(trajectory: EndpointTrajectory, t0: float, t1: float) -> None:
         f"other at t = {b!r}, between t = {t0!r} and {t1!r}", t=b)
 
 
-def barycentric_interpolate(nd: NodeFrames, values, x):
-    """Degree <= m-1 interpolant through (x_j, values_j), first barycentric form.
+def barycentric_interpolate(nodes: np.ndarray, wprime: np.ndarray, values, x):
+    """Degree <= m-1 interpolant through (x_j, values_j), first barycentric
+    form, at the node positions ``nodes`` whose W'(x_j) are ``wprime``.
 
     p(x) = W(x) * sum_j values_j / (W'(x_j) (x - x_j)) at a point or a 1-D
     array of points; exact node values are returned where x hits a node.
@@ -305,10 +306,10 @@ def barycentric_interpolate(nd: NodeFrames, values, x):
     """
     values = np.asarray(values, dtype=float)
     x = np.asarray(x, dtype=float)
-    diffs = np.atleast_1d(x)[:, None] - nd.x
+    diffs = np.atleast_1d(x)[:, None] - nodes
     with np.errstate(divide="ignore", invalid="ignore"):
         out = np.prod(diffs, axis=1) \
-            * np.sum(values[..., None, :] / (nd.wprime * diffs), axis=-1)
+            * np.sum(values[..., None, :] / (wprime * diffs), axis=-1)
     at, hit = np.nonzero(diffs == 0.0)
     out[..., at] = values[..., hit]
     if x.ndim == 0:

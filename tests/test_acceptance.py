@@ -105,8 +105,10 @@ def test_criterion_2_ladder_structure():
 def test_criterion_3_deformation_flow():
     started = time.perf_counter()
     w = moving_weight()
-    rep = evolve(w, 5, (0.0, 0.3), tol=(1e-9, 1e-12), sample_count=20)
-    devs = verify_against_direct(rep, init_states(w, 5, rep.times))
+    times = np.linspace(0.0, 0.3, 20)
+    direct = init_states(w, 5, times)
+    rep = evolve(w, 5, times, direct[0], tol=(1e-9, 1e-12))
+    devs = verify_against_direct(rep, direct)
     ok = devs.max() <= 1e-6
     ok &= bool(np.max(np.abs(rep.drifts)) <= 1e-8)
     ok &= (time.perf_counter() - started) < 120.0
@@ -120,7 +122,8 @@ def test_criterion_4_covariance_laws():
     shift = make_weight([0.5, 0.5, 0.5], [1.0, 1.0],
                         EndpointTrajectory(((-1.0, 1.0), (0.2, 1.0),
                                             (1.0, 1.0))))
-    rep = evolve(shift, 4, (0.0, 0.7), sample_count=8)
+    times = np.linspace(0.0, 0.7, 8)
+    rep = evolve(shift, 4, times, init_states(shift, 4, times[:1])[0])
     a, b = rep.ys[:, 0], rep.ys[:, 1]
     for t, a_t, b_t in zip(rep.times, a, b):
         ok &= abs(b_t - (b[0] + t)) <= 1e-8
@@ -129,7 +132,8 @@ def test_criterion_4_covariance_laws():
     pts = [-1.0, 0.2, 1.0]  # x(t) = x0 (1 + t)
     dil = make_weight([0.5, 0.5, 0.5], [1.0, 1.0],
                       EndpointTrajectory(tuple(zip(pts, pts))))
-    repd = evolve(dil, 4, (0.0, 0.5), sample_count=8)
+    times = np.linspace(0.0, 0.5, 8)
+    repd = evolve(dil, 4, times, init_states(dil, 4, times[:1])[0])
     a = repd.ys[:, 0]
     for t, a_t in zip(repd.times, a):
         ok &= abs(a_t / a[0] - (1.0 + t)) <= 1e-7
@@ -175,7 +179,9 @@ def test_criterion_7_moment_flow():
                      EndpointTrajectory(((-1.0,), (0.0, 1.0), (1.0,))))
     for w, t1 in ((w2, 0.5), (w3, 0.3)):
         for n in range(7):
-            nus, stats = evolve_moments(w, n, (0.0, t1))
+            times = np.linspace(0.0, t1, 20)
+            nus, stats = evolve_moments(w, n, times,
+                                        direct_moments(w, n, times[:1])[1][0])
             direct = direct_moments(w, n, (t1,))[1][0]
             dev = np.max(np.abs(nus[-1] - direct)
                          / np.maximum(np.abs(direct), 1.0))

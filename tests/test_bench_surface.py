@@ -2,8 +2,12 @@
 
 ``perfbench/tracer.py`` rebinds ``integrate_rk45`` and ``node_data`` where
 ``gjflow.evolution`` imported them and wraps the trajectory methods it finds
-in ``EndpointTrajectory.__dict__``; its ``evolution.evolution_rhs`` span
-counts one call per feval at the module binding; the ``oracle`` workload's
+in ``EndpointTrajectory.__dict__``; it spans the public module functions,
+``evolution.evolve`` among them, and names the ``rhs`` that a flow hands
+``integrate_rk45`` by its module and qualified name, which
+``perfbench/run.py`` reports as ``evolution.evolve.rhs``; its
+``evolution.evolution_rhs`` span counts one call per feval at the module
+binding; the ``oracle`` workload's
 ``fevals_per_op`` is the sum of the stats that the rebound
 ``integrate_rk45`` returns during a ``verify``; ``perfbench/checks.py`` compares
 ``evolve`` rows with ``init_state(...).pack()``; ``perfbench/run.py`` reads
@@ -12,6 +16,7 @@ of this suite, so these checks keep a cut of the library surface from
 breaking it unnoticed.
 """
 
+import inspect
 import json
 
 import numpy as np
@@ -47,6 +52,50 @@ def test_verify_integrates_through_the_evolution_binding(tmp_path, monkeypatch,
     assert gjflow.cli.main(["verify", "--config", str(path)]) == 0
     assert "max_deviation" in capsys.readouterr().out
     assert len(stats) == 1 and stats[0].fevals > 0
+
+
+def test_moments_integrates_through_the_evolution_binding(tmp_path, monkeypatch,
+                                                          capsys):
+    stats = []
+
+    def counted(*args, **kwargs):
+        out = gjflow.rk45.integrate_rk45(*args, **kwargs)
+        stats.append(out[1])
+        return out
+
+    monkeypatch.setattr(gjflow.evolution, "integrate_rk45", counted)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({
+        "weight": {"alpha": [0.5, 0.5, 0.5], "pieces": [1.0, 1.0],
+                   "trajectory": [[-1.0], [0.0, 1.0], [1.0]]},
+        "evolve": {"t0": 0.0, "t1": 0.3, "samples": 5}}))
+    assert gjflow.cli.main(["moments", "--config", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert len(stats) == 1 and stats[0].fevals > 0
+    assert "max_deviation" in out and f"fevals={stats[0].fevals}\n" in out
+
+
+def test_evolve_is_a_public_module_function():
+    fn = vars(gjflow.evolution)["evolve"]
+    assert inspect.isfunction(fn) and fn.__module__ == "gjflow.evolution"
+
+
+def test_evolve_hands_the_integrator_its_own_rhs(monkeypatch):
+    handed = []
+
+    def spy(rhs, *args, **kwargs):
+        handed.append(rhs)
+        return gjflow.rk45.integrate_rk45(rhs, *args, **kwargs)
+
+    monkeypatch.setattr(gjflow.evolution, "integrate_rk45", spy)
+    w = make_weight([0.5, 0.5, 0.5], [1.0, 1.0],
+                    EndpointTrajectory(((-1.0,), (0.0, 1.0), (1.0,))))
+    times = np.linspace(0.0, 0.3, 5)
+    gjflow.evolution.evolve(w, 5, times,
+                            gjflow.evolution.init_states(w, 5, times[:1])[0])
+    (rhs,) = handed
+    assert rhs.__module__ == "gjflow.evolution"
+    assert rhs.__qualname__ == "evolve.<locals>.rhs"
 
 
 def test_evolve_evaluates_the_rhs_through_its_binding(tmp_path, monkeypatch,

@@ -24,8 +24,8 @@ from gjflow.cli import (
     parse_config,
 )
 from gjflow.errors import ConfigError
-from gjflow.evolution import evolve
-from gjflow.momentflow import evolve_moments
+from gjflow.evolution import evolve, init_states
+from gjflow.momentflow import direct_moments, evolve_moments
 
 CHEB = {
     "weight": {"alpha": [0.5, 0.5], "pieces": [1.0],
@@ -368,8 +368,7 @@ def test_collision_is_refused_before_any_quadrature(tmp_path, capsys,
                          (gjflow.cli, "direct_moments"),
                          (gjflow.evolution, "init_states"),
                          (gjflow.evolution, "integrate_rk45"),
-                         (gjflow.momentflow, "direct_moments"),
-                         (gjflow.momentflow, "integrate_rk45")):
+                         (gjflow.momentflow, "direct_moments")):
         monkeypatch.setattr(module, name, no_work)
     doc = {"weight": {"alpha": [0.5, 0.5, 0.5], "pieces": [1, 1],
                       "trajectory": trajectory},
@@ -469,9 +468,11 @@ class TestRowsAreTheFlowArrays:
 
     def test_evolve(self, tmp_path, capsys, doc):
         cfg = parse_config(json.dumps(doc))
-        report = evolve(cfg.weight(), cfg.n, (cfg.t0, cfg.t1),
-                        tol=(cfg.rtol, cfg.atol), sample_count=cfg.samples,
-                        npts=cfg.npts)
+        w = cfg.weight()
+        times = np.linspace(cfg.t0, cfg.t1, cfg.samples)
+        report = evolve(w, cfg.n, times,
+                        init_states(w, cfg.n, times[:1], cfg.npts)[0],
+                        tol=(cfg.rtol, cfg.atol))
         assert main(["evolve", "--config", write_config(tmp_path, doc)]) == EXIT_OK
         _, _, rows = read_csv(capsys.readouterr().out)
         expected = np.column_stack((report.times, report.ys, report.drifts))
@@ -480,16 +481,17 @@ class TestRowsAreTheFlowArrays:
     def test_moments(self, tmp_path, capsys, doc):
         cfg = parse_config(json.dumps(doc))
         w = cfg.weight()
-        nus, _ = evolve_moments(w, cfg.n, (cfg.t0, cfg.t1),
-                                tol=(cfg.rtol, cfg.atol),
-                                sample_count=cfg.samples, npts=cfg.npts)
+        times = np.linspace(cfg.t0, cfg.t1, cfg.samples)
+        nus, _ = evolve_moments(w, cfg.n, times,
+                                direct_moments(w, cfg.n, times[:1], cfg.npts)[1][0],
+                                tol=(cfg.rtol, cfg.atol))
         assert main(["moments", "--config", write_config(tmp_path, doc)]) == EXIT_OK
         comments, header, rows = read_csv(capsys.readouterr().out)
         assert comments[-1] == "# verify_rtol: 1e-06"
         assert max_deviation(comments) < 1e-10
         rows = np.array(rows)
         assert header[1:w.m + 1] == [f"nu_{j + 1}" for j in range(w.m)]
-        assert np.array_equal(rows[:, 0], np.linspace(cfg.t0, cfg.t1, cfg.samples))
+        assert np.array_equal(rows[:, 0], times)
         assert np.array_equal(rows[:, 1:w.m + 1], nus)
 
 
@@ -553,9 +555,9 @@ class TestVerify:
         def no_start(*args, **kwargs):
             raise AssertionError("the flow built its own start")
 
-        def spy(rhs, frames, t0, t1, y0, **kwargs):
+        def spy(rhs, frames, times, y0, *args, **kwargs):
             starts.append(np.array(y0))
-            return integrate(rhs, frames, t0, t1, y0, **kwargs)
+            return integrate(rhs, frames, times, y0, *args, **kwargs)
 
         monkeypatch.setattr(gjflow.cli, "init_states", counted)
         monkeypatch.setattr(gjflow.evolution, "init_states", no_start)
@@ -654,6 +656,22 @@ class TestSelftest:
         out = capsys.readouterr().out
         assert "PASS gauss_jacobi_mass" in out
         assert "FAIL" not in out
+
+    def test_frozen_flow_at_a_start_where_one_unit_rounds_away(self, tmp_path,
+                                                               capsys):
+        # 1e17 + 1.0 == 1e17: a frozen flow over (t0, t0 + 1) had no span
+        doc = {"weight": {"alpha": [0.5, 0.5, 0.5], "pieces": [1.0, 1.0],
+                          "trajectory": [[-1.0], [0.0], [1.0]]},
+               "n": 5, "evolve": {"t0": 1e17, "t1": 2e17}}
+        code = main(["selftest", "--config", write_config(tmp_path, doc)])
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (EXIT_OK, "")
+        assert captured.out.splitlines() == [
+            f"PASS {name}" for name in (
+                "gauss_jacobi_mass", "chebyshev_coefficients",
+                "quadrature_mass", "ladder_residue_sums",
+                "ladder_differential_relation", "ladder_wronskian",
+                "frozen_trajectory_constant")]
 
 
 def test_parser_reuse_keeps_every_call_identical(tmp_path, capsys):

@@ -35,6 +35,13 @@ from test_cli import M4_CONFIG, M6_CONFIG, README_CONFIG
 from test_rk45 import accepted_of, attempts_of
 
 
+def evolve_uniform(w, n, span, samples=20, tol=(1e-9, 1e-12)):
+    """``evolve`` at ``samples`` uniform times of ``span``, from the oracle
+    state at the first."""
+    times = np.linspace(*span, samples)
+    return evolve(w, n, times, init_states(w, n, times[:1])[0], tol)
+
+
 class TestEvolutionRhs:
     def test_fixed_endpoints_zero_rhs(self, ref3):
         s = init_state(ref3, 4, 0.0)
@@ -120,7 +127,7 @@ def test_rhs_runs_once_per_feval(moving3, monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(gjflow.evolution, "evolution_rhs", counting)
-    rep = evolve(moving3, 5, (0.0, 0.3), sample_count=7)
+    rep = evolve_uniform(moving3, 5, (0.0, 0.3), 7)
     assert len(calls) == rep.stats.fevals > 7
     assert set(calls) == {(3, 5)}           # one (m, m + 2) frame per call
 
@@ -144,30 +151,30 @@ class TestFramesBundle:
 
     def test_evolve_bit_for_bit(self, doc):
         cfg, w, span, opts = self._load(doc)
-        rep = evolve(w, cfg.n, span, tol=(cfg.rtol, cfg.atol),
-                     sample_count=cfg.samples)
+        rep = evolve_uniform(w, cfg.n, span, cfg.samples,
+                             tol=(cfg.rtol, cfg.atol))
         ys, stats = integrate_rk45(
             lambda basis, y, out: evolution_rhs(y, basis, out=out),
-            _per_stage_frames(w), *span, init_state(w, cfg.n, cfg.t0).pack(),
-            sample_times=rep.times, **opts)
+            _per_stage_frames(w), rep.times, init_state(w, cfg.n, cfg.t0).pack(),
+            **opts)
         assert stats == rep.stats
         assert np.array_equal(rep.ys, ys)
 
     def test_evolve_moments_bit_for_bit(self, doc):
         cfg, w, span, opts = self._load(doc)
-        nus, stats = evolve_moments(w, cfg.n, span, tol=(cfg.rtol, cfg.atol),
-                                    sample_count=cfg.samples)
+        times = np.linspace(*span, cfg.samples)
+        nu0 = direct_moments(w, cfg.n, times[:1])[1][0]
+        nus, stats = evolve_moments(w, cfg.n, times, nu0, tol=(cfg.rtol, cfg.atol))
         beta = beta_exponents(cfg.n, w.m)
         ys, ref_stats = integrate_rk45(
             lambda basis, nu, out: moment_rhs(nu, basis, w.alpha, beta, out),
-            _per_stage_frames(w), *span, direct_moments(w, cfg.n, (cfg.t0,))[1][0],
-            sample_times=np.linspace(*span, cfg.samples), **opts)
+            _per_stage_frames(w), times, nu0, **opts)
         assert stats == ref_stats
         assert np.array_equal(nus, ys)
 
 
 def test_drifts_match_per_sample_node_data(moving3):
-    rep = evolve(moving3, 5, (0.0, 0.3), sample_count=7)
+    rep = evolve_uniform(moving3, 5, (0.0, 0.3), 7)
     sums = gjflow.evolution._conserved_sums
     sums0 = sums(init_state(moving3, 5, 0.0).pack(), node_data(moving3, 0.0).x)
     ref = np.array([sums(y, node_data(moving3, t).x) - sums0
@@ -181,7 +188,7 @@ def test_drifts_are_computed_on_first_read(moving3, monkeypatch):
     sums = gjflow.evolution._conserved_sums
     monkeypatch.setattr(gjflow.evolution, "_conserved_sums",
                         lambda *args: calls.append(1) or sums(*args))
-    rep = evolve(moving3, 5, (0.0, 0.3), sample_count=7)
+    rep = evolve_uniform(moving3, 5, (0.0, 0.3), 7)
     verify_against_direct(rep, init_states(moving3, 5, rep.times))
     assert calls == []
     assert rep.drifts is rep.drifts
@@ -222,13 +229,13 @@ def test_flow_conserves_the_five_sums(flow):
     # the five Lagrange leading-coefficient sums are invariants of the
     # exact flow, so their drift is the integrator's error alone
     w, n, t1 = flow
-    rep = evolve(w, n, (0.0, t1), sample_count=10)
+    rep = evolve_uniform(w, n, (0.0, t1), 10)
     assert np.max(np.abs(rep.drifts)) <= 1e-10
 
 
 class TestEvolve:
     def test_fixed_endpoints_constant(self, ref3):
-        rep = evolve(ref3, 3, (0.0, 2.0), sample_count=6)
+        rep = evolve_uniform(ref3, 3, (0.0, 2.0), 6)
         first = rep.ys[0]
         for y in rep.ys[1:]:
             assert np.max(np.abs(y - first)) < 1e-12
@@ -236,13 +243,13 @@ class TestEvolve:
     def test_m2_translation_covariance(self):
         w = make_weight([0.5, 0.5], [1.0],
                         EndpointTrajectory(((-1.0, 1.0), (1.0, 1.0))))
-        rep = evolve(w, 4, (0.0, 1.0))
+        rep = evolve_uniform(w, 4, (0.0, 1.0))
         (a0, b0), (a1, b1) = rep.ys[0, :2], rep.ys[-1, :2]
         assert b1 == pytest.approx(b0 + 1.0, abs=1e-8)
         assert a1 == pytest.approx(a0, abs=1e-8)
 
     def test_m3_against_direct(self, moving3):
-        rep = evolve(moving3, 5, (0.0, 0.3), tol=(1e-9, 1e-12), sample_count=8)
+        rep = evolve_uniform(moving3, 5, (0.0, 0.3), 8, tol=(1e-9, 1e-12))
         devs = verify_against_direct(rep, init_states(moving3, 5, rep.times))
         assert devs.max() < 1e-6
         assert np.max(np.abs(rep.drifts)) < 1e-8
@@ -250,7 +257,7 @@ class TestEvolve:
         assert np.max(devs[0]) < 1e-12
 
     def test_positivity_along_flow(self, moving3):
-        rep = evolve(moving3, 5, (0.0, 0.3), sample_count=10)
+        rep = evolve_uniform(moving3, 5, (0.0, 0.3), 10)
         for y in rep.ys:
             assert y[0] > 0.0       # a
             assert y[2] > 0.0       # gamma
@@ -259,8 +266,8 @@ class TestEvolve:
         devs = []
         direct = init_states(moving3, 5, np.linspace(0.0, 0.3, 4))
         for rtol in (1e-10, 1e-8, 1e-6):
-            rep = evolve(moving3, 5, (0.0, 0.3), tol=(rtol, 1e-12),
-                         sample_count=4)
+            rep = evolve_uniform(moving3, 5, (0.0, 0.3), 4,
+                                 tol=(rtol, 1e-12))
             devs.append(verify_against_direct(rep, direct).max())
         assert devs[0] <= devs[2]
         assert devs[1] <= devs[2]
@@ -269,7 +276,7 @@ class TestEvolve:
         w = make_weight([0.5, 0.5, 0.5], [1.0, 1.0],
                         EndpointTrajectory(((-1.0,), (0.2, 4.0), (1.0,))))
         with pytest.raises(EndpointCollision):
-            evolve(w, 3, (0.0, 0.5), sample_count=4)
+            evolve_uniform(w, 3, (0.0, 0.5), 4)
 
     def test_tangential_touch_is_a_collision(self, monkeypatch):
         # x_2 = 4t - 4t^2 touches x_3 = 1 at t = 0.5 without crossing it:
@@ -283,7 +290,7 @@ class TestEvolve:
         w = make_weight([0.5, 0.5, 0.5], [1.0, 1.0],
                         EndpointTrajectory(((-1.0,), (0.0, 4.0, -4.0), (1.0,))))
         with pytest.raises(EndpointCollision, match=r"^endpoints x_2 and x_3 ") as info:
-            evolve(w, 3, (0.0, 1.0))
+            evolve(w, 3, [0.0, 1.0], np.zeros(12))
         assert info.value.__cause__ is None
         assert info.value.t == pytest.approx(0.5 - np.sqrt(2e-8) / 2, rel=1e-12)
 
@@ -295,7 +302,7 @@ class TestEvolve:
 
         monkeypatch.setattr(gjflow.evolution, "integrate_rk45", collapse)
         with pytest.raises(StepCollapse, match="^step size below floor$") as info:
-            evolve(moving3, 3, (0.0, 0.3), sample_count=4)
+            evolve_uniform(moving3, 3, (0.0, 0.3), 4)
         assert type(info.value) is StepCollapse and info.value.t == 0.1
 
     def test_collision_late_in_the_span_is_found_before_any_stage(
@@ -321,7 +328,8 @@ class TestEvolve:
                 if hasattr(mod, name):
                     monkeypatch.setattr(mod, name, recording(build))
         with pytest.raises(EndpointCollision, match=r"^endpoints x_2 and x_3 ") as info:
-            evolve(w, 3, (0.0, 0.5), tol=(1e-3, 1e-6), sample_count=3)
+            evolve(w, 3, np.linspace(0.0, 0.5, 3), np.zeros(12),
+                   tol=(1e-3, 1e-6))
         assert calls == []
         assert info.value.t == pytest.approx(0.3 * (1 - 2.5e-8) ** (1 / 40),
                                              rel=1e-12)
@@ -344,7 +352,7 @@ class TestEvolve:
         w = make_weight([0.5, 0.5, 0.5], [1.0, 1.0], traj)
         with pytest.raises(NonDistinctEndpoints,
                            match="^endpoints not strictly increasing") as info:
-            evolve(w, 3, (0.0, 5.0))
+            evolve_uniform(w, 3, (0.0, 5.0))
         assert [c.tolist() for c in calls[:1]] == [[0.0]]
         assert len(calls) == 2 and info.value.t == calls[1][info.value.row] > 0.0
 
@@ -452,7 +460,7 @@ class TestInitStates:
                 if hasattr(mod, name):
                     monkeypatch.setattr(mod, name,
                                         counted(name, getattr(mod, name)))
-        rep = evolve(moving3, 5, (0.0, 0.3), sample_count=samples)
+        rep = evolve_uniform(moving3, 5, (0.0, 0.3), samples)
         calls.update(dict.fromkeys(calls, 0))
         devs = verify_against_direct(rep, init_states(moving3, 5, rep.times))
         assert calls == {"stieltjes_recurrence": 1, "node_positions": 1}
@@ -494,9 +502,9 @@ def test_first_attempt_is_sized(doc):
         return gjflow.weights.stage_frames(w, ts)
 
     integrate_rk45(lambda basis, y, out: evolution_rhs(y, basis, out=out),
-                   frames, cfg.t0, cfg.t1, init_state(w, cfg.n, cfg.t0).pack(),
-                   rtol=cfg.rtol, atol=cfg.atol,
-                   sample_times=np.linspace(cfg.t0, cfg.t1, cfg.samples))
+                   frames, np.linspace(cfg.t0, cfg.t1, cfg.samples),
+                   init_state(w, cfg.n, cfg.t0).pack(),
+                   rtol=cfg.rtol, atol=cfg.atol)
     steps = attempts_of(calls)
     kept = [h for (_, h), ok in zip(steps, accepted_of(steps, cfg.t1)) if ok]
     assert np.median(kept) / steps[0][1] < 10.0
@@ -507,7 +515,7 @@ def test_frozen_flow_steps():
     # takes the fixed start and no more steps than it always did
     w = make_weight([0.5, 0.5, 0.5], [1.0, 1.0],
                     EndpointTrajectory.fixed([-1.0, 0.0, 1.0]))
-    rep = evolve(w, 5, (0.0, 1.0), sample_count=5)
+    rep = evolve_uniform(w, 5, (0.0, 1.0), 5)
     assert (rep.stats.accepted, rep.stats.rejected) == (4, 0)
     assert np.array_equal(rep.ys[-1], rep.ys[0])
 

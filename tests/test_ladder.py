@@ -66,7 +66,7 @@ class TestLadderInit:
         sa = ref3.sum_alpha
         for n in range(11):
             lv = ladder_init(ref3, 0.0, n)
-            s0, s1, s2 = residue_sums(lv, nd)
+            s0, s1, s2 = residue_sums(lv, nd.x, nd.wprime)
             assert abs(s0) < 1e-8 * max(1.0, np.max(np.abs(lv.theta)))
             assert s1 == pytest.approx(2 * n + 1 + sa, rel=1e-8)
             assert s2 == pytest.approx(n + sa / 2.0, rel=1e-8)
@@ -178,7 +178,7 @@ class TestLadderStep:
         sa = ref3.sum_alpha
         lv = ladder_init(ref3, 0.0, 4)
         nxt = ladder_step(lv, nd.x, table.a[4], table.a[5], table.b[4])
-        s0, s1, s2 = residue_sums(nxt, nd)
+        s0, s1, s2 = residue_sums(nxt, nd.x, nd.wprime)
         assert abs(s0) < 1e-8 * np.max(np.abs(nxt.theta))
         assert s1 == pytest.approx(2 * 5 + 1 + sa, rel=1e-8)
         assert s2 == pytest.approx(5 + sa / 2.0, rel=1e-8)
@@ -212,6 +212,15 @@ class TestLadderChecks:
             assert rep.residue_x_theta < 1e-8
             assert rep.residue_omega < 1e-8
 
+    def test_nodes_are_node_data_bit_for_bit(self, ref3, moving6):
+        # ladder_checks reads x and W'(x_j) from its _ladder_nodes pass;
+        # they are node_data's view, so are the residuals taken on them
+        for w, t in ((ref3, 0.0), (moving6, 0.1)):
+            x, wprime = gjflow.ladder._ladder_nodes(w, (t,), 4, None)[1:3]
+            nd = node_data(w, t)
+            assert np.array_equal(x[0], nd.x)
+            assert np.array_equal(wprime[0], nd.wprime)
+
 
 def _diffrel_per_point(w, table, values, t, nsamples=20, seed=0):
     """The differential-relation residual of ladder_checks, one point at a
@@ -229,8 +238,8 @@ def _diffrel_per_point(w, table, values, t, nsamples=20, seed=0):
         diffs = x - nd.x
         Wx = float(np.prod(diffs))
         Vx = float(Wx * 0.5 * np.sum(w.alpha / diffs))
-        Th = barycentric_interpolate(nd, values.theta, float(x))
-        Om = barycentric_interpolate(nd, values.omega, float(x))
+        Th = barycentric_interpolate(nd.x, nd.wprime, values.theta, float(x))
+        Om = barycentric_interpolate(nd.x, nd.wprime, values.omega, float(x))
         resid = max(resid, abs(Wx * dpn - (Om - Vx) * pn + a_n * Th * pnm1))
         denom = max(denom, abs(Wx * dpn), abs((Om - Vx) * pn), abs(Wx * pn))
     return resid / max(denom, 1e-300)

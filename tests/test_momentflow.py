@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gjflow.evolution
 import gjflow.momentflow
 import quad_ref
 from hankel_ref import hankel_det
@@ -50,14 +51,21 @@ class TestMomentRhs:
         assert d == pytest.approx(fd, rel=1e-6)
 
 
+def evolve_moments_uniform(w, n, span, samples=20):
+    """``evolve_moments`` at ``samples`` uniform times of ``span``, from
+    the quadrature moments at the first."""
+    times = np.linspace(*span, samples)
+    return evolve_moments(w, n, times, direct_moments(w, n, times[:1])[1][0])
+
+
 class TestEvolveMoments:
     def test_fixed_endpoints_constant(self, ref3):
-        nus, _ = evolve_moments(ref3, 3, (0.0, 1.0), sample_count=5)
+        nus, _ = evolve_moments_uniform(ref3, 3, (0.0, 1.0), 5)
         for nu in nus[1:]:
             assert nu == pytest.approx(nus[0], rel=1e-12)
 
     def test_m2_against_quadrature(self, stretching2):
-        nus, stats = evolve_moments(stretching2, 2, (0.0, 0.5))
+        nus, stats = evolve_moments_uniform(stretching2, 2, (0.0, 0.5))
         direct = direct_moments(stretching2, 2, (0.5,))[1][0]
         assert np.max(np.abs(nus[-1] - direct)
                       / np.maximum(np.abs(direct), 1.0)) < 1e-8
@@ -67,7 +75,7 @@ class TestEvolveMoments:
     def test_m3_against_quadrature(self, n):
         w = make_weight([0.5, 0.3, 0.7], [1.0, 2.0],
                         EndpointTrajectory(((-1.0,), (0.0, 1.0), (1.0,))))
-        nus, _ = evolve_moments(w, n, (0.0, 0.3))
+        nus, _ = evolve_moments_uniform(w, n, (0.0, 0.3))
         direct = direct_moments(w, n, (0.3,))[1][0]
         assert np.max(np.abs(nus[-1] - direct)
                       / np.maximum(np.abs(direct), 1.0)) < 1e-8
@@ -76,10 +84,10 @@ class TestEvolveMoments:
         nu_a = np.array([1.0, -0.5])
         nu_b = np.array([0.3, 2.0])
         c1, c2 = 0.7, -1.3
-        sa, _ = evolve_moments(stretching2, 2, (0.0, 0.4), nu0=nu_a)
-        sb, _ = evolve_moments(stretching2, 2, (0.0, 0.4), nu0=nu_b)
-        sc, _ = evolve_moments(stretching2, 2, (0.0, 0.4),
-                               nu0=c1 * nu_a + c2 * nu_b)
+        times = np.linspace(0.0, 0.4, 20)
+        sa, _ = evolve_moments(stretching2, 2, times, nu_a)
+        sb, _ = evolve_moments(stretching2, 2, times, nu_b)
+        sc, _ = evolve_moments(stretching2, 2, times, c1 * nu_a + c2 * nu_b)
         combo = c1 * sa[-1] + c2 * sb[-1]
         assert sc[-1] == pytest.approx(combo, rel=1e-10, abs=1e-10)
 
@@ -91,11 +99,11 @@ def test_collision_during_integration(monkeypatch):
         raise AssertionError("the flow started")
 
     monkeypatch.setattr(gjflow.momentflow, "direct_moments", no_work)
-    monkeypatch.setattr(gjflow.momentflow, "integrate_rk45", no_work)
+    monkeypatch.setattr(gjflow.evolution, "integrate_rk45", no_work)
     w = make_weight([0.5, 0.5, 0.5], [1.0, 1.0],
                     EndpointTrajectory(((-1.0,), (0.2, 4.0), (1.0,))))
     with pytest.raises(EndpointCollision, match=r"^endpoints x_2 and x_3 ") as info:
-        evolve_moments(w, 2, (0.0, 0.5), sample_count=4)
+        evolve_moments(w, 2, np.linspace(0.0, 0.5, 4), np.zeros(3))
     assert info.value.__cause__ is None
     assert info.value.t == pytest.approx(0.2 - 5e-9, rel=1e-12)
 

@@ -69,26 +69,27 @@ def test_lands_on_every_sample_time():
     # time would show as an error of about 3 t^2 times the miss
     times = np.array([0.0, 0.0, 0.25, 0.25, 0.25, 0.6, 1.3, 2.0])
     out, _ = integrate_rk45(writes(lambda t, y: np.array([3.0 * t * t])),
-                            time_frames, 0.0, 2.0, [0.0], sample_times=times)
+                            time_frames, times, [0.0])
     np.testing.assert_allclose(out[:, 0], times ** 3, rtol=1e-14, atol=1e-15)
     assert out[0, 0] == 0.0 and out[1, 0] == 0.0       # t0 rows are y0
     assert np.array_equal(out[2], out[3]) and np.array_equal(out[3], out[4])
 
 
-def test_default_sample_is_t1_and_y0_untouched():
+def test_two_times_give_y0_and_the_end_with_y0_untouched():
     y0 = np.array([1.0])
     out, _ = integrate_rk45(writes(lambda t, y: np.cos(t) * y), time_frames,
-                            0.0, 1.0, y0, rtol=1e-9, atol=1e-12)
-    assert out.shape == (1, 1)
-    assert out[0, 0] == pytest.approx(np.exp(np.sin(1.0)), rel=1e-8)
+                            [0.0, 1.0], y0, rtol=1e-9, atol=1e-12)
+    assert out.shape == (2, 1)
+    assert out[0, 0] == 1.0
+    assert out[1, 0] == pytest.approx(np.exp(np.sin(1.0)), rel=1e-8)
     assert y0[0] == 1.0
 
 
 def test_fevals_and_frames_per_attempt():
     rec = Recorder(bump)
     samples = np.linspace(0.0, 1.0, 5)
-    _, stats = integrate_rk45(rec.rhs, rec.frames, 0.0, 1.0, [0.0, 1.0],
-                              rtol=1e-8, atol=1e-10, sample_times=samples)
+    _, stats = integrate_rk45(rec.rhs, rec.frames, samples, [0.0, 1.0],
+                              rtol=1e-8, atol=1e-10)
     attempts = stats.accepted + stats.rejected
     calls = rec.frame_calls
     # one call at t0, one at the probe that sizes the first step, and one
@@ -116,8 +117,8 @@ def test_dense_times_ride_on_the_attempt_call():
     # 11 stage times; an attempt ending on a sample carries none
     rec = Recorder(bump)
     samples = np.linspace(0.0, 1.0, 41)
-    integrate_rk45(rec.rhs, rec.frames, 0.0, 1.0, [0.0, 1.0],
-                   rtol=1e-8, atol=1e-10, sample_times=samples)
+    integrate_rk45(rec.rhs, rec.frames, samples, [0.0, 1.0],
+                   rtol=1e-8, atol=1e-10)
     calls = rec.frame_calls[2:]
     steps = attempts_of(calls)
     accepted = accepted_of(steps, 1.0)
@@ -146,7 +147,7 @@ def test_no_rhs_call_at_a_rejected_new_state():
         groups.append((np.array(ts), []))
         return time_frames(ts)
 
-    _, stats = integrate_rk45(rhs, frames, 0.0, 1.0, [0.0, 1.0],
+    _, stats = integrate_rk45(rhs, frames, [0.0, 1.0], [0.0, 1.0],
                               rtol=1e-8, atol=1e-10)
     attempts = [(ts, called) for ts, called in groups if len(ts) == 11]
     steps = attempts_of([ts for ts, _ in attempts])
@@ -162,8 +163,8 @@ def test_state_at_rest_starts_from_the_fixed_step():
     # 1e-3 * span grows tenfold per accepted attempt, so the run takes
     # 1e-3, 1e-2, 1e-1 and the clipped rest of the span
     rec = Recorder(lambda t, y: np.zeros_like(y))
-    out, stats = integrate_rk45(rec.rhs, rec.frames, 0.0, 1.0, [1.0, -2.0],
-                                sample_times=np.linspace(0.0, 1.0, 5))
+    out, stats = integrate_rk45(rec.rhs, rec.frames, np.linspace(0.0, 1.0, 5),
+                                [1.0, -2.0])
     assert (stats.accepted, stats.rejected) == (4, 0)
     # the last step alone holds the inner samples
     assert stats.fevals == 2 + 12 * 4 + 3 == rec.rhs_calls
@@ -174,12 +175,12 @@ def test_state_at_rest_starts_from_the_fixed_step():
 
 def test_step_sequence_does_not_depend_on_samples():
     # samples come from the interpolant, so no step is clipped to one: the
-    # attempts with 17 samples are those with only t1, bit for bit
+    # attempts with 17 samples are those with only t0 and t1, bit for bit
     runs = []
-    for samples in (None, np.linspace(0.0, 1.0, 17)):
+    for samples in ([0.0, 1.0], np.linspace(0.0, 1.0, 17)):
         rec = Recorder(bump)
-        out, stats = integrate_rk45(rec.rhs, rec.frames, 0.0, 1.0, [0.0, 1.0],
-                                    rtol=1e-8, atol=1e-10, sample_times=samples)
+        out, stats = integrate_rk45(rec.rhs, rec.frames, samples, [0.0, 1.0],
+                                    rtol=1e-8, atol=1e-10)
         runs.append(([ts[:11] for ts in rec.frame_calls[1:]], stats, out[-1]))
     (plain, s1, end1), (sampled, s17, end17) = runs
     assert s1.rejected > 0
@@ -197,9 +198,8 @@ def test_dense_output_matches_closed_form(t0, t1):
     # than steps, so most of them fall between step ends
     rec = Recorder(lambda t, y: np.cos(t) * y)
     times = np.linspace(t0, t1, 61)
-    out, stats = integrate_rk45(rec.rhs, rec.frames, t0, t1,
-                                [np.exp(np.sin(t0))], rtol=1e-9, atol=1e-12,
-                                sample_times=times)
+    out, stats = integrate_rk45(rec.rhs, rec.frames, times,
+                                [np.exp(np.sin(t0))], rtol=1e-9, atol=1e-12)
     assert stats.accepted < 40
     assert sum(len(ts) == 14 for ts in rec.frame_calls) > 20
     np.testing.assert_allclose(out[:, 0], np.exp(np.sin(times)), rtol=1e-8)
@@ -220,12 +220,14 @@ def test_dense_weights_are_the_running_product(t, h, xs):
     assert got.tobytes() == ref.tobytes()
 
 
-def unfused_dop853(f, t0, t1, y0, rtol, atol, sample_times):
-    """A plain DOP853 run of y' = f(t, y) with the integrator's start,
+def unfused_dop853(f, times, y0, rtol, atol):
+    """A plain DOP853 run of y' = f(t, y) from times[0] to times[-1],
+    sampled at the times, with the integrator's start,
     controller and dense output, each stage state formed as
     y + h sum_j a_ij k_j from ``_A``, the error from ``_E5`` and the
     samples from ``_DENSE``. Returns (samples, stats)."""
     A, E5, DENSE = rk45._A, rk45._E5, rk45._DENSE
+    t0, t1 = times[0], times[-1]
     rtol, atol = rtol * rk45.TOL_SCALE, atol * rk45.TOL_SCALE
     direction = 1.0 if t1 > t0 else -1.0
     span = abs(t1 - t0)
@@ -245,7 +247,7 @@ def unfused_dop853(f, t0, t1, y0, rtol, atol, sample_times):
     h = direction * (min(span * 1e-3, 1e-2) if max(d1, d2) <= 1e-15 else
                      min(100.0 * h0, (0.01 / max(d1, d2)) ** (1.0 / 6.0), span))
     stats = rk45.IntegrationStats(fevals=2)
-    samples = list(sample_times)
+    samples = list(times)
     out = [y for s in samples if s == t0]
     t, i = t0, len(out)
     while i < len(samples):
@@ -288,7 +290,7 @@ def unfused_dop853(f, t0, t1, y0, rtol, atol, sample_times):
     return np.array(out), stats
 
 
-@pytest.mark.parametrize("samples", [1, 41], ids=["t1", "interior"])
+@pytest.mark.parametrize("samples", [2, 41], ids=["t1", "interior"])
 @pytest.mark.parametrize("backward", [False, True], ids=["forward", "backward"])
 @pytest.mark.parametrize("f, y0, span", [
     # y = exp(sin t)
@@ -303,11 +305,10 @@ def test_matches_the_unfused_loop(f, y0, span, backward, samples):
     t0, t1 = span[::-1] if backward else span
     if backward:
         y0 = [np.exp(np.sin(t0)), 1.0 / (1.0 - t0)][:len(y0)]
-    times = np.linspace(t0, t1, samples + 1)[1:] if samples == 1 else \
-        np.linspace(t0, t1, samples)
-    ref, ref_stats = unfused_dop853(f, t0, t1, y0, 1e-9, 1e-12, times)
-    out, stats = integrate_rk45(writes(f), time_frames, t0, t1, y0,
-                                rtol=1e-9, atol=1e-12, sample_times=times)
+    times = np.linspace(t0, t1, samples)
+    ref, ref_stats = unfused_dop853(f, times, y0, 1e-9, 1e-12)
+    out, stats = integrate_rk45(writes(f), time_frames, times, y0,
+                                rtol=1e-9, atol=1e-12)
     assert stats == ref_stats and stats.rejected + stats.accepted > 5
     np.testing.assert_allclose(out, ref, rtol=1e-13, atol=0.0)
 
@@ -330,16 +331,15 @@ def test_tableau_matches_published_coefficients():
 def test_backward_integration():
     times = np.linspace(1.0, -1.0, 6)
     out, _ = integrate_rk45(writes(lambda t, y: np.cos(t) * y), time_frames,
-                            1.0, -1.0, [np.exp(np.sin(1.0))],
-                            rtol=1e-9, atol=1e-12, sample_times=times)
+                            times, [np.exp(np.sin(1.0))],
+                            rtol=1e-9, atol=1e-12)
     np.testing.assert_allclose(out[:, 0], np.exp(np.sin(times)), rtol=1e-8)
 
 
 def test_matches_closed_form():
     times = np.linspace(0.0, 6.0, 13)
     out, stats = integrate_rk45(writes(lambda t, y: np.cos(t) * y), time_frames,
-                                0.0, 6.0, [1.0], rtol=1e-9, atol=1e-12,
-                                sample_times=times)
+                                times, [1.0], rtol=1e-9, atol=1e-12)
     assert np.max(np.abs(out[:, 0] - np.exp(np.sin(times)))) < 1e-8
     assert stats.accepted > 0
 
@@ -348,18 +348,18 @@ def test_step_collapse_carries_t():
     # y = 1/(1 - t) blows up at t = 1
     with pytest.raises(StepCollapse) as info:
         integrate_rk45(writes(lambda t, y: np.array([1.0 / (1.0 - t) ** 2])),
-                       time_frames, 0.0, 2.0, [1.0], min_step_frac=1e-6)
+                       time_frames, [0.0, 2.0], [1.0], min_step_frac=1e-6)
     assert 0.99 < info.value.t < 1.0
     assert f"at t = {info.value.t}" in str(info.value)
 
 
 def test_no_attempt_below_the_floor():
     # on the way to the blow-up at t = 1 the controller shrinks its step
-    # every attempt; the only sample is t1, so no attempt is clipped and
-    # each must run at a step of at least the floor
+    # every attempt; the only sample after t0 is t1, so no attempt is
+    # clipped and each must run at a step of at least the floor
     rec = Recorder(lambda t, y: np.array([1.0 / (1.0 - t) ** 2]))
     with pytest.raises(StepCollapse) as info:
-        integrate_rk45(rec.rhs, rec.frames, 0.0, 2.0, [1.0],
+        integrate_rk45(rec.rhs, rec.frames, [0.0, 2.0], [1.0],
                        min_step_frac=1e-6)
     floor = 1e-6 * 2.0
     steps = np.array([h for _, h in attempts_of(rec.frame_calls)])
@@ -369,18 +369,15 @@ def test_no_attempt_below_the_floor():
 
 
 def test_rejects_empty_span_and_unordered_samples():
-    with pytest.raises(ValueError, match="t1 must differ"):
-        integrate_rk45(writes(lambda t, y: y), time_frames, 0.5, 0.5, [1.0])
-    with pytest.raises(ValueError, match="ordered"):
-        integrate_rk45(writes(lambda t, y: y), time_frames, 0.0, 1.0, [1.0],
-                       sample_times=np.array([0.0, 0.6, 0.4, 1.0]))
-    with pytest.raises(ValueError, match="ordered"):
-        integrate_rk45(writes(lambda t, y: y), time_frames, 1.0, 0.0, [1.0],
-                       sample_times=np.array([1.0, 0.2, 0.6]))
-    for outside in ([-0.1, 0.5], [0.5, 1.2]):
-        with pytest.raises(ValueError, match="between t0 and t1"):
-            integrate_rk45(writes(lambda t, y: y), time_frames, 0.0, 1.0, [1.0],
-                           sample_times=np.array(outside))
+    for times in ([0.5, 0.5], [0.5, 0.7, 0.5], [0.5], []):
+        with pytest.raises(ValueError, match="last time must differ"):
+            integrate_rk45(writes(lambda t, y: y), time_frames, times, [1.0])
+    with pytest.raises(ValueError, match="in order"):
+        integrate_rk45(writes(lambda t, y: y), time_frames,
+                       np.array([0.0, 0.6, 0.4, 1.0]), [1.0])
+    with pytest.raises(ValueError, match="in order"):
+        integrate_rk45(writes(lambda t, y: y), time_frames,
+                       np.array([1.0, 0.2, 0.6, 0.0]), [1.0])
 
 
 @pytest.mark.parametrize("t0, t1", [(0.0, np.inf), (0.0, -np.inf), (0.0, np.nan),
@@ -395,16 +392,16 @@ def test_rejects_non_finite_span(t0, t1):
         assert len(calls) < 1000, "the integrator ran on"
         out[:] = -y
 
-    with pytest.raises(ValueError, match="^t0 and t1 must be finite, got "):
-        integrate_rk45(capped, time_frames, t0, t1, [1.0])
+    with pytest.raises(ValueError, match="^times must be finite, got "):
+        integrate_rk45(capped, time_frames, [t0, t1], [1.0])
     assert calls == []
 
 
 @pytest.mark.parametrize("samples", [[np.nan], [0.2, np.nan, 0.8], [np.inf],
                                      [-np.inf, 0.5]])
 def test_rejects_non_finite_sample_times(samples):
-    # a NaN sample time passes the order and range checks, and no step
-    # covers it; the capped rhs turns such a loop into a failure
+    # a NaN sample time passes the order check, and no step covers it;
+    # the capped rhs turns such a loop into a failure
     calls = []
 
     def capped(t, y, out):
@@ -412,9 +409,9 @@ def test_rejects_non_finite_sample_times(samples):
         assert len(calls) < 5000, "the integrator ran on"
         out[:] = -y
 
-    with pytest.raises(ValueError, match="^sample times must be finite, got "):
-        integrate_rk45(capped, time_frames, 0.0, 1.0, [1.0],
-                       sample_times=np.array(samples))
+    with pytest.raises(ValueError, match="^times must be finite, got "):
+        integrate_rk45(capped, time_frames, np.array([0.0, *samples, 1.0]),
+                       [1.0])
     assert calls == []
 
 
@@ -425,7 +422,7 @@ def test_non_finite_slope_takes_the_fixed_start():
     rec = Recorder(lambda t, y: 1.0 / y)
     with np.errstate(divide="ignore", invalid="ignore"), \
             pytest.raises(StepCollapse) as info:
-        integrate_rk45(rec.rhs, rec.frames, 0.0, 1.0, np.array([0.0]))
+        integrate_rk45(rec.rhs, rec.frames, [0.0, 1.0], np.array([0.0]))
     assert info.value.t == 0.0
     assert [len(ts) for ts in rec.frame_calls] == [1] + [11] * 13
     steps = attempts_of(rec.frame_calls)

@@ -418,9 +418,10 @@ class TestCheckSpan:
         horner = gjflow.weights._horner
         monkeypatch.setattr(gjflow.weights, "_horner", capped)
         run = {"check_span": lambda span: check_span(moving3, *span),
-               "evolve": lambda span: gjflow.evolution.evolve(moving3, 3, span),
+               "evolve": lambda span: gjflow.evolution.evolve(
+                   moving3, 3, span, np.zeros(12)),
                "evolve_moments": lambda span: gjflow.momentflow.evolve_moments(
-                   moving3, 3, span)}[entry]
+                   moving3, 3, span, np.zeros(3))}[entry]
         with pytest.raises(ValueError, match="^t0 and t1 must be finite, got "):
             run((t0, t1))
 
@@ -434,16 +435,15 @@ class TestCheckSpan:
 
         for module, name in ((gjflow.evolution, "init_states"),
                              (gjflow.evolution, "integrate_rk45"),
-                             (gjflow.momentflow, "direct_moments"),
-                             (gjflow.momentflow, "integrate_rk45")):
+                             (gjflow.momentflow, "direct_moments")):
             monkeypatch.setattr(module, name, no_work)
-        run = {"evolve": gjflow.evolution.evolve,
-               "evolve_moments": gjflow.momentflow.evolve_moments}[flow]
+        run, size = {"evolve": (gjflow.evolution.evolve, 12),
+                     "evolve_moments": (gjflow.momentflow.evolve_moments, 3)}[flow]
         w = make_weight([0.5, 0.5, 0.5], [1.0, 1.0],
                         EndpointTrajectory(((-1.0,), (0.2, 4.0), (1.0,))))
         check_span(w, 0.0, 0.1)
         with pytest.raises(EndpointCollision, match=r"^endpoints x_2 and x_3 ") as info:
-            run(w, 3, (0.0, 0.5), sample_count=4)
+            run(w, 3, np.linspace(0.0, 0.5, 4), np.zeros(size))
         assert info.value.t == pytest.approx(0.2 - 5e-9, rel=1e-12)
 
 
@@ -456,7 +456,7 @@ def _log_weight(w, x, t):
 
 def _V(w, nd, x):
     """V, the degree <= m-1 interpolant of alpha_k W'(x_k) / 2."""
-    return barycentric_interpolate(nd, 0.5 * w.alpha * nd.wprime, x)
+    return barycentric_interpolate(nd.x, nd.wprime, 0.5 * w.alpha * nd.wprime, x)
 
 
 class TestV:
@@ -539,10 +539,11 @@ class TestBarycentric:
         poly = lambda x: 2.0 * x ** 2 - x + 0.3
         vals = poly(nd.x)
         for x in (-0.7, 0.0, 0.55, 0.2):
-            assert barycentric_interpolate(nd, vals, x) == pytest.approx(poly(x))
+            assert barycentric_interpolate(nd.x, nd.wprime, vals, x) \
+                == pytest.approx(poly(x))
 
     def test_exact_at_nodes(self, ref3):
         nd = node_data(ref3, 0.0)
         vals = np.array([3.0, -1.0, 2.0])
         for j in range(3):
-            assert barycentric_interpolate(nd, vals, nd.x[j]) == vals[j]
+            assert barycentric_interpolate(nd.x, nd.wprime, vals, nd.x[j]) == vals[j]
