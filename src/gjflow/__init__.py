@@ -25,7 +25,6 @@ from .errors import (
     UnderResolved,
 )
 from .evolution import (
-    EvolutionReport,
     EvolutionState,
     evolution_rhs,
     evolve,

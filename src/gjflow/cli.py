@@ -1,6 +1,7 @@
 """Command line front end: JSON config in, CSV out.
 
 Commands: coeffs, ladder, evolve, moments, verify, selftest.
+``moments``, ``verify`` and ``--selfcheck`` judge by ``verify_against_direct``.
 Exit codes: 0 success, 2 config error, 3 numerical failure
 (endpoint collision, step collapse, lost orthogonality, too few quadrature
 points for the degree), 4 verification tolerance exceeded (``verify``,
@@ -22,12 +23,13 @@ import numpy as np
 from . import __version__
 from .errors import (BadConstant, BadExponent, ConfigError, GJFlowError,
                      NonDistinctEndpoints, StepCollapse)
-from .evolution import (_relative, _state_labels, evolve, init_states,
+from .evolution import (_conserved_sums, _state_labels, evolve, init_states,
                         verify_against_direct)
 from .ladder import ladder_checks
 from .momentflow import direct_moments, evolve_moments
 from .orthopoly import stieltjes_procedure, stieltjes_recurrence
 from .quadrature import _absorbs, discretized_measure, gauss_jacobi_rule, npts_for
+from .rk45 import DEFAULT_TOL
 from .weights import EndpointTrajectory, check_span, make_weight
 
 EXIT_OK = 0
@@ -47,8 +49,8 @@ class RunConfig:
     npts: Optional[int] = None  # parse_config resolves it with npts_for
     t0: float = 0.0
     t1: float = 1.0
-    rtol: float = 1e-9
-    atol: float = 1e-12
+    rtol: float = DEFAULT_TOL[0]
+    atol: float = DEFAULT_TOL[1]
     samples: int = 20
     verify_rtol: float = 1e-6
     selfcheck: bool = False
@@ -222,13 +224,14 @@ class _SelfcheckFailed(Exception):
 def _selfchecked(cfg: RunConfig, label: str, compute,
                  key=lambda result: result):
     """``compute(cfg.npts)``; with ``--selfcheck``, also ``compute`` at
-    twice the points, the two compared on the array ``key(result)``, and
-    _SelfcheckFailed above a relative deviation of 1e-9."""
+    twice the points, the two compared on the array ``key(result)`` by
+    ``verify_against_direct``, and _SelfcheckFailed above a deviation of
+    1e-9."""
     coarse = compute(cfg.npts)
     if cfg.selfcheck:
         c, f = (np.asarray(key(r), dtype=float)
                 for r in (coarse, compute(2 * cfg.npts)))
-        dev = float(np.max(_relative(c - f, f)))
+        dev = float(np.max(verify_against_direct(c, f)))
         if dev > 1e-9:
             raise _SelfcheckFailed(f"selfcheck failed for {label}: "
                                    f"npts-doubling deviation {dev:.3e}")
@@ -286,6 +289,8 @@ def _require_span(cfg: RunConfig):
     """The weight and the one grid of sample times that the oracle and the
     flow of a command share, once its span passes ``check_span``."""
     _require(cfg.t1 != cfg.t0, "evolve.t1", "must differ from evolve.t0")
+    _require(math.isfinite(cfg.t1 - cfg.t0), "evolve.t1",  # else nan in the grid
+             "must lie a finite distance from evolve.t0")
     w = cfg.weight()
     check_span(w, cfg.t0, cfg.t1)
     return w, np.linspace(cfg.t0, cfg.t1, cfg.samples)
@@ -296,10 +301,12 @@ def cmd_evolve(cfg: RunConfig, out) -> int:
     _require_transforms(cfg, 1)
     y0 = _selfchecked(cfg, "evolve",
                       lambda npts: init_states(w, cfg.n, times[:1], npts)[0])
-    report = evolve(w, cfg.n, times, y0, (cfg.rtol, cfg.atol))
+    ys, stats = evolve(w, times, y0, (cfg.rtol, cfg.atol))
+    # the conserved sums at each sample minus those at t0
+    sums = _conserved_sums(ys, w.trajectory.positions(times[:, None]))
     columns = ["t", *_state_labels(w.m), *(f"drift_{i + 1}" for i in range(5))]
-    rows = np.column_stack((report.times, report.ys, report.drifts)).tolist()
-    _emit(out, cfg, columns, rows, [_steps_comment(report.stats)])
+    rows = np.column_stack((times, ys, sums - sums[0])).tolist()
+    _emit(out, cfg, columns, rows, [_steps_comment(stats)])
     return EXIT_OK
 
 
@@ -314,7 +321,7 @@ def cmd_moments(cfg: RunConfig, out) -> int:
     gap = np.abs(mu_n - nus[:, 0]) / np.maximum(scale, 1e-300)
     rows = np.column_stack((times, nus, mu_n, gap)).tolist()
     return _emit_verdict(out, cfg, columns, rows, [_steps_comment(stats)],
-                         float(np.max(_relative(nus - nu, nu))))
+                         float(np.max(verify_against_direct(nus, nu))))
 
 
 def cmd_verify(cfg: RunConfig, out) -> int:
@@ -322,8 +329,8 @@ def cmd_verify(cfg: RunConfig, out) -> int:
     _require_transforms(cfg, 1)
     direct = _selfchecked(cfg, "verify",
                           lambda npts: init_states(w, cfg.n, times, npts))
-    report = evolve(w, cfg.n, times, direct[0], (cfg.rtol, cfg.atol))
-    devs = verify_against_direct(report, direct)
+    ys, _ = evolve(w, times, direct[0], (cfg.rtol, cfg.atol))
+    devs = verify_against_direct(ys, direct)
     columns = ["t"] + [f"dev_{lab}" for lab in _state_labels(w.m)]
     rows = np.column_stack((times, devs)).tolist()
     return _emit_verdict(out, cfg, columns, rows, [], float(np.max(devs)))
@@ -360,10 +367,10 @@ def cmd_selftest(cfg: RunConfig, out) -> int:
             EndpointTrajectory.fixed(w.trajectory.positions(cfg.t0)),
         )
         y0 = init_states(frozen, cfg.n, (0.0,), cfg.npts)[0]
-        rep = evolve(frozen, cfg.n, np.linspace(0.0, 1.0, 5), y0,
-                     (cfg.rtol, cfg.atol))
+        ys, _ = evolve(frozen, np.linspace(0.0, 1.0, 5), y0,
+                       (cfg.rtol, cfg.atol))
         checks.append(("frozen_trajectory_constant",
-                       float(np.max(np.abs(rep.ys[-1] - rep.ys[0]))) < 1e-12))
+                       float(np.max(np.abs(ys[-1] - ys[0]))) < 1e-12))
 
     ok = True
     for name, passed in checks:
@@ -437,8 +444,11 @@ def main(argv=None) -> int:
 
     try:
         if args.config is not None:
-            with open(args.config, encoding="utf-8") as fh:
-                text = fh.read()
+            try:
+                with open(args.config, encoding="utf-8") as fh:
+                    text = fh.read()
+            except (OSError, UnicodeDecodeError) as exc:
+                raise ConfigError(f"config: {exc}") from exc
         elif args.command == "selftest":
             text = _DEFAULT_SELFTEST_CONFIG
         else:
@@ -449,7 +459,11 @@ def main(argv=None) -> int:
             cfg.selfcheck = True
 
         if args.output:
-            with open(args.output, "w", encoding="utf-8") as out:
+            try:
+                out = open(args.output, "w", encoding="utf-8")
+            except OSError as exc:
+                raise ConfigError(f"output: {exc}") from exc
+            with out:
                 return run_command(args.command, cfg, out)
         return run_command(args.command, cfg, sys.stdout)
     except ConfigError as exc:

@@ -5,20 +5,21 @@ node ratios theta_j = Theta_n(x_j)/W'(x_j),
 theta_prev_j = Theta_{n-1}(x_j)/W'(x_j), omega_j = Omega_n(x_j)/W'(x_j).
 The flow carries it packed, as the vector
 (a, b, gamma, theta, theta_prev, omega) of length 3 + 3m, and ``evolve``
-reports the sampled states as the rows of one array. The closed system of
-ODEs in t is integrated with the Dormand-Prince 8(5,3) pair of ``rk45``,
+returns (samples, stats): the sampled states as rows, and the step
+counts. The closed system of ODEs in t is integrated with the Dormand-Prince 8(5,3) pair of ``rk45``,
 sampled through its dense output, and cross-validated against full
 recomputation from quadrature: ``init_states`` builds the states at any
 number of times from the stacked absorbed rules with one Stieltjes
 recurrence over all of them, which yields the coefficients and p_n,
 p_{n-1} at the rule points and nodes alike; ``init_state`` is one row as
-an ``EvolutionState``. ``_flow`` drives ``evolve`` and the moment flow.
+an ``EvolutionState``. ``_flow`` drives ``evolve`` and the moment flow;
+``verify_against_direct`` judges either against its oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import List
 
 import numpy as np
@@ -27,7 +28,7 @@ from .errors import InitFailure
 from .ladder import LadderValues, _ladder_nodes
 from .orthopoly import eval_polynomial
 from .quadrature import npts_for
-from .rk45 import IntegrationStats, integrate_rk45
+from .rk45 import DEFAULT_TOL, integrate_rk45
 from .weights import (GeneralizedJacobiWeight, NodeFrames, check_span,
                       node_data, stage_frames)
 
@@ -62,26 +63,6 @@ def _conserved_sums(y: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.stack([np.sum(theta, axis=-1), np.sum(theta_prev, axis=-1),
                      np.sum(x * theta, axis=-1), np.sum(x * theta_prev, axis=-1),
                      np.sum(omega, axis=-1)], axis=-1)
-
-
-@dataclass
-class EvolutionReport:
-    """Sampled flow states of the weight ``w`` with integrator stats and,
-    computed on first read, the conservation drifts."""
-
-    w: GeneralizedJacobiWeight
-    n: int
-    times: np.ndarray
-    ys: np.ndarray              # samples x (3 + 3m), packed states
-    stats: IntegrationStats
-
-    @cached_property
-    def drifts(self) -> np.ndarray:
-        """samples x 5: the conserved sums at each sample minus those at
-        t0 (times[0] is t0, so row 0 holds the sums at t0)."""
-        sums = _conserved_sums(self.ys,
-                               self.w.trajectory.positions(self.times[:, None]))
-        return sums - sums[0]
 
 
 @lru_cache(maxsize=8)
@@ -220,19 +201,17 @@ def _flow(w: GeneralizedJacobiWeight, times, rhs, y0, tol):
     return integrate_rk45(rhs, lambda ts: stage_frames(w, ts), times, y0, *tol)
 
 
-def evolve(w: GeneralizedJacobiWeight, n: int, times, y0,
-           tol=(1e-9, 1e-12)) -> EvolutionReport:
+def evolve(w: GeneralizedJacobiWeight, times, y0, tol=DEFAULT_TOL):
     """Integrate the deformation system from the packed state y0 at
     times[0], such as row 0 of ``init_states`` there, and sample it at
-    the times (``_flow``)."""
-    times = np.asarray(times, dtype=float)
+    the times (``_flow``); returns (samples, stats), row i of samples
+    being the packed state at times[i]."""
     buf = _rhs_buffer(w.m)
 
     def rhs(basis, y, out):
         evolution_rhs(y, basis, buf, out)
 
-    ys, stats = _flow(w, times, rhs, y0, tol)
-    return EvolutionReport(w=w, n=n, times=times, ys=ys, stats=stats)
+    return _flow(w, times, rhs, y0, tol)
 
 
 def _state_labels(m: int) -> List[str]:
@@ -241,18 +220,13 @@ def _state_labels(m: int) -> List[str]:
                                  ("theta", "theta_prev", "omega") for j in range(m))]
 
 
-def _relative(dev: np.ndarray, ref: np.ndarray) -> np.ndarray:
-    # relative with an absolute floor of 1 so near-zero components (e.g. b_n
-    # of a symmetric weight) are judged on absolute error
-    return np.abs(dev) / np.maximum(np.abs(ref), 1.0)
-
-
-def verify_against_direct(report: EvolutionReport,
-                          direct: np.ndarray) -> np.ndarray:
-    """The relative deviations of the sampled states of ``report`` from the
-    oracle states ``direct`` at its times, such as ``init_states`` over
-    ``report.times``: samples x the components of ``_state_labels``."""
-    return _relative(report.ys - direct, direct)
+def verify_against_direct(samples: np.ndarray,
+                          reference: np.ndarray) -> np.ndarray:
+    """|samples - reference| / max(|reference|, 1), component by component:
+    relative with an absolute floor of 1, so that near-zero components
+    (b_n of a symmetric weight) are judged on absolute error. It judges
+    both flows against their oracles, and ``--selfcheck`` two resolutions."""
+    return np.abs(samples - reference) / np.maximum(np.abs(reference), 1.0)
 
 
 @dataclass(frozen=True)

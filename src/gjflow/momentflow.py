@@ -14,6 +14,7 @@ import numpy as np
 
 from .evolution import _flow
 from .quadrature import _stacked_points, npts_for
+from .rk45 import DEFAULT_TOL
 from .weights import GeneralizedJacobiWeight
 
 
@@ -57,12 +58,12 @@ def moment_rhs(nu: np.ndarray, basis: np.ndarray, alpha: np.ndarray,
 
 
 def evolve_moments(w: GeneralizedJacobiWeight, n: int, times, nu0,
-                   tol=(1e-9, 1e-12)):
+                   tol=DEFAULT_TOL):
     """Integrate the linear moment system from the m moments nu0 at
-    times[0] (``evolution._flow``); returns (nus, stats), row i of nus
-    being the moments at times[i]. A caller that checks the flow passes
-    row 0 of its ``direct_moments`` at the times as nu0; other start
-    values serve linearity experiments."""
+    times[0] (``evolution._flow``); returns (samples, stats) as ``evolve``
+    does, row i of samples being the moments at times[i]. A caller that
+    checks the flow passes row 0 of its ``direct_moments`` at the times as
+    nu0; other start values serve linearity experiments."""
     beta = beta_exponents(n, w.m)
 
     def rhs(basis, y, out):

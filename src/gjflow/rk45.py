@@ -90,6 +90,8 @@ from .errors import StepCollapse
 
 #: factor on the caller's rtol and atol (see the module docstring)
 TOL_SCALE = 3.0
+#: the (rtol, atol) of a flow that is given none
+DEFAULT_TOL = (1e-9, 1e-12)
 
 # DOP853 tableau: nodes c_0..c_15 (c_12 = 1 is the FSAL stage, c_13..c_15
 # the dense-output stages) and row i of A for stages 1..15; row 12 is the
@@ -302,8 +304,9 @@ def _start_step(rhs, frames, t0: float, y0, f0, direction: float,
 
 def integrate_rk45(rhs: Callable[[Any, np.ndarray, np.ndarray], Any],
                    frames: Callable[[np.ndarray], Sequence[Any]],
-                   times: Sequence[float], y0: np.ndarray, rtol: float = 1e-9,
-                   atol: float = 1e-12, min_step_frac: float = 1e-12):
+                   times: Sequence[float], y0: np.ndarray,
+                   rtol: float = DEFAULT_TOL[0], atol: float = DEFAULT_TOL[1],
+                   min_step_frac: float = 1e-12):
     """Integrate y' = rhs(frame(t), y) from t0 = times[0], where y = y0, to
     t1 = times[-1] and return the state at every time (see the module
     docstring for ``frames`` and ``rhs``).

@@ -3,7 +3,8 @@
 ``perfbench/tracer.py`` rebinds ``integrate_rk45`` and ``node_data`` where
 ``gjflow.evolution`` imported them and wraps the trajectory methods it finds
 in ``EndpointTrajectory.__dict__``; it spans the public module functions,
-``evolution.evolve`` among them, and names the ``rhs`` that a flow hands
+``evolution.evolve`` and ``evolution.verify_against_direct`` among them,
+and names the ``rhs`` that a flow hands
 ``integrate_rk45`` by its module and qualified name, which
 ``perfbench/run.py`` reports as ``evolution.evolve.rhs``; its
 ``evolution.evolution_rhs`` span counts one call per feval at the module
@@ -80,6 +81,12 @@ def test_evolve_is_a_public_module_function():
     assert inspect.isfunction(fn) and fn.__module__ == "gjflow.evolution"
 
 
+def test_verify_against_direct_is_a_public_module_function():
+    # it has a span of its own, evolution.verify_against_direct
+    fn = vars(gjflow.evolution)["verify_against_direct"]
+    assert inspect.isfunction(fn) and fn.__module__ == "gjflow.evolution"
+
+
 def test_evolve_hands_the_integrator_its_own_rhs(monkeypatch):
     handed = []
 
@@ -91,7 +98,7 @@ def test_evolve_hands_the_integrator_its_own_rhs(monkeypatch):
     w = make_weight([0.5, 0.5, 0.5], [1.0, 1.0],
                     EndpointTrajectory(((-1.0,), (0.0, 1.0), (1.0,))))
     times = np.linspace(0.0, 0.3, 5)
-    gjflow.evolution.evolve(w, 5, times,
+    gjflow.evolution.evolve(w, times,
                             gjflow.evolution.init_states(w, 5, times[:1])[0])
     (rhs,) = handed
     assert rhs.__module__ == "gjflow.evolution"

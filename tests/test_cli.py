@@ -24,7 +24,7 @@ from gjflow.cli import (
     parse_config,
 )
 from gjflow.errors import ConfigError
-from gjflow.evolution import evolve, init_states
+from gjflow.evolution import evolve, init_states, verify_against_direct
 from gjflow.momentflow import direct_moments, evolve_moments
 
 CHEB = {
@@ -45,6 +45,14 @@ def write_config(tmp_path, doc, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+def drifts_of(w, times, ys):
+    """The drift columns of ``gjflow evolve``: the conserved sums at each
+    sample minus those at times[0]."""
+    sums = gjflow.evolution._conserved_sums(
+        ys, w.trajectory.positions(np.asarray(times)[:, None]))
+    return sums - sums[0]
 
 
 def read_csv(text):
@@ -470,12 +478,11 @@ class TestRowsAreTheFlowArrays:
         cfg = parse_config(json.dumps(doc))
         w = cfg.weight()
         times = np.linspace(cfg.t0, cfg.t1, cfg.samples)
-        report = evolve(w, cfg.n, times,
-                        init_states(w, cfg.n, times[:1], cfg.npts)[0],
-                        tol=(cfg.rtol, cfg.atol))
+        ys, _ = evolve(w, times, init_states(w, cfg.n, times[:1], cfg.npts)[0],
+                       tol=(cfg.rtol, cfg.atol))
         assert main(["evolve", "--config", write_config(tmp_path, doc)]) == EXIT_OK
         _, _, rows = read_csv(capsys.readouterr().out)
-        expected = np.column_stack((report.times, report.ys, report.drifts))
+        expected = np.column_stack((times, ys, drifts_of(w, times, ys)))
         assert np.array_equal(np.array(rows), expected)
 
     def test_moments(self, tmp_path, capsys, doc):
@@ -524,6 +531,19 @@ class TestMoments:
         comments, header, rows = read_csv(captured.out)
         assert 1e-3 < max_deviation(comments) < 1e-1
         assert header[-2:] == ["mu_n", "gap"] and len(rows) == 10
+
+    def test_max_deviation_is_verify_against_direct(self, tmp_path, capsys):
+        # the flow's samples against the direct nu at every sample time, in
+        # the one deviation function, bit for bit
+        cfg = parse_config(json.dumps(M4_CONFIG))
+        w = cfg.weight()
+        times = np.linspace(cfg.t0, cfg.t1, cfg.samples)
+        nu = direct_moments(w, cfg.n, times, cfg.npts)[1]
+        nus, _ = evolve_moments(w, cfg.n, times, nu[0], (cfg.rtol, cfg.atol))
+        assert main(["moments", "--config", write_config(tmp_path, M4_CONFIG)]) \
+            == EXIT_OK
+        comments, _, _ = read_csv(capsys.readouterr().out)
+        assert max_deviation(comments) == verify_against_direct(nus, nu).max()
 
 
 class TestVerify:
@@ -749,6 +769,45 @@ class TestErrorPaths:
         code = main(["evolve", "--config", write_config(tmp_path, MOVING3),
                      "--t1", "0.0", "--t0", "0.0"])
         assert code == EXIT_CONFIG
+
+    @pytest.mark.parametrize("cmd, flags", [
+        ("evolve", []), ("verify", []), ("moments", []),
+        ("evolve", ["--t1", "1e308"]),
+    ], ids=["evolve", "verify", "moments", "t1-flag"])
+    def test_span_whose_length_overflows(self, tmp_path, capsys, cmd, flags):
+        # both ends finite, t1 - t0 = inf: the grid would hold nan and inf;
+        # refused before any pass warns, which this suite turns into an error
+        doc = {"weight": {"alpha": [0.5, 0.5, 0.5], "pieces": [1.0, 1.0],
+                          "trajectory": [[-1], [0], [1]]},
+               "evolve": {"t0": -1e308, "t1": 1e308 if not flags else 0.5}}
+        code = main([cmd, "--config", write_config(tmp_path, doc), *flags])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr() == ("", "config error: evolve.t1: must lie "
+                                           "a finite distance from evolve.t0\n")
+
+    @pytest.mark.parametrize("kind", ["missing", "directory", "latin-1"])
+    def test_unreadable_config(self, tmp_path, capsys, kind):
+        # the reason is the one Python gives for reading the file
+        path = tmp_path / "cfg"
+        if kind == "directory":
+            path.mkdir()
+        elif kind == "latin-1":
+            path.write_bytes(json.dumps(CHEB).replace("{", "{\xe9", 1)
+                             .encode("latin-1"))
+        with pytest.raises((OSError, UnicodeDecodeError)) as reason:
+            path.read_text(encoding="utf-8")
+        code = main(["coeffs", "--config", str(path)])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr() == ("", f"config error: config: {reason.value}\n")
+
+    def test_output_in_a_missing_directory(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "out.csv"
+        code = main(["coeffs", "--config", write_config(tmp_path, CHEB),
+                     "--output", str(out)])
+        assert code == EXIT_CONFIG and not out.parent.exists()
+        with pytest.raises(FileNotFoundError) as reason:
+            open(out, "w")
+        assert capsys.readouterr() == ("", f"config error: output: {reason.value}\n")
 
     @pytest.mark.parametrize("field, value, reason", [
         ("alpha", [-2, 0.5],

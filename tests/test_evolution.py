@@ -31,15 +31,16 @@ from gjflow.cli import cmd_verify, parse_config
 from gjflow.momentflow import (beta_exponents, direct_moments, evolve_moments,
                                moment_rhs)
 from gjflow.rk45 import integrate_rk45
-from test_cli import M4_CONFIG, M6_CONFIG, README_CONFIG
+from test_cli import (M4_CONFIG, M6_CONFIG, MOVING3, README_CONFIG, drifts_of,
+                      read_csv)
 from test_rk45 import accepted_of, attempts_of
 
 
 def evolve_uniform(w, n, span, samples=20, tol=(1e-9, 1e-12)):
-    """``evolve`` at ``samples`` uniform times of ``span``, from the oracle
-    state at the first."""
+    """(times, samples, stats): ``evolve`` at ``samples`` uniform times of
+    ``span``, from the oracle state of degree n at the first."""
     times = np.linspace(*span, samples)
-    return evolve(w, n, times, init_states(w, n, times[:1])[0], tol)
+    return (times, *evolve(w, times, init_states(w, n, times[:1])[0], tol))
 
 
 class TestEvolutionRhs:
@@ -127,8 +128,8 @@ def test_rhs_runs_once_per_feval(moving3, monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(gjflow.evolution, "evolution_rhs", counting)
-    rep = evolve_uniform(moving3, 5, (0.0, 0.3), 7)
-    assert len(calls) == rep.stats.fevals > 7
+    _, _, stats = evolve_uniform(moving3, 5, (0.0, 0.3), 7)
+    assert len(calls) == stats.fevals > 7
     assert set(calls) == {(3, 5)}           # one (m, m + 2) frame per call
 
 
@@ -151,14 +152,14 @@ class TestFramesBundle:
 
     def test_evolve_bit_for_bit(self, doc):
         cfg, w, span, opts = self._load(doc)
-        rep = evolve_uniform(w, cfg.n, span, cfg.samples,
-                             tol=(cfg.rtol, cfg.atol))
-        ys, stats = integrate_rk45(
+        times, samples, stats = evolve_uniform(w, cfg.n, span, cfg.samples,
+                                               tol=(cfg.rtol, cfg.atol))
+        ys, ref_stats = integrate_rk45(
             lambda basis, y, out: evolution_rhs(y, basis, out=out),
-            _per_stage_frames(w), rep.times, init_state(w, cfg.n, cfg.t0).pack(),
+            _per_stage_frames(w), times, init_state(w, cfg.n, cfg.t0).pack(),
             **opts)
-        assert stats == rep.stats
-        assert np.array_equal(rep.ys, ys)
+        assert stats == ref_stats
+        assert np.array_equal(samples, ys)
 
     def test_evolve_moments_bit_for_bit(self, doc):
         cfg, w, span, opts = self._load(doc)
@@ -173,26 +174,49 @@ class TestFramesBundle:
         assert np.array_equal(nus, ys)
 
 
+def _evolve_command(doc):
+    """The data rows of ``gjflow evolve`` on the config doc, as one array."""
+    out = io.StringIO()
+    gjflow.cli.cmd_evolve(parse_config(json.dumps(doc)), out)
+    return np.array(read_csv(out.getvalue())[2])
+
+
 def test_drifts_match_per_sample_node_data(moving3):
-    rep = evolve_uniform(moving3, 5, (0.0, 0.3), 7)
+    # MOVING3 is the moving3 weight at n = 5
+    rows = _evolve_command(dict(MOVING3, evolve={"t0": 0.0, "t1": 0.3,
+                                                 "samples": 7}))
+    times, ys, drifts = rows[:, 0], rows[:, 1:-5], rows[:, -5:]
     sums = gjflow.evolution._conserved_sums
     sums0 = sums(init_state(moving3, 5, 0.0).pack(), node_data(moving3, 0.0).x)
     ref = np.array([sums(y, node_data(moving3, t).x) - sums0
-                    for t, y in zip(rep.times, rep.ys)])
-    assert np.array_equal(rep.drifts, ref)
-    assert np.all(rep.drifts[0] == 0.0) and np.any(rep.drifts[-1] != 0.0)
+                    for t, y in zip(times, ys)])
+    assert np.array_equal(drifts, ref)
+    assert np.array_equal(drifts_of(moving3, times, ys), ref)
+    assert np.all(drifts[0] == 0.0) and np.any(drifts[-1] != 0.0)
 
 
-def test_drifts_are_computed_on_first_read(moving3, monkeypatch):
+def test_drifts_are_computed_only_by_the_evolve_command(moving3, monkeypatch):
     calls = []
     sums = gjflow.evolution._conserved_sums
-    monkeypatch.setattr(gjflow.evolution, "_conserved_sums",
-                        lambda *args: calls.append(1) or sums(*args))
-    rep = evolve_uniform(moving3, 5, (0.0, 0.3), 7)
-    verify_against_direct(rep, init_states(moving3, 5, rep.times))
+    for mod in (gjflow.evolution, gjflow.cli):
+        monkeypatch.setattr(mod, "_conserved_sums",
+                            lambda *args: calls.append(1) or sums(*args))
+    times, ys, _ = evolve_uniform(moving3, 5, (0.0, 0.3), 7)
+    verify_against_direct(ys, init_states(moving3, 5, times))
     assert calls == []
-    assert rep.drifts is rep.drifts
+    _evolve_command(MOVING3)
     assert calls == [1]
+
+
+def test_verify_against_direct_floors_the_reference_at_one():
+    # per component: |reference| < 1 is judged on absolute error, and
+    # |reference| >= 1 on relative error
+    reference = np.array([[0.5, -0.25, 4.0, -2.0],
+                          [0.0, 1.0, -8.0, 1024.0]])
+    samples = np.array([[0.625, -0.75, 5.0, -1.0],
+                        [2.0 ** -10, 1.5, -6.0, 1023.0]])
+    expected = [[0.125, 0.5, 0.25, 0.5], [2.0 ** -10, 0.5, 0.25, 2.0 ** -10]]
+    assert np.array_equal(verify_against_direct(samples, reference), expected)
 
 
 @st.composite
@@ -229,36 +253,37 @@ def test_flow_conserves_the_five_sums(flow):
     # the five Lagrange leading-coefficient sums are invariants of the
     # exact flow, so their drift is the integrator's error alone
     w, n, t1 = flow
-    rep = evolve_uniform(w, n, (0.0, t1), 10)
-    assert np.max(np.abs(rep.drifts)) <= 1e-10
+    times, ys, _ = evolve_uniform(w, n, (0.0, t1), 10)
+    assert np.max(np.abs(drifts_of(w, times, ys))) <= 1e-10
 
 
 class TestEvolve:
     def test_fixed_endpoints_constant(self, ref3):
-        rep = evolve_uniform(ref3, 3, (0.0, 2.0), 6)
-        first = rep.ys[0]
-        for y in rep.ys[1:]:
+        _, ys, _ = evolve_uniform(ref3, 3, (0.0, 2.0), 6)
+        first = ys[0]
+        for y in ys[1:]:
             assert np.max(np.abs(y - first)) < 1e-12
 
     def test_m2_translation_covariance(self):
         w = make_weight([0.5, 0.5], [1.0],
                         EndpointTrajectory(((-1.0, 1.0), (1.0, 1.0))))
-        rep = evolve_uniform(w, 4, (0.0, 1.0))
-        (a0, b0), (a1, b1) = rep.ys[0, :2], rep.ys[-1, :2]
+        _, ys, _ = evolve_uniform(w, 4, (0.0, 1.0))
+        (a0, b0), (a1, b1) = ys[0, :2], ys[-1, :2]
         assert b1 == pytest.approx(b0 + 1.0, abs=1e-8)
         assert a1 == pytest.approx(a0, abs=1e-8)
 
     def test_m3_against_direct(self, moving3):
-        rep = evolve_uniform(moving3, 5, (0.0, 0.3), 8, tol=(1e-9, 1e-12))
-        devs = verify_against_direct(rep, init_states(moving3, 5, rep.times))
+        times, ys, _ = evolve_uniform(moving3, 5, (0.0, 0.3), 8,
+                                      tol=(1e-9, 1e-12))
+        devs = verify_against_direct(ys, init_states(moving3, 5, times))
         assert devs.max() < 1e-6
-        assert np.max(np.abs(rep.drifts)) < 1e-8
+        assert np.max(np.abs(drifts_of(moving3, times, ys))) < 1e-8
         # shared initialization at t0
         assert np.max(devs[0]) < 1e-12
 
     def test_positivity_along_flow(self, moving3):
-        rep = evolve_uniform(moving3, 5, (0.0, 0.3), 10)
-        for y in rep.ys:
+        _, ys, _ = evolve_uniform(moving3, 5, (0.0, 0.3), 10)
+        for y in ys:
             assert y[0] > 0.0       # a
             assert y[2] > 0.0       # gamma
 
@@ -266,9 +291,9 @@ class TestEvolve:
         devs = []
         direct = init_states(moving3, 5, np.linspace(0.0, 0.3, 4))
         for rtol in (1e-10, 1e-8, 1e-6):
-            rep = evolve_uniform(moving3, 5, (0.0, 0.3), 4,
-                                 tol=(rtol, 1e-12))
-            devs.append(verify_against_direct(rep, direct).max())
+            _, ys, _ = evolve_uniform(moving3, 5, (0.0, 0.3), 4,
+                                      tol=(rtol, 1e-12))
+            devs.append(verify_against_direct(ys, direct).max())
         assert devs[0] <= devs[2]
         assert devs[1] <= devs[2]
 
@@ -290,7 +315,7 @@ class TestEvolve:
         w = make_weight([0.5, 0.5, 0.5], [1.0, 1.0],
                         EndpointTrajectory(((-1.0,), (0.0, 4.0, -4.0), (1.0,))))
         with pytest.raises(EndpointCollision, match=r"^endpoints x_2 and x_3 ") as info:
-            evolve(w, 3, [0.0, 1.0], np.zeros(12))
+            evolve(w, [0.0, 1.0], np.zeros(12))
         assert info.value.__cause__ is None
         assert info.value.t == pytest.approx(0.5 - np.sqrt(2e-8) / 2, rel=1e-12)
 
@@ -328,7 +353,7 @@ class TestEvolve:
                 if hasattr(mod, name):
                     monkeypatch.setattr(mod, name, recording(build))
         with pytest.raises(EndpointCollision, match=r"^endpoints x_2 and x_3 ") as info:
-            evolve(w, 3, np.linspace(0.0, 0.5, 3), np.zeros(12),
+            evolve(w, np.linspace(0.0, 0.5, 3), np.zeros(12),
                    tol=(1e-3, 1e-6))
         assert calls == []
         assert info.value.t == pytest.approx(0.3 * (1 - 2.5e-8) ** (1 / 40),
@@ -460,13 +485,13 @@ class TestInitStates:
                 if hasattr(mod, name):
                     monkeypatch.setattr(mod, name,
                                         counted(name, getattr(mod, name)))
-        rep = evolve_uniform(moving3, 5, (0.0, 0.3), samples)
+        times, ys, _ = evolve_uniform(moving3, 5, (0.0, 0.3), samples)
         calls.update(dict.fromkeys(calls, 0))
-        devs = verify_against_direct(rep, init_states(moving3, 5, rep.times))
+        devs = verify_against_direct(ys, init_states(moving3, 5, times))
         assert calls == {"stieltjes_recurrence": 1, "node_positions": 1}
         assert devs.shape == (samples, 3 + 3 * moving3.m)
-        ref = np.array([init_state(moving3, 5, t).pack() for t in rep.times])
-        assert np.array_equal(init_states(moving3, 5, rep.times), ref)
+        ref = np.array([init_state(moving3, 5, t).pack() for t in times])
+        assert np.array_equal(init_states(moving3, 5, times), ref)
 
 
 class TestVerifyFlow:
@@ -515,9 +540,9 @@ def test_frozen_flow_steps():
     # takes the fixed start and no more steps than it always did
     w = make_weight([0.5, 0.5, 0.5], [1.0, 1.0],
                     EndpointTrajectory.fixed([-1.0, 0.0, 1.0]))
-    rep = evolve_uniform(w, 5, (0.0, 1.0), 5)
-    assert (rep.stats.accepted, rep.stats.rejected) == (4, 0)
-    assert np.array_equal(rep.ys[-1], rep.ys[0])
+    _, ys, stats = evolve_uniform(w, 5, (0.0, 1.0), 5)
+    assert (stats.accepted, stats.rejected) == (4, 0)
+    assert np.array_equal(ys[-1], ys[0])
 
 
 class TestRhsFiniteDifference:

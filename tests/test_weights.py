@@ -419,7 +419,7 @@ class TestCheckSpan:
         monkeypatch.setattr(gjflow.weights, "_horner", capped)
         run = {"check_span": lambda span: check_span(moving3, *span),
                "evolve": lambda span: gjflow.evolution.evolve(
-                   moving3, 3, span, np.zeros(12)),
+                   moving3, span, np.zeros(12)),
                "evolve_moments": lambda span: gjflow.momentflow.evolve_moments(
                    moving3, 3, span, np.zeros(3))}[entry]
         with pytest.raises(ValueError, match="^t0 and t1 must be finite, got "):
@@ -437,13 +437,16 @@ class TestCheckSpan:
                              (gjflow.evolution, "integrate_rk45"),
                              (gjflow.momentflow, "direct_moments")):
             monkeypatch.setattr(module, name, no_work)
-        run, size = {"evolve": (gjflow.evolution.evolve, 12),
-                     "evolve_moments": (gjflow.momentflow.evolve_moments, 3)}[flow]
+        run, size = {
+            "evolve": (gjflow.evolution.evolve, 12),
+            "evolve_moments": (lambda w, times, nu0:
+                               gjflow.momentflow.evolve_moments(w, 3, times, nu0), 3),
+        }[flow]
         w = make_weight([0.5, 0.5, 0.5], [1.0, 1.0],
                         EndpointTrajectory(((-1.0,), (0.2, 4.0), (1.0,))))
         check_span(w, 0.0, 0.1)
         with pytest.raises(EndpointCollision, match=r"^endpoints x_2 and x_3 ") as info:
-            run(w, 3, np.linspace(0.0, 0.5, 4), np.zeros(size))
+            run(w, np.linspace(0.0, 0.5, 4), np.zeros(size))
         assert info.value.t == pytest.approx(0.2 - 5e-9, rel=1e-12)
 
 
