@@ -42,7 +42,6 @@ from .ladder import (
 )
 from .momentflow import (
     evolve_moments,
-    moment_rhs,
 )
 from .orthopoly import (
     RecurrenceTable,

@@ -29,7 +29,7 @@ from .ladder import ladder_checks
 from .momentflow import direct_moments, evolve_moments
 from .orthopoly import stieltjes_procedure, stieltjes_recurrence
 from .quadrature import _absorbs, discretized_measure, gauss_jacobi_rule, npts_for
-from .rk45 import DEFAULT_TOL
+from .rk45 import DEFAULT_TOL, MAX_SPAN
 from .weights import EndpointTrajectory, check_span, make_weight
 
 EXIT_OK = 0
@@ -288,9 +288,8 @@ def cmd_ladder(cfg: RunConfig, out) -> int:
 def _require_span(cfg: RunConfig):
     """The weight and the one grid of sample times that the oracle and the
     flow of a command share, once its span passes ``check_span``."""
-    _require(cfg.t1 != cfg.t0, "evolve.t1", "must differ from evolve.t0")
-    _require(math.isfinite(cfg.t1 - cfg.t0), "evolve.t1",  # else nan in the grid
-             "must lie a finite distance from evolve.t0")
+    _require(0.0 < abs(cfg.t1 - cfg.t0) <= MAX_SPAN, "evolve.t1",  # else h a_ij = inf
+             f"must differ from evolve.t0, by at most {MAX_SPAN:.4g}")
     w = cfg.weight()
     check_span(w, cfg.t0, cfg.t1)
     return w, np.linspace(cfg.t0, cfg.t1, cfg.samples)

@@ -67,16 +67,10 @@ def _conserved_sums(y: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=8)
 def _term_table(m: int):
-    """The deformation system at m endpoints as a table of monomials.
-
-    Each right-hand side component is a sum of terms coef * z[f1] * z[f2]
-    * z[f3] over the factor vector z = [y, U @ B, 1, a^2], where U holds
-    the node ratio rows theta, theta_prev, omega of the packed state y and
-    B = [xdot | x * xdot | K] is one frame of ``stage_frames``; so
-    (U @ B)[i] holds U_i . xdot, U_i . (x * xdot) and K U_i (K is
-    symmetric). Returns the 3 x terms array of factor indices and the
-    (3 + 3m) x terms coefficient matrix.
-    """
+    """The deformation system at m endpoints as a table of monomials over
+    the factor vector z = [y, U @ B, 1, a^2] of ``evolution_rhs``, where U
+    holds the node ratio rows theta, theta_prev, omega of y; so (U @ B)[i]
+    holds U_i . xdot, U_i . (x * xdot) and K U_i (K is symmetric)."""
     j = np.arange(m)
     th, tp, om = 3 + j, 3 + m + j, 3 + 2 * m + j
     ub = 3 + 3 * m
@@ -99,12 +93,18 @@ def _term_table(m: int):
         (tp, -2.0, tp, k_om, one),
         (om, 1.0, asq, th, k_tp), (om, -1.0, asq, tp, k_th),
     ]
-    rows = [np.broadcast_arrays(*term) for term in terms]
-    out, coef, f1, f2, f3 = (np.concatenate([r[col].ravel() for r in rows])
-                             for col in range(5))
-    coefs = np.zeros((3 + 3 * m, len(coef)))
-    coefs[out, np.arange(len(coef))] = coef
-    factors = np.stack((f1, f2, f3)).astype(np.intp)
+    return _assemble(3 + 3 * m, terms)
+
+
+def _assemble(k: int, terms):
+    """The table of a system of k components from its terms (output,
+    coefficient, factor, factor, factor), whose entries broadcast: the
+    3 x terms factor indices and the k x terms coefficients, read-only."""
+    cols = np.concatenate([np.stack(np.broadcast_arrays(*term)).reshape(5, -1)
+                           for term in terms], axis=1)
+    coefs = np.zeros((k, cols.shape[1]))
+    coefs[cols[0].astype(np.intp), np.arange(cols.shape[1])] = cols[1]
+    factors = cols[2:].astype(np.intp)
     for arr in (factors, coefs):
         arr.setflags(write=False)
     return factors, coefs
@@ -112,10 +112,9 @@ def _term_table(m: int):
 
 def _rhs_buffer(m: int):
     """Everything ``evolution_rhs`` reads and writes at m endpoints, built
-    once per flow: the factor vector z of ``_term_table(m)`` with its fixed
-    1.0 in place; its views, the packed state y, the node-ratio rows U
-    (3 x m) and U @ basis (3 x (m + 2)); the table; and the product of
-    the three factors of each term."""
+    once per flow: the factor vector z with its fixed 1.0 in place; its
+    views y, U (3 x m) and U @ basis (3 x (m + 2)); ``_term_table(m)``;
+    and the product of the three factors of each term."""
     k = 3 + 3 * m
     z = np.empty(k + 3 * (m + 2) + 2)
     z[-2] = 1.0
@@ -132,18 +131,19 @@ def evolution_rhs(y: np.ndarray, basis: np.ndarray, buf=None,
     ``y`` is ``EvolutionState.pack()``: (a, b, gamma), then theta,
     theta_prev and omega as the rows of ``U = y[3:].reshape(3, m)``;
     ``basis`` is the m x (m + 2) matrix ``[xdot | x * xdot | K]``, one
-    frame of ``stage_frames``. The system is a
-    polynomial of degree at most 3 in y whose coefficients depend on t only
-    through ``basis``: one ``U @ basis`` gives every dot and kernel
-    product, and the terms of ``_term_table`` turn them into the
-    derivative with one gather, one running product over the three
-    gathered factors of each term and one matmul.
+    frame of ``stage_frames``. The system is a polynomial of degree at
+    most 3 in y whose coefficients depend on t only through ``basis``: a
+    sum of terms coef * z[f1] * z[f2] * z[f3] over z = [y, U @ basis, 1,
+    a^2]. One ``U @ basis`` gives every dot and kernel product, and the
+    term table turns z into the derivative with one gather, one running
+    product over the three gathered factors of each term and one matmul.
 
     ``buf`` is the ``_rhs_buffer(m)`` that one flow builds once and
-    reuses for all its calls: the term table is read from it, and the
-    factor vector and the products of the terms are written into it;
-    without it a fresh one is made. ``y`` is only read, so ``out`` may be
-    a row of the integrator's stage array.
+    reuses for all its calls (a fresh one without it), or the moment
+    flow's ``momentflow._moment_buffer``, whose y is nu, with rows U and a
+    table of its own. The table is read from it, and z and the products
+    of the terms are written into it. ``y`` is only read, so ``out`` may
+    be a row of the integrator's stage array.
     """
     z, y_part, u, ub, factors, coefs, prod = \
         _rhs_buffer(len(basis)) if buf is None else buf

@@ -5,24 +5,17 @@ beta_1 = n + 1 and beta_k = 1 otherwise. Dividing out (u - x_j) always
 leaves a polynomial, so initial values and all verification values come
 from plain absorbed quadrature with no Cauchy singularity, independently
 of the alpha_k > 0 restriction: ``direct_moments``, at all times at once.
-``evolve_moments`` integrates through ``evolution._flow``, as ``evolve`` does.
+``evolve_moments`` runs on ``evolution._flow`` and ``evolution_rhs`` too.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .evolution import _flow
+from .evolution import _assemble, _flow, evolution_rhs
 from .quadrature import _stacked_points, npts_for
 from .rk45 import DEFAULT_TOL
 from .weights import GeneralizedJacobiWeight
-
-
-def beta_exponents(n: int, m: int) -> np.ndarray:
-    """beta_1 = n + 1, beta_2 = ... = beta_m = 1."""
-    beta = np.ones(m)
-    beta[0] = n + 1.0
-    return beta
 
 
 def direct_moments(w: GeneralizedJacobiWeight, n: int, ts,
@@ -45,16 +38,20 @@ def direct_moments(w: GeneralizedJacobiWeight, n: int, ts,
     return power.sum(axis=-1), (left * right * power[:, None]).sum(axis=-1)
 
 
-def moment_rhs(nu: np.ndarray, basis: np.ndarray, alpha: np.ndarray,
-               beta: np.ndarray, out=None) -> np.ndarray:
-    """nu_dot_j = sum_{k != j} (xd_j - xd_k)(alpha_k + beta_k)(nu_j - nu_k)/(x_j - x_k),
-    with the kernel K = (xd_j - xd_k)/(x_j - x_k) read from the frame
-    ``basis = [xdot | x * xdot | K]`` (a frame of ``stage_frames``);
-    written into ``out`` (a new array without it) and returned."""
-    K = basis[:, 2:]
-    ab = alpha + beta
-    # sum_k K[j,k] ab_k (nu_j - nu_k)
-    return np.subtract(nu * (K @ ab), K @ (ab * nu), out=out)
+def _moment_buffer(w: GeneralizedJacobiWeight, n: int):
+    """The ``evolution_rhs`` buffer and term table of the moment system.
+    With ab = alpha + beta, nu_dot_j = sum_k K[j,k] ab_k (nu_j - nu_k) =
+    nu_j (K ab)_j - (K (ab nu))_j over z = [nu, U @ B, 1, nu_1^2], where
+    the rows U = [ab * nu ; ab] are filled here (ab) and by the flow."""
+    m = w.m
+    j = np.arange(m)
+    k_ab_nu, k_ab, one = m + 2 + j, 2 * m + 4 + j, 3 * m + 4
+    z = np.empty(one + 2)
+    z[one] = 1.0
+    u = np.empty((2, m))
+    u[1] = w.alpha + np.r_[n + 1.0, np.ones(m - 1)]
+    table = _assemble(m, [(j, 1.0, j, k_ab, one), (j, -1.0, k_ab_nu, one, one)])
+    return z, z[:m], u, z[m:one].reshape(2, m + 2), *table, np.empty(2 * m)
 
 
 def evolve_moments(w: GeneralizedJacobiWeight, n: int, times, nu0,
@@ -64,9 +61,11 @@ def evolve_moments(w: GeneralizedJacobiWeight, n: int, times, nu0,
     does, row i of samples being the moments at times[i]. A caller that
     checks the flow passes row 0 of its ``direct_moments`` at the times as
     nu0; other start values serve linearity experiments."""
-    beta = beta_exponents(n, w.m)
+    buf = _moment_buffer(w, n)
+    ab_nu, ab = buf[2]
 
     def rhs(basis, y, out):
-        moment_rhs(y, basis, w.alpha, beta, out)
+        np.multiply(ab, y, ab_nu)
+        evolution_rhs(y, basis, buf, out)
 
     return _flow(w, times, rhs, nu0, tol)

@@ -228,6 +228,8 @@ _C_WITH_DENSE = np.concatenate((_C_STAGES, _C[13:]))
 # rows 0..15 of A, zero-padded to 15 columns; one product per attempt
 # scales it by h into the extended tableau [1 | h A]
 _A_STAGES = np.array([np.pad(row, (0, 15 - len(row))) for row in _A])
+#: the longest span t1 - t0 (about 4.13e306) whose steps h keep h a_ij finite
+MAX_SPAN = float(np.finfo(float).max / np.max(np.abs(_A_STAGES)))
 
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
@@ -316,7 +318,7 @@ def integrate_rk45(rhs: Callable[[Any, np.ndarray, np.ndarray], Any],
     floor min_step_frac * |t1 - t0|, so no attempt runs below it; only the
     step clipped to end on t1, which may sit arbitrarily close, is exempt.
     Raises ValueError unless the times are finite and ordered toward t1,
-    and t0 and t1 differ.
+    and t0 and t1 differ by at most ``MAX_SPAN``.
     """
     y = np.asarray(y0, dtype=float)
     samples = np.asarray(times, dtype=float).tolist()  # read one at a time
@@ -324,8 +326,9 @@ def integrate_rk45(rhs: Callable[[Any, np.ndarray, np.ndarray], Any],
     if not all(map(math.isfinite, samples)):
         raise ValueError(f"times must be finite, got {samples}")
     span = samples[-1] - samples[0] if samples else 0.0
-    if span == 0.0:
-        raise ValueError("the last time must differ from the first")
+    if not 0.0 < abs(span) <= MAX_SPAN:
+        raise ValueError("the last time must differ from the first, by at "
+                         f"most {MAX_SPAN:.4g}, got {span:.4g}")
     t0, t1 = samples[0], samples[-1]
     direction = 1.0 if span > 0 else -1.0
     if any(direction * (b - a) < 0 for a, b in zip(samples, samples[1:])):

@@ -8,7 +8,7 @@ and names the ``rhs`` that a flow hands
 ``integrate_rk45`` by its module and qualified name, which
 ``perfbench/run.py`` reports as ``evolution.evolve.rhs``; its
 ``evolution.evolution_rhs`` span counts one call per feval at the module
-binding; the ``oracle`` workload's
+bindings of both flows; the ``oracle`` workload's
 ``fevals_per_op`` is the sum of the stats that the rebound
 ``integrate_rk45`` returns during a ``verify``; ``perfbench/checks.py`` compares
 ``evolve`` rows with ``init_state(...).pack()``; ``perfbench/run.py`` reads
@@ -24,6 +24,7 @@ import numpy as np
 
 import gjflow.cli
 import gjflow.evolution
+import gjflow.momentflow
 import gjflow.rk45
 import gjflow.weights
 from gjflow import EndpointTrajectory, make_weight
@@ -105,8 +106,10 @@ def test_evolve_hands_the_integrator_its_own_rhs(monkeypatch):
     assert rhs.__qualname__ == "evolve.<locals>.rhs"
 
 
-def test_evolve_evaluates_the_rhs_through_its_binding(tmp_path, monkeypatch,
-                                                     capsys):
+def _count_rhs_calls(module, command, doc, tmp_path, monkeypatch, capsys):
+    """The ``evolution_rhs`` calls made at ``module``'s binding during one
+    ``command`` run through ``main`` on the config doc, and its fevals,
+    which the run must print."""
     calls, stats = [], []
     rhs, integrate = gjflow.evolution.evolution_rhs, gjflow.rk45.integrate_rk45
 
@@ -119,18 +122,36 @@ def test_evolve_evaluates_the_rhs_through_its_binding(tmp_path, monkeypatch,
         stats.append(out[1])
         return out
 
-    monkeypatch.setattr(gjflow.evolution, "evolution_rhs", counted_rhs)
+    monkeypatch.setattr(module, "evolution_rhs", counted_rhs)
     monkeypatch.setattr(gjflow.evolution, "integrate_rk45", counted_integrate)
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({
-        "weight": {"alpha": [0.5, 1.0, 1.5, 1.0], "pieces": [1.0, 1.5, 0.7],
-                   "trajectory": [[-2.0], [-0.5, 0.6, -0.4], [0.8, -0.3],
-                                  [2.0]]},
-        "n": 6, "evolve": {"t0": 0.0, "t1": 0.5, "samples": 10}}))
-    assert gjflow.cli.main(["evolve", "--config", str(path)]) == 0
+    path.write_text(json.dumps(doc))
+    assert gjflow.cli.main([command, "--config", str(path)]) == 0
     (flow_stats,) = stats
-    assert len(calls) == flow_stats.fevals > 100
     assert f"fevals={flow_stats.fevals}\n" in capsys.readouterr().out
+    return len(calls), flow_stats.fevals
+
+
+M4_DOC = {"weight": {"alpha": [0.5, 1.0, 1.5, 1.0], "pieces": [1.0, 1.5, 0.7],
+                     "trajectory": [[-2.0], [-0.5, 0.6, -0.4], [0.8, -0.3],
+                                    [2.0]]},
+          "n": 6, "evolve": {"t0": 0.0, "t1": 0.5, "samples": 10}}
+
+
+def test_evolve_evaluates_the_rhs_through_its_binding(tmp_path, monkeypatch,
+                                                     capsys):
+    calls, fevals = _count_rhs_calls(gjflow.evolution, "evolve", M4_DOC,
+                                     tmp_path, monkeypatch, capsys)
+    assert calls == fevals > 100
+
+
+def test_moments_evaluates_the_rhs_through_its_binding(tmp_path, monkeypatch,
+                                                      capsys):
+    # the moment flow's one interpreter call per feval, at its own binding
+    # of evolution_rhs, which the tracer rebinds to the same span
+    calls, fevals = _count_rhs_calls(gjflow.momentflow, "moments", M4_DOC,
+                                     tmp_path, monkeypatch, capsys)
+    assert calls == fevals > 50
 
 
 def test_init_state_packs_one_state():

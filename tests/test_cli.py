@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -770,20 +771,46 @@ class TestErrorPaths:
                      "--t1", "0.0", "--t0", "0.0"])
         assert code == EXIT_CONFIG
 
-    @pytest.mark.parametrize("cmd, flags", [
-        ("evolve", []), ("verify", []), ("moments", []),
-        ("evolve", ["--t1", "1e308"]),
-    ], ids=["evolve", "verify", "moments", "t1-flag"])
-    def test_span_whose_length_overflows(self, tmp_path, capsys, cmd, flags):
+    @pytest.mark.parametrize("cmd, t0, t1, flags", [
+        ("evolve", -1e308, 1e308, []), ("verify", -1e308, 1e308, []),
+        ("moments", -1e308, 1e308, []), ("evolve", -1e308, 0.5, ["--t1", "1e308"]),
+        *((cmd, 0, t1, []) for cmd in ("evolve", "verify", "moments")
+          for t1 in (1e308, 5e306)),
+        ("moments", 0, 0.5, ["--t1", "5e306"]),
+    ], ids=["evolve", "verify", "moments", "t1-flag",
+            *(f"{cmd}-{t1}" for cmd in ("evolve", "verify", "moments")
+              for t1 in ("1e308", "5e306")), "moments-t1-flag-5e306"])
+    def test_span_whose_length_overflows(self, tmp_path, capsys, cmd, t0, t1,
+                                         flags):
         # both ends finite, t1 - t0 = inf: the grid would hold nan and inf;
-        # refused before any pass warns, which this suite turns into an error
+        # or a finite span past rk45.MAX_SPAN (about 4.13e306), where a step
+        # h can overflow h * a_ij of the tableau. Refused before any pass
+        # warns, which this suite turns into an error
         doc = {"weight": {"alpha": [0.5, 0.5, 0.5], "pieces": [1.0, 1.0],
                           "trajectory": [[-1], [0], [1]]},
-               "evolve": {"t0": -1e308, "t1": 1e308 if not flags else 0.5}}
+               "evolve": {"t0": t0, "t1": t1}}
         code = main([cmd, "--config", write_config(tmp_path, doc), *flags])
         assert code == EXIT_CONFIG
-        assert capsys.readouterr() == ("", "config error: evolve.t1: must lie "
-                                           "a finite distance from evolve.t0\n")
+        assert capsys.readouterr() == ("", "config error: evolve.t1: must differ "
+                                           "from evolve.t0, by at most "
+                                           "4.134e+306\n")
+
+    @pytest.mark.parametrize("cmd, digest", [
+        ("evolve", "18a79cd36f2f2a7b497749d7938124fc696a68baed067bc0164bc2ec2f0aee03"),
+        ("verify", "7394440cffe642cac16ba32dbd738b984a35c2f498ce28e1e40198ed4d4b5b3d"),
+        ("moments", "3332d3e1f9abeef62da833c7ee66d92e9d62f8f6dfd3531c97cd715089acc830"),
+    ], ids=["evolve", "verify", "moments"])
+    def test_span_below_the_bound_runs_as_before(self, tmp_path, capsys, cmd,
+                                                 digest):
+        # t1 = 1e306 lies under rk45.MAX_SPAN: no warning, and the sha256
+        # of stdout is the one from before spans were bounded
+        doc = {"weight": {"alpha": [0.5, 0.5, 0.5], "pieces": [1.0, 1.0],
+                          "trajectory": [[-1], [0], [1]]},
+               "evolve": {"t0": 0, "t1": 1e306}}
+        code = main([cmd, "--config", write_config(tmp_path, doc)])
+        out, err = capsys.readouterr()
+        assert (code, err) == (EXIT_OK, "")
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
     @pytest.mark.parametrize("kind", ["missing", "directory", "latin-1"])
     def test_unreadable_config(self, tmp_path, capsys, kind):

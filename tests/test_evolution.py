@@ -28,11 +28,11 @@ from gjflow import (
     verify_against_direct,
 )
 from gjflow.cli import cmd_verify, parse_config
-from gjflow.momentflow import (beta_exponents, direct_moments, evolve_moments,
-                               moment_rhs)
+from gjflow.momentflow import direct_moments, evolve_moments
 from gjflow.rk45 import integrate_rk45
 from test_cli import (M4_CONFIG, M6_CONFIG, MOVING3, README_CONFIG, drifts_of,
                       read_csv)
+from test_momentflow import moment_table_rhs
 from test_rk45 import accepted_of, attempts_of
 
 
@@ -166,10 +166,8 @@ class TestFramesBundle:
         times = np.linspace(*span, cfg.samples)
         nu0 = direct_moments(w, cfg.n, times[:1])[1][0]
         nus, stats = evolve_moments(w, cfg.n, times, nu0, tol=(cfg.rtol, cfg.atol))
-        beta = beta_exponents(cfg.n, w.m)
         ys, ref_stats = integrate_rk45(
-            lambda basis, nu, out: moment_rhs(nu, basis, w.alpha, beta, out),
-            _per_stage_frames(w), times, nu0, **opts)
+            moment_table_rhs(w, cfg.n), _per_stage_frames(w), times, nu0, **opts)
         assert stats == ref_stats
         assert np.array_equal(nus, ys)
 

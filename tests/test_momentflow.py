@@ -10,12 +10,12 @@ from hankel_ref import hankel_det
 from gjflow import (
     EndpointCollision,
     EndpointTrajectory,
+    evolution_rhs,
     evolve_moments,
     make_weight,
-    moment_rhs,
     node_data,
 )
-from gjflow.momentflow import beta_exponents, direct_moments
+from gjflow.momentflow import _moment_buffer, direct_moments
 from test_rule_table import configs
 
 
@@ -26,11 +26,36 @@ def stretching2():
                        EndpointTrajectory(((-1.0,), (1.0, 1.0))))
 
 
+def moment_table_rhs(w, n):
+    """The moment system as ``evolve_moments`` evaluates it: rhs(basis,
+    nu, out=None) fills the row ab * nu of its buffer and calls
+    ``evolution_rhs`` with the moment table."""
+    buf = _moment_buffer(w, n)
+    ab_nu, ab = buf[2]
+
+    def rhs(basis, nu, out=None):
+        np.multiply(ab, nu, ab_nu)
+        return evolution_rhs(nu, basis, buf, out)
+
+    return rhs
+
+
+def closed_form_terms(w, n, nu, basis):
+    """The two sums of nu_dot_j = sum_{k != j} K[j,k] ab_k (nu_j - nu_k),
+    nu_j (K ab)_j and (K (ab nu))_j, with ab = alpha + beta, beta_1 = n + 1
+    and beta_k = 1 otherwise: the system written out."""
+    K = basis[:, 2:]
+    beta = np.ones(w.m)
+    beta[0] = n + 1.0
+    ab = w.alpha + beta
+    return nu * (K @ ab), K @ (ab * nu)
+
+
 class TestMomentRhs:
     def test_fixed_endpoints_zero(self, ref3):
         nd = node_data(ref3, 0.0)
         nu = direct_moments(ref3, 2, (0.0,))[1][0]
-        d = moment_rhs(nu, nd.basis, ref3.alpha, beta_exponents(2, ref3.m))
+        d = moment_table_rhs(ref3, 2)(nd.basis, nu)
         assert np.max(np.abs(d)) == 0.0
 
     def test_translation_zero(self):
@@ -38,17 +63,39 @@ class TestMomentRhs:
                         EndpointTrajectory(((-1.0, 1.0), (1.0, 1.0))))
         nd = node_data(w, 0.0)
         nu = direct_moments(w, 3, (0.0,))[1][0]
-        d = moment_rhs(nu, nd.basis, w.alpha, beta_exponents(3, w.m))
+        d = moment_table_rhs(w, 3)(nd.basis, nu)
         assert np.max(np.abs(d)) == 0.0
 
     def test_matches_finite_difference(self, stretching2):
         n, t, h = 2, 0.1, 1e-5
         nd = node_data(stretching2, t)
         nu = direct_moments(stretching2, n, (t,))[1][0]
-        d = moment_rhs(nu, nd.basis, stretching2.alpha, beta_exponents(n, 2))
+        d = moment_table_rhs(stretching2, n)(nd.basis, nu)
         plus, minus = direct_moments(stretching2, n, (t + h, t - h))[1]
         fd = (plus - minus) / (2 * h)
         assert d == pytest.approx(fd, rel=1e-6)
+
+    @pytest.mark.parametrize("m", range(2, 9))
+    def test_matches_the_closed_form(self, m):
+        # the table sums K ab and K (ab nu) in another order than K @ v,
+        # so the two agree to rounding on the scale of the two sums
+        rng = np.random.default_rng(m)
+        x0 = np.linspace(-2.0, 2.0, m)
+        traj = EndpointTrajectory(tuple(
+            (float(p), float(v), float(q))
+            for p, v, q in zip(x0, rng.uniform(-1, 1, m), rng.uniform(-0.3, 0.3, m))))
+        w = make_weight(rng.uniform(-0.5, 1.5, m), np.ones(m - 1), traj)
+        nd = node_data(w, 0.05)
+        assert len(set(np.round(nd.xdot, 12))) == m   # non-uniform velocities
+        for n in range(5):
+            rhs = moment_table_rhs(w, n)
+            nu = rng.standard_normal(m)
+            given = nu.copy()
+            first, second = closed_form_terms(w, n, nu, nd.basis)
+            got = rhs(nd.basis, nu)
+            scale = np.abs(first) + np.abs(second)
+            assert np.all(np.abs(got - (first - second)) <= 1e-14 * scale)
+            assert np.array_equal(nu, given)      # nu is not written
 
 
 def evolve_moments_uniform(w, n, span, samples=20):

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from gjflow import StepCollapse
 from gjflow import rk45
-from gjflow.rk45 import integrate_rk45
+from gjflow.rk45 import MAX_SPAN, integrate_rk45
 
 C = rk45._C
 
@@ -395,6 +395,27 @@ def test_rejects_non_finite_span(t0, t1):
     with pytest.raises(ValueError, match="^times must be finite, got "):
         integrate_rk45(capped, time_frames, [t0, t1], [1.0])
     assert calls == []
+
+
+@pytest.mark.parametrize("t0, t1", [(0.0, 5e306), (-1e308, 1e308),
+                                    (3e306, -3e306)])
+def test_rejects_a_span_whose_steps_overflow(t0, t1):
+    # past MAX_SPAN a step h can overflow h * a_ij, and the stages turn
+    # into inf and nan; refused before the first evaluation, while the
+    # longest span runs clean (warnings are errors in this suite)
+    calls = []
+
+    def counted(t, y, out):
+        calls.append(t)
+        out[:] = 0.0
+
+    assert MAX_SPAN == np.finfo(float).max / 4.34898841810699588477366255144e1
+    with pytest.raises(ValueError, match="^the last time must differ from "
+                                         "the first, by at most 4.134e"):
+        integrate_rk45(counted, time_frames, [t0, t1], [1.0])
+    assert calls == []
+    integrate_rk45(counted, time_frames, [0.0, MAX_SPAN], [1.0])
+    assert calls
 
 
 @pytest.mark.parametrize("samples", [[np.nan], [0.2, np.nan, 0.8], [np.inf],
