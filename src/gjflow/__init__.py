@@ -35,9 +35,7 @@ from .evolution import (
 )
 from .ladder import (
     LadderReport,
-    LadderValues,
     ladder_checks,
-    ladder_init,
     residue_sums,
 )
 from .momentflow import (

@@ -23,9 +23,8 @@ import numpy as np
 from . import __version__
 from .errors import (BadConstant, BadExponent, ConfigError, GJFlowError,
                      NonDistinctEndpoints, StepCollapse)
-from .evolution import (_conserved_sums, _state_labels, evolve, init_states,
-                        verify_against_direct)
-from .ladder import ladder_checks
+from .evolution import _state_labels, evolve, init_states, verify_against_direct
+from .ladder import ladder_checks, residue_sums
 from .momentflow import direct_moments, evolve_moments
 from .orthopoly import stieltjes_procedure, stieltjes_recurrence
 from .quadrature import _absorbs, discretized_measure, gauss_jacobi_rule, npts_for
@@ -270,9 +269,8 @@ def cmd_ladder(cfg: RunConfig, out) -> int:
     _require_transforms(cfg, 0)
     report = _selfchecked(
         cfg, "ladder", lambda npts: ladder_checks(w, cfg.t0, cfg.n, npts),
-        lambda rep: np.concatenate((rep.values.theta, rep.values.omega)))
-    lv = report.values
-    rows = np.column_stack((report.x, lv.theta, lv.theta_prev, lv.omega)).tolist()
+        lambda rep: rep.values[[0, 2]])
+    rows = np.column_stack((report.x, *report.values)).tolist()
     rows = [[j, *row] for j, row in enumerate(rows, 1)]
     comments = [
         f"residue_theta: {report.residue_theta!r}",
@@ -302,7 +300,7 @@ def cmd_evolve(cfg: RunConfig, out) -> int:
                       lambda npts: init_states(w, cfg.n, times[:1], npts)[0])
     ys, stats = evolve(w, times, y0, (cfg.rtol, cfg.atol))
     # the conserved sums at each sample minus those at t0
-    sums = _conserved_sums(ys, w.trajectory.positions(times[:, None]))
+    sums = residue_sums(ys, w.trajectory.positions(times[:, None]))
     columns = ["t", *_state_labels(w.m), *(f"drift_{i + 1}" for i in range(5))]
     rows = np.column_stack((times, ys, sums - sums[0])).tolist()
     _emit(out, cfg, columns, rows, [_steps_comment(stats)])

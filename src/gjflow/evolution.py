@@ -2,17 +2,19 @@
 
 The state for a fixed degree n is (a_n, b_n, gamma_n) together with the
 node ratios theta_j = Theta_n(x_j)/W'(x_j),
-theta_prev_j = Theta_{n-1}(x_j)/W'(x_j), omega_j = Omega_n(x_j)/W'(x_j).
+theta_prev_j = Theta_{n-1}(x_j)/W'(x_j), omega_j = Omega_n(x_j)/W'(x_j),
+the residues of Theta_n/W, Theta_{n-1}/W and Omega_n/W at x_j.
 The flow carries it packed, as the vector
 (a, b, gamma, theta, theta_prev, omega) of length 3 + 3m, and ``evolve``
 returns (samples, stats): the sampled states as rows, and the step
 counts. The closed system of ODEs in t is integrated with the Dormand-Prince 8(5,3) pair of ``rk45``,
 sampled through its dense output, and cross-validated against full
-recomputation from quadrature: ``init_states`` builds the states at any
-number of times from the stacked absorbed rules with one Stieltjes
-recurrence over all of them, which yields the coefficients and p_n,
-p_{n-1} at the rule points and nodes alike; ``init_state`` is one row as
-an ``EvolutionState``. ``_flow`` drives ``evolve`` and the moment flow;
+recomputation from quadrature: ``init_states`` takes the states at any
+number of times from ``ladder._ladder_nodes``, whose one Stieltjes
+recurrence over the stacked absorbed rules yields the coefficients and
+p_n, p_{n-1} at the rule points and nodes alike, and whose Cauchy
+transforms give the ratios directly; ``init_state`` is one row as an
+``EvolutionState``. ``_flow`` drives ``evolve`` and the moment flow;
 ``verify_against_direct`` judges either against its oracle.
 """
 
@@ -25,7 +27,7 @@ from typing import List
 import numpy as np
 
 from .errors import InitFailure
-from .ladder import LadderValues, _ladder_nodes
+from .ladder import _ladder_nodes
 from .orthopoly import eval_polynomial
 from .quadrature import npts_for
 from .rk45 import DEFAULT_TOL, integrate_rk45
@@ -50,19 +52,6 @@ class EvolutionState:
         return np.concatenate(
             ([self.a, self.b, self.gamma], self.theta, self.theta_prev, self.omega)
         )
-
-
-def _conserved_sums(y: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """The five Lagrange leading-coefficient sums conserved by the flow, of
-    packed states y at node positions x: the sums of theta, theta_prev,
-    x * theta, x * theta_prev and omega, along the last axis (rows of y
-    and x are times)."""
-    m = x.shape[-1]
-    theta, theta_prev, omega = (y[..., 3 + i * m:3 + (i + 1) * m]
-                                for i in range(3))
-    return np.stack([np.sum(theta, axis=-1), np.sum(theta_prev, axis=-1),
-                     np.sum(x * theta, axis=-1), np.sum(x * theta_prev, axis=-1),
-                     np.sum(omega, axis=-1)], axis=-1)
 
 
 @lru_cache(maxsize=8)
@@ -159,19 +148,17 @@ def evolution_rhs(y: np.ndarray, basis: np.ndarray, buf=None,
 def init_states(w: GeneralizedJacobiWeight, n: int, ts,
                 npts: int | None = None) -> np.ndarray:
     """Build the packed flow states at the times ts from the direct
-    quadrature oracles: one row of ``EvolutionState.pack()`` per time.
-
-    ``ladder._ladder_nodes`` gives a_n, b_n, gamma_n and the ladder node
-    values at all times from one pass; dividing by W'(x_j) gives the node
-    ratios. Each time is checked on its own; InitFailure names the first
-    time whose state cannot be built, with the underlying message.
+    quadrature oracles: one row of ``EvolutionState.pack()`` per time, as
+    ``ladder._ladder_nodes`` gives them from one pass. Each time is checked
+    on its own; InitFailure names the first time whose state cannot be
+    built, with the underlying message.
     """
     if n < 1:
         raise InitFailure("flow state needs n >= 1 (carries Theta_{n-1})")
     npts = npts_for(n, npts)  # refused as UnderResolved, not as an InitFailure
     ts = np.asarray(ts, dtype=float)
     try:
-        table, _, wprime, _, lv = _ladder_nodes(w, ts, n, npts)
+        return _ladder_nodes(w, ts, n, npts)[-1]
     except Exception as exc:  # noqa: BLE001 - surfaced as one condition
         # the first failing time of the step that failed (ordering check or
         # recurrence); the times before it passed that step, not all steps
@@ -180,9 +167,6 @@ def init_states(w: GeneralizedJacobiWeight, n: int, ts,
             init_states(w, n, ts[:i], npts)
         raise InitFailure(
             f"state initialization failed at t={ts[i]}: {exc}") from exc
-    return np.column_stack((table.a[:, n], table.b[:, n], table.gamma[:, n],
-                            lv.theta / wprime, lv.theta_prev / wprime,
-                            lv.omega / wprime))
 
 
 def init_state(w: GeneralizedJacobiWeight, n: int, t: float,
@@ -241,25 +225,27 @@ class TimeDerivativeCheck:
     formula_node: float
 
 
-def _dp_dt_formula(w, table, lv: LadderValues, nd: NodeFrames, n: int, x: float,
+def _dp_dt_formula(w, table, y: np.ndarray, nd: NodeFrames, n: int, x: float,
                    frame_velocity: float = 0.0):
     """Right side of the dp_n/dt expansion at x, seen from a frame moving at
-    frame_velocity.
+    frame_velocity, from the packed state y at the node data nd.
 
     With frame_velocity 0 this is dp_n/dt at a fixed off-node x. At x = x_j
     with frame_velocity xdot_j it is d/dt p_n(x_j(t), t): each xdot_k
     becomes xdot_k - xdot_j, and the k = j term, 0 * L_j(x_j)/0 with
     L_j(x_j) = W p_n'(x_j) = 0, is dropped. Terms whose velocity vanishes
     are dropped in general; they contribute 0 wherever they are finite.
+    The ratios (Omega_n - V)/W' and Theta_n/W' at x_k are omega_k - alpha_k/2
+    and theta_k.
     """
-    gdot_over_g = -0.5 * float(np.sum(nd.xdot * lv.theta / nd.wprime))
+    theta, _, omega = y[3:].reshape(3, -1)
+    gdot_over_g = -0.5 * float(np.sum(nd.xdot * theta))
     pn, _, pnm1 = eval_polynomial(table, n, x)
     a_n = float(table.a[n])
-    V_nodes = 0.5 * w.alpha * nd.wprime
     v = nd.xdot - frame_velocity
     k = v != 0.0
-    terms = v[k] * ((lv.omega[k] - V_nodes[k]) * pn - a_n * lv.theta[k] * pnm1) \
-        / (nd.wprime[k] * (x - nd.x[k]))
+    terms = v[k] * ((omega[k] - 0.5 * w.alpha[k]) * pn - a_n * theta[k] * pnm1) \
+        / (x - nd.x[k])
     return gdot_over_g * pn - float(np.sum(terms))
 
 
@@ -271,13 +257,13 @@ def pn_time_derivative_check(w: GeneralizedJacobiWeight, n: int, x: float,
 
     The off-node check holds x fixed; the node check follows the moving
     endpoint x_j(t). One ``_ladder_nodes`` pass at t, t + h and t - h gives
-    the three tables, the node positions at t +/- h and the node values at t.
+    the three tables, the node positions at t +/- h and the state at t.
     """
-    tables, x_h, _, _, lv = _ladder_nodes(w, (t, t + h, t - h), n, npts)
-    table, lv, nd = tables.row(0), lv.row(0), node_data(w, t)
+    tables, x_h, _, y = _ladder_nodes(w, (t, t + h, t - h), n, npts)
+    table, y, nd = tables.row(0), y[0], node_data(w, t)
     # fixed x off node, then along the node trajectory x_j(t)
-    formula = _dp_dt_formula(w, table, lv, nd, n, x)
-    formula_j = _dp_dt_formula(w, table, lv, nd, n, nd.x[j], nd.xdot[j])
+    formula = _dp_dt_formula(w, table, y, nd, n, x)
+    formula_j = _dp_dt_formula(w, table, y, nd, n, nd.x[j], nd.xdot[j])
     p_plus, p_minus = (eval_polynomial(tables.row(i), n, [x, x_h[i, j]])[0]
                        for i in (1, 2))
     fd, fd_j = ((p_plus - p_minus) / (2.0 * h)).tolist()

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -139,14 +138,12 @@ class NodeFrames:
     """Node data at one time t: the positions ``x`` and the frame ``basis``
     = ``[xdot | x * xdot | K]`` (a row of ``stage_frames``) that a flow
     right-hand side multiplies its node ratios by, K being the symmetric
-    velocity kernel K[j, k] = (xd_j - xd_k)/(x_j - x_k), K[j, j] = 0.
-    ``wprime``, the values W'(x_j), is computed when first read and kept."""
+    velocity kernel K[j, k] = (xd_j - xd_k)/(x_j - x_k), K[j, j] = 0."""
 
     t: float
     x: np.ndarray
     basis: np.ndarray = field(repr=False)
     xdot = property(lambda self: self.basis[:, 0])
-    wprime = cached_property(lambda self: _wprime(self.x))
 
 
 @dataclass(frozen=True)
@@ -295,23 +292,25 @@ def _check_gaps(trajectory: EndpointTrajectory, t0: float, t1: float) -> None:
         f"other at t = {b!r}, between t = {t0!r} and {t1!r}", t=b)
 
 
-def barycentric_interpolate(nodes: np.ndarray, wprime: np.ndarray, values, x):
-    """Degree <= m-1 interpolant through (x_j, values_j), first barycentric
-    form, at the node positions ``nodes`` whose W'(x_j) are ``wprime``.
+def barycentric_interpolate(nodes: np.ndarray, residues, x):
+    """The degree <= m-1 polynomial whose residues over W at the node
+    positions ``nodes`` are ``residues``, r_j = p(x_j)/W'(x_j), at x.
 
-    p(x) = W(x) * sum_j values_j / (W'(x_j) (x - x_j)) at a point or a 1-D
-    array of points; exact node values are returned where x hits a node.
-    ``values`` may stack several value vectors along leading axes (last
-    axis m); the result then has those axes in front of the points.
+    p(x) = W(x) * sum_j r_j / (x - x_j) at a point or a 1-D array of
+    points; where x hits node j it is r_j * prod_{k != j}(x_j - x_k), with
+    W'(x_j) taken from the positions. ``residues`` may stack several
+    vectors along leading axes (last axis m); the result then has those
+    axes in front of the points.
     """
-    values = np.asarray(values, dtype=float)
+    residues = np.asarray(residues, dtype=float)
     x = np.asarray(x, dtype=float)
     diffs = np.atleast_1d(x)[:, None] - nodes
     with np.errstate(divide="ignore", invalid="ignore"):
         out = np.prod(diffs, axis=1) \
-            * np.sum(values[..., None, :] / (wprime * diffs), axis=-1)
+            * np.sum(residues[..., None, :] / diffs, axis=-1)
     at, hit = np.nonzero(diffs == 0.0)
-    out[..., at] = values[..., hit]
+    if at.size:
+        out[..., at] = residues[..., hit] * _wprime(nodes)[hit]
     if x.ndim == 0:
         out = out[..., 0]
     return float(out) if out.ndim == 0 else out

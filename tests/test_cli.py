@@ -12,6 +12,7 @@ import pytest
 
 import gjflow.cli
 import gjflow.evolution
+import gjflow.ladder
 import gjflow.momentflow
 from gjflow import quadrature
 from gjflow.cli import (
@@ -51,7 +52,7 @@ def write_config(tmp_path, doc, name="cfg.json"):
 def drifts_of(w, times, ys):
     """The drift columns of ``gjflow evolve``: the conserved sums at each
     sample minus those at times[0]."""
-    sums = gjflow.evolution._conserved_sums(
+    sums = gjflow.ladder.residue_sums(
         ys, w.trajectory.positions(np.asarray(times)[:, None]))
     return sums - sums[0]
 

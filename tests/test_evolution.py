@@ -184,7 +184,7 @@ def test_drifts_match_per_sample_node_data(moving3):
     rows = _evolve_command(dict(MOVING3, evolve={"t0": 0.0, "t1": 0.3,
                                                  "samples": 7}))
     times, ys, drifts = rows[:, 0], rows[:, 1:-5], rows[:, -5:]
-    sums = gjflow.evolution._conserved_sums
+    sums = gjflow.ladder.residue_sums
     sums0 = sums(init_state(moving3, 5, 0.0).pack(), node_data(moving3, 0.0).x)
     ref = np.array([sums(y, node_data(moving3, t).x) - sums0
                     for t, y in zip(times, ys)])
@@ -195,15 +195,45 @@ def test_drifts_match_per_sample_node_data(moving3):
 
 def test_drifts_are_computed_only_by_the_evolve_command(moving3, monkeypatch):
     calls = []
-    sums = gjflow.evolution._conserved_sums
-    for mod in (gjflow.evolution, gjflow.cli):
-        monkeypatch.setattr(mod, "_conserved_sums",
+    sums = gjflow.ladder.residue_sums
+    for mod in (gjflow.ladder, gjflow.cli):
+        monkeypatch.setattr(mod, "residue_sums",
                             lambda *args: calls.append(1) or sums(*args))
     times, ys, _ = evolve_uniform(moving3, 5, (0.0, 0.3), 7)
     verify_against_direct(ys, init_states(moving3, 5, times))
     assert calls == []
     _evolve_command(MOVING3)
     assert calls == [1]
+
+
+def _ladder_comments(doc):
+    """The ``# key: value`` lines of ``gjflow ladder`` on the config doc."""
+    out = io.StringIO()
+    gjflow.cli.cmd_ladder(parse_config(json.dumps(doc)), out)
+    return dict(line[2:].split(": ", 1)
+                for line in read_csv(out.getvalue())[0] if ": " in line)
+
+
+def test_residue_sums_is_the_one_source_of_the_sum_lines(monkeypatch):
+    # one residue_sums call gives evolve's drift columns and one gives
+    # ladder's three residue lines: doubling its result doubles the drifts
+    # and residue_theta, and throws the two leading-coefficient lines off
+    plain_drifts = _evolve_command(MOVING3)[:, -5:]
+    plain = _ladder_comments(MOVING3)
+    calls = []
+    sums = gjflow.ladder.residue_sums
+    for mod in (gjflow.ladder, gjflow.cli):
+        monkeypatch.setattr(mod, "residue_sums",
+                            lambda *args: calls.append(1) or 2 * sums(*args))
+    assert np.array_equal(_evolve_command(MOVING3)[:, -5:], 2 * plain_drifts)
+    assert calls == [1]
+    doubled = _ladder_comments(MOVING3)
+    assert calls == [1, 1]
+    assert float(doubled["residue_theta"]) == 2 * float(plain["residue_theta"])
+    for key in ("residue_x_theta", "residue_omega"):
+        assert float(plain[key]) < 1e-8 and float(doubled[key]) > 0.5
+    for key in ("diffrel_residual", "wronskian_residual"):
+        assert doubled[key] == plain[key]
 
 
 def test_verify_against_direct_floors_the_reference_at_one():

@@ -22,7 +22,8 @@ repository root::
 
     PYTHONPATH=src python tests/test_golden.py
 
-and say in CHANGES.md which files moved and by how much. Regenerating
+and say in CHANGES.md which files moved and by how much. Before it
+overwrites a file whose bytes change, it names it on stderr. Regenerating
 also rewrites the stored configs from the generator.
 """
 
@@ -120,6 +121,15 @@ def test_flow_step_counts(tmp_path):
     assert expected.count("\n") == 24
 
 
+def _overwrite(path: Path, text: str) -> None:
+    """Write text to path, naming the file on stderr first if its bytes
+    change."""
+    data = text.encode("utf-8")
+    if not path.exists() or path.read_bytes() != data:
+        print(f"moved: {path.name}", file=sys.stderr)
+    path.write_bytes(data)
+
+
 def _regenerate():
     import tempfile
     GOLDEN.mkdir(exist_ok=True)
@@ -127,14 +137,13 @@ def _regenerate():
     import workloads
     configs = {f"flow.s{seed}.b0": workloads.block("flow", seed, 0)
                for seed in (1, 2)}
-    FLOW_CONFIGS.write_text(json.dumps(configs, indent=1) + "\n")
+    _overwrite(FLOW_CONFIGS, json.dumps(configs, indent=1) + "\n")
     with tempfile.TemporaryDirectory() as tmp:
         for case in CASES:
             for command in COMMANDS:
-                _golden_path(case, command).write_bytes(
-                    _record(case, command, Path(tmp)).encode("utf-8"))
-        (GOLDEN / "flow_steps.txt").write_bytes(
-            _flow_steps(Path(tmp)).encode("utf-8"))
+                _overwrite(_golden_path(case, command),
+                           _record(case, command, Path(tmp)))
+        _overwrite(GOLDEN / "flow_steps.txt", _flow_steps(Path(tmp)))
     print(f"wrote {len(CASES) * len(COMMANDS) + 2} files under {GOLDEN}",
           file=sys.stderr)
 

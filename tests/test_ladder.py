@@ -13,17 +13,20 @@ from gjflow import (
     EndpointTrajectory,
     IndexOutOfRange,
     eval_polynomial,
+    init_states,
     ladder_checks,
-    ladder_init,
     make_weight,
     node_data,
     pn_time_derivative_check,
     residue_sums,
     stieltjes_procedure,
 )
-from gjflow.cli import main
+from gjflow.cli import main, parse_config
 from gjflow.quadrature import cauchy_node_matrices
-from ladder_ref import ladder_climb, ladder_step
+from gjflow.weights import _wprime
+from ladder_ref import NodeValues, ladder_climb, ladder_step
+from test_cli import read_csv
+from test_golden import CASES
 from test_quadrature import q_at_node
 
 
@@ -36,20 +39,35 @@ def moving6():
                             (0.4, 0.3), (1.2, -0.5), (2.0,))))
 
 
+def state(w, t, n):
+    """The packed state of degree n at t, n = 0 included, from the oracle's
+    one pass."""
+    return gjflow.ladder._ladder_nodes(w, (t,), n, None)[-1][0]
+
+
+def oracle_node_values(w, n, t):
+    """Row 0 of ``init_states`` at t as node values: its ratios theta,
+    theta_prev and omega, as rows, times W'(x_j)."""
+    x = node_data(w, t).x
+    return init_states(w, n, (t,))[0, 3:].reshape(3, -1) * _wprime(x)
+
+
 class TestLadderInit:
     def test_chebyshev_theta0(self, cheb):
         # Theta_0 is the constant 2n+1+sum(alpha) = 2 for m = 2
-        lv = ladder_init(cheb, 0.0, 0)
-        assert lv.theta == pytest.approx([2.0, 2.0], rel=1e-12)
+        theta, theta_prev, _ = ladder_checks(cheb, 0.0, 0).values
+        assert theta == pytest.approx([2.0, 2.0], rel=1e-12)
         # Theta_{-1} = 0, with no sign bit: ladder prints 0.0, not -0.0
-        assert np.array_equal(lv.theta_prev, [0.0, 0.0])
-        assert not np.signbit(lv.theta_prev).any()
+        assert np.array_equal(theta_prev, [0.0, 0.0])
+        assert not np.signbit(theta_prev).any()
 
     def test_omega0_equals_V(self, ref3):
-        # p_0 constant and p_{-1} = 0 force Omega_0 = V
-        lv = ladder_init(ref3, 0.0, 0)
+        # p_0 constant and p_{-1} = 0 force Omega_0 = V, whose ratio is
+        # alpha_j/2 exactly
+        omega = ladder_checks(ref3, 0.0, 0).values[2]
         nd = node_data(ref3, 0.0)
-        assert lv.omega == pytest.approx(0.5 * ref3.alpha * nd.wprime, rel=1e-12)
+        assert omega == pytest.approx(0.5 * ref3.alpha * _wprime(nd.x), rel=1e-12)
+        assert np.array_equal(state(ref3, 0.0, 0)[3 + 2 * ref3.m:], 0.5 * ref3.alpha)
 
     def test_symmetric_parity(self):
         # symmetric weight, symmetric nodes +-c: p_n q_n is odd and W' is
@@ -58,24 +76,29 @@ class TestLadderInit:
         w = make_weight([0.5, 0.3, 0.5], [1.0, 1.0],
                         EndpointTrajectory.fixed([-1.0, 0.0, 1.0]))
         for n in (0, 2, 4, 6):
-            lv = ladder_init(w, 0.0, n)
-            assert lv.theta[0] == pytest.approx(-lv.theta[2], rel=1e-9)
+            theta = ladder_checks(w, 0.0, n).values[0]
+            assert theta[0] == pytest.approx(-theta[2], rel=1e-9)
 
     def test_residue_sums(self, ref3):
-        nd = node_data(ref3, 0.0)
+        x = node_data(ref3, 0.0).x
         sa = ref3.sum_alpha
         for n in range(11):
-            lv = ladder_init(ref3, 0.0, n)
-            s0, s1, s2 = residue_sums(lv, nd.x, nd.wprime)
-            assert abs(s0) < 1e-8 * max(1.0, np.max(np.abs(lv.theta)))
+            y = state(ref3, 0.0, n)
+            theta, theta_prev, _ = y[3:].reshape(3, -1) * _wprime(x)
+            s0, s0_prev, s1, s1_prev, s2 = residue_sums(y, x)
+            assert abs(s0) < 1e-8 * max(1.0, np.max(np.abs(theta)))
             assert s1 == pytest.approx(2 * n + 1 + sa, rel=1e-8)
             assert s2 == pytest.approx(n + sa / 2.0, rel=1e-8)
+            if n >= 1:  # the sums of theta_prev are those one degree down
+                assert abs(s0_prev) < 1e-8 * max(1.0, np.max(np.abs(theta_prev)))
+                assert s1_prev == pytest.approx(2 * n - 1 + sa, rel=1e-8)
 
 
     def test_m6_high_degree_matches_per_node_reference(self, moving6):
         t, n = 0.1, 30
         table = stieltjes_procedure(moving6, t, n + 1)
-        lv = ladder_init(moving6, t, n)
+        rep = ladder_checks(moving6, t, n)
+        theta, theta_prev, omega = rep.values
         nd = node_data(moving6, t)
         a_n = table.a[n]
         for j in range(moving6.m):
@@ -84,16 +107,15 @@ class TestLadderInit:
                 moving6, lambda u: eval_polynomial(table, n, u)[0], j, t)
             qm = q_at_node(
                 moving6, lambda u: eval_polynomial(table, n - 1, u)[0], j, t)
-            aw = moving6.alpha[j] * nd.wprime[j]
+            aw = moving6.alpha[j] * _wprime(nd.x)[j]
             ref = np.array([aw * pn * qn, 0.5 * aw + a_n * aw * qn * pnm1,
                             aw * pnm1 * qm])
-            got = np.array([lv.theta[j], lv.omega[j], lv.theta_prev[j]])
+            got = np.array([theta[j], omega[j], theta_prev[j]])
             np.testing.assert_allclose(got, ref, rtol=1e-13, atol=1e-13)
-        rep = ladder_checks(moving6, t, n)
         assert rep.wronskian_residual < 1e-8
-        # the report carries the values it checked, those of ladder_init
-        for name in ("theta", "omega", "theta_prev"):
-            assert np.array_equal(getattr(rep.values, name), getattr(lv, name))
+        # the report carries the values it checked, the oracle's ratios
+        # times W'(x_j)
+        assert np.array_equal(rep.values, oracle_node_values(moving6, n, t))
         # and the node positions, those of node_data
         assert np.array_equal(rep.x, node_data(moving6, t).x)
 
@@ -115,7 +137,7 @@ class TestLadderInit:
         counts = []
         for w in (ref3, moving6):
             calls.update(dict.fromkeys(calls, 0))
-            ladder_init(w, 0.0, 8)
+            init_states(w, 8, (0.0,))
             counts.append(dict(calls))
         assert counts == [{"eval_polynomial": 0, "stieltjes_recurrence": 1}] * 2
 
@@ -138,18 +160,18 @@ class TestLadderInit:
             k = len(points)
             p, _, pp = eval_polynomial(table, n, np.concatenate((points, nd.x)))
             qn, qm = (Q @ np.stack((p[:k], pp[:k]), axis=-1)).T
-            aw = w.alpha * nd.wprime
+            alpha = w.alpha
             a_n = table.a[n] if n >= 1 else 0.0
-            lv = ladder_init(w, t, n)
-            assert np.array_equal(lv.theta, aw * p[k:] * qn)
-            assert np.array_equal(lv.omega, 0.5 * aw + a_n * aw * qn * pp[k:])
+            theta, theta_prev, omega = state(w, t, n)[3:].reshape(3, -1)
+            assert np.array_equal(theta, alpha * p[k:] * qn)
+            assert np.array_equal(omega, 0.5 * alpha + a_n * alpha * qn * pp[k:])
             if n >= 1:
-                assert np.array_equal(lv.theta_prev, aw * pp[k:] * qm)
+                assert np.array_equal(theta_prev, alpha * pp[k:] * qm)
 
 
 class TestLadderStep:
-    """``ladder_init`` against the degree-raising recursion of
-    ``ladder_ref``."""
+    """The node values of ``ladder_checks`` against the degree-raising
+    recursion of ``ladder_ref``."""
 
     def test_matches_init_up_to_ten(self, ref3):
         self.assert_climb_matches_init(ref3, 0.0)
@@ -163,7 +185,7 @@ class TestLadderStep:
     @staticmethod
     def assert_climb_matches_init(w, t):
         for n in range(11):
-            direct = ladder_init(w, t, n)
+            direct = NodeValues(n, *ladder_checks(w, t, n).values)
             stepped = ladder_climb(w, t, n)
             assert stepped.n == n
             assert stepped.theta == pytest.approx(direct.theta, rel=1e-6)
@@ -176,23 +198,24 @@ class TestLadderStep:
         table = stieltjes_procedure(ref3, 0.0, 6)
         nd = node_data(ref3, 0.0)
         sa = ref3.sum_alpha
-        lv = ladder_init(ref3, 0.0, 4)
+        lv = NodeValues(4, *ladder_checks(ref3, 0.0, 4).values)
         nxt = ladder_step(lv, nd.x, table.a[4], table.a[5], table.b[4])
-        s0, s1, s2 = residue_sums(nxt, nd.x, nd.wprime)
+        ratios = [v / _wprime(nd.x) for v in (nxt.theta, nxt.theta_prev, nxt.omega)]
+        s0, _, s1, _, s2 = residue_sums(np.concatenate([[0.0] * 3, *ratios]), nd.x)
         assert abs(s0) < 1e-8 * np.max(np.abs(nxt.theta))
         assert s1 == pytest.approx(2 * 5 + 1 + sa, rel=1e-8)
         assert s2 == pytest.approx(5 + sa / 2.0, rel=1e-8)
 
     def test_degree_above_the_table_rejected(self, ref3):
-        # ladder_init builds its own table to degree n + 1, so only a
+        # the oracle builds its own table to degree n + 1, so only a
         # negative degree is left to reject
         with pytest.raises(IndexOutOfRange, match="degree must be >= 0, got -1"):
-            ladder_init(ref3, 0.0, -1)
+            ladder_checks(ref3, 0.0, -1)
 
     def test_zero_coefficient_rejected(self, ref3):
         table = stieltjes_procedure(ref3, 0.0, 3)
         nd = node_data(ref3, 0.0)
-        lv = ladder_init(ref3, 0.0, 1)
+        lv = NodeValues(1, *ladder_checks(ref3, 0.0, 1).values)
         with pytest.raises(ValueError, match="a_2 = 0 in ladder step"):
             ladder_step(lv, nd.x, table.a[1], 0.0, table.b[1])
 
@@ -213,22 +236,40 @@ class TestLadderChecks:
             assert rep.residue_omega < 1e-8
 
     def test_nodes_are_node_data_bit_for_bit(self, ref3, moving6):
-        # ladder_checks reads x and W'(x_j) from its _ladder_nodes pass;
-        # they are node_data's view, so are the residuals taken on them
+        # ladder_checks reads x from its _ladder_nodes pass and takes
+        # W'(x_j) on it; x is node_data's view, so are the node values and
+        # the residuals taken on them
         for w, t in ((ref3, 0.0), (moving6, 0.1)):
-            x, wprime = gjflow.ladder._ladder_nodes(w, (t,), 4, None)[1:3]
+            x = gjflow.ladder._ladder_nodes(w, (t,), 4, None)[1]
             nd = node_data(w, t)
             assert np.array_equal(x[0], nd.x)
-            assert np.array_equal(wprime[0], nd.wprime)
+            rep = ladder_checks(w, t, 4)
+            assert np.array_equal(rep.values, oracle_node_values(w, 4, t))
 
 
-def _diffrel_per_point(w, table, values, t, nsamples=20, seed=0):
+@pytest.mark.parametrize("case", CASES)
+def test_ladder_prints_the_oracle_row_times_wprime(case, tmp_path, capsys):
+    # one representation: the ladder CSV's node values are row 0 of the
+    # flow's oracle at t0, whose ratios W'(x_j) multiplies, bit for bit
+    doc, flags = CASES[case]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    assert main(["ladder", "--config", str(path), *flags]) == 0
+    rows = np.array(read_csv(capsys.readouterr().out)[2])
+    cfg = parse_config(json.dumps(doc))
+    w = cfg.weight()
+    assert np.array_equal(rows[:, 1], node_data(w, cfg.t0).x)
+    assert np.array_equal(rows[:, 2:].T, oracle_node_values(w, cfg.n, cfg.t0))
+
+
+def _diffrel_per_point(w, table, n, ratios, t, nsamples=20, seed=0):
     """The differential-relation residual of ladder_checks, one point at a
     time, with W(x) = prod_k (x - x_k) and
-    V(x) = W(x) (1/2) sum_k alpha_k / (x - x_k) written out per point."""
+    V(x) = W(x) (1/2) sum_k alpha_k / (x - x_k) written out per point, and
+    Theta_n and Omega_n interpolated from their ratios, the rows 0 and 2
+    of ``ratios``."""
     from gjflow import barycentric_interpolate
     nd = node_data(w, t)
-    n = values.n
     a_n = float(table.a[n]) if n >= 1 else 0.0
     xs = np.random.default_rng(seed).uniform(nd.x[0] + 0.05, nd.x[-1] - 0.05,
                                              size=nsamples)
@@ -238,8 +279,8 @@ def _diffrel_per_point(w, table, values, t, nsamples=20, seed=0):
         diffs = x - nd.x
         Wx = float(np.prod(diffs))
         Vx = float(Wx * 0.5 * np.sum(w.alpha / diffs))
-        Th = barycentric_interpolate(nd.x, nd.wprime, values.theta, float(x))
-        Om = barycentric_interpolate(nd.x, nd.wprime, values.omega, float(x))
+        Th = barycentric_interpolate(nd.x, ratios[0], float(x))
+        Om = barycentric_interpolate(nd.x, ratios[2], float(x))
         resid = max(resid, abs(Wx * dpn - (Om - Vx) * pn + a_n * Th * pnm1))
         denom = max(denom, abs(Wx * dpn), abs((Om - Vx) * pn), abs(Wx * pn))
     return resid / max(denom, 1e-300)
@@ -251,9 +292,9 @@ def test_diffrel_matches_per_point_reference(which, request):
     t = 0.2
     table = stieltjes_procedure(w, t, 21)
     for n in (0, 1, 7, 20):
-        lv = ladder_init(w, t, n)
+        ratios = state(w, t, n)[3:].reshape(3, -1)
         rep = ladder_checks(w, t, n, seed=n)
-        ref = _diffrel_per_point(w, table, lv, t, seed=n)
+        ref = _diffrel_per_point(w, table, n, ratios, t, seed=n)
         assert abs(rep.diffrel_residual - ref) < 1e-12
         assert rep.diffrel_residual < 1e-7
 

@@ -11,8 +11,8 @@ import json
 import numpy as np
 import pytest
 
-from gjflow import (EndpointTrajectory, UnderResolved, init_states, ladder_init,
-                    make_weight, stieltjes_procedure)
+from gjflow import (EndpointTrajectory, UnderResolved, init_states,
+                    ladder_checks, make_weight, stieltjes_procedure)
 from gjflow.cli import EXIT_NUMERICAL, main, parse_config
 from gjflow.momentflow import direct_moments
 from gjflow.quadrature import npts_for
@@ -39,9 +39,8 @@ def test_every_default_is_npts_for(n):
     pairs = [(init_states(W, n, TIMES), init_states(W, n, TIMES, npts)),
              *zip(direct_moments(W, n, TIMES),
                   direct_moments(W, n, TIMES, npts))]
-    lv, lv_given = ladder_init(W, 0.1, n), ladder_init(W, 0.1, n, npts)
-    pairs += [(lv.theta, lv_given.theta), (lv.omega, lv_given.omega),
-              (lv.theta_prev, lv_given.theta_prev)]
+    pairs += [(ladder_checks(W, 0.1, n).values,
+               ladder_checks(W, 0.1, n, npts).values)]
     table = stieltjes_procedure(W, 0.1, n)
     given = stieltjes_procedure(W, 0.1, n, npts)
     pairs += [(table.a, given.a), (table.b, given.b),
@@ -87,7 +86,7 @@ def test_stieltjes_resolves_the_last_entries(N):
 def test_oracles_below_the_rule(tmp_path, capsys, n):
     cli = _cli_refusal(tmp_path, capsys, n, n + 1)
     for oracle in (lambda: init_states(W, n, TIMES, n + 1),
-                   lambda: ladder_init(W, 0.0, n, n + 1),
+                   lambda: ladder_checks(W, 0.0, n, n + 1),
                    lambda: direct_moments(W, n, TIMES, n + 1)):
         with pytest.raises(UnderResolved) as info:
             oracle()

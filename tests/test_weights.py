@@ -23,6 +23,7 @@ from gjflow import (
     node_positions,
     stage_frames,
 )
+from gjflow.weights import _wprime
 
 #: x_1 = -1 - t, x_2 = 1 + t: ordered at every finite t and at t = inf
 DIVERGING = EndpointTrajectory(((-1.0, -1.0), (1.0, 1.0)))
@@ -113,19 +114,19 @@ class TestEndpointTrajectory:
 
 class TestNodeData:
     def test_wprime_m2(self, cheb):
-        nd = node_data(cheb, 0.0)
-        assert nd.wprime[1] == pytest.approx(2.0)
-        assert nd.wprime[0] == pytest.approx(-2.0)
+        wprime = _wprime(node_data(cheb, 0.0).x)
+        assert wprime[1] == pytest.approx(2.0)
+        assert wprime[0] == pytest.approx(-2.0)
 
     def test_wprime_m3_middle(self):
         w = make_weight([0.5, 0.5, 0.5], [1.0, 1.0],
                         EndpointTrajectory.fixed([-1.0, 0.0, 1.0]))
         nd = node_data(w, 0.0)
-        assert nd.wprime[1] == pytest.approx(-1.0)
+        assert _wprime(nd.x)[1] == pytest.approx(-1.0)
 
     def test_alternating_signs(self, ref3):
         nd = node_data(ref3, 0.0)
-        signs = np.sign(nd.wprime)
+        signs = np.sign(_wprime(nd.x))
         assert list(signs) == [1.0, -1.0, 1.0]
 
     def test_fixed_trajectory_zero_velocity(self, ref3):
@@ -133,20 +134,23 @@ class TestNodeData:
         assert np.all(nd.xdot == 0.0)
 
     @pytest.mark.parametrize("kernel_first", [False, True])
-    def test_lazy_wprime_is_node_polynomial_derivative(self, kernel_first):
+    def test_wprime_is_node_polynomial_derivative(self, kernel_first):
+        # node data holds no W'(x_j); it is _wprime of the positions, read
+        # before or after the kernel alike
         w = make_weight([0.3, 1.2, 0.7, 0.45, 1.4, 0.9], np.ones(5),
                         EndpointTrajectory(((-2.0,), (-1.1, 0.4), (-0.3, -0.2, 0.1),
                                             (0.4, 0.3), (1.2, -0.5), (2.0,))))
         nd = node_data(w, 0.3)
-        assert "wprime" not in vars(nd)               # not computed yet
+        assert not hasattr(nd, "wprime")
         if kernel_first:
             K = nd.basis[:, 2:]
             assert np.all(np.diag(K) == 0.0)
             assert np.array_equal(K, K.T)
         ref = [np.prod([nd.x[j] - nd.x[k] for k in range(6) if k != j])
                for j in range(6)]
-        np.testing.assert_allclose(nd.wprime, ref, rtol=1e-15, atol=0)
-        assert nd.wprime is nd.wprime                # computed once
+        wprime = _wprime(nd.x)
+        np.testing.assert_allclose(wprime, ref, rtol=1e-15, atol=0)
+        assert not wprime.flags.writeable
 
     def test_collision_at_query_time(self):
         w = make_weight([0.5, 0.5], [1.0],
@@ -211,13 +215,12 @@ class TestStageNodeData:
             # the one-time view equals the rows, field by field
             one = node_data(w, t)
             assert one.t == t and isinstance(one.t, float)
-            assert "wprime" not in vars(one)          # not computed yet
+            assert not hasattr(one, "wprime")
             assert np.array_equal(one.x, x)
             assert np.array_equal(one.xdot, xd)
             assert np.array_equal(one.basis, frames[i])
-            assert np.array_equal(one.wprime, np.prod(gaps, axis=1))
-            assert one.wprime is one.wprime           # computed once
-            for arr in (one.x, one.xdot, one.basis, one.wprime):
+            assert np.array_equal(_wprime(one.x), np.prod(gaps, axis=1))
+            for arr in (one.x, one.xdot, one.basis, _wprime(one.x)):
                 assert not arr.flags.writeable
         for arr in (frames, positions):
             assert not arr.flags.writeable
@@ -458,8 +461,9 @@ def _log_weight(w, x, t):
 
 
 def _V(w, nd, x):
-    """V, the degree <= m-1 interpolant of alpha_k W'(x_k) / 2."""
-    return barycentric_interpolate(nd.x, nd.wprime, 0.5 * w.alpha * nd.wprime, x)
+    """V, the degree <= m-1 interpolant of alpha_k W'(x_k) / 2, from its
+    residues alpha_k / 2."""
+    return barycentric_interpolate(nd.x, 0.5 * w.alpha, x)
 
 
 class TestV:
@@ -472,7 +476,7 @@ class TestV:
     def test_interpolation_condition(self, ref3):
         nd = node_data(ref3, 0.0)
         for k in range(ref3.m):
-            expected = ref3.alpha[k] * nd.wprime[k] / 2.0
+            expected = ref3.alpha[k] * _wprime(nd.x)[k] / 2.0
             assert _V(ref3, nd, nd.x[k]) == pytest.approx(expected)
 
     def test_identity_2V_over_W(self, ref3):
@@ -540,13 +544,15 @@ class TestBarycentric:
     def test_reproduces_polynomial(self, ref3):
         nd = node_data(ref3, 0.0)
         poly = lambda x: 2.0 * x ** 2 - x + 0.3
-        vals = poly(nd.x)
+        residues = poly(nd.x) / _wprime(nd.x)
         for x in (-0.7, 0.0, 0.55, 0.2):
-            assert barycentric_interpolate(nd.x, nd.wprime, vals, x) \
+            assert barycentric_interpolate(nd.x, residues, x) \
                 == pytest.approx(poly(x))
 
     def test_exact_at_nodes(self, ref3):
+        # on node j, r_j W'(x_j) from the positions, not W(x_j) * inf
         nd = node_data(ref3, 0.0)
-        vals = np.array([3.0, -1.0, 2.0])
+        residues = np.array([3.0, -1.0, 2.0])
         for j in range(3):
-            assert barycentric_interpolate(nd.x, nd.wprime, vals, nd.x[j]) == vals[j]
+            assert barycentric_interpolate(nd.x, residues, nd.x[j]) \
+                == residues[j] * _wprime(nd.x)[j]

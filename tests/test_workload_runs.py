@@ -20,7 +20,8 @@ the repository root::
 
     PYTHONPATH=src python tests/test_workload_runs.py
 
-and say in CHANGES.md which runs moved and why.
+and say in CHANGES.md which runs moved and why. Before it overwrites a
+file of hashes, it names on stderr each run whose hash changes.
 """
 
 import contextlib
@@ -109,13 +110,21 @@ def _regenerate():
     sys.path.insert(0, str(GOLDEN.parents[1] / "perfbench"))
     import workloads
     configs = {_block_name(*b): workloads.block(*b) for b in BLOCKS}
-    CONFIGS.write_text(json.dumps(configs, indent=1) + "\n")
+    text = json.dumps(configs, indent=1) + "\n"
+    if not CONFIGS.exists() or CONFIGS.read_text() != text:
+        print(f"moved: {CONFIGS.name}", file=sys.stderr)
+    CONFIGS.write_text(text)
     for selfcheck, hashes in HASHES.items():
-        lines = []
+        stored = _stored_hashes(selfcheck) if hashes.exists() else {}
+        digests = {}
         with tempfile.TemporaryDirectory() as tmp:
             for block, docs in configs.items():
-                digests = _run_block(block, docs, Path(tmp), selfcheck)
-                lines += [f"{digest}  {name}\n" for name, digest in digests.items()]
+                digests.update(_run_block(block, docs, Path(tmp), selfcheck))
+        moved = [name for name, digest in digests.items()
+                 if stored.get(name) != digest]
+        print(f"{len(moved)} runs moved in {hashes.name}:", *moved,
+              file=sys.stderr)
+        lines = [f"{digest}  {name}\n" for name, digest in digests.items()]
         hashes.write_text("".join(lines))
         print(f"wrote {len(lines)} hashes of {sum(map(len, configs.values()))} "
               f"configs to {hashes.name}", file=sys.stderr)
