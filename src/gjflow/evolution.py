@@ -169,10 +169,9 @@ def init_states(w: GeneralizedJacobiWeight, n: int, ts,
             f"state initialization failed at t={ts[i]}: {exc}") from exc
 
 
-def init_state(w: GeneralizedJacobiWeight, n: int, t: float,
-               npts: int | None = None) -> EvolutionState:
+def init_state(w: GeneralizedJacobiWeight, n: int, t: float) -> EvolutionState:
     """The flow state at time t: ``init_states`` at one time."""
-    y = init_states(w, n, (t,), npts)[0]
+    y = init_states(w, n, (t,))[0]
     return EvolutionState(float(t), n, *y[:3].tolist(), *y[3:].reshape(3, -1))
 
 
@@ -250,21 +249,20 @@ def _dp_dt_formula(w, table, y: np.ndarray, nd: NodeFrames, n: int, x: float,
 
 
 def pn_time_derivative_check(w: GeneralizedJacobiWeight, n: int, x: float,
-                             t: float, h: float, j: int = 0,
-                             npts: int | None = None) -> TimeDerivativeCheck:
+                             t: float, h: float) -> TimeDerivativeCheck:
     """Compare the explicit time-derivative formulas for p_n with centered
     finite differences of tables recomputed at t +/- h.
 
-    The off-node check holds x fixed; the node check follows the moving
-    endpoint x_j(t). One ``_ladder_nodes`` pass at t, t + h and t - h gives
+    The off-node check holds x fixed; the node check follows the first
+    endpoint x_1(t). One ``_ladder_nodes`` pass at t, t + h and t - h gives
     the three tables, the node positions at t +/- h and the state at t.
     """
-    tables, x_h, _, y = _ladder_nodes(w, (t, t + h, t - h), n, npts)
+    tables, x_h, _, y = _ladder_nodes(w, (t, t + h, t - h), n, None)
     table, y, nd = tables.row(0), y[0], node_data(w, t)
-    # fixed x off node, then along the node trajectory x_j(t)
+    # fixed x off node, then along the node trajectory x_1(t)
     formula = _dp_dt_formula(w, table, y, nd, n, x)
-    formula_j = _dp_dt_formula(w, table, y, nd, n, nd.x[j], nd.xdot[j])
-    p_plus, p_minus = (eval_polynomial(tables.row(i), n, [x, x_h[i, j]])[0]
+    formula_j = _dp_dt_formula(w, table, y, nd, n, nd.x[0], nd.xdot[0])
+    p_plus, p_minus = (eval_polynomial(tables.row(i), n, [x, x_h[i, 0]])[0]
                        for i in (1, 2))
     fd, fd_j = ((p_plus - p_minus) / (2.0 * h)).tolist()
     res_off = abs(fd - formula) / max(abs(fd), abs(formula), 1.0)

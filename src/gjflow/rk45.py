@@ -92,6 +92,8 @@ from .errors import StepCollapse
 TOL_SCALE = 3.0
 #: the (rtol, atol) of a flow that is given none
 DEFAULT_TOL = (1e-9, 1e-12)
+#: the step floor, as a fraction of the span |t1 - t0|
+MIN_STEP_FRAC = 1e-12
 
 # DOP853 tableau: nodes c_0..c_15 (c_12 = 1 is the FSAL stage, c_13..c_15
 # the dense-output stages) and row i of A for stages 1..15; row 12 is the
@@ -307,15 +309,14 @@ def _start_step(rhs, frames, t0: float, y0, f0, direction: float,
 def integrate_rk45(rhs: Callable[[Any, np.ndarray, np.ndarray], Any],
                    frames: Callable[[np.ndarray], Sequence[Any]],
                    times: Sequence[float], y0: np.ndarray,
-                   rtol: float = DEFAULT_TOL[0], atol: float = DEFAULT_TOL[1],
-                   min_step_frac: float = 1e-12):
+                   rtol: float = DEFAULT_TOL[0], atol: float = DEFAULT_TOL[1]):
     """Integrate y' = rhs(frame(t), y) from t0 = times[0], where y = y0, to
     t1 = times[-1] and return the state at every time (see the module
     docstring for ``frames`` and ``rhs``).
 
     Returns (samples, stats) where samples[i] is the state at times[i].
     Raises StepCollapse as soon as the controller's step falls below the
-    floor min_step_frac * |t1 - t0|, so no attempt runs below it; only the
+    floor MIN_STEP_FRAC * |t1 - t0|, so no attempt runs below it; only the
     step clipped to end on t1, which may sit arbitrarily close, is exempt.
     Raises ValueError unless the times are finite and ordered toward t1,
     and t0 and t1 differ by at most ``MAX_SPAN``.
@@ -333,7 +334,7 @@ def integrate_rk45(rhs: Callable[[Any, np.ndarray, np.ndarray], Any],
     direction = 1.0 if span > 0 else -1.0
     if any(direction * (b - a) < 0 for a, b in zip(samples, samples[1:])):
         raise ValueError("times must run in order from the first to the last")
-    h_floor = min_step_frac * abs(span)
+    h_floor = MIN_STEP_FRAC * abs(span)
     rtol, atol = rtol * TOL_SCALE, atol * TOL_SCALE
 
     stats = IntegrationStats()

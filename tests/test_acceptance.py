@@ -81,7 +81,7 @@ def test_criterion_2_ladder_structure():
     sa = w.sum_alpha
     ok = True
     for n in range(11):
-        rep = ladder_checks(w, 0.0, n, nsamples=20, seed=n)
+        rep = ladder_checks(w, 0.0, n)
         theta, _, omega = rep.values
         stepped = ladder_climb(w, 0.0, n)
         scale = np.maximum(np.abs(theta), 1.0)

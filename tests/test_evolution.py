@@ -34,6 +34,7 @@ from test_cli import (M4_CONFIG, M6_CONFIG, MOVING3, README_CONFIG, drifts_of,
                       read_csv)
 from test_momentflow import moment_table_rhs
 from test_rk45 import accepted_of, attempts_of
+from test_rule_table import configs
 
 
 def evolve_uniform(w, n, span, samples=20, tol=(1e-9, 1e-12)):
@@ -285,6 +286,50 @@ def test_flow_conserves_the_five_sums(flow):
     assert np.max(np.abs(drifts_of(w, times, ys))) <= 1e-10
 
 
+#: bound on ``node_identity`` of oracle states: over 6000 numpy draws of
+#: the space of ``configs`` (seeds 2 and 3, 4 times each) the worst read
+#: 4.3e-12 and the median 4.4e-15, over 6000 unseeded hypothesis examples
+#: of the test below 1.3e-12
+NODE_IDENTITY_TOL = 1e-11
+
+
+def node_identity(w, ys):
+    """The node identity omega_j^2 - alpha_j^2/4 - a^2 theta_j theta_prev_j
+    = 0 of packed states ys, one row per state: its worst residual over the
+    nodes, each scaled by max(omega_j^2, alpha_j^2/4, 1)."""
+    theta, theta_prev, omega = ys[:, 3:].reshape(len(ys), 3, -1).swapaxes(0, 1)
+    quarter = w.alpha ** 2 / 4
+    resid = omega ** 2 - quarter - ys[:, :1] ** 2 * theta * theta_prev
+    scale = np.maximum(np.maximum(omega ** 2, quarter), 1.0)
+    return np.max(np.abs(resid) / scale, axis=1)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(configs(), st.lists(st.floats(-0.01, 0.01), min_size=1, max_size=6))
+def test_oracle_states_keep_the_node_identity(cfg, offsets):
+    w, n, t = cfg
+    ys = init_states(w, n, t + np.array(offsets))
+    assert np.max(node_identity(w, ys)) <= NODE_IDENTITY_TOL
+
+
+def test_a_wrong_theta_term_breaks_the_node_identity(moving3, monkeypatch):
+    # the flow keeps the identity to its own error; with the term
+    # -theta_j (theta . xdot) of theta_j's equation 1 % off it ends 8e-4 off
+    times, ys, _ = evolve_uniform(moving3, 5, (0.0, 0.3), 10)
+    assert node_identity(moving3, ys)[-1] <= NODE_IDENTITY_TOL
+    table = gjflow.evolution._term_table
+
+    def wrong(m):
+        factors, coefs = table(m)
+        coefs = coefs.copy()
+        coefs[:, (coefs[3:3 + m] == -1.0).any(axis=0)] *= 1.01
+        return factors, coefs
+
+    monkeypatch.setattr(gjflow.evolution, "_term_table", wrong)
+    _, ys, _ = evolve_uniform(moving3, 5, (0.0, 0.3), 10)
+    assert node_identity(moving3, ys)[-1] > NODE_IDENTITY_TOL
+
+
 class TestEvolve:
     def test_fixed_endpoints_constant(self, ref3):
         _, ys, _ = evolve_uniform(ref3, 3, (0.0, 2.0), 6)
@@ -454,12 +499,13 @@ class TestInitStates:
         return str(info.value)
 
     def test_names_the_first_bad_time(self):
-        msg = self.failure(700, [0.0, 0.5, 1.0], 710)
+        # at the default npts, max(64, n + 2), as init_state takes it
+        msg = self.failure(700, [0.0, 0.5, 1.0], None)
         assert msg.startswith("state initialization failed at t=0.5: gamma_")
         with pytest.raises(InitFailure) as alone:
-            init_state(self.NARROWING, 700, 0.5, 710)
+            init_state(self.NARROWING, 700, 0.5)
         assert str(alone.value) == msg
-        init_state(self.NARROWING, 700, 0.0, 710)          # t = 0 is fine
+        init_state(self.NARROWING, 700, 0.0)  # t = 0 is fine
 
     def test_an_earlier_time_failing_a_later_step_comes_first(self):
         # t = 1.6 fails the ordering check, before any recurrence runs;

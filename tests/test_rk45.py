@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from gjflow import StepCollapse
 from gjflow import rk45
-from gjflow.rk45 import MAX_SPAN, integrate_rk45
+from gjflow.rk45 import MAX_SPAN, MIN_STEP_FRAC, integrate_rk45
 
 C = rk45._C
 
@@ -348,7 +348,7 @@ def test_step_collapse_carries_t():
     # y = 1/(1 - t) blows up at t = 1
     with pytest.raises(StepCollapse) as info:
         integrate_rk45(writes(lambda t, y: np.array([1.0 / (1.0 - t) ** 2])),
-                       time_frames, [0.0, 2.0], [1.0], min_step_frac=1e-6)
+                       time_frames, [0.0, 2.0], [1.0])
     assert 0.99 < info.value.t < 1.0
     assert f"at t = {info.value.t}" in str(info.value)
 
@@ -359,9 +359,8 @@ def test_no_attempt_below_the_floor():
     # clipped and each must run at a step of at least the floor
     rec = Recorder(lambda t, y: np.array([1.0 / (1.0 - t) ** 2]))
     with pytest.raises(StepCollapse) as info:
-        integrate_rk45(rec.rhs, rec.frames, [0.0, 2.0], [1.0],
-                       min_step_frac=1e-6)
-    floor = 1e-6 * 2.0
+        integrate_rk45(rec.rhs, rec.frames, [0.0, 2.0], [1.0])
+    floor = MIN_STEP_FRAC * 2.0
     steps = np.array([h for _, h in attempts_of(rec.frame_calls)])
     assert len(steps) > 50
     assert np.min(steps) >= floor * (1.0 - 1e-6)
