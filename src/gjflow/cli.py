@@ -92,51 +92,75 @@ def _finite_number(v, path: str) -> float:
     return x
 
 
-def _integer(v, path: str, least: int, reason: str) -> int:
-    _require(_is_int(v) and v >= least, path, reason)
-    return v
+def _positive(v, path: str) -> float:
+    x = _finite_number(v, path)
+    _require(x > 0, path, "must be positive")
+    return x
 
 
-def _check_keys(doc: dict, allowed, path: str, strict: bool):
+def _integer(least: int, reason: str):
+    """The check of an integer field: ``reason`` unless one >= ``least``."""
+    def check(v, path: str) -> int:
+        _require(_is_int(v) and v >= least, path, reason)
+        return v
+    return check
+
+
+#: every optional config field once, in check order, by section ("" for
+#: the top level) and key: the ``RunConfig`` attribute it sets and its
+#: check. A flag named after the attribute, where there is one, overrides
+#: the field.
+_FIELDS = {
+    "": {"n": ("n", _integer(0, "must be a non-negative integer"))},
+    "quad": {"npts": ("npts", _integer(1, "must be a positive integer"))},
+    "evolve": {"t0": ("t0", _finite_number), "t1": ("t1", _finite_number),
+               "rtol": ("rtol", _positive), "atol": ("atol", _positive),
+               "samples": ("samples", _integer(2, "must be an integer >= 2"))},
+    "verify": {"rtol": ("verify_rtol", _positive)},
+}
+
+
+def _check_keys(doc: dict, allowed, path: str):
     for key in doc:
-        if key not in allowed:
-            if strict:
-                raise ConfigError(f"{path}{key}: unknown key")
-            print(f"warning: ignoring unknown config key {path}{key}",
-                  file=sys.stderr)
+        _require(key in allowed, f"{path}{key}", "unknown key")
 
 
-#: the config path of each field that a command-line flag overrides
-_OVERRIDES = {"n": ("n",), "npts": ("quad", "npts"), "t0": ("evolve", "t0"),
-              "t1": ("evolve", "t1"), "rtol": ("evolve", "rtol")}
+def _unique_keys(pairs) -> dict:
+    """A JSON object's pairs as a dict, refusing a key given twice."""
+    doc = {}
+    for key, value in pairs:
+        _require(key not in doc, "config", f"repeated key {json.dumps(key)}")
+        doc[key] = value
+    return doc
 
 
-def parse_config(text: str, strict: bool = False,
-                 overrides: Optional[dict] = None) -> RunConfig:
+def parse_config(text: str, overrides: Optional[dict] = None) -> RunConfig:
     """Parse and validate a JSON config document.
 
-    ``overrides`` maps fields of ``_OVERRIDES`` to values that replace the
-    document's (None leaves a field alone) before validation, so a flag
-    fails as its field would. ``npts``, when neither gives it, is
-    ``npts_for`` of the resolved ``n``.
+    ``overrides`` maps ``RunConfig`` attributes to values that replace
+    their ``_FIELDS`` entries in the document (None leaves a field alone;
+    other keys are not read) before validation, so a flag fails as its
+    field would. ``npts``, when neither gives it, is ``npts_for`` of the
+    resolved ``n``.
     """
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config: invalid JSON ({exc})") from exc
     _require(isinstance(doc, dict), "config", "top level must be an object")
-    _check_keys(doc, {"weight", "n", "quad", "evolve", "verify"}, "", strict)
-    for key, value in (overrides or {}).items():
-        if value is not None:
-            *section, field = _OVERRIDES[key]
-            target = doc.setdefault(*section, {}) if section else doc
-            if isinstance(target, dict):  # else its section check fails below
-                target[field] = value
+    _check_keys(doc, {"weight", *_FIELDS[""], *filter(None, _FIELDS)}, "")
+    overrides = overrides or {}
+    for section, fields in _FIELDS.items():
+        for key, (attr, _) in fields.items():
+            if overrides.get(attr) is not None:
+                target = doc.setdefault(section, {}) if section else doc
+                if isinstance(target, dict):  # else its section check fails below
+                    target[key] = overrides[attr]
 
     _require("weight" in doc, "weight", "section is required")
     wsec = doc["weight"]
     _require(isinstance(wsec, dict), "weight", "must be an object")
-    _check_keys(wsec, {"alpha", "pieces", "trajectory"}, "weight.", strict)
+    _check_keys(wsec, {"alpha", "pieces", "trajectory"}, "weight.")
     _require("alpha" in wsec, "weight.alpha", "is required")
     _require("pieces" in wsec, "weight.pieces", "is required")
     _require("trajectory" in wsec, "weight.trajectory", "is required")
@@ -155,40 +179,15 @@ def parse_config(text: str, strict: bool = False,
     ]
 
     cfg = RunConfig(alpha=alpha, pieces=pieces, trajectory=trajectory)
-    if "n" in doc:
-        cfg.n = _integer(doc["n"], "n", 0, "must be a non-negative integer")
-    if "quad" in doc:
-        qsec = doc["quad"]
-        _require(isinstance(qsec, dict), "quad", "must be an object")
-        _check_keys(qsec, {"npts"}, "quad.", strict)
-        if "npts" in qsec:
-            cfg.npts = _integer(qsec["npts"], "quad.npts", 1,
-                                "must be a positive integer")
-    if "evolve" in doc:
-        esec = doc["evolve"]
-        _require(isinstance(esec, dict), "evolve", "must be an object")
-        _check_keys(esec, {"t0", "t1", "rtol", "atol", "samples"}, "evolve.",
-                    strict)
-        if "t0" in esec:
-            cfg.t0 = _finite_number(esec["t0"], "evolve.t0")
-        if "t1" in esec:
-            cfg.t1 = _finite_number(esec["t1"], "evolve.t1")
-        if "rtol" in esec:
-            cfg.rtol = _finite_number(esec["rtol"], "evolve.rtol")
-            _require(cfg.rtol > 0, "evolve.rtol", "must be positive")
-        if "atol" in esec:
-            cfg.atol = _finite_number(esec["atol"], "evolve.atol")
-            _require(cfg.atol > 0, "evolve.atol", "must be positive")
-        if "samples" in esec:
-            cfg.samples = _integer(esec["samples"], "evolve.samples", 2,
-                                   "must be an integer >= 2")
-    if "verify" in doc:
-        vsec = doc["verify"]
-        _require(isinstance(vsec, dict), "verify", "must be an object")
-        _check_keys(vsec, {"rtol"}, "verify.", strict)
-        if "rtol" in vsec:
-            cfg.verify_rtol = _finite_number(vsec["rtol"], "verify.rtol")
-            _require(cfg.verify_rtol > 0, "verify.rtol", "must be positive")
+    for section, fields in _FIELDS.items():
+        sec = doc.get(section, {}) if section else doc
+        if section:
+            _require(isinstance(sec, dict), section, "must be an object")
+            _check_keys(sec, fields, f"{section}.")
+        for key, (attr, check) in fields.items():
+            if key in sec:
+                path = f"{section}.{key}" if section else key
+                setattr(cfg, attr, check(sec[key], path))
     cfg.npts = npts_for(cfg.n) if cfg.npts is None else cfg.npts
     return cfg
 
@@ -431,8 +430,6 @@ def _parser() -> argparse.ArgumentParser:
                              "(default max(64, n + 2))")
     parser.add_argument("--selfcheck", action="store_true",
                         help="assert npts-doubling convergence")
-    parser.add_argument("--strict", action="store_true",
-                        help="reject unknown config keys")
     return parser
 
 
@@ -450,8 +447,7 @@ def main(argv=None) -> int:
             text = _DEFAULT_SELFTEST_CONFIG
         else:
             raise ConfigError("config: --config is required")
-        overrides = {key: getattr(args, key) for key in _OVERRIDES}
-        cfg = parse_config(text, strict=args.strict, overrides=overrides)
+        cfg = parse_config(text, vars(args))
         if args.selfcheck:
             cfg.selfcheck = True
 

@@ -99,17 +99,20 @@ def _assemble(k: int, terms):
     return factors, coefs
 
 
-def _rhs_buffer(m: int):
-    """Everything ``evolution_rhs`` reads and writes at m endpoints, built
-    once per flow: the factor vector z with its fixed 1.0 in place; its
-    views y, U (3 x m) and U @ basis (3 x (m + 2)); ``_term_table(m)``;
-    and the product of the three factors of each term."""
-    k = 3 + 3 * m
-    z = np.empty(k + 3 * (m + 2) + 2)
+def _rhs_buffer(k: int, table, u=None):
+    """Everything ``evolution_rhs`` reads and writes, built once per flow
+    from its state length k, its rows U and its term table (factors,
+    coefs): the factor vector z = [y, U @ basis, 1, y_0^2] with its fixed
+    1.0 in place; its views y and U @ basis; U; the table; and the product
+    of the three factors of each term. U is the (rows, m) array ``u`` that
+    the flow fills, or else the node ratio rows theta, theta_prev, omega
+    of y."""
+    rows, m = (3, (k - 3) // 3) if u is None else u.shape
+    z = np.empty(k + rows * (m + 2) + 2)
     z[-2] = 1.0
-    factors, coefs = _term_table(m)
-    return (z, z[:k], z[3:k].reshape(3, m), z[k:-2].reshape(3, m + 2),
-            factors, coefs, np.empty(factors.shape[1]))
+    u = z[3:k].reshape(3, m) if u is None else u
+    return (z, z[:k], u, z[k:-2].reshape(rows, m + 2), *table,
+            np.empty(table[0].shape[1]))
 
 
 def evolution_rhs(y: np.ndarray, basis: np.ndarray, buf=None,
@@ -127,15 +130,15 @@ def evolution_rhs(y: np.ndarray, basis: np.ndarray, buf=None,
     term table turns z into the derivative with one gather, one running
     product over the three gathered factors of each term and one matmul.
 
-    ``buf`` is the ``_rhs_buffer(m)`` that one flow builds once and
-    reuses for all its calls (a fresh one without it), or the moment
-    flow's ``momentflow._moment_buffer``, whose y is nu, with rows U and a
-    table of its own. The table is read from it, and z and the products
-    of the terms are written into it. ``y`` is only read, so ``out`` may
-    be a row of the integrator's stage array.
+    ``buf`` is the ``_rhs_buffer`` that one flow builds once and reuses
+    for all its calls (a fresh one over ``_term_table`` without it), such
+    as the moment flow's from ``momentflow._moment_buffer``, whose y is
+    nu, with rows U and a table of its own. The table is read from it, and z
+    and the products of the terms are written into it. ``y`` is only
+    read, so ``out`` may be a row of the integrator's stage array.
     """
     z, y_part, u, ub, factors, coefs, prod = \
-        _rhs_buffer(len(basis)) if buf is None else buf
+        _rhs_buffer(len(y), _term_table(len(basis))) if buf is None else buf
     y_part[...] = y
     u.dot(basis, ub)
     a = y_part.item(0)
@@ -189,7 +192,7 @@ def evolve(w: GeneralizedJacobiWeight, times, y0, tol=DEFAULT_TOL):
     times[0], such as row 0 of ``init_states`` there, and sample it at
     the times (``_flow``); returns (samples, stats), row i of samples
     being the packed state at times[i]."""
-    buf = _rhs_buffer(w.m)
+    buf = _rhs_buffer(3 + 3 * w.m, _term_table(w.m))
 
     def rhs(basis, y, out):
         evolution_rhs(y, basis, buf, out)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .evolution import _assemble, _flow, evolution_rhs
+from .evolution import _assemble, _flow, _rhs_buffer, evolution_rhs
 from .quadrature import _stacked_points, npts_for
 from .rk45 import DEFAULT_TOL
 from .weights import GeneralizedJacobiWeight
@@ -39,19 +39,17 @@ def direct_moments(w: GeneralizedJacobiWeight, n: int, ts,
 
 
 def _moment_buffer(w: GeneralizedJacobiWeight, n: int):
-    """The ``evolution_rhs`` buffer and term table of the moment system.
+    """The rows U and the ``evolution_rhs`` buffer of the moment system.
     With ab = alpha + beta, nu_dot_j = sum_k K[j,k] ab_k (nu_j - nu_k) =
     nu_j (K ab)_j - (K (ab nu))_j over z = [nu, U @ B, 1, nu_1^2], where
     the rows U = [ab * nu ; ab] are filled here (ab) and by the flow."""
     m = w.m
     j = np.arange(m)
     k_ab_nu, k_ab, one = m + 2 + j, 2 * m + 4 + j, 3 * m + 4
-    z = np.empty(one + 2)
-    z[one] = 1.0
     u = np.empty((2, m))
     u[1] = w.alpha + np.r_[n + 1.0, np.ones(m - 1)]
     table = _assemble(m, [(j, 1.0, j, k_ab, one), (j, -1.0, k_ab_nu, one, one)])
-    return z, z[:m], u, z[m:one].reshape(2, m + 2), *table, np.empty(2 * m)
+    return u, _rhs_buffer(m, table, u)
 
 
 def evolve_moments(w: GeneralizedJacobiWeight, n: int, times, nu0,
@@ -61,8 +59,7 @@ def evolve_moments(w: GeneralizedJacobiWeight, n: int, times, nu0,
     does, row i of samples being the moments at times[i]. A caller that
     checks the flow passes row 0 of its ``direct_moments`` at the times as
     nu0; other start values serve linearity experiments."""
-    buf = _moment_buffer(w, n)
-    ab_nu, ab = buf[2]
+    (ab_nu, ab), buf = _moment_buffer(w, n)
 
     def rhs(basis, y, out):
         np.multiply(ab, y, ab_nu)

@@ -111,14 +111,16 @@ class TestParseConfig:
             parse_config(json.dumps(doc))
 
     def test_unknown_key_warns(self, capsys):
+        # an unknown key is refused, not warned about and ignored
         doc = dict(CHEB, typo=1)
-        parse_config(json.dumps(doc))
-        assert "unknown config key typo" in capsys.readouterr().err
+        with pytest.raises(ConfigError, match="^typo: unknown key$"):
+            parse_config(json.dumps(doc))
+        assert capsys.readouterr().err == ""
 
     def test_unknown_key_strict(self):
         doc = dict(CHEB, typo=1)
         with pytest.raises(ConfigError, match="typo"):
-            parse_config(json.dumps(doc), strict=True)
+            parse_config(json.dumps(doc))
 
     @pytest.mark.parametrize("key", ["rtol", "atol"])
     def test_negative_rtol(self, key):
@@ -189,6 +191,55 @@ def test_booleans_are_not_numbers(tmp_path, capsys, path, flag):
         parse_config(json.dumps(doc))
     assert main(["evolve", "--config", write_config(tmp_path, doc)]) == EXIT_CONFIG
     assert capsys.readouterr() == ("", f"config error: {message}\n")
+
+
+# an unknown key at each level exits 2 naming its path; "" is the name of
+# the top level's own fields in ``cli._FIELDS``, not a key. Ignored,
+# verify.rtl would run at the default 1e-6 and pass, where the 1e-15 it
+# misspells fails this config's deviation of 1.9e-12 (exit 4)
+UNKNOWN_KEY_CASES = [("rtoll",), ("",), ("weight", "alpah"), ("quad", "npt"),
+                     ("evolve", "rtoll"), ("verify", "rtl")]
+
+
+@pytest.mark.parametrize("path", UNKNOWN_KEY_CASES,
+                         ids=lambda path: ".".join(path) or "empty")
+def test_unknown_keys_are_refused(tmp_path, capsys, path):
+    doc = _with(MOVING3, path, 1e-15)
+    assert main(["verify", "--config", write_config(tmp_path, doc)]) == EXIT_CONFIG
+    assert capsys.readouterr() == (
+        "", f"config error: {'.'.join(path)}: unknown key\n")
+
+
+@pytest.mark.parametrize("sections, key", [
+    ('"verify": {"rtol": 1e-15}, "verify": {"rtol": 1e-3}', "verify"),
+    ('"verify": {"rtol": 1e-15, "rtol": 1e-3}', "rtol"),
+], ids=["top-level", "in-section"])
+def test_repeated_keys_are_refused(tmp_path, capsys, sections, key):
+    # json.loads alone keeps the last of two equal keys: verify at 1e-3
+    path = tmp_path / "cfg.json"
+    path.write_text(f'{{"weight": {json.dumps(MOVING3["weight"])}, {sections}}}')
+    assert main(["verify", "--config", str(path)]) == EXIT_CONFIG
+    assert capsys.readouterr() == (
+        "", f'config error: config: repeated key "{key}"\n')
+
+
+def test_strict_is_not_a_flag(tmp_path, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["coeffs", "--strict", "--config", write_config(tmp_path, CHEB)])
+    assert info.value.code == 2  # argparse's usage error
+    assert "unrecognized arguments: --strict" in capsys.readouterr().err
+
+
+def test_the_docs_list_every_config_key_once():
+    # the key column of the Config table of docs/formats.md, in order
+    text = (Path(__file__).resolve().parents[1] / "docs" / "formats.md"
+            ).read_text(encoding="utf-8")
+    section = text.split("\n## Config\n", 1)[1].split("\n## ", 1)[0]
+    documented = re.findall(r"^\| `([^`]+)` \|", section, re.M)
+    declared = [f"{sec}.{key}" if sec else key
+                for sec, fields in gjflow.cli._FIELDS.items() for key in fields]
+    assert documented == ["weight.alpha", "weight.pieces",
+                          "weight.trajectory", *declared]
 
 
 class TestCoeffs:
@@ -755,7 +806,7 @@ class TestErrorPaths:
         assert code == EXIT_CONFIG
 
     def test_strict_flag(self, tmp_path, capsys):
-        code = main(["coeffs", "--strict",
+        code = main(["coeffs",
                      "--config", write_config(tmp_path, dict(CHEB, typo=1))])
         assert code == EXIT_CONFIG
 

@@ -30,8 +30,7 @@ def moment_table_rhs(w, n):
     """The moment system as ``evolve_moments`` evaluates it: rhs(basis,
     nu, out=None) fills the row ab * nu of its buffer and calls
     ``evolution_rhs`` with the moment table."""
-    buf = _moment_buffer(w, n)
-    ab_nu, ab = buf[2]
+    (ab_nu, ab), buf = _moment_buffer(w, n)
 
     def rhs(basis, nu, out=None):
         np.multiply(ab, nu, ab_nu)
